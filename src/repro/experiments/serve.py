@@ -160,7 +160,7 @@ class _CrashingSource:
         self.kill_after = kill_after
         self.plane = None  # wired by the caller after plane construction
 
-    async def reports(self):
+    async def batches(self):
         import asyncio
 
         from ..serve import LoadReport
@@ -170,11 +170,11 @@ class _CrashingSource:
             if slot >= self.kill_after:
                 self.plane.request_stop()
                 await asyncio.Event().wait()
-            yield LoadReport(
+            yield [LoadReport(
                 time=(slot + 0.5) * slot_seconds,
                 count=float(count),
                 node="replay",
-            )
+            )]
 
 
 def run_resume_scenario(

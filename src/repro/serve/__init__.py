@@ -37,6 +37,7 @@ from .ingest import (
     LoadReport,
     JsonLinesSource,
     ReplaySource,
+    ReportSource,
     TcpSource,
     parse_report_line,
     source_from_spec,
@@ -56,6 +57,7 @@ __all__ = [
     "LoadReport",
     "OnlineController",
     "ReplaySource",
+    "ReportSource",
     "ServeOptions",
     "TcpSource",
     "parse_error_trigger",

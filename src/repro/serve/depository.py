@@ -21,11 +21,22 @@ node that stops reporting freezes interval-closing forever.  With
 many intervals behind the fastest node is evicted from the clock map
 (chronicled as ``node.stale``, parented on its last report); if it
 reports again later it re-enters the map (``node.recovered``).
+
+Cost: one report costs O(log nodes) amortised, whatever the cluster
+size.  Every clock advance pushes ``(clock, registration order, node)``
+onto one min-heap; an entry whose clock is no longer its node's current
+one is dead and is dropped when it surfaces (lazy deletion).  The
+watermark is the first live entry, the fastest clock is a running
+maximum (its holder is never stale, so it never has to fall), and the
+eviction sweep pops the heap below the horizon instead of scanning the
+clock map.  The heap is derived state: it is not checkpointed, and
+``restore_state`` rebuilds it from the clocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import heapq
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..hstore.monitor import LoadMonitor
@@ -57,6 +68,14 @@ class Depository:
         self.node_timeout_intervals = int(node_timeout_intervals)
         self._buffer: Dict[int, float] = {}
         self._clocks: Dict[str, float] = {}
+        #: node -> registration sequence number (the insertion order of
+        #: ``_clocks``): nodes evicted in one sweep are chronicled in it.
+        self._order: Dict[str, int] = {}
+        self._registrations = 0
+        #: Lazy-deletion min-heap of (clock, registration order, node);
+        #: an entry is live iff its clock is the node's current one.
+        self._heap: List[Tuple[float, int, str]] = []
+        self._max_clock = 0.0       # the fastest node's clock
         #: node -> id of its ``node.stale`` chronicle record, kept so a
         #: re-appearing node's ``node.recovered`` can parent on it.
         self._evicted: Dict[str, Optional[str]] = {}
@@ -73,7 +92,13 @@ class Depository:
     @property
     def watermark(self) -> float:
         """The slowest reporting node's clock (0 before any report)."""
-        return min(self._clocks.values()) if self._clocks else 0.0
+        heap, clocks = self._heap, self._clocks
+        while heap:
+            clock, _, node = heap[0]
+            if clocks.get(node) == clock:
+                return clock
+            heapq.heappop(heap)  # superseded by a later clock, or evicted
+        return 0.0
 
     @property
     def nodes(self) -> int:
@@ -111,21 +136,53 @@ class Depository:
                 tel.chronicle.record(
                     "node.recovered", time=time, parent=stale_id, node=node,
                 )
-        self._clocks[node] = max(previous or 0.0, time)
-        self._evict_stale()
+        clock = max(previous or 0.0, time)
+        if clock != previous:
+            if previous is None:
+                self._order[node] = self._registrations
+                self._registrations += 1
+            self._clocks[node] = clock
+            heap = self._heap
+            heapq.heappush(heap, (clock, self._order[node], node))
+            if clock > self._max_clock:
+                self._max_clock = clock
+            if len(heap) > 2 * len(self._clocks) + 64:
+                # Dead entries only leave when they surface; under a
+                # frozen watermark they never would.
+                self._rebuild_heap()
+        if self.node_timeout_intervals > 0:
+            horizon = (
+                self._max_clock - self.node_timeout_intervals * self._interval
+            )
+            if self._heap[0][0] < horizon:
+                self._evict_stale(horizon)
 
-    def _evict_stale(self) -> None:
+    def _rebuild_heap(self) -> None:
+        """Derive order numbers, fastest clock and heap from the clock
+        map, whose insertion order *is* the registration order."""
+        clocks = self._clocks
+        self._order = {node: i for i, node in enumerate(clocks)}
+        self._registrations = len(clocks)
+        self._max_clock = max(clocks.values(), default=0.0)
+        self._heap = [
+            (clock, i, node) for i, (node, clock) in enumerate(clocks.items())
+        ]
+        heapq.heapify(self._heap)
+
+    def _evict_stale(self, horizon: float) -> None:
         """Drop nodes whose clock trails the leader by > the timeout."""
-        if self.node_timeout_intervals <= 0 or len(self._clocks) < 2:
-            return
-        horizon = (
-            max(self._clocks.values())
-            - self.node_timeout_intervals * self._interval
-        )
-        stale = [n for n, clock in self._clocks.items() if clock < horizon]
+        heap, clocks = self._heap, self._clocks
+        stale = []
+        # The leader's own entry is never below the horizon, so the heap
+        # cannot run empty here.
+        while heap[0][0] < horizon:
+            clock, order, node = heapq.heappop(heap)
+            if clocks.get(node) == clock:
+                del clocks[node], self._order[node]
+                stale.append((order, node, clock))
+        stale.sort()
         tel = self._telemetry
-        for node in stale:
-            last_clock = self._clocks.pop(node)
+        for _, node, last_clock in stale:
             self.evictions += 1
             stale_id = None
             if tel.enabled:
@@ -236,3 +293,4 @@ class Depository:
             for node, count in doc.get("late_by_node", {}).items()
         }
         self._resume_clocks = dict(self._clocks)
+        self._rebuild_heap()

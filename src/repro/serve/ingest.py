@@ -1,10 +1,13 @@
 """Load-report sources for the control plane.
 
 A *load report* is one monitor surrogate's measurement: "node N observed
-``count`` transactions around simulated time ``time``".  Sources are
-async iterators of :class:`LoadReport`; the plane feeds them into the
+``count`` transactions around simulated time ``time``".  A source
+(:class:`ReportSource`) is an async iterator of *batches* — lists of
+:class:`LoadReport`, cut wherever the transport happened to cut them;
+the plane feeds them, report by report, into the
 :class:`~repro.serve.depository.Depository`, which decides when an
-interval is complete.
+interval is complete.  Batching is transport, not semantics: how a
+stream is cut never changes what the plane decides.
 
 Three source families:
 
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import pathlib
 from dataclasses import dataclass
-from typing import AsyncIterator, Optional
+from typing import AsyncIterator, List, Optional
 
 from ..errors import SimulationError
 from ..telemetry import get_telemetry
@@ -50,23 +54,49 @@ def parse_report_line(line: str) -> Optional[LoadReport]:
     """Parse one newline-JSON report; None for blanks/malformed lines.
 
     Malformed input from an external feed must not take the control
-    plane down — the caller counts rejects and keeps going.
+    plane down — the caller counts rejects and keeps going.  That
+    includes well-formed JSON the depository cannot use: a non-finite or
+    negative ``time`` or ``count`` (Python's parser accepts ``NaN`` and
+    ``Infinity``), an integer too large for a float, nesting deep enough
+    to exhaust the parser's stack.
     """
     text = line.strip()
     if not text:
         return None
     try:
         doc = json.loads(text)
-        return LoadReport(
-            time=float(doc["time"]),
-            count=float(doc.get("count", 1.0)),
-            node=str(doc.get("node", "n0")),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        time = float(doc["time"])
+        count = float(doc.get("count", 1.0))
+        node = str(doc.get("node", "n0"))
+    except (
+        json.JSONDecodeError, KeyError, TypeError, ValueError,
+        OverflowError, RecursionError,
+    ):
         return None
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not (0.0 <= time < math.inf and 0.0 <= count < math.inf):
+        return None
+    return LoadReport(time=time, count=count, node=node)
 
 
-class ReplaySource:
+class ReportSource:
+    """A stream of load reports, delivered in batches.
+
+    A source implements :meth:`batches`; :meth:`reports` is the same
+    stream flattened, for callers that want one report at a time.
+    """
+
+    def batches(self) -> AsyncIterator[List[LoadReport]]:
+        """Non-empty lists of reports, in stream order."""
+        raise NotImplementedError
+
+    async def reports(self) -> AsyncIterator[LoadReport]:
+        async for batch in self.batches():
+            for report in batch:
+                yield report
+
+
+class ReplaySource(ReportSource):
     """Replays a load trace as a live report stream.
 
     Each slot becomes one report timestamped mid-slot (the instant the
@@ -87,7 +117,7 @@ class ReplaySource:
         self.speed = speed
         self.node = node
 
-    async def reports(self) -> AsyncIterator[LoadReport]:
+    async def batches(self) -> AsyncIterator[List[LoadReport]]:
         slot_seconds = self.trace.slot_seconds
         loop = asyncio.get_running_loop()
         # Pacing is anchored to absolute deadlines from the loop clock:
@@ -101,21 +131,21 @@ class ReplaySource:
                 delay = deadline - loop.time()
                 if delay > 0:
                     await asyncio.sleep(delay)
-            yield LoadReport(
+            yield [LoadReport(
                 time=(slot + 0.5) * slot_seconds,
                 count=float(count),
                 node=self.node,
-            )
+            )]
 
 
-class JsonLinesSource:
+class JsonLinesSource(ReportSource):
     """Reports from an async line stream (stdin, file, or socket)."""
 
     def __init__(self, reader: "asyncio.StreamReader") -> None:
         self.reader = reader
         self.rejected = 0
 
-    async def reports(self) -> AsyncIterator[LoadReport]:
+    async def batches(self) -> AsyncIterator[List[LoadReport]]:
         tel = get_telemetry()
         while True:
             line = await self.reader.readline()
@@ -127,10 +157,16 @@ class JsonLinesSource:
                 if tel.enabled:
                     tel.metrics.counter("serve.reports_rejected").inc()
                 continue
-            yield report
+            yield [report]
 
 
-class FileLinesSource:
+#: The plane returns to its event loop (stop signal, HTTP routes) only
+#: between batches, so a file is cut into lists of at most this many
+#: reports rather than handed over whole.
+_FILE_BATCH_REPORTS = 1024
+
+
+class FileLinesSource(ReportSource):
     """Reports from a newline-JSON file (read eagerly; no pacing).
 
     Unlike :class:`JsonLinesSource` this needs no event-loop plumbing,
@@ -142,8 +178,9 @@ class FileLinesSource:
         self.path = pathlib.Path(path)
         self.rejected = 0
 
-    async def reports(self) -> AsyncIterator[LoadReport]:
+    async def batches(self) -> AsyncIterator[List[LoadReport]]:
         tel = get_telemetry()
+        batch: List[LoadReport] = []
         for line in self.path.read_text().splitlines():
             report = parse_report_line(line)
             if report is None:
@@ -152,7 +189,12 @@ class FileLinesSource:
                     if tel.enabled:
                         tel.metrics.counter("serve.reports_rejected").inc()
                 continue
-            yield report
+            batch.append(report)
+            if len(batch) == _FILE_BATCH_REPORTS:
+                yield batch
+                batch = []
+        if batch:
+            yield batch
 
 
 async def stdin_source() -> JsonLinesSource:
@@ -169,16 +211,20 @@ async def stdin_source() -> JsonLinesSource:
     return JsonLinesSource(reader)
 
 
-class TcpSource:
+class TcpSource(ReportSource):
     """Accepts newline-JSON report connections and merges their streams.
+
+    Each connection's handler reads whatever its socket has, splits the
+    complete lines, parses them and hands the reports over as one list;
+    the consumer takes everything pending as its next batch.
 
     Hardened against misbehaving feeders:
 
-    * the merge queue is **bounded** (``queue_size``): when it fills, the
-      per-connection handler blocks on ``put`` and *stops reading its
-      socket*, so TCP flow control pushes back on the feeder instead of
-      the plane buffering unboundedly (``serve.ingest_backpressure``
-      counts the stalls);
+    * the hand-off is **bounded** (``queue_size``, counted in reports):
+      when it is full, the per-connection handler waits for room and
+      *stops reading its socket*, so TCP flow control pushes back on the
+      feeder instead of the plane buffering unboundedly
+      (``serve.ingest_backpressure`` counts the stalls);
     * an optional shared ``auth_token`` must arrive as the first line of
       every connection; mismatches close the connection
       (``serve.ingest_auth_failed``);
@@ -186,13 +232,15 @@ class TcpSource:
       connection (``serve.ingest_overlong``) — one hostile feeder cannot
       balloon reader buffers;
     * ``max_report_rate`` (reports/second per connection, 0 = off)
-      throttles a flooding feeder by sleeping the handler
-      (``serve.ingest_throttled``).
+      throttles a flooding feeder: a token bucket is charged for the
+      lines taken and the handler sleeps off any deficit before it
+      reads again (``serve.ingest_throttled`` counts the stalls) —
+      reports are delayed, never dropped.
 
     ``close()`` terminates cleanly: the listener stops, every live
-    handler task is cancelled and awaited, and a ``None`` sentinel is
-    enqueued so :meth:`reports` ends instead of blocking on ``get()``
-    forever.
+    handler task is cancelled and awaited, and the consumer is woken so
+    :meth:`batches` delivers what is pending and ends instead of
+    waiting forever.
     """
 
     def __init__(
@@ -216,9 +264,11 @@ class TcpSource:
         self.queue_size = queue_size
         self.max_line_bytes = max_line_bytes
         self.max_report_rate = max_report_rate
-        self._queue: "asyncio.Queue[Optional[LoadReport]]" = asyncio.Queue(
-            maxsize=queue_size
-        )
+        #: Reports handed over by the handlers and not yet taken by the
+        #: consumer; never more than ``queue_size``.
+        self._pending: List[LoadReport] = []
+        self._has_reports = asyncio.Event()   # also set by close()
+        self._has_room = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: set = set()
         self._closed = False
@@ -227,6 +277,14 @@ class TcpSource:
         self.overlong_lines = 0
         self.backpressure_hits = 0
         self.throttled = 0
+
+    @property
+    def bound_port(self) -> Optional[int]:
+        """The port the listener is bound to — what ``port=0`` resolved
+        to — or None while it is not listening."""
+        if self._server is None:
+            return None
+        return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -244,16 +302,8 @@ class TcpSource:
         if self._handlers:
             await asyncio.gather(*self._handlers, return_exceptions=True)
             self._handlers.clear()
-        if not self._closed:
-            self._closed = True
-            # The sentinel must land even when the bounded queue is full;
-            # at shutdown, dropping one undelivered report beats hanging
-            # the consumer forever.
-            try:
-                self._queue.put_nowait(None)
-            except asyncio.QueueFull:
-                self._queue.get_nowait()
-                self._queue.put_nowait(None)
+        self._closed = True
+        self._has_reports.set()
 
     async def _authenticate(self, reader, tel) -> bool:
         line = await reader.readline()
@@ -264,58 +314,84 @@ class TcpSource:
             tel.metrics.counter("serve.ingest_auth_failed").inc()
         return False
 
+    async def _hand_over(self, batch: List[LoadReport], tel) -> None:
+        """Append ``batch`` to the pending reports, waiting for room."""
+        while True:
+            # Read afresh each round: the consumer swaps the list out.
+            pending = self._pending
+            room = self.queue_size - len(pending)
+            if room > 0:
+                pending.extend(batch[:room])
+                self._has_reports.set()
+                batch = batch[room:]
+                if not batch:
+                    return
+            self.backpressure_hits += 1
+            if tel.enabled:
+                tel.metrics.counter("serve.ingest_backpressure").inc()
+            self._has_room.clear()
+            await self._has_room.wait()
+
     async def _handle(self, reader, writer) -> None:
         tel = get_telemetry()
         task = asyncio.current_task()
         if task is not None:
             self._handlers.add(task)
         loop = asyncio.get_running_loop()
+        limit = self.max_line_bytes
+        rate = self.max_report_rate
         budget = 1.0
         last = loop.time()
+        tail = b""
         try:
             if self.auth_token is not None:
                 if not await self._authenticate(reader, tel):
                     return
             while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Line exceeded the StreamReader limit: the feeder is
-                    # misbehaving and resynchronising mid-line is
-                    # guesswork — drop the connection.
+                chunk = await reader.read(limit)
+                if chunk:
+                    *lines, tail = (tail + chunk).split(b"\n")
+                else:
+                    # End of stream: an unterminated last line counts.
+                    lines, tail = ([tail] if tail else []), b""
+                overlong = len(tail) > limit
+                batch = []
+                for line in lines:
+                    if len(line) > limit:
+                        overlong = True
+                        break
+                    report = parse_report_line(line.decode("utf-8", "replace"))
+                    if report is None:
+                        self.rejected += 1
+                        if tel.enabled:
+                            tel.metrics.counter("serve.reports_rejected").inc()
+                    else:
+                        batch.append(report)
+                if batch:
+                    await self._hand_over(batch, tel)
+                if overlong:
+                    # The feeder is misbehaving and resynchronising
+                    # mid-line is guesswork — drop the connection.
                     self.overlong_lines += 1
                     if tel.enabled:
                         tel.metrics.counter("serve.ingest_overlong").inc()
                     break
-                if not line:
+                if not chunk:
                     break
-                if self.max_report_rate > 0:
+                if rate > 0 and lines:
+                    # Charged after the hand-off, so the refill covers
+                    # the time these lines took to process: the guard
+                    # only bites below the handler's own speed.  ``last``
+                    # is not reset after the sleep — the next refill
+                    # pays the deficit off.
                     now = loop.time()
-                    budget = min(
-                        self.max_report_rate,
-                        budget + (now - last) * self.max_report_rate,
-                    )
+                    budget = min(rate, budget + (now - last) * rate) - len(lines)
                     last = now
-                    if budget < 1.0:
+                    if budget < 0:
                         self.throttled += 1
                         if tel.enabled:
                             tel.metrics.counter("serve.ingest_throttled").inc()
-                        await asyncio.sleep(
-                            (1.0 - budget) / self.max_report_rate
-                        )
-                        last = loop.time()
-                    budget -= 1.0
-                report = parse_report_line(line.decode("utf-8", "replace"))
-                if report is None:
-                    self.rejected += 1
-                    if tel.enabled:
-                        tel.metrics.counter("serve.reports_rejected").inc()
-                    continue
-                if self._queue.full():
-                    self.backpressure_hits += 1
-                    if tel.enabled:
-                        tel.metrics.counter("serve.ingest_backpressure").inc()
-                await self._queue.put(report)
+                        await asyncio.sleep(-budget / rate)
         except asyncio.CancelledError:
             pass  # close() is draining us
         finally:
@@ -327,14 +403,19 @@ class TcpSource:
             except (ConnectionError, OSError):
                 pass
 
-    async def reports(self) -> AsyncIterator[LoadReport]:
+    async def batches(self) -> AsyncIterator[List[LoadReport]]:
         if self._server is None and not self._closed:
             await self.start()
         while True:
-            report = await self._queue.get()
-            if report is None:
+            if self._pending:
+                batch, self._pending = self._pending, []
+                self._has_room.set()
+                yield batch
+            elif self._closed:
                 return
-            yield report
+            else:
+                self._has_reports.clear()
+                await self._has_reports.wait()
 
 
 def source_from_spec(

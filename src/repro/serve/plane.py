@@ -2,7 +2,7 @@
 
 ``ControlPlane.run()`` is the whole lifecycle::
 
-    source --reports--> Depository --closed intervals--> OnlineController
+    source --batches--> Depository --closed intervals--> OnlineController
                             |                                  |
                         LoadMonitor                    plan / migrate /
                             |                          error-trigger
@@ -10,9 +10,11 @@
                             |
          ControlPlaneServer (/status /metrics /chronicle/tail /plan)
 
-The plane owns nothing clever: it races the report stream against a
-stop event (set by SIGINT/SIGTERM), feeds the depository, dispatches
-every newly closed interval to the controller, and streams one-line
+The plane owns nothing clever: it races the source's next batch of
+reports against a stop event (set by SIGINT/SIGTERM), feeds the
+depository one report at a time — so where the transport cut the
+stream into batches changes nothing it decides — dispatches every
+newly closed interval to the controller, and streams one-line
 dashboard updates.  On shutdown it *drains*: the controller rolls back
 any partially-applied migration round, the telemetry scope flushes
 open spans, and the full 5-artifact ``export_run`` is written — so a
@@ -288,7 +290,7 @@ class ControlPlane:
     async def run(self) -> dict:
         """Serve until the source drains or a signal arrives; returns a
         summary dict (also the sweep-cell payload)."""
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         installed = self._install_signals(loop)
         if self.server is not None:
@@ -298,11 +300,12 @@ class ControlPlane:
             source = await stdin_source()
         drained = False
         try:
-            reports = source.reports()
+            batches = source.batches()
+            depository = self.depository
             stop_task = asyncio.ensure_future(self._stop.wait())
             try:
                 while not self._stop.is_set():
-                    next_task = asyncio.ensure_future(reports.__anext__())
+                    next_task = asyncio.ensure_future(batches.__anext__())
                     done, _ = await asyncio.wait(
                         {next_task, stop_task},
                         return_when=asyncio.FIRST_COMPLETED,
@@ -311,15 +314,16 @@ class ControlPlane:
                         next_task.cancel()
                         break
                     try:
-                        report = next_task.result()
+                        batch = next_task.result()
                     except StopAsyncIteration:
                         drained = True
                         break
-                    self.depository.add(report)
-                    if self.depository.flush():
-                        self._dispatch()
-                        if self.checkpoints is not None:
-                            self.checkpoint()
+                    for report in batch:
+                        depository.add(report)
+                        if depository.flush():
+                            self._dispatch()
+                            if self.checkpoints is not None:
+                                self.checkpoint()
             finally:
                 stop_task.cancel()
             if drained:

@@ -1,0 +1,222 @@
+"""Differential test: the heap-backed depository against the scan it replaced.
+
+``ScanDepository`` is the depository as it was before the lazy-deletion
+heap: ``watermark`` is a ``min()`` over every node clock, and every
+report runs an eviction pass that takes a ``max()`` and scans the whole
+clock map.  O(nodes) per report, and obviously right — which is what a
+reference is for.  Hypothesis drives both with the same report sequence
+(out of order, duplicate timestamps, late, silence -> eviction ->
+recovery, a checkpoint round trip anywhere in the sequence) and every
+observable must agree after every step.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serve import Depository
+from repro.serve.ingest import LoadReport
+from repro.telemetry import MetricsRegistry, Telemetry
+
+INTERVAL = 60.0
+NODES = ["a", "b", "c", "d", "e"]
+
+
+class ScanDepository(Depository):
+    """Reference oracle: the pre-heap O(nodes)-per-report logic."""
+
+    @property
+    def watermark(self) -> float:
+        return min(self._clocks.values()) if self._clocks else 0.0
+
+    def add(self, report: LoadReport) -> None:
+        tel = self._telemetry
+        time = float(report.time)
+        node = report.node
+        if time <= self._resume_clocks.get(node, -1.0):
+            self.duplicate_reports += 1
+            if tel.enabled:
+                tel.metrics.counter("serve.reports_duplicate").inc()
+            return
+        slot = int(time // self._interval)
+        late = slot < self._released
+        if late:
+            self.late_reports += 1
+            self.late_by_node[node] = self.late_by_node.get(node, 0) + 1
+            if tel.enabled:
+                tel.metrics.counter("serve.reports_late", node=node).inc()
+        else:
+            self._buffer[slot] = self._buffer.get(slot, 0.0) + report.count
+            self.reports_ingested += 1
+        previous = self._clocks.get(node)
+        if previous is None and node in self._evicted:
+            stale_id = self._evicted.pop(node)
+            if tel.enabled:
+                tel.chronicle.record(
+                    "node.recovered", time=time, parent=stale_id, node=node,
+                )
+        self._clocks[node] = max(previous or 0.0, time)
+        self._scan_for_stale()
+
+    def _scan_for_stale(self) -> None:
+        if self.node_timeout_intervals <= 0 or len(self._clocks) < 2:
+            return
+        horizon = (
+            max(self._clocks.values())
+            - self.node_timeout_intervals * self._interval
+        )
+        stale = [n for n, clock in self._clocks.items() if clock < horizon]
+        tel = self._telemetry
+        for node in stale:
+            last_clock = self._clocks.pop(node)
+            self.evictions += 1
+            stale_id = None
+            if tel.enabled:
+                last_report = tel.chronicle.record(
+                    "node.report", time=last_clock, node=node,
+                )
+                stale_rec = tel.chronicle.record(
+                    "node.stale",
+                    time=last_clock,
+                    parent=last_report,
+                    node=node,
+                    behind_intervals=self.node_timeout_intervals,
+                )
+                stale_id = stale_rec.get("id")
+                tel.metrics.counter("serve.nodes_evicted").inc()
+                tel.events.emit("node.stale", time=last_clock, node=node)
+            self._evicted[node] = stale_id
+
+
+def _observables(dep: Depository, tel: Telemetry) -> dict:
+    return {
+        "watermark": dep.watermark,
+        "nodes": dep.nodes,
+        # Registration order is what orders one sweep's evictions.
+        "clocks": list(dep._clocks.items()),
+        "evictions": dep.evictions,
+        "released": dep._released,
+        "closed": dep.monitor.completed_intervals,
+        "history": list(dep.monitor.history_tps()),
+        "ingested": dep.reports_ingested,
+        "late": dep.late_reports,
+        "late_by_node": dep.late_by_node,
+        "duplicates": dep.duplicate_reports,
+        "chronicle": [
+            (r["kind"], r["node"], r["time"], r.get("parent"))
+            for r in tel.chronicle.records
+        ],
+        "state": json.dumps(dep.state_dict(), sort_keys=True),
+    }
+
+
+# Quarter-interval timestamps over eleven slots, in any order: draws are
+# out of order, repeat timestamps, land in released slots, and leave
+# nodes silent long enough to be evicted and to come back.
+report_step = st.tuples(
+    st.sampled_from(NODES),
+    st.integers(min_value=0, max_value=44),
+    st.integers(min_value=0, max_value=9),
+)
+steps = st.lists(
+    st.one_of(report_step, st.just("checkpoint")), min_size=1, max_size=80
+)
+
+
+class Pair:
+    """The depository under test and the oracle, stepped in lockstep."""
+
+    def __init__(self, timeout: int) -> None:
+        self.timeout = timeout
+        self.tels = [Telemetry(metrics=MetricsRegistry()) for _ in range(2)]
+        self.deps = [
+            cls(INTERVAL, telemetry=tel, node_timeout_intervals=timeout)
+            for cls, tel in zip((Depository, ScanDepository), self.tels)
+        ]
+
+    def report(self, node: str, quarter: int, count: int) -> None:
+        report = LoadReport(
+            time=quarter * INTERVAL / 4, count=float(count), node=node
+        )
+        closed = []
+        for dep in self.deps:
+            dep.add(report)
+            closed.append(dep.flush())
+        assert closed[0] == closed[1]
+
+    def checkpoint(self) -> None:
+        """state_dict -> JSON -> restore_state into fresh depositories,
+        the way ``--resume`` does (sorted keys and all)."""
+        fresh = []
+        for dep, tel in zip(self.deps, self.tels):
+            doc = json.loads(json.dumps(dep.state_dict(), sort_keys=True))
+            restored = type(dep)(
+                INTERVAL,
+                monitor=dep.monitor,
+                telemetry=tel,
+                node_timeout_intervals=self.timeout,
+            )
+            restored.restore_state(doc)
+            fresh.append(restored)
+        self.deps = fresh
+
+    def check(self) -> None:
+        got, want = (
+            _observables(dep, tel) for dep, tel in zip(self.deps, self.tels)
+        )
+        assert got == want
+
+
+class TestHeapAgainstScan:
+    @given(steps=steps, timeout=st.sampled_from([0, 1, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_step_for_step(self, steps, timeout):
+        pair = Pair(timeout)
+        for step in steps:
+            if step == "checkpoint":
+                pair.checkpoint()
+            else:
+                pair.report(*step)
+            pair.check()
+        finished = [dep.finish() for dep in pair.deps]
+        assert finished[0] == finished[1]
+        pair.check()
+
+    def test_one_sweep_evicts_in_registration_order(self):
+        # The heap pops c (clock 15) before b (clock 45); the chronicle
+        # must still list b first, because b registered first.
+        pair = Pair(timeout=2)
+        pair.report("a", 1, 1)   # t=15
+        pair.report("b", 2, 1)   # t=30
+        pair.report("c", 1, 1)   # t=15
+        pair.report("b", 3, 1)   # t=45
+        pair.check()
+        pair.report("a", 40, 1)  # horizon jumps past b and c at once
+        pair.check()
+        stale = [
+            r["node"] for r in pair.tels[0].chronicle.records
+            if r["kind"] == "node.stale"
+        ]
+        assert stale == ["b", "c"]
+
+    def test_late_joiner_below_the_horizon_is_evicted_at_once(self):
+        # No clock advanced past anything here: the newcomer arrives
+        # already stale, so the sweep cannot wait for the leader to move.
+        pair = Pair(timeout=1)
+        pair.report("a", 40, 1)
+        pair.report("b", 1, 1)
+        pair.check()
+        assert pair.deps[0].nodes == 1
+        assert pair.deps[0].evictions == 1
+
+    def test_dead_heap_entries_stay_bounded_under_a_frozen_watermark(self):
+        # timeout=0 and a silent node: the watermark never moves, so no
+        # dead entry ever surfaces; compaction has to bound the heap.
+        dep = Depository(INTERVAL)
+        dep.add(LoadReport(time=1.0, count=1.0, node="silent"))
+        for tick in range(5000):
+            dep.add(LoadReport(time=2.0 + tick, count=1.0, node="busy"))
+            dep.flush()
+        assert dep.watermark == 1.0
+        assert len(dep._heap) <= 2 * dep.nodes + 65

@@ -11,6 +11,7 @@ events.
 import asyncio
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +30,12 @@ from repro.serve import (
     parse_report_line,
     source_from_spec,
 )
-from repro.serve.ingest import FileLinesSource, LoadReport, TcpSource
+from repro.serve.ingest import (
+    FileLinesSource,
+    LoadReport,
+    ReportSource,
+    TcpSource,
+)
 from repro.serve.server import ControlPlaneServer
 from repro.squall.migrator import ActiveMigration
 from repro.squall.schedule import build_migration_schedule
@@ -40,6 +46,85 @@ from repro.workload import LoadTrace
 # ----------------------------------------------------------------------
 # Report parsing and sources
 # ----------------------------------------------------------------------
+
+
+#: Well-formed for ``json.loads``, unusable for the depository: each
+#: used to travel as far as ``Depository.add`` (``int(nan // interval)``
+#: raises out of ``ControlPlane.run``) or further.
+HOSTILE_LINES = [
+    '{"time": NaN, "count": 1}',
+    '{"time": Infinity, "count": 1}',
+    '{"time": -Infinity, "count": 1}',
+    '{"time": -30.0, "count": 1}',
+    '{"time": 1e999, "count": 1}',
+    '{"time": 30, "count": NaN}',
+    '{"time": 30, "count": Infinity}',
+    '{"time": 30, "count": -4}',
+    '{"time": 1' + "0" * 400 + "}",          # int too large for a float
+    "[" * 50_000,                             # exhausts the parser's stack
+]
+
+
+def _honest_lines(slots, nodes=("a", "b")):
+    return [
+        json.dumps({"time": (slot + 0.5) * 3600.0, "count": 40.0, "node": n})
+        for slot in range(slots)
+        for n in nodes
+    ]
+
+
+def _quiet_plane(source, **options):
+    return ControlPlane(
+        default_config().with_interval(3600.0),
+        serve_scenario_predictor(),
+        source,
+        options=ServeOptions(speed=0.0, out=None, quiet=True, **options),
+    )
+
+
+class TestHostileReportsDoNotStopThePlane:
+    """Every hostile line is counted as rejected and the plane serves on."""
+
+    @staticmethod
+    def _lines():
+        honest = _honest_lines(6)
+        # Hostile lines in the middle of the stream, not at its end.
+        return honest[:4] + HOSTILE_LINES + honest[4:]
+
+    def test_through_a_file(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        path.write_text("\n".join(self._lines()) + "\n")
+        source = FileLinesSource(path)
+        with telemetry_scope() as tel:
+            summary = asyncio.run(_quiet_plane(source).run())
+            rejected = tel.metrics.counter("serve.reports_rejected").value
+        assert source.rejected == len(HOSTILE_LINES) == rejected
+        assert summary["reports"] == 12
+        assert summary["intervals"] == 6
+        assert summary["drained"] is True
+
+    def test_through_tcp(self):
+        async def scenario():
+            source = TcpSource(0)
+            await source.start()
+            plane = _quiet_plane(source)
+            run = asyncio.ensure_future(plane.run())
+            _, writer = await asyncio.open_connection(
+                source.host, source.bound_port
+            )
+            writer.write(("\n".join(self._lines()) + "\n").encode())
+            await writer.drain()
+            while plane.depository.reports_ingested < 12:
+                await asyncio.sleep(0.01)
+            writer.close()
+            await source.close()
+            return source, await asyncio.wait_for(run, timeout=10.0)
+
+        with telemetry_scope():
+            source, summary = asyncio.run(scenario())
+        assert source.rejected == len(HOSTILE_LINES)
+        assert summary["reports"] == 12
+        assert summary["intervals"] == 6
 
 
 class TestParseReportLine:
@@ -60,6 +145,15 @@ class TestParseReportLine:
         assert parse_report_line("{not json") is None
         assert parse_report_line('{"count": 4}') is None  # no time
         assert parse_report_line('{"time": "noon?"}') is None
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES)
+    def test_unusable_numbers_are_rejected(self, line):
+        # All of these are JSON as far as Python's parser is concerned.
+        assert parse_report_line(line) is None
+
+    def test_zero_time_and_count_are_fine(self):
+        report = parse_report_line('{"time": 0, "count": 0}')
+        assert (report.time, report.count) == (0.0, 0.0)
 
     def test_source_from_spec_grammar(self):
         trace = LoadTrace(values=np.ones(4), slot_seconds=60.0)
@@ -266,8 +360,7 @@ class TestDepository:
 class TestTcpSourceHardening:
     @staticmethod
     async def _connect(src):
-        host, port = src._server.sockets[0].getsockname()[:2]
-        return await asyncio.open_connection(host, port)
+        return await asyncio.open_connection(src.host, src.bound_port)
 
     @staticmethod
     def _line(slot, node="n0", count=10.0):
@@ -336,6 +429,84 @@ class TestTcpSourceHardening:
         src, received = asyncio.run(scenario())
         assert len(received) == 8           # nothing lost, only delayed
         assert src.backpressure_hits >= 1   # the bounded queue filled
+
+    def test_one_write_larger_than_the_queue_is_delivered_whole(self):
+        async def scenario():
+            src = TcpSource(0, queue_size=4)
+            await src.start()
+            _, writer = await self._connect(src)
+            # One write, one chunk on the handler's side: 30 reports
+            # have to squeeze through room for 4 without losing any.
+            writer.write(b"".join(self._line(slot) for slot in range(30)))
+            await writer.drain()
+            writer.write_eof()
+            sizes, received = [], []
+            async for batch in src.batches():
+                sizes.append(len(batch))
+                received.extend(batch)
+                if len(received) == 30:
+                    break
+            await src.close()
+            writer.close()
+            return src, sizes, received
+
+        src, sizes, received = asyncio.run(scenario())
+        assert [r.time for r in received] == [
+            (slot + 0.5) * 60.0 for slot in range(30)
+        ]
+        assert max(sizes) <= 4              # the bound is in reports
+        assert src.backpressure_hits >= 1
+
+    def test_unterminated_last_line_is_still_a_report(self):
+        async def scenario():
+            src = TcpSource(0)
+            await src.start()
+            _, writer = await self._connect(src)
+            writer.write(self._line(0) + self._line(1).rstrip(b"\n"))
+            await writer.drain()
+            writer.write_eof()
+            received = []
+            async for report in src.reports():
+                received.append(report)
+                if len(received) == 2:
+                    break
+            await src.close()
+            writer.close()
+            return received
+
+        assert len(asyncio.run(scenario())) == 2
+
+    def test_overlong_line_after_good_ones_keeps_the_good_ones(self):
+        async def scenario():
+            src = TcpSource(0, max_line_bytes=128)
+            await src.start()
+            reader, writer = await self._connect(src)
+            writer.write(self._line(0) + b"x" * 500 + b"\n" + self._line(1))
+            await writer.drain()
+            await asyncio.wait_for(reader.read(), timeout=5.0)
+            await src.close()
+            received = [r async for r in src.reports()]   # what is pending
+            writer.close()
+            return src, received
+
+        src, received = asyncio.run(scenario())
+        assert src.overlong_lines == 1
+        assert [r.time for r in received] == [30.0]   # nothing after it
+
+    def test_bound_port_is_the_listening_port(self):
+        async def scenario():
+            src = TcpSource(0)
+            assert src.bound_port is None
+            await src.start()
+            port = src.bound_port
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.close()
+            await src.close()
+            return port, src.bound_port
+
+        port, after = asyncio.run(scenario())
+        assert port > 0
+        assert after is None
 
     def test_auth_token_rejects_bad_first_line(self):
         async def scenario():
@@ -420,6 +591,102 @@ class TestTcpSourceHardening:
             TcpSource(0, max_line_bytes=1)
         with pytest.raises(SimulationError):
             TcpSource(0, max_report_rate=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Batching is transport, not semantics; per-report cost does not scale
+# ----------------------------------------------------------------------
+
+
+class CutSource(ReportSource):
+    """A fixed report stream handed over ``cut`` reports at a time."""
+
+    def __init__(self, reports, cut):
+        self._reports = reports
+        self.cut = cut
+
+    async def batches(self):
+        for start in range(0, len(self._reports), self.cut):
+            yield self._reports[start:start + self.cut]
+
+
+def _eventful_stream():
+    """48 hourly slots from four nodes: a load step (moves), a node that
+    falls silent (evicted, then recovered), an out-of-order pair and a
+    report for a slot long closed."""
+    reports = []
+    for slot in range(48):
+        for node in "abcd":
+            if node == "d" and 12 <= slot < 24:
+                continue
+            reports.append(LoadReport(
+                time=(slot + 0.5) * 3600.0,
+                count=(900.0 if 16 <= slot < 36 else 200.0) * 3600.0,
+                node=node,
+            ))
+    reports[40], reports[41] = reports[41], reports[40]
+    reports.insert(100, LoadReport(time=1800.0, count=5.0, node="b"))
+    return reports
+
+
+class TestBatchingIsTransport:
+    def run_cut(self, tmp_path, cut):
+        reports = _eventful_stream()
+        directory = tmp_path / f"cut-{cut}"
+        with telemetry_scope() as tel:
+            plane = _quiet_plane(
+                CutSource(reports, cut or len(reports)),
+                checkpoint_dir=str(directory), node_timeout=3,
+                initial_machines=2,
+            )
+            asyncio.run(plane.run())
+            return {
+                "status": plane.status(),
+                "chronicle": tel.chronicle.snapshot(),
+                "checkpoint": (directory / "checkpoint.json").read_text(),
+                "chronicle_log": (directory / "chronicle.jsonl").read_text(),
+            }
+
+    def test_any_cut_of_the_stream_decides_the_same(self, tmp_path):
+        one, seven, whole = (
+            self.run_cut(tmp_path, cut) for cut in (1, 7, 0)
+        )
+        # The stream is eventful enough for the comparison to mean
+        # something.
+        assert one["status"]["evicted_nodes"] == 1
+        assert one["status"]["late_reports"] == 1
+        assert one["status"]["moves_started"] >= 1
+        assert one["status"]["checkpoint_saves"] >= 40
+        kinds = {rec["kind"] for rec in one["chronicle"]}
+        assert {"node.stale", "node.recovered"} <= kinds
+        assert seven == one
+        assert whole == one
+
+
+class TestPerReportCostDoesNotScale:
+    @staticmethod
+    def per_report_seconds(nodes, intervals=8):
+        reports = [
+            LoadReport(time=(slot + 0.5) * 60.0, count=1.0, node=f"n{i}")
+            for slot in range(intervals)
+            for i in range(nodes)
+        ]
+        best = float("inf")
+        for _ in range(3):
+            dep = Depository(60.0, node_timeout_intervals=3)
+            start = time.perf_counter()
+            for report in reports:
+                dep.add(report)
+                dep.flush()
+            best = min(best, time.perf_counter() - start)
+            assert dep.monitor.completed_intervals == intervals - 1
+        return best / len(reports)
+
+    def test_sixteen_times_the_nodes_under_three_times_the_cost(self):
+        # The min()/max()/scan it replaced costs ~16x here.
+        small = self.per_report_seconds(256)
+        large = self.per_report_seconds(4096)
+        assert large < 3.0 * small, (small, large)
 
 
 # ----------------------------------------------------------------------
@@ -620,15 +887,15 @@ class StallingSource:
         self.stop_after = stop_after
         self.plane = None  # wired after construction
 
-    async def reports(self):
+    async def batches(self):
         slot_seconds = self.trace.slot_seconds
         for slot, count in enumerate(self.trace.values):
             if slot == self.stop_after:
                 self.plane.request_stop()
                 await asyncio.Event().wait()  # never set; must be cancelled
-            yield LoadReport(
+            yield [LoadReport(
                 time=(slot + 0.5) * slot_seconds, count=float(count)
-            )
+            )]
 
 
 class TestGracefulDrain:
