@@ -206,7 +206,7 @@ class PStoreService:
                 self._record_event(
                     "move-complete",
                     f"now at {self.cluster.n_nodes} machines",
-                    parent=self._telemetry.chronicle.last("migration.complete"),
+                    parent=self.migrator.last_outcome_id,
                     machines=self.cluster.n_nodes,
                 )
                 self._migration_target = None
@@ -266,7 +266,7 @@ class PStoreService:
                 self._record_event(
                     "migration-aborted",
                     f"node {victim} crashed mid-move",
-                    parent=self._telemetry.chronicle.last("migration.aborted"),
+                    parent=self.migrator.last_outcome_id,
                     node=victim,
                 )
             summary = self.cluster.fail_node(victim)

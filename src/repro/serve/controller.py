@@ -1,10 +1,12 @@
 """The online controller: refit, re-plan, reconfigure — and notice when
 the model has gone stale.
 
-Per closed interval the controller mirrors one slot of the batch
-:class:`~repro.sim.capacity_sim.CapacitySimulator` loop (advance the
-in-flight migration, sample effective capacity Eq. 7, chronicle
-violations), plus the piece the batch loop lacks entirely:
+Per closed interval the controller steps the in-flight
+:class:`~repro.squall.migrator.Reconfiguration` across the slot (the
+same slot step the batch
+:class:`~repro.sim.capacity_sim.CapacitySimulator` takes: effective
+capacity Eq. 7 sampled at the midpoint), chronicles violations, and adds
+the piece the batch loop lacks entirely:
 **error-triggered re-planning**.  The PR-6
 :class:`~repro.telemetry.accuracy.AccuracyTracker` keeps rolling
 MAPE/bias per (predictor, tau); when the active tau's error crosses the
@@ -37,8 +39,7 @@ from ..elasticity.predictive import PStoreStrategy
 from ..elasticity.reactive import ReactiveStrategy
 from ..errors import PredictionError, SimulationError
 from ..prediction.online import OnlinePredictor
-from ..squall.migrator import ActiveMigration
-from ..squall.schedule import build_migration_schedule
+from ..squall.migrator import Reconfiguration
 from ..telemetry import get_telemetry
 
 
@@ -138,11 +139,11 @@ class OnlineController:
     """Drives provisioning from a live interval stream.
 
     One :meth:`on_interval` call per closed planner slot, with the
-    measured history up to and including that slot.  Owns the
-    capacity-level migration state (fluid fractions via
-    :class:`ActiveMigration`, just-in-time allocation) exactly as the
-    batch capacity simulator does, so a serve run and a batch run over
-    the same trace are directly comparable.
+    measured history up to and including that slot.  Holds the
+    capacity-level move (fluid fractions, just-in-time allocation) as
+    the same :class:`Reconfiguration` the batch capacity simulator
+    steps, so a serve run and a batch run over the same trace are
+    directly comparable.
     """
 
     def __init__(
@@ -178,16 +179,7 @@ class OnlineController:
         #: or "reactive" (error-triggered fallback).
         self.mode = "predictive" if self._predictive_ready([]) else "warmup"
 
-        self._migration: Optional[ActiveMigration] = None
-        self._move_rec_id: Optional[str] = None
-        self._move_before = initial_machines
-        self._move_target = initial_machines
-        self._move_started = 0.0
-        self._move_rate_kbps = 0.0
-        #: Half-slot ``advance`` calls applied to the in-flight migration
-        #: so far; checkpoint restore replays exactly this many to land
-        #: the fluid fractions on the same float trajectory.
-        self._move_half_steps = 0
+        self._move: Optional[Reconfiguration] = None
         self._fa_record_id: Optional[str] = None
 
         self.violations = 0
@@ -217,7 +209,7 @@ class OnlineController:
 
     @property
     def migrating(self) -> bool:
-        return self._migration is not None
+        return self._move is not None
 
     def error_stats(self) -> Optional[dict]:
         tau = self.trigger.tau if self.trigger is not None else 1
@@ -260,8 +252,8 @@ class OnlineController:
             if tps > eff_qhat + 1e-9:
                 self.violations += 1
                 tel.metrics.counter("serve.capacity_insufficient").inc()
-                if self.migrating and self._move_rec_id:
-                    parent = self._move_rec_id
+                if self._move is not None and self._move.record_id:
+                    parent = self._move.record_id
                 else:
                     parent = tel.chronicle.last("forecast.snapshot")
                 tel.chronicle.record(
@@ -284,45 +276,24 @@ class OnlineController:
             self._plan(history, slot, now)
 
     def _machines_now(self) -> int:
-        if self._migration is not None:
-            return self._migration.machines_allocated()
+        if self._move is not None:
+            return self._move.migration.machines_allocated()
         return self.machines
 
     def _step_migration(self, now: float, slot_seconds: float) -> float:
         """Advance any active move by one slot; returns eff Q-hat."""
-        config = self.config
-        if self._migration is None:
-            return config.q_hat * self.machines
-        self._migration.advance(slot_seconds / 2.0)
-        largest = float(self._migration.data_fractions().max())
-        eff_qhat = config.q_hat / largest
-        self._migration.advance(slot_seconds / 2.0)
-        self._move_half_steps += 2
-        if self._migration.done:
-            tel = self._telemetry
-            if tel.enabled:
-                tel.events.emit(
-                    "migration.complete",
-                    time=now,
-                    before=self._move_before,
-                    after=self._move_target,
-                    seconds=now - self._move_started,
-                )
-                tel.chronicle.record(
-                    "migration.complete",
-                    time=now,
-                    parent=self._move_rec_id,
-                    before=self._move_before,
-                    after=self._move_target,
-                    seconds=now - self._move_started,
-                )
-            self.machines = self._move_target
-            self._migration = None
-            self._move_rec_id = None
+        move = self._move
+        if move is None:
+            return self.config.q_hat * self.machines
+        largest, _ = move.step_slot(slot_seconds)
+        if move.migration.done:
+            move.complete(now)
+            self.machines = move.after
+            self._move = None
             if self._strategy is not None:
                 self._strategy.notify_move_finished(self.machines)
             self._reactive.notify_move_finished(self.machines)
-        return eff_qhat
+        return self.config.q_hat / largest
 
     # ------------------------------------------------------------------
     # Error-triggered re-planning
@@ -478,49 +449,16 @@ class OnlineController:
             target = min(target, self.max_machines)
         if target == self.machines or target < 1:
             return
-        config = self.config
-        schedule = build_migration_schedule(self.machines, target)
-        self._migration = ActiveMigration(
-            schedule=schedule,
-            database_kb=config.database_kb,
-            rate_kbps=config.migration_rate_kbps * decision.rate_multiplier,
-            partitions_per_node=config.partitions_per_node,
+        self._move = Reconfiguration.decided(
+            self.config, self.machines, target, decision, now, slot,
+            self._telemetry,
         )
-        self._move_before = self.machines
-        self._move_target = target
-        self._move_started = now
-        self._move_rate_kbps = config.migration_rate_kbps * decision.rate_multiplier
-        self._move_half_steps = 0
         self.moves_started += 1
         self.last_decision_reason = decision.reason
         if decision.emergency:
             self.emergencies += 1
-        tel = self._telemetry
-        if tel.enabled:
-            tel.events.emit(
-                "migration.start",
-                time=now,
-                before=self.machines,
-                after=target,
-                emergency=decision.emergency,
-                reason=decision.reason,
-                rate_kbps=config.migration_rate_kbps * decision.rate_multiplier,
-                est_seconds=self._migration.total_seconds,
-            )
-            rec = tel.chronicle.record(
-                "migration.start",
-                time=now,
-                parent=getattr(decision, "record_id", None),
-                before=self.machines,
-                after=target,
-                emergency=decision.emergency,
-                reason=decision.reason,
-                rate_kbps=config.migration_rate_kbps * decision.rate_multiplier,
-                est_seconds=self._migration.total_seconds,
-                slot=slot,
-            )
-            self._move_rec_id = rec.get("id")
-            tel.metrics.counter("serve.moves_started").inc()
+        if self._telemetry.enabled:
+            self._telemetry.metrics.counter("serve.moves_started").inc()
         if self._strategy is not None:
             self._strategy.notify_move_started(target)
 
@@ -529,31 +467,15 @@ class OnlineController:
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of all mutable controller state.
-
-        The in-flight migration is stored as its *inputs* (endpoints,
-        rate, applied half-steps) rather than its float fractions:
-        :meth:`restore_state` rebuilds the schedule and replays the same
-        half-slot ``advance`` sequence, which reproduces the fluid
-        trajectory bit-exactly because round commits rebuild from
-        snapshots (see :class:`~repro.squall.migrator.ActiveMigration`).
-        """
+        """JSON-serialisable snapshot of all mutable controller state
+        (the in-flight move in its
+        :meth:`Reconfiguration.state_dict` form)."""
         strategy_doc = None
         if self._strategy is not None:
             inner = self._strategy.controller
             strategy_doc = {
                 "scale_in_streak": inner._scale_in_streak,
                 "last_snapshot_id": inner._last_snapshot_id,
-            }
-        migration_doc = None
-        if self._migration is not None:
-            migration_doc = {
-                "before": self._move_before,
-                "target": self._move_target,
-                "started": self._move_started,
-                "rate_kbps": self._move_rate_kbps,
-                "half_steps": self._move_half_steps,
-                "move_rec_id": self._move_rec_id,
             }
         return {
             "machines": self.machines,
@@ -568,7 +490,9 @@ class OnlineController:
             "fa_record_id": self._fa_record_id,
             "reactive_below_streak": self._reactive._below_streak,
             "strategy": strategy_doc,
-            "migration": migration_doc,
+            "migration": (
+                self._move.state_dict() if self._move is not None else None
+            ),
         }
 
     def restore_state(self, doc: dict) -> None:
@@ -593,29 +517,12 @@ class OnlineController:
         self._ensure_strategy()
         migration_doc = doc.get("migration")
         if migration_doc is not None:
-            config = self.config
-            self._move_before = int(migration_doc["before"])
-            self._move_target = int(migration_doc["target"])
-            self._move_started = float(migration_doc["started"])
-            self._move_rate_kbps = float(migration_doc["rate_kbps"])
-            self._move_rec_id = migration_doc.get("move_rec_id")
-            schedule = build_migration_schedule(
-                self._move_before, self._move_target
+            self._move = Reconfiguration.from_state_dict(
+                migration_doc, self.config, self._telemetry
             )
-            self._migration = ActiveMigration(
-                schedule=schedule,
-                database_kb=config.database_kb,
-                rate_kbps=self._move_rate_kbps,
-                partitions_per_node=config.partitions_per_node,
-            )
-            half = config.interval_seconds / 2.0
-            steps = int(migration_doc.get("half_steps", 0))
-            for _ in range(steps):
-                self._migration.advance(half)
-            self._move_half_steps = steps
             if self._strategy is not None:
-                self._strategy.notify_move_started(self._move_target)
-            self._reactive.notify_move_started(self._move_target)
+                self._strategy.notify_move_started(self._move.after)
+            self._reactive.notify_move_started(self._move.after)
         # Strategy counters go last: the move-started notification above
         # zeroes the scale-in streak, and the checkpointed values are the
         # post-notification ones.
@@ -638,31 +545,14 @@ class OnlineController:
         """Deterministic drain: a partially-applied migration round rolls
         back to its last committed boundary and the abort is chronicled,
         so the exported run directory never shows in-between state."""
-        if self._migration is None:
+        move = self._move
+        if move is None:
             return
-        rolled = self._migration.rollback_partial_round()
-        tel = self._telemetry
-        if tel.enabled:
-            tel.events.emit(
-                "migration.aborted",
-                time=now,
-                before=self._move_before,
-                after=self._move_target,
-                reason=reason,
-                rolled_back_fraction=rolled,
-            )
-            tel.chronicle.record(
-                "migration.aborted",
-                time=now,
-                parent=self._move_rec_id,
-                before=self._move_before,
-                after=self._move_target,
-                reason=reason,
-                rolled_back_fraction=rolled,
-            )
-            tel.metrics.counter("serve.moves_aborted").inc()
-        self._migration = None
-        self._move_rec_id = None
+        rolled = move.migration.rollback_partial_round()
+        move.abort(now, reason, rolled_back_fraction=rolled)
+        if self._telemetry.enabled:
+            self._telemetry.metrics.counter("serve.moves_aborted").inc()
+        self._move = None
 
     # ------------------------------------------------------------------
     # Introspection

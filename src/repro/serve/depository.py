@@ -79,6 +79,9 @@ class Depository:
         #: node -> id of its ``node.stale`` chronicle record, kept so a
         #: re-appearing node's ``node.recovered`` can parent on it.
         self._evicted: Dict[str, Optional[str]] = {}
+        #: node -> its clock when evicted; checkpointed so a resumed
+        #: replay's old reports from it are still duplicates.
+        self._evicted_clocks: Dict[str, float] = {}
         #: node -> highest timestamp already ingested before a resume;
         #: replayed reports at or below it are duplicates, not data.
         self._resume_clocks: Dict[str, float] = {}
@@ -132,6 +135,7 @@ class Depository:
         previous = self._clocks.get(node)
         if previous is None and node in self._evicted:
             stale_id = self._evicted.pop(node)
+            self._evicted_clocks.pop(node, None)
             if tel.enabled:
                 tel.chronicle.record(
                     "node.recovered", time=time, parent=stale_id, node=node,
@@ -205,6 +209,7 @@ class Depository:
                     "node.stale", time=last_clock, node=node,
                 )
             self._evicted[node] = stale_id
+            self._evicted_clocks[node] = last_clock
 
     def flush(self) -> int:
         """Release every slot the watermark has passed; returns how many
@@ -250,8 +255,13 @@ class Depository:
             "buffer": [
                 [slot, count] for slot, count in sorted(self._buffer.items())
             ],
-            "clocks": dict(self._clocks),
+            # [nodes, clocks] in registration order, not a mapping: the
+            # checkpoint is written with sorted keys, and registration
+            # order decides the order one sweep's evictions are
+            # chronicled in.
+            "clocks": [list(self._clocks), list(self._clocks.values())],
             "evicted": dict(self._evicted),
+            "evicted_clocks": dict(self._evicted_clocks),
             "released": self._released,
             "reports_ingested": self.reports_ingested,
             "late_reports": self.late_reports,
@@ -264,9 +274,10 @@ class Depository:
         """Rebuild from :meth:`state_dict` output.
 
         Also arms duplicate suppression: every node's checkpointed clock
-        becomes its *resume clock*, and replayed reports at or below it
-        are dropped as duplicates (reports are assumed monotone per
-        node, which every source in this package satisfies).
+        — an evicted node's last one included — becomes its *resume
+        clock*, and replayed reports at or below it are dropped as
+        duplicates (reports are assumed monotone per node, which every
+        source in this package satisfies).
         """
         if float(doc["interval_seconds"]) != self._interval:
             raise SimulationError(
@@ -276,9 +287,13 @@ class Depository:
         self._buffer = {
             int(slot): float(count) for slot, count in doc.get("buffer", [])
         }
+        clocks = doc.get("clocks", {})
+        if isinstance(clocks, dict):
+            # A checkpoint from before the two lists: alphabetical order
+            # is all that survived, and all there is to restore.
+            clocks = (clocks.keys(), clocks.values())
         self._clocks = {
-            str(node): float(clock)
-            for node, clock in doc.get("clocks", {}).items()
+            str(node): float(clock) for node, clock in zip(*clocks)
         }
         self._evicted = {
             str(node): rec_id for node, rec_id in doc.get("evicted", {}).items()
@@ -292,5 +307,9 @@ class Depository:
             str(node): int(count)
             for node, count in doc.get("late_by_node", {}).items()
         }
-        self._resume_clocks = dict(self._clocks)
+        self._evicted_clocks = {
+            str(node): float(clock)
+            for node, clock in doc.get("evicted_clocks", {}).items()
+        }
+        self._resume_clocks = {**self._evicted_clocks, **self._clocks}
         self._rebuild_heap()

@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..config import PStoreConfig
@@ -68,7 +68,6 @@ class ServeOptions:
     #: many intervals, so one dead node can't freeze the watermark
     #: (0 = never evict).
     node_timeout: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 class ControlPlane:

@@ -31,8 +31,7 @@ from ..check import invariants
 from ..config import PStoreConfig
 from ..elasticity.base import ProvisioningStrategy
 from ..errors import SimulationError
-from ..squall.migrator import ActiveMigration
-from ..squall.schedule import build_migration_schedule
+from ..squall.migrator import Reconfiguration
 from ..telemetry import get_telemetry
 from ..workload.trace import LoadTrace
 
@@ -137,11 +136,7 @@ class CapacitySimulator:
 
         strategy.reset(self.initial_machines)
         machines = self.initial_machines
-        migration: Optional[ActiveMigration] = None
-        migration_target = machines
-        migration_before = machines
-        migration_emergency = False
-        migration_started = 0.0
+        move: Optional[Reconfiguration] = None
 
         out_machines = np.empty(n_slots)
         out_eff_q = np.empty(n_slots)
@@ -153,7 +148,6 @@ class CapacitySimulator:
         tel = self._telemetry
         recording = tel.enabled
         chron = tel.chronicle
-        move_rec_id: Optional[str] = None
         expected: Optional[dict] = None
 
         for slot in range(n_slots):
@@ -173,91 +167,30 @@ class CapacitySimulator:
                 )
                 expected = harvest[0] if harvest else None
 
-            if migration is None:
+            if move is None:
                 decision = strategy.decide(slot, history, machines)
                 if decision.acts and decision.target_machines != machines:
-                    schedule = build_migration_schedule(
-                        machines, decision.target_machines
+                    move = Reconfiguration.decided(
+                        config, machines, decision.target_machines, decision,
+                        slot * slot_seconds, slot, tel,
                     )
-                    migration = ActiveMigration(
-                        schedule=schedule,
-                        database_kb=config.database_kb,
-                        rate_kbps=config.migration_rate_kbps
-                        * decision.rate_multiplier,
-                        partitions_per_node=config.partitions_per_node,
-                    )
-                    migration_target = decision.target_machines
-                    migration_before = machines
-                    migration_emergency = decision.emergency
-                    migration_started = slot * slot_seconds
                     moves_started += 1
                     if decision.emergency:
                         emergencies += 1
-                    if recording:
-                        tel.events.emit(
-                            "migration.start",
-                            time=migration_started,
-                            before=machines,
-                            after=migration_target,
-                            emergency=decision.emergency,
-                            reason=decision.reason,
-                            rate_kbps=config.migration_rate_kbps
-                            * decision.rate_multiplier,
-                            est_seconds=migration.total_seconds,
-                        )
-                        rec = chron.record(
-                            "migration.start",
-                            time=migration_started,
-                            parent=getattr(decision, "record_id", None),
-                            before=migration_before,
-                            after=migration_target,
-                            emergency=decision.emergency,
-                            reason=decision.reason,
-                            rate_kbps=config.migration_rate_kbps
-                            * decision.rate_multiplier,
-                            est_seconds=migration.total_seconds,
-                            slot=slot,
-                        )
-                        move_rec_id = rec.get("id")
                     strategy.notify_move_started(decision.target_machines)
 
-            if migration is not None:
-                # State during this slot: sample at the slot midpoint.
-                migration.advance(slot_seconds / 2.0)
-                fractions = migration.data_fractions()
-                largest = float(fractions.max())
-                out_machines[slot] = migration.machines_allocated()
+            if move is not None:
+                # State during this slot: sampled at the slot midpoint.
+                largest, out_machines[slot] = move.step_slot(slot_seconds)
                 out_eff_q[slot] = config.q / largest
                 out_eff_qhat[slot] = config.q_hat / largest
                 out_migrating[slot] = True
-                migration.advance(slot_seconds / 2.0)
-                if migration.done:
-                    now = (slot + 1) * slot_seconds
-                    if recording:
-                        tel.events.emit(
-                            "migration.complete",
-                            time=now,
-                            before=migration_before,
-                            after=migration_target,
-                            seconds=now - migration_started,
-                            emergency=migration_emergency,
-                        )
-                        tel.metrics.histogram(
-                            "migrate.duration_seconds",
-                            bounds=tuple(float(2 ** i) for i in range(24)),
-                        ).observe(now - migration_started)
-                        chron.record(
-                            "migration.complete",
-                            time=now,
-                            parent=move_rec_id,
-                            before=migration_before,
-                            after=migration_target,
-                            seconds=now - migration_started,
-                            emergency=migration_emergency,
-                        )
-                        move_rec_id = None
-                    machines = migration_target
-                    migration = None
+                if move.migration.done:
+                    move.complete(
+                        (slot + 1) * slot_seconds, emergency=move.emergency
+                    )
+                    machines = move.after
+                    move = None
                     strategy.notify_move_finished(machines)
             else:
                 out_machines[slot] = machines
@@ -275,8 +208,8 @@ class CapacitySimulator:
                 if peak_load[slot] > out_eff_qhat[slot] + 1e-9:
                     # Fig. 12's y-axis, chronicled: whom do we blame for
                     # this slot running out of capacity?
-                    if out_migrating[slot] and move_rec_id:
-                        parent = move_rec_id
+                    if move is not None and move.record_id:
+                        parent = move.record_id
                     elif expected is not None:
                         parent = expected.get("snapshot_id")
                     else:

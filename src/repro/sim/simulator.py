@@ -31,8 +31,7 @@ from ..hstore.engine import (
     QueueingEngine,
 )
 from ..hstore.latency import PercentileSeries
-from ..squall.migrator import ActiveMigration
-from ..squall.schedule import build_migration_schedule
+from ..squall.migrator import Reconfiguration, TransferRecovery
 from ..telemetry import get_telemetry
 
 
@@ -92,6 +91,44 @@ class SimulationResult:
             f"avg machines {self.average_machines:.2f} "
             f"({self.moves_started} moves, {self.emergencies} emergency)"
         )
+
+
+class _Run:
+    """Everything one :meth:`ElasticDbSimulator.drive` pass mutates,
+    shared by its phase methods."""
+
+    def __init__(self, strategy, offered, interval, machines, history, recovery):
+        n = offered.size
+        self.strategy = strategy
+        self.offered = offered
+        self.interval = interval              # planner interval, in ticks
+        self.t = 0
+        self.active = list(range(machines))   # physical machines holding data
+        self.machines = machines              # steady-state allocation
+        self.history = history                # per-interval mean load
+        self.accumulator: List[float] = []
+        self.move: Optional[Reconfiguration] = None
+        self.emergencies = 0
+        self.moves_started = 0
+        self.out_machines = np.empty(n)
+        self.out_migrating = np.zeros(n, dtype=bool)
+        self.out_completed = np.empty(n)
+        self.p50 = np.empty(n)
+        self.p95 = np.empty(n)
+        self.p99 = np.empty(n)
+        #: Retry policy + jitter stream for faulty transfers (None on
+        #: fault-free runs), dead machines, and the crash faults still
+        #: waiting for a quiet planning boundary to confirm recovery.
+        self.recovery: Optional[TransferRecovery] = recovery
+        self.crashed: List[int] = []
+        self.pending_recovery: List = []
+        # Per-interval accounting feeding the chronicle's sla.violation
+        # records: seconds above the SLA, worst p99, and how many of the
+        # interval's seconds were spent migrating / under fault activity.
+        self.iv_viol = 0
+        self.iv_viol_p99 = 0.0
+        self.iv_migr = 0
+        self.iv_fault = 0
 
 
 class ElasticDbSimulator:
@@ -220,456 +257,36 @@ class ElasticDbSimulator:
         a cell is "evicted" while its generator advances scalar ticks
         internally and "re-admitted" at its next yield.  Returns the
         :class:`SimulationResult` via ``StopIteration.value``.
+
+        Each pass of the loop is one second, taken in phases: inject
+        faults -> (quiescent block, or) close the interval -> plan ->
+        tick the engine -> progress the move.
         """
-        config = self.config
-        offered = np.asarray(offered_tps, dtype=float)
-        if offered.ndim != 1 or offered.size == 0:
-            raise SimulationError("offered_tps must be a non-empty 1-D array")
-        if np.any(offered < 0):
-            raise SimulationError("offered load cannot be negative")
-        interval = int(round(config.interval_seconds))
-        if interval < 1:
-            raise SimulationError("interval_seconds must be >= 1 second")
-
-        p = config.partitions_per_node
-        total_partitions = self.max_machines * p
-        active: List[int] = list(range(self.initial_machines))
-        machines = self.initial_machines
-        strategy.reset(machines)
-
-        migration: Optional[ActiveMigration] = None
-        migration_rate = config.migration_rate_kbps
-        migration_target = machines
-        retiring: List[int] = []
-
-        history: List[float] = [float(v) for v in history_seed_tps]
-        interval_accumulator: List[float] = []
-
-        n = offered.size
+        run = self._begin_run(offered_tps, strategy, history_seed_tps)
+        n = run.offered.size
         engine_time_start = self.engine.time
-        out_machines = np.empty(n)
-        out_migrating = np.zeros(n, dtype=bool)
-        out_completed = np.empty(n)
-        p50 = np.empty(n)
-        p95 = np.empty(n)
-        p99 = np.empty(n)
-        emergencies = 0
-        moves_started = 0
-        tel = self._telemetry
-        recording = tel.enabled
-        chron = tel.chronicle
-        migration_before = machines
-        migration_emergency = False
-        migration_started = 0.0
-        move_rec_id: Optional[str] = None
-        # Per-interval accounting feeding the chronicle's sla.violation
-        # records: seconds above the SLA, worst p99, and how many of the
-        # interval's seconds were spent migrating / under fault activity.
-        iv_viol = 0
-        iv_viol_p99 = 0.0
-        iv_migr = 0
-        iv_fault = 0
-
-        # Fault-injection state (inert on fault-free runs).
-        injector = self._injector
-        retry = RetryPolicy.from_config(config.faults)
-        retry_rng = (
-            np.random.default_rng(injector.seed + 1)
-            if injector is not None
-            else None
-        )
-        crashed: List[int] = []
-        pending_recovery: List = []
-        stall_watch = None
-        stall_attempts = 0
-        next_retry_at = 0.0
-        resend_seconds = 0.0
-        resend_records: List = []
-
-        t = 0
-        while t < n:
-            # ---------------- fault injection --------------------------
-            if injector is not None:
-                injector.advance(float(t))
-                for record in injector.take_new_crashes():
-                    if len(active) <= 1:
-                        # The last machine cannot be killed.
-                        injector.mark_detected(record, float(t))
-                        injector.mark_recovered(record, float(t))
-                        continue
-                    if migration is not None:
-                        migration = None
-                        retiring = []
-                        machines = len(active)
-                        resend_seconds = 0.0
-                        resend_records = []
-                        stall_watch = None
-                        if recording:
-                            tel.events.emit(
-                                "migration.aborted",
-                                time=float(t),
-                                before=migration_before,
-                                after=migration_target,
-                                reason="node crash",
-                            )
-                            chron.record(
-                                "migration.aborted",
-                                time=float(t),
-                                parent=move_rec_id,
-                                before=migration_before,
-                                after=migration_target,
-                                reason="node crash",
-                            )
-                            move_rec_id = None
-                        strategy.notify_move_finished(machines)
-                    victim = injector.resolve_crash_node(record, active)
-                    injector.mark_detected(record, float(t))
-                    active.remove(victim)
-                    crashed.append(victim)
-                    machines = len(active)
-                    pending_recovery.append(record)
-                    if recording:
-                        tel.events.emit(
-                            "sim.node-down",
-                            time=float(t),
-                            node=victim,
-                            machines=machines,
-                        )
-                        chron.record(
-                            "node.remove",
-                            time=float(t),
-                            parent=chron.last("fault.injected"),
-                            node=victim,
-                            machines=machines,
-                            reason="crash",
-                        )
-            # ---------------- vectorized quiescent fast path -----------
+        while run.t < n:
+            if self._injector is not None:
+                self._inject_faults(run)
             # A stretch with no migration, no upcoming fault activity,
             # and no planner boundary has constant shares, so the whole
             # span collapses into one batched engine call that is
             # bit-identical to the scalar per-second ticks it replaces.
-            if self.fast_path and migration is None:
-                block_end = self._quiescent_until(
-                    t, n, interval, len(interval_accumulator), injector
-                )
-                if block_end - t >= self.MIN_BLOCK_TICKS:
-                    shares = np.zeros(total_partitions)
-                    for machine in active:
-                        shares[machine * p : (machine + 1) * p] = 1.0 / (
-                            machines * p
-                        )
+            if self.fast_path and run.move is None:
+                block_end = self._quiescent_until(run)
+                if block_end - run.t >= self.MIN_BLOCK_TICKS:
                     block = yield BlockRequest(
-                        t, block_end, shares, offered[t:block_end]
+                        run.t, block_end, self._steady_shares(run),
+                        run.offered[run.t:block_end],
                     )
-                    out_machines[t:block_end] = machines
-                    out_completed[t:block_end] = block.completed_tps
-                    p50[t:block_end] = block.p50_ms
-                    p95[t:block_end] = block.p95_ms
-                    p99[t:block_end] = block.p99_ms
-                    interval_accumulator.extend(offered[t:block_end].tolist())
-                    if recording:
-                        metrics = tel.metrics
-                        for i in range(t, block_end):
-                            metrics.histogram("sim.latency_p50_ms").observe(
-                                float(p50[i])
-                            )
-                            metrics.histogram("sim.latency_p95_ms").observe(
-                                float(p95[i])
-                            )
-                            metrics.histogram("sim.latency_p99_ms").observe(
-                                float(p99[i])
-                            )
-                            if p99[i] > config.sla_latency_ms:
-                                metrics.counter("sim.sla_violation_seconds").inc()
-                                iv_viol += 1
-                                iv_viol_p99 = max(iv_viol_p99, float(p99[i]))
-                        if pending_recovery:
-                            iv_fault += block_end - t
-                    t = block_end
+                    self._record_block(run, block_end, block)
                     continue
-
-            # ---------------- planning (per interval boundary) --------
-            interval_accumulator.append(float(offered[t]))
-            if len(interval_accumulator) == interval:
-                mean_tps = float(np.mean(interval_accumulator))
-                history.append(mean_tps)
-                interval_accumulator.clear()
-                if recording:
-                    tel.events.emit(
-                        "interval", time=float(t + 1),
-                        slot=len(history) - 1, tps=mean_tps,
-                    )
-                    tel.events.emit(
-                        "machines", time=float(t + 1),
-                        slot=len(history) - 1, machines=int(machines),
-                        migrating=migration is not None,
-                    )
-                    # Close the forecast-accuracy loop for this slot and,
-                    # if the interval had SLA violations, chronicle them
-                    # with the most plausible causal parent: an active
-                    # fault beats migration overhead beats the forecast
-                    # that sized the cluster.
-                    harvest = tel.accuracy.observe(
-                        len(history) - 1, mean_tps, time=float(t + 1)
-                    )
-                    expected = harvest[0] if harvest else None
-                    if iv_viol:
-                        if iv_fault and chron.last("fault.injected"):
-                            parent = chron.last("fault.injected")
-                        elif iv_migr and move_rec_id:
-                            parent = move_rec_id
-                        elif expected is not None:
-                            parent = expected.get("snapshot_id")
-                        else:
-                            parent = chron.last("forecast.snapshot")
-                        chron.record(
-                            "sla.violation",
-                            time=float(t + 1),
-                            parent=parent,
-                            slot=len(history) - 1,
-                            seconds=iv_viol,
-                            p99_max_ms=iv_viol_p99,
-                            measured_tps=mean_tps,
-                            machines=int(machines),
-                            migrating_seconds=iv_migr,
-                            fault_seconds=iv_fault,
-                            predicted_tps=(
-                                expected.get("predicted") if expected else None
-                            ),
-                            inflated_tps=(
-                                expected.get("inflated") if expected else None
-                            ),
-                        )
-                    iv_viol = 0
-                    iv_viol_p99 = 0.0
-                    iv_migr = 0
-                    iv_fault = 0
-                if migration is None:
-                    slot = len(history) - 1
-                    decision = strategy.decide(slot, history, machines)
-                    target = decision.target_machines
-                    if crashed and decision.acts and target is not None:
-                        # Dead machines shrink the physical pool.
-                        target = min(target, self.max_machines - len(crashed))
-                    if (
-                        decision.acts
-                        and target != machines
-                        and 1 <= target <= self.max_machines - len(crashed)
-                    ):
-                        migration_rate = (
-                            config.migration_rate_kbps * decision.rate_multiplier
-                        )
-                        migration, retiring = self._start_move(
-                            active, machines, target,
-                            migration_rate, excluded=crashed,
-                        )
-                        migration_target = target
-                        migration_before = machines
-                        migration_emergency = decision.emergency
-                        migration_started = float(t + 1)
-                        moves_started += 1
-                        if decision.emergency:
-                            emergencies += 1
-                        if recording:
-                            tel.events.emit(
-                                "migration.start",
-                                time=migration_started,
-                                before=machines,
-                                after=migration_target,
-                                emergency=decision.emergency,
-                                reason=decision.reason,
-                                rate_kbps=migration_rate,
-                                est_seconds=migration.total_seconds,
-                            )
-                            rec = chron.record(
-                                "migration.start",
-                                time=migration_started,
-                                parent=getattr(decision, "record_id", None),
-                                before=migration_before,
-                                after=migration_target,
-                                emergency=decision.emergency,
-                                reason=decision.reason,
-                                rate_kbps=migration_rate,
-                                est_seconds=migration.total_seconds,
-                                slot=len(history) - 1,
-                            )
-                            move_rec_id = rec.get("id")
-                            if migration_target > migration_before:
-                                chron.record(
-                                    "node.add",
-                                    time=migration_started,
-                                    parent=move_rec_id,
-                                    nodes=list(
-                                        active[
-                                            -(migration_target
-                                              - migration_before):
-                                        ]
-                                    ),
-                                )
-                        strategy.notify_move_started(target)
-                        if injector is not None:
-                            injector.notify_migration_started(float(t + 1))
-                if migration is None and pending_recovery:
-                    # A quiet planning boundary with the survivors: the
-                    # controller saw the smaller cluster and needed no
-                    # move (or its replacement move completed) — the
-                    # allocation is feasible again.
-                    for record in pending_recovery:
-                        injector.mark_recovered(record, float(t + 1))
-                    pending_recovery = []
-
-            # ---------------- capacity state for this second ----------
-            if migration is not None:
-                fractions = migration.data_fractions()
-                node_map = migration.node_map or {}
-                shares = np.zeros(total_partitions)
-                for logical, fraction in enumerate(fractions):
-                    machine = node_map.get(logical, logical)
-                    shares[machine * p : (machine + 1) * p] = fraction / p
-                busy_machines = migration.physical_nodes(
-                    migration.migrating_machines()
-                )
-                interference = self._interference(
-                    total_partitions, busy_machines, migration_rate
-                )
-                out_machines[t] = migration.machines_allocated()
-                out_migrating[t] = True
-            else:
-                shares = np.zeros(total_partitions)
-                for machine in active:
-                    shares[machine * p : (machine + 1) * p] = 1.0 / (
-                        machines * p
-                    )
-                interference = None
-                out_machines[t] = machines
-
-            capacity = None
-            if injector is not None and injector.any_slowdown_active:
-                machine_caps = injector.capacity_multipliers(
-                    self.max_machines, float(t)
-                )
-                capacity = np.repeat(machine_caps, p)
-            stats = self.engine.step(
-                1.0, float(offered[t]), shares, interference,
-                capacity_multipliers=capacity,
-            )
-            out_completed[t] = stats.completed_tps
-            p50[t] = stats.p50_ms
-            p95[t] = stats.p95_ms
-            p99[t] = stats.p99_ms
-            if recording:
-                metrics = tel.metrics
-                metrics.histogram("sim.latency_p50_ms").observe(stats.p50_ms)
-                metrics.histogram("sim.latency_p95_ms").observe(stats.p95_ms)
-                metrics.histogram("sim.latency_p99_ms").observe(stats.p99_ms)
-                if stats.p99_ms > config.sla_latency_ms:
-                    metrics.counter("sim.sla_violation_seconds").inc()
-                    iv_viol += 1
-                    iv_viol_p99 = max(iv_viol_p99, float(stats.p99_ms))
-                if migration is not None:
-                    iv_migr += 1
-                if (
-                    pending_recovery
-                    or stall_watch is not None
-                    or resend_seconds > 1e-9
-                    or (injector is not None and injector.any_slowdown_active)
-                ):
-                    iv_fault += 1
-
-            # ---------------- migration progress -----------------------
-            if migration is not None:
-                now = float(t + 1)
-                stall = (
-                    injector.stall_record(now)
-                    if injector is not None and not migration.done
-                    else None
-                )
-                if stall is not None:
-                    # Wedged transfer: no progress this second.  The
-                    # watchdog detects after the retry timeout and logs
-                    # one re-drive per backoff interval.
-                    if stall_watch is not stall:
-                        stall_watch = stall
-                        stall_attempts = 0
-                        next_retry_at = (
-                            stall.injected_at + retry.transfer_timeout_seconds
-                        )
-                    while (
-                        now + 1e-9 >= next_retry_at
-                        and retry.should_retry(stall_attempts + 1)
-                    ):
-                        if stall_attempts == 0:
-                            injector.mark_detected(stall, next_retry_at)
-                        stall_attempts += 1
-                        backoff = retry.backoff_seconds(
-                            stall_attempts, retry_rng
-                        )
-                        injector.mark_retry(stall, next_retry_at, backoff)
-                        next_retry_at += backoff
-                elif resend_seconds > 0.0:
-                    # Paying for a corrupted transfer's re-send.
-                    stall_watch = None
-                    resend_seconds = max(0.0, resend_seconds - 1.0)
-                    if resend_seconds <= 1e-9:
-                        for record in resend_records:
-                            injector.mark_recovered(record, now)
-                        resend_records = []
-                else:
-                    stall_watch = None
-                    completed_rounds = migration.advance(1.0)
-                    if injector is not None:
-                        for _ in completed_rounds:
-                            corruption = injector.take_corruption()
-                            if corruption is None:
-                                continue
-                            injector.mark_detected(corruption, now)
-                            backoff = retry.backoff_seconds(1, retry_rng)
-                            injector.mark_retry(corruption, now, backoff)
-                            resend_seconds += migration.round_seconds + backoff
-                            resend_records.append(corruption)
-                if migration.done and resend_seconds <= 1e-9:
-                    retired = list(retiring)
-                    if retiring:
-                        for machine in retiring:
-                            active.remove(machine)
-                        retiring = []
-                    if recording:
-                        now = float(t + 1)
-                        tel.events.emit(
-                            "migration.complete",
-                            time=now,
-                            before=migration_before,
-                            after=migration_target,
-                            seconds=now - migration_started,
-                            emergency=migration_emergency,
-                        )
-                        tel.metrics.histogram(
-                            "migrate.duration_seconds",
-                            bounds=tuple(float(2 ** i) for i in range(24)),
-                        ).observe(now - migration_started)
-                        if retired:
-                            chron.record(
-                                "node.remove",
-                                time=now,
-                                parent=move_rec_id,
-                                nodes=retired,
-                                reason="scale-in",
-                            )
-                        chron.record(
-                            "migration.complete",
-                            time=now,
-                            parent=move_rec_id,
-                            before=migration_before,
-                            after=migration_target,
-                            seconds=now - migration_started,
-                            emergency=migration_emergency,
-                        )
-                        move_rec_id = None
-                    machines = migration_target
-                    migration = None
-                    strategy.notify_move_finished(machines)
-
-            t += 1
+            if self._close_interval(run):
+                self._plan(run)
+            self._tick(run)
+            if run.move is not None:
+                self._progress_move(run)
+            run.t += 1
 
         if invariants.enabled(invariants.CHEAP):
             # Every tick must pass through the engine exactly once — a
@@ -681,32 +298,332 @@ class ElasticDbSimulator:
             )
         latency = PercentileSeries(
             seconds=np.arange(n),
-            percentiles={50.0: p50, 95.0: p95, 99.0: p99},
-            throughput=out_completed,
+            percentiles={50.0: run.p50, 95.0: run.p95, 99.0: run.p99},
+            throughput=run.out_completed,
         )
         return SimulationResult(
             strategy_name=strategy.name,
             latency=latency,
-            offered_tps=offered.copy(),
-            completed_tps=out_completed,
-            machines=out_machines,
-            migrating=out_migrating,
-            emergencies=emergencies,
-            moves_started=moves_started,
-            sla_ms=config.sla_latency_ms,
+            offered_tps=run.offered.copy(),
+            completed_tps=run.out_completed,
+            machines=run.out_machines,
+            migrating=run.out_migrating,
+            emergencies=run.emergencies,
+            moves_started=run.moves_started,
+            sla_ms=self.config.sla_latency_ms,
         )
 
     # ------------------------------------------------------------------
+    # The phases of one drive() pass
+    # ------------------------------------------------------------------
 
-    def _quiescent_until(
-        self,
-        t: int,
-        n: int,
-        interval: int,
-        accumulated: int,
-        injector,
-    ) -> int:
-        """End (exclusive) of the quiescent stretch starting at tick ``t``.
+    def _begin_run(self, offered_tps, strategy, history_seed_tps) -> _Run:
+        offered = np.asarray(offered_tps, dtype=float)
+        if offered.ndim != 1 or offered.size == 0:
+            raise SimulationError("offered_tps must be a non-empty 1-D array")
+        if np.any(offered < 0):
+            raise SimulationError("offered load cannot be negative")
+        interval = int(round(self.config.interval_seconds))
+        if interval < 1:
+            raise SimulationError("interval_seconds must be >= 1 second")
+        strategy.reset(self.initial_machines)
+        recovery = None
+        if self._injector is not None:
+            recovery = TransferRecovery(
+                self._injector, RetryPolicy.from_config(self.config.faults)
+            )
+        return _Run(
+            strategy, offered, interval, self.initial_machines,
+            [float(v) for v in history_seed_tps], recovery,
+        )
+
+    def _inject_faults(self, run: _Run) -> None:
+        """Fire due faults; a crash aborts the move in flight and takes
+        its victim out of the active set."""
+        injector = self._injector
+        now = float(run.t)
+        injector.advance(now)
+        for record in injector.take_new_crashes():
+            if len(run.active) <= 1:
+                # The last machine cannot be killed.
+                injector.mark_detected(record, now)
+                injector.mark_recovered(record, now)
+                continue
+            if run.move is not None:
+                run.move.abort(now, "node crash")
+                run.move = None
+                run.machines = len(run.active)
+                run.strategy.notify_move_finished(run.machines)
+            victim = injector.resolve_crash_node(record, run.active)
+            injector.mark_detected(record, now)
+            run.active.remove(victim)
+            run.crashed.append(victim)
+            run.machines = len(run.active)
+            run.pending_recovery.append(record)
+            tel = self._telemetry
+            if tel.enabled:
+                tel.events.emit(
+                    "sim.node-down",
+                    time=now,
+                    node=victim,
+                    machines=run.machines,
+                )
+                tel.chronicle.record(
+                    "node.remove",
+                    time=now,
+                    parent=tel.chronicle.last("fault.injected"),
+                    node=victim,
+                    machines=run.machines,
+                    reason="crash",
+                )
+
+    def _steady_shares(self, run: _Run) -> np.ndarray:
+        """Per-partition load shares with no move in flight: uniform
+        over the active machines."""
+        p = self.config.partitions_per_node
+        shares = np.zeros(self.max_machines * p)
+        for machine in run.active:
+            shares[machine * p : (machine + 1) * p] = 1.0 / (run.machines * p)
+        return shares
+
+    def _record_block(self, run: _Run, block_end: int, block) -> None:
+        """Store a quiescent stretch's batched engine result."""
+        t = run.t
+        run.out_machines[t:block_end] = run.machines
+        run.out_completed[t:block_end] = block.completed_tps
+        run.p50[t:block_end] = block.p50_ms
+        run.p95[t:block_end] = block.p95_ms
+        run.p99[t:block_end] = block.p99_ms
+        run.accumulator.extend(run.offered[t:block_end].tolist())
+        if self._telemetry.enabled:
+            for i in range(t, block_end):
+                self._record_latency(
+                    run, float(run.p50[i]), float(run.p95[i]),
+                    float(run.p99[i]),
+                )
+            if run.pending_recovery:
+                run.iv_fault += block_end - t
+        run.t = block_end
+
+    def _record_latency(
+        self, run: _Run, p50: float, p95: float, p99: float
+    ) -> None:
+        metrics = self._telemetry.metrics
+        metrics.histogram("sim.latency_p50_ms").observe(p50)
+        metrics.histogram("sim.latency_p95_ms").observe(p95)
+        metrics.histogram("sim.latency_p99_ms").observe(p99)
+        if p99 > self.config.sla_latency_ms:
+            metrics.counter("sim.sla_violation_seconds").inc()
+            run.iv_viol += 1
+            run.iv_viol_p99 = max(run.iv_viol_p99, p99)
+
+    def _close_interval(self, run: _Run) -> bool:
+        """Accumulate this second's load; at a planner boundary publish
+        the interval (mean load, allocation, forecast accuracy, SLA
+        violations) and return True."""
+        run.accumulator.append(float(run.offered[run.t]))
+        if len(run.accumulator) != run.interval:
+            return False
+        mean_tps = float(np.mean(run.accumulator))
+        run.history.append(mean_tps)
+        run.accumulator.clear()
+        tel = self._telemetry
+        if not tel.enabled:
+            return True
+        now = float(run.t + 1)
+        slot = len(run.history) - 1
+        tel.events.emit("interval", time=now, slot=slot, tps=mean_tps)
+        tel.events.emit(
+            "machines", time=now, slot=slot, machines=int(run.machines),
+            migrating=run.move is not None,
+        )
+        # Close the forecast-accuracy loop for this slot and, if the
+        # interval had SLA violations, chronicle them with the most
+        # plausible causal parent: an active fault beats migration
+        # overhead beats the forecast that sized the cluster.
+        harvest = tel.accuracy.observe(slot, mean_tps, time=now)
+        expected = harvest[0] if harvest else None
+        if run.iv_viol:
+            chron = tel.chronicle
+            if run.iv_fault and chron.last("fault.injected"):
+                parent = chron.last("fault.injected")
+            elif run.iv_migr and run.move is not None and run.move.record_id:
+                parent = run.move.record_id
+            elif expected is not None:
+                parent = expected.get("snapshot_id")
+            else:
+                parent = chron.last("forecast.snapshot")
+            chron.record(
+                "sla.violation",
+                time=now,
+                parent=parent,
+                slot=slot,
+                seconds=run.iv_viol,
+                p99_max_ms=run.iv_viol_p99,
+                measured_tps=mean_tps,
+                machines=int(run.machines),
+                migrating_seconds=run.iv_migr,
+                fault_seconds=run.iv_fault,
+                predicted_tps=(
+                    expected.get("predicted") if expected else None
+                ),
+                inflated_tps=(
+                    expected.get("inflated") if expected else None
+                ),
+            )
+        run.iv_viol = 0
+        run.iv_viol_p99 = 0.0
+        run.iv_migr = 0
+        run.iv_fault = 0
+        return True
+
+    def _plan(self, run: _Run) -> None:
+        """At a planner boundary with no move in flight, consult the
+        strategy and start the move it asks for."""
+        if run.move is None:
+            decision = run.strategy.decide(
+                len(run.history) - 1, run.history, run.machines
+            )
+            target = decision.target_machines
+            # Dead machines shrink the physical pool.
+            pool = self.max_machines - len(run.crashed)
+            if run.crashed and decision.acts and target is not None:
+                target = min(target, pool)
+            if decision.acts and target != run.machines and 1 <= target <= pool:
+                self._start_move(run, target, decision)
+        if run.move is None and run.pending_recovery:
+            # A quiet planning boundary with the survivors: the
+            # controller saw the smaller cluster and needed no move (or
+            # its replacement move completed) — the allocation is
+            # feasible again.
+            for record in run.pending_recovery:
+                self._injector.mark_recovered(record, float(run.t + 1))
+            run.pending_recovery = []
+
+    def _start_move(self, run: _Run, target: int, decision) -> None:
+        """Begin the move to ``target`` machines.
+
+        Scale-out activates the lowest inactive machine indices; scale-in
+        retires the highest active ones (drained just-in-time by the
+        reversed schedule).  Crashed machines are never re-activated.
+        """
+        active, before = run.active, run.machines
+        newcomers: List[int] = []
+        retiring: List[int] = []
+        if target > before:
+            inactive = [
+                m for m in range(self.max_machines)
+                if m not in active and m not in run.crashed
+            ]
+            newcomers = inactive[: target - before]
+            if len(newcomers) < target - before:
+                raise SimulationError(
+                    f"cannot scale to {target}: only "
+                    f"{len(active) + len(newcomers)} machines exist"
+                )
+            node_map = {i: m for i, m in enumerate(sorted(active) + newcomers)}
+            active.extend(newcomers)
+        else:
+            ordered = sorted(active)
+            retiring = ordered[target:]
+            node_map = {i: m for i, m in enumerate(ordered)}
+        now = float(run.t + 1)
+        run.move = Reconfiguration.decided(
+            self.config, before, target, decision, now,
+            len(run.history) - 1, self._telemetry,
+            chunk_kb=self.chunk_kb, node_map=node_map,
+            added_nodes=newcomers, retiring_nodes=retiring,
+        )
+        run.moves_started += 1
+        if decision.emergency:
+            run.emergencies += 1
+        run.strategy.notify_move_started(target)
+        if self._injector is not None:
+            self._injector.notify_migration_started(now)
+
+    def _tick(self, run: _Run) -> None:
+        """One scalar engine second under the current capacity state."""
+        t = run.t
+        move = run.move
+        p = self.config.partitions_per_node
+        injector = self._injector
+        if move is not None:
+            migration = move.migration
+            node_map = migration.node_map or {}
+            shares = np.zeros(self.max_machines * p)
+            for logical, fraction in enumerate(migration.data_fractions()):
+                machine = node_map.get(logical, logical)
+                shares[machine * p : (machine + 1) * p] = fraction / p
+            interference = self._interference(
+                shares.size,
+                migration.physical_nodes(migration.migrating_machines()),
+                move.rate_kbps,
+            )
+            run.out_machines[t] = migration.machines_allocated()
+            run.out_migrating[t] = True
+        else:
+            shares = self._steady_shares(run)
+            interference = None
+            run.out_machines[t] = run.machines
+
+        capacity = None
+        slowdown = injector is not None and injector.any_slowdown_active
+        if slowdown:
+            capacity = np.repeat(
+                injector.capacity_multipliers(self.max_machines, float(t)), p
+            )
+        stats = self.engine.step(
+            1.0, float(run.offered[t]), shares, interference,
+            capacity_multipliers=capacity,
+        )
+        run.out_completed[t] = stats.completed_tps
+        run.p50[t] = stats.p50_ms
+        run.p95[t] = stats.p95_ms
+        run.p99[t] = stats.p99_ms
+        if self._telemetry.enabled:
+            self._record_latency(
+                run, stats.p50_ms, stats.p95_ms, float(stats.p99_ms)
+            )
+            if move is not None:
+                run.iv_migr += 1
+            if (
+                run.pending_recovery
+                or slowdown
+                or (
+                    move is not None
+                    and (move.stall is not None or move.resend_seconds > 1e-9)
+                )
+            ):
+                run.iv_fault += 1
+
+    def _progress_move(self, run: _Run) -> None:
+        """Advance the move in flight by this second — or spend it
+        wedged, or re-sending a corrupted round — and finish the move
+        once every round has landed."""
+        move = run.move
+        injector = self._injector
+        now = float(run.t + 1)
+        if injector is None:
+            move.migration.advance(1.0)
+        else:
+            stall = (
+                injector.stall_record(now) if not move.migration.done else None
+            )
+            for _, record in move.progress(1.0, now, stall, run.recovery):
+                if record is not None:
+                    injector.mark_recovered(record, now)
+        if move.finished:
+            for machine in move.retiring_nodes:
+                run.active.remove(machine)
+            move.complete(now, emergency=move.emergency)
+            run.machines = move.after
+            run.move = None
+            run.strategy.notify_move_finished(run.machines)
+
+    # ------------------------------------------------------------------
+
+    def _quiescent_until(self, run: _Run) -> int:
+        """End (exclusive) of the quiescent stretch starting at ``run.t``.
 
         The stretch stops at the next planner-interval boundary tick
         (where the strategy is consulted and shares may change), at the
@@ -715,8 +632,9 @@ class ElasticDbSimulator:
         be observed.  An active node slowdown disables the fast path
         entirely (per-tick capacity multipliers apply).
         """
-        boundary = t + (interval - accumulated - 1)
-        end = min(n, boundary)
+        t, injector = run.t, self._injector
+        boundary = t + (run.interval - len(run.accumulator) - 1)
+        end = min(run.offered.size, boundary)
         if injector is not None:
             if injector.any_slowdown_active:
                 return t
@@ -728,49 +646,6 @@ class ElasticDbSimulator:
                 # scalar path observes the event at the same tick.
                 end = min(end, int(math.floor(t + horizon - 1e-9)) + 1)
         return max(end, t)
-
-    def _start_move(
-        self, active: List[int], before: int, after: int, rate_kbps: float,
-        excluded: Sequence[int] = (),
-    ):
-        """Build the migration and its logical->physical machine map.
-
-        Scale-out activates the lowest inactive machine indices; scale-in
-        retires the highest active ones (drained just-in-time by the
-        reversed schedule).  ``excluded`` machines (crashed) are never
-        re-activated.
-        """
-        schedule = build_migration_schedule(before, after)
-        if after > before:
-            inactive = [
-                m for m in range(self.max_machines)
-                if m not in active and m not in excluded
-            ]
-            newcomers = inactive[: after - before]
-            if len(newcomers) < after - before:
-                raise SimulationError(
-                    f"cannot scale to {after}: only "
-                    f"{len(active) + len(newcomers)} machines exist"
-                )
-            node_map = {i: m for i, m in enumerate(sorted(active) + newcomers)}
-            active.extend(newcomers)
-            retiring: List[int] = []
-        else:
-            ordered = sorted(active)
-            survivors = ordered[:after]
-            retiring = ordered[after:]
-            node_map = {
-                i: m for i, m in enumerate(survivors + retiring)
-            }
-        migration = ActiveMigration(
-            schedule=schedule,
-            database_kb=self.config.database_kb,
-            rate_kbps=rate_kbps,
-            partitions_per_node=self.config.partitions_per_node,
-            chunk_kb=self.chunk_kb,
-            node_map=node_map,
-        )
-        return migration, retiring
 
     def _interference(
         self,

@@ -5,22 +5,30 @@ schedule in simulated time, tracking per-machine data fractions, the
 just-in-time machine allocation, and which machines are busy migrating —
 everything the queueing engine and the capacity accounting need.
 
+:class:`Reconfiguration` is the one owner of a move's *lifecycle*: it
+pairs the schedule with its :class:`ActiveMigration`, keeps the move's
+bookkeeping, writes the ``migration.start | complete | aborted`` and
+``node.add | remove`` telemetry, steps a move across one planner slot
+(sampling Eq. 7 at the midpoint), tracks a wedged or corrupted transfer
+through detection and re-send, and checkpoints itself.  Every loop that
+runs moves — both simulators, the serve controller and
+:class:`ClusterMigrator` — holds an ``Optional[Reconfiguration]``.
+
 :class:`ClusterMigrator` binds migrations to a row-level
 :class:`~repro.hstore.cluster.Cluster`: it computes the bucket-level
 reconfiguration plan, and as each machine-pair transfer completes it
 commits the corresponding bucket moves so the rows physically relocate.
 
 When a :class:`~repro.faults.FaultInjector` is attached, the migrator
-also runs the failure-recovery machinery: a stall watchdog that detects
-wedged transfers after the :class:`~repro.faults.RetryPolicy` timeout
-and re-drives them with exponential backoff, corrupted-transfer
-re-sends (bucket moves only commit once a clean copy has arrived), and
-an :meth:`ClusterMigrator.abort` path used when a node dies mid-move.
+also drives the failure-recovery machinery: the stall watchdog and the
+corrupted-transfer re-sends of its :class:`Reconfiguration` (bucket
+moves only commit once a clean copy has arrived), and an
+:meth:`ClusterMigrator.abort` path used when a node dies mid-move.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -265,6 +273,294 @@ class ActiveMigration:
         return {self.node_map[m] for m in machines}
 
 
+class TransferRecovery:
+    """What re-driving a faulty transfer needs, for a whole run: the
+    injector whose faults are handled, the retry policy, and the
+    backoff-jitter stream (one per run, so it outlives every move)."""
+
+    def __init__(self, injector, retry: RetryPolicy):
+        self.injector = injector
+        self.retry = retry
+        self.rng = np.random.default_rng(injector.seed + 1)
+
+
+#: Bucket bounds of the ``migrate.duration_seconds`` histogram.
+_DURATION_BOUNDS = tuple(float(2 ** i) for i in range(24))
+
+
+class Reconfiguration:
+    """One move from ``before`` to ``after`` machines and its lifecycle:
+    built -> :meth:`start` -> advanced -> :meth:`complete` | :meth:`abort`.
+
+    The loops that run moves keep their own order and time slicing (see
+    ``docs/ALGORITHMS.md``); what they share is this object.  Slot-level
+    loops advance it with :meth:`step_slot`; tick-level loops advance
+    ``migration`` directly, or through :meth:`progress` when a fault
+    injector is attached.
+
+    The three emitters write the same payload to the event log and the
+    chronicle; ``**fields`` are the calling loop's extras (``emergency``,
+    ``reason`` and ``slot`` where a strategy decision started the move,
+    ``rounds`` and ``elapsed`` on the row-level cluster).
+    """
+
+    def __init__(
+        self,
+        config: PStoreConfig,
+        before: int,
+        after: int,
+        rate_kbps: float,
+        telemetry,
+        chunk_kb: float = DEFAULT_CHUNK_KB,
+        node_map: Optional[Mapping[int, int]] = None,
+        database_kb: Optional[float] = None,
+        added_nodes: Sequence[int] = (),
+        retiring_nodes: Sequence[int] = (),
+    ):
+        self.before = before
+        self.after = after
+        self.rate_kbps = rate_kbps
+        #: Machines provisioned for a scale-out / drained by a scale-in
+        #: (chronicled as ``node.add`` at the start, ``node.remove`` at
+        #: completion; empty where the loop has no physical nodes).
+        self.added_nodes = list(added_nodes)
+        self.retiring_nodes = list(retiring_nodes)
+        self.migration = ActiveMigration(
+            schedule=build_migration_schedule(before, after),
+            database_kb=config.database_kb if database_kb is None else database_kb,
+            rate_kbps=rate_kbps,
+            partitions_per_node=config.partitions_per_node,
+            chunk_kb=chunk_kb,
+            node_map=node_map,
+        )
+        self._telemetry = telemetry
+        self.started_at = 0.0
+        #: Whether an emergency decision started the move; the batch
+        #: loops echo it on ``migration.complete``.
+        self.emergency = False
+        #: Chronicle id of the ``migration.start`` record, parent of
+        #: everything else this move writes (None with telemetry off).
+        self.record_id: Optional[str] = None
+        #: Half-slot ``advance`` calls applied by :meth:`step_slot`; a
+        #: restore replays exactly this many.
+        self.half_steps = 0
+        # Fault recovery (inert without an injector).
+        #: The stall record the watchdog is on (None while data moves).
+        self.stall = None
+        self._stall_attempts = 0
+        self._next_retry_at = 0.0
+        #: Simulated seconds of re-sending still owed for corrupted rounds.
+        self.resend_seconds = 0.0
+        #: Corrupted rounds held back until re-sent, with their faults.
+        self._held: List[Tuple[Tuple[Transfer, ...], object]] = []
+
+    @classmethod
+    def decided(
+        cls, config: PStoreConfig, before: int, after: int, decision,
+        now: float, slot: int, telemetry, **build,
+    ) -> "Reconfiguration":
+        """Build and start the move a strategy's
+        :class:`~repro.elasticity.base.ScaleDecision` asked for at the
+        close of planner ``slot``: the decision sets the rate (``8 * R``
+        for the boosted reactive mode) and is the move's causal parent."""
+        move = cls(
+            config, before, after,
+            config.migration_rate_kbps * decision.rate_multiplier,
+            telemetry, **build,
+        )
+        move.emergency = decision.emergency
+        move.start(
+            now, getattr(decision, "record_id", None),
+            emergency=decision.emergency, reason=decision.reason, slot=slot,
+        )
+        return move
+
+    # ------------------------------------------------------------------
+    # Lifecycle records
+    # ------------------------------------------------------------------
+
+    def start(
+        self, now: float, cause_id: Optional[str] = None, **fields
+    ) -> None:
+        """The move begins at ``now``.  ``cause_id`` is the chronicle id
+        of the plan decision that asked for it, so ``pstore explain`` can
+        walk forecast -> plan -> move."""
+        self.started_at = now
+        tel = self._telemetry
+        if not tel.enabled:
+            return
+        fields.update(
+            before=self.before,
+            after=self.after,
+            rate_kbps=self.rate_kbps,
+            est_seconds=self.migration.total_seconds,
+        )
+        tel.events.emit("migration.start", time=now, **fields)
+        rec = tel.chronicle.record(
+            "migration.start", time=now, parent=cause_id, **fields
+        )
+        self.record_id = rec.get("id")
+        if self.added_nodes:
+            tel.chronicle.record(
+                "node.add", time=now, parent=self.record_id,
+                nodes=self.added_nodes,
+            )
+
+    def complete(self, now: float, **fields) -> Optional[str]:
+        """The last round has committed; returns the record's id."""
+        tel = self._telemetry
+        if not tel.enabled:
+            return None
+        seconds = now - self.started_at
+        fields.update(before=self.before, after=self.after, seconds=seconds)
+        tel.events.emit("migration.complete", time=now, **fields)
+        tel.metrics.histogram(
+            "migrate.duration_seconds", bounds=_DURATION_BOUNDS
+        ).observe(seconds)
+        if self.retiring_nodes:
+            tel.chronicle.record(
+                "node.remove", time=now, parent=self.record_id,
+                nodes=self.retiring_nodes, reason="scale-in",
+            )
+        rec = tel.chronicle.record(
+            "migration.complete", time=now, parent=self.record_id, **fields
+        )
+        return rec.get("id")
+
+    def abort(self, now: float, reason: str, **fields) -> Optional[str]:
+        """The move is cancelled; returns the record's id.  Whether a
+        partial round is rolled back first is the caller's policy."""
+        tel = self._telemetry
+        if not tel.enabled:
+            return None
+        fields.update(before=self.before, after=self.after, reason=reason)
+        tel.events.emit("migration.aborted", time=now, **fields)
+        rec = tel.chronicle.record(
+            "migration.aborted", time=now, parent=self.record_id, **fields
+        )
+        return rec.get("id")
+
+    # ------------------------------------------------------------------
+    # Slot-granularity stepping (capacity-level loops)
+    # ------------------------------------------------------------------
+
+    def step_slot(self, slot_seconds: float) -> Tuple[float, int]:
+        """Advance one planner slot.  Returns the state at the slot's
+        midpoint: the largest per-machine data fraction (effective
+        capacity is ``Q / largest``, Eq. 7) and the machines allocated."""
+        migration = self.migration
+        half = slot_seconds / 2.0
+        migration.advance(half)
+        largest = float(migration.data_fractions().max())
+        allocated = migration.machines_allocated()
+        migration.advance(half)
+        self.half_steps += 2
+        return largest, allocated
+
+    # ------------------------------------------------------------------
+    # Tick-level stepping under injected faults
+    # ------------------------------------------------------------------
+
+    @property
+    def finished(self) -> bool:
+        """Every round transferred and every re-send paid for."""
+        return self.migration.done and self.resend_seconds <= 1e-9
+
+    def progress(
+        self, dt: float, now: float, stall, recovery: TransferRecovery
+    ) -> List[Tuple[Tuple[Transfer, ...], object]]:
+        """Spend the ``dt`` seconds ending at ``now`` on this move.
+
+        ``stall`` is the injector's active stall record, if any: a wedged
+        transfer moves no data while the watchdog re-drives it.  Else the
+        time first pays off re-sends owed for corrupted rounds, and only
+        then advances the transfers.  Returns ``(round, fault record)``
+        for every round a clean copy of which has now arrived — the
+        record is None unless the round was a re-send, in which case the
+        caller marks it recovered (after committing the round, where
+        there is something to commit).
+        """
+        if stall is not None:
+            self._watch_stall(stall, now, recovery)
+            return []
+        self.stall = None
+        if self.resend_seconds > 1e-9:
+            self.resend_seconds = max(0.0, self.resend_seconds - dt)
+            if self.resend_seconds > 1e-9:
+                return []
+            self.resend_seconds = 0.0
+            arrived, self._held = self._held, []
+            return arrived
+        arrived = []
+        for round_ in self.migration.advance(dt):
+            corruption = recovery.injector.take_corruption()
+            if corruption is None:
+                arrived.append((round_, None))
+                continue
+            # Hold the round back and owe a full re-send plus one backoff.
+            recovery.injector.mark_detected(corruption, now)
+            backoff = recovery.retry.backoff_seconds(1, recovery.rng)
+            recovery.injector.mark_retry(corruption, now, backoff)
+            self.resend_seconds += self.migration.round_seconds + backoff
+            self._held.append((round_, corruption))
+        return arrived
+
+    def _watch_stall(self, stall, now: float, recovery: TransferRecovery) -> None:
+        """Detect the wedged transfer after the retry timeout and log one
+        re-drive per backoff interval (all in simulated time)."""
+        retry = recovery.retry
+        if self.stall is not stall:
+            self.stall = stall
+            self._stall_attempts = 0
+            self._next_retry_at = (
+                stall.injected_at + retry.transfer_timeout_seconds
+            )
+        while now + 1e-9 >= self._next_retry_at and retry.should_retry(
+            self._stall_attempts + 1
+        ):
+            if self._stall_attempts == 0:
+                recovery.injector.mark_detected(stall, self._next_retry_at)
+            self._stall_attempts += 1
+            backoff = retry.backoff_seconds(self._stall_attempts, recovery.rng)
+            recovery.injector.mark_retry(stall, self._next_retry_at, backoff)
+            self._next_retry_at += backoff
+
+    # ------------------------------------------------------------------
+    # Checkpointing
+    # ------------------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """The move as its *inputs* (endpoints, rate, applied half-steps)
+        rather than its float fractions: :meth:`from_state_dict` rebuilds
+        the schedule and replays the same ``advance`` sequence, which
+        reproduces the fluid trajectory bit-exactly because round commits
+        rebuild from snapshots (see :class:`ActiveMigration`)."""
+        return {
+            "before": self.before,
+            "target": self.after,
+            "started": self.started_at,
+            "rate_kbps": self.rate_kbps,
+            "half_steps": self.half_steps,
+            "move_rec_id": self.record_id,
+        }
+
+    @classmethod
+    def from_state_dict(
+        cls, doc: dict, config: PStoreConfig, telemetry
+    ) -> "Reconfiguration":
+        move = cls(
+            config, int(doc["before"]), int(doc["target"]),
+            float(doc["rate_kbps"]), telemetry,
+        )
+        move.started_at = float(doc["started"])
+        move.record_id = doc.get("move_rec_id")
+        half = config.interval_seconds / 2.0
+        move.half_steps = int(doc.get("half_steps", 0))
+        for _ in range(move.half_steps):
+            move.migration.advance(half)
+        return move
+
+
 class ClusterMigrator:
     """Drives bucket-accurate migrations on a row-level cluster.
 
@@ -303,28 +599,23 @@ class ClusterMigrator:
         self.retry = retry if retry is not None else RetryPolicy.from_config(
             config.faults
         )
-        self._retry_rng = np.random.default_rng(
-            (injector.seed + 1) if injector is not None else 0
+        self._recovery = (
+            TransferRecovery(injector, self.retry)
+            if injector is not None
+            else None
         )
-        self._active: Optional[ActiveMigration] = None
+        self._move: Optional[Reconfiguration] = None
         self._pair_buckets: Dict[Tuple[int, int], List[BucketMove]] = {}
-        self._retiring_nodes: List[int] = []
         #: Cumulative simulated seconds this migrator has been advanced;
         #: the timeline used for migrate.round spans and duration metrics.
         self._sim_time = 0.0
-        self._move_started_at = 0.0
-        self._move_before = 0
-        self._move_after = 0
         self._round_started_at = 0.0
         self._rounds_committed = 0
-        self._move_chronicle_id: Optional[str] = None
-        # Failure-recovery state.
-        self._stall_watch = None
-        self._stall_attempts = 0
-        self._next_retry_at = 0.0
-        self._resend_seconds = 0.0
-        self._pending_resends: List[Tuple[object, Tuple[Transfer, ...]]] = []
         self.aborted_moves = 0
+        #: Chronicle id of the last ``migration.complete`` / ``aborted``
+        #: record written (None with telemetry off); hosts parent their
+        #: own follow-up records on it.
+        self.last_outcome_id: Optional[str] = None
 
     @property
     def sim_time(self) -> float:
@@ -339,11 +630,11 @@ class ClusterMigrator:
 
     @property
     def active(self) -> Optional[ActiveMigration]:
-        return self._active
+        return self._move.migration if self._move is not None else None
 
     @property
     def migrating(self) -> bool:
-        return self._active is not None
+        return self._move is not None
 
     def start_move(
         self, target_nodes: int, cause_id: Optional[str] = None
@@ -364,6 +655,7 @@ class ClusterMigrator:
             raise MigrationError("target equals current size; nothing to do")
 
         added_nodes: List[int] = []
+        retiring: List[int] = []
         if after > before:
             new_nodes = self.cluster.add_nodes(after - before)
             added_nodes = [n.node_id for n in new_nodes]
@@ -372,13 +664,11 @@ class ClusterMigrator:
             originals = [nid for nid in ordered_nodes if nid not in
                          {n.node_id for n in new_nodes}]
             logical_order = originals + [n.node_id for n in new_nodes]
-            self._retiring_nodes = []
         else:
             ordered_nodes = [n.node_id for n in self.cluster.nodes]
             survivors = ordered_nodes[:after]
             retiring = ordered_nodes[after:]
             logical_order = survivors + retiring
-            self._retiring_nodes = retiring
 
         node_map = {i: nid for i, nid in enumerate(logical_order)}
         surviving = logical_order if after > before else logical_order[:after]
@@ -398,73 +688,45 @@ class ClusterMigrator:
             for pair, moves in plan.moves_by_node_pair(node_of_partition).items()
         }
 
-        schedule = build_migration_schedule(before, after)
-        rate_kbps = self.config.migration_rate_kbps * self.rate_multiplier
-        self._active = ActiveMigration(
-            schedule=schedule,
-            database_kb=max(self.cluster.total_data_kb, 1.0),
-            rate_kbps=rate_kbps,
-            partitions_per_node=self.config.partitions_per_node,
+        move = self._move = Reconfiguration(
+            self.config,
+            before,
+            after,
+            self.config.migration_rate_kbps * self.rate_multiplier,
+            self._telemetry,
             chunk_kb=self.chunk_kb,
             node_map=node_map,
+            database_kb=max(self.cluster.total_data_kb, 1.0),
+            added_nodes=added_nodes,
+            retiring_nodes=retiring,
         )
-        self._move_started_at = self._sim_time
         self._round_started_at = self._sim_time
-        self._move_before = before
-        self._move_after = after
         self._rounds_committed = 0
-        self._reset_fault_state()
-        tel = self._telemetry
-        if tel.enabled:
-            tel.events.emit(
-                "migration.start",
-                time=self._sim_time,
-                before=before,
-                after=after,
-                rate_kbps=rate_kbps,
-                rounds=schedule.n_rounds,
-                est_seconds=self._active.total_seconds,
-            )
-            tel.metrics.counter("migrate.moves_started").inc()
-            rec = tel.chronicle.record(
-                "migration.start",
-                time=self._sim_time,
-                parent=cause_id,
-                before=before,
-                after=after,
-                rate_kbps=rate_kbps,
-                rounds=schedule.n_rounds,
-                est_seconds=self._active.total_seconds,
-            )
-            self._move_chronicle_id = rec.get("id")
-            if added_nodes:
-                tel.chronicle.record(
-                    "node.add",
-                    time=self._sim_time,
-                    parent=self._move_chronicle_id,
-                    nodes=added_nodes,
-                )
+        move.start(
+            self._sim_time, cause_id, rounds=move.migration.schedule.n_rounds
+        )
+        if self._telemetry.enabled:
+            self._telemetry.metrics.counter("migrate.moves_started").inc()
         if self._injector is not None:
             self._injector.notify_migration_started(self._sim_time)
-        return self._active
+        return move.migration
 
     def advance(self, dt: float) -> bool:
         """Advance the active migration; returns True when it completes."""
-        if self._active is None:
+        move = self._move
+        if move is None:
             raise MigrationError("no active migration")
         if dt < 0:
             raise MigrationError("dt must be non-negative")
         if self._injector is None:
-            self._step_migration(dt)
+            completed_rounds = move.migration.advance(dt)
+            self._sim_time += dt
+            for round_ in completed_rounds:
+                self._commit_round(round_)
         else:
             self._advance_with_faults(dt)
-        if (
-            self._active is not None
-            and self._active.done
-            and self._resend_seconds <= 1e-9
-            and not self._pending_resends
-        ):
-            self._finish_telemetry()
+        if move.finished:
+            self.last_outcome_id = move.complete(self._sim_time)
             self._finish()
             return True
         return False
@@ -484,7 +746,7 @@ class ClusterMigrator:
                 f"step_to moved backwards: {sim_time} < {self._sim_time}"
             )
         dt = max(0.0, dt)
-        if self._active is None:
+        if self._move is None:
             self._sim_time = float(sim_time)
             return False
         return self.advance(dt)
@@ -497,63 +759,26 @@ class ClusterMigrator:
         nodes remain active since they may still own buckets.  The
         controller is expected to re-plan from the resulting topology.
         """
-        if self._active is None:
+        move = self._move
+        if move is None:
             return
         # A partially-applied round is neither committed nor absent; roll
         # the fluid fractions back to the last round boundary so the
         # post-abort topology matches what the row store actually holds.
-        rolled_back = self._active.rollback_partial_round()
+        rolled_back = move.migration.rollback_partial_round()
         self.aborted_moves += 1
-        tel = self._telemetry
-        if tel.enabled:
-            tel.events.emit(
-                "migration.aborted",
-                time=self._sim_time,
-                before=self._move_before,
-                after=self._move_after,
-                reason=reason,
-                elapsed=self._sim_time - self._move_started_at,
-                rolled_back_fraction=rolled_back,
-            )
-            tel.metrics.counter("migrate.moves_aborted").inc()
-            tel.chronicle.record(
-                "migration.aborted",
-                time=self._sim_time,
-                parent=self._move_chronicle_id,
-                before=self._move_before,
-                after=self._move_after,
-                reason=reason,
-                elapsed=self._sim_time - self._move_started_at,
-                rolled_back_fraction=rolled_back,
-            )
-            self._move_chronicle_id = None
+        self.last_outcome_id = move.abort(
+            self._sim_time,
+            reason,
+            elapsed=self._sim_time - move.started_at,
+            rolled_back_fraction=rolled_back,
+        )
+        if self._telemetry.enabled:
+            self._telemetry.metrics.counter("migrate.moves_aborted").inc()
         self._pair_buckets = {}
-        self._retiring_nodes = []
-        self._active = None
-        self._reset_fault_state()
+        self._move = None
 
-    # ------------------------------------------------------------------
-    # Fault-free fast path
-    # ------------------------------------------------------------------
-
-    def _step_migration(self, dt: float) -> None:
-        """Advance transfers by ``dt`` and commit the completed rounds."""
-        assert self._active is not None
-        round_seconds = self._active.round_seconds
-        completed_rounds = self._active.advance(dt)
-        self._sim_time += dt
-        for round_ in completed_rounds:
-            corruption = (
-                self._injector.take_corruption()
-                if self._injector is not None
-                else None
-            )
-            if corruption is not None:
-                self._begin_resend(corruption, round_)
-                continue
-            self._commit_round(round_, round_seconds)
-
-    def _commit_round(self, round_: Tuple[Transfer, ...], round_seconds: float) -> None:
+    def _commit_round(self, round_: Tuple[Transfer, ...]) -> None:
         # Bracket the commit itself rather than diffing against a
         # start-of-move snapshot: live workload legitimately changes row
         # counts *between* advances, but a bucket move must never.
@@ -570,6 +795,7 @@ class ClusterMigrator:
         if tel.enabled:
             # Rounds are equal-length, so reconstruct each round's
             # window on the simulated timeline (re-sends stretch it).
+            round_seconds = self._move.migration.round_seconds
             end = min(self._round_started_at + round_seconds, self._sim_time)
             end = max(end, self._round_started_at)
             tel.tracer.record(
@@ -582,7 +808,7 @@ class ClusterMigrator:
             tel.chronicle.record(
                 "migration.round",
                 time=end,
-                parent=self._move_chronicle_id,
+                parent=self._move.record_id,
                 round=self._rounds_committed,
                 transfers=len(round_),
             )
@@ -595,128 +821,45 @@ class ClusterMigrator:
 
     def _advance_with_faults(self, dt: float) -> None:
         injector = self._injector
+        move = self._move
+        migration = move.migration
         remaining = float(dt)
-        while remaining > 1e-9 and self._active is not None:
+        while remaining > 1e-9:
             injector.advance(self._sim_time)
             boundary = injector.seconds_to_next_change(self._sim_time)
             stall = injector.stall_record(self._sim_time)
             if stall is not None:
-                # Wedged: time passes, no data moves; the watchdog
-                # detects and re-drives after the retry timeout.
+                # Wedged: time passes, no data moves.
                 step = min(remaining, max(min(boundary, remaining), 1e-9))
-                self._sim_time += step
-                remaining -= step
-                self._watch_stall(stall)
-                continue
-            self._stall_watch = None
-            if self._resend_seconds > 1e-9:
-                step = min(remaining, self._resend_seconds)
-                self._resend_seconds -= step
-                self._sim_time += step
-                remaining -= step
-                if self._resend_seconds <= 1e-9:
-                    self._finish_resends()
-                continue
-            if self._active.done:
+            elif move.resend_seconds > 1e-9:
+                step = min(remaining, move.resend_seconds)
+            elif migration.done:
                 # Only waiting on re-sends/stalls, which are drained above.
                 break
-            # Never run past the current round's completion or the next
-            # fault boundary, so rounds are handled one at a time.
-            step = min(
-                remaining,
-                max(self._active.seconds_to_round_end, 1e-9),
-                max(boundary, 1e-9),
-            )
-            self._step_migration(step)
+            else:
+                # Never run past the current round's completion or the
+                # next fault boundary, so rounds are handled one at a time.
+                step = min(
+                    remaining,
+                    max(migration.seconds_to_round_end, 1e-9),
+                    max(boundary, 1e-9),
+                )
+            self._sim_time += step
             remaining -= step
-
-    def _watch_stall(self, record) -> None:
-        """Detect a wedged transfer after the retry timeout and emit one
-        re-drive attempt per backoff interval (all in simulated time)."""
-        if self._stall_watch is not record:
-            self._stall_watch = record
-            self._stall_attempts = 0
-            self._next_retry_at = (
-                record.injected_at + self.retry.transfer_timeout_seconds
-            )
-        while self._sim_time + 1e-9 >= self._next_retry_at:
-            if not self.retry.should_retry(self._stall_attempts + 1):
-                break
-            if self._stall_attempts == 0:
-                self._injector.mark_detected(record, self._next_retry_at)
-            attempt = self._stall_attempts + 1
-            backoff = self.retry.backoff_seconds(attempt, self._retry_rng)
-            self._injector.mark_retry(record, self._next_retry_at, backoff)
-            self._stall_attempts = attempt
-            self._next_retry_at += backoff
-
-    def _begin_resend(self, record, round_: Tuple[Transfer, ...]) -> None:
-        """A round arrived corrupted: hold its bucket commits and pay for
-        a full re-send (plus one backoff) before committing."""
-        assert self._active is not None
-        self._injector.mark_detected(record, self._sim_time)
-        backoff = self.retry.backoff_seconds(1, self._retry_rng)
-        self._injector.mark_retry(record, self._sim_time, backoff)
-        self._resend_seconds += self._active.round_seconds + backoff
-        self._pending_resends.append((record, round_))
-
-    def _finish_resends(self) -> None:
-        assert self._active is not None
-        self._resend_seconds = 0.0
-        pending, self._pending_resends = self._pending_resends, []
-        for record, round_ in pending:
-            self._commit_round(round_, self._active.round_seconds)
-            self._injector.mark_recovered(record, self._sim_time)
-
-    def _reset_fault_state(self) -> None:
-        self._stall_watch = None
-        self._stall_attempts = 0
-        self._next_retry_at = 0.0
-        self._resend_seconds = 0.0
-        self._pending_resends = []
+            for round_, record in move.progress(
+                step, self._sim_time, stall, self._recovery
+            ):
+                # Bucket moves only commit once a clean copy has arrived.
+                self._commit_round(round_)
+                if record is not None:
+                    injector.mark_recovered(record, self._sim_time)
 
     # ------------------------------------------------------------------
 
-    def _finish_telemetry(self) -> None:
-        tel = self._telemetry
-        if not tel.enabled:
-            return
-        seconds = self._sim_time - self._move_started_at
-        tel.events.emit(
-            "migration.complete",
-            time=self._sim_time,
-            before=self._move_before,
-            after=self._move_after,
-            seconds=seconds,
-        )
-        tel.metrics.histogram(
-            "migrate.duration_seconds",
-            bounds=tuple(float(2 ** i) for i in range(24)),
-        ).observe(seconds)
-        if self._retiring_nodes:
-            # _finish() decommissions these right after; chronicle them
-            # while the list is still known.
-            tel.chronicle.record(
-                "node.remove",
-                time=self._sim_time,
-                parent=self._move_chronicle_id,
-                nodes=list(self._retiring_nodes),
-                reason="scale-in",
-            )
-        tel.chronicle.record(
-            "migration.complete",
-            time=self._sim_time,
-            parent=self._move_chronicle_id,
-            before=self._move_before,
-            after=self._move_after,
-            seconds=seconds,
-        )
-        self._move_chronicle_id = None
-
     def _commit_transfer(self, transfer: Transfer) -> None:
-        assert self._active is not None and self._active.node_map is not None
-        src_node = self._active.node_map[transfer.sender]
-        dst_node = self._active.node_map[transfer.receiver]
+        node_map = self._move.migration.node_map
+        src_node = node_map[transfer.sender]
+        dst_node = node_map[transfer.receiver]
         for move in self._pair_buckets.pop((src_node, dst_node), []):
             self.cluster.move_bucket(move.bucket, move.destination_partition)
 
@@ -729,9 +872,8 @@ class ClusterMigrator:
             for move in moves:
                 self.cluster.move_bucket(move.bucket, move.destination_partition)
         self._pair_buckets = {}
-        if self._retiring_nodes:
-            self.cluster.remove_nodes(self._retiring_nodes)
-            self._retiring_nodes = []
+        if self._move.retiring_nodes:
+            self.cluster.remove_nodes(self._move.retiring_nodes)
         if check_rows:
             invariants.check_row_conservation(
                 self.cluster, before,
@@ -741,5 +883,4 @@ class ClusterMigrator:
             invariants.check_bucket_map_agreement(
                 self.cluster, "ClusterMigrator.finish", time=self._sim_time
             )
-        self._active = None
-        self._reset_fault_state()
+        self._move = None

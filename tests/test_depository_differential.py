@@ -52,6 +52,7 @@ class ScanDepository(Depository):
         previous = self._clocks.get(node)
         if previous is None and node in self._evicted:
             stale_id = self._evicted.pop(node)
+            self._evicted_clocks.pop(node, None)
             if tel.enabled:
                 tel.chronicle.record(
                     "node.recovered", time=time, parent=stale_id, node=node,
@@ -87,6 +88,7 @@ class ScanDepository(Depository):
                 tel.metrics.counter("serve.nodes_evicted").inc()
                 tel.events.emit("node.stale", time=last_clock, node=node)
             self._evicted[node] = stale_id
+            self._evicted_clocks[node] = last_clock
 
 
 def _observables(dep: Depository, tel: Telemetry) -> dict:
@@ -220,3 +222,111 @@ class TestHeapAgainstScan:
             dep.flush()
         assert dep.watermark == 1.0
         assert len(dep._heap) <= 2 * dep.nodes + 65
+
+
+# ----------------------------------------------------------------------
+# Resume convergence: a lane that is never checkpointed
+# ----------------------------------------------------------------------
+#
+# Above, implementation and oracle *both* go through the checkpoint, so
+# what the checkpoint form itself loses is invisible.  Here one run is
+# cut, restored from its sort_keys JSON and fed the whole stream again
+# (what a replay source does after ``--resume``); it must end where the
+# run that was never interrupted ends.
+
+#: Registration order below is deliberately not alphabetical.
+RESUME_NODES = ["zeta", "alpha", "lead", "mid", "beta"]
+
+
+def _run_stream(reports, cut=None, timeout=3) -> dict:
+    tel = Telemetry(metrics=MetricsRegistry())
+    dep = Depository(INTERVAL, telemetry=tel, node_timeout_intervals=timeout)
+    if cut is not None:
+        for report in reports[:cut]:
+            dep.add(report)
+            dep.flush()
+        doc = json.loads(json.dumps(dep.state_dict(), sort_keys=True))
+        dep = Depository(
+            INTERVAL, monitor=dep.monitor, telemetry=tel,
+            node_timeout_intervals=timeout,
+        )
+        dep.restore_state(doc)
+    for report in reports:
+        dep.add(report)
+        dep.flush()
+    seen = _observables(dep, tel)
+    # The replayed prefix is, rightly, all duplicates (and the state
+    # document counts them).
+    assert seen.pop("duplicates") == (cut or 0)
+    del seen["state"]
+    return seen
+
+
+def _report(node: str, time: float, count: float = 1.0) -> LoadReport:
+    return LoadReport(time=time, count=count, node=node)
+
+
+# Per node strictly increasing timestamps (the monotonicity every source
+# in the package guarantees), interleaved across nodes in any order.
+monotone_steps = st.lists(
+    st.tuples(
+        st.sampled_from(RESUME_NODES),
+        st.integers(min_value=1, max_value=12),   # quarter-intervals ahead
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+class TestResumeConverges:
+    def test_registration_order_survives_sorted_keys(self):
+        reports = [
+            _report("zeta", 10.0), _report("alpha", 10.0),
+            _report("lead", 10.0), _report("lead", 1000.0),
+        ]
+        straight = _run_stream(reports)
+        stale = [n for k, n, _, _ in straight["chronicle"] if k == "node.stale"]
+        assert stale == ["zeta", "alpha"]
+        assert _run_stream(reports, cut=3) == straight
+
+    def test_node_evicted_at_the_cut_stays_suppressed(self):
+        reports = [
+            _report("slow", 10.0), _report("lead", 10.0),
+            _report("slow", 20.0), _report("lead", 1000.0),
+            _report("lead", 1100.0),
+        ]
+        straight = _run_stream(reports)
+        assert straight["evictions"] == 1 and straight["late"] == 0
+        # Cut after the eviction: slow has no clock in the checkpoint.
+        assert _run_stream(reports, cut=4) == straight
+
+    def test_checkpoint_with_a_clock_mapping_still_loads(self):
+        dep = Depository(INTERVAL, node_timeout_intervals=3)
+        for report in (_report("b", 10.0), _report("a", 20.0)):
+            dep.add(report)
+        doc = dep.state_dict()
+        doc["clocks"] = dict(zip(*doc["clocks"]))    # the mapping v1 wrote
+        del doc["evicted_clocks"]
+        old = Depository(INTERVAL, node_timeout_intervals=3)
+        old.restore_state(json.loads(json.dumps(doc, sort_keys=True)))
+        assert old._clocks == {"a": 20.0, "b": 10.0}
+        assert old.watermark == 10.0
+
+    @given(
+        steps=monotone_steps,
+        cut=st.integers(min_value=0, max_value=60),
+        timeout=st.sampled_from([0, 1, 3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cut_anywhere(self, steps, cut, timeout):
+        clocks = dict.fromkeys(RESUME_NODES, 0)
+        reports = []
+        for node, ahead, count in steps:
+            clocks[node] += ahead
+            reports.append(
+                _report(node, clocks[node] * INTERVAL / 4, float(count))
+            )
+        cut = min(cut, len(reports))
+        assert _run_stream(reports, cut, timeout) == _run_stream(
+            reports, None, timeout
+        )

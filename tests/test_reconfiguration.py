@@ -1,0 +1,269 @@
+"""Tests for :class:`repro.squall.migrator.Reconfiguration`, the one
+owner of a move's lifecycle, and for the four loops that hold one."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.config import PStoreConfig, default_config
+from repro.elasticity.base import NO_ACTION, ProvisioningStrategy, ScaleDecision
+from repro.faults import FaultInjector, FaultSpec
+from repro.hstore import Cluster, Column, Schema, Table
+from repro.prediction import LastValuePredictor
+from repro.serve.controller import OnlineController
+from repro.sim import CapacitySimulator, ElasticDbSimulator
+from repro.squall import ClusterMigrator
+from repro.squall.migrator import Reconfiguration
+from repro.telemetry import Telemetry
+from repro.workload.trace import LoadTrace
+
+BEFORE, AFTER = 3, 5
+DECISION_ID = "pd-test-00000"
+
+
+# ----------------------------------------------------------------------
+# Checkpoint form: cut anywhere, rebuild, carry on bit-identically
+# ----------------------------------------------------------------------
+
+
+class TestCheckpointReplay:
+    @given(
+        before=st.integers(min_value=1, max_value=9),
+        after=st.integers(min_value=1, max_value=9),
+        slots=st.integers(min_value=0, max_value=40),
+        d_scale=st.sampled_from([0.5, 1.0, 3.0, 8.0]),
+        rate_multiplier=st.sampled_from([1.0, 8.0]),
+        outcome=st.sampled_from(["complete", "abort"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cut_anywhere(
+        self, before, after, slots, d_scale, rate_multiplier, outcome
+    ):
+        assume(before != after)
+        config = default_config().with_interval(300.0)
+        config = dataclasses.replace(
+            config, d_seconds=config.d_seconds * d_scale
+        )
+        first_tel = Telemetry()
+        first = Reconfiguration(
+            config, before, after,
+            config.migration_rate_kbps * rate_multiplier, first_tel,
+        )
+        first.start(600.0, DECISION_ID, emergency=False, reason="r", slot=1)
+        for _ in range(slots):          # cuts land mid-round as a rule
+            if first.migration.done:
+                break
+            first.step_slot(300.0)
+
+        doc = json.loads(json.dumps(first.state_dict(), sort_keys=True))
+        second_tel = Telemetry()
+        second_tel.chronicle.restore(
+            first_tel.chronicle.snapshot(), seq=first_tel.chronicle.seq
+        )
+        second = Reconfiguration.from_state_dict(doc, config, second_tel)
+
+        def same():
+            a, b = first.migration, second.migration
+            assert a.data_fractions().tobytes() == b.data_fractions().tobytes()
+            assert a.machines_allocated() == b.machines_allocated()
+            assert a.done == b.done
+            assert first.state_dict() == second.state_dict()
+
+        same()
+        if not first.migration.done:
+            assert first.step_slot(300.0) == second.step_slot(300.0)
+            same()
+        for move in (first, second):
+            if outcome == "complete":
+                move.complete(9000.0)
+            else:
+                move.abort(9000.0, "drain")
+        assert first_tel.chronicle.records[-1] == second_tel.chronicle.records[-1]
+        assert first_tel.chronicle.records[-1]["parent"] == first.record_id
+
+    def test_telemetry_off_emits_nothing_and_returns_no_id(self):
+        from repro.telemetry.runtime import NullTelemetry
+
+        move = Reconfiguration(
+            default_config(), 2, 4, 244.0, NullTelemetry()
+        )
+        move.start(0.0, DECISION_ID, slot=0)
+        assert move.record_id is None
+        assert move.complete(10.0) is None
+        assert move.abort(10.0, "why") is None
+
+
+# ----------------------------------------------------------------------
+# The same move through all four loops
+# ----------------------------------------------------------------------
+
+
+class OneMove(ProvisioningStrategy):
+    """Asks for BEFORE -> AFTER once, at the first consultation."""
+
+    name = "one-move"
+
+    def __init__(self):
+        self.asked = False
+
+    def decide(self, slot, history_tps, current_machines):
+        if self.asked or current_machines != BEFORE:
+            return NO_ACTION
+        self.asked = True
+        return ScaleDecision(
+            target_machines=AFTER, reason="scripted", record_id=DECISION_ID
+        )
+
+
+def _kv_cluster() -> Cluster:
+    schema = Schema([Table(
+        "kv", [Column("k", "str"), Column("v", "int", nullable=True)],
+        primary_key="k",
+    )])
+    cluster = Cluster(schema, BEFORE, 2, 120)
+    for i in range(300):
+        cluster.insert("kv", {"k": f"key-{i}", "v": i})
+    return cluster
+
+
+def _small_config() -> PStoreConfig:
+    # A small database, so the move spans a few intervals at most.
+    return dataclasses.replace(
+        default_config().with_interval(60.0), database_kb=60_000.0
+    )
+
+
+def run_capacity_sim(tel, abort):
+    config = _small_config()
+    trace = LoadTrace(np.full(12, config.q * 2 * 60.0), 60.0)
+    CapacitySimulator(config, BEFORE, telemetry=tel).run(trace, OneMove())
+    return config
+
+
+def run_elastic_sim(tel, abort):
+    config = _small_config()
+    injector = None
+    if abort:
+        injector = FaultInjector(
+            [FaultSpec(kind="node_crash", at_time=70.0)], telemetry=tel
+        )
+    sim = ElasticDbSimulator(
+        config, max_machines=8, initial_machines=BEFORE, seed=3,
+        telemetry=tel, injector=injector,
+    )
+    sim.run(np.full(600, config.q * 2), OneMove())
+    return config
+
+
+def run_serve(tel, abort):
+    config = _small_config()
+    controller = OnlineController(
+        config, LastValuePredictor(), initial_machines=BEFORE, telemetry=tel
+    )
+    assert controller.mode == "warmup"       # so the fallback decides
+    controller._reactive = OneMove()
+    history = []
+    for slot in range(12):
+        history.append(config.q * 2)
+        controller.on_interval(slot, history, (slot + 1) * 60.0)
+        if abort and controller.migrating:
+            controller.shutdown((slot + 1) * 60.0 + 1.0, reason="SIGINT")
+            break
+    return config
+
+
+def run_cluster_migrator(tel, abort):
+    config = _small_config()
+    migrator = ClusterMigrator(_kv_cluster(), config, telemetry=tel)
+    migration = migrator.start_move(AFTER, cause_id=DECISION_ID)
+    if abort:
+        migrator.advance(migration.round_seconds / 2)
+        migrator.abort("node 4 crashed")
+    while migrator.migrating:
+        migrator.advance(7.0)
+    return config
+
+
+LOOPS = {
+    "capacity_sim": run_capacity_sim,
+    "elastic_sim": run_elastic_sim,
+    "serve": run_serve,
+    "cluster_migrator": run_cluster_migrator,
+}
+
+
+def _twin(tel, record) -> dict:
+    """The event-log row written alongside a chronicle record."""
+    (event,) = [
+        e for e in tel.events.events
+        if e["kind"] == record["kind"] and e["time"] == record["time"]
+    ]
+    return event
+
+
+def _payload(row: dict) -> dict:
+    return {
+        k: v for k, v in row.items()
+        if k not in ("id", "seq", "kind", "time", "parent")
+    }
+
+
+@pytest.mark.parametrize("loop", sorted(LOOPS))
+def test_one_move_one_record_shape(loop):
+    tel = Telemetry()
+    config = LOOPS[loop](tel, abort=False)
+    records = [
+        r for r in tel.chronicle.records if r["kind"].startswith("migration.")
+        and r["kind"] != "migration.round"
+    ]
+    start, complete = records
+    assert (start["kind"], complete["kind"]) == (
+        "migration.start", "migration.complete"
+    )
+    # The serve controller chronicles a fallback decision itself.
+    decisions = tel.chronicle.by_kind("plan.decision")
+    assert start["parent"] == (
+        decisions[-1]["id"] if decisions else DECISION_ID
+    )
+    assert complete["parent"] == start["id"]
+    assert {"before", "after", "rate_kbps", "est_seconds"} <= set(start)
+    assert {"before", "after", "seconds"} <= set(complete)
+    for record in (start, complete):
+        assert (record["before"], record["after"]) == (BEFORE, AFTER)
+        assert _payload(_twin(tel, record)) == _payload(record)
+    assert start["rate_kbps"] == config.migration_rate_kbps
+    assert complete["seconds"] == complete["time"] - start["time"]
+    assert complete["seconds"] >= start["est_seconds"] - 60.0
+    # Every record the move wrote hangs off its start record.
+    for record in tel.chronicle.records:
+        if record["kind"] in ("migration.round", "node.add", "node.remove"):
+            assert record["parent"] == start["id"]
+    histogram = tel.metrics.histogram("migrate.duration_seconds")
+    assert histogram.count == 1
+
+
+@pytest.mark.parametrize(
+    "loop", ["elastic_sim", "serve", "cluster_migrator"]
+)
+def test_one_abort_one_record_shape(loop):
+    tel = Telemetry()
+    LOOPS[loop](tel, abort=True)
+    start = next(
+        r for r in tel.chronicle.records if r["kind"] == "migration.start"
+    )
+    (aborted,) = [
+        r for r in tel.chronicle.records if r["kind"] == "migration.aborted"
+    ]
+    assert aborted["parent"] == start["id"]
+    assert {"before", "after", "reason"} <= set(aborted)
+    assert (aborted["before"], aborted["after"]) == (BEFORE, AFTER)
+    assert _payload(_twin(tel, aborted)) == _payload(aborted)
+    # The aborted move never also completes.
+    assert not [
+        r for r in tel.chronicle.records
+        if r["kind"] == "migration.complete" and r["parent"] == start["id"]
+    ]
