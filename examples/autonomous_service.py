@@ -19,6 +19,7 @@ from repro import default_config
 from repro.benchmark import B2WDriver, b2w_schema, load_b2w_data
 from repro.core import PStoreService
 from repro.prediction import OnlinePredictor, SeasonalNaivePredictor
+from repro.telemetry import Telemetry
 
 
 def main() -> None:
@@ -35,6 +36,8 @@ def main() -> None:
         refit_every=10,
         min_training=35,
     )
+    # The chronicle is the service's audit trail; it needs telemetry on.
+    telemetry = Telemetry()
     service = PStoreService(
         cluster,
         config,
@@ -42,6 +45,7 @@ def main() -> None:
         max_machines=6,
         skew_rebalancing=True,
         skew_threshold_share=0.30,
+        telemetry=telemetry,
     )
     driver = B2WDriver(service.executor, n_stock=500, seed=9)
 
@@ -67,8 +71,10 @@ def main() -> None:
                   + service.status())
 
     print("\nprovisioning events:")
-    for event in service.events:
-        print(f"  t={event.time:>6,.0f}s  {event.kind:<13} {event.detail}")
+    for record in telemetry.chronicle.records:
+        if record["kind"].startswith("service."):
+            print(f"  t={record['time']:>6,.0f}s  "
+                  f"{record['kind'][len('service.'):]:<13} {record['detail']}")
 
     rows = sum(
         cluster.partition(p).row_count() for p in cluster.partition_ids

@@ -34,6 +34,7 @@ from repro.faults import (
 )
 from repro.hstore import Cluster
 from repro.prediction.base import Predictor
+from repro.telemetry import Telemetry
 
 
 class RampPredictor(Predictor):
@@ -67,12 +68,14 @@ def build_service(scenario: FaultScenario) -> tuple:
     cluster = Cluster(b2w_schema(), n_nodes=3, partitions_per_node=3,
                       n_buckets=192)
     load_b2w_data(cluster, n_stock=100, n_carts=200, n_checkouts=20, seed=1)
-    injector = FaultInjector(scenario)
+    # The chronicle is the service's audit trail; it needs telemetry on.
+    telemetry = Telemetry()
+    injector = FaultInjector(scenario, telemetry=telemetry)
     service = PStoreService(
         cluster, config, RampPredictor(config.q * 4.5), max_machines=6,
-        injector=injector,
+        injector=injector, telemetry=telemetry,
     )
-    return service, injector
+    return service, injector, telemetry
 
 
 def drive(service: PStoreService, ticks: int = 40, dt: float = 30.0) -> None:
@@ -82,15 +85,19 @@ def drive(service: PStoreService, ticks: int = 40, dt: float = 30.0) -> None:
 
 def main() -> None:
     # --- drill 1: crash during the first migration -------------------------
-    service, injector = build_service(crash_during_migration_scenario(seed=7))
+    service, injector, telemetry = build_service(
+        crash_during_migration_scenario(seed=7)
+    )
     rows = row_count(service.cluster)
     print(f"drill 1: {service.cluster.n_nodes} nodes, {rows} rows; "
           "a forecast spike forces a scale-out, and the crash fires as "
           "the move starts\n")
     drive(service)
 
-    for event in service.events:
-        print(f"  t={event.time:7.0f}s  {event.kind:18s} {event.detail}")
+    for record in telemetry.chronicle.records:
+        if record["kind"].startswith("service."):
+            print(f"  t={record['time']:7.0f}s  "
+                  f"{record['kind'][len('service.'):]:18s} {record['detail']}")
     print()
     print(render_fault_report(injector.records))
 
@@ -108,7 +115,7 @@ def main() -> None:
         seed=11,
         name="stall-demo",
     )
-    service, injector = build_service(scenario)
+    service, injector, _ = build_service(scenario)
     print("drill 2: the first migration wedges for 120 s; the watchdog "
           "detects the stall and retries with backoff\n")
     drive(service)

@@ -104,7 +104,7 @@ from .api import (  # noqa: E402  (intentional late import)
 from .elasticity import StrategySpec
 from .runner import RunSpec
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "ArPredictor",

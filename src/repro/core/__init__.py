@@ -19,15 +19,13 @@ from .model import (
     move_time_intervals,
     moved_fraction,
 )
-from .controller import Decision, PredictiveController
+from .controller import PredictiveController
 from .moves import Move, MoveSchedule
 from .planner import Planner, PlanRequest, best_moves_reference
-from .service import PStoreService, ServiceEvent
+from .service import PStoreService
 
 __all__ = [
-    "Decision",
     "PredictiveController",
-    "ServiceEvent",
     "Move",
     "MoveProfile",
     "MoveSchedule",

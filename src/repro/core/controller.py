@@ -20,42 +20,18 @@ The controller runs the monitor -> predict -> plan -> migrate cycle:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..config import PStoreConfig
+from ..decision import ScaleDecision
 from ..errors import InfeasiblePlanError, PlanningError
 from ..prediction.base import Predictor
 from ..telemetry import get_telemetry
 from .moves import MoveSchedule
 from .planner import Planner, PlanRequest
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of one controller cycle.
-
-    ``target_machines`` is None when the controller decides to do
-    nothing this cycle.  ``emergency`` marks a reactive fallback taken
-    because the planner found no feasible schedule; ``rate_multiplier``
-    is the migration-rate boost to apply (1 = regular rate ``R``).
-    """
-
-    target_machines: Optional[int] = None
-    emergency: bool = False
-    rate_multiplier: float = 1.0
-    planned_schedule: Optional[MoveSchedule] = None
-    reason: str = "no-op"
-    #: chronicle ID of the ``plan.decision`` record behind this decision
-    #: (None when telemetry is disabled), so downstream actors — the
-    #: migrator, the simulators — can parent their own records on it.
-    record_id: Optional[str] = None
-
-    @property
-    def acts(self) -> bool:
-        return self.target_machines is not None
 
 
 class PredictiveController:
@@ -134,7 +110,7 @@ class PredictiveController:
         history: Sequence[float],
         current_machines: int,
         current_load: Optional[float] = None,
-    ) -> Decision:
+    ) -> ScaleDecision:
         """Run one predict-plan cycle and return the action to take.
 
         ``history`` is the measured load per planner interval up to now
@@ -183,7 +159,7 @@ class PredictiveController:
         return decision
 
     @staticmethod
-    def _decision_kind(decision: Decision, current_machines: int) -> str:
+    def _decision_kind(decision: ScaleDecision, current_machines: int) -> str:
         """Coarse decision category for the ``controller.decisions`` counter."""
         if decision.emergency:
             return "emergency"
@@ -203,7 +179,7 @@ class PredictiveController:
         current_machines: int,
         current_load: Optional[float],
         tel,
-    ) -> Decision:
+    ) -> ScaleDecision:
         with tel.tracer.span(
             "predict.forecast", horizon=self.horizon_intervals
         ) as forecast_span:
@@ -285,7 +261,7 @@ class PredictiveController:
             if self.config.max_machines:
                 target = min(target, self.config.max_machines)
             if target == current_machines:
-                return Decision(reason="infeasible-but-at-size")
+                return ScaleDecision(reason="infeasible-but-at-size")
             if tel.enabled:
                 tel.events.emit(
                     "controller.emergency",
@@ -293,7 +269,7 @@ class PredictiveController:
                     target_machines=target,
                     rate_multiplier=self.emergency_rate_multiplier,
                 )
-            return Decision(
+            return ScaleDecision(
                 target_machines=target,
                 emergency=True,
                 rate_multiplier=self.emergency_rate_multiplier,
@@ -304,20 +280,18 @@ class PredictiveController:
         first = schedule.first_real_move
         if first is None:
             self._scale_in_streak = 0
-            return Decision(planned_schedule=schedule, reason="plan is steady")
+            return ScaleDecision(reason="plan is steady")
         if first.start > 0:
             # The first real move starts in the future; wait for it.
             self._scale_in_streak = 0
-            return Decision(
-                planned_schedule=schedule,
-                reason=f"first move starts at interval {first.start}",
+            return ScaleDecision(
+                reason=f"first move starts at interval {first.start}"
             )
 
         if first.is_scale_in:
             self._scale_in_streak += 1
             if self._scale_in_streak < self.config.scale_in_confirmations:
-                return Decision(
-                    planned_schedule=schedule,
+                return ScaleDecision(
                     reason=(
                         f"scale-in pending confirmation "
                         f"({self._scale_in_streak}/"
@@ -325,9 +299,8 @@ class PredictiveController:
                     ),
                 )
         self._scale_in_streak = 0
-        return Decision(
+        return ScaleDecision(
             target_machines=first.after,
-            planned_schedule=schedule,
             reason="scale-in confirmed" if first.is_scale_in else "scale-out due",
         )
 

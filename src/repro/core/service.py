@@ -17,7 +17,6 @@ advance simulated time, and it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from ..config import PStoreConfig
@@ -37,25 +36,6 @@ from ..squall.rebalance import (
     make_skew_rebalance_plan,
 )
 from ..telemetry import get_telemetry
-
-
-@dataclass
-class ServiceEvent:
-    """One provisioning action taken by the service (for auditing).
-
-    The structured telemetry event log
-    (:class:`repro.telemetry.events.EventLog`) subsumes this record —
-    every ServiceEvent is mirrored there as a ``service.<kind>`` event
-    with the same fields and as a ``service.<kind>`` chronicle record
-    with a causal parent — the plain list is kept as a thin
-    backwards-compatible view.  ``record_id`` is the chronicle ID the
-    event was filed under (None when telemetry is disabled), so audit
-    entries can be joined against ``pstore explain`` chains."""
-
-    time: float
-    kind: str          # "scale-out" | "scale-in" | "emergency" | "rebalance"
-    detail: str
-    record_id: Optional[str] = None
 
 
 class PStoreService:
@@ -123,7 +103,6 @@ class PStoreService:
         self._now = 0.0
         self._migration_target: Optional[int] = None
         self._pending_recovery: List[FaultRecord] = []
-        self.events: List[ServiceEvent] = []
 
     @property
     def injector(self):
@@ -140,23 +119,20 @@ class PStoreService:
     def _record_event(
         self, kind: str, detail: str, parent: Optional[str] = None, **fields
     ) -> None:
-        """File the action in the chronicle and mirror it into the
-        telemetry event log; the ``events`` list keeps a thin view."""
+        """File a provisioning action (``scale-out`` | ``scale-in`` |
+        ``emergency`` | ``rebalance`` | ...) as a ``service.<kind>``
+        chronicle record under its causal parent, mirrored into the
+        telemetry event log."""
         tel = self._telemetry
-        record_id: Optional[str] = None
-        if tel.enabled:
-            rec = tel.chronicle.record(
-                f"service.{kind}", time=self._now, parent=parent,
-                detail=detail, **fields,
-            )
-            record_id = rec.get("id")
-            tel.events.emit(f"service.{kind}", time=self._now, detail=detail,
-                            **fields)
-            tel.metrics.counter("service.events", kind=kind).inc()
-        self.events.append(
-            ServiceEvent(time=self._now, kind=kind, detail=detail,
-                         record_id=record_id)
+        if not tel.enabled:
+            return
+        tel.chronicle.record(
+            f"service.{kind}", time=self._now, parent=parent,
+            detail=detail, **fields,
         )
+        tel.events.emit(f"service.{kind}", time=self._now, detail=detail,
+                        **fields)
+        tel.metrics.counter("service.events", kind=kind).inc()
 
     # ------------------------------------------------------------------
     # Transaction path
@@ -300,21 +276,14 @@ class PStoreService:
         if history.size == 0:
             return
         slot = self.monitor.completed_intervals - 1
-        decision = self._strategy.decide(slot, history, self.cluster.n_nodes)
-        if not decision.acts:
-            return
-        target = decision.target_machines
-        assert target is not None
-        if self.max_machines is not None:
-            target = min(target, self.max_machines)
         before = self.cluster.n_nodes
-        if target == before or target < 1:
+        decision = self._strategy.decide(slot, history, before)
+        target = decision.target_from(before, self.max_machines)
+        if target is None:
             return
         self.migrator.rate_multiplier = decision.rate_multiplier
         self.migrator.sim_time = self._now
-        self.migrator.start_move(
-            target, cause_id=getattr(decision, "record_id", None)
-        )
+        self.migrator.start_move(target, cause_id=decision.record_id)
         self._migration_target = target
         kind = (
             "emergency"
@@ -324,7 +293,7 @@ class PStoreService:
         self._record_event(
             kind,
             f"{decision.reason} -> {target} machines",
-            parent=getattr(decision, "record_id", None),
+            parent=decision.record_id,
             reason=decision.reason,
             before=before,
             target=target,
@@ -358,6 +327,5 @@ class PStoreService:
         state = "migrating" if self.migrating else "steady"
         return (
             f"t={self._now:,.0f}s machines={self.machines} {state} "
-            f"intervals={self.monitor.completed_intervals} "
-            f"events={len(self.events)}"
+            f"intervals={self.monitor.completed_intervals}"
         )

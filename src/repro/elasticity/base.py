@@ -5,7 +5,7 @@ reconfiguration is in flight* (both P-Store's controller and the reactive
 baseline wait for the current migration to finish before planning the
 next, Sec. 6).  It sees the measured load history at planner-interval
 granularity and the current cluster size and answers with a
-:class:`ScaleDecision`.
+:class:`~repro.decision.ScaleDecision`.
 """
 
 from __future__ import annotations
@@ -14,33 +14,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
+from ..decision import NO_ACTION, ScaleDecision  # noqa: F401 (re-exported)
 from ..errors import SimulationError, StrategySpecError
-
-
-@dataclass(frozen=True)
-class ScaleDecision:
-    """What a strategy wants done right now.
-
-    ``target_machines`` of None means "do nothing".  ``rate_multiplier``
-    scales the migration rate (the paper's emergency R x 8 mode);
-    ``emergency`` tags reactive fallbacks for reporting.
-    """
-
-    target_machines: Optional[int] = None
-    rate_multiplier: float = 1.0
-    emergency: bool = False
-    reason: str = ""
-    #: chronicle ID of the plan decision behind this action (None for
-    #: strategies that don't record one, or with telemetry disabled).
-    record_id: Optional[str] = None
-
-    @property
-    def acts(self) -> bool:
-        return self.target_machines is not None
-
-
-#: The "do nothing" decision.
-NO_ACTION = ScaleDecision()
 
 
 #: Scalar parameter value of a strategy spec.
@@ -382,6 +357,3 @@ class ProvisioningStrategy(abc.ABC):
 
     def notify_move_started(self, target_machines: int) -> None:
         """Hook: a reconfiguration the strategy requested has begun."""
-
-    def notify_move_finished(self, machines: int) -> None:
-        """Hook: the in-flight reconfiguration has completed."""

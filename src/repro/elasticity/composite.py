@@ -116,6 +116,3 @@ class CompositeStrategy(ProvisioningStrategy):
 
     def notify_move_started(self, target_machines: int) -> None:
         self.base.notify_move_started(target_machines)
-
-    def notify_move_finished(self, machines: int) -> None:
-        self.base.notify_move_finished(machines)

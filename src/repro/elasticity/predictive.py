@@ -70,16 +70,7 @@ class PStoreStrategy(ProvisioningStrategy):
     ) -> ScaleDecision:
         if len(history_tps) < self.min_history:
             return NO_ACTION  # still warming up the predictor
-        decision = self.controller.decide(history_tps, current_machines)
-        if not decision.acts:
-            return NO_ACTION
-        return ScaleDecision(
-            target_machines=decision.target_machines,
-            rate_multiplier=decision.rate_multiplier,
-            emergency=decision.emergency,
-            reason=decision.reason,
-            record_id=decision.record_id,
-        )
+        return self.controller.decide(history_tps, current_machines)
 
     def notify_move_started(self, target_machines: int) -> None:
         self.controller.notify_move_started()

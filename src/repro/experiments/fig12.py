@@ -30,8 +30,9 @@ from ..elasticity import (
     SimpleStrategy,
     StaticStrategy,
 )
+from ..errors import ConfigurationError
 from ..prediction import OraclePredictor, SparPredictor
-from ..sim import CapacitySimResult, run_capacity_simulation
+from ..sim import run_capacity_simulation
 from ..workload import LoadTrace, b2w_like_trace, retail_season_calendar
 from .common import TRAIN_DAYS
 
@@ -121,7 +122,6 @@ class Figure12Result:
 
     curves: Dict[str, CapacityCostCurve]
     baseline_cost: float              # default P-Store SPAR run (cost = 1.0)
-    default_runs: Dict[str, CapacitySimResult]
     setup: SeasonSetup
 
     def normalized_points(self) -> List[dict]:
@@ -177,128 +177,20 @@ def simple_strategy_for(setup: SeasonSetup, config: PStoreConfig) -> SimpleStrat
     )
 
 
-def _run_sweep(
-    setup: SeasonSetup,
-    name: str,
-    factory,
-    q_fractions: Sequence[float],
-    seed_history: bool,
-) -> CapacityCostCurve:
-    points: List[SweepPoint] = []
-    for fraction in q_fractions:
-        q = min(fraction * SATURATION_TPS, setup.config.q_hat)
-        config = setup.config.with_q(q)
-        strategy = factory(config, fraction)
-        result = run_capacity_simulation(
-            setup.trace,
-            strategy,
-            config,
-            initial_machines=_initial_machines(setup, config.q),
-            history_seed=list(setup.train_tps) if seed_history else [],
-        )
-        points.append(
-            SweepPoint(
-                strategy=name,
-                q_fraction=fraction,
-                q=config.q,
-                cost_machine_slots=result.cost_machine_slots,
-                average_machines=result.average_machines,
-                pct_time_insufficient=result.pct_time_insufficient,
-            )
-        )
-    return CapacityCostCurve(strategy=name, points=points)
-
-
-def run_figure12(
-    n_days: int = 135,
-    seed: int = 7,
-    q_fractions: Sequence[float] = DEFAULT_Q_FRACTIONS,
-    setup: Optional[SeasonSetup] = None,
-    include_oracle: bool = True,
-) -> Figure12Result:
-    """Sweep every allocation strategy over Q (Fig. 12).
-
-    ``n_days`` and ``q_fractions`` can be reduced for quick runs; the
-    paper uses the full 4.5 months.
-    """
-    setup = setup or season_setup(n_days=n_days, seed=seed)
-
-    curves: Dict[str, CapacityCostCurve] = {}
-    curves["p-store-spar"] = _run_sweep(
-        setup,
-        "p-store-spar",
-        lambda cfg, f: PStoreStrategy(cfg, setup.spar, name="p-store-spar"),
-        q_fractions,
-        seed_history=True,
-    )
-    if include_oracle:
-        curves["p-store-oracle"] = _run_sweep(
-            setup,
-            "p-store-oracle",
-            lambda cfg, f: PStoreStrategy(
-                cfg, setup.oracle, name="p-store-oracle"
-            ),
-            q_fractions,
-            seed_history=True,
-        )
-    curves["reactive"] = _run_sweep(
-        setup,
-        "reactive",
-        lambda cfg, f: ReactiveStrategy(cfg, scale_in_patience=12),
-        q_fractions,
-        seed_history=False,
-    )
-    curves["simple"] = _run_sweep(
-        setup,
-        "simple",
-        lambda cfg, f: simple_strategy_for(setup, cfg),
-        q_fractions,
-        seed_history=False,
-    )
-    static_points: List[SweepPoint] = []
-    for size in STATIC_SIZES:
-        config = setup.config
-        result = run_capacity_simulation(
-            setup.trace,
-            StaticStrategy(size),
-            config,
-            initial_machines=size,
-        )
-        static_points.append(
-            SweepPoint(
-                strategy=f"static-{size}",
-                q_fraction=float("nan"),
-                q=config.q,
-                cost_machine_slots=result.cost_machine_slots,
-                average_machines=result.average_machines,
-                pct_time_insufficient=result.pct_time_insufficient,
-            )
-        )
-    curves["static"] = CapacityCostCurve(strategy="static", points=static_points)
-
-    # Baseline: P-Store SPAR at the default Q (0.65 of saturation).
-    spar_curve = curves["p-store-spar"]
-    default_fraction = min(
-        q_fractions, key=lambda f: abs(f - 0.65)
-    )
-    baseline = next(
-        p for p in spar_curve.points if p.q_fraction == default_fraction
-    )
-    default_runs: Dict[str, CapacitySimResult] = {}
-    return Figure12Result(
-        curves=curves,
-        baseline_cost=baseline.cost_machine_slots,
-        default_runs=default_runs,
-        setup=setup,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
-
-#: The Q-swept strategy families of Fig. 12.
-SWEEP_FAMILIES = ("p-store-spar", "p-store-oracle", "reactive", "simple")
+#: The Q-swept strategy families of Fig. 12: how each is built for one
+#: (season, per-Q config) point.  The P-Store families also get the
+#: training window as history, so the predictor has context from slot 0.
+_FAMILIES = {
+    "p-store-spar": lambda setup, cfg: PStoreStrategy(
+        cfg, setup.spar, name="p-store-spar"
+    ),
+    "p-store-oracle": lambda setup, cfg: PStoreStrategy(
+        cfg, setup.oracle, name="p-store-oracle"
+    ),
+    "reactive": lambda setup, cfg: ReactiveStrategy(cfg, scale_in_patience=12),
+    "simple": simple_strategy_for,
+}
+SWEEP_FAMILIES = tuple(_FAMILIES)
 
 
 def grid(
@@ -309,78 +201,117 @@ def grid(
     """(family x Q-fraction) cells plus one cell per static size."""
     from ..runner import RunSpec
 
-    specs = []
-    for family in SWEEP_FAMILIES:
-        for fraction in q_fractions:
-            specs.append(
-                RunSpec(
-                    experiment="fig12",
-                    cell=f"{family}@{fraction}",
-                    seed=seed,
-                    overrides=(
-                        ("family", family),
-                        ("q_fraction", float(fraction)),
-                        ("n_days", int(n_days)),
-                    ),
-                )
-            )
-    for size in STATIC_SIZES:
-        specs.append(
-            RunSpec(
-                experiment="fig12",
-                cell=f"static-{size}",
-                seed=seed,
-                overrides=(
-                    ("family", "static"),
-                    ("size", int(size)),
-                    ("n_days", int(n_days)),
-                ),
-            )
+    cells = [
+        (
+            f"{family}@{fraction}",
+            (("family", family), ("q_fraction", float(fraction))),
         )
-    return specs
+        for family in SWEEP_FAMILIES
+        for fraction in q_fractions
+    ] + [
+        (f"static-{size}", (("family", "static"), ("size", int(size))))
+        for size in STATIC_SIZES
+    ]
+    return [
+        RunSpec(
+            experiment="fig12",
+            cell=cell,
+            seed=seed,
+            overrides=overrides + (("n_days", int(n_days)),),
+        )
+        for cell, overrides in cells
+    ]
 
 
-def run_cell(spec, config) -> dict:
-    """One (strategy, Q) point of the capacity-cost plane."""
-    from ..errors import ConfigurationError
-    from .common import capacity_payload
-
-    setup = season_setup(n_days=int(spec.option("n_days", 135)), seed=spec.seed)
+def _run_point(setup: SeasonSetup, spec):
+    """Simulate the one point of the figure a grid cell names; returns
+    the run and the (per-Q) configuration it ran under."""
     family = str(spec.option("family"))
     if family == "static":
-        size = int(spec.option("size"))
-        result = run_capacity_simulation(
-            setup.trace, StaticStrategy(size), setup.config,
-            initial_machines=size,
-        )
-        payload = capacity_payload(result)
-        payload["family"] = family
-        return payload
-
-    fraction = float(spec.option("q_fraction"))
-    cfg = setup.config.with_q(
-        min(fraction * SATURATION_TPS, setup.config.q_hat)
-    )
-    seed_history = family.startswith("p-store")
-    if family == "p-store-spar":
-        strategy = PStoreStrategy(cfg, setup.spar, name="p-store-spar")
-    elif family == "p-store-oracle":
-        strategy = PStoreStrategy(cfg, setup.oracle, name="p-store-oracle")
-    elif family == "reactive":
-        strategy = ReactiveStrategy(cfg, scale_in_patience=12)
-    elif family == "simple":
-        strategy = simple_strategy_for(setup, cfg)
+        initial = int(spec.option("size"))
+        cfg, strategy = setup.config, StaticStrategy(initial)
+    elif family in _FAMILIES:
+        cfg = setup.config.with_q(min(
+            float(spec.option("q_fraction")) * SATURATION_TPS,
+            setup.config.q_hat,
+        ))
+        strategy = _FAMILIES[family](setup, cfg)
+        initial = _initial_machines(setup, cfg.q)
     else:
         raise ConfigurationError(f"unknown fig12 family {family!r}")
     result = run_capacity_simulation(
         setup.trace,
         strategy,
         cfg,
-        initial_machines=_initial_machines(setup, cfg.q),
-        history_seed=list(setup.train_tps) if seed_history else [],
+        initial_machines=initial,
+        history_seed=(
+            list(setup.train_tps) if family.startswith("p-store") else []
+        ),
     )
+    return result, cfg
+
+
+def run_figure12(
+    n_days: int = 135,
+    seed: int = 7,
+    q_fractions: Sequence[float] = DEFAULT_Q_FRACTIONS,
+    setup: Optional[SeasonSetup] = None,
+    include_oracle: bool = True,
+) -> Figure12Result:
+    """Sweep every allocation strategy over Q (Fig. 12): the cells of
+    :func:`grid`, folded into one curve per family (the static sizes
+    share one).
+
+    ``n_days`` and ``q_fractions`` can be reduced for quick runs; the
+    paper uses the full 4.5 months.
+    """
+    setup = setup or season_setup(n_days=n_days, seed=seed)
+
+    curves: Dict[str, CapacityCostCurve] = {}
+    for spec in grid(n_days, seed, q_fractions):
+        family = str(spec.option("family"))
+        if family == "p-store-oracle" and not include_oracle:
+            continue
+        result, config = _run_point(setup, spec)
+        curve = curves.setdefault(
+            family, CapacityCostCurve(strategy=family, points=[])
+        )
+        curve.points.append(
+            SweepPoint(
+                strategy=spec.cell if family == "static" else family,
+                q_fraction=float(spec.option("q_fraction", float("nan"))),
+                q=config.q,
+                cost_machine_slots=result.cost_machine_slots,
+                average_machines=result.average_machines,
+                pct_time_insufficient=result.pct_time_insufficient,
+            )
+        )
+
+    # Baseline: P-Store SPAR at the default Q (0.65 of saturation).
+    default_fraction = min(q_fractions, key=lambda f: abs(f - 0.65))
+    baseline = next(
+        p for p in curves["p-store-spar"].points
+        if p.q_fraction == default_fraction
+    )
+    return Figure12Result(
+        curves=curves,
+        baseline_cost=baseline.cost_machine_slots,
+        setup=setup,
+    )
+
+
+def run_cell(spec, config) -> dict:
+    """One (strategy, Q) point of the capacity-cost plane."""
+    from .common import capacity_payload
+
+    setup = season_setup(n_days=int(spec.option("n_days", 135)), seed=spec.seed)
+    result, cfg = _run_point(setup, spec)
     payload = capacity_payload(result)
-    payload.update({"family": family, "q_fraction": fraction, "q": cfg.q})
+    payload["family"] = str(spec.option("family"))
+    if payload["family"] != "static":
+        payload.update(
+            {"q_fraction": float(spec.option("q_fraction")), "q": cfg.q}
+        )
     return payload
 
 

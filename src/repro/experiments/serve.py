@@ -77,18 +77,18 @@ def drift_trace(
     return LoadTrace(values=values, slot_seconds=SERVE_SLOT_SECONDS)
 
 
-def run_scenario(
-    seed: int,
-    trigger_text: Optional[str],
-    config=None,
-    n_days: int = SERVE_DAYS,
+def _run_plane(
+    seed, trigger_text, config, n_days, kill_after=None, **options
 ):
-    """One hermetic serve run -> ``(summary, chronicle_records)``.
+    """One ``ControlPlane`` replay of the drift trace -> ``(summary,
+    chronicle)``.
 
     Runs under a private telemetry scope (the accuracy tracker *is* the
     trigger's sensor), replaying with ``speed=0`` so the asyncio loop
-    never sleeps and the result is bit-deterministic.  Shared with
-    ``tests/test_serve.py``, which walks the chronicle.
+    never sleeps and the result is bit-deterministic.  With
+    ``kill_after`` the source crashes after that many reports (see
+    :class:`_CrashingSource`); ``options`` are extra
+    :class:`~repro.serve.ServeOptions` fields (checkpointing, resume).
     """
     import asyncio
 
@@ -128,19 +128,35 @@ def run_scenario(
             refit_every=14 * SERVE_SLOTS_PER_DAY,
             max_history=21 * SERVE_SLOTS_PER_DAY,
         )
+        if kill_after is None:
+            source = ReplaySource(trace, speed=0.0)
+        else:
+            source = _CrashingSource(trace, kill_after=kill_after)
         plane = ControlPlane(
             config,
             predictor,
-            ReplaySource(trace, speed=0.0),
+            source,
             trigger=trigger,
             options=ServeOptions(
-                speed=0.0, http_port=None, out=None, quiet=True
+                speed=0.0, http_port=None, out=None, quiet=True, **options
             ),
             telemetry=telemetry,
         )
+        if kill_after is not None:
+            source.plane = plane
         summary = asyncio.run(plane.run())
-        chronicle = telemetry.chronicle.snapshot()
-    return summary, chronicle
+        return summary, telemetry.chronicle.snapshot()
+
+
+def run_scenario(
+    seed: int,
+    trigger_text: Optional[str],
+    config=None,
+    n_days: int = SERVE_DAYS,
+):
+    """One hermetic serve run -> ``(summary, chronicle_records)``.
+    Shared with ``tests/test_serve.py``, which walks the chronicle."""
+    return _run_plane(seed, trigger_text, config, n_days)
 
 
 class _CrashingSource:
@@ -158,7 +174,7 @@ class _CrashingSource:
     def __init__(self, trace: LoadTrace, kill_after: int) -> None:
         self.trace = trace
         self.kill_after = kill_after
-        self.plane = None  # wired by the caller after plane construction
+        self.plane = None  # wired by _run_plane after plane construction
 
     async def batches(self):
         import asyncio
@@ -195,84 +211,17 @@ def run_resume_scenario(
     Compare against :func:`run_scenario` with identical arguments to
     check crash/resume convergence.
     """
-    import asyncio
-
-    from ..config import default_config
-    from ..prediction import SeasonalNaivePredictor
-    from ..prediction.online import OnlinePredictor
-    from ..serve import ControlPlane, ReplaySource, ServeOptions
-    from ..serve.controller import ErrorTrigger, parse_error_trigger
-    from ..telemetry import AccuracyTracker, MetricsRegistry, Telemetry
-    from ..telemetry.runtime import telemetry_scope
-
-    config = (config or default_config()).with_interval(SERVE_SLOT_SECONDS)
-    trace = drift_trace(seed=seed, n_days=n_days)
-
-    def make_trigger():
-        if not trigger_text:
-            return None
-        parsed = parse_error_trigger(trigger_text)
-        if parsed is None:
-            return None
-        return ErrorTrigger(parsed.clauses, tau=1, min_pairs=SERVE_MIN_PAIRS)
-
-    def make_predictor():
-        return OnlinePredictor(
-            SeasonalNaivePredictor(SERVE_SLOTS_PER_DAY),
-            refit_every=14 * SERVE_SLOTS_PER_DAY,
-            max_history=21 * SERVE_SLOTS_PER_DAY,
-        )
-
     # Phase 1: run with checkpointing, crash mid-stream.
-    metrics = MetricsRegistry()
-    telemetry = Telemetry(
-        metrics=metrics,
-        accuracy=AccuracyTracker(metrics=metrics, window=SERVE_ACCURACY_WINDOW),
+    killed_summary, _ = _run_plane(
+        seed, trigger_text, config, n_days, kill_after=kill_after,
+        checkpoint_dir=str(checkpoint_dir),
     )
-    with telemetry_scope(telemetry):
-        source = _CrashingSource(trace, kill_after=kill_after)
-        plane = ControlPlane(
-            config,
-            make_predictor(),
-            source,
-            trigger=make_trigger(),
-            options=ServeOptions(
-                speed=0.0,
-                http_port=None,
-                out=None,
-                quiet=True,
-                checkpoint_dir=str(checkpoint_dir),
-            ),
-            telemetry=telemetry,
-        )
-        source.plane = plane
-        killed_summary = asyncio.run(plane.run())
-
     # Phase 2: fresh process state, resume from the checkpoint, replay
     # the full trace (the feeder has no idea where the plane died).
-    metrics = MetricsRegistry()
-    telemetry = Telemetry(
-        metrics=metrics,
-        accuracy=AccuracyTracker(metrics=metrics, window=SERVE_ACCURACY_WINDOW),
+    resumed_summary, merged_chronicle = _run_plane(
+        seed, trigger_text, config, n_days,
+        checkpoint_dir=str(checkpoint_dir), resume=True,
     )
-    with telemetry_scope(telemetry):
-        plane = ControlPlane(
-            config,
-            make_predictor(),
-            ReplaySource(trace, speed=0.0),
-            trigger=make_trigger(),
-            options=ServeOptions(
-                speed=0.0,
-                http_port=None,
-                out=None,
-                quiet=True,
-                checkpoint_dir=str(checkpoint_dir),
-                resume=True,
-            ),
-            telemetry=telemetry,
-        )
-        resumed_summary = asyncio.run(plane.run())
-        merged_chronicle = telemetry.chronicle.snapshot()
     return killed_summary, resumed_summary, merged_chronicle
 
 

@@ -34,13 +34,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..config import PStoreConfig
-from ..elasticity.base import ScaleDecision
+from ..decision import ScaleDecision
 from ..elasticity.predictive import PStoreStrategy
 from ..elasticity.reactive import ReactiveStrategy
 from ..errors import PredictionError, SimulationError
 from ..prediction.online import OnlinePredictor
 from ..squall.migrator import Reconfiguration
 from ..telemetry import get_telemetry
+from ..telemetry.causal import record_capacity_insufficient
 
 
 @dataclass(frozen=True)
@@ -252,14 +253,10 @@ class OnlineController:
             if tps > eff_qhat + 1e-9:
                 self.violations += 1
                 tel.metrics.counter("serve.capacity_insufficient").inc()
-                if self._move is not None and self._move.record_id:
-                    parent = self._move.record_id
-                else:
-                    parent = tel.chronicle.last("forecast.snapshot")
-                tel.chronicle.record(
-                    "capacity.insufficient",
+                record_capacity_insufficient(
+                    tel.chronicle,
                     time=now,
-                    parent=parent,
+                    move=self._move,
                     slot=slot,
                     load_tps=tps,
                     peak_tps=tps,
@@ -290,9 +287,6 @@ class OnlineController:
             move.complete(now)
             self.machines = move.after
             self._move = None
-            if self._strategy is not None:
-                self._strategy.notify_move_finished(self.machines)
-            self._reactive.notify_move_finished(self.machines)
         return self.config.q_hat / largest
 
     # ------------------------------------------------------------------
@@ -442,12 +436,8 @@ class OnlineController:
     def _execute_decision(
         self, decision: ScaleDecision, now: float, slot: int
     ) -> None:
-        if not decision.acts or self.migrating:
-            return
-        target = decision.target_machines
-        if self.max_machines is not None:
-            target = min(target, self.max_machines)
-        if target == self.machines or target < 1:
+        target = decision.target_from(self.machines, self.max_machines)
+        if target is None or self.migrating:
             return
         self._move = Reconfiguration.decided(
             self.config, self.machines, target, decision, now, slot,
@@ -522,7 +512,6 @@ class OnlineController:
             )
             if self._strategy is not None:
                 self._strategy.notify_move_started(self._move.after)
-            self._reactive.notify_move_started(self._move.after)
         # Strategy counters go last: the move-started notification above
         # zeroes the scale-in streak, and the checkpointed values are the
         # post-notification ones.

@@ -33,6 +33,7 @@ from ..elasticity.base import ProvisioningStrategy
 from ..errors import SimulationError
 from ..squall.migrator import Reconfiguration
 from ..telemetry import get_telemetry
+from ..telemetry.causal import record_capacity_insufficient
 from ..workload.trace import LoadTrace
 
 
@@ -147,8 +148,6 @@ class CapacitySimulator:
         history = self.history
         tel = self._telemetry
         recording = tel.enabled
-        chron = tel.chronicle
-        expected: Optional[dict] = None
 
         for slot in range(n_slots):
             history.append(float(load_tps[slot]))
@@ -165,19 +164,20 @@ class CapacitySimulator:
                     len(history) - 1, float(load_tps[slot]),
                     time=(slot + 1) * slot_seconds,
                 )
-                expected = harvest[0] if harvest else None
+                scored = harvest[0] if harvest else {}
 
             if move is None:
                 decision = strategy.decide(slot, history, machines)
-                if decision.acts and decision.target_machines != machines:
+                target = decision.target_from(machines)
+                if target is not None:
                     move = Reconfiguration.decided(
-                        config, machines, decision.target_machines, decision,
+                        config, machines, target, decision,
                         slot * slot_seconds, slot, tel,
                     )
                     moves_started += 1
                     if decision.emergency:
                         emergencies += 1
-                    strategy.notify_move_started(decision.target_machines)
+                    strategy.notify_move_started(target)
 
             if move is not None:
                 # State during this slot: sampled at the slot midpoint.
@@ -191,7 +191,6 @@ class CapacitySimulator:
                     )
                     machines = move.after
                     move = None
-                    strategy.notify_move_finished(machines)
             else:
                 out_machines[slot] = machines
                 out_eff_q[slot] = config.q * machines
@@ -206,33 +205,20 @@ class CapacitySimulator:
                     bool(out_migrating[slot]),
                 )
                 if peak_load[slot] > out_eff_qhat[slot] + 1e-9:
-                    # Fig. 12's y-axis, chronicled: whom do we blame for
-                    # this slot running out of capacity?
-                    if move is not None and move.record_id:
-                        parent = move.record_id
-                    elif expected is not None:
-                        parent = expected.get("snapshot_id")
-                    else:
-                        parent = chron.last("forecast.snapshot")
-                    chron.record(
-                        "capacity.insufficient",
+                    record_capacity_insufficient(
+                        tel.chronicle,
                         time=(slot + 1) * slot_seconds,
-                        parent=parent,
+                        move=move,
+                        scored=scored,
                         slot=slot,
                         peak_tps=float(peak_load[slot]),
                         load_tps=float(load_tps[slot]),
                         eff_cap=float(out_eff_qhat[slot]),
                         machines=int(out_machines[slot]),
                         migrating=bool(out_migrating[slot]),
-                        predicted_tps=(
-                            expected.get("predicted") if expected else None
-                        ),
-                        inflated_tps=(
-                            expected.get("inflated") if expected else None
-                        ),
-                        predictor=(
-                            expected.get("predictor") if expected else None
-                        ),
+                        predicted_tps=scored.get("predicted"),
+                        inflated_tps=scored.get("inflated"),
+                        predictor=scored.get("predictor"),
                     )
 
         if recording:

@@ -33,6 +33,7 @@ from ..hstore.engine import (
 from ..hstore.latency import PercentileSeries
 from ..squall.migrator import Reconfiguration, TransferRecovery
 from ..telemetry import get_telemetry
+from ..telemetry.causal import blame
 
 
 @dataclass
@@ -352,8 +353,6 @@ class ElasticDbSimulator:
             if run.move is not None:
                 run.move.abort(now, "node crash")
                 run.move = None
-                run.machines = len(run.active)
-                run.strategy.notify_move_finished(run.machines)
             victim = injector.resolve_crash_node(record, run.active)
             injector.mark_detected(record, now)
             run.active.remove(victim)
@@ -438,25 +437,20 @@ class ElasticDbSimulator:
             migrating=run.move is not None,
         )
         # Close the forecast-accuracy loop for this slot and, if the
-        # interval had SLA violations, chronicle them with the most
-        # plausible causal parent: an active fault beats migration
-        # overhead beats the forecast that sized the cluster.
+        # interval had SLA violations, chronicle them under their most
+        # plausible cause.
         harvest = tel.accuracy.observe(slot, mean_tps, time=now)
-        expected = harvest[0] if harvest else None
+        scored = harvest[0] if harvest else {}
         if run.iv_viol:
-            chron = tel.chronicle
-            if run.iv_fault and chron.last("fault.injected"):
-                parent = chron.last("fault.injected")
-            elif run.iv_migr and run.move is not None and run.move.record_id:
-                parent = run.move.record_id
-            elif expected is not None:
-                parent = expected.get("snapshot_id")
-            else:
-                parent = chron.last("forecast.snapshot")
-            chron.record(
+            tel.chronicle.record(
                 "sla.violation",
                 time=now,
-                parent=parent,
+                parent=blame(
+                    tel.chronicle,
+                    fault=run.iv_fault,
+                    move=run.move if run.iv_migr else None,
+                    scored=scored,
+                ),
                 slot=slot,
                 seconds=run.iv_viol,
                 p99_max_ms=run.iv_viol_p99,
@@ -464,12 +458,8 @@ class ElasticDbSimulator:
                 machines=int(run.machines),
                 migrating_seconds=run.iv_migr,
                 fault_seconds=run.iv_fault,
-                predicted_tps=(
-                    expected.get("predicted") if expected else None
-                ),
-                inflated_tps=(
-                    expected.get("inflated") if expected else None
-                ),
+                predicted_tps=scored.get("predicted"),
+                inflated_tps=scored.get("inflated"),
             )
         run.iv_viol = 0
         run.iv_viol_p99 = 0.0
@@ -484,13 +474,27 @@ class ElasticDbSimulator:
             decision = run.strategy.decide(
                 len(run.history) - 1, run.history, run.machines
             )
-            target = decision.target_machines
-            # Dead machines shrink the physical pool.
+            # Dead machines shrink the pool, and only then is the target
+            # capped at it.  Otherwise a target beyond the pool is
+            # refused, not clamped as the capacity-level loops do: Fig. 11
+            # is pinned on it (clamping takes its violation-seconds from
+            # 337 to 543 at rate R, 99 to 284 at R x 8, away from the
+            # paper).
             pool = self.max_machines - len(run.crashed)
-            if run.crashed and decision.acts and target is not None:
-                target = min(target, pool)
-            if decision.acts and target != run.machines and 1 <= target <= pool:
+            target = decision.target_from(
+                run.machines, pool if run.crashed else None
+            )
+            if target is not None and target <= pool:
                 self._start_move(run, target, decision)
+            elif target is not None:
+                self._telemetry.chronicle.record(
+                    "plan.rejected",
+                    time=float(run.t + 1),
+                    parent=decision.record_id,
+                    target=target,
+                    pool=pool,
+                    machines=run.machines,
+                )
         if run.move is None and run.pending_recovery:
             # A quiet planning boundary with the survivors: the
             # controller saw the smaller cluster and needed no move (or
@@ -618,7 +622,6 @@ class ElasticDbSimulator:
             move.complete(now, emergency=move.emergency)
             run.machines = move.after
             run.move = None
-            run.strategy.notify_move_finished(run.machines)
 
     # ------------------------------------------------------------------
 

@@ -360,7 +360,7 @@ class Reconfiguration:
         now: float, slot: int, telemetry, **build,
     ) -> "Reconfiguration":
         """Build and start the move a strategy's
-        :class:`~repro.elasticity.base.ScaleDecision` asked for at the
+        :class:`~repro.decision.ScaleDecision` asked for at the
         close of planner ``slot``: the decision sets the rate (``8 * R``
         for the boosted reactive mode) and is the move's causal parent."""
         move = cls(
@@ -370,7 +370,7 @@ class Reconfiguration:
         )
         move.emergency = decision.emergency
         move.start(
-            now, getattr(decision, "record_id", None),
+            now, decision.record_id,
             emergency=decision.emergency, reason=decision.reason, slot=slot,
         )
         return move

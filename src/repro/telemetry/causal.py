@@ -148,6 +148,46 @@ class FlightRecorder:
         return list(self.records)
 
 
+def blame(
+    chronicle, fault: bool = False, move=None, scored: Optional[dict] = None
+) -> Optional[str]:
+    """Causal parent of a violation record, by how directly each cause
+    forces it: an injected fault active in the interval, then the move
+    in flight (its ``migration.start`` record), then the forecast scored
+    against the interval (its snapshot), else the last forecast made.
+
+    Callers pass the evidence their loop has: ``fault`` is truthy when
+    fault activity overlapped the interval, ``move`` is the
+    reconfiguration that stole capacity from it (anything with a
+    ``record_id``), ``scored`` the accuracy tracker's harvest for the
+    slot.  :func:`repro.analysis.sla.attribute_violation` sorts the
+    written records into buckets in the same order.
+    """
+    if fault and chronicle.last("fault.injected"):
+        return chronicle.last("fault.injected")
+    if move is not None and move.record_id:
+        return move.record_id
+    if scored and scored.get("snapshot_id"):
+        return scored["snapshot_id"]
+    return chronicle.last("forecast.snapshot")
+
+
+def record_capacity_insufficient(
+    chronicle, time: float, move=None, scored: Optional[dict] = None, **fields
+) -> dict:
+    """Chronicle a slot whose load exceeded the effective max-rate
+    capacity (Fig. 12's y-axis) under the parent :func:`blame` picks.
+    Every capacity-level loop gives ``slot``, ``load_tps``, ``peak_tps``,
+    ``eff_cap``, ``machines`` and ``migrating``; the batch loop adds
+    what it knows of the scored forecast."""
+    return chronicle.record(
+        "capacity.insufficient",
+        time=time,
+        parent=blame(chronicle, move=move, scored=scored),
+        **fields,
+    )
+
+
 class NullFlightRecorder:
     """Chronicle that drops everything; shared by disabled telemetry."""
 

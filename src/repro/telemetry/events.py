@@ -2,10 +2,8 @@
 
 Every provisioning action, interval measurement, and forecast is one
 flat dict with a ``kind``, a monotone sequence number, an optional
-simulated ``time``, and free-form fields.  This subsumes
-:class:`repro.core.service.ServiceEvent` (kept for backwards
-compatibility) and extends it to the simulators, which previously had
-no audit trail at all.
+simulated ``time``, and free-form fields, written by the service and
+the simulators alike.
 
 Well-known kinds (see docs/OBSERVABILITY.md for schemas):
 

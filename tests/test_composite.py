@@ -22,16 +22,12 @@ class ScriptedStrategy(ProvisioningStrategy):
     def __init__(self, decisions):
         self._decisions = dict(decisions)
         self.started = []
-        self.finished = []
 
     def decide(self, slot, history_tps, current_machines):
         return self._decisions.get(slot, NO_ACTION)
 
     def notify_move_started(self, target):
         self.started.append(target)
-
-    def notify_move_finished(self, machines):
-        self.finished.append(machines)
 
 
 class TestReservationValidation:
@@ -128,9 +124,7 @@ class TestCompositeBehaviour:
         base, composite = self.make()
         composite.reset(2)
         composite.notify_move_started(5)
-        composite.notify_move_finished(5)
         assert base.started == [5]
-        assert base.finished == [5]
 
     def test_name_derived(self):
         composite = CompositeStrategy(StaticStrategy(4), [])

@@ -1,0 +1,223 @@
+"""Tests for the decision -> move hand-off: the one
+:class:`~repro.decision.ScaleDecision`, its clamp rule, and the one
+blame rule the loops use to parent a violation."""
+
+import dataclasses
+import itertools
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.analysis.sla import (
+    CAUSE_FAULT,
+    CAUSE_HEADROOM,
+    CAUSE_MIGRATION,
+    CAUSE_UNDER_FORECAST,
+    attribute_violation,
+)
+from repro.config import default_config
+from repro.decision import ScaleDecision
+from repro.elasticity import PStoreStrategy
+from repro.prediction import LastValuePredictor
+from repro.serve.controller import OnlineController
+from repro.sim import CapacitySimulator, ElasticDbSimulator
+from repro.telemetry import FlightRecorder, Telemetry
+from repro.telemetry.causal import blame
+from repro.workload.trace import LoadTrace
+
+CFG = default_config().with_interval(60.0)
+
+
+# ----------------------------------------------------------------------
+# One type
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("level", [0.5, 6.0], ids=["steady", "acts"])
+def test_strategy_passes_the_controllers_decision_through(level):
+    strategy = PStoreStrategy(CFG, LastValuePredictor().fit([CFG.q]))
+    made = []
+    inner = strategy.controller.decide
+
+    def spy(*args, **kwargs):
+        made.append(inner(*args, **kwargs))
+        return made[-1]
+
+    strategy.controller.decide = spy
+    decision = strategy.decide(3, [CFG.q * level] * 4, 2)
+    assert decision is made[0]
+    assert decision.acts == (level > 1)
+
+
+# ----------------------------------------------------------------------
+# One clamp rule
+# ----------------------------------------------------------------------
+
+
+@given(
+    target=st.one_of(st.none(), st.integers(min_value=-3, max_value=40)),
+    machines=st.integers(min_value=1, max_value=30),
+    cap=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+)
+def test_target_from_is_none_or_a_real_move_within_the_cap(
+    target, machines, cap
+):
+    result = ScaleDecision(target_machines=target).target_from(machines, cap)
+    if result is None:
+        # Nothing to do only for the reasons the rule names.
+        capped = target if cap is None or target is None else min(target, cap)
+        assert capped is None or capped == machines or capped < 1
+        return
+    assert result >= 1
+    assert result != machines
+    assert result <= target
+    if cap is not None:
+        assert result <= cap
+
+
+# ----------------------------------------------------------------------
+# One blame rule
+# ----------------------------------------------------------------------
+
+
+PARENT_KIND_TO_BUCKETS = {
+    "fault.injected": {CAUSE_FAULT},
+    "migration.start": {CAUSE_MIGRATION},
+    "forecast.snapshot": {CAUSE_UNDER_FORECAST, CAUSE_HEADROOM},
+}
+
+
+@pytest.mark.parametrize(
+    "fault, moving, scored",
+    list(itertools.product([False, True], repeat=3)),
+)
+def test_write_time_parent_and_read_time_bucket_agree(fault, moving, scored):
+    """``blame`` (which record a violation is parented on) and
+    ``attribute_violation`` (which bucket ``pstore explain`` sorts it
+    into) rank fault > move > forecast the same way, for every
+    combination of evidence."""
+    chronicle = FlightRecorder()
+    scored_snapshot = chronicle.record("forecast.snapshot", time=60.0)
+    last_snapshot = chronicle.record("forecast.snapshot", time=120.0)
+    chronicle.record("fault.injected", time=130.0)
+    move = SimpleNamespace(
+        record_id=chronicle.record("migration.start", time=140.0)["id"]
+    )
+
+    parent = blame(
+        chronicle,
+        fault=7 if fault else 0,
+        move=move if moving else None,
+        scored={"snapshot_id": scored_snapshot["id"]} if scored else None,
+    )
+    by_id = {rec["id"]: rec for rec in chronicle.records}
+    # The record as ElasticDbSimulator writes it for the same evidence.
+    violation = {
+        "fault_seconds": 7 if fault else 0,
+        "migrating_seconds": 11 if moving else 0,
+        "measured_tps": 900.0,
+        "inflated_tps": 1000.0 if scored else None,
+    }
+    assert attribute_violation(violation) in PARENT_KIND_TO_BUCKETS[
+        by_id[parent]["kind"]
+    ]
+    if not fault and not moving:
+        expected = scored_snapshot if scored else last_snapshot
+        assert parent == expected["id"]
+
+
+def test_blame_skips_evidence_that_was_never_chronicled():
+    chronicle = FlightRecorder()
+    snapshot = chronicle.record("forecast.snapshot", time=60.0)
+    # A fault window with no fault.injected record, a move started with
+    # telemetry off, a shadow forecast scored without a snapshot.
+    assert blame(
+        chronicle, fault=3, move=SimpleNamespace(record_id=None),
+        scored={"snapshot_id": None},
+    ) == snapshot["id"]
+    assert blame(FlightRecorder()) is None
+
+
+# ----------------------------------------------------------------------
+# The three loops that chronicle violations
+# ----------------------------------------------------------------------
+
+#: A flash crowd: calm long enough for a forecast to exist, then a jump
+#: beyond what the machine limit can serve, so violations happen both
+#: while the emergency move runs and after it, with nothing in flight.
+CALM, CROWD = 4, 16
+
+
+def _crowd_config():
+    return dataclasses.replace(CFG, max_machines=4)
+
+
+def _tps(config, slots):
+    return np.concatenate([
+        np.full(CALM, config.q * 1.2), np.full(slots - CALM, config.q * 9.0)
+    ])
+
+
+def _predictive(config, tel):
+    return PStoreStrategy(
+        config, LastValuePredictor().fit([config.q]), telemetry=tel
+    )
+
+
+def loop_capacity_sim(tel):
+    config = _crowd_config()
+    trace = LoadTrace(_tps(config, CALM + CROWD) * 60.0, 60.0)
+    CapacitySimulator(config, 2, telemetry=tel).run(
+        trace, _predictive(config, tel)
+    )
+    return "capacity.insufficient"
+
+
+def loop_elastic_sim(tel):
+    config = _crowd_config()
+    sim = ElasticDbSimulator(
+        config, max_machines=10, initial_machines=2, seed=3, telemetry=tel
+    )
+    sim.run(
+        np.repeat(_tps(config, CALM + CROWD), 60), _predictive(config, tel)
+    )
+    return "sla.violation"
+
+
+def loop_serve(tel):
+    config = _crowd_config()
+    controller = OnlineController(
+        config, LastValuePredictor().fit([config.q]), initial_machines=2,
+        telemetry=tel,
+    )
+    tps = _tps(config, CALM + CROWD)
+    for slot in range(tps.size):
+        controller.on_interval(slot, list(tps[: slot + 1]), (slot + 1) * 60.0)
+    return "capacity.insufficient"
+
+
+@pytest.mark.parametrize(
+    "loop", [loop_capacity_sim, loop_elastic_sim, loop_serve],
+    ids=["capacity_sim", "elastic_sim", "serve"],
+)
+def test_loops_pick_the_same_parent_kind_for_the_same_evidence(loop):
+    tel = Telemetry()
+    violation_kind = loop(tel)
+    by_id = {rec["id"]: rec for rec in tel.chronicle.records}
+    in_flight = False
+    seen = set()
+    for record in tel.chronicle.records:
+        if record["kind"] == "migration.start":
+            in_flight = True
+        elif record["kind"] in ("migration.complete", "migration.aborted"):
+            in_flight = False
+        elif record["kind"] == violation_kind:
+            parent_kind = by_id[record["parent"]]["kind"]
+            assert parent_kind == (
+                "migration.start" if in_flight else "forecast.snapshot"
+            ), record
+            seen.add(in_flight)
+    assert seen == {False, True}, "the scenario must produce both cases"

@@ -107,3 +107,43 @@ class TestFigure3:
         real_moves = [m for m in result.schedule if not m.is_noop]
         assert [m.machines_added for m in real_moves] == [1, 1]
         assert real_moves[0].start > 0
+
+
+class TestFigure12:
+    def test_serial_runner_is_a_fold_over_the_grid(self):
+        """The figure is defined once: the points ``run_figure12`` plots
+        are the grid's cell payloads, normalised."""
+        from repro.experiments import fig12
+
+        days, fractions = 1, (0.55, 0.65)   # the smallest season there is
+        result = fig12.run_figure12(n_days=days, q_fractions=fractions)
+        payloads = [
+            fig12.run_cell(spec, None)
+            for spec in fig12.grid(n_days=days, q_fractions=fractions)
+        ]
+        baseline = next(
+            p["cost_machine_slots"] for p in payloads
+            if p["family"] == "p-store-spar" and p["q_fraction"] == 0.65
+        )
+        rebuilt = [
+            (
+                p["family"],
+                p.get("q_fraction"),
+                pytest.approx(p["cost_machine_slots"] / baseline),
+                pytest.approx(p["pct_time_insufficient"]),
+            )
+            for p in payloads
+        ]
+        points = [
+            (
+                row["strategy"],
+                # static points carry NaN, static payloads no fraction
+                None if row["q_fraction"] != row["q_fraction"]
+                else row["q_fraction"],
+                row["normalized_cost"],
+                row["pct_insufficient"],
+            )
+            for row in result.normalized_points()
+        ]
+        assert points == rebuilt
+        assert len(points) == 4 * len(fractions) + len(fig12.STATIC_SIZES)

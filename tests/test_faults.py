@@ -23,6 +23,7 @@ from repro.faults import (
 from repro.hstore import Cluster, Column, Schema, Table
 from repro.sim import ElasticDbSimulator
 from repro.squall import ClusterMigrator
+from repro.telemetry import Telemetry
 
 
 def kv_cluster(nodes=3, ppn=2, buckets=120, rows=600):
@@ -421,20 +422,22 @@ class TestServiceCrashDrill:
         cluster = Cluster(b2w_schema(), n_nodes=3, partitions_per_node=3,
                           n_buckets=192)
         load_b2w_data(cluster, n_stock=50, n_carts=60, n_checkouts=10, seed=1)
-        injector = FaultInjector(crash_during_migration_scenario(seed=7))
+        telemetry = Telemetry()
+        injector = FaultInjector(
+            crash_during_migration_scenario(seed=7), telemetry=telemetry
+        )
         service = PStoreService(
             cluster, cfg, RampPredictor(cfg.q * 4.5), max_machines=6,
-            injector=injector,
+            injector=injector, telemetry=telemetry,
         )
         for _ in range(40):
             service.advance_time(30.0)
-        return service, injector
+        return service, injector, telemetry.chronicle
 
     def test_crash_aborts_migration_and_recovers(self):
-        service, injector = self.run_drill()
-        kinds = [e.kind for e in service.events]
-        assert "migration-aborted" in kinds
-        assert "node-down" in kinds
+        service, injector, chronicle = self.run_drill()
+        assert chronicle.by_kind("service.migration-aborted")
+        assert chronicle.by_kind("service.node-down")
         record = injector.records[0]
         assert record.detected_at is not None
         assert record.recovered_at is not None
@@ -449,8 +452,8 @@ class TestServiceCrashDrill:
                 assert p in active_partitions
 
     def test_drill_is_deterministic(self):
-        _, first = self.run_drill()
-        _, second = self.run_drill()
+        _, first, _ = self.run_drill()
+        _, second, _ = self.run_drill()
         assert first.chronicle == second.chronicle
 
 

@@ -289,9 +289,10 @@ def scenario_service_crash() -> dict:
     return {
         "chronicle": _digest(telemetry.chronicle.records),
         "service_events": _digest(
-            {"time": e.time, "kind": e.kind, "detail": e.detail,
-             "record_id": e.record_id}
-            for e in service.events
+            {"time": r["time"], "kind": r["kind"][len("service."):],
+             "detail": r["detail"], "record_id": r["id"]}
+            for r in telemetry.chronicle.records
+            if r["kind"].startswith("service.")
         ),
         "machines": int(service.machines),
         "completed": kinds.count("migration.complete"),

@@ -1063,7 +1063,7 @@ class TestCacheGc:
 
 
 # ----------------------------------------------------------------------
-# Service event unification (events are thin views over the chronicle)
+# Service event unification (the chronicle is the service's audit trail)
 # ----------------------------------------------------------------------
 
 
@@ -1116,18 +1116,24 @@ class TestServiceChronicleUnification:
                         )
                     )
                 service.advance_time(60.0)
-            events = [e for e in service.events if e.record_id]
-            assert events, "service events must carry chronicle record IDs"
+            records = [
+                r for r in tel.chronicle.snapshot()
+                if r["kind"].startswith("service.")
+            ]
+            assert records, "service actions must be chronicled"
             by_id = {r["id"]: r for r in tel.chronicle.snapshot()}
-            for event in events:
-                record = by_id[event.record_id]
-                assert record["kind"] == f"service.{event.kind}"
-                assert record["detail"] == event.detail
+            # ... and mirrored, field for field, into the event log.
+            twins = [
+                e for e in tel.events.events
+                if e["kind"].startswith("service.")
+            ]
+            assert [(r["kind"], r["time"], r["detail"]) for r in records] == [
+                (e["kind"], e["time"], e["detail"]) for e in twins
+            ]
             # Scale actions chain back to the decision that caused them.
             scaled = [
-                by_id[e.record_id]
-                for e in events
-                if e.kind in ("scale-out", "emergency")
+                r for r in records
+                if r["kind"] in ("service.scale-out", "service.emergency")
             ]
             assert scaled
             assert any(

@@ -10,6 +10,7 @@ from repro.errors import SimulationError
 from repro.hstore import Cluster, Transaction
 from repro.prediction import LastValuePredictor, OnlinePredictor
 from repro.prediction.base import Predictor
+from repro.telemetry import Telemetry
 
 
 class RampPredictor(Predictor):
@@ -79,8 +80,10 @@ class TestScaling:
         """An oracle forecasting a big ramp must trigger a scale-out."""
         config = service_config(60.0)
         q = config.q
+        telemetry = Telemetry()
         service = PStoreService(
-            make_cluster(2), config, RampPredictor(q * 3.5), max_machines=6
+            make_cluster(2), config, RampPredictor(q * 3.5), max_machines=6,
+            telemetry=telemetry,
         )
         # Generate ~0.8q tps of real traffic for three intervals.
         rate = q * 0.8
@@ -89,14 +92,17 @@ class TestScaling:
                 service.execute(get_cart_txn(k))
             service.advance_time(60.0)
         assert service.migrating or service.machines > 2
-        kinds = {event.kind for event in service.events}
-        assert kinds & {"scale-out", "emergency"}
+        chronicle = telemetry.chronicle
+        assert (chronicle.by_kind("service.scale-out")
+                or chronicle.by_kind("service.emergency"))
 
     def test_migration_completes_and_is_logged(self):
         config = service_config(60.0)
         q = config.q
+        telemetry = Telemetry()
         service = PStoreService(
-            make_cluster(2), config, RampPredictor(q * 3.5), max_machines=6
+            make_cluster(2), config, RampPredictor(q * 3.5), max_machines=6,
+            telemetry=telemetry,
         )
         rate = q * 0.8
         for interval in range(3):
@@ -110,7 +116,7 @@ class TestScaling:
             service.advance_time(60.0)
         assert not service.migrating
         assert service.machines > 2
-        assert any(e.kind == "move-complete" for e in service.events)
+        assert telemetry.chronicle.by_kind("service.move-complete")
 
     def test_max_machines_respected(self):
         config = service_config(60.0)
@@ -147,12 +153,14 @@ class TestSkewRebalancing:
     def test_hot_bucket_triggers_rebalance_event(self):
         config = service_config(60.0)
         cluster = make_cluster()
+        telemetry = Telemetry()
         service = PStoreService(
             cluster,
             config,
             LastValuePredictor().fit([1.0]),
             skew_rebalancing=True,
             skew_threshold_share=0.2,
+            telemetry=telemetry,
         )
         # Hammer one bucket far beyond its fair share.
         hot_bucket = cluster.bucket_of("CART-000000000007")
@@ -161,20 +169,24 @@ class TestSkewRebalancing:
             if b != hot_bucket:
                 cluster.record_bucket_access(b, 2)
         service.advance_time(61.0)
-        assert any(e.kind == "rebalance" for e in service.events)
+        assert telemetry.chronicle.by_kind("service.rebalance")
 
     def test_balanced_load_no_rebalance(self):
         cluster = make_cluster()
+        telemetry = Telemetry()
         service = PStoreService(
             cluster,
             service_config(60.0),
             LastValuePredictor().fit([1.0]),
             skew_rebalancing=True,
+            telemetry=telemetry,
         )
         for b in range(cluster.n_buckets):
             cluster.record_bucket_access(b, 10)
         service.advance_time(61.0)
-        assert not any(e.kind == "rebalance" for e in service.events)
+        # Telemetry is on, so the absence is not an artefact of it.
+        assert telemetry.chronicle.by_kind("forecast.snapshot")
+        assert not telemetry.chronicle.by_kind("service.rebalance")
 
 
 class TestValidation:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.elasticity import StaticStrategy
+from repro.elasticity import NO_ACTION, ScaleDecision, StaticStrategy
+from repro.elasticity.base import ProvisioningStrategy
 from repro.elasticity.manual import ManualStrategy
 from repro.errors import SimulationError
+from repro.faults import FaultInjector, FaultSpec
 from repro.sim import ElasticDbSimulator
+from repro.telemetry import Telemetry
 
 CFG = default_config()  # 60 s planner interval
 QUIET = dict(skew_sigma=0.0, hot_episode_rate=0.0)
@@ -17,6 +20,23 @@ def simulator(**kwargs):
     defaults = dict(config=CFG, max_machines=6, initial_machines=2, seed=3)
     defaults.update(kwargs)
     return ElasticDbSimulator(**defaults)
+
+
+class AskOnce(ProvisioningStrategy):
+    """Asks for ``target`` machines at the second planning boundary."""
+
+    name = "ask-once"
+    RECORD_ID = "pd-test-00000"
+
+    def __init__(self, target):
+        self.target = target
+
+    def decide(self, slot, history_tps, current_machines):
+        if slot != 1:
+            return NO_ACTION
+        return ScaleDecision(
+            target_machines=self.target, record_id=self.RECORD_ID
+        )
 
 
 class TestStaticRun:
@@ -106,10 +126,35 @@ class TestValidation:
             ElasticDbSimulator(CFG, max_machines=2, initial_machines=3)
 
     def test_target_beyond_max_ignored(self):
+        """A target over the pool is refused, not clamped (Fig. 11
+        depends on it) — and the refusal is chronicled."""
         offered = np.full(240, CFG.q * 0.5)
-        sim = simulator(max_machines=3, initial_machines=2, engine_kwargs=QUIET)
-        result = sim.run(offered, ManualStrategy([(1, 5)]))
+        tel = Telemetry()
+        sim = simulator(max_machines=3, initial_machines=2,
+                        engine_kwargs=QUIET, telemetry=tel)
+        result = sim.run(offered, AskOnce(5))
         assert result.moves_started == 0
+        assert not tel.chronicle.by_kind("migration.start")
+        (rejected,) = tel.chronicle.by_kind("plan.rejected")
+        assert rejected["parent"] == AskOnce.RECORD_ID
+        assert (rejected["target"], rejected["pool"], rejected["machines"]) == (
+            5, 3, 2
+        )
+
+    def test_target_beyond_pool_clamped_once_a_node_has_crashed(self):
+        offered = np.full(480, CFG.q * 0.5)
+        tel = Telemetry()
+        injector = FaultInjector(
+            [FaultSpec(kind="node_crash", at_time=10.0)], telemetry=tel
+        )
+        sim = simulator(max_machines=4, initial_machines=2,
+                        engine_kwargs=QUIET, telemetry=tel, injector=injector)
+        result = sim.run(offered, AskOnce(5))
+        # One of four machines is dead: the move goes to the 3 left.
+        assert result.moves_started == 1
+        (start,) = tel.chronicle.by_kind("migration.start")
+        assert (start["before"], start["after"]) == (1, 3)
+        assert not tel.chronicle.by_kind("plan.rejected")
 
     def test_summary_format(self):
         offered = np.full(120, 100.0)
