@@ -28,13 +28,14 @@ import numpy as np
 from ..config import PStoreConfig
 from ..decision import ScaleDecision
 from ..errors import InfeasiblePlanError, PlanningError
+from ..persist import Persisted
 from ..prediction.base import Predictor
 from ..telemetry import get_telemetry
 from .moves import MoveSchedule
 from .planner import Planner, PlanRequest
 
 
-class PredictiveController:
+class PredictiveController(Persisted):
     """Receding-horizon controller over a Predictor and a Planner.
 
     Parameters
@@ -59,6 +60,10 @@ class PredictiveController:
         forecast-drift window is open, the predictor's output is scaled
         by its magnitude before inflation (model drift / tampering).
     """
+
+    #: Checkpointed: the scale-in debounce and the forecast snapshot the
+    #: next ``plan.decision`` parents on.
+    PERSIST = ("_scale_in_streak", "_last_snapshot_id")
 
     def __init__(
         self,

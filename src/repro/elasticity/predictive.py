@@ -12,11 +12,12 @@ from typing import Optional, Sequence
 from ..config import PStoreConfig
 from ..core.controller import PredictiveController
 from ..errors import SimulationError
+from ..persist import Persisted
 from ..prediction.base import Predictor
 from .base import NO_ACTION, ProvisioningStrategy, ScaleDecision
 
 
-class PStoreStrategy(ProvisioningStrategy):
+class PStoreStrategy(ProvisioningStrategy, Persisted):
     """Predictive provisioning driven by the DP planner.
 
     Parameters
@@ -33,6 +34,8 @@ class PStoreStrategy(ProvisioningStrategy):
         migration-rate boost for infeasible plans (Fig. 11 compares
         1.0 and 8.0).
     """
+
+    PERSIST = ("controller",)
 
     def __init__(
         self,

@@ -25,11 +25,14 @@ from typing import Optional, Sequence
 
 from ..config import PStoreConfig
 from ..errors import SimulationError
+from ..persist import Persisted
 from .base import NO_ACTION, ProvisioningStrategy, ScaleDecision
 
 
-class ReactiveStrategy(ProvisioningStrategy):
+class ReactiveStrategy(ProvisioningStrategy, Persisted):
     """Threshold-triggered reactive allocation (the E-Store baseline)."""
+
+    PERSIST = ("_below_streak",)
 
     def __init__(
         self,

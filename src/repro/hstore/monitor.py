@@ -22,11 +22,12 @@ from typing import Dict, List
 import numpy as np
 
 from ..errors import SimulationError
+from ..persist import Persisted
 from ..telemetry import get_telemetry
 from .cluster import Cluster
 
 
-class LoadMonitor:
+class LoadMonitor(Persisted):
     """Aggregates a stream of transaction counts into interval rates.
 
     When telemetry is enabled, every counted interval is published as a
@@ -40,7 +41,14 @@ class LoadMonitor:
     interval_seconds`` rather than by repeated addition, so they stay
     exact over arbitrarily long runs (repeated ``+=`` accumulates one
     rounding error per interval).
+
+    Checkpointed for ``pstore serve --resume``; restored intervals are
+    *not* re-emitted through telemetry (no duplicate ``interval``
+    events, no accuracy re-harvest), only those closed afterwards are.
     """
+
+    PERSIST_MATCH = ("interval_seconds",)
+    PERSIST = ("_origin", "_closed", "_current_count", "_rates")
 
     def __init__(self, interval_seconds: float, start_time: float = 0.0,
                  telemetry=None, min_elapsed_fraction: float = 0.05):
@@ -152,37 +160,6 @@ class LoadMonitor:
     def history_tps(self) -> np.ndarray:
         """Aggregate rate (txn/s) of every *closed* interval."""
         return np.asarray(self._rates)
-
-    # ------------------------------------------------------------------
-    # Checkpointing (``pstore serve --resume``)
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of the windowing state."""
-        return {
-            "interval_seconds": self.interval_seconds,
-            "origin": self._origin,
-            "closed": self._closed,
-            "current_count": self._current_count,
-            "rates": list(self._rates),
-        }
-
-    def restore_state(self, doc: dict) -> None:
-        """Rebuild from :meth:`state_dict` output.
-
-        Restored intervals are *not* re-emitted through telemetry (no
-        duplicate ``interval`` events, no accuracy re-harvest); only
-        intervals closed after the restore produce new emissions.
-        """
-        if float(doc["interval_seconds"]) != self.interval_seconds:
-            raise SimulationError(
-                f"checkpointed interval {doc['interval_seconds']}s does not "
-                f"match the configured {self.interval_seconds}s"
-            )
-        self._origin = float(doc.get("origin", 0.0))
-        self._closed = int(doc["closed"])
-        self._current_count = float(doc.get("current_count", 0.0))
-        self._rates = [float(v) for v in doc.get("rates", [])]
 
     def current_rate_estimate(self, now: float) -> float:
         """Rate of the open interval so far (0 if it just opened).

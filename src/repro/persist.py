@@ -1,0 +1,259 @@
+"""One way to persist state: a declared watchlist per component, one codec.
+
+What a checkpoint looks like, and which versions of it load, is decided
+here and nowhere else.  A component derives from :class:`Persisted` and
+names the attributes to keep in ``PERSIST``; the two methods below are
+the only ``state_dict`` / ``restore_state`` in the package.  Derived
+state is not stored: a component keeps its inputs and recomputes the
+rest in ``_rebuild`` (the depository's heap from its clocks, fitted
+coefficients by a deterministic refit, a move's fluid fractions by
+replaying its half-steps).
+
+The document is ``pstore.serve-checkpoint/v2``: a component is ``{"v":
+n, field: value, ...}``, components nest (the plane's document holds the
+controller's, which holds the move's), and a field's key is its
+attribute name less the leading underscore.  A leaf module like
+``decision.py``: it imports only ``errors.py``.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
+from typing import Tuple
+
+from .errors import PStoreError, SimulationError
+
+#: Schema tag of the documents this code writes.
+SCHEMA = "pstore.serve-checkpoint/v2"
+
+_SCALARS = frozenset((type(None), bool, int, float, str))
+
+
+def encode(value):
+    """The JSON form of one watched attribute.
+
+    Scalars are themselves; list, tuple, ``deque`` and arrays become a
+    list; a dict becomes ``{"keys": [...], "values": [...]}`` so that
+    insertion order and non-string keys survive the store's
+    ``sort_keys=True``.  Flat containers, and rows of scalars, are
+    copied and checked by C-level calls, not walked in Python (1 024
+    node clocks are 96 kB of every snapshot).
+    """
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is dict:
+        return {
+            "keys": encode(list(value)),
+            "values": encode(list(value.values())),
+        }
+    if isinstance(value, Persisted):
+        return value.state_dict()
+    if hasattr(value, "tolist"):            # numpy arrays and scalars
+        return value.tolist()
+    if kind not in (list, tuple, deque):
+        raise SimulationError(f"cannot persist a {kind.__name__}")
+    items = list(value)
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS:
+        return items
+    if kinds == {tuple} and _SCALARS.issuperset(
+        map(type, chain.from_iterable(items))
+    ):
+        return items        # rows of scalars: immutable, and JSON arrays
+    return [encode(item) for item in items]
+
+
+def decode(value):
+    """Inverse of :func:`encode` as far as JSON can say: sequences come
+    back as lists (a component that wants a ``deque`` or tuples makes
+    them in ``_rebuild``), dict keys that were tuples as tuples."""
+    if type(value) is list:
+        if _SCALARS.issuperset(map(type, value)):
+            return value
+        return [decode(item) for item in value]
+    if type(value) is dict:
+        keys, values = value["keys"], decode(value["values"])
+        if type(keys) is not list or len(keys) != len(values):
+            raise ValueError("keys and values do not pair up")
+        return dict(zip(
+            (tuple(k) if type(k) is list else k for k in keys), values
+        ))
+    return value
+
+
+class Persisted:
+    """Base of every component a checkpoint holds."""
+
+    #: The watchlist: attributes saved and restored.  A value that is
+    #: itself a :class:`Persisted` is restored in place; a dotted path
+    #: reaches such a component (or a match) inside a collaborator.
+    PERSIST: Tuple[str, ...] = ()
+    #: Attributes saved with the state and, on restore, required to
+    #: equal the live value: a checkpoint taken under another interval
+    #: or predictor type is rejected, not adopted.
+    PERSIST_MATCH: Tuple[str, ...] = ()
+    #: Bumped when a field changes meaning; a document newer than the
+    #: code is rejected.
+    PERSIST_VERSION = 1
+    #: What a failed match raises.
+    PERSIST_ERROR = SimulationError
+
+    def state_dict(self) -> dict:
+        """JSON-serialisable snapshot of the watched attributes."""
+        doc = {"v": self.PERSIST_VERSION}
+        for attr in (*self.PERSIST_MATCH, *self.PERSIST):
+            key, get = _field(attr)
+            doc[key] = encode(get(self))
+        return doc
+
+    def restore_state(self, doc: dict) -> None:
+        """Adopt :meth:`state_dict` output into a freshly built object.
+
+        A field must be present and have the JSON shape the live
+        attribute has (``None`` here takes anything); errors name it.
+        """
+        version = doc.get("v") if type(doc) is dict else None
+        if type(version) is not int or not 0 < version <= self.PERSIST_VERSION:
+            raise SimulationError(
+                f"v: version {version!r} is not one this code loads "
+                f"(it writes {self.PERSIST_VERSION})"
+            )
+        for attr in (*self.PERSIST_MATCH, *self.PERSIST):
+            key, get = _field(attr)
+            live = get(self)
+            if key not in doc:
+                raise SimulationError(f"{key}: missing")
+            raw = doc[key]
+            nested = isinstance(live, Persisted)
+            if attr in self.PERSIST_MATCH:
+                if raw != live:
+                    raise self.PERSIST_ERROR(
+                        f"{key}: checkpointed {raw!r} does not match "
+                        f"this run's {live!r}"
+                    )
+            elif type(raw) is dict and (nested or "v" in raw):
+                try:
+                    if live is None:
+                        live = self._revive(attr)
+                        setattr(self, attr, live)
+                    live.restore_state(raw)
+                except PStoreError as exc:
+                    exc.args = (f"{key}.{exc.args[0]}", *exc.args[1:])
+                    raise
+            elif raw is None and (nested or live is None):
+                setattr(self, attr, None)
+            else:
+                setattr(self, attr, _conform(key, raw, encode(live)))
+        self._rebuild()
+
+    def _revive(self, attr: str) -> "Persisted":
+        """The blank component to restore ``attr`` into when it is
+        ``None`` here and the checkpoint has state for it."""
+        raise SimulationError("nothing here to restore the state into")
+
+    def _rebuild(self) -> None:
+        """Recompute derived state once the watched state is in."""
+
+
+@lru_cache(maxsize=None)            # keyed by declared names: bounded
+def _field(attr: str):
+    """A watched attribute's document key and its getter."""
+    return attr.rpartition(".")[2].lstrip("_"), attrgetter(attr)
+
+
+def _conform(key: str, raw, like):
+    """``decode(raw)``, which must be shaped like ``like`` (None: any)."""
+    if type(like) is float and type(raw) is int:
+        return float(raw)
+    if like is not None and type(raw) is not type(like):
+        raise SimulationError(
+            f"{key}: expected {type(like).__name__}, got {raw!r}"
+        )
+    try:
+        return decode(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SimulationError(f"{key}: malformed ({exc})") from None
+
+
+def current(doc) -> dict:
+    """The schema gate: ``doc`` as a v2 document, upgraded if it is a v1
+    one, else :class:`SimulationError`."""
+    schema = doc.get("schema") if type(doc) is dict else None
+    if schema == SCHEMA:
+        return doc
+    if schema != "pstore.serve-checkpoint/v1":
+        raise SimulationError(
+            f"schema {schema!r} is not {SCHEMA!r} or its v1 predecessor"
+        )
+    try:
+        return upgrade_v1(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SimulationError(f"malformed v1 document ({exc!r})") from None
+
+
+def upgrade_v1(doc: dict) -> dict:
+    """The document PR 13-15 wrote, as a v2 one; the only place the v1
+    layout is known.  Keys v2 kept are carried over as they are (fields
+    it dropped ride along unread); the rest is renaming, regrouping
+    under the component that now watches the field, and turning row
+    lists and JSON objects back into the dicts the codec encodes."""
+    dep, acc, ctl = doc["depository"], doc["accuracy"], doc["controller"]
+    clocks = dep["clocks"]
+    if not isinstance(clocks, dict):
+        # [nodes, clocks]; before PR 14 it was a mapping already, of
+        # which alphabetical order is all the order that survived.
+        clocks = dict(zip(*clocks))
+    accuracy = {"v": 1}                     # telemetry was off: no state
+    if acc:
+        accuracy.update(
+            window=acc["window"], q=acc["q"], dropped=acc["dropped"],
+            pending=encode(
+                {row["target"]: row["entries"] for row in acc["pending"]}
+            ),
+            **{
+                new: encode({
+                    (row["predictor"], row["tau"]): row[old]
+                    for row in acc["windows"]
+                })
+                for new, old in (
+                    ("windows", "pairs"), ("pairs_total", "pairs_total"),
+                    ("over_cost", "over"), ("under_cost", "under"),
+                )
+            },
+        )
+    move, strategy = ctl["migration"], ctl["strategy"]
+    return {
+        "schema": SCHEMA,
+        "chronicle_rows": doc.get("chronicle_rows", 0),
+        "v": 1,
+        "interval_seconds": doc["interval_seconds"],
+        "processed": doc["processed"],
+        "accuracy": accuracy,
+        "predictor": {**doc["predictor"], "v": 1},
+        "monitor": {**doc["monitor"], "v": 1},
+        "depository": {
+            **dep, "v": 1, "interval": dep["interval_seconds"],
+            "buffer": encode(dict(dep["buffer"])),
+            "clocks": encode(clocks),
+            "evicted": encode(dep["evicted"]),
+            "evicted_clocks": encode(dep.get("evicted_clocks", {})),
+            "late_by_node": encode(dep["late_by_node"]),
+        },
+        "controller": {
+            **ctl, "v": 1,
+            "reactive": {"v": 1, "below_streak": ctl["reactive_below_streak"]},
+            "strategy": strategy and {
+                "v": 1, "controller": {**strategy, "v": 1},
+            },
+            "move": move and {
+                "v": 1, "before": move["before"], "after": move["target"],
+                "rate_kbps": move["rate_kbps"], "started_at": move["started"],
+                "half_steps": move["half_steps"],
+                "record_id": move["move_rec_id"],
+            },
+        },
+    }

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series
+from .base import Predictor, as_series, solve_ridge
 
 
 def fit_ar_coefficients(
@@ -35,7 +35,7 @@ def fit_ar_coefficients(
         design[:, lag] = series[order - lag : series.size - lag]
     targets = series[order:]
     gram = design.T @ design + ridge * np.eye(order + 1)
-    return np.linalg.solve(gram, design.T @ targets)
+    return solve_ridge(gram, design.T @ targets)
 
 
 class ArPredictor(Predictor):

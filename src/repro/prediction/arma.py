@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import PredictionError
 from .ar import fit_ar_coefficients
-from .base import Predictor, as_series
+from .base import Predictor, as_series, solve_ridge
 
 
 class ArmaPredictor(Predictor):
@@ -81,7 +81,7 @@ class ArmaPredictor(Predictor):
             design[:, self.p + lag] = innovations[anchors - lag]
         targets = arr[anchors]
         gram = design.T @ design + 1e-8 * np.eye(design.shape[1])
-        weights = np.linalg.solve(gram, design.T @ targets)
+        weights = solve_ridge(gram, design.T @ targets)
         self._intercept = float(weights[0])
         self._phi = weights[1 : 1 + self.p]
         self._theta = weights[1 + self.p :]

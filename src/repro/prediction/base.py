@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import NotFittedError, PredictionError
+from ..persist import Persisted
 from ..telemetry import get_telemetry
 
 
@@ -55,7 +56,21 @@ def as_series(values: Sequence[float]) -> np.ndarray:
     return arr
 
 
-class Predictor(abc.ABC):
+def solve_ridge(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ridge-regularised normal equations (or a stack of them).
+
+    The ridge is absolute, so a degenerate series — a flat stretch makes
+    every lag column a copy of the intercept's — can leave ``gram``
+    singular at float precision; the fit is the minimum-norm solution
+    then, not a ``LinAlgError`` out of a refit.
+    """
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(gram, hermitian=True) @ rhs
+
+
+class Predictor(Persisted, abc.ABC):
     """Abstract base class for time-series load predictors.
 
     Beyond ``fit``/``predict_horizon``, every predictor implements the
@@ -66,11 +81,12 @@ class Predictor(abc.ABC):
     * :meth:`capabilities` — declared requirements (minimum history /
       training, the largest supported tau) that callers can validate
       against instead of try/excepting;
-    * :meth:`state_dict` / :meth:`restore_state` — JSON-serialisable
-      checkpointing for ``pstore serve --resume``.  The default
-      implementation snapshots the training window and *refits* on
-      restore, which is exact because every fit in this package is
-      deterministic.
+    * ``state_dict`` / ``restore_state`` — JSON-serialisable
+      checkpointing for ``pstore serve --resume``, from
+      :class:`~repro.persist.Persisted`: the declared field is the
+      training window, and ``_rebuild`` *refits* on it.  A predictor
+      with more state declares more fields
+      (:class:`~repro.prediction.online.OnlinePredictor`).
     """
 
     #: Registry slug; the registry sets/validates this per class.
@@ -78,7 +94,7 @@ class Predictor(abc.ABC):
 
     def __init__(self) -> None:
         self._fitted = False
-        #: Training series of the last ``fit`` (drives ``state_dict``).
+        #: Training series of the last ``fit`` (the checkpointed field).
         self._fit_series: Optional[np.ndarray] = None
 
     @property
@@ -119,40 +135,21 @@ class Predictor(abc.ABC):
     # Checkpointing (``pstore serve --resume``)
     # ------------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot; restored by :meth:`restore_state`.
+    PERSIST_MATCH = ("_type",)
+    PERSIST = ("_fit_series",)
+    PERSIST_ERROR = PredictionError
 
-        The default stores the training window and lets the restore
-        refit — exact, because fits are deterministic.  Predictors with
-        stream state (:class:`~repro.prediction.online.OnlinePredictor`)
-        override both methods.
-        """
-        return {
-            "type": type(self).__name__,
-            "name": self.name,
-            "fitted": bool(self._fitted),
-            "fit_series": (
-                [float(v) for v in self._fit_series]
-                if self._fit_series is not None
-                else None
-            ),
-        }
+    @property
+    def _type(self) -> str:
+        return type(self).__name__
 
-    def restore_state(self, doc: dict) -> None:
-        """Rebuild from :meth:`state_dict` output (same predictor type)."""
-        want = doc.get("type")
-        have = type(self).__name__
-        if want is not None and want != have:
-            raise PredictionError(
-                f"checkpoint was taken with predictor {want}, "
-                f"cannot restore into {have}"
-            )
-        fit_series = doc.get("fit_series")
-        if doc.get("fitted") and fit_series is not None:
-            self.fit(fit_series)
-        else:
+    def _rebuild(self) -> None:
+        """Fitted parameters are derived state: refit on the restored
+        training window, which is exact because fits are deterministic."""
+        if self._fit_series is None:
             self._fitted = False
-            self._fit_series = None
+        else:
+            self.fit(self._fit_series)
 
     @abc.abstractmethod
     def fit(self, series: Sequence[float]) -> "Predictor":

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series, forecast_instrumentation
+from .base import Predictor, as_series, forecast_instrumentation, solve_ridge
 
 
 class MssaPredictor(Predictor):
@@ -113,7 +113,7 @@ class MssaPredictor(Predictor):
         )
         targets = lagged[:, -1]
         gram = design.T @ design + self.ridge * np.eye(lags)
-        self._coeffs = np.linalg.solve(gram, design.T @ targets)
+        self._coeffs = solve_ridge(gram, design.T @ targets)
         self._fit_series = arr
         self._fitted = True
         return self

@@ -163,46 +163,21 @@ class OnlinePredictor(Predictor):
     # Checkpointing (``pstore serve --resume``)
     # ------------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of the learner's stream state."""
-        return {
-            "base_type": type(self.base).__name__,
-            "history": list(self._history),
-            "fit_window": (
-                list(self._fit_window) if self._fit_window is not None else None
-            ),
-            "since_fit": self._since_fit,
-            "fit_count": self.fit_count,
-            "fitted": bool(self.base.is_fitted),
-        }
+    #: The wrapped base must be of the checkpointed type (an unfitted
+    #: fresh instance is fine).
+    PERSIST_MATCH = ("_base_type",)
+    PERSIST = ("_history", "_fit_window", "_since_fit", "fit_count")
 
-    def restore_state(self, doc: dict) -> None:
-        """Rebuild from :meth:`state_dict` output.
+    @property
+    def _base_type(self) -> str:
+        return type(self.base).__name__
 
-        The wrapped base model must be of the same type (an unfitted
-        fresh instance is fine); its fitted parameters are reconstructed
-        by refitting on the checkpointed fit window, which is exact
-        because every fit in this package is deterministic.
-        """
-        want = doc.get("base_type")
-        have = type(self.base).__name__
-        if want is not None and want != have:
-            raise PredictionError(
-                f"checkpoint was taken with base predictor {want}, "
-                f"cannot restore into {have}"
-            )
-        self._history = [float(v) for v in doc.get("history", [])]
-        fit_window = doc.get("fit_window")
-        self._fit_window = (
-            [float(v) for v in fit_window] if fit_window is not None else None
-        )
-        self._since_fit = int(doc.get("since_fit", 0))
-        self.fit_count = int(doc.get("fit_count", 0))
-        if doc.get("fitted") and self._fit_window is not None:
+    def _rebuild(self) -> None:
+        """The base model's parameters are derived state: refit it on
+        the restored fit window (exact — fits are deterministic)."""
+        self._fitted = self._fit_window is not None
+        if self._fitted:
             self.base.fit(self._fit_window)
-            self._fitted = True
-        else:
-            self._fitted = False
 
     def predict_horizon(
         self, history: Sequence[float], horizon: int

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series, forecast_instrumentation
+from .base import Predictor, as_series, forecast_instrumentation, solve_ridge
 
 
 class SparPredictor(Predictor):
@@ -185,7 +185,7 @@ class SparPredictor(Predictor):
         # Ridge-regularised normal equations: (X'X + rI) w = X'y.
         gram = design.T @ design + self.ridge * np.eye(n_cols)
         rhs = design.T @ targets
-        weights = np.linalg.solve(gram, rhs)
+        weights = solve_ridge(gram, rhs)
         a = weights[: self.n_periods]
         b = weights[self.n_periods :]
         self._coeffs[tau] = (a, b)
@@ -248,7 +248,7 @@ class SparPredictor(Predictor):
             )
             grams[i] = design.T @ design + ridge_eye
             rhs[i] = design.T @ series[sub + tau]
-        weights = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]
+        weights = solve_ridge(grams, rhs[:, :, None])[:, :, 0]
         for i, tau in enumerate(missing):
             self._coeffs[tau] = (weights[i, :n], weights[i, n:])
         self._fitted_upto = max(self._fitted_upto, horizon)

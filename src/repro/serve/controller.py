@@ -38,6 +38,7 @@ from ..decision import ScaleDecision
 from ..elasticity.predictive import PStoreStrategy
 from ..elasticity.reactive import ReactiveStrategy
 from ..errors import PredictionError, SimulationError
+from ..persist import Persisted
 from ..prediction.online import OnlinePredictor
 from ..squall.migrator import Reconfiguration
 from ..telemetry import get_telemetry
@@ -136,7 +137,7 @@ class ErrorTrigger:
         return True
 
 
-class OnlineController:
+class OnlineController(Persisted):
     """Drives provisioning from a live interval stream.
 
     One :meth:`on_interval` call per closed planner slot, with the
@@ -456,75 +457,32 @@ class OnlineController:
     # Checkpointing (``pstore serve --resume``)
     # ------------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of all mutable controller state
-        (the in-flight move in its
-        :meth:`Reconfiguration.state_dict` form)."""
-        strategy_doc = None
-        if self._strategy is not None:
-            inner = self._strategy.controller
-            strategy_doc = {
-                "scale_in_streak": inner._scale_in_streak,
-                "last_snapshot_id": inner._last_snapshot_id,
-            }
-        return {
-            "machines": self.machines,
-            "mode": self.mode,
-            "violations": self.violations,
-            "moves_started": self.moves_started,
-            "emergencies": self.emergencies,
-            "trigger_fires": self.trigger_fires,
-            "trigger_recoveries": self.trigger_recoveries,
-            "intervals_seen": self.intervals_seen,
-            "last_decision_reason": self.last_decision_reason,
-            "fa_record_id": self._fa_record_id,
-            "reactive_below_streak": self._reactive._below_streak,
-            "strategy": strategy_doc,
-            "migration": (
-                self._move.state_dict() if self._move is not None else None
-            ),
-        }
+    #: All mutable controller state; the strategies and the in-flight
+    #: move are components of their own.
+    PERSIST = (
+        "machines", "mode", "violations", "moves_started", "emergencies",
+        "trigger_fires", "trigger_recoveries", "intervals_seen",
+        "last_decision_reason", "_fa_record_id",
+        "_reactive", "_strategy", "_move",
+    )
 
-    def restore_state(self, doc: dict) -> None:
-        """Rebuild from :meth:`state_dict` output.
-
-        The predictor must already be restored (the plane restores it
-        first), so the predictive strategy can be re-created here when
-        the checkpointed mode needs one.
-        """
-        self.machines = int(doc["machines"])
-        self.mode = str(doc.get("mode", "warmup"))
-        self.violations = int(doc.get("violations", 0))
-        self.moves_started = int(doc.get("moves_started", 0))
-        self.emergencies = int(doc.get("emergencies", 0))
-        self.trigger_fires = int(doc.get("trigger_fires", 0))
-        self.trigger_recoveries = int(doc.get("trigger_recoveries", 0))
-        self.intervals_seen = int(doc.get("intervals_seen", 0))
-        self.last_decision_reason = str(doc.get("last_decision_reason", ""))
-        self._fa_record_id = doc.get("fa_record_id")
-        self._reactive.reset(self.machines)
-        self._reactive._below_streak = int(doc.get("reactive_below_streak", 0))
-        self._ensure_strategy()
-        migration_doc = doc.get("migration")
-        if migration_doc is not None:
-            self._move = Reconfiguration.from_state_dict(
-                migration_doc, self.config, self._telemetry
+    def _revive(self, attr: str) -> Persisted:
+        if attr == "_move":
+            # Placeholder endpoints and rate: the restore overwrites
+            # them and rebuilds the schedule from the checkpointed ones.
+            return Reconfiguration(
+                self.config, 1, 2, self.config.migration_rate_kbps,
+                self._telemetry,
             )
-            if self._strategy is not None:
-                self._strategy.notify_move_started(self._move.after)
-        # Strategy counters go last: the move-started notification above
-        # zeroes the scale-in streak, and the checkpointed values are the
-        # post-notification ones.
-        strategy_doc = doc.get("strategy")
-        if strategy_doc is not None:
-            if self._strategy is None:
-                raise SimulationError(
-                    "checkpoint carries predictive-strategy state but the "
-                    "restored predictor is not fitted"
-                )
-            inner = self._strategy.controller
-            inner._scale_in_streak = int(strategy_doc.get("scale_in_streak", 0))
-            inner._last_snapshot_id = strategy_doc.get("last_snapshot_id")
+        # The predictor must already be restored (the plane restores it
+        # first), so the predictive strategy can be created here.
+        self._ensure_strategy()
+        if self._strategy is None:
+            raise SimulationError(
+                "checkpoint carries predictive-strategy state but the "
+                "restored predictor is not fitted"
+            )
+        return self._strategy
 
     # ------------------------------------------------------------------
     # Shutdown

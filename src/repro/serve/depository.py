@@ -30,7 +30,7 @@ watermark is the first live entry, the fastest clock is a running
 maximum (its holder is never stale, so it never has to fall), and the
 eviction sweep pops the heap below the horizon instead of scanning the
 clock map.  The heap is derived state: it is not checkpointed, and
-``restore_state`` rebuilds it from the clocks.
+``_rebuild`` derives it from the restored clocks.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..hstore.monitor import LoadMonitor
+from ..persist import Persisted
 from ..telemetry import get_telemetry
 from .ingest import LoadReport
 
 
-class Depository:
+class Depository(Persisted):
     """Aggregates :class:`LoadReport` streams into monitor intervals."""
 
     def __init__(
@@ -248,68 +249,21 @@ class Depository:
     # Checkpointing (``pstore serve --resume``)
     # ------------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of buffer, clocks, and counters."""
-        return {
-            "interval_seconds": self._interval,
-            "buffer": [
-                [slot, count] for slot, count in sorted(self._buffer.items())
-            ],
-            # [nodes, clocks] in registration order, not a mapping: the
-            # checkpoint is written with sorted keys, and registration
-            # order decides the order one sweep's evictions are
-            # chronicled in.
-            "clocks": [list(self._clocks), list(self._clocks.values())],
-            "evicted": dict(self._evicted),
-            "evicted_clocks": dict(self._evicted_clocks),
-            "released": self._released,
-            "reports_ingested": self.reports_ingested,
-            "late_reports": self.late_reports,
-            "duplicate_reports": self.duplicate_reports,
-            "evictions": self.evictions,
-            "late_by_node": dict(self.late_by_node),
-        }
+    PERSIST_MATCH = ("_interval",)
+    #: ``_clocks`` keeps its insertion order through the checkpoint: it
+    #: is the registration order, which decides the order one sweep's
+    #: evictions are chronicled in.
+    PERSIST = (
+        "_buffer", "_clocks", "_evicted", "_evicted_clocks", "_released",
+        "reports_ingested", "late_reports", "duplicate_reports", "evictions",
+        "late_by_node",
+    )
 
-    def restore_state(self, doc: dict) -> None:
-        """Rebuild from :meth:`state_dict` output.
-
-        Also arms duplicate suppression: every node's checkpointed clock
-        — an evicted node's last one included — becomes its *resume
-        clock*, and replayed reports at or below it are dropped as
-        duplicates (reports are assumed monotone per node, which every
-        source in this package satisfies).
-        """
-        if float(doc["interval_seconds"]) != self._interval:
-            raise SimulationError(
-                f"checkpointed interval {doc['interval_seconds']}s does not "
-                f"match the configured {self._interval}s"
-            )
-        self._buffer = {
-            int(slot): float(count) for slot, count in doc.get("buffer", [])
-        }
-        clocks = doc.get("clocks", {})
-        if isinstance(clocks, dict):
-            # A checkpoint from before the two lists: alphabetical order
-            # is all that survived, and all there is to restore.
-            clocks = (clocks.keys(), clocks.values())
-        self._clocks = {
-            str(node): float(clock) for node, clock in zip(*clocks)
-        }
-        self._evicted = {
-            str(node): rec_id for node, rec_id in doc.get("evicted", {}).items()
-        }
-        self._released = int(doc["released"])
-        self.reports_ingested = int(doc.get("reports_ingested", 0))
-        self.late_reports = int(doc.get("late_reports", 0))
-        self.duplicate_reports = int(doc.get("duplicate_reports", 0))
-        self.evictions = int(doc.get("evictions", 0))
-        self.late_by_node = {
-            str(node): int(count)
-            for node, count in doc.get("late_by_node", {}).items()
-        }
-        self._evicted_clocks = {
-            str(node): float(clock)
-            for node, clock in doc.get("evicted_clocks", {}).items()
-        }
+    def _rebuild(self) -> None:
+        """Arm duplicate suppression and rebuild the heap: every node's
+        restored clock — an evicted node's last one included — becomes
+        its *resume clock*, and replayed reports at or below it are
+        dropped as duplicates (reports are assumed monotone per node,
+        which every source in this package satisfies)."""
         self._resume_clocks = {**self._evicted_clocks, **self._clocks}
         self._rebuild_heap()

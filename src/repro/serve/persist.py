@@ -7,8 +7,10 @@ A checkpoint directory holds two files:
     writes only the records added since the previous save, so the cost
     per interval stays O(new records), not O(run length);
 ``checkpoint.json``
-    everything else (depository, predictor, accuracy windows, monitor,
-    controller, migration position), written atomically via
+    everything else — the control plane's :mod:`repro.persist` document
+    (accuracy windows, predictor, monitor, depository, controller and
+    its in-flight move, each ``{"v": n, ...fields}``) — written
+    atomically via
     write-to-temp + ``os.replace``, and carrying ``chronicle_rows``:
     how many chronicle rows were durable when the snapshot was taken.
 
@@ -27,12 +29,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import SimulationError
-
-#: Version tag inside every ``checkpoint.json``.
-CHECKPOINT_SCHEMA = "pstore.serve-checkpoint/v1"
+from ..persist import SCHEMA as CHECKPOINT_SCHEMA, current
 
 CHECKPOINT_FILE = "checkpoint.json"
 CHRONICLE_FILE = "chronicle.jsonl"
@@ -50,10 +50,6 @@ class CheckpointStore:
         #: the last snapshot, once one has been written).
         self._appended = 0
         self.saves = 0
-
-    @property
-    def exists(self) -> bool:
-        return self.checkpoint_path.exists()
 
     # ------------------------------------------------------------------
     # Saving
@@ -105,13 +101,13 @@ class CheckpointStore:
             raise SimulationError(
                 f"corrupt checkpoint {self.checkpoint_path}: {exc}"
             ) from None
-        schema = doc.get("schema")
-        if schema != CHECKPOINT_SCHEMA:
+        try:
+            doc = current(doc)          # the schema gate; upgrades v1
+            rows = int(doc.get("chronicle_rows", 0))
+        except (SimulationError, TypeError, ValueError) as exc:
             raise SimulationError(
-                f"checkpoint schema {schema!r} is not the supported "
-                f"{CHECKPOINT_SCHEMA!r}"
-            )
-        rows = int(doc.get("chronicle_rows", 0))
+                f"checkpoint {self.checkpoint_path}: {exc}"
+            ) from None
         records = self._read_chronicle(rows)
         self._appended = len(records)
         return doc, records
@@ -157,13 +153,3 @@ class CheckpointStore:
                     handle.write(json.dumps(rec, sort_keys=True) + "\n")
             os.replace(tmp, self.chronicle_path)
         return usable
-
-
-def peek_schema(directory) -> Optional[str]:
-    """Schema string of the checkpoint in ``directory`` (None if absent
-    or unreadable) — used by the CLI for friendlier error messages."""
-    path = pathlib.Path(directory) / CHECKPOINT_FILE
-    try:
-        return json.loads(path.read_text(encoding="utf-8")).get("schema")
-    except (OSError, json.JSONDecodeError):
-        return None

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config import PStoreConfig
-from ..errors import SimulationError
+from ..errors import PStoreError, SimulationError
+from ..persist import Persisted
 from ..telemetry import export_run, get_telemetry
 from .controller import ErrorTrigger, OnlineController
 from .depository import Depository
@@ -70,7 +71,7 @@ class ServeOptions:
     node_timeout: int = 0
 
 
-class ControlPlane:
+class ControlPlane(Persisted):
     """Wires a report source to the online controller and runs forever
     (or until the source drains / a signal arrives)."""
 
@@ -153,7 +154,7 @@ class ControlPlane:
 
     def plan_view(self) -> dict:
         strategy = self.controller._strategy
-        doc = {
+        view = {
             "mode": self.controller.mode,
             "machines": self.controller.machines,
             "last_decision": self.controller.last_decision_reason,
@@ -162,7 +163,7 @@ class ControlPlane:
         if strategy is not None:
             schedule = strategy.controller.last_schedule
             if schedule is not None:
-                doc["schedule"] = [
+                view["schedule"] = [
                     {
                         "start": move.start,
                         "end": move.end,
@@ -171,24 +172,35 @@ class ControlPlane:
                     }
                     for move in schedule.moves
                 ]
-        return doc
+        return view
 
     def status_line(self) -> str:
-        doc = self.status()
-        stats = doc.get("error_stats") or {}
+        now = self.status()
+        stats = now.get("error_stats") or {}
         mape = stats.get("mape_pct")
         mape_text = f"{mape:.1f}%" if mape is not None else "-"
         return (
-            f"t={doc['sim_time']:>9,.0f}s slots={doc['intervals']:>5} "
-            f"machines={doc['machines']} mode={doc['mode']:<10} "
+            f"t={now['sim_time']:>9,.0f}s slots={now['intervals']:>5} "
+            f"machines={now['machines']} mode={now['mode']:<10} "
             f"mape[{'t' + str(self.controller.trigger.tau) if self.controller.trigger else 't1'}]={mape_text:<7} "
-            f"viol={doc['violations']} moves={doc['moves_started']} "
-            f"trigger={doc['trigger_fires']}"
+            f"viol={now['violations']} moves={now['moves_started']} "
+            f"trigger={now['trigger_fires']}"
         )
 
     # ------------------------------------------------------------------
     # Checkpointing (``pstore serve --checkpoint / --resume``)
     # ------------------------------------------------------------------
+
+    PERSIST_MATCH = ("config.interval_seconds",)
+    #: The checkpoint document, in restore order: the accuracy windows
+    #: and the predictor first (the controller's strategy needs a fitted
+    #: model), then the monitor and the depository, then the controller
+    #: (which replays any in-flight migration).  The chronicle is not in
+    #: the document; it comes back from its own durable log.
+    PERSIST = (
+        "_processed", "_telemetry.accuracy", "controller.predictor",
+        "depository.monitor", "depository", "controller",
+    )
 
     def checkpoint(self) -> dict:
         """Persist the full plane state; returns a small receipt dict.
@@ -202,21 +214,9 @@ class ControlPlane:
                 "checkpointing is not enabled (set checkpoint_dir)"
             )
         tel = self._telemetry
-        predictor = self.controller.predictor
-        state = {
-            "interval_seconds": self.config.interval_seconds,
-            "processed": self._processed,
-            "chronicle_seq": tel.chronicle.seq if tel.enabled else 0,
-            "monitor": self.depository.monitor.state_dict(),
-            "depository": self.depository.state_dict(),
-            # Every protocol predictor checkpoints; OnlinePredictor adds
-            # its stream state on top of the base model's fit window.
-            "predictor": predictor.state_dict(),
-            "accuracy": tel.accuracy.state_dict(),
-            "controller": self.controller.state_dict(),
-        }
-        records = list(tel.chronicle.records) if tel.enabled else []
-        store.save(state, records)
+        store.save(
+            self.state_dict(), tel.chronicle.records if tel.enabled else []
+        )
         return {
             "saved": True,
             "directory": str(store.directory),
@@ -225,35 +225,20 @@ class ControlPlane:
         }
 
     def _restore(self) -> None:
-        """Reconstruct mid-stream state from the checkpoint directory.
-
-        Restore order matters: the chronicle first (so every other
-        component's restored record IDs resolve), then the accuracy
-        windows and predictor (the controller's strategy needs a fitted
-        model), then the depository/monitor, then the controller (which
-        replays any in-flight migration), and finally the dispatch
-        cursor.
-        """
-        doc, records = self.checkpoints.load()
-        if float(doc["interval_seconds"]) != self.config.interval_seconds:
-            raise SimulationError(
-                f"checkpointed interval {doc['interval_seconds']}s does not "
-                f"match the configured {self.config.interval_seconds}s"
-            )
+        """Reconstruct mid-stream state from the checkpoint directory:
+        the chronicle first (so every other component's restored record
+        IDs resolve), then the document."""
+        store = self.checkpoints
+        doc, records = store.load()
         tel = self._telemetry
-        if tel.enabled:
-            tel.chronicle.restore(records, seq=doc.get("chronicle_seq"))
-        tel.accuracy.restore_state(doc.get("accuracy") or {})
-        predictor_doc = doc.get("predictor")
-        predictor = self.controller.predictor
-        if predictor_doc is not None:
-            # restore_state validates the checkpointed predictor type
-            # itself (OnlinePredictor additionally checks its base).
-            predictor.restore_state(predictor_doc)
-        self.depository.monitor.restore_state(doc["monitor"])
-        self.depository.restore_state(doc["depository"])
-        self.controller.restore_state(doc["controller"])
-        self._processed = int(doc["processed"])
+        try:
+            if tel.enabled:
+                tel.chronicle.restore(records)
+            self.restore_state(doc)
+        except PStoreError as exc:
+            raise SimulationError(
+                f"cannot resume from {store.checkpoint_path}: {exc}"
+            ) from None
         self.resumed = True
         if tel.enabled:
             tel.chronicle.record(

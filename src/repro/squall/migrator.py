@@ -41,6 +41,7 @@ from ..config import (
 from ..errors import MigrationError
 from ..faults.retry import RetryPolicy
 from ..hstore.cluster import Cluster
+from ..persist import Persisted
 from ..telemetry import get_telemetry
 from .plan import BucketMove, make_reconfiguration_plan
 from .schedule import MigrationSchedule, Transfer, build_migration_schedule
@@ -288,7 +289,7 @@ class TransferRecovery:
 _DURATION_BOUNDS = tuple(float(2 ** i) for i in range(24))
 
 
-class Reconfiguration:
+class Reconfiguration(Persisted):
     """One move from ``before`` to ``after`` machines and its lifecycle:
     built -> :meth:`start` -> advanced -> :meth:`complete` | :meth:`abort`.
 
@@ -325,14 +326,14 @@ class Reconfiguration:
         #: completion; empty where the loop has no physical nodes).
         self.added_nodes = list(added_nodes)
         self.retiring_nodes = list(retiring_nodes)
-        self.migration = ActiveMigration(
-            schedule=build_migration_schedule(before, after),
+        #: What ``migration`` is built from besides endpoints and rate.
+        self._build = dict(
             database_kb=config.database_kb if database_kb is None else database_kb,
-            rate_kbps=rate_kbps,
             partitions_per_node=config.partitions_per_node,
             chunk_kb=chunk_kb,
             node_map=node_map,
         )
+        self._half_slot = config.interval_seconds / 2.0
         self._telemetry = telemetry
         self.started_at = 0.0
         #: Whether an emergency decision started the move; the batch
@@ -353,6 +354,7 @@ class Reconfiguration:
         self.resend_seconds = 0.0
         #: Corrupted rounds held back until re-sent, with their faults.
         self._held: List[Tuple[Tuple[Transfer, ...], object]] = []
+        self._rebuild()     # builds ``migration``
 
     @classmethod
     def decided(
@@ -529,36 +531,24 @@ class Reconfiguration:
     # Checkpointing
     # ------------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """The move as its *inputs* (endpoints, rate, applied half-steps)
-        rather than its float fractions: :meth:`from_state_dict` rebuilds
-        the schedule and replays the same ``advance`` sequence, which
-        reproduces the fluid trajectory bit-exactly because round commits
-        rebuild from snapshots (see :class:`ActiveMigration`)."""
-        return {
-            "before": self.before,
-            "target": self.after,
-            "started": self.started_at,
-            "rate_kbps": self.rate_kbps,
-            "half_steps": self.half_steps,
-            "move_rec_id": self.record_id,
-        }
+    #: The move as its *inputs*, not its float fractions.
+    PERSIST = (
+        "before", "after", "rate_kbps", "started_at", "half_steps", "record_id",
+    )
 
-    @classmethod
-    def from_state_dict(
-        cls, doc: dict, config: PStoreConfig, telemetry
-    ) -> "Reconfiguration":
-        move = cls(
-            config, int(doc["before"]), int(doc["target"]),
-            float(doc["rate_kbps"]), telemetry,
+    def _rebuild(self) -> None:
+        """``migration`` is derived state: build the schedule from the
+        endpoints and the rate, then replay the ``advance`` sequence
+        :meth:`step_slot` applied — which reproduces the fluid
+        trajectory bit-exactly, because round commits rebuild from
+        snapshots (see :class:`ActiveMigration`)."""
+        self.migration = ActiveMigration(
+            schedule=build_migration_schedule(self.before, self.after),
+            rate_kbps=self.rate_kbps,
+            **self._build,
         )
-        move.started_at = float(doc["started"])
-        move.record_id = doc.get("move_rec_id")
-        half = config.interval_seconds / 2.0
-        move.half_steps = int(doc.get("half_steps", 0))
-        for _ in range(move.half_steps):
-            move.migration.advance(half)
-        return move
+        for _ in range(self.half_steps):
+            self.migration.advance(self._half_slot)
 
 
 class ClusterMigrator:

@@ -33,6 +33,8 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..persist import Persisted
+
 #: Default rolling-window size per (predictor, tau): one day of
 #: 5-minute intervals.
 DEFAULT_WINDOW = 288
@@ -43,7 +45,7 @@ ERROR_PCT_BOUNDS = tuple(0.1 * (10 ** 0.25) ** i for i in range(17))
 _PairWindow = Deque[Tuple[float, Optional[float], float]]
 
 
-class AccuracyTracker:
+class AccuracyTracker(Persisted):
     """Rolling (predicted, observed) windows per predictor and tau."""
 
     enabled = True
@@ -228,59 +230,20 @@ class AccuracyTracker:
     # Checkpointing (``pstore serve --resume``)
     # ------------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of every rolling window and all
-        still-pending forecasts (no metrics state — gauges repopulate on
-        the first harvested pair after a restore)."""
-        return {
-            "window": self.window,
-            "q": self._q,
-            "dropped": self._dropped,
-            "pending": [
-                {"target": target, "entries": [dict(e) for e in entries]}
-                for target, entries in sorted(self._pending.items())
-            ],
-            "windows": [
-                {
-                    "predictor": key[0],
-                    "tau": key[1],
-                    "pairs": [list(pair) for pair in self._windows[key]],
-                    "pairs_total": self._pairs_total.get(key, 0),
-                    "over": self._over_cost.get(key, 0),
-                    "under": self._under_cost.get(key, 0),
-                }
-                for key in sorted(self._windows)
-            ],
-        }
+    #: Every rolling window and all still-pending forecasts (no metrics
+    #: state — gauges repopulate on the first harvested pair after a
+    #: restore).
+    PERSIST = (
+        "window", "_q", "_dropped", "_pending", "_windows", "_pairs_total",
+        "_over_cost", "_under_cost",
+    )
 
-    def restore_state(self, doc: dict) -> None:
-        """Rebuild the tracker from :meth:`state_dict` output."""
-        self.window = int(doc.get("window", self.window))
-        self._q = doc.get("q")
-        self._dropped = int(doc.get("dropped", 0))
-        self._pending = {
-            int(row["target"]): [dict(e) for e in row["entries"]]
-            for row in doc.get("pending", [])
+    def _rebuild(self) -> None:
+        """The windows come back as plain lists of lists."""
+        self._windows = {
+            key: deque(map(tuple, pairs), maxlen=self.window)
+            for key, pairs in self._windows.items()
         }
-        self._windows = {}
-        self._pairs_total = {}
-        self._over_cost = {}
-        self._under_cost = {}
-        for row in doc.get("windows", []):
-            key = (str(row["predictor"]), int(row["tau"]))
-            window: _PairWindow = deque(maxlen=self.window)
-            for predicted, inflated, actual in row["pairs"]:
-                window.append(
-                    (
-                        float(predicted),
-                        None if inflated is None else float(inflated),
-                        float(actual),
-                    )
-                )
-            self._windows[key] = window
-            self._pairs_total[key] = int(row.get("pairs_total", len(window)))
-            self._over_cost[key] = int(row.get("over", 0))
-            self._under_cost[key] = int(row.get("under", 0))
 
     @property
     def pairs_dropped(self) -> int:
@@ -310,8 +273,9 @@ class AccuracyTracker:
         return rows
 
 
-class NullAccuracyTracker:
-    """Tracker that drops everything; shared by disabled telemetry."""
+class NullAccuracyTracker(Persisted):
+    """Tracker that drops everything; shared by disabled telemetry (and
+    checkpointed as a component with no fields)."""
 
     enabled = False
     window = 0
@@ -334,12 +298,6 @@ class NullAccuracyTracker:
 
     def snapshot(self) -> List[dict]:
         return []
-
-    def state_dict(self) -> dict:
-        return {}
-
-    def restore_state(self, doc: dict) -> None:
-        pass
 
 
 NULL_ACCURACY = NullAccuracyTracker()

@@ -11,6 +11,7 @@ observable must agree after every step.
 """
 
 import json
+import pathlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from repro.telemetry import MetricsRegistry, Telemetry
 
 INTERVAL = 60.0
 NODES = ["a", "b", "c", "d", "e"]
+V1_FIXTURE = pathlib.Path(__file__).parent / "data" / "serve-checkpoint-v1"
 
 
 class ScanDepository(Depository):
@@ -301,15 +303,19 @@ class TestResumeConverges:
         assert _run_stream(reports, cut=4) == straight
 
     def test_checkpoint_with_a_clock_mapping_still_loads(self):
-        dep = Depository(INTERVAL, node_timeout_intervals=3)
-        for report in (_report("b", 10.0), _report("a", 20.0)):
-            dep.add(report)
-        doc = dep.state_dict()
-        doc["clocks"] = dict(zip(*doc["clocks"]))    # the mapping v1 wrote
-        del doc["evicted_clocks"]
+        """The oldest v1 shape — ``clocks`` a mapping, no
+        ``evicted_clocks`` — goes through the one upgrade function."""
+        from repro.persist import upgrade_v1
+
+        doc = json.loads((V1_FIXTURE / "checkpoint.json").read_text())
+        doc["depository"]["interval_seconds"] = INTERVAL
+        doc["depository"]["clocks"] = {"b": 10.0, "a": 20.0}
+        del doc["depository"]["evicted_clocks"]
+        doc = json.loads(json.dumps(doc, sort_keys=True))
         old = Depository(INTERVAL, node_timeout_intervals=3)
-        old.restore_state(json.loads(json.dumps(doc, sort_keys=True)))
+        old.restore_state(upgrade_v1(doc)["depository"])
         assert old._clocks == {"a": 20.0, "b": 10.0}
+        assert old._resume_clocks == old._clocks
         assert old.watermark == 10.0
 
     @given(

@@ -5,7 +5,11 @@ commit, so a refactor that moves every ``result_hash`` the same way
 passes.  The digests in ``golden_runs.json`` were recorded before the
 reconfiguration-lifecycle refactor (PR 14) on unmodified parent code;
 each scenario below is LAPACK-free (no SPAR/AR solves), so the digests
-depend only on the numpy ``major.minor`` stored next to them.
+depend only on the numpy ``major.minor`` stored next to them.  Two of
+them pin the checkpoint *format*, not behaviour — ``checkpoint_schema``
+and ``controller_doc`` — and were re-recorded when PR 16 moved the
+document to ``pstore.serve-checkpoint/v2``; that re-record changed
+those two lines of the file and no other.
 
 Re-record (only when a change is *meant* to move behaviour)::
 
@@ -342,7 +346,7 @@ def test_scenarios_cover_the_lifecycle(golden):
         assert golden[name]["completed"] >= 1, name
         assert golden[name]["aborted"] >= 1, name
     assert golden["serve_replay"]["checkpoint_schema"] == (
-        "pstore.serve-checkpoint/v1"
+        "pstore.serve-checkpoint/v2"
     )
 
 

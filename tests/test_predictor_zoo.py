@@ -184,3 +184,50 @@ class TestCheckpointRoundTrip:
             online.predict_horizon(series, 4),
             fresh.predict_horizon(series, 4),
         )
+
+
+#: Ten days of hourly slots, the regime edges an evolving workload
+#: produces: nothing, no variation, and one flash event.
+DEGENERATE = {
+    "all-zero": np.zeros(10 * PERIOD),
+    "constant": np.full(10 * PERIOD, 1250.0),
+    "spike-at-end": np.r_[np.zeros(10 * PERIOD - 1), 1e6],
+    "spike-mid-series": np.r_[
+        np.zeros(5 * PERIOD), 1e6, np.zeros(5 * PERIOD - 1)
+    ],
+}
+
+
+class TestDegenerateSeries:
+    """A refit inside ``pstore serve`` sees whatever the monitor
+    measured.  A degenerate window must fit (and forecast something
+    finite), and an unusable one must raise ``PredictionError`` — the
+    one error the serve loop turns into a reactive fallback — never a
+    bare ``LinAlgError`` / ``ValueError`` out of the numerics."""
+
+    @pytest.mark.parametrize("shape", sorted(DEGENERATE))
+    @pytest.mark.parametrize("name", ALL)
+    def test_fits_and_forecasts_finite(self, name, shape):
+        values = DEGENERATE[shape]
+        forecast = make_fitted(name, values).predict_horizon(values, 6)
+        assert forecast.shape == (6,)
+        assert np.all(np.isfinite(forecast))
+        assert np.all(forecast >= 0.0)
+
+    @pytest.mark.parametrize(
+        "bad", ([], [1.0, float("nan")] * (5 * PERIOD), [1.0, float("inf")]),
+        ids=("empty", "nan", "inf"),
+    )
+    @pytest.mark.parametrize("name", ALL)
+    def test_unusable_input_is_a_prediction_error(self, name, bad):
+        with pytest.raises(PredictionError):
+            make_fitted(name, bad)
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_too_short_is_a_prediction_error_or_works(self, name):
+        short = [1250.0, 1300.0]
+        try:
+            forecast = make_fitted(name, short).predict_horizon(short, 2)
+        except PredictionError:
+            return
+        assert np.all(np.isfinite(forecast))

@@ -64,7 +64,9 @@ class TestCheckpointReplay:
         second_tel.chronicle.restore(
             first_tel.chronicle.snapshot(), seq=first_tel.chronicle.seq
         )
-        second = Reconfiguration.from_state_dict(doc, config, second_tel)
+        # Endpoints and rate are placeholders the restore overwrites.
+        second = Reconfiguration(config, 1, 2, 1.0, second_tel)
+        second.restore_state(doc)
 
         def same():
             a, b = first.migration, second.migration

@@ -10,8 +10,12 @@ crash model (stop without drain) leaves exactly the on-disk state a real
 closes and the post-stop rollback is never persisted.
 """
 
-import asyncio
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -134,7 +138,7 @@ class TestComponentStateRoundTrips:
         first = OnlinePredictor(SeasonalNaivePredictor(2), refit_every=4)
         first.observe_many([1.0, 2.0] * 4)
         other = OnlinePredictor(LastValuePredictor(), refit_every=4)
-        with pytest.raises(PredictionError, match="base predictor"):
+        with pytest.raises(PredictionError, match="base_type.*does not match"):
             other.restore_state(first.state_dict())
 
     def test_accuracy_tracker_restores_windows_and_pending(self):
@@ -335,8 +339,10 @@ class TestResumeErrors:
         from repro.telemetry.runtime import NullTelemetry
 
         store = CheckpointStore(tmp_path)
-        store.save({"interval_seconds": 300.0, "processed": 0}, [])
-        with pytest.raises(SimulationError, match="does not.*match|match"):
+        store.save({"v": 1, "interval_seconds": 300.0, "processed": 0}, [])
+        with pytest.raises(
+            SimulationError, match="interval_seconds.*does not match"
+        ):
             ControlPlane(
                 default_config().with_interval(600.0),
                 LastValuePredictor().fit([1.0]),
@@ -346,3 +352,154 @@ class TestResumeErrors:
                 ),
                 telemetry=NullTelemetry(),
             )
+
+
+# ----------------------------------------------------------------------
+# A checkpoint the parent commit wrote (pstore.serve-checkpoint/v1)
+# ----------------------------------------------------------------------
+
+V1_FIXTURE = pathlib.Path(__file__).parent / "data" / "serve-checkpoint-v1"
+
+
+class TestParentWrittenCheckpoint:
+    def test_v1_fixture_resumes_and_converges(self, resume_runs, tmp_path):
+        """The directory under ``tests/data`` was cut by the PR 15 code
+        at report 100 of the drift scenario, a move in flight (recipe in
+        its README).  Resuming it must land where the uninterrupted run
+        does, and the next save rewrites it as v2."""
+        from repro.experiments.serve import SERVE_DAYS, _run_plane
+
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(V1_FIXTURE, ckpt)   # load trims the log in place
+        before = json.loads((ckpt / "checkpoint.json").read_text())
+        assert before["schema"] == "pstore.serve-checkpoint/v1"
+        assert before["controller"]["migration"] is not None
+
+        resumed, merged = _run_plane(
+            SERVE_SEED, SERVE_TRIGGER, None, SERVE_DAYS,
+            checkpoint_dir=str(ckpt), resume=True,
+        )
+        baseline = resume_runs["baseline"]
+        assert resumed["resumed"] is True
+        for field in ("intervals", "violations", "moves_started",
+                      "emergencies", "trigger_fires", "trigger_recoveries",
+                      "steady_machines", "mode", "watermark", "reports"):
+            assert resumed[field] == baseline[field], field
+        assert chronicle_projection(merged) == chronicle_projection(
+            resume_runs["baseline_chronicle"]
+        )
+        after = json.loads((ckpt / "checkpoint.json").read_text())
+        assert after["schema"] == CHECKPOINT_SCHEMA
+
+
+# ----------------------------------------------------------------------
+# The gate, from the command line: one line, no traceback, nothing touched
+# ----------------------------------------------------------------------
+
+SERVE_ARGS = [
+    "--source", "replay:b2w", "--days", "1", "--train-days", "1",
+    "--slot-seconds", "3600", "--speed", "0", "--predictor", "ar",
+    "--out", "none", "--status-every", "0", "--quiet",
+]
+
+
+def _pstore(*args):
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def good_checkpoint(tmp_path_factory):
+    """A v2 checkpoint directory written by ``pstore serve`` itself."""
+    ckpt = tmp_path_factory.mktemp("cli") / "ckpt"
+    done = _pstore("serve", *SERVE_ARGS, "--checkpoint", str(ckpt))
+    assert done.returncode == 0, done.stderr
+    return ckpt
+
+
+def _edit(mutate):
+    def apply(ckpt):
+        path = ckpt / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc, sort_keys=True))
+    return apply
+
+
+def _truncate(ckpt):
+    path = ckpt / "checkpoint.json"
+    path.write_text(path.read_text()[:200])
+
+
+def _drop_chronicle_rows(ckpt):
+    path = ckpt / "chronicle.jsonl"
+    path.write_text("".join(path.read_text().splitlines(True)[:5]))
+
+
+#: damage -> what the one error line must name besides the file.
+REJECTED = {
+    "truncated": (_truncate, "corrupt checkpoint"),
+    "not-json": (
+        lambda ckpt: (ckpt / "checkpoint.json").write_text("PK\x03\x04"),
+        "corrupt checkpoint",
+    ),
+    "unknown-schema": (
+        _edit(lambda doc: doc.update(schema="pstore.serve-checkpoint/v9")),
+        "schema 'pstore.serve-checkpoint/v9'",
+    ),
+    "version-from-the-future": (
+        _edit(lambda doc: doc["depository"].update(v=2)),
+        "depository.v: version 2",
+    ),
+    "missing-component": (
+        _edit(lambda doc: doc.pop("monitor")), "monitor: missing",
+    ),
+    "ill-typed-field": (
+        _edit(lambda doc: doc["monitor"].update(closed="x")),
+        "monitor.closed: expected int",
+    ),
+    "missing-nested-field": (
+        _edit(lambda doc: doc["controller"]["reactive"].pop("below_streak")),
+        "controller.reactive.below_streak: missing",
+    ),
+    "other-predictor": (
+        _edit(lambda doc: doc["predictor"].update(base_type="SparPredictor")),
+        "predictor.base_type: checkpointed 'SparPredictor'",
+    ),
+    "short-chronicle": (_drop_chronicle_rows, "chronicle rows but only 5"),
+}
+
+
+class TestResumeRejectionsAtTheCommandLine:
+    def test_the_good_checkpoint_does_resume(self, good_checkpoint, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(good_checkpoint, ckpt)
+        done = _pstore("serve", *SERVE_ARGS, "--resume", str(ckpt))
+        assert done.returncode == 0, done.stderr
+        assert "served 24 intervals" in done.stdout
+
+    @pytest.mark.parametrize("damage", sorted(REJECTED))
+    def test_rejected_with_one_line(self, good_checkpoint, tmp_path, damage):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(good_checkpoint, ckpt)
+        mutate, names = REJECTED[damage]
+        mutate(ckpt)
+        before = {p.name: p.read_bytes() for p in sorted(ckpt.iterdir())}
+
+        done = _pstore("serve", *SERVE_ARGS, "--resume", str(ckpt))
+
+        assert done.returncode == 1
+        assert done.stdout == ""
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1, done.stderr           # no traceback
+        assert lines[0].startswith("error: ")
+        assert str(ckpt) in lines[0] and names in lines[0], lines[0]
+        after = {p.name: p.read_bytes() for p in sorted(ckpt.iterdir())}
+        assert after == before
