@@ -12,8 +12,11 @@ replaying its half-steps).
 The document is ``pstore.serve-checkpoint/v2``: a component is ``{"v":
 n, field: value, ...}``, components nest (the plane's document holds the
 controller's, which holds the move's), and a field's key is its
-attribute name less the leading underscore.  A leaf module like
-``decision.py``: it imports only ``errors.py``.
+attribute name less the leading underscore.  :func:`delta` and
+:func:`patch` say what changed between two such documents and apply it,
+so the store can journal an interval instead of rewriting the whole; they
+walk the shapes the codec produces and know no component.  A leaf module
+like ``decision.py``: it imports only ``errors.py``.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ def encode(value):
     list; a dict becomes ``{"keys": [...], "values": [...]}`` so that
     insertion order and non-string keys survive the store's
     ``sort_keys=True``.  Flat containers, and rows of scalars, are
-    copied and checked by C-level calls, not walked in Python (1 024
-    node clocks are 96 kB of every snapshot).
+    copied and checked by C-level calls, not walked in Python (at 1 024
+    nodes the clocks are 16 kB of the document and one predictor's fit
+    series 79 kB).  Nothing returned is shared with the live object:
+    the store keeps the document to take the next one's difference from.
     """
     kind = type(value)
     if kind in _SCALARS:
@@ -83,6 +88,95 @@ def decode(value):
             (tuple(k) if type(k) is list else k for k in keys), values
         ))
     return value
+
+
+_CONTAINERS = frozenset((list, tuple, dict))
+_CODEC_KEYS = frozenset(("keys", "values"))
+
+
+def delta(old, new) -> list:
+    """The ops that turn the encoded document ``old`` into ``new``: the
+    fields that changed, and no more.
+
+    An op is ``{"path": [...], "set": value}`` or ``{"path": [...],
+    "slide": [k, item]}`` — the list there lost ``k`` leading items and
+    gained ``item`` at the end, which is how every sliding window and
+    growing series moves between two intervals.  Components are entered
+    by key; an encoded dict by the index of each value that is itself a
+    container, as long as its keys are the same ones; what changed in
+    any other way is set whole.  Containers are compared with ``==``,
+    which C code runs over the codec's flat lists, so a value that
+    changed only from ``1`` to ``1.0`` inside a list is not a change.
+    """
+    ops: list = []
+    _delta(old, new, [], ops)
+    return ops
+
+
+def _delta(old, new, path: list, ops: list) -> None:
+    kind = type(new)
+    if kind is dict and type(old) is dict and old.keys() == new.keys():
+        if old.keys() != _CODEC_KEYS:
+            for key, value in new.items():
+                _delta(old[key], value, path + [key], ops)
+            return
+        was, now = old["values"], new["values"]
+        if (
+            old["keys"] == new["keys"] and type(was) is list
+            and type(now) is list and len(was) == len(now)
+        ):
+            if _CONTAINERS.isdisjoint(map(type, now)):
+                _delta(was, now, path + ["values"], ops)
+            else:
+                for index, pair in enumerate(zip(was, now)):
+                    _delta(*pair, path + ["values", index], ops)
+            return
+    elif old == new and type(old) is kind:
+        return
+    elif kind is list and type(old) is list and new:
+        drop = len(old) - len(new) + 1
+        if drop >= 0 and old[drop:] == new[:-1]:
+            ops.append({"path": path, "slide": [drop, new[-1]]})
+            return
+    ops.append({"path": path, "set": new})
+
+
+def patch(doc, ops):
+    """``doc`` with :func:`delta` ops applied in place (returned, since a
+    ``set`` at the empty path replaces it).  The ops come from a file:
+    a path that does not lead anywhere, or a slide longer than its list,
+    is a ``ValueError`` that says which."""
+    root = {"": doc}
+    for op in ops:
+        path = op["path"]
+        node, key = root, ""
+        for step in path:
+            node, key = _follow(node, key, path), step
+        target = _follow(node, key, path)
+        if "slide" in op:
+            drop, item = op["slide"]
+            if (
+                type(target) is not list or type(drop) is not int
+                or not 0 <= drop <= len(target)
+            ):
+                raise ValueError(
+                    f"slide of {drop!r} at {path}: no list that long there"
+                )
+            del target[:drop]
+            target.append(item)
+        else:
+            node[key] = op["set"]
+    return root[""]
+
+
+def _follow(node, key, path):
+    if type(node) is dict and type(key) is str and key in node:
+        return node[key]
+    if type(node) is list and type(key) is int and 0 <= key < len(node):
+        return node[key]
+    raise ValueError(
+        f"path {path} leads nowhere: {type(node).__name__} has no {key!r}"
+    )
 
 
 class Persisted:

@@ -19,10 +19,10 @@ architecture:
   falls back to reactive provisioning until the refit model recovers;
 * :mod:`repro.serve.server` — a zero-dependency asyncio HTTP endpoint
   (``/status``, ``/metrics``, ``/chronicle/tail``, ``/plan``);
-* :mod:`repro.serve.persist` — crash-safe checkpointing: atomic
-  snapshot + incremental chronicle log, restored by ``--resume`` so a
-  SIGKILL'd plane reconstructs mid-stream without double-closing
-  intervals;
+* :mod:`repro.serve.persist` — crash-safe checkpointing: an atomic
+  base snapshot, a journal of what changed per interval and an
+  incremental chronicle log, restored by ``--resume`` so a SIGKILL'd
+  plane reconstructs mid-stream without double-closing intervals;
 * :mod:`repro.serve.plane` — the event loop tying them together, with
   graceful SIGINT draining that flushes the full 5-artifact
   ``export_run`` so a killed service still yields an ``explain``-able
@@ -42,7 +42,7 @@ from .ingest import (
     parse_report_line,
     source_from_spec,
 )
-from .persist import CHECKPOINT_SCHEMA, CheckpointStore
+from .persist import CHECKPOINT_SCHEMA, CheckpointStore, read_checkpoint
 from .plane import ControlPlane, ServeOptions
 from .server import ControlPlaneServer
 
@@ -62,5 +62,6 @@ __all__ = [
     "TcpSource",
     "parse_error_trigger",
     "parse_report_line",
+    "read_checkpoint",
     "source_from_spec",
 ]

@@ -1,27 +1,43 @@
 """Crash-safe checkpointing for the serve control plane.
 
-A checkpoint directory holds two files:
+A checkpoint directory holds three files:
 
 ``chronicle.jsonl``
     the flight recorder's records, appended *incrementally* — each save
-    writes only the records added since the previous save, so the cost
-    per interval stays O(new records), not O(run length);
+    writes only the records added since the previous save;
 ``checkpoint.json``
-    everything else — the control plane's :mod:`repro.persist` document
-    (accuracy windows, predictor, monitor, depository, controller and
-    its in-flight move, each ``{"v": n, ...fields}``) — written
-    atomically via
-    write-to-temp + ``os.replace``, and carrying ``chronicle_rows``:
-    how many chronicle rows were durable when the snapshot was taken.
+    the *base*: a whole :mod:`repro.persist` document (accuracy windows,
+    predictor, monitor, depository, controller and its in-flight move,
+    each ``{"v": n, ...fields}``) as of save number ``seq``, written
+    atomically via write-to-temp + ``os.replace``;
+``checkpoint.delta.jsonl``
+    the *journal*: one line per save since the base, ``{"seq": n,
+    "chronicle_rows": r, "ops": [...]}``, whose ops
+    (:func:`repro.persist.delta`) are the fields that differ from the
+    save before.  A save costs what changed in the interval, not what
+    the plane holds.
 
-The ordering gives crash safety without fsync gymnastics: the chronicle
-append happens *before* the snapshot replace.  A crash between the two
-leaves ``chronicle.jsonl`` with rows the snapshot doesn't acknowledge;
-:meth:`CheckpointStore.load` trims the file back to exactly
-``chronicle_rows``, so the restored plane re-issues those records itself
-and never double-counts or forks IDs.  A crash *during* the snapshot
-replace is harmless because ``os.replace`` is atomic — the previous
-checkpoint survives intact.
+The checkpoint *document* is the base with the journal's rows applied in
+order; its ``chronicle_rows`` says how many chronicle rows were durable
+when it was taken.  :func:`read_checkpoint` returns it without touching
+the directory.  The base is rewritten, and the journal emptied, when one
+more row would make the journal more than half the base.  A resume
+parses journal bytes at the rate it parses the base (about 10 us/kB), so
+it reads at most one and a half documents; a save, amortised, writes
+three rows.  The first save of every process writes a base too: it has
+nothing to take a difference from.
+
+Crash safety is in the order of the writes, not in fsync gymnastics: the
+chronicle append, then the journal append (or the base replace, then the
+journal truncate).  A row counts once its line is complete and its
+``seq`` follows the row before it.  :meth:`CheckpointStore.load` applies
+the rows that are newer than the base, ignores a last line the crash
+tore and rows the base already holds (a crash between the replace and
+the truncate), and trims both logs back to what the document
+acknowledges, so the restored plane re-issues the lost records itself
+and never double-counts or forks IDs.  A crash *during* the base replace
+is harmless because ``os.replace`` is atomic — the previous base and its
+journal survive intact.
 """
 
 from __future__ import annotations
@@ -32,10 +48,74 @@ import pathlib
 from typing import List, Tuple
 
 from ..errors import SimulationError
-from ..persist import SCHEMA as CHECKPOINT_SCHEMA, current
+from ..persist import SCHEMA as CHECKPOINT_SCHEMA, current, delta, patch
 
 CHECKPOINT_FILE = "checkpoint.json"
+JOURNAL_FILE = "checkpoint.delta.jsonl"
 CHRONICLE_FILE = "chronicle.jsonl"
+
+
+def read_checkpoint(directory) -> dict:
+    """The checkpoint document of ``directory`` — the base with every
+    complete journal row applied, what a resume would restore — read
+    without trimming or rewriting anything there."""
+    directory = pathlib.Path(directory)
+    return _read(directory / CHECKPOINT_FILE, directory / JOURNAL_FILE)[0]
+
+
+def _read(checkpoint_path, journal_path) -> Tuple[dict, List[bytes], bool]:
+    """``(document, journal lines it took, whether the journal holds
+    anything else)``."""
+    if not checkpoint_path.exists():
+        raise SimulationError(
+            f"no checkpoint at {checkpoint_path} to resume from"
+        )
+    try:
+        doc = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+    except ValueError as exc:           # not JSON, or not UTF-8
+        raise SimulationError(
+            f"corrupt checkpoint {checkpoint_path}: {exc}"
+        ) from None
+    try:
+        doc = current(doc)              # the schema gate; upgrades v1
+        doc["chronicle_rows"] = int(doc.get("chronicle_rows", 0))
+        doc["seq"] = int(doc.get("seq", 0))
+    except (SimulationError, TypeError, ValueError) as exc:
+        raise SimulationError(
+            f"checkpoint {checkpoint_path}: {exc}"
+        ) from None
+    taken: List[bytes] = []
+    lines = []
+    if journal_path.exists():
+        lines = journal_path.read_bytes().splitlines(keepends=True)
+    passed_over = bool(lines) and not lines[-1].endswith(b"\n")
+    if passed_over:
+        lines.pop()                     # the write a crash tore
+    for number, line in enumerate(lines, start=1):
+        try:
+            row = json.loads(line)
+            seq, rows, ops = row["seq"], row["chronicle_rows"], row["ops"]
+            if type(seq) is not int or type(rows) is not int or rows < 0:
+                raise ValueError("seq and chronicle_rows must be counts")
+            if seq <= doc["seq"] and not taken:
+                passed_over = True      # the base already holds it
+                continue
+            if seq != doc["seq"] + 1:
+                raise ValueError(
+                    f"seq {seq} where {doc['seq'] + 1} should follow"
+                )
+            doc = patch(doc, ops)
+            if type(doc) is not dict:
+                raise ValueError("the document is no longer an object")
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"no {exc} in it" if type(exc) is KeyError else exc
+            raise SimulationError(
+                f"corrupt checkpoint journal {journal_path} row {number}: "
+                f"{what}"
+            ) from None
+        doc.update(schema=CHECKPOINT_SCHEMA, seq=seq, chronicle_rows=rows)
+        taken.append(line)
+    return doc, taken, passed_over
 
 
 class CheckpointStore:
@@ -45,21 +125,42 @@ class CheckpointStore:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.checkpoint_path = self.directory / CHECKPOINT_FILE
+        self.journal_path = self.directory / JOURNAL_FILE
         self.chronicle_path = self.directory / CHRONICLE_FILE
         #: Chronicle rows already durable on disk (and acknowledged by
-        #: the last snapshot, once one has been written).
+        #: the last save, once there has been one).
         self._appended = 0
+        #: Number of the last save in the directory, and the state it
+        #: held: what the next one is compared with (None: write a base).
+        self._seq = 0
+        self._last = None
+        self._base_bytes = 0
+        self._journal_bytes = 0
+        #: Nothing here was loaded or written by this store yet: logs in
+        #: the directory belong to an earlier run.
+        self._fresh = True
         self.saves = 0
+        #: Bytes put into the base and the journal by this store.
+        self.bytes_written = 0
+        #: Rows in the journal now.
+        self.journal_rows = 0
+        #: Times the base was rewritten because the journal had grown to
+        #: half of it.
+        self.compactions = 0
 
     # ------------------------------------------------------------------
     # Saving
     # ------------------------------------------------------------------
 
     def save(self, state: dict, chronicle_records: List[dict]) -> None:
-        """Persist one checkpoint: chronicle delta first, snapshot second.
+        """Persist one checkpoint: chronicle rows first, then what
+        changed in ``state`` since the previous save (or all of it).
 
         ``chronicle_records`` is the recorder's full in-memory list; only
-        the tail past what was already appended is written.
+        the tail past what was already appended is written.  ``state``
+        is kept to compare the next one with, so it is the store's from
+        here on: built by :func:`repro.persist.encode`, which shares
+        nothing mutable with the live objects.
         """
         total = len(chronicle_records)
         if total < self._appended:
@@ -67,50 +168,81 @@ class CheckpointStore:
                 f"chronicle shrank from {self._appended} to {total} records "
                 "(the recorder is append-only; this is a caller bug)"
             )
+        if self._fresh:
+            for log in (self.chronicle_path, self.journal_path):
+                log.unlink(missing_ok=True)
+            self._fresh = False
         if total > self._appended:
             with self.chronicle_path.open("a", encoding="utf-8") as handle:
                 for rec in chronicle_records[self._appended:total]:
                     handle.write(json.dumps(rec, sort_keys=True) + "\n")
             self._appended = total
+        seq = self._seq + 1
+        row = None
+        if self._last is not None:
+            row = json.dumps(
+                {
+                    "seq": seq, "chronicle_rows": total,
+                    "ops": delta(self._last, state),
+                },
+                sort_keys=True,
+            ).encode("utf-8") + b"\n"
+            if 2 * (self._journal_bytes + len(row)) > self._base_bytes:
+                self.compactions += 1
+                row = None
+        if row is None:
+            self._write_base(state, seq, total)
+        else:
+            with self.journal_path.open("ab") as handle:
+                handle.write(row)
+            self._journal_bytes += len(row)
+            self.journal_rows += 1
+            self.bytes_written += len(row)
+        self._seq, self._last = seq, state
+        self.saves += 1
+
+    def _write_base(self, state: dict, seq: int, chronicle_rows: int) -> None:
         doc = dict(state)
         doc["schema"] = CHECKPOINT_SCHEMA
-        doc["chronicle_rows"] = total
-        tmp = self.checkpoint_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, self.checkpoint_path)
-        self.saves += 1
+        doc["chronicle_rows"] = chronicle_rows
+        doc["seq"] = seq
+        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
+        self._replace(self.checkpoint_path, payload)
+        # A crash here leaves rows at or below ``seq``: load skips them.
+        self.journal_path.write_bytes(b"")
+        self._base_bytes = len(payload)
+        self._journal_bytes = self.journal_rows = 0
+        self.bytes_written += len(payload)
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
 
     def load(self) -> Tuple[dict, List[dict]]:
-        """Read the snapshot and its acknowledged chronicle rows.
+        """Read the checkpoint document and its acknowledged chronicle
+        rows.
 
-        Trims any unacknowledged chronicle tail (rows appended after the
-        last durable snapshot by a run that then crashed), and arms the
-        incremental-append cursor so subsequent saves continue cleanly.
+        Trims what no complete save acknowledges — chronicle rows past
+        the document's count, a torn or already-folded journal row —
+        and arms the cursors so that saving continues the sequence.  The
+        next save rewrites the base: a loaded document (a v1 one least
+        of all) is not what :func:`repro.persist.encode` would hand over.
         """
-        if not self.checkpoint_path.exists():
-            raise SimulationError(
-                f"no checkpoint at {self.checkpoint_path} to resume from"
-            )
-        try:
-            doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SimulationError(
-                f"corrupt checkpoint {self.checkpoint_path}: {exc}"
-            ) from None
-        try:
-            doc = current(doc)          # the schema gate; upgrades v1
-            rows = int(doc.get("chronicle_rows", 0))
-        except (SimulationError, TypeError, ValueError) as exc:
-            raise SimulationError(
-                f"checkpoint {self.checkpoint_path}: {exc}"
-            ) from None
-        records = self._read_chronicle(rows)
+        doc, taken, passed_over = _read(self.checkpoint_path, self.journal_path)
+        records = self._read_chronicle(doc["chronicle_rows"])
+        if passed_over:
+            self._replace(self.journal_path, b"".join(taken))
         self._appended = len(records)
+        self._seq, self._last = doc["seq"], None
+        self.journal_rows = len(taken)
+        self._fresh = False
         return doc, records
+
+    @staticmethod
+    def _replace(path: pathlib.Path, payload: bytes) -> None:
+        tmp = path.with_suffix(path.suffix + ".tmp")
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
 
     def _read_chronicle(self, rows: int) -> List[dict]:
         if rows == 0:
@@ -146,10 +278,8 @@ class CheckpointStore:
         if len(lines) > rows:
             # Trim the unacknowledged tail so the resumed run's re-issued
             # records don't duplicate it.  Atomic for the same reason the
-            # snapshot is.
-            tmp = self.chronicle_path.with_suffix(".jsonl.tmp")
-            with tmp.open("w", encoding="utf-8") as handle:
-                for rec in usable:
-                    handle.write(json.dumps(rec, sort_keys=True) + "\n")
-            os.replace(tmp, self.chronicle_path)
+            # base is.
+            self._replace(self.chronicle_path, "".join(
+                json.dumps(rec, sort_keys=True) + "\n" for rec in usable
+            ).encode("utf-8"))
         return usable

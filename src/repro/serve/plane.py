@@ -146,11 +146,19 @@ class ControlPlane(Persisted):
             evicted_nodes=self.depository.evictions,
             interval_seconds=self.config.interval_seconds,
             resumed=self.resumed,
-            checkpoint_saves=(
-                self.checkpoints.saves if self.checkpoints is not None else 0
-            ),
+            **self._checkpoint_health(),
         )
         return doc
+
+    def _checkpoint_health(self) -> dict:
+        """What the store has written, as ``/status`` and ``/metrics``
+        name it (zeros when checkpointing is off)."""
+        return {
+            f"checkpoint_{name}": getattr(self.checkpoints, name, 0)
+            for name in (
+                "saves", "bytes_written", "journal_rows", "compactions",
+            )
+        }
 
     def plan_view(self) -> dict:
         strategy = self.controller._strategy
@@ -217,6 +225,9 @@ class ControlPlane(Persisted):
         store.save(
             self.state_dict(), tel.chronicle.records if tel.enabled else []
         )
+        if tel.enabled:
+            for name, value in self._checkpoint_health().items():
+                tel.metrics.gauge(f"serve.{name}").set(value)
         return {
             "saved": True,
             "directory": str(store.directory),

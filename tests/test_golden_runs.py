@@ -138,15 +138,14 @@ def scenario_serve_replay() -> dict:
         run_resume_scenario,
         run_scenario,
     )
+    from repro.serve.persist import read_checkpoint
 
     summary, chronicle = run_scenario(SERVE_SEED, SERVE_TRIGGER)
     with tempfile.TemporaryDirectory() as ckpt:
         _, resumed, merged = run_resume_scenario(
             SERVE_SEED, SERVE_TRIGGER, checkpoint_dir=ckpt, kill_after=100
         )
-        checkpoint = json.loads(
-            (pathlib.Path(ckpt) / "checkpoint.json").read_text()
-        )
+        checkpoint = read_checkpoint(ckpt)
     kinds = [rec["kind"] for rec in chronicle]
     return {
         "chronicle": _digest(chronicle),

@@ -22,7 +22,9 @@ from repro.core.controller import PredictiveController
 from repro.elasticity import PStoreStrategy, ReactiveStrategy
 from repro.errors import PredictionError, SimulationError
 from repro.hstore.monitor import LoadMonitor
-from repro.persist import SCHEMA, Persisted, current, decode, encode
+from repro.persist import (
+    SCHEMA, Persisted, _field, current, decode, delta, encode, patch,
+)
 from repro.prediction import LastValuePredictor, SeasonalNaivePredictor
 from repro.prediction.base import Predictor
 from repro.prediction.online import OnlinePredictor
@@ -80,6 +82,123 @@ class TestCodec:
     def test_unknown_type_is_refused(self):
         with pytest.raises(SimulationError, match="cannot persist a set"):
             encode({1, 2})
+
+
+# ----------------------------------------------------------------------
+# delta / patch: what changed between two encoded documents
+# ----------------------------------------------------------------------
+
+_SERIES = [float(n) for n in range(10)]
+
+
+def _slices(of):
+    return st.tuples(st.integers(0, 10), st.integers(0, 10)).map(
+        lambda cut: of[min(cut):max(cut)]
+    )
+
+
+#: Values the codec produces, drawn from small pools so that two draws
+#: are often equal, a slide apart, or the same mapping with one entry
+#: moved on.
+_FIELDS = st.one_of(
+    st.sampled_from([None, 0, 1, 1.0, True, "a", 2.5]),
+    _slices(_SERIES),
+    _slices([(n, None, n + 0.5) for n in range(10)]),
+    st.builds(
+        lambda keys, values: encode(dict(zip(keys, values))),
+        _slices(["w", "x", "y", "z"]),
+        st.one_of(
+            st.lists(_slices(_SERIES), min_size=4, max_size=4),
+            st.lists(st.sampled_from(_SERIES), min_size=4, max_size=4),
+        ),
+    ),
+)
+_DOCS = st.fixed_dictionaries({
+    "v": st.just(1), "a": _FIELDS, "b": _FIELDS,
+    "inner": st.one_of(
+        st.none(), st.fixed_dictionaries({"v": st.just(1), "c": _FIELDS}),
+    ),
+})
+
+
+class TestDelta:
+    def test_nothing_changed_is_no_ops(self):
+        monitor, _ = _monitor()
+        assert delta(monitor.state_dict(), monitor.state_dict()) == []
+
+    def test_a_series_that_grew_or_slid_is_one_item(self):
+        assert delta({"r": [1.0, 2.0]}, {"r": [1.0, 2.0, 3.0]}) == [
+            {"path": ["r"], "slide": [0, 3.0]}
+        ]
+        assert delta({"r": [(1, 2), (3, 4)]}, {"r": [(3, 4), (5, 6)]}) == [
+            {"path": ["r"], "slide": [1, (5, 6)]}
+        ]
+        assert delta({"r": []}, {"r": [1.0]}) == [
+            {"path": ["r"], "slide": [0, 1.0]}
+        ]
+        # Two new items, or one changed in place, is the whole list.
+        assert delta({"r": [1.0]}, {"r": [1.0, 2.0, 3.0]}) == [
+            {"path": ["r"], "set": [1.0, 2.0, 3.0]}
+        ]
+        assert delta({"r": [1.0, 2.0]}, {"r": [1.0, 5.0]}) == [
+            {"path": ["r"], "set": [1.0, 5.0]}
+        ]
+
+    def test_a_mapping_is_entered_while_its_keys_hold(self):
+        old = encode({("spar", 1): [(1, 2)], ("spar", 2): [(3, 4)]})
+        new = encode({("spar", 1): [(1, 2)], ("spar", 2): [(3, 4), (5, 6)]})
+        assert delta({"w": old}, {"w": new}) == [
+            {"path": ["w", "values", 1], "slide": [0, (5, 6)]}
+        ]
+        other = encode({("spar", 1): [(1, 2)], ("ar", 2): [(3, 4), (5, 6)]})
+        assert delta({"w": old}, {"w": other}) == [
+            {"path": ["w"], "set": other}
+        ]
+
+    def test_a_mapping_of_scalars_is_one_list(self):
+        old = encode({"n0": 10.0, "n1": 10.0, "n2": 10.0})
+        new = encode({"n0": 70.0, "n1": 70.0, "n2": 10.0})
+        assert delta({"clocks": old}, {"clocks": new}) == [
+            {"path": ["clocks", "values"], "set": [70.0, 70.0, 10.0]}
+        ]
+
+    def test_a_component_that_comes_and_goes_is_set_whole(self):
+        gone, live = {"v": 1, "move": None}, {"v": 1, "move": {"v": 1, "n": 2}}
+        assert delta(gone, live) == [{"path": ["move"], "set": live["move"]}]
+        assert delta(live, gone) == [{"path": ["move"], "set": None}]
+
+    def test_a_scalar_of_another_type_is_a_change(self):
+        assert delta({"n": 1}, {"n": 1.0}) == [{"path": ["n"], "set": 1.0}]
+        assert delta({"n": 1}, {"n": True}) == [{"path": ["n"], "set": True}]
+
+    def test_other_keys_at_the_top_replace_the_document(self):
+        assert delta({"a": 1}, {"b": 1}) == [{"path": [], "set": {"b": 1}}]
+        assert patch({"a": 1}, [{"path": [], "set": {"b": 1}}]) == {"b": 1}
+
+    @given(old=_DOCS, new=_DOCS)
+    @settings(max_examples=300, deadline=None)
+    def test_patching_the_old_document_gives_the_new_one(self, old, new):
+        ops = delta(old, new)
+        patched = patch(through_json(old), through_json(ops))
+        assert json.dumps(patched, sort_keys=True) == json.dumps(
+            new, sort_keys=True
+        )
+
+    @pytest.mark.parametrize(
+        "op,says",
+        [
+            ({"path": ["n", "x"], "set": 1}, "int has no 'x'"),
+            ({"path": ["r", 2], "set": 1}, "list has no 2"),
+            ({"path": ["r", "0"], "set": 1}, "list has no '0'"),
+            ({"path": ["gone"], "set": 1}, "dict has no 'gone'"),
+            ({"path": ["r"], "slide": [3, 1.0]}, "no list that long"),
+            ({"path": ["r"], "slide": [-1, 1.0]}, "no list that long"),
+            ({"path": ["n"], "slide": [0, 1.0]}, "no list that long"),
+        ],
+    )
+    def test_an_op_that_does_not_fit_is_refused(self, op, says):
+        with pytest.raises(ValueError, match=says):
+            patch({"n": 1, "r": [1.0, 2.0]}, [op])
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +355,20 @@ def _declaring_classes():
     return found
 
 
+def _mutable_ids(value, into):
+    """ids of every mutable container reachable from a watched value."""
+    if isinstance(value, Persisted):
+        for attr in (*value.PERSIST_MATCH, *value.PERSIST):
+            _mutable_ids(_field(attr)[1](value), into)
+    elif isinstance(value, (list, dict, deque, np.ndarray)):
+        into.add(id(value))
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple, deque)):
+        for item in value:
+            _mutable_ids(item, into)
+
+
 class TestRoundTrip:
     def test_every_declaring_class_has_a_builder(self):
         assert _declaring_classes() == set(BUILDERS)
@@ -250,6 +383,19 @@ class TestRoundTrip:
         assert doc["v"] == cls.PERSIST_VERSION
         fresh.restore_state(through_json(doc))
         assert fresh.state_dict() == doc
+
+    @pytest.mark.parametrize(
+        "cls", sorted(BUILDERS, key=lambda c: c.__name__),
+        ids=lambda c: c.__name__,
+    )
+    def test_the_document_shares_nothing_mutable_with_the_object(self, cls):
+        """The store keeps the last document to compare the next with:
+        a list in it that is also the live one would change under it."""
+        obj, _ = BUILDERS[cls]()
+        live, kept = set(), set()
+        _mutable_ids(obj, live)
+        _mutable_ids(obj.state_dict(), kept)
+        assert kept and not live & kept
 
     def test_restore_lands_on_the_same_behaviour(self):
         """Not just the same document: the derived state is back too."""

@@ -39,6 +39,7 @@ from repro.serve.ingest import (
 from repro.serve.server import ControlPlaneServer
 from repro.squall.migrator import ActiveMigration
 from repro.squall.schedule import build_migration_schedule
+from repro.telemetry.export import render_metrics_prom
 from repro.telemetry.runtime import telemetry_scope
 from repro.workload import LoadTrace
 
@@ -642,9 +643,12 @@ class TestBatchingIsTransport:
             asyncio.run(plane.run())
             return {
                 "status": plane.status(),
+                "metrics": render_metrics_prom(tel),
                 "chronicle": tel.chronicle.snapshot(),
-                "checkpoint": (directory / "checkpoint.json").read_text(),
-                "chronicle_log": (directory / "chronicle.jsonl").read_text(),
+                "directory": {
+                    path.name: path.read_bytes()
+                    for path in sorted(directory.iterdir())
+                },
             }
 
     def test_any_cut_of_the_stream_decides_the_same(self, tmp_path):
@@ -657,6 +661,24 @@ class TestBatchingIsTransport:
         assert one["status"]["late_reports"] == 1
         assert one["status"]["moves_started"] >= 1
         assert one["status"]["checkpoint_saves"] >= 40
+        assert sorted(one["directory"]) == [
+            "checkpoint.delta.jsonl", "checkpoint.json", "chronicle.jsonl",
+        ]
+        assert one["status"]["checkpoint_journal_rows"] == len(
+            one["directory"]["checkpoint.delta.jsonl"].splitlines()
+        )
+        # Some saves were a journal row, not a base.
+        assert 1 + one["status"]["checkpoint_compactions"] < (
+            one["status"]["checkpoint_saves"]
+        )
+        # What /status says of the store, /metrics says too.
+        for name in ("saves", "bytes_written", "journal_rows", "compactions"):
+            value = one["status"][f"checkpoint_{name}"]
+            assert f"pstore_serve_checkpoint_{name} {value}\n" in one["metrics"]
+        assert one["status"]["checkpoint_bytes_written"] >= sum(
+            len(one["directory"][name])
+            for name in ("checkpoint.json", "checkpoint.delta.jsonl")
+        )
         kinds = {rec["kind"] for rec in one["chronicle"]}
         assert {"node.stale", "node.recovered"} <= kinds
         assert seven == one

@@ -27,7 +27,12 @@ from repro.experiments.serve import (
     run_resume_scenario,
     run_scenario,
 )
-from repro.serve.persist import CHECKPOINT_SCHEMA, CheckpointStore
+from repro.serve.persist import (
+    CHECKPOINT_SCHEMA,
+    JOURNAL_FILE,
+    CheckpointStore,
+    read_checkpoint,
+)
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +102,250 @@ class TestCheckpointStore:
         (tmp_path / "chronicle.jsonl").unlink()
         with pytest.raises(SimulationError, match="missing"):
             CheckpointStore(tmp_path).load()
+
+
+    def test_a_fresh_run_into_a_used_directory_starts_both_logs_over(
+        self, tmp_path
+    ):
+        used = CheckpointStore(tmp_path)
+        used.save({"n": [1.0] * 99}, [{"id": "old-0"}])
+        used.save({"n": [1.0] * 100}, [{"id": "old-0"}, {"id": "old-1"}])
+        assert used.journal_rows == 1
+        CheckpointStore(tmp_path).save({"n": [9.0]}, [{"id": "new-0"}])
+        doc, loaded = CheckpointStore(tmp_path).load()
+        assert doc["n"] == [9.0] and loaded == [{"id": "new-0"}]
+
+
+# ----------------------------------------------------------------------
+# The journal: a save is what changed, a load is the whole document
+# ----------------------------------------------------------------------
+
+
+def _state(n, move=None):
+    """What a plane's document does between intervals: a counter, a
+    series that grows, a window that slides, clocks that all advance
+    under keys that stay, and a component that comes and goes."""
+    from repro.persist import encode
+
+    return {
+        "v": 1,
+        "processed": n,
+        "fit_series": [float(i) for i in range(400)],   # never changes
+        "monitor": {"v": 1, "rates": [i * 0.5 for i in range(n)]},
+        "window": [(i, i + 0.25) for i in range(max(0, n - 4), n)],
+        "clocks": encode({f"n{i}": 60.0 * n + i for i in range(6)}),
+        "move": move,
+    }
+
+
+def _whole(state, seq, rows):
+    """The text a whole-snapshot save of ``state`` would have written."""
+    return json.dumps(
+        dict(state, schema=CHECKPOINT_SCHEMA, chronicle_rows=rows, seq=seq),
+        sort_keys=True,
+    )
+
+
+def _records(n):
+    return [{"id": f"r-{i}", "kind": "k"} for i in range(n)]
+
+
+def _saved(directory, saves):
+    """A store after ``saves`` saves of ``_state(1..saves)``; save ``n``
+    acknowledges ``2 n`` chronicle rows."""
+    store = CheckpointStore(directory)
+    for n in range(1, saves + 1):
+        store.save(_state(n), _records(2 * n))
+    return store
+
+
+def _assert_holds(directory, n, seq=None):
+    """Loading a copy of ``directory`` gives save ``n``, to the byte."""
+    copy = directory.parent / f"{directory.name}-copy"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(directory, copy)
+    assert json.dumps(read_checkpoint(copy), sort_keys=True) == _whole(
+        _state(n), seq or n, 2 * n
+    )
+    store = CheckpointStore(copy)
+    doc, records = store.load()
+    assert json.dumps(doc, sort_keys=True) == _whole(_state(n), seq or n, 2 * n)
+    assert records == _records(2 * n)
+    return store
+
+
+class TestJournal:
+    def test_a_save_writes_what_changed(self, tmp_path):
+        store = _saved(tmp_path / "ckpt", 5)
+        assert (store.saves, store.journal_rows, store.compactions) == (5, 4, 0)
+        base = (tmp_path / "ckpt" / "checkpoint.json").stat().st_size
+        journal = (tmp_path / "ckpt" / JOURNAL_FILE).read_text().splitlines()
+        assert len(journal) == 4
+        assert store.bytes_written == base + sum(len(r) + 1 for r in journal)
+        row = json.loads(journal[-1])
+        assert (row["seq"], row["chronicle_rows"]) == (5, 10)
+        assert {json.dumps(op["path"]): sorted(op) for op in row["ops"]} == {
+            '["processed"]': ["path", "set"],
+            '["monitor", "rates"]': ["path", "slide"],
+            '["window"]': ["path", "slide"],
+            '["clocks", "values"]': ["path", "set"],
+        }
+        assert len(journal[-1]) < base / 10
+        _assert_holds(tmp_path / "ckpt", 5)
+
+    def test_the_base_is_rewritten_before_the_journal_is_half_of_it(
+        self, tmp_path
+    ):
+        directory = tmp_path / "ckpt"
+        store, rewrites = CheckpointStore(directory), 0
+        for n in range(1, 61):
+            store.save(_state(n), _records(2 * n))
+            rewrites += store.journal_rows == 0
+            assert 2 * (directory / JOURNAL_FILE).stat().st_size <= (
+                directory / "checkpoint.json"
+            ).stat().st_size
+        assert store.compactions == rewrites - 1 >= 2    # less the first base
+        assert read_checkpoint(directory)["seq"] == 60
+        _assert_holds(directory, 60)
+
+    def test_a_component_that_comes_back_brings_nothing_stale(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        first = {"v": 1, "before": 2, "after": 5, "half_steps": 7}
+        second = {"v": 1, "before": 5, "after": 3, "half_steps": 0}
+        for n, move in enumerate((None, first, None, second), start=1):
+            store.save(_state(n, move), [])
+        assert store.journal_rows == 3
+        doc, _ = CheckpointStore(tmp_path / "ckpt").load()
+        assert doc["move"] == second
+
+    def test_a_load_makes_the_next_save_a_base(self, tmp_path):
+        _saved(tmp_path / "ckpt", 4)
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.load()
+        assert store.journal_rows == 3
+        store.save(_state(5), _records(10))
+        assert store.journal_rows == 0
+        assert (tmp_path / "ckpt" / JOURNAL_FILE).read_bytes() == b""
+        base = json.loads((tmp_path / "ckpt" / "checkpoint.json").read_text())
+        assert base["seq"] == 5 and base["processed"] == 5
+        store.save(_state(6), _records(12))
+        assert store.journal_rows == 1
+        _assert_holds(tmp_path / "ckpt", 6)
+
+
+class TestJournalCrashPoints:
+    def test_torn_at_every_byte_of_the_last_row(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        _saved(directory, 4)
+        journal = (directory / JOURNAL_FILE).read_bytes()
+        last = len(journal.splitlines(keepends=True)[-1])
+        for lost in range(last + 1):
+            (directory / JOURNAL_FILE).write_bytes(
+                journal[:len(journal) - lost]
+            )
+            # One byte short is a row without its newline: not complete.
+            store = _assert_holds(directory, 4 if lost == 0 else 3)
+            # Both logs are back to what that save acknowledged, so rows
+            # the resumed run appends follow a complete row.
+            kept = (store.directory / JOURNAL_FILE).read_bytes()
+            assert kept == journal[:len(journal) - (last if lost else 0)]
+            chronicle = (store.directory / "chronicle.jsonl").read_text()
+            assert len(chronicle.splitlines()) == (8 if lost == 0 else 6)
+
+    def test_a_torn_row_does_not_hide_the_rows_of_the_resumed_run(
+        self, tmp_path
+    ):
+        directory = tmp_path / "ckpt"
+        _saved(directory, 4)
+        with (directory / JOURNAL_FILE).open("ab") as handle:
+            handle.write(b'{"chronicle_rows": 10, "ops": [{"pa')
+        store = CheckpointStore(directory)
+        store.load()
+        for n in (5, 6, 7):
+            store.save(_state(n), _records(2 * n))
+        assert store.journal_rows == 2
+        _assert_holds(directory, 7)
+
+    def test_killed_between_the_base_replace_and_the_journal_truncate(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "ckpt"
+        store = _saved(directory, 4)
+        grown = dict(_state(5), fit_series=[0.5] * 4000)    # outgrows it
+        real = os.replace
+
+        def replace_then_die(src, dst):
+            real(src, dst)
+            raise KeyboardInterrupt("kill -9")
+
+        monkeypatch.setattr(os, "replace", replace_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            store.save(grown, _records(10))
+        monkeypatch.undo()
+        rows = (directory / JOURNAL_FILE).read_text().splitlines()
+        assert [json.loads(row)["seq"] for row in rows] == [2, 3, 4]
+        assert read_checkpoint(directory)["seq"] == 5
+        resumed = CheckpointStore(directory)
+        doc, records = resumed.load()
+        assert json.dumps(doc, sort_keys=True) == _whole(grown, 5, 10)
+        assert records == _records(10)
+        assert (directory / JOURNAL_FILE).read_bytes() == b""
+
+    def test_crash_resume_save_crash_resume(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        _saved(directory, 3)
+        for n in (4, 6):
+            # The crash: chronicle rows of a save that never finished,
+            # then half of its journal row.
+            with (directory / "chronicle.jsonl").open("a") as handle:
+                handle.write(json.dumps({"id": "lost"}) + "\n")
+            with (directory / JOURNAL_FILE).open("ab") as handle:
+                handle.write(b'{"chronicle_rows": 99, "ops"')
+            store = _assert_holds(directory, n - 1)
+            shutil.rmtree(directory)
+            shutil.copytree(store.directory, directory)
+            store = CheckpointStore(directory)
+            store.load()
+            store.save(_state(n), _records(2 * n))
+            store.save(_state(n + 1), _records(2 * n + 2))
+        _assert_holds(directory, 7)
+
+    def test_replay_equals_the_document_after_every_save(
+        self, tmp_path, monkeypatch
+    ):
+        """The drift scenario, moves starting, completing and aborting:
+        after every save a load of the directory is that save's state."""
+        from repro.experiments.serve import SERVE_DAYS, _run_plane
+
+        real, seen = CheckpointStore.save, []
+
+        def save_then_load(store, state, records):
+            real(store, state, records)
+            copy = tmp_path / "copy"
+            shutil.rmtree(copy, ignore_errors=True)
+            shutil.copytree(store.directory, copy)
+            doc, rows = CheckpointStore(copy).load()
+            assert json.dumps(doc, sort_keys=True) == _whole(
+                state, store.saves, len(records)
+            ), store.saves
+            assert rows == json.loads(json.dumps(records))
+            seen.append((store.journal_rows, state["controller"]["move"]))
+
+        monkeypatch.setattr(CheckpointStore, "save", save_then_load)
+        summary, _ = _run_plane(
+            SERVE_SEED, SERVE_TRIGGER, None, SERVE_DAYS,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        assert summary["checkpoint_saves"] == len(seen) == 144
+        assert summary["checkpoint_compactions"] >= 1
+        assert summary["checkpoint_journal_rows"] == seen[-1][0]
+        assert sum(rows > 0 for rows, _ in seen) > len(seen) / 2
+        # The move went None -> live -> None -> live at least twice over.
+        flips = sum(
+            (a is None) != (b is None)
+            for (_, a), (_, b) in zip(seen, seen[1:])
+        )
+        assert flips >= 4
 
 
 # ----------------------------------------------------------------------
@@ -358,22 +607,37 @@ class TestResumeErrors:
 # A checkpoint the parent commit wrote (pstore.serve-checkpoint/v1)
 # ----------------------------------------------------------------------
 
-V1_FIXTURE = pathlib.Path(__file__).parent / "data" / "serve-checkpoint-v1"
+FIXTURES = pathlib.Path(__file__).parent / "data"
+#: directory -> (schema on disk, where its document keeps the move)
+PARENT_WRITTEN = {
+    "serve-checkpoint-v1": ("pstore.serve-checkpoint/v1", "migration"),
+    "serve-checkpoint-v2": ("pstore.serve-checkpoint/v2", "move"),
+}
 
 
 class TestParentWrittenCheckpoint:
+    """The directories under ``tests/data`` were cut by the PR 15 and the
+    PR 16 code at report 100 of the drift scenario, a move in flight
+    (recipes in their READMEs): no journal, no ``seq``.  Resuming one
+    must land where the uninterrupted run does, and the next save
+    rewrites it as a v2 base with a journal behind it."""
+
     def test_v1_fixture_resumes_and_converges(self, resume_runs, tmp_path):
-        """The directory under ``tests/data`` was cut by the PR 15 code
-        at report 100 of the drift scenario, a move in flight (recipe in
-        its README).  Resuming it must land where the uninterrupted run
-        does, and the next save rewrites it as v2."""
+        self.resume(resume_runs, tmp_path, "serve-checkpoint-v1")
+
+    def test_v2_fixture_resumes_and_converges(self, resume_runs, tmp_path):
+        self.resume(resume_runs, tmp_path, "serve-checkpoint-v2")
+
+    def resume(self, resume_runs, tmp_path, fixture):
         from repro.experiments.serve import SERVE_DAYS, _run_plane
 
         ckpt = tmp_path / "ckpt"
-        shutil.copytree(V1_FIXTURE, ckpt)   # load trims the log in place
+        shutil.copytree(FIXTURES / fixture, ckpt)   # load trims in place
+        schema, move = PARENT_WRITTEN[fixture]
         before = json.loads((ckpt / "checkpoint.json").read_text())
-        assert before["schema"] == "pstore.serve-checkpoint/v1"
-        assert before["controller"]["migration"] is not None
+        assert before["schema"] == schema and "seq" not in before
+        assert before["controller"][move] is not None
+        assert read_checkpoint(ckpt)["processed"] == 99
 
         resumed, merged = _run_plane(
             SERVE_SEED, SERVE_TRIGGER, None, SERVE_DAYS,
@@ -388,8 +652,11 @@ class TestParentWrittenCheckpoint:
         assert chronicle_projection(merged) == chronicle_projection(
             resume_runs["baseline_chronicle"]
         )
-        after = json.loads((ckpt / "checkpoint.json").read_text())
+        after = read_checkpoint(ckpt)
         assert after["schema"] == CHECKPOINT_SCHEMA
+        assert after["seq"] == resumed["checkpoint_saves"]
+        assert after["processed"] == baseline["intervals"]
+        assert (ckpt / JOURNAL_FILE).exists()
 
 
 # ----------------------------------------------------------------------
@@ -425,11 +692,34 @@ def good_checkpoint(tmp_path_factory):
 
 
 def _edit(mutate):
+    """Damage to the document: written back as a base with no journal
+    behind it, or the journal's rows would write over the damage."""
     def apply(ckpt):
-        path = ckpt / "checkpoint.json"
-        doc = json.loads(path.read_text())
+        doc = read_checkpoint(ckpt)
         mutate(doc)
-        path.write_text(json.dumps(doc, sort_keys=True))
+        (ckpt / "checkpoint.json").write_text(json.dumps(doc, sort_keys=True))
+        (ckpt / JOURNAL_FILE).write_text("")
+    return apply
+
+
+def _edit_journal(mutate):
+    """Damage to the journal: ``mutate`` gets its rows, decoded — three
+    of them, which the store writes here itself, since how many the run
+    left behind depends on where its last compaction fell."""
+    def apply(ckpt):
+        store = CheckpointStore(ckpt)
+        doc, records = store.load()
+        for extra in range(4):                  # a base, then three rows
+            doc = dict(doc, processed=doc["processed"] + extra)
+            store.save(doc, records)
+        path = ckpt / JOURNAL_FILE
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(rows) == 3
+        mutate(rows)
+        path.write_text("".join(
+            row if type(row) is str else json.dumps(row, sort_keys=True) + "\n"
+            for row in rows
+        ))
     return apply
 
 
@@ -474,6 +764,32 @@ REJECTED = {
         "predictor.base_type: checkpointed 'SparPredictor'",
     ),
     "short-chronicle": (_drop_chronicle_rows, "chronicle rows but only 5"),
+    "journal-path-into-a-scalar": (
+        _edit_journal(lambda rows: rows[1]["ops"].append(
+            {"path": ["processed", "closed"], "set": 1}
+        )),
+        "checkpoint.delta.jsonl row 2: path ['processed', 'closed'] leads "
+        "nowhere: int has no 'closed'",
+    ),
+    "journal-slide-longer-than-its-list": (
+        _edit_journal(lambda rows: rows[2]["ops"].append(
+            {"path": ["monitor", "rates"], "slide": [10_000, 1.0]}
+        )),
+        "checkpoint.delta.jsonl row 3: slide of 10000 at "
+        "['monitor', 'rates']: no list that long there",
+    ),
+    "journal-seq-gap": (
+        _edit_journal(lambda rows: rows.pop(1)),
+        "checkpoint.delta.jsonl row 2: seq ",
+    ),
+    "journal-not-json-in-the-middle": (
+        _edit_journal(lambda rows: rows.insert(1, "PK\x03\x04\n")),
+        "checkpoint.delta.jsonl row 2: Expecting value",
+    ),
+    "journal-row-without-ops": (
+        _edit_journal(lambda rows: rows[0].pop("ops")),
+        "checkpoint.delta.jsonl row 1: no 'ops' in it",
+    ),
 }
 
 
