@@ -12,8 +12,8 @@ for tensor-vs-serial differentials, the ``sweep_tensor_speedup`` bench,
 and the CI tensor smoke job.
 
 The reactive and simple strategies migrate several times per cell, so
-the grid exercises the tensor driver's eviction/re-admission path, not
-just the quiescent fast path.
+the grid exercises blocks that carry per-tick shares and migration
+interference, not just steady ones.
 """
 
 from __future__ import annotations

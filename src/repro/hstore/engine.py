@@ -158,8 +158,16 @@ class MigrationInterference:
     stall_seconds: np.ndarray
 
     @classmethod
-    def none(cls, n_partitions: int) -> "MigrationInterference":
-        return cls(np.zeros(n_partitions), np.zeros(n_partitions))
+    def none(cls, shape) -> "MigrationInterference":
+        """No overhead: zeros for ``shape`` partitions, or for a block's
+        ``(ticks, partitions)``."""
+        return cls(np.zeros(shape), np.zeros(shape))
+
+    def row(self, tick: int) -> "MigrationInterference":
+        """One tick of a block's ``(ticks, partitions)`` rows."""
+        return MigrationInterference(
+            self.busy_fraction[tick], self.stall_seconds[tick]
+        )
 
     @classmethod
     def for_rate(
@@ -232,7 +240,8 @@ class _BlockPrep:
     dt: float
     offered: np.ndarray
     arrivals: np.ndarray        # (ticks, n) per-partition arrival rates
-    mu_eff: np.ndarray          # (n,) effective service rates
+    mu_eff: np.ndarray          # (ticks, n) effective service rates
+    interference: Optional[MigrationInterference]   # (ticks, n) rows
     completed: np.ndarray       # (ticks, n)
     backlog_mid: np.ndarray     # (ticks, n)
     backlog_end: np.ndarray     # (ticks, n)
@@ -470,16 +479,19 @@ class QueueingEngine:
         dt: float,
         offered_block: Sequence[float],
         shares: np.ndarray,
+        interference: Optional[MigrationInterference] = None,
+        capacity_multipliers: Optional[np.ndarray] = None,
     ) -> BlockStats:
-        """Advance ``len(offered_block)`` quiescent ticks in one batch.
+        """Advance ``len(offered_block)`` ticks in one batch.
 
-        The kernel assumes a *quiescent* stretch: constant ``shares``, no
-        migration interference, and no capacity multipliers.  Within that
-        contract it is **bit-identical** to calling :meth:`step` once per
-        entry of ``offered_block`` — arrivals, backlog dynamics, RNG
-        consumption, and latency percentiles all match exactly (enforced
-        by test) — while replacing the per-second Python work with numpy
-        batch operations.
+        ``shares``, the two arrays of ``interference`` and
+        ``capacity_multipliers`` hold one row per tick — shape
+        ``(ticks, n_partitions)``; a single row is used for every tick —
+        so a block may span a migration or a slowdown window.  It is
+        **bit-identical** to calling :meth:`step` once per tick with that
+        tick's row — arrivals, backlog dynamics, RNG consumption, and
+        latency percentiles all match exactly (enforced by test) — while
+        replacing the per-second Python work with numpy batch operations.
 
         The kernel is staged: :meth:`_block_prep` advances skew and
         backlog (stateful), :meth:`_block_sample_draws` consumes the
@@ -490,29 +502,48 @@ class QueueingEngine:
         into one array program while every engine's RNG and state
         mutations keep their exact scalar order.
         """
-        prep = self._block_prep(dt, offered_block, shares)
+        prep = self._block_prep(
+            dt, offered_block, shares, interference, capacity_multipliers
+        )
         if np.all(prep.total_completed > 0.0):
             uniforms, exponentials = self._block_sample_draws(prep.ticks)
             p50, p95, p99 = self._block_sample_math(
                 prep.arrivals,
-                np.broadcast_to(prep.mu_eff, prep.arrivals.shape),
+                prep.mu_eff,
                 prep.backlog_mid,
                 prep.completed,
                 prep.total_completed,
                 uniforms,
                 exponentials,
+                prep.interference,
             )
         else:
             p50, p95, p99 = self._block_fallback_samples(prep)
         return self._block_finish(prep, p50, p95, p99)
+
+    def _rows(self, name: str, values, ticks: int) -> np.ndarray:
+        """``values`` as a finite ``(ticks, n_partitions)`` float array;
+        one row of ``n_partitions`` entries stands for every tick."""
+        rows = np.asarray(values, dtype=float)
+        want = (ticks, self.n_partitions)
+        if rows.shape == want[1:]:
+            rows = np.broadcast_to(rows, want)
+        if rows.shape != want or not np.isfinite(rows).all():
+            raise SimulationError(
+                f"{name} must be finite with shape {want} or {want[1:]}, "
+                f"got shape {np.shape(values)}"
+            )
+        return rows
 
     def _block_prep(
         self,
         dt: float,
         offered_block: Sequence[float],
         shares: np.ndarray,
+        interference: Optional[MigrationInterference] = None,
+        capacity_multipliers: Optional[np.ndarray] = None,
     ) -> _BlockPrep:
-        """Validate and advance skew + backlog for a quiescent block.
+        """Validate and advance skew + backlog for a block.
 
         Consumes the episode/detail/wobble RNG streams and mutates the
         backlog exactly as ``ticks`` scalar :meth:`step` calls would.
@@ -522,33 +553,42 @@ class QueueingEngine:
         offered = np.asarray(offered_block, dtype=float)
         if offered.ndim != 1 or offered.size == 0:
             raise SimulationError("offered_block must be a non-empty 1-D array")
+        if not np.isfinite(offered).all():
+            raise SimulationError("offered_block must be finite")
         if np.any(offered < 0):
             raise SimulationError("offered load cannot be negative")
-        shares = np.asarray(shares, dtype=float)
-        if shares.size != self.n_partitions:
-            raise SimulationError(
-                f"shares has {shares.size} entries for {self.n_partitions} partitions"
-            )
+        ticks = offered.size
+        shares = self._rows("shares", shares, ticks)
         if np.any(shares < 0):
             raise SimulationError("shares must be non-negative")
-        total_share = shares.sum()
-        if total_share <= 0:
+        total_share = shares.sum(axis=1)[:, None]
+        if np.any(total_share <= 0):
             raise SimulationError("at least one partition must receive load")
-        shares = shares / total_share
-        ticks = offered.size
-        n = self.n_partitions
+        mu_eff = np.broadcast_to(self.mu_partition, shares.shape)
+        if interference is not None:
+            interference = MigrationInterference(
+                self._rows("busy_fraction", interference.busy_fraction, ticks),
+                self._rows("stall_seconds", interference.stall_seconds, ticks),
+            )
+            busy = interference.busy_fraction
+            if np.any(busy < 0) or np.any(busy >= 1):
+                raise SimulationError("busy_fraction must lie in [0, 1)")
+            mu_eff = self.mu_partition * (1.0 - busy)
+        if capacity_multipliers is not None:
+            caps = self._rows("capacity_multipliers", capacity_multipliers, ticks)
+            if np.any(caps <= 0):
+                raise SimulationError("capacity multipliers must be positive")
+            mu_eff = mu_eff * caps
+        mu_eff = np.maximum(mu_eff, 1e-6)
 
+        # Every argument is checked; only now may state advance.
         wobble, extra = self._skew_block(ticks, dt)
-        weighted = shares[None, :] * wobble
+        weighted = shares / total_share * wobble
         weighted /= weighted.sum(axis=1)[:, None]
         total_extra = np.minimum(0.5, extra.sum(axis=1))
         arrivals = offered[:, None] * (
             weighted * (1.0 - total_extra)[:, None] + extra
         )
-        interference = MigrationInterference.none(n)
-        mu_eff = self.mu_partition * (1.0 - interference.busy_fraction)
-        mu_eff = np.maximum(mu_eff, 1e-6)
-
         completed, backlog_mid, backlog_end = self._backlog_block(
             arrivals, mu_eff, dt
         )
@@ -557,6 +597,7 @@ class QueueingEngine:
             offered=offered,
             arrivals=arrivals,
             mu_eff=mu_eff,
+            interference=interference,
             completed=completed,
             backlog_mid=backlog_mid,
             backlog_end=backlog_end,
@@ -584,6 +625,7 @@ class QueueingEngine:
         total_completed: np.ndarray,
         uniforms: np.ndarray,
         exponentials: np.ndarray,
+        interference: Optional[MigrationInterference] = None,
     ):
         """Pure latency-percentile math over pre-drawn samples.
 
@@ -591,9 +633,10 @@ class QueueingEngine:
         per-row ``cumsum``, exact searchsorted indices, exact gathers,
         and per-row partition-based percentiles — so concatenating the
         blocks of several engines along the tick axis yields bit-identical
-        per-row results.  ``mu_eff`` arrives broadcast to ``(ticks, n)``;
-        ``np.take_along_axis`` reproduces the scalar path's fancy-index
-        gathers exactly.
+        per-row results.  Every input holds one row per tick; the
+        row-indexed gathers reproduce the scalar path's fancy-index
+        gathers exactly.  Without ``interference`` the stall term is
+        skipped: it would add ``+0.0`` to non-negative latencies.
         """
         n = completed.shape[1]
         weights = completed / total_completed[:, None]
@@ -611,6 +654,11 @@ class QueueingEngine:
         stationary = exponentials[:, 0, :] / headroom
         overloaded = backlog / mu + exponentials[:, 1, :] / mu
         latency = np.where(backlog > 0.5, overloaded, stationary)
+        if interference is not None:
+            busy = interference.busy_fraction[rows, partitions]
+            stall = interference.stall_seconds[rows, partitions]
+            hit = uniforms[:, 1, :] < busy
+            latency = latency + hit * uniforms[:, 2, :] * stall
         ms = latency * 1000.0
         quantiles = cls._percentiles_50_95_99(ms)
         return quantiles[0], quantiles[1], quantiles[2]
@@ -619,17 +667,20 @@ class QueueingEngine:
         """Per-tick sample replay for blocks with zero-completed ticks.
 
         A tick with nothing completed consumes no sample draws, so the
-        batched layout does not apply; replay tick by tick.
+        batched layout does not apply; replay tick by tick, each under
+        its own row of ``mu_eff`` and migration interference.
         """
         ticks = prep.ticks
-        interference = MigrationInterference.none(self.n_partitions)
+        rows = prep.interference
+        if rows is None:
+            rows = MigrationInterference.none(prep.arrivals.shape)
         p50 = np.empty(ticks)
         p95 = np.empty(ticks)
         p99 = np.empty(ticks)
         for i in range(ticks):
             p50[i], p95[i], p99[i] = self._sample_latencies(
-                prep.arrivals[i], prep.mu_eff, prep.backlog_mid[i],
-                prep.completed[i], interference,
+                prep.arrivals[i], prep.mu_eff[i], prep.backlog_mid[i],
+                prep.completed[i], rows.row(i),
             )
         return p50, p95, p99
 
@@ -732,7 +783,8 @@ class QueueingEngine:
         return wobble, extra
 
     def _backlog_block(self, arrivals: np.ndarray, mu_eff: np.ndarray, dt: float):
-        """Advance the backlog recursion over a block of arrivals.
+        """Advance the backlog recursion over a block of arrivals, each
+        tick under its own row of ``mu_eff``.
 
         The fully-drained case (no entry backlog, every tick under
         capacity) is closed-form; otherwise the recursion runs tick by
@@ -757,7 +809,7 @@ class QueueingEngine:
         backlog = self._backlog
         for i in range(first_loop, ticks):
             demand = backlog + demand0[i]
-            done = np.minimum(demand, capacity)
+            done = np.minimum(demand, capacity[i])
             new_backlog = demand - done
             completed[i] = done
             backlog_mid[i] = 0.5 * (backlog + new_backlog)

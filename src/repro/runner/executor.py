@@ -518,10 +518,10 @@ class SweepExecutor:
 
         Each tensorizable cell contributes a
         :class:`~repro.sim.tensor.TensorProgram`; the batch engine
-        advances every quiescent cell with one fused array step and the
-        per-cell results flow through the same ``complete`` path as the
-        other backends (so payloads, caching, and ``result_hash`` are
-        produced exactly as today).  Cells whose experiment declares no
+        advances every cell one planner interval at a time with one
+        fused array step and the per-cell results flow through the same
+        ``complete`` path as the other backends (so payloads, caching,
+        and ``result_hash`` are produced exactly as today).  Cells whose experiment declares no
         tensor program run inline via :func:`_execute_cell`.
         """
         from ..experiments.registry import get_experiment

@@ -14,7 +14,6 @@ allocation — the same series the paper plots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -38,18 +37,25 @@ from ..telemetry.causal import blame
 
 @dataclass
 class BlockRequest:
-    """One quiescent stretch the driver should advance in a batch.
+    """The engine ticks of one planner interval, for the driver to
+    advance in one batch.
 
-    Yielded by :meth:`ElasticDbSimulator.drive`; the driver answers with
-    the :class:`~repro.hstore.engine.BlockStats` of
-    ``engine.step_block(1.0, offered, shares)``.  ``start``/``end`` are
-    tick indices into the run's offered-load array (``end`` exclusive).
+    Yielded by :meth:`ElasticDbSimulator.drive` once the control loop
+    has run over ticks ``start`` to ``end`` (exclusive; indices into the
+    run's offered-load array); the driver answers with the
+    :class:`~repro.hstore.engine.BlockStats` of ``engine.step_block(1.0,
+    offered, shares, interference, capacity)``.  ``shares``, the two
+    arrays of ``interference`` and ``capacity`` hold one row per tick;
+    the last two are None when no tick of the block had a move in flight
+    / a slowed node.
     """
 
     start: int
     end: int
     shares: np.ndarray
     offered: np.ndarray
+    interference: Optional[MigrationInterference] = None
+    capacity: Optional[np.ndarray] = None
 
     @property
     def ticks(self) -> int:
@@ -107,7 +113,6 @@ class _Run:
         self.active = list(range(machines))   # physical machines holding data
         self.machines = machines              # steady-state allocation
         self.history = history                # per-interval mean load
-        self.accumulator: List[float] = []
         self.move: Optional[Reconfiguration] = None
         self.emergencies = 0
         self.moves_started = 0
@@ -156,17 +161,13 @@ class ElasticDbSimulator:
         to :class:`~repro.elasticity.predictive.PStoreStrategy` when a
         scenario includes it.
     fast_path:
-        advance quiescent stretches (no migration, no pending fault
-        activity, constant machine count, away from planner boundaries)
-        with the vectorized :meth:`QueueingEngine.step_block` kernel.
-        Results are bit-identical to the scalar per-second loop
-        (``fast_path=False``); the flag exists for differential testing
-        and benchmarking.
+        advance the engine one planner interval at a time with the
+        vectorized :meth:`QueueingEngine.step_block` kernel, after the
+        control loop has run over the interval.  Results are
+        bit-identical to the scalar per-second loop (``fast_path=False``,
+        one :meth:`QueueingEngine.step` between each second's control
+        work); the flag exists for differential testing and benchmarking.
     """
-
-    #: Shortest quiescent stretch worth dispatching to the block kernel;
-    #: below this the batched call's fixed overhead beats its savings.
-    MIN_BLOCK_TICKS = 4
 
     def __init__(
         self,
@@ -237,7 +238,8 @@ class ElasticDbSimulator:
             except StopIteration as stop:
                 return stop.value
             block = self.engine.step_block(
-                1.0, request.offered, request.shares
+                1.0, request.offered, request.shares,
+                request.interference, request.capacity,
             )
 
     def drive(
@@ -248,51 +250,44 @@ class ElasticDbSimulator:
     ):
         """The simulation as a resumable block-request generator.
 
-        Yields a :class:`BlockRequest` for every quiescent stretch the
-        fast path would batch, and expects ``send(block_stats)`` with the
-        result of ``engine.step_block(1.0, request.offered,
-        request.shares)``.  All non-quiescent work — migration rounds,
-        fault windows, planner boundaries — runs *inside* the generator
-        on the scalar engine between yields, which is exactly the
-        eviction/re-admission semantic of the cross-cell tensor driver:
-        a cell is "evicted" while its generator advances scalar ticks
-        internally and "re-admitted" at its next yield.  Returns the
-        :class:`SimulationResult` via ``StopIteration.value``.
+        Yields one :class:`BlockRequest` per planner interval and expects
+        ``send(block_stats)`` with the engine's answer.  Nothing the
+        engine reports feeds back into the control loop inside an
+        interval — strategies read offered-load means, moves and faults
+        run on the clock — so :meth:`_control` runs a whole interval
+        ahead of the engine: inject faults -> close the interval -> plan
+        -> this second's shares, interference and capacity -> progress
+        the move, second by second, and the engine then takes the
+        interval in one call.  A block starts *at* a planner-boundary
+        tick and ends before the next one, because closing an interval
+        publishes the SLA violations of the seconds before it.  Returns
+        the :class:`SimulationResult` via ``StopIteration.value``.
 
-        Each pass of the loop is one second, taken in phases: inject
-        faults -> (quiescent block, or) close the interval -> plan ->
-        tick the engine -> progress the move.
+        With ``fast_path=False`` nothing is yielded: every block is one
+        second long and answered here by the scalar engine step.
         """
         run = self._begin_run(offered_tps, strategy, history_seed_tps)
         n = run.offered.size
         engine_time_start = self.engine.time
         while run.t < n:
-            if self._injector is not None:
-                self._inject_faults(run)
-            # A stretch with no migration, no upcoming fault activity,
-            # and no planner boundary has constant shares, so the whole
-            # span collapses into one batched engine call that is
-            # bit-identical to the scalar per-second ticks it replaces.
-            if self.fast_path and run.move is None:
-                block_end = self._quiescent_until(run)
-                if block_end - run.t >= self.MIN_BLOCK_TICKS:
-                    block = yield BlockRequest(
-                        run.t, block_end, self._steady_shares(run),
-                        run.offered[run.t:block_end],
-                    )
-                    self._record_block(run, block_end, block)
-                    continue
-            if self._close_interval(run):
-                self._plan(run)
-            self._tick(run)
-            if run.move is not None:
-                self._progress_move(run)
-            run.t += 1
+            start = run.t
+            if self.fast_path:
+                to_boundary = run.interval - (start + 1) % run.interval
+                block = yield self._control(run, min(n, start + to_boundary))
+            else:
+                tick = self._control(run, start + 1)
+                rows = tick.interference
+                block = self.engine.step(
+                    1.0, float(tick.offered[0]), tick.shares[0],
+                    None if rows is None else rows.row(0),
+                    None if tick.capacity is None else tick.capacity[0],
+                )
+            self._record_block(run, start, block)
 
         if invariants.enabled(invariants.CHEAP):
             # Every tick must pass through the engine exactly once — a
-            # fast-path block dropping or double-counting ticks shows up
-            # here no matter which branch mix the run took.
+            # block dropping or double-counting ticks shows up here no
+            # matter which branch mix the run took.
             invariants.check_time_accounting(
                 self.engine.time - engine_time_start, float(n),
                 "ElasticDbSimulator.run",
@@ -385,24 +380,20 @@ class ElasticDbSimulator:
             shares[machine * p : (machine + 1) * p] = 1.0 / (run.machines * p)
         return shares
 
-    def _record_block(self, run: _Run, block_end: int, block) -> None:
-        """Store a quiescent stretch's batched engine result."""
-        t = run.t
-        run.out_machines[t:block_end] = run.machines
-        run.out_completed[t:block_end] = block.completed_tps
-        run.p50[t:block_end] = block.p50_ms
-        run.p95[t:block_end] = block.p95_ms
-        run.p99[t:block_end] = block.p99_ms
-        run.accumulator.extend(run.offered[t:block_end].tolist())
+    def _record_block(self, run: _Run, start: int, stats) -> None:
+        """Store the engine's answer for ticks ``start`` to ``run.t``
+        (a :class:`BlockStats`, or the :class:`TickStats` of one)."""
+        ticks = slice(start, run.t)
+        run.out_completed[ticks] = stats.completed_tps
+        run.p50[ticks] = stats.p50_ms
+        run.p95[ticks] = stats.p95_ms
+        run.p99[ticks] = stats.p99_ms
         if self._telemetry.enabled:
-            for i in range(t, block_end):
+            for i in range(start, run.t):
                 self._record_latency(
                     run, float(run.p50[i]), float(run.p95[i]),
                     float(run.p99[i]),
                 )
-            if run.pending_recovery:
-                run.iv_fault += block_end - t
-        run.t = block_end
 
     def _record_latency(
         self, run: _Run, p50: float, p95: float, p99: float
@@ -417,15 +408,14 @@ class ElasticDbSimulator:
             run.iv_viol_p99 = max(run.iv_viol_p99, p99)
 
     def _close_interval(self, run: _Run) -> bool:
-        """Accumulate this second's load; at a planner boundary publish
-        the interval (mean load, allocation, forecast accuracy, SLA
-        violations) and return True."""
-        run.accumulator.append(float(run.offered[run.t]))
-        if len(run.accumulator) != run.interval:
+        """At a planner boundary — the last second of an interval —
+        publish the interval (mean load, allocation, forecast accuracy,
+        SLA violations) and return True."""
+        close = run.t + 1
+        if close % run.interval:
             return False
-        mean_tps = float(np.mean(run.accumulator))
+        mean_tps = float(np.mean(run.offered[close - run.interval : close]))
         run.history.append(mean_tps)
-        run.accumulator.clear()
         tel = self._telemetry
         if not tel.enabled:
             return True
@@ -545,51 +535,58 @@ class ElasticDbSimulator:
         if self._injector is not None:
             self._injector.notify_migration_started(now)
 
-    def _tick(self, run: _Run) -> None:
-        """One scalar engine second under the current capacity state."""
-        t = run.t
-        move = run.move
+    def _control(self, run: _Run, end: int) -> BlockRequest:
+        """Run the control loop over ticks ``run.t`` to ``end`` and
+        return what the engine needs to follow: each second's shares (the
+        data distribution), migration interference and capacity."""
+        start, injector = run.t, self._injector
         p = self.config.partitions_per_node
-        injector = self._injector
-        if move is not None:
-            migration = move.migration
-            node_map = migration.node_map or {}
-            shares = np.zeros(self.max_machines * p)
-            for logical, fraction in enumerate(migration.data_fractions()):
-                machine = node_map.get(logical, logical)
-                shares[machine * p : (machine + 1) * p] = fraction / p
-            interference = self._interference(
-                shares.size,
-                migration.physical_nodes(migration.migrating_machines()),
-                move.rate_kbps,
-            )
-            run.out_machines[t] = migration.machines_allocated()
-            run.out_migrating[t] = True
-        else:
-            shares = self._steady_shares(run)
-            interference = None
-            run.out_machines[t] = run.machines
-
-        capacity = None
-        slowdown = injector is not None and injector.any_slowdown_active
-        if slowdown:
-            capacity = np.repeat(
-                injector.capacity_multipliers(self.max_machines, float(t)), p
-            )
-        stats = self.engine.step(
-            1.0, float(run.offered[t]), shares, interference,
-            capacity_multipliers=capacity,
-        )
-        run.out_completed[t] = stats.completed_tps
-        run.p50[t] = stats.p50_ms
-        run.p95[t] = stats.p95_ms
-        run.p99[t] = stats.p99_ms
-        if self._telemetry.enabled:
-            self._record_latency(
-                run, stats.p50_ms, stats.p95_ms, float(stats.p99_ms)
-            )
+        shape = (end - start, self.max_machines * p)
+        shares = np.empty(shape)
+        rows = capacity = None
+        while run.t < end:
+            t, i = run.t, run.t - start
+            if injector is not None:
+                self._inject_faults(run)
+            if self._close_interval(run):
+                self._plan(run)
+            move = run.move
+            if move is None and injector is None:
+                # Nothing changes before the next planner boundary.
+                shares[i:] = self._steady_shares(run)
+                run.out_machines[t:end] = run.machines
+                run.t = end
+                break
             if move is not None:
+                migration = move.migration
+                node_map = migration.node_map or {}
+                shares[i] = 0.0
+                for logical, fraction in enumerate(migration.data_fractions()):
+                    machine = node_map.get(logical, logical)
+                    shares[i, machine * p : (machine + 1) * p] = fraction / p
+                machines = MigrationInterference.for_rate(
+                    self.max_machines,
+                    migration.physical_nodes(migration.migrating_machines()),
+                    move.rate_kbps,
+                    self.chunk_kb,
+                )
+                if rows is None:
+                    rows = MigrationInterference.none(shape)
+                rows.busy_fraction[i] = np.repeat(machines.busy_fraction, p)
+                rows.stall_seconds[i] = np.repeat(machines.stall_seconds, p)
+                run.out_machines[t] = migration.machines_allocated()
+                run.out_migrating[t] = True
                 run.iv_migr += 1
+            else:
+                shares[i] = self._steady_shares(run)
+                run.out_machines[t] = run.machines
+            slowdown = injector is not None and injector.any_slowdown_active
+            if slowdown:
+                if capacity is None:
+                    capacity = np.ones(shape)
+                capacity[i] = np.repeat(
+                    injector.capacity_multipliers(self.max_machines, float(t)), p
+                )
             if (
                 run.pending_recovery
                 or slowdown
@@ -599,6 +596,12 @@ class ElasticDbSimulator:
                 )
             ):
                 run.iv_fault += 1
+            if move is not None:
+                self._progress_move(run)
+            run.t += 1
+        return BlockRequest(
+            start, end, shares, run.offered[start:end], rows, capacity
+        )
 
     def _progress_move(self, run: _Run) -> None:
         """Advance the move in flight by this second — or spend it
@@ -622,47 +625,3 @@ class ElasticDbSimulator:
             move.complete(now, emergency=move.emergency)
             run.machines = move.after
             run.move = None
-
-    # ------------------------------------------------------------------
-
-    def _quiescent_until(self, run: _Run) -> int:
-        """End (exclusive) of the quiescent stretch starting at ``run.t``.
-
-        The stretch stops at the next planner-interval boundary tick
-        (where the strategy is consulted and shares may change), at the
-        end of the trace, and — when a fault injector is attached — at
-        the tick where its next scheduled firing or window expiry would
-        be observed.  An active node slowdown disables the fast path
-        entirely (per-tick capacity multipliers apply).
-        """
-        t, injector = run.t, self._injector
-        boundary = t + (run.interval - len(run.accumulator) - 1)
-        end = min(run.offered.size, boundary)
-        if injector is not None:
-            if injector.any_slowdown_active:
-                return t
-            horizon = injector.seconds_to_next_change(float(t))
-            if math.isfinite(horizon):
-                # The injector fires an event at absolute time ``tau``
-                # on the first tick s with tau <= s + 1e-9; every tick
-                # strictly before that must stay in the block so the
-                # scalar path observes the event at the same tick.
-                end = min(end, int(math.floor(t + horizon - 1e-9)) + 1)
-        return max(end, t)
-
-    def _interference(
-        self,
-        total_partitions: int,
-        busy_machines,
-        rate_kbps: float,
-    ) -> MigrationInterference:
-        p = self.config.partitions_per_node
-        partitions: List[int] = []
-        for machine in busy_machines:
-            partitions.extend(range(machine * p, (machine + 1) * p))
-        return MigrationInterference.for_rate(
-            total_partitions,
-            partitions,
-            rate_kbps=rate_kbps,
-            chunk_kb=self.chunk_kb,
-        )

@@ -2,22 +2,23 @@
 
 :class:`TensorBatchEngine` advances many independent
 :class:`~repro.sim.simulator.ElasticDbSimulator` runs ("cells") at once.
-Each cell is driven through :meth:`ElasticDbSimulator.drive`, which
-yields a :class:`~repro.sim.simulator.BlockRequest` for every quiescent
-stretch (no migration, no fault activity, no planner boundary) and runs
-everything else — migration rounds, fault windows, emergency re-plans —
-on the scalar engine *inside* the generator.  The batch engine collects
-all currently-pending block requests, stacks their per-tick arrays along
-the tick axis, and executes the latency-sampling math of every cell in
-one fused numpy call.
+Each cell is driven through :meth:`ElasticDbSimulator.drive`, which runs
+its control loop one planner interval ahead of the engine and yields a
+:class:`~repro.sim.simulator.BlockRequest` per interval — per-tick
+shares, migration interference and capacity rows included, so
+migration rounds, fault windows and re-plans are part of the block, not
+an exception to it.  The batch engine collects all currently-pending
+block requests, stacks their per-tick arrays along the tick axis, and
+executes the latency-sampling math of every cell in one fused numpy
+call.
 
-Eviction / re-admission
------------------------
-A cell that enters a migration round, fault window, or planner re-plan
-is *evicted*: its generator advances those ticks internally on the
-scalar/fast-path engine and the cell simply skips the batched rounds
-until its next yield, at which point it is *re-admitted*.  No state ever
-has to be copied in or out of the batch.
+No eviction
+-----------
+Every tick of every cell reaches the engine through a block, so a cell
+never leaves the batch between its first request and its result.
+``evictions`` and ``scalar_ticks`` are still counted — ticks a
+generator advanced without asking — and read 0; a non-zero value means
+a scalar stepping path has come back into :meth:`drive`.
 
 Bit-identity
 ------------
@@ -33,8 +34,10 @@ the numbers changes — only the batching of pure math:
   percentiles — so concatenating blocks of different cells along the
   tick axis produces the same floats each cell would produce alone;
 * cells are only fused when they share a ``(n_partitions,
-  samples_per_tick)`` shape signature, and blocks containing a
-  zero-completed tick fall back to the engine's own per-tick replay.
+  samples_per_tick)`` shape signature (a cell with no move in flight
+  joins a group that has one on all-zero interference rows, which add
+  ``+0.0``), and blocks containing a zero-completed tick fall back to
+  the engine's own per-tick replay.
 
 The PR-4 differential harness pins this: ``pstore check --suite tensor``
 runs serial and tensor drivers side by side with zero tolerance.
@@ -55,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..hstore.engine import QueueingEngine
+from ..hstore.engine import MigrationInterference, QueueingEngine
 from .simulator import ElasticDbSimulator, SimulationResult
 
 
@@ -90,8 +93,8 @@ class TensorCellOutcome:
 
     Exactly one of ``result``/``error`` is set.  ``batched_ticks`` were
     advanced by fused cross-cell calls; ``scalar_ticks`` ran inside the
-    generator while the cell was evicted (plus any lead-in/tail);
-    ``evictions`` counts re-admissions after at least one batched block.
+    generator without a request and ``evictions`` counts the requests
+    that followed such a gap — both 0 (see the module docstring).
     """
 
     label: str
@@ -155,7 +158,7 @@ class _CellState:
 
 
 class TensorBatchEngine:
-    """Drives N simulator generators, fusing their quiescent blocks.
+    """Drives N simulator generators, fusing their per-interval blocks.
 
     Parameters
     ----------
@@ -241,9 +244,8 @@ class TensorBatchEngine:
             ).strip()
         else:
             # Ticks between the last applied block and the new request
-            # ran scalar inside the generator (migration/fault/boundary
-            # stretches).  After the first batched block that gap is an
-            # eviction + re-admission.
+            # ran inside the generator without a request: the cell left
+            # the batch and came back.
             if state.request.start > state.cursor and state.admitted:
                 state.outcome.evictions += 1
         if started is not None:
@@ -264,7 +266,8 @@ class TensorBatchEngine:
             try:
                 with state.scope():
                     prep = engine._block_prep(
-                        1.0, request.offered, request.shares
+                        1.0, request.offered, request.shares,
+                        request.interference, request.capacity,
                     )
             except Exception as exc:  # noqa: BLE001 - isolated per cell
                 state.request = None
@@ -300,19 +303,29 @@ class TensorBatchEngine:
         if not fused:
             return
         started = self._clock() if self._clock is not None else None
+        # Cells with no move in flight ride a mixed group on zero rows
+        # (the stall term then adds +0.0, as the scalar step always does).
+        interference = None
+        if any(prep.interference is not None for _, prep, _, _ in fused):
+            rows = [
+                prep.interference
+                if prep.interference is not None
+                else MigrationInterference.none(prep.arrivals.shape)
+                for _, prep, _, _ in fused
+            ]
+            interference = MigrationInterference(
+                np.concatenate([r.busy_fraction for r in rows]),
+                np.concatenate([r.stall_seconds for r in rows]),
+            )
         p50, p95, p99 = QueueingEngine._block_sample_math(
             np.concatenate([prep.arrivals for _, prep, _, _ in fused]),
-            np.concatenate(
-                [
-                    np.broadcast_to(prep.mu_eff, prep.arrivals.shape)
-                    for _, prep, _, _ in fused
-                ]
-            ),
+            np.concatenate([prep.mu_eff for _, prep, _, _ in fused]),
             np.concatenate([prep.backlog_mid for _, prep, _, _ in fused]),
             np.concatenate([prep.completed for _, prep, _, _ in fused]),
             np.concatenate([prep.total_completed for _, prep, _, _ in fused]),
             np.concatenate([uniforms for _, _, uniforms, _ in fused]),
             np.concatenate([exponentials for _, _, _, exponentials in fused]),
+            interference,
         )
         offset = 0
         total = self._clock() - started if started is not None else 0.0

@@ -5,12 +5,16 @@ to the scalar per-second loop — same RNG draws, same per-second outputs.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_config
-from repro.elasticity import StaticStrategy
+from repro.elasticity import StaticStrategy, StrategySpec
 from repro.elasticity.manual import ManualStrategy
+from repro.errors import SimulationError
+from repro.experiments import benchmark_setup, fig09
 from repro.faults import FaultInjector, FaultSpec
-from repro.hstore.engine import QueueingEngine
+from repro.hstore.engine import MigrationInterference, QueueingEngine
 from repro.sim import ElasticDbSimulator
 
 CFG = default_config()  # 60 s planner interval
@@ -55,8 +59,8 @@ class TestFastPathEquality:
 
     def test_with_migrations_and_interval_boundaries(self):
         """Scale-out and scale-in moves interleave with quiescent
-        stretches; the fast path must hand over to the scalar loop for
-        every migration second and resume without drift."""
+        stretches; every migration second rides its interval's block as
+        a row of shares and interference."""
         offered = _sinusoid(2400)
         strategy = lambda: ManualStrategy([(2, 5), (20, 3)])
         fast = _run(offered, strategy(), True)
@@ -84,8 +88,8 @@ class TestFastPathEquality:
         _assert_identical(fast, scalar)
 
     def test_with_slowdown_window(self):
-        """node_slowdown keeps the simulator on the scalar path while the
-        window is active; outputs must still match exactly."""
+        """node_slowdown reaches the block kernel as per-tick capacity
+        multipliers; outputs must still match exactly."""
         offered = _sinusoid(900)
         specs = [
             FaultSpec(
@@ -119,6 +123,49 @@ class TestFastPathEquality:
         fast = _run(offered, StaticStrategy(2), True, initial_machines=2)
         scalar = _run(offered, StaticStrategy(2), False, initial_machines=2)
         _assert_identical(fast, scalar)
+        # With a move in flight the replayed ticks must sample under
+        # their own interference and service-rate rows.
+        strategy = lambda: ManualStrategy([(1, 5), (9, 3)])
+        fast = _run(offered, strategy(), True)
+        scalar = _run(offered, strategy(), False)
+        assert fast.migrating[150:200].all() and fast.migrating[600:650].all()
+        _assert_identical(fast, scalar)
+
+    @pytest.mark.parametrize("text", ["reactive:patience=10", "p-store"])
+    def test_elastic_run_never_takes_a_scalar_step(
+        self, text, fig09_day, monkeypatch
+    ):
+        """A fault-free elastic run goes through the block kernel only:
+        one block per planner interval, scale-outs and scale-ins
+        included, and not one ``QueueingEngine.step``."""
+        simulator, strategy, history = fig09.prepare_approach(
+            StrategySpec.parse(text), fig09_day
+        )
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("QueueingEngine.step called from drive")
+
+        sizes = []
+        step_block = QueueingEngine.step_block
+
+        def spy(engine, dt, offered_block, *rows):
+            sizes.append(len(offered_block))
+            return step_block(engine, dt, offered_block, *rows)
+
+        monkeypatch.setattr(QueueingEngine, "step", no_step)
+        monkeypatch.setattr(QueueingEngine, "step_block", spy)
+        result = simulator.run(fig09_day.offered_tps, strategy, history)
+        # Blocks tile the day and start at the planner-boundary ticks:
+        # [0, 59), [59, 119), ..., [8579, 8639), [8639, 8640).
+        assert sizes == [59] + [60] * 143 + [1]
+        steps = np.diff(result.machines)
+        assert result.moves_started >= 3
+        assert (steps > 0).any() and (steps < 0).any()
+
+
+@pytest.fixture(scope="module")
+def fig09_day():
+    return benchmark_setup(eval_days=1, seed=55)
 
 
 class TestStepBlockKernel:
@@ -189,3 +236,117 @@ class TestStepBlockKernel:
             stats = mixed.step(1.0, float(offered[i]), shares)
             assert stats.p99_ms == expected[i].p99_ms
             assert stats.completed_tps == expected[i].completed_tps
+
+
+def _rows_match(expected, block, offset):
+    for i in range(block.ticks):
+        stats = expected[offset + i]
+        assert (
+            stats.time, stats.p50_ms, stats.p95_ms, stats.p99_ms,
+            stats.completed_tps, stats.offered_tps, stats.max_utilization,
+            stats.backlog,
+        ) == (
+            block.times[i], block.p50_ms[i], block.p95_ms[i], block.p99_ms[i],
+            block.completed_tps[i], block.offered_tps[i],
+            block.max_utilization[i], block.backlog[i],
+        ), f"tick {offset + i} diverged"
+
+
+class TestStepBlockPerTickRows:
+    """step_block under per-tick shares, migration interference and
+    capacity multipliers vs the same ticks through scalar step()."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 14),
+        ticks=st.integers(1, 40),
+        load=st.sampled_from([0.0, 0.4, 0.9, 1.6]),
+        with_caps=st.booleans(),
+        backlog=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_rows_match_scalar_under_any_chunking(
+        self, seed, n, ticks, load, with_caps, backlog
+    ):
+        rng = np.random.default_rng(seed)
+        # Hot episodes every ~15 ticks, so they carry across chunks.
+        kwargs = dict(n_partitions=n, seed=seed, hot_episode_rate=1 / (15 * n))
+        capacity = 73.0 * n
+        offered = rng.uniform(0.0, 2.0, ticks) * load * capacity
+        offered[rng.random(ticks) < 0.1] = 0.0
+        shares = rng.uniform(0.0, 1.0, (ticks, n))
+        shares[:, rng.integers(0, n)] += 0.05
+        busy = np.where(
+            rng.random((ticks, n)) < 0.3, rng.uniform(0.0, 0.95, (ticks, n)), 0.0
+        )
+        stall = np.where(busy > 0.0, rng.uniform(0.0, 0.4), 0.0)
+        caps = rng.uniform(0.1, 1.0, (ticks, n)) if with_caps else None
+        # Entry backlog: an overloaded lead-in, itself one block.
+        lead = np.full(4 if backlog else 0, 2.0 * capacity)
+
+        scalar = QueueingEngine(**kwargs)
+        for v in lead:
+            scalar.step(1.0, float(v), np.ones(n))
+        expected = [
+            scalar.step(
+                1.0, float(offered[i]), shares[i],
+                MigrationInterference(busy[i], stall[i]),
+                None if caps is None else caps[i],
+            )
+            for i in range(ticks)
+        ]
+        for chunk in (1, 7, ticks):
+            batched = QueueingEngine(**kwargs)
+            if lead.size:
+                batched.step_block(1.0, lead, np.ones(n))
+            for lo in range(0, ticks, chunk):
+                rows = slice(lo, lo + chunk)
+                block = batched.step_block(
+                    1.0, offered[rows], shares[rows],
+                    MigrationInterference(busy[rows], stall[rows]),
+                    None if caps is None else caps[rows],
+                )
+                _rows_match(expected, block, lo)
+
+    # Rejections, on a 3-tick block over 4 partitions: the message names
+    # the argument, and for a shape the one wanted and the one given.
+    @pytest.mark.parametrize(
+        "argument, rows, message",
+        [
+            ("shares", np.ones((2, 4)), r"shares .*\(3, 4\).*\(2, 4\)"),
+            ("shares", np.ones((3, 5)), r"shares .*\(3, 4\).*\(3, 5\)"),
+            ("shares", np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4]),
+             "at least one partition"),
+            ("shares", np.array([1.0, -0.5, 1.0, 1.0]), "non-negative"),
+            ("shares", np.array([1.0, np.nan, 1.0, 1.0]), "shares .*finite"),
+            ("busy", np.full((3, 4), -0.1), r"busy_fraction .*\[0, 1\)"),
+            ("busy", np.full((3, 4), 1.0), r"busy_fraction .*\[0, 1\)"),
+            ("busy", np.zeros((4, 4)), r"busy_fraction .*\(3, 4\).*\(4, 4\)"),
+            ("stall", np.full(4, np.inf), "stall_seconds .*finite"),
+            ("caps", np.array([1.0, 0.0, 1.0, 1.0]), "multipliers .*positive"),
+            ("caps", np.ones((3, 3)),
+             r"capacity_multipliers .*\(3, 4\).*\(3, 3\)"),
+            ("caps", np.full((3, 4), np.nan), "capacity_multipliers .*finite"),
+            ("offered", np.array([1.0, np.inf, 1.0]), "offered_block .*finite"),
+        ],
+    )
+    def test_malformed_rows_are_rejected(self, argument, rows, message):
+        args = dict(
+            offered=np.full(3, 100.0), shares=np.ones(4),
+            busy=np.zeros(4), stall=np.zeros(4), caps=None,
+        )
+        args[argument] = rows
+        engine = QueueingEngine(n_partitions=4, seed=1)
+        with pytest.raises(SimulationError, match=message):
+            engine.step_block(
+                1.0, args["offered"], args["shares"],
+                MigrationInterference(args["busy"], args["stall"]),
+                args["caps"],
+            )
+        # A rejected call leaves the engine where it was.
+        fresh = QueueingEngine(n_partitions=4, seed=1)
+        _rows_match(
+            [fresh.step(1.0, 100.0, np.ones(4)) for _ in range(3)],
+            engine.step_block(1.0, np.full(3, 100.0), np.ones(4)),
+            0,
+        )
