@@ -1,9 +1,9 @@
-"""Plain-text rendering of tables and series for the bench harness.
+"""Plain-text rendering of tables and series.
 
-Every bench prints the rows/series its paper counterpart reports; these
-helpers keep that output consistent: fixed-width ASCII tables, unicode
-sparklines for load/capacity curves, and a small "paper vs measured"
-comparison block used by EXPERIMENTS.md.
+Fixed-width ASCII tables, unicode sparklines for load/capacity curves,
+and the "paper vs measured" claims block every paper artefact's report
+ends with (``ExperimentDef.render``), plus the marker-block splice that
+``pstore paper --update`` uses to keep EXPERIMENTS.md generated.
 """
 
 from __future__ import annotations
@@ -81,25 +81,70 @@ def series_block(
     )
 
 
+def claim(metric, paper, measured, holds=None, note="") -> Dict[str, object]:
+    """One row of a paper artefact's ``claims``: what the paper says,
+    what was measured, and whether the claim holds (None = the row only
+    informs)."""
+    return {
+        "metric": metric,
+        "paper": paper,
+        "measured": measured,
+        "holds": None if holds is None else bool(holds),
+        "note": note,
+    }
+
+
+_HOLDS = {True: "yes", False: "no", None: "-"}
+
+
 def paper_vs_measured(
     rows: Sequence[Dict[str, object]],
     title: str = "paper vs measured",
 ) -> str:
-    """Render the standard comparison block used by every bench.
+    """Render an artefact's claims as its comparison block.
 
-    Each row needs keys ``metric``, ``paper`` and ``measured``; an
-    optional ``note`` explains scale differences.
+    Each row needs keys ``metric``, ``paper`` and ``measured``;
+    ``holds`` is True / False, or None (absent) for a purely informative
+    row; an optional ``note`` explains a scale difference or deviation.
     """
-    out_rows = []
-    for row in rows:
-        out_rows.append(
+    table = ascii_table(
+        ["metric", "paper", "measured", "holds", "note"],
+        [
             [
                 row["metric"],
                 row["paper"],
                 row["measured"],
+                _HOLDS[row.get("holds")],
                 row.get("note", ""),
             ]
-        )
-    return ascii_table(
-        ["metric", "paper", "measured", "note"], out_rows, title=title
+            for row in rows
+        ],
+        title=title,
     )
+    # An empty note pads to the column width; keep the block free of
+    # trailing blanks so it survives editors once spliced into a doc.
+    return "\n".join(line.rstrip() for line in table.splitlines())
+
+
+_BLOCK_END = "<!-- /pstore paper -->"
+
+
+def splice_report(doc: str, name: str, report: str) -> str:
+    """Replace the body of ``name``'s marker block in a document.
+
+    A block is everything between ``<!-- pstore paper: NAME -->`` and the
+    next ``<!-- /pstore paper -->``; the report goes in as a fenced
+    ``text`` block.  A missing or unclosed marker is an error — the
+    caller must not write a half-updated document.
+    """
+    begin = f"<!-- pstore paper: {name} -->\n"
+    start = doc.find(begin)
+    if start < 0:
+        raise SimulationError(f"no '{begin.strip()}' marker")
+    body = start + len(begin)
+    end = doc.find(_BLOCK_END, body)
+    if end < 0 or "<!-- pstore paper:" in doc[body:end]:
+        raise SimulationError(
+            f"'{begin.strip()}' is not closed by '{_BLOCK_END}'"
+        )
+    return f"{doc[:body]}```text\n{report}\n```\n{doc[end:]}"

@@ -14,6 +14,11 @@ Subcommands
     run one of the paper's experiments (``--list`` enumerates them, and
     ``--jobs N`` executes the experiment's cell grid through the cached
     sweep executor instead of the serial runner);
+``paper``
+    run every paper artefact (or the named ones) at the registry's
+    defaults — the paper's scale — and print each report: the summary
+    plus its paper-vs-measured claims; ``--update EXPERIMENTS.md``
+    rewrites that file's marker blocks from them (see EXPERIMENTS.md);
 ``sweep``
     execute an experiment's cell grid across a worker pool with
     content-addressed result caching — re-runs only execute dirty cells
@@ -61,7 +66,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import PStoreConfig, api, default_config
-from .analysis import ascii_table, series_block
+from .analysis import ascii_table, series_block, splice_report
 from .config import parse_set_overrides
 from .core import Planner
 from .errors import InfeasiblePlanError, PStoreError
@@ -189,6 +194,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="run the experiment's cell grid through the cached sweep "
         "executor with N workers instead of the serial runner",
+    )
+
+    paper = sub.add_parser(
+        "paper", parents=[common],
+        help="run the paper's artefacts and report each one's claims",
+    )
+    paper.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help="experiment ids (default: every artefact that states claims)",
+    )
+    paper.add_argument(
+        "--update", default=None, metavar="EXPERIMENTS.md",
+        help="rewrite the file's '<!-- pstore paper: NAME -->' blocks "
+        "with the reports",
     )
 
     swp = sub.add_parser(
@@ -597,6 +616,32 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _cmd_paper(args) -> int:
+    from .experiments.registry import get_experiment, list_experiments
+
+    defns = (
+        [get_experiment(name) for name in args.names] if args.names
+        else [defn for defn in list_experiments() if defn.claims]
+    )
+    doc = None
+    if args.update:
+        with open(args.update, encoding="utf-8") as handle:
+            doc = handle.read()
+        # A bad marker must fail now, not after minutes of simulation.
+        for defn in defns:
+            splice_report(doc, defn.name, "")
+    for defn in defns:
+        logger.info("running %s", defn.name)
+        report = defn.render(defn.run())
+        print(f"===== {defn.name} =====\n{report}\n")
+        if doc is not None:
+            doc = splice_report(doc, defn.name, report)
+    if doc is not None:
+        with open(args.update, "w", encoding="utf-8") as handle:
+            handle.write(doc)
+    return 0
+
+
 def _payload_line(payload) -> str:
     """One compact line for a cell payload (skip the digest blobs)."""
     if not isinstance(payload, dict):
@@ -941,6 +986,7 @@ _COMMANDS = {
     "plan": _cmd_plan,
     "simulate": _cmd_simulate,
     "experiment": _cmd_experiment,
+    "paper": _cmd_paper,
     "sweep": _cmd_sweep,
     "chaos": _cmd_chaos,
     "check": _cmd_check,

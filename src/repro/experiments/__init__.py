@@ -1,20 +1,21 @@
 """One module per evaluation artefact of the paper.
 
-Each ``run_*`` function executes an experiment at (optionally reduced)
-scale and returns a typed result object; the benches under
-``benchmarks/`` are thin wrappers that print the same rows/series the
-paper reports.
-
-Every module additionally declares its **sweep-cell grid**: ``grid()``
-returns the experiment's independent cells as
-:class:`~repro.runner.RunSpec` objects and ``run_cell(spec, config)``
-executes one of them hermetically.  The registry in
-:mod:`repro.experiments.registry` enumerates all experiments for
-``pstore experiment --list`` and ``pstore sweep`` without importing the
+A module is the one definition of its artefact.  ``grid()`` returns the
+experiment's independent cells as :class:`~repro.runner.RunSpec`
+objects and ``run_cell(spec, config)`` executes one of them
+hermetically; the ``run_*`` function is the serial runner — a fold over
+that same grid (at the paper's scale by default) into a typed result
+object; ``summarize(result)`` renders it and ``claims(result)`` states
+what the paper reports next to what was measured, row by row, with
+whether each claim holds.  The registry in
+:mod:`repro.experiments.registry` enumerates all of them for ``pstore
+experiment``, ``pstore sweep`` and ``pstore paper`` (which regenerates
+the blocks of EXPERIMENTS.md from ``render``) without importing the
 heavy modules up front.
 """
 
 from .ablations import (
+    run_ablations,
     run_debounce_ablation,
     run_effcap_ablation,
     run_inflation_ablation,
@@ -78,6 +79,7 @@ __all__ = [
     "get_experiment",
     "interval_rates",
     "list_experiments",
+    "run_ablations",
     "run_chaos",
     "run_debounce_ablation",
     "run_effcap_ablation",

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.report import claim
 from ..workload import LoadTrace, b2w_like_trace
 
 
@@ -97,3 +98,14 @@ def summarize(result: Figure1Result) -> str:
         f"(ratio {result.peak_to_trough:.1f}x), daily autocorrelation "
         f"{result.daily_autocorrelation:.3f}"
     )
+
+
+def claims(result: Figure1Result) -> list:
+    ratio, autocorr = result.peak_to_trough, result.daily_autocorrelation
+    peak = result.peak_requests_per_min
+    return [
+        claim("peak-to-trough ratio", "~10x", f"{ratio:.1f}x", 7.0 <= ratio <= 16.0),
+        claim("peak load (requests/min)", "~2.2e4", f"{peak:,.0f}"),
+        claim("daily periodicity (lag-1-day autocorrelation)", "strong",
+              f"{autocorr:.2f}", autocorr > 0.85),
+    ]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.report import claim
 from ..config import PStoreConfig, default_config
 from ..workload import sine_trace
 
@@ -96,3 +97,15 @@ def summarize(result: Figure2Result) -> str:
         f"ideal fractional allocation "
         f"({result.step_cost:,.0f} vs {result.ideal_cost:,.0f} server-slots)"
     )
+
+
+def claims(result: Figure2Result) -> list:
+    allocated = result.allocated_servers
+    slack = allocated - result.ideal_servers
+    return [
+        claim("step allocation never below the ideal curve", "Fig 2b",
+              f"min {allocated.min():.0f} server, min slack {slack.min():.2f} servers",
+              allocated.min() >= 1 and (slack >= -1e-9).all()),
+        claim("step allocation overhead vs ideal", "qualitative gap (Fig 2b)",
+              f"{result.overhead_pct:.1f}%", 0.0 < result.overhead_pct < 40.0),
+    ]

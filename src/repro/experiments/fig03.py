@@ -18,6 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..analysis.report import claim
 from ..config import PStoreConfig, default_config
 from ..core import Planner, model
 from ..core.moves import MoveSchedule
@@ -128,3 +129,17 @@ def summarize(result: Figure3Result) -> str:
         f"plan ends at {result.machines_end} machines, cost "
         f"{result.total_cost:,.0f}; capacity covers demand: {ok}"
     )
+
+
+def claims(result: Figure3Result) -> list:
+    first = result.schedule.first_real_move
+    covered, end = result.capacity_always_exceeds_demand, result.machines_end
+    return [
+        claim("capacity exceeds demand throughout", "Fig 3 requirement",
+              "yes" if covered else "no", covered),
+        claim("ends at A = 4 machines", 4, end, end == 4),
+        claim("scale-outs delayed (cost minimised)", "'as late as possible'",
+              f"first move starts at interval {first.start if first else '-'}, "
+              f"total cost {result.total_cost:.1f} machine-intervals",
+              first is not None and first.start > 0),
+    ]

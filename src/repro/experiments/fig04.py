@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..analysis.report import claim
 from ..config import default_config
 from ..core.model import MoveProfile, move_profile, move_time
 
@@ -103,3 +104,14 @@ def summarize(result: Figure4Result) -> str:
         f"allocation gap {case.max_allocation_gap:.2f} machines"
         for case in result.cases
     )
+
+
+def claims(result: Figure4Result) -> list:
+    small = result.case(3, 5).max_allocation_gap
+    large = result.case(3, 14).max_allocation_gap
+    return [
+        claim("3->5: eff-cap close to allocation", "Fig 4a",
+              f"max gap {small:.2f} machines", small < large),
+        claim("3->14: eff-cap lags allocation", "Fig 4c (significant)",
+              f"max gap {large:.2f} machines", large > 4.0),
+    ]

@@ -13,6 +13,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from ..analysis.report import claim
 from ..prediction import SparPredictor
 from ..workload import wikipedia_like_trace
 
@@ -131,3 +132,16 @@ def summarize(result: Figure6Result) -> str:
         )
         lines.append(f"{lang.language}: {sweep}")
     return "\n".join(lines)
+
+
+def claims(result: Figure6Result) -> list:
+    english, german = result.english.mre_by_tau, result.german.mre_by_tau
+    return [
+        claim("German MRE at tau <= 2h", "< 10%", f"{100 * german[2]:.1f}%",
+              german[2] < 0.12),
+        claim("German MRE at tau = 6h", "~13%", f"{100 * german[6]:.1f}%",
+              german[6] < 0.25),
+        claim("English easier than German", "Fig 6b",
+              f"{100 * english[6]:.1f}% vs {100 * german[6]:.1f}% at 6h",
+              english[6] < german[6]),
+    ]

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.report import claim
 from ..config import PStoreConfig, default_config
 from ..elasticity import StaticStrategy
 from ..elasticity.manual import ManualStrategy
@@ -163,3 +164,22 @@ def summarize(result: Figure8Result) -> str:
             f"{run.migration_seconds:.0f} s"
         )
     return "\n".join(lines)
+
+
+def claims(result: Figure8Result) -> list:
+    by_chunk = result.by_chunk()
+    static, small, large = by_chunk[None], by_chunk[1000.0], by_chunk[8000.0]
+    return [
+        claim("1000 kB ~ static system", "p99 slightly larger, within the 500 ms SLA",
+              f"{small.p99_peak_ms:.0f} vs {static.p99_peak_ms:.0f} ms peak",
+              small.p99_peak_ms < 1.5 * static.p99_peak_ms,
+              note="holds = under 1.5x static, whatever the SLA"),
+        claim("larger chunks -> faster", "Fig 8 trend",
+              f"8000 kB: {large.migration_seconds:.0f} s move vs "
+              f"{small.migration_seconds:.0f} s",
+              large.migration_seconds < small.migration_seconds / 4),
+        claim("larger chunks -> riskier", "Fig 8 trend",
+              f"8000 kB: p99 peak {large.p99_peak_ms:.0f} ms",
+              large.p99_peak_ms > 2.0 * static.p99_peak_ms),
+        claim("implied safe rate R", "244 kB/s", f"{small.rate_kbps:.0f} kB/s"),
+    ]

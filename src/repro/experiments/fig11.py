@@ -13,11 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from ..analysis.report import claim
 from ..config import default_config
-from ..elasticity import PStoreStrategy
+from ..elasticity import PStoreStrategy, StrategySpec
 from ..sim import ElasticDbSimulator, SimulationResult
 from ..workload import EventCalendar, LoadEvent, b2w_like_trace
-from .common import BENCHMARK_BASE_LEVEL, TRAIN_DAYS, benchmark_setup
+from .common import (
+    BENCHMARK_BASE_LEVEL,
+    TRAIN_DAYS,
+    benchmark_setup,
+    sim_payload,
+)
 from .fig09 import ENGINE_SEED
 
 
@@ -73,30 +79,13 @@ def run_figure11(
     seed: int = 33,
     spike_magnitude: float = 2.2,
 ) -> Figure11Result:
-    """Run the spike day twice: emergency rate R vs R x 8."""
-    config = default_config()
-    trace = _spike_trace(eval_days, seed, spike_magnitude)
-    setup = benchmark_setup(eval_days=eval_days, config=config, trace=trace)
-
-    results = {}
-    for label, multiplier in (("regular", 1.0), ("boosted", 8.0)):
-        strategy = PStoreStrategy(
-            config,
-            setup.spar,
-            emergency_rate_multiplier=multiplier,
-            name=f"p-store-R{'' if multiplier == 1 else 'x8'}",
-        )
-        simulator = ElasticDbSimulator(
-            config, max_machines=10, initial_machines=4, seed=ENGINE_SEED
-        )
-        results[label] = simulator.run(
-            setup.offered_tps,
-            strategy,
-            history_seed_tps=setup.train_interval_tps,
-        )
-    return Figure11Result(
-        regular_rate=results["regular"], boosted_rate=results["boosted"]
+    """Run the spike day twice — emergency rate R vs R x 8: the two
+    cells of :func:`grid`."""
+    regular, boosted = (
+        _run(spec, default_config())
+        for spec in grid(eval_days, seed, spike_magnitude)
     )
+    return Figure11Result(regular_rate=regular, boosted_rate=boosted)
 
 
 # ----------------------------------------------------------------------
@@ -124,10 +113,8 @@ def grid(eval_days: int = 1, seed: int = 33,
 
 
 def _prepare_cell(spec, config):
-    """(simulator, offered, strategy, history) for one sweep cell —
-    shared by the serial and tensor cell runners."""
-    from ..elasticity import StrategySpec
-
+    """(simulator, offered, strategy, history) for one cell — the only
+    construction site, shared by the runner and both cell runners."""
     eval_days = int(spec.option("eval_days", 1))
     trace = _spike_trace(
         eval_days, spec.seed, float(spec.option("spike_magnitude", 2.2))
@@ -147,18 +134,18 @@ def _prepare_cell(spec, config):
     return simulator, setup.offered_tps, strategy, setup.train_interval_tps
 
 
-def run_cell(spec, config) -> dict:
-    from .common import sim_payload
-
+def _run(spec, config) -> SimulationResult:
     simulator, offered, strategy, history = _prepare_cell(spec, config)
-    result = simulator.run(offered, strategy, history_seed_tps=history)
-    return sim_payload(result)
+    return simulator.run(offered, strategy, history_seed_tps=history)
+
+
+def run_cell(spec, config) -> dict:
+    return sim_payload(_run(spec, config))
 
 
 def tensor_cell(spec, config):
     """One spike-day cell as a :class:`~repro.sim.tensor.TensorProgram`."""
     from ..sim.tensor import TensorProgram
-    from .common import sim_payload
 
     simulator, offered, strategy, history = _prepare_cell(spec, config)
     return TensorProgram(
@@ -181,3 +168,21 @@ def summarize(result: Figure11Result) -> str:
     better = "yes" if result.boost_reduces_total_violations else "no"
     lines.append(f"boosting the rate reduces total violations: {better}")
     return "\n".join(lines)
+
+
+def claims(result: Figure11Result) -> list:
+    regular = result.regular_rate.sla_violations()
+    boosted = result.boosted_rate.sla_violations()
+
+    def cells(violations) -> str:
+        return "/".join(str(violations[q]) for q in (50.0, 95.0, 99.0))
+
+    return [
+        claim("rate R violations (p50/p95/p99)", "16/101/143", cells(regular)),
+        claim("rate R x 8 violations", "22/44/51", cells(boosted)),
+        claim("boost cuts total violation time", "260 -> 117",
+              f"{sum(regular.values())} -> {sum(boosted.values())}",
+              result.boost_reduces_total_violations),
+        claim("boost cuts p99 violations", "143 -> 51",
+              f"{regular[99.0]} -> {boosted[99.0]}", boosted[99.0] < regular[99.0]),
+    ]

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis.capacity import CapacityCostCurve, SweepPoint
+from ..analysis.report import claim
 from ..config import PStoreConfig, default_config
 from ..elasticity import (
     PStoreStrategy,
@@ -131,6 +132,7 @@ class Figure12Result:
                 rows.append(
                     {
                         "strategy": name,
+                        "point": point.strategy,   # "static-4" for a size
                         "q_fraction": point.q_fraction,
                         "normalized_cost": point.cost_machine_slots
                         / self.baseline_cost,
@@ -321,8 +323,29 @@ def summarize(result: Figure12Result) -> str:
         fraction = row["q_fraction"]
         q_label = "-" if fraction != fraction else f"{fraction:.2f}"
         lines.append(
-            f"{row['strategy']} (Q x {q_label}): cost "
+            f"{row['point']} (Q x {q_label}): cost "
             f"{row['normalized_cost']:.2f}, insufficient "
             f"{row['pct_insufficient']:.2f}%"
         )
     return "\n".join(lines)
+
+
+def claims(result: Figure12Result) -> list:
+    insufficient: Dict[str, List[float]] = {}
+    for row in result.normalized_points():
+        insufficient.setdefault(row["strategy"], []).append(row["pct_insufficient"])
+    spar_avg = float(np.mean(insufficient["p-store-spar"]))
+    oracle_avg = float(np.mean(insufficient["p-store-oracle"]))
+    reactive_min = min(insufficient["reactive"])
+    simple_max = max(insufficient["simple"])
+    return [
+        claim("oracle bounds SPAR", "P-Store SPAR 'not far behind'",
+              f"avg insufficiency {oracle_avg:.2f}% vs {spar_avg:.2f}%",
+              oracle_avg <= spar_avg + 1e-9),
+        claim("reactive violates at comparable cost", "purple curve above P-Store",
+              f"reactive min insufficiency {reactive_min:.2f}%",
+              spar_avg < reactive_min + 0.5,
+              note="holds = SPAR's average is under reactive's best + 0.5"),
+        claim("simple breaks on deviations", "green curve far right/up",
+              f"simple max insufficiency {simple_max:.2f}%", simple_max > spar_avg),
+    ]

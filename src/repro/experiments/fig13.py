@@ -16,8 +16,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..elasticity import PStoreStrategy
+from ..analysis.report import claim
+from ..elasticity import StrategySpec
 from ..sim import CapacitySimResult, run_capacity_simulation
+from .common import capacity_payload
 from .fig12 import SeasonSetup, season_setup, simple_strategy_for
 
 
@@ -71,26 +73,12 @@ def run_figure13(
     setup: Optional[SeasonSetup] = None,
     black_friday_day: int = 116,
 ) -> Figure13Result:
-    """Simulate P-Store SPAR and Simple over the season; extract windows."""
+    """Simulate P-Store SPAR and Simple over the season — the two cells
+    of :func:`grid` on one shared setup — and extract the windows."""
     setup = setup or season_setup(n_days=n_days, seed=seed)
-    config = setup.config
-    initial = max(1, math.ceil(float(setup.eval_tps[0]) * 1.3 / config.q))
-
-    runs: Dict[str, CapacitySimResult] = {}
-    runs["p-store-spar"] = run_capacity_simulation(
-        setup.trace,
-        PStoreStrategy(config, setup.spar, name="p-store-spar"),
-        config,
-        initial_machines=initial,
-        history_seed=list(setup.train_tps),
-    )
-    runs["simple"] = run_capacity_simulation(
-        setup.trace,
-        simple_strategy_for(setup, config),
-        config,
-        initial_machines=initial,
-    )
-
+    runs = {
+        spec.cell: _run_point(setup, spec) for spec in grid(n_days, seed)
+    }
     eval_days = len(setup.trace) / 288.0
     bf_start = min(black_friday_day - 1.5, eval_days - 4.0)
     return Figure13Result(
@@ -124,27 +112,32 @@ def grid(n_days: int = 120, seed: int = 7) -> list:
     ]
 
 
-def run_cell(spec, config) -> dict:
-    from ..elasticity import StrategySpec
-    from ..sim import run_capacity_simulation
-    from .common import capacity_payload
-
-    n_days = int(spec.option("n_days", 120))
-    setup = season_setup(n_days=n_days, seed=spec.seed)
-    cfg = setup.config
-    initial = max(1, math.ceil(float(setup.eval_tps[0]) * 1.3 / cfg.q))
+def _run_point(setup: SeasonSetup, spec) -> CapacitySimResult:
+    """Simulate the one strategy a grid cell names over the season (the
+    Simple cell is sized from the training profile, not from its spec's
+    placeholder day/night counts)."""
+    config = setup.config
     parsed = StrategySpec.parse(spec.strategy)
     if parsed.kind == "p-store":
-        strategy = parsed.build(cfg, predictor=setup.spar)
+        strategy = parsed.build(config, predictor=setup.spar)
         history = list(setup.train_tps)
     else:
-        strategy = simple_strategy_for(setup, cfg)
+        strategy = simple_strategy_for(setup, config)
         history = []
-    result = run_capacity_simulation(
-        setup.trace, strategy, cfg,
-        initial_machines=initial, history_seed=history,
+    return run_capacity_simulation(
+        setup.trace,
+        strategy,
+        config,
+        initial_machines=max(
+            1, math.ceil(float(setup.eval_tps[0]) * 1.3 / config.q)
+        ),
+        history_seed=history,
     )
-    return capacity_payload(result)
+
+
+def run_cell(spec, config) -> dict:
+    setup = season_setup(n_days=int(spec.option("n_days", 120)), seed=spec.seed)
+    return capacity_payload(_run_point(setup, spec))
 
 
 def summarize(result: Figure13Result) -> str:
@@ -157,3 +150,18 @@ def summarize(result: Figure13Result) -> str:
             f"window, {100 * surge:.1f}% of the Black Friday window"
         )
     return "\n".join(lines)
+
+
+def claims(result: Figure13Result) -> list:
+    simple_ord = result.ordinary.insufficient_fraction("simple")
+    simple_bf = result.black_friday.insufficient_fraction("simple")
+    pstore_bf = result.black_friday.insufficient_fraction("p-store-spar")
+    return [
+        claim("simple adequate on ordinary days", "Fig 13 left",
+              f"insufficient {100 * simple_ord:.1f}% of window", simple_ord < 0.05),
+        claim("simple breaks down on Black Friday", "Fig 13 right",
+              f"insufficient {100 * simple_bf:.1f}% of window",
+              simple_bf > 2 * max(simple_ord, 0.01)),
+        claim("P-Store handles Black Friday", "predictive + reactive",
+              f"insufficient {100 * pstore_bf:.1f}% of window", pstore_bf < 0.02),
+    ]

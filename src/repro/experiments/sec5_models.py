@@ -11,8 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from ..analysis.report import claim
 from ..prediction import ArmaPredictor, ArPredictor, SparPredictor
 from ..workload import b2w_like_trace
+from .common import TRAIN_DAYS
+
+#: The held-out week after the four training weeks (per-minute slots).
+EVAL_DAYS = 7
 
 
 @dataclass
@@ -27,33 +32,16 @@ class ModelComparisonResult:
 
 
 def run_model_comparison(
-    train_days: int = 28,
-    eval_days: int = 7,
-    tau_minutes: int = 60,
-    seed: int = 7,
-    stride: int = 31,
+    tau_minutes: int = 60, seed: int = 7
 ) -> ModelComparisonResult:
-    """Fit all three models on the same trace; compare tau-ahead MRE."""
-    trace = b2w_like_trace(
-        n_days=train_days + eval_days, slot_seconds=60.0, seed=seed
+    """Fit all three models on the same trace; compare tau-ahead MRE —
+    one cell of :func:`grid` per model."""
+    return ModelComparisonResult(
+        mre_by_model={
+            str(spec.option("model")): _cell_mre(spec)
+            for spec in grid(tau_minutes, seed)
+        }
     )
-    period = trace.slots_per_day
-    train = train_days * period
-    stop = train + eval_days * period
-
-    models = {
-        "SPAR": SparPredictor(period=period, n_periods=7, m_recent=30),
-        "ARMA": ArmaPredictor(p=30, q=10),
-        "AR": ArPredictor(order=30),
-    }
-    mre: Dict[str, float] = {}
-    for name, model in models.items():
-        model.fit(trace.values[:train])
-        result = model.backtest(
-            trace.values, tau=tau_minutes, start=train, stop=stop, step=stride
-        )
-        mre[name] = result.mean_relative_error()
-    return ModelComparisonResult(mre_by_model=mre)
 
 
 # ----------------------------------------------------------------------
@@ -78,27 +66,30 @@ def grid(tau_minutes: int = 60, seed: int = 7) -> list:
     ]
 
 
-def run_cell(spec, config) -> dict:
-    name = str(spec.option("model", "SPAR"))
-    trace = b2w_like_trace(n_days=28 + 7, slot_seconds=60.0, seed=spec.seed)
+def _cell_mre(spec) -> float:
+    """Fit the cell's model on four weeks, backtest it on the fifth."""
+    trace = b2w_like_trace(
+        n_days=TRAIN_DAYS + EVAL_DAYS, slot_seconds=60.0, seed=spec.seed
+    )
     period = trace.slots_per_day
-    train = 28 * period
-    stop = train + 7 * period
-    models = {
+    train = TRAIN_DAYS * period
+    model = {
         "SPAR": SparPredictor(period=period, n_periods=7, m_recent=30),
         "ARMA": ArmaPredictor(p=30, q=10),
         "AR": ArPredictor(order=30),
-    }
-    model = models[name]
+    }[str(spec.option("model", "SPAR"))]
     model.fit(trace.values[:train])
-    backtest = model.backtest(
+    return model.backtest(
         trace.values,
         tau=int(spec.option("tau_minutes", 60)),
         start=train,
-        stop=stop,
+        stop=train + EVAL_DAYS * period,
         step=31,
-    )
-    return {"model": name, "mre": backtest.mean_relative_error()}
+    ).mean_relative_error()
+
+
+def run_cell(spec, config) -> dict:
+    return {"model": str(spec.option("model", "SPAR")), "mre": _cell_mre(spec)}
 
 
 def summarize(result: ModelComparisonResult) -> str:
@@ -107,3 +98,16 @@ def summarize(result: ModelComparisonResult) -> str:
         for name in result.ordering
     )
     return f"MRE at tau=60 min — {ranked} (best first)"
+
+
+def claims(result: ModelComparisonResult) -> list:
+    mre = result.mre_by_model
+    return [
+        claim("ranking", "SPAR < ARMA < AR", " < ".join(result.ordering),
+              result.ordering[0] == "SPAR", note="holds = SPAR is best"),
+        claim("SPAR MRE", "10.4%", f"{100 * mre['SPAR']:.1f}%"),
+        claim("ARMA MRE", "12.2%", f"{100 * mre['ARMA']:.1f}%",
+              mre["SPAR"] < mre["ARMA"], note="holds = worse than SPAR"),
+        claim("AR MRE", "12.5%", f"{100 * mre['AR']:.1f}%",
+              mre["SPAR"] < mre["AR"], note="holds = worse than SPAR"),
+    ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..analysis.report import claim
 from ..core.model import avg_machines_allocated
 from ..squall import MigrationSchedule, build_migration_schedule, validate_schedule
 
@@ -83,3 +84,17 @@ def summarize(result: Table1Result) -> str:
         f"machines {result.average_machines:.2f} "
         f"(Algorithm 4: {result.algorithm4_average:.2f})"
     )
+
+
+def claims(result: Table1Result) -> list:
+    steps = [machines for _, machines in result.phases]
+    return [
+        claim("rounds for 3 -> 14", 11, result.n_rounds, result.n_rounds == 11),
+        claim("rounds without the 3-phase trick", ">= 12", result.naive_rounds,
+              result.naive_rounds == 12),
+        claim("avg machines (Algorithm 4)", f"{111 / 11:.3f}",
+              f"{result.average_machines:.3f}",
+              abs(result.average_machines - result.algorithm4_average) < 1e-9),
+        claim("JIT allocation steps", "6, 9, 12, 14", ", ".join(map(str, steps)),
+              steps == [6, 9, 12, 14]),
+    ]

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..analysis.report import claim
 from ..sim.metrics import SlaRow, sla_table
-from .fig09 import Figure9Result, run_figure9
+# ``grid`` is fig09's: the cells are shared, and cached under its name.
+from .fig09 import STATIC10_NOTE, Figure9Result, grid, run_figure9  # noqa: F401
 
 #: The paper's Table 2, for side-by-side reporting.
 PAPER_TABLE2 = (
@@ -62,17 +64,6 @@ def run_table2(
     return Table2Result(rows=sla_table(results), figure9=figure9)
 
 
-# ----------------------------------------------------------------------
-# Sweep-cell protocol (reuses fig09's cells)
-# ----------------------------------------------------------------------
-
-
-def grid(eval_days: int = 3, seed: int = 21) -> list:
-    from .fig09 import grid as fig09_grid
-
-    return fig09_grid(eval_days=eval_days, seed=seed)
-
-
 def summarize(result: Table2Result) -> str:
     lines = []
     for row in result.rows:
@@ -86,3 +77,33 @@ def summarize(result: Table2Result) -> str:
         f"{result.pstore_vs_reactive_reduction_pct:.0f}% fewer violations"
     )
     return "\n".join(lines)
+
+
+def claims(result: Table2Result) -> list:
+    def cells(row: SlaRow) -> str:
+        return (f"{row.violations_p50}/{row.violations_p95}/{row.violations_p99}, "
+                f"{row.average_machines:.2f}")
+
+    pstore, static10 = result.row("p-store"), result.row("static-10")
+    total = {row.approach: result.total_violations(row.approach) for row in result.rows}
+    return [
+        claim(f"{paper.approach} (p50/p95/p99 violations, avg machines)",
+              cells(paper), cells(result.row(paper.approach)))
+        for paper in PAPER_TABLE2
+    ] + [
+        claim("P-Store vs reactive: fewer violations", "72% fewer",
+              f"{result.pstore_vs_reactive_reduction_pct:.0f}% fewer",
+              result.pstore_vs_reactive_reduction_pct > 50.0),
+        claim("P-Store machines vs peak static", "5.05 vs 10 (~50%)",
+              f"{pstore.average_machines:.2f} vs {static10.average_machines:.0f}",
+              pstore.average_machines < 0.6 * static10.average_machines),
+        claim("static-10 is best at the tails (fewest violations)", "38 vs P-Store 129",
+              f"{total['static-10']} vs P-Store {total['p-store']}",
+              total["static-10"] <= total["p-store"], note=STATIC10_NOTE),
+        claim("P-Store violates less than reactive", "129 vs 582",
+              f"{total['p-store']} vs {total['reactive']}",
+              total["p-store"] < total["reactive"]),
+        claim("P-Store violates less than static-4", "129 vs 406",
+              f"{total['p-store']} vs {total['static-4']}",
+              total["p-store"] < total["static-4"]),
+    ]

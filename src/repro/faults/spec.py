@@ -218,7 +218,8 @@ def mixed_chaos_scenario(
     drift_magnitude: float = 0.6,
 ) -> FaultScenario:
     """One fault of every windowed class plus a crash, spread over a day
-    of compressed benchmark time (used by the chaos benchmark)."""
+    of compressed benchmark time (``tests/test_faults.py`` drives it
+    through the simulator end to end)."""
     faults: Sequence[FaultSpec] = (
         FaultSpec(kind=FORECAST_DRIFT, at_time=crash_time * 0.25,
                   duration_seconds=crash_time * 0.5,

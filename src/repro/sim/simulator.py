@@ -466,10 +466,11 @@ class ElasticDbSimulator:
             )
             # Dead machines shrink the pool, and only then is the target
             # capped at it.  Otherwise a target beyond the pool is
-            # refused, not clamped as the capacity-level loops do: Fig. 11
-            # is pinned on it (clamping takes its violation-seconds from
-            # 337 to 543 at rate R, 99 to 284 at R x 8, away from the
-            # paper).
+            # refused, not clamped as the capacity-level loops do: Fig. 11's
+            # result_hash is pinned on it.  Measured on one tree (PR 19):
+            # clamping takes its violation-seconds from 549 to 543 at rate
+            # R and leaves 284 at R x 8, so the numbers no longer argue
+            # either way; the choice belongs to the re-record PR.
             pool = self.max_machines - len(run.crashed)
             target = decision.target_from(
                 run.machines, pool if run.crashed else None

@@ -22,6 +22,20 @@ class TestFacadeSurface:
         major, minor, _patch = repro.__version__.split(".")
         assert (int(major), int(minor)) >= (1, 1)
 
+    def test_the_version_has_one_source(self):
+        """pyproject.toml takes the version from ``repro.__version__``;
+        a literal under ``[project]`` would drift from it again."""
+        import pathlib
+        import re
+
+        text = (
+            pathlib.Path(__file__).parent.parent / "pyproject.toml"
+        ).read_text()
+        project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
+        assert not re.search(r"^version\s*=", project, re.M), project
+        assert re.search(r'^dynamic\s*=\s*\["version"\]', project, re.M)
+        assert 'version = { attr = "repro.__version__" }' in text
+
 
 class TestRun:
     def test_static_run_round_trip(self):

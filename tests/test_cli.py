@@ -141,6 +141,64 @@ class TestExperiment:
         assert "--list" in capsys.readouterr().err
 
 
+class TestPaper:
+    def test_named_artefacts_print_their_reports(self, capsys):
+        code = main(["paper", "fig02", "tab01"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "===== fig02 =====" in out and "===== tab01 =====" in out
+        assert "step allocation overhead vs ideal" in out
+        assert "rounds for 3 -> 14" in out
+        header = [line for line in out.splitlines()
+                  if line.startswith("metric")]
+        assert len(header) == 2
+        assert all("holds" in line.split() for line in header)
+
+    def test_unknown_artefact_rejected(self, capsys):
+        code = main(["paper", "fig02", "fig99"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "unknown experiment" in captured.err
+        assert captured.out == ""  # nothing runs before the names resolve
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "# no marker at all\n",
+            "<!-- pstore paper: fig02 -->\nnever closed\n",
+            "<!-- pstore paper: fig02 -->\n<!-- pstore paper: tab01 -->\n"
+            "<!-- /pstore paper -->\n",
+        ],
+    )
+    def test_update_refuses_a_missing_or_unclosed_marker(
+        self, doc, tmp_path, capsys
+    ):
+        path = tmp_path / "EXPERIMENTS.md"
+        path.write_text(doc)
+        code = main(["paper", "fig02", "--update", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""  # refused before anything ran
+        assert path.read_text() == doc
+
+    def test_update_rewrites_only_the_named_block(self, tmp_path, capsys):
+        path = tmp_path / "doc.md"
+        path.write_text(
+            "prose\n<!-- pstore paper: fig02 -->\nstale\n"
+            "<!-- /pstore paper -->\n"
+            "<!-- pstore paper: tab01 -->\nkept\n<!-- /pstore paper -->\n"
+        )
+        assert main(["paper", "fig02", "--update", str(path)]) == 0
+        text = path.read_text()
+        assert text.startswith("prose\n<!-- pstore paper: fig02 -->\n```text\n")
+        assert "stale" not in text and "holds" in text
+        assert text.endswith(
+            "<!-- pstore paper: tab01 -->\nkept\n<!-- /pstore paper -->\n"
+        )
+
+
 class TestPlanWithConfigFile:
     def test_custom_config_respected(self, small_trace_csv, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"

@@ -1,6 +1,6 @@
 """Unit tests for experiment result assembly, using synthetic runs.
 
-The heavy experiments are exercised by the bench harness; here we test
+The heavy experiments run at scale under ``pstore paper``; here we test
 the result-object logic (Table 2 assembly, CDF tables, Fig. 11
 comparisons) against hand-built
 :class:`~repro.sim.simulator.SimulationResult` objects, which is cheap.

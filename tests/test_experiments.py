@@ -1,9 +1,13 @@
-"""Smoke tests for the experiment modules at minimal scale.
+"""Tests for the experiment modules at minimal scale.
 
-The bench harness runs the experiments at evaluation scale; these tests
-only assert that each module executes and its result objects expose the
-documented structure and basic sanity properties.
+``pstore paper`` runs the experiments at evaluation scale; these tests
+assert that each module executes and its result objects expose the
+documented structure, that every serial runner is a fold over its own
+grid's cells, and that EXPERIMENTS.md is what the registry renders.
 """
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -147,3 +151,141 @@ class TestFigure12:
         ]
         assert points == rebuilt
         assert len(points) == 4 * len(fractions) + len(fig12.STATIC_SIZES)
+
+
+def _fig11_numbers(result):
+    from repro.experiments.common import sim_payload
+
+    return [sim_payload(result.regular_rate), sim_payload(result.boosted_rate)]
+
+
+def _fig13_numbers(result):
+    from repro.experiments.common import capacity_payload
+
+    return [capacity_payload(run) for run in result.runs.values()]
+
+
+def _chaos_numbers(result):
+    from repro.experiments.common import sim_payload
+
+    runs = [result.baseline] + [run.result for run in result.runs.values()]
+    return [sim_payload(run) for run in runs]
+
+
+def _sec5_numbers(result):
+    return [{"model": m, "mre": v} for m, v in result.mre_by_model.items()]
+
+
+class TestOneDefinition:
+    """The runner's numbers are those of its own grid's ``run_cell``
+    payloads: a figure is built in one place (fig12's case is above)."""
+
+    @pytest.mark.parametrize(
+        "name, seam, options, numbers",
+        [
+            ("fig11", "_run", {}, _fig11_numbers),
+            ("fig13", "_run_point", {"n_days": 3}, _fig13_numbers),
+            ("chaos", "_run", {}, _chaos_numbers),
+            ("sec5", "_cell_mre", {}, _sec5_numbers),
+        ],
+    )
+    def test_serial_runner_is_a_fold_over_the_grid(
+        self, name, seam, options, numbers, monkeypatch
+    ):
+        """Runner and ``run_cell`` reach the simulation through one
+        private function per module (``seam``).  The test wraps it to
+        remember each cell's outcome, so one pass pays for both sides:
+        the runner must call it for exactly the grid's cells, in order,
+        and ``run_cell`` — handed those outcomes back — must produce the
+        runner's numbers."""
+        import importlib
+
+        from repro.config import default_config
+        from repro.experiments.registry import get_experiment
+        from repro.runner import RunSpec
+
+        defn = get_experiment(name)
+        module = importlib.import_module(defn.module)
+        real, seen = getattr(module, seam), {}
+
+        def once(*args, **kwargs):
+            spec = next(a for a in args if isinstance(a, RunSpec))
+            if spec.label not in seen:
+                seen[spec.label] = real(*args, **kwargs)
+            return seen[spec.label]
+
+        monkeypatch.setattr(module, seam, once)
+        rebuilt = numbers(defn.run(**options))
+        grid = defn.make_grid(**options)
+        assert list(seen) == [spec.label for spec in grid]
+
+        monkeypatch.setattr(
+            module, seam,
+            lambda *args, **kwargs: seen[
+                next(a for a in args if isinstance(a, RunSpec)).label
+            ],
+        )
+        payloads = [defn.cell_runner()(spec, default_config()) for spec in grid]
+        # chaos cells also carry their recovery record; the simulated
+        # numbers are the keys both sides have.
+        assert [
+            {key: payload[key] for key in mine}
+            for payload, mine in zip(payloads, rebuilt)
+        ] == rebuilt
+        assert len(payloads) == len(rebuilt)
+
+
+DOC = pathlib.Path(__file__).parent.parent / "EXPERIMENTS.md"
+BLOCK = re.compile(
+    r"<!-- pstore paper: (\w+) -->\n```text\n(.*?)\n```\n<!-- /pstore paper -->",
+    re.S,
+)
+
+
+class TestExperimentsDoc:
+    LIGHT = ["fig01", "fig02", "fig03", "fig04", "fig05", "fig06", "fig07",
+             "fig08", "tab01"]
+
+    def test_the_light_blocks_are_what_the_registry_renders(self, tmp_path,
+                                                            capsys):
+        """Byte for byte: ``--update`` on a copy changes nothing."""
+        from repro.cli import main
+
+        copy = tmp_path / "EXPERIMENTS.md"
+        copy.write_bytes(DOC.read_bytes())
+        assert main(["paper", *self.LIGHT, "--update", str(copy)]) == 0
+        assert copy.read_bytes() == DOC.read_bytes()
+        printed = capsys.readouterr().out
+        for name, block in BLOCK.findall(DOC.read_text()):
+            if name in self.LIGHT:
+                assert block in printed, name
+
+    def test_every_artefact_has_a_block_and_deviations_are_pinned(self):
+        """A claim that stops holding cannot be regenerated into the doc
+        silently: the rows reading ``no`` are listed here by name."""
+        from repro.experiments.registry import list_experiments
+
+        blocks = dict(BLOCK.findall(DOC.read_text()))
+        assert sorted(blocks) == sorted(
+            defn.name for defn in list_experiments() if defn.claims
+        )
+        failing = set()
+        for name, block in blocks.items():
+            table = block[block.rindex("\nmetric "):].splitlines()[1:]
+            header, rule, rows = table[0], table[1], table[2:]
+            # columns are right-aligned under the dashed rule
+            ends = [m.end() for m in re.finditer(r"-+", rule)]
+            holds = header.split().index("holds")
+            for row in rows:
+                cells = [
+                    row[start:end].strip()
+                    for start, end in zip([0] + ends, ends)
+                ]
+                assert cells[holds] in ("yes", "no", "-"), (name, row)
+                if cells[holds] == "no":
+                    failing.add((name, cells[0]))
+        assert failing == {
+            ("fig09", "static-10 is best at the tails (p99 violations)"),
+            ("fig10", "static-10 is best at the tails"),
+            ("tab02", "static-10 is best at the tails (fewest violations)"),
+        }

@@ -488,6 +488,30 @@ class TestSimulatorChaos:
         # the dead machine stays gone
         assert first.machines[-1] == 2
 
+    def test_mixed_drill_fires_and_recovers_every_fault(self):
+        """Drift + straggler + crash in one tick-level run: every
+        scheduled fault fires, all recover, and MTTR is defined."""
+        from repro.elasticity import ReactiveStrategy
+
+        scenario = mixed_chaos_scenario(crash_time=2000.0)
+        injector = FaultInjector(scenario)
+        sim = ElasticDbSimulator(
+            self.CFG, max_machines=8, initial_machines=3, seed=3,
+            injector=injector,
+        )
+        # up, down and up again: enough moves for the wedged transfer
+        # the scenario hangs on migration #2
+        ramp = np.concatenate([
+            np.linspace(0.4, 1.9, 1500),
+            np.linspace(1.9, 0.5, 1500),
+            np.linspace(0.5, 1.6, 1200),
+        ]) * self.CFG.q * 3
+        sim.run(ramp, ReactiveStrategy(self.CFG, max_machines=8))
+        stats = recovery_stats(injector.records)
+        assert stats.injected == len(scenario)
+        assert stats.all_recovered
+        assert stats.mean_time_to_recover is not None
+
     def test_disabled_faults_identical_to_no_injector(self):
         sim = ElasticDbSimulator(self.CFG, max_machines=6,
                                  initial_machines=3, seed=3)
