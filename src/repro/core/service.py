@@ -17,12 +17,12 @@ advance simulated time, and it
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..config import PStoreConfig
 from ..elasticity.predictive import PStoreStrategy
 from ..errors import SimulationError
-from ..faults.injector import FaultRecord, injector_from_config
+from ..faults.injector import injector_from_config
 from ..hstore.cluster import Cluster
 from ..hstore.engine import TransactionExecutor
 from ..hstore.monitor import LoadMonitor
@@ -102,7 +102,6 @@ class PStoreService:
             self._ensure_strategy()
         self._now = 0.0
         self._migration_target: Optional[int] = None
-        self._pending_recovery: List[FaultRecord] = []
 
     @property
     def injector(self):
@@ -121,8 +120,7 @@ class PStoreService:
     ) -> None:
         """File a provisioning action (``scale-out`` | ``scale-in`` |
         ``emergency`` | ``rebalance`` | ...) as a ``service.<kind>``
-        chronicle record under its causal parent, mirrored into the
-        telemetry event log."""
+        chronicle record under its causal parent."""
         tel = self._telemetry
         if not tel.enabled:
             return
@@ -130,8 +128,6 @@ class PStoreService:
             f"service.{kind}", time=self._now, parent=parent,
             detail=detail, **fields,
         )
-        tel.events.emit(f"service.{kind}", time=self._now, detail=detail,
-                        **fields)
         tel.metrics.counter("service.events", kind=kind).inc()
 
     # ------------------------------------------------------------------
@@ -206,14 +202,8 @@ class PStoreService:
 
         if closed and not self.migrator.migrating:
             self._plan()
-            if not self.migrator.migrating and self._pending_recovery:
-                # First quiet planning cycle after a crash: the survivors
-                # hold every bucket and the planner saw no need to move
-                # (or the replacement move has already completed) — the
-                # cluster is back to a feasible allocation.
-                for record in self._pending_recovery:
-                    self._injector.mark_recovered(record, self._now)
-                self._pending_recovery = []
+            if not self.migrator.migrating and self._injector is not None:
+                self._injector.confirm_recovery(self._now)
             if self.skew_rebalancing:
                 self._maybe_rebalance()
 
@@ -222,46 +212,39 @@ class PStoreService:
     # ------------------------------------------------------------------
 
     def _handle_crashes(self) -> None:
-        """React to crash faults: abort any in-flight move, re-home the
-        victim's buckets onto the survivors, and queue the fault for
-        recovery confirmation at the next quiet planning cycle."""
-        for record in self._injector.take_new_crashes():
-            live = [n.node_id for n in self.cluster.nodes]
-            if len(live) <= 1:
-                # The last machine cannot be killed; treat the fault as a
-                # no-op so the run still terminates deterministically.
-                self._injector.mark_detected(record, self._now)
-                self._injector.mark_recovered(record, self._now)
-                continue
-            victim = self._injector.resolve_crash_node(record, live)
-            self._injector.mark_detected(record, self._now)
-            if self.migrator.migrating:
-                self.migrator.sim_time = max(self.migrator.sim_time, self._now)
-                self.migrator.abort(reason=f"node {victim} crashed")
-                self._migration_target = None
-                self._record_event(
-                    "migration-aborted",
-                    f"node {victim} crashed mid-move",
-                    parent=self.migrator.last_outcome_id,
-                    node=victim,
-                )
-            summary = self.cluster.fail_node(victim)
-            self._pending_recovery.append(record)
-            tel = self._telemetry
-            if tel.enabled:
-                tel.chronicle.record(
-                    "node.remove",
-                    time=self._now,
-                    parent=tel.chronicle.last("fault.injected"),
-                    node=victim,
-                    machines=summary["survivors"],
-                    reason="crash",
-                )
+        """React to crash faults: abort any in-flight move and re-home
+        the victim's buckets onto the survivors."""
+        summaries = {}
+
+        def abort_move(victim: int) -> None:
+            if not self.migrator.migrating:
+                return
+            self.migrator.sim_time = max(self.migrator.sim_time, self._now)
+            self.migrator.abort(reason=f"node {victim} crashed")
+            self._migration_target = None
+            self._record_event(
+                "migration-aborted",
+                f"node {victim} crashed mid-move",
+                parent=self.migrator.last_outcome_id,
+                node=victim,
+            )
+
+        def drop_node(victim: int) -> int:
+            summaries[victim] = self.cluster.fail_node(victim)
+            return summaries[victim]["survivors"]
+
+        for victim, removed_id in self._injector.handle_crashes(
+            self._now,
+            lambda: [n.node_id for n in self.cluster.nodes],
+            abort_move,
+            drop_node,
+        ):
+            summary = summaries[victim]
             self._record_event(
                 "node-down",
                 f"node {victim} crashed; {summary['buckets_moved']} buckets "
                 f"re-homed onto {summary['survivors']} survivors",
-                parent=self._telemetry.chronicle.last("node.remove"),
+                parent=removed_id,
                 node=victim,
                 buckets_moved=summary["buckets_moved"],
                 kb_recovered=summary["kb_recovered"],
@@ -283,7 +266,9 @@ class PStoreService:
             return
         self.migrator.rate_multiplier = decision.rate_multiplier
         self.migrator.sim_time = self._now
-        self.migrator.start_move(target, cause_id=decision.record_id)
+        self.migrator.start_move(
+            target, decision.record_id, decision.emergency, decision.reason
+        )
         self._migration_target = target
         kind = (
             "emergency"

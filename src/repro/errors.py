@@ -107,15 +107,6 @@ class InvariantViolation(PStoreError):
     """
 
 
-class DivergenceError(PStoreError):
-    """Two engines that must agree diverged beyond declared tolerance.
-
-    Raised by the differential runner in :mod:`repro.check.differential`
-    when the transaction engine and the queueing engine (or the
-    vectorized fast path and the scalar loop) disagree on throughput,
-    latency, or migration accounting."""
-
-
 class TelemetryError(PStoreError):
     """The telemetry subsystem was misused (metric type conflicts,
     invalid quantiles, unwritable artifact paths)."""

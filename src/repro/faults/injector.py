@@ -19,7 +19,7 @@ byte-identical chronicles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -134,6 +134,7 @@ class FaultInjector:
         self.chronicle: List[dict] = []
 
         self._new_crashes: List[FaultRecord] = []
+        self._unconfirmed_crashes: List[FaultRecord] = []
         self._crashed_nodes: Set[int] = set()
         self._slowdowns: List[FaultRecord] = []
         self._stalls: List[FaultRecord] = []
@@ -314,11 +315,68 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def take_new_crashes(self) -> List[FaultRecord]:
-        """Crash faults fired since the last call (host must handle each:
-        resolve the victim, fail the node, and mark detection/recovery)."""
+        """Crash faults fired since the last call (:meth:`handle_crashes`
+        is the host's way to consume them)."""
         fresh = self._new_crashes
         self._new_crashes = []
         return fresh
+
+    def handle_crashes(
+        self,
+        now: float,
+        live_nodes: Callable[[], Sequence[int]],
+        abort_move: Callable[[int], None],
+        drop_node: Callable[[int], int],
+    ) -> List[Tuple[int, Optional[str]]]:
+        """The crash edge of a tick-level loop, in its one order.
+
+        For every crash fired since the last call: pin it to one of
+        ``live_nodes()`` (the last machine cannot be killed — such a
+        crash is detected and recovered on the spot, so the run still
+        terminates deterministically), record ``fault.detected``,
+        ``abort_move(victim)`` whatever move is in flight, then
+        ``drop_node(victim)`` — the host takes the node out, re-homes
+        what it held and returns the machines left — and chronicle
+        ``node.remove`` under the fault.  Recovery is confirmed later, by
+        :meth:`confirm_recovery`.  Returns ``(victim, node.remove id)``
+        per crash, for hosts that file follow-up records.
+        """
+        handled = []
+        for record in self.take_new_crashes():
+            live = live_nodes()
+            if len(live) <= 1:
+                self.mark_detected(record, now)
+                self.mark_recovered(record, now)
+                continue
+            victim = self.resolve_crash_node(record, live)
+            self.mark_detected(record, now)
+            abort_move(victim)
+            machines = drop_node(victim)
+            self._unconfirmed_crashes.append(record)
+            removed = self._telemetry.chronicle.record(
+                "node.remove",
+                time=now,
+                parent=self._fault_chronicle_ids.get(record.fault_id),
+                node=victim,
+                machines=machines,
+                reason="crash",
+            )
+            handled.append((victim, removed.get("id")))
+        return handled
+
+    @property
+    def recovering(self) -> bool:
+        """Whether a handled crash still awaits :meth:`confirm_recovery`."""
+        return bool(self._unconfirmed_crashes)
+
+    def confirm_recovery(self, now: float) -> None:
+        """The host reached a planning boundary that left no move in
+        flight: the controller saw the smaller cluster and needed no
+        move, or its replacement move has completed — the allocation is
+        feasible again, and every handled crash is recovered."""
+        for record in self._unconfirmed_crashes:
+            self.mark_recovered(record, now)
+        self._unconfirmed_crashes = []
 
     def resolve_crash_node(
         self, record: FaultRecord, live_nodes: Sequence[int]
@@ -340,10 +398,6 @@ class FaultInjector:
     def crashed_nodes(self) -> Set[int]:
         return set(self._crashed_nodes)
 
-    def migration_stalled(self, now: Optional[float] = None) -> bool:
-        """Whether a migration-stall window is open right now."""
-        return self.stall_record(now) is not None
-
     def stall_record(self, now: Optional[float] = None) -> Optional[FaultRecord]:
         now = self._now if now is None else now
         for record in self._stalls:
@@ -352,14 +406,6 @@ class FaultInjector:
             ):
                 return record
         return None
-
-    def stall_remaining(self, now: Optional[float] = None) -> float:
-        """Seconds left in the currently-open stall window (0 if none)."""
-        now = self._now if now is None else now
-        record = self.stall_record(now)
-        if record is None or record.ends_at is None:
-            return 0.0
-        return max(0.0, record.ends_at - now)
 
     def capacity_multiplier(self, node: int, now: Optional[float] = None) -> float:
         """Effective capacity of ``node`` (1.0 = healthy straggler-free)."""

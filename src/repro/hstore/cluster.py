@@ -316,13 +316,6 @@ class Cluster:
     # Migration support
     # ------------------------------------------------------------------
 
-    def bucket_data_kb(self, bucket: int) -> float:
-        """Approximate resident data volume of one bucket."""
-        total = 0.0
-        for table in self.schema:
-            total += len(self._bucket_keys[bucket][table.name]) * table.avg_row_kb
-        return total
-
     def move_bucket(self, bucket: int, destination_partition: int) -> float:
         """Atomically move one bucket's rows; returns the kB moved.
 

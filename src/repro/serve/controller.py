@@ -448,8 +448,6 @@ class OnlineController(Persisted):
         self.last_decision_reason = decision.reason
         if decision.emergency:
             self.emergencies += 1
-        if self._telemetry.enabled:
-            self._telemetry.metrics.counter("serve.moves_started").inc()
         if self._strategy is not None:
             self._strategy.notify_move_started(target)
 
@@ -492,14 +490,9 @@ class OnlineController(Persisted):
         """Deterministic drain: a partially-applied migration round rolls
         back to its last committed boundary and the abort is chronicled,
         so the exported run directory never shows in-between state."""
-        move = self._move
-        if move is None:
-            return
-        rolled = move.migration.rollback_partial_round()
-        move.abort(now, reason, rolled_back_fraction=rolled)
-        if self._telemetry.enabled:
-            self._telemetry.metrics.counter("serve.moves_aborted").inc()
-        self._move = None
+        if self._move is not None:
+            self._move.abort(now, reason)
+            self._move = None
 
     # ------------------------------------------------------------------
     # Introspection

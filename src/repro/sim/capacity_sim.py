@@ -168,7 +168,9 @@ class CapacitySimulator:
 
             if move is None:
                 decision = strategy.decide(slot, history, machines)
-                target = decision.target_from(machines)
+                target = decision.target_from(
+                    machines, config.max_machines or None
+                )
                 if target is not None:
                     move = Reconfiguration.decided(
                         config, machines, target, decision,
@@ -186,9 +188,7 @@ class CapacitySimulator:
                 out_eff_qhat[slot] = config.q_hat / largest
                 out_migrating[slot] = True
                 if move.migration.done:
-                    move.complete(
-                        (slot + 1) * slot_seconds, emergency=move.emergency
-                    )
+                    move.complete((slot + 1) * slot_seconds)
                     machines = move.after
                     move = None
             else:
@@ -223,8 +223,6 @@ class CapacitySimulator:
 
         if recording:
             tel.metrics.gauge("sim.slots").set(n_slots)
-            tel.metrics.counter("sim.moves_started").inc(moves_started)
-            tel.metrics.counter("sim.emergencies").inc(emergencies)
 
         if invariants.enabled(invariants.CHEAP):
             invariants.check_capacity_accounting(

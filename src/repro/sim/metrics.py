@@ -25,15 +25,6 @@ class SlaRow:
     violations_p99: int
     average_machines: float
 
-    def as_tuple(self):
-        return (
-            self.approach,
-            self.violations_p50,
-            self.violations_p95,
-            self.violations_p99,
-            self.average_machines,
-        )
-
 
 def sla_table(results: Sequence[SimulationResult]) -> List[SlaRow]:
     """Build Table 2 from a set of benchmark runs."""

@@ -123,11 +123,9 @@ class _Run:
         self.p95 = np.empty(n)
         self.p99 = np.empty(n)
         #: Retry policy + jitter stream for faulty transfers (None on
-        #: fault-free runs), dead machines, and the crash faults still
-        #: waiting for a quiet planning boundary to confirm recovery.
+        #: fault-free runs), and the dead machines.
         self.recovery: Optional[TransferRecovery] = recovery
         self.crashed: List[int] = []
-        self.pending_recovery: List = []
         # Per-interval accounting feeding the chronicle's sla.violation
         # records: seconds above the SLA, worst p99, and how many of the
         # interval's seconds were spent migrating / under fault activity.
@@ -336,40 +334,35 @@ class ElasticDbSimulator:
     def _inject_faults(self, run: _Run) -> None:
         """Fire due faults; a crash aborts the move in flight and takes
         its victim out of the active set."""
-        injector = self._injector
         now = float(run.t)
-        injector.advance(now)
-        for record in injector.take_new_crashes():
-            if len(run.active) <= 1:
-                # The last machine cannot be killed.
-                injector.mark_detected(record, now)
-                injector.mark_recovered(record, now)
-                continue
-            if run.move is not None:
-                run.move.abort(now, "node crash")
-                run.move = None
-            victim = injector.resolve_crash_node(record, run.active)
-            injector.mark_detected(record, now)
-            run.active.remove(victim)
+        self._injector.advance(now)
+
+        def abort_move(victim: int) -> None:
+            move, run.move = run.move, None
+            if move is None:
+                return
+            move.abort(now, "node crash")
+            # Only machines that hold committed rounds stay: a newcomer
+            # nothing reached goes back to the pool, a retiring machine
+            # already drained is gone.
+            migration = move.migration
+            holding = migration.physical_nodes({
+                logical
+                for logical, fraction in enumerate(migration.data_fractions())
+                if fraction > 1e-12
+            })
+            run.active = [m for m in run.active if m in holding]
+
+        def drop_node(victim: int) -> int:
+            if victim in run.active:
+                run.active.remove(victim)
             run.crashed.append(victim)
             run.machines = len(run.active)
-            run.pending_recovery.append(record)
-            tel = self._telemetry
-            if tel.enabled:
-                tel.events.emit(
-                    "sim.node-down",
-                    time=now,
-                    node=victim,
-                    machines=run.machines,
-                )
-                tel.chronicle.record(
-                    "node.remove",
-                    time=now,
-                    parent=tel.chronicle.last("fault.injected"),
-                    node=victim,
-                    machines=run.machines,
-                    reason="crash",
-                )
+            return run.machines
+
+        self._injector.handle_crashes(
+            now, lambda: run.active, abort_move, drop_node
+        )
 
     def _steady_shares(self, run: _Run) -> np.ndarray:
         """Per-partition load shares with no move in flight: uniform
@@ -464,36 +457,14 @@ class ElasticDbSimulator:
             decision = run.strategy.decide(
                 len(run.history) - 1, run.history, run.machines
             )
-            # Dead machines shrink the pool, and only then is the target
-            # capped at it.  Otherwise a target beyond the pool is
-            # refused, not clamped as the capacity-level loops do: Fig. 11's
-            # result_hash is pinned on it.  Measured on one tree (PR 19):
-            # clamping takes its violation-seconds from 549 to 543 at rate
-            # R and leaves 284 at R x 8, so the numbers no longer argue
-            # either way; the choice belongs to the re-record PR.
-            pool = self.max_machines - len(run.crashed)
+            # The pool is the machines that exist less the dead ones.
             target = decision.target_from(
-                run.machines, pool if run.crashed else None
+                run.machines, self.max_machines - len(run.crashed)
             )
-            if target is not None and target <= pool:
+            if target is not None:
                 self._start_move(run, target, decision)
-            elif target is not None:
-                self._telemetry.chronicle.record(
-                    "plan.rejected",
-                    time=float(run.t + 1),
-                    parent=decision.record_id,
-                    target=target,
-                    pool=pool,
-                    machines=run.machines,
-                )
-        if run.move is None and run.pending_recovery:
-            # A quiet planning boundary with the survivors: the
-            # controller saw the smaller cluster and needed no move (or
-            # its replacement move completed) — the allocation is
-            # feasible again.
-            for record in run.pending_recovery:
-                self._injector.mark_recovered(record, float(run.t + 1))
-            run.pending_recovery = []
+        if run.move is None and self._injector is not None:
+            self._injector.confirm_recovery(float(run.t + 1))
 
     def _start_move(self, run: _Run, target: int, decision) -> None:
         """Begin the move to ``target`` machines.
@@ -511,11 +482,6 @@ class ElasticDbSimulator:
                 if m not in active and m not in run.crashed
             ]
             newcomers = inactive[: target - before]
-            if len(newcomers) < target - before:
-                raise SimulationError(
-                    f"cannot scale to {target}: only "
-                    f"{len(active) + len(newcomers)} machines exist"
-                )
             node_map = {i: m for i, m in enumerate(sorted(active) + newcomers)}
             active.extend(newcomers)
         else:
@@ -589,7 +555,7 @@ class ElasticDbSimulator:
                     injector.capacity_multipliers(self.max_machines, float(t)), p
                 )
             if (
-                run.pending_recovery
+                (injector is not None and injector.recovering)
                 or slowdown
                 or (
                     move is not None
@@ -623,6 +589,6 @@ class ElasticDbSimulator:
         if move.finished:
             for machine in move.retiring_nodes:
                 run.active.remove(machine)
-            move.complete(now, emergency=move.emergency)
+            move.complete(now)
             run.machines = move.after
             run.move = None

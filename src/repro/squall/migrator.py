@@ -299,10 +299,13 @@ class Reconfiguration(Persisted):
     ``migration`` directly, or through :meth:`progress` when a fault
     injector is attached.
 
-    The three emitters write the same payload to the event log and the
-    chronicle; ``**fields`` are the calling loop's extras (``emergency``,
-    ``reason`` and ``slot`` where a strategy decision started the move,
-    ``rounds`` and ``elapsed`` on the row-level cluster).
+    The three emitters write one chronicle record each, with the same
+    fields in every loop, and own the ``migrate.moves_started |
+    emergencies | moves_aborted`` counters.  ``emergency`` and ``reason``
+    are on ``migration.start`` only; the records that follow reach them
+    through ``parent``.  ``**fields`` are the calling loop's extras:
+    ``slot`` where a strategy decision started the move, ``rounds`` on
+    the row-level cluster.
     """
 
     def __init__(
@@ -336,9 +339,6 @@ class Reconfiguration(Persisted):
         self._half_slot = config.interval_seconds / 2.0
         self._telemetry = telemetry
         self.started_at = 0.0
-        #: Whether an emergency decision started the move; the batch
-        #: loops echo it on ``migration.complete``.
-        self.emergency = False
         #: Chronicle id of the ``migration.start`` record, parent of
         #: everything else this move writes (None with telemetry off).
         self.record_id: Optional[str] = None
@@ -370,10 +370,9 @@ class Reconfiguration(Persisted):
             config.migration_rate_kbps * decision.rate_multiplier,
             telemetry, **build,
         )
-        move.emergency = decision.emergency
         move.start(
-            now, decision.record_id,
-            emergency=decision.emergency, reason=decision.reason, slot=slot,
+            now, decision.record_id, decision.emergency, decision.reason,
+            slot=slot,
         )
         return move
 
@@ -382,40 +381,39 @@ class Reconfiguration(Persisted):
     # ------------------------------------------------------------------
 
     def start(
-        self, now: float, cause_id: Optional[str] = None, **fields
+        self, now: float, cause_id: Optional[str] = None,
+        emergency: bool = False, reason: str = "", **fields
     ) -> None:
         """The move begins at ``now``.  ``cause_id`` is the chronicle id
         of the plan decision that asked for it, so ``pstore explain`` can
-        walk forecast -> plan -> move."""
+        walk forecast -> plan -> move; ``emergency`` and ``reason`` are
+        that decision's."""
         self.started_at = now
         tel = self._telemetry
         if not tel.enabled:
             return
-        fields.update(
-            before=self.before,
-            after=self.after,
-            rate_kbps=self.rate_kbps,
-            est_seconds=self.migration.total_seconds,
-        )
-        tel.events.emit("migration.start", time=now, **fields)
         rec = tel.chronicle.record(
-            "migration.start", time=now, parent=cause_id, **fields
+            "migration.start", time=now, parent=cause_id,
+            before=self.before, after=self.after, rate_kbps=self.rate_kbps,
+            est_seconds=self.migration.total_seconds,
+            emergency=emergency, reason=reason, **fields,
         )
         self.record_id = rec.get("id")
+        tel.metrics.counter("migrate.moves_started").inc()
+        if emergency:
+            tel.metrics.counter("migrate.emergencies").inc()
         if self.added_nodes:
             tel.chronicle.record(
                 "node.add", time=now, parent=self.record_id,
                 nodes=self.added_nodes,
             )
 
-    def complete(self, now: float, **fields) -> Optional[str]:
+    def complete(self, now: float) -> Optional[str]:
         """The last round has committed; returns the record's id."""
         tel = self._telemetry
         if not tel.enabled:
             return None
         seconds = now - self.started_at
-        fields.update(before=self.before, after=self.after, seconds=seconds)
-        tel.events.emit("migration.complete", time=now, **fields)
         tel.metrics.histogram(
             "migrate.duration_seconds", bounds=_DURATION_BOUNDS
         ).observe(seconds)
@@ -425,21 +423,26 @@ class Reconfiguration(Persisted):
                 nodes=self.retiring_nodes, reason="scale-in",
             )
         rec = tel.chronicle.record(
-            "migration.complete", time=now, parent=self.record_id, **fields
+            "migration.complete", time=now, parent=self.record_id,
+            before=self.before, after=self.after, seconds=seconds,
         )
         return rec.get("id")
 
-    def abort(self, now: float, reason: str, **fields) -> Optional[str]:
-        """The move is cancelled; returns the record's id.  Whether a
-        partial round is rolled back first is the caller's policy."""
+    def abort(self, now: float, reason: str) -> Optional[str]:
+        """The move is cancelled; returns the record's id.  Transfers
+        commit at round granularity, so a partially-applied round is
+        rolled back first: ``migration`` is left at the last committed
+        boundary, which is what the machines really hold."""
+        rolled_back = self.migration.rollback_partial_round()
         tel = self._telemetry
         if not tel.enabled:
             return None
-        fields.update(before=self.before, after=self.after, reason=reason)
-        tel.events.emit("migration.aborted", time=now, **fields)
         rec = tel.chronicle.record(
-            "migration.aborted", time=now, parent=self.record_id, **fields
+            "migration.aborted", time=now, parent=self.record_id,
+            before=self.before, after=self.after, reason=reason,
+            elapsed=now - self.started_at, rolled_back_fraction=rolled_back,
         )
+        tel.metrics.counter("migrate.moves_aborted").inc()
         return rec.get("id")
 
     # ------------------------------------------------------------------
@@ -627,13 +630,15 @@ class ClusterMigrator:
         return self._move is not None
 
     def start_move(
-        self, target_nodes: int, cause_id: Optional[str] = None
+        self, target_nodes: int, cause_id: Optional[str] = None,
+        emergency: bool = False, reason: str = "",
     ) -> ActiveMigration:
         """Begin reconfiguring the cluster to ``target_nodes`` machines.
 
         ``cause_id`` is the chronicle ID of the plan decision that asked
         for this move; it becomes the parent of the ``migration.start``
         record so ``pstore explain`` can walk forecast -> plan -> move.
+        ``emergency`` and ``reason`` are that decision's, for the record.
         """
         if self.migrating:
             raise MigrationError("a migration is already in progress")
@@ -693,10 +698,9 @@ class ClusterMigrator:
         self._round_started_at = self._sim_time
         self._rounds_committed = 0
         move.start(
-            self._sim_time, cause_id, rounds=move.migration.schedule.n_rounds
+            self._sim_time, cause_id, emergency, reason,
+            rounds=move.migration.schedule.n_rounds,
         )
-        if self._telemetry.enabled:
-            self._telemetry.metrics.counter("migrate.moves_started").inc()
         if self._injector is not None:
             self._injector.notify_migration_started(self._sim_time)
         return move.migration
@@ -752,19 +756,8 @@ class ClusterMigrator:
         move = self._move
         if move is None:
             return
-        # A partially-applied round is neither committed nor absent; roll
-        # the fluid fractions back to the last round boundary so the
-        # post-abort topology matches what the row store actually holds.
-        rolled_back = move.migration.rollback_partial_round()
         self.aborted_moves += 1
-        self.last_outcome_id = move.abort(
-            self._sim_time,
-            reason,
-            elapsed=self._sim_time - move.started_at,
-            rolled_back_fraction=rolled_back,
-        )
-        if self._telemetry.enabled:
-            self._telemetry.metrics.counter("migrate.moves_aborted").inc()
+        self.last_outcome_id = move.abort(self._sim_time, reason)
         self._pair_buckets = {}
         self._move = None
 

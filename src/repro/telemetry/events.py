@@ -1,9 +1,11 @@
-"""Structured event log: the provisioning audit trail as JSONL rows.
+"""Structured event log: a run's per-interval series as JSONL rows.
 
-Every provisioning action, interval measurement, and forecast is one
-flat dict with a ``kind``, a monotone sequence number, an optional
-simulated ``time``, and free-form fields, written by the service and
-the simulators alike.
+Every interval measurement, forecast and allocation sample is one flat
+dict with a ``kind``, a monotone sequence number, an optional simulated
+``time``, and free-form fields, written by the service and the
+simulators alike.  What *happened* — moves, provisioning actions,
+violations and their causes — is in the chronicle
+(:mod:`repro.telemetry.causal`), not here.
 
 Well-known kinds (see docs/OBSERVABILITY.md for schemas):
 
@@ -12,14 +14,12 @@ Well-known kinds (see docs/OBSERVABILITY.md for schemas):
 ``forecast``
     one controller forecast: ``history_len``, ``measured_now``,
     ``predicted_next``, ``inflated_next``, ``horizon``;
-``migration.start`` / ``migration.complete``
-    reconfiguration lifecycle: ``before``, ``after``, ``rate_kbps`` /
-    ``seconds``;
 ``machines``
     per-slot allocation sample: ``slot``, ``machines``, ``migrating``;
-``service.*``
-    provisioning actions of :class:`~repro.core.service.PStoreService`
-    (``service.scale-out``, ``service.emergency``, ...).
+``fault.*``
+    fault lifecycle steps mirrored by the injector;
+``serve.trigger`` / ``serve.mode``
+    error-trigger breaches and mode flips of ``pstore serve``.
 """
 
 from __future__ import annotations

@@ -1,22 +1,27 @@
 """Run-artifact exporters: JSONL dumps, metrics snapshots, dashboards.
 
-One instrumented run produces three machine-readable artifacts
-(``pstore simulate --telemetry-out run1/``):
+One instrumented run produces five machine-readable artifacts
+(``pstore simulate --telemetry-out run1/``, :func:`export_run`):
 
 ``events.jsonl``
-    the structured event log, one JSON object per line;
+    the per-interval series (``interval``, ``forecast``, ``machines``,
+    fault lifecycle), one JSON object per line;
 ``spans.jsonl``
     every recorded span (wall-clock and simulated-time), one per line;
+``chronicle.jsonl``
+    the causal chronicle — the one narrative record: forecasts,
+    decisions, every move's ``migration.*`` lifecycle, ``service.*``
+    actions, faults and violations, each with its ``parent``;
 ``metrics.json``
     the final metric snapshot plus derived summaries: the
     forecast-vs-actual series with its MAPE, per-reconfiguration
-    migration durations, and the latency quantiles of every histogram.
+    migration durations, and the latency quantiles of every histogram;
+``metrics.prom``
+    the same registry as OpenMetrics text.
 
 :func:`render_dashboard` turns the same data into the plain-text
 summary printed at the end of a CLI run; :func:`write_metrics_csv`
-flattens scalar metrics for spreadsheet import.  ``BENCH_*.json``-style
-regression baselines can be produced directly from
-:func:`metrics_document`.
+flattens scalar metrics for spreadsheet import.
 """
 
 from __future__ import annotations
@@ -105,16 +110,23 @@ def forecast_mape(pairs: List[dict]) -> Optional[float]:
 
 
 def migration_summary(telemetry) -> List[dict]:
-    """One row per completed reconfiguration (from the event log)."""
+    """One row per completed reconfiguration, from the chronicle:
+    ``migration.complete`` plus the ``emergency`` flag of the
+    ``migration.start`` it is parented on."""
+    chronicle = telemetry.chronicle
+    emergency = {
+        r["id"]: r.get("emergency", False)
+        for r in chronicle.by_kind("migration.start")
+    }
     return [
         {
-            "time": e.get("time"),
-            "before": e.get("before"),
-            "after": e.get("after"),
-            "seconds": e.get("seconds"),
-            "emergency": e.get("emergency", False),
+            "time": r.get("time"),
+            "before": r.get("before"),
+            "after": r.get("after"),
+            "seconds": r.get("seconds"),
+            "emergency": emergency.get(r.get("parent"), False),
         }
-        for e in telemetry.events.by_kind("migration.complete")
+        for r in chronicle.by_kind("migration.complete")
     ]
 
 

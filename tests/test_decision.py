@@ -18,9 +18,13 @@ from repro.analysis.sla import (
     CAUSE_UNDER_FORECAST,
     attribute_violation,
 )
+from repro.benchmark import b2w_schema, load_b2w_data
 from repro.config import default_config
-from repro.decision import ScaleDecision
+from repro.core import PStoreService
+from repro.decision import NO_ACTION, ScaleDecision
 from repro.elasticity import PStoreStrategy
+from repro.elasticity.base import ProvisioningStrategy
+from repro.hstore import Cluster
 from repro.prediction import LastValuePredictor
 from repro.serve.controller import OnlineController
 from repro.sim import CapacitySimulator, ElasticDbSimulator
@@ -76,6 +80,88 @@ def test_target_from_is_none_or_a_real_move_within_the_cap(
     assert result <= target
     if cap is not None:
         assert result <= cap
+
+
+class AskOnce(ProvisioningStrategy):
+    """Asks for ``target`` machines at the second planning boundary."""
+
+    name = "ask-once"
+
+    def __init__(self, target):
+        self.target = target
+
+    def decide(self, slot, history_tps, current_machines):
+        if slot != 1:
+            return NO_ACTION
+        return ScaleDecision(target_machines=self.target, reason="scripted")
+
+
+#: Small enough that the move is over within a few planner intervals.
+POOL_CFG = dataclasses.replace(CFG, database_kb=60_000.0)
+START, ASKED = 2, 8
+
+
+def pool_capacity_sim(tel, pool):
+    config = dataclasses.replace(POOL_CFG, max_machines=pool)
+    trace = LoadTrace(np.full(10, config.q * 60.0), 60.0)
+    result = CapacitySimulator(config, START, telemetry=tel).run(
+        trace, AskOnce(ASKED)
+    )
+    return result.machines.max()
+
+
+def pool_elastic_sim(tel, pool):
+    sim = ElasticDbSimulator(
+        POOL_CFG, max_machines=pool, initial_machines=START, seed=3,
+        telemetry=tel,
+    )
+    return sim.run(np.full(600, POOL_CFG.q), AskOnce(ASKED)).machines.max()
+
+
+def pool_serve(tel, pool):
+    controller = OnlineController(
+        POOL_CFG, LastValuePredictor(), initial_machines=START,
+        max_machines=pool, telemetry=tel,
+    )
+    controller._reactive = AskOnce(ASKED)    # warm-up: the fallback decides
+    history, most = [], START
+    for slot in range(10):
+        history.append(POOL_CFG.q)
+        controller.on_interval(slot, history, (slot + 1) * 60.0)
+        most = max(most, controller.status()["machines"])
+    return most
+
+
+def pool_service(tel, pool):
+    cluster = Cluster(b2w_schema(), START, partitions_per_node=3, n_buckets=96)
+    load_b2w_data(cluster, n_stock=100, n_carts=150, n_checkouts=20, seed=11)
+    service = PStoreService(
+        cluster, POOL_CFG, LastValuePredictor().fit([POOL_CFG.q]),
+        max_machines=pool, telemetry=tel,
+    )
+    service._strategy = AskOnce(ASKED)
+    most = START
+    for _ in range(40):
+        service.advance_time(15.0)
+        most = max(most, service.machines)
+    return most
+
+
+@pytest.mark.parametrize("pool", range(3, 13))
+@pytest.mark.parametrize(
+    "loop", [pool_capacity_sim, pool_elastic_sim, pool_serve, pool_service],
+    ids=["capacity_sim", "elastic_sim", "serve", "service"],
+)
+def test_every_loop_clamps_an_over_pool_target_to_its_pool(loop, pool):
+    """The same decision — go to 8 machines — in a pool of 3 to 12: every
+    loop moves to what the pool allows and never allocates beyond it."""
+    tel = Telemetry()
+    most = loop(tel, pool)
+    (start,) = tel.chronicle.by_kind("migration.start")
+    assert (start["before"], start["after"]) == (START, min(ASKED, pool))
+    (complete,) = tel.chronicle.by_kind("migration.complete")
+    assert complete["after"] == min(ASKED, pool)
+    assert most == min(ASKED, pool)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import PStoreConfig, default_config
+from repro.core import PStoreService
 from repro.elasticity.base import NO_ACTION, ProvisioningStrategy, ScaleDecision
 from repro.faults import FaultInjector, FaultSpec
 from repro.hstore import Cluster, Column, Schema, Table
@@ -190,39 +191,81 @@ def run_cluster_migrator(tel, abort):
     return config
 
 
+def run_service(tel, abort):
+    config = _small_config()
+    injector = None
+    if abort:
+        injector = FaultInjector(
+            [FaultSpec(kind="node_crash", on_migration=1)], telemetry=tel
+        )
+    service = PStoreService(
+        _kv_cluster(), config, LastValuePredictor().fit([config.q]),
+        telemetry=tel, injector=injector,
+    )
+    service._strategy = OneMove()
+    for _ in range(40):
+        service.advance_time(15.0)
+    return config
+
+
 LOOPS = {
     "capacity_sim": run_capacity_sim,
     "elastic_sim": run_elastic_sim,
     "serve": run_serve,
+    "service": run_service,
     "cluster_migrator": run_cluster_migrator,
 }
 
+#: What every chronicle record carries besides its payload.
+ENVELOPE = {"id", "kind", "time", "parent"}
+#: The payload of a move's lifecycle records, the same in every loop ...
+LIFECYCLE_KEYS = {
+    "migration.start": {
+        "before", "after", "rate_kbps", "est_seconds", "emergency", "reason",
+    },
+    "migration.complete": {"before", "after", "seconds"},
+    "migration.aborted": {
+        "before", "after", "reason", "elapsed", "rolled_back_fraction",
+    },
+}
+#: ... but for what only that site knows, on ``migration.start``: the
+#: planner slot of the decision, or the rounds of the bucket schedule.
+START_EXTRAS = {
+    "capacity_sim": {"slot"},
+    "elastic_sim": {"slot"},
+    "serve": {"slot"},
+    "service": {"rounds"},
+    "cluster_migrator": {"rounds"},
+}
 
-def _twin(tel, record) -> dict:
-    """The event-log row written alongside a chronicle record."""
-    (event,) = [
-        e for e in tel.events.events
-        if e["kind"] == record["kind"] and e["time"] == record["time"]
+
+def _lifecycle(tel) -> list:
+    return [
+        r for r in tel.chronicle.records if r["kind"] in LIFECYCLE_KEYS
     ]
-    return event
 
 
-def _payload(row: dict) -> dict:
+def _move_counters(tel) -> dict:
     return {
-        k: v for k, v in row.items()
-        if k not in ("id", "seq", "kind", "time", "parent")
+        s["name"]: s["value"] for s in tel.metrics.snapshot()
+        if s["kind"] == "counter"
+        and s["name"].endswith(("moves_started", "moves_aborted", "emergencies"))
     }
+
+
+def _assert_key_sets(loop, records) -> None:
+    for record in records:
+        expected = ENVELOPE | LIFECYCLE_KEYS[record["kind"]]
+        if record["kind"] == "migration.start":
+            expected = expected | START_EXTRAS[loop]
+        assert set(record) == expected, (loop, record["kind"])
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))
 def test_one_move_one_record_shape(loop):
     tel = Telemetry()
     config = LOOPS[loop](tel, abort=False)
-    records = [
-        r for r in tel.chronicle.records if r["kind"].startswith("migration.")
-        and r["kind"] != "migration.round"
-    ]
-    start, complete = records
+    start, complete = _lifecycle(tel)
     assert (start["kind"], complete["kind"]) == (
         "migration.start", "migration.complete"
     )
@@ -232,11 +275,12 @@ def test_one_move_one_record_shape(loop):
         decisions[-1]["id"] if decisions else DECISION_ID
     )
     assert complete["parent"] == start["id"]
-    assert {"before", "after", "rate_kbps", "est_seconds"} <= set(start)
-    assert {"before", "after", "seconds"} <= set(complete)
+    _assert_key_sets(loop, (start, complete))
     for record in (start, complete):
         assert (record["before"], record["after"]) == (BEFORE, AFTER)
-        assert _payload(_twin(tel, record)) == _payload(record)
+    assert (start["emergency"], start["reason"]) == (
+        (False, "scripted") if loop != "cluster_migrator" else (False, "")
+    )
     assert start["rate_kbps"] == config.migration_rate_kbps
     assert complete["seconds"] == complete["time"] - start["time"]
     assert complete["seconds"] >= start["est_seconds"] - 60.0
@@ -246,24 +290,29 @@ def test_one_move_one_record_shape(loop):
             assert record["parent"] == start["id"]
     histogram = tel.metrics.histogram("migrate.duration_seconds")
     assert histogram.count == 1
+    # The chronicle is the only record of the lifecycle, and the move
+    # counts itself: one counter set, whichever loop ran it.
+    assert not [e for e in tel.events.events if "migration" in e["kind"]]
+    assert _move_counters(tel) == {"migrate.moves_started": 1}
 
 
 @pytest.mark.parametrize(
-    "loop", ["elastic_sim", "serve", "cluster_migrator"]
+    "loop", ["elastic_sim", "serve", "service", "cluster_migrator"]
 )
 def test_one_abort_one_record_shape(loop):
     tel = Telemetry()
     LOOPS[loop](tel, abort=True)
-    start = next(
-        r for r in tel.chronicle.records if r["kind"] == "migration.start"
+    start, aborted = _lifecycle(tel)[:2]
+    assert (start["kind"], aborted["kind"]) == (
+        "migration.start", "migration.aborted"
     )
-    (aborted,) = [
-        r for r in tel.chronicle.records if r["kind"] == "migration.aborted"
-    ]
     assert aborted["parent"] == start["id"]
-    assert {"before", "after", "reason"} <= set(aborted)
+    _assert_key_sets(loop, (start, aborted))
     assert (aborted["before"], aborted["after"]) == (BEFORE, AFTER)
-    assert _payload(_twin(tel, aborted)) == _payload(aborted)
+    assert aborted["elapsed"] == aborted["time"] - start["time"]
+    assert 0.0 <= aborted["rolled_back_fraction"] < 1.0
+    assert not [e for e in tel.events.events if "migration" in e["kind"]]
+    assert _move_counters(tel)["migrate.moves_aborted"] == 1
     # The aborted move never also completes.
     assert not [
         r for r in tel.chronicle.records

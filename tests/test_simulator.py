@@ -112,6 +112,76 @@ class TestScaling:
         assert during.max() <= 6
 
 
+def drive_with_shares(sim, offered, strategy):
+    """``sim.run`` by hand, keeping every second's load shares."""
+    gen, rows, block = sim.drive(offered, strategy), [], None
+    while True:
+        try:
+            request = gen.send(block)
+        except StopIteration as stop:
+            return stop.value, np.vstack(rows)
+        rows.append(request.shares)
+        block = sim.engine.step_block(
+            1.0, request.offered, request.shares,
+            request.interference, request.capacity,
+        )
+
+
+class TestCrashMidMove:
+    """A crash aborts the move in flight at its last committed round:
+    only the machines that hold committed data stay active, and the next
+    second's load is spread over them (less the victim).
+
+    2 -> 6 and 6 -> 2 both take four ~65 s rounds from t=120; at t=280
+    two have committed and the third is half done."""
+
+    CRASH_AT = 280
+
+    def crash(self, initial, target, victim):
+        tel = Telemetry()
+        injector = FaultInjector(
+            [FaultSpec(kind="node_crash", at_time=float(self.CRASH_AT),
+                       node=victim)],
+            telemetry=tel,
+        )
+        sim = simulator(initial_machines=initial, engine_kwargs=QUIET,
+                        telemetry=tel, injector=injector)
+        result, shares = drive_with_shares(
+            sim, np.full(420, CFG.q * 0.5), ManualStrategy([(1, target)])
+        )
+        (aborted,) = tel.chronicle.by_kind("migration.aborted")
+        assert aborted["time"] == self.CRASH_AT
+        assert 0.0 < aborted["rolled_back_fraction"] < 1.0
+        p = CFG.partitions_per_node
+        after = shares[self.CRASH_AT].reshape(-1, p).sum(axis=1)
+        return result, after
+
+    @pytest.mark.parametrize(
+        "victim, survivors",
+        [(3, [0, 1, 2]), (5, [0, 1, 2, 3])],
+        ids=["holds-data", "still-empty"],
+    )
+    def test_scale_out_keeps_only_newcomers_that_received_a_round(
+        self, victim, survivors
+    ):
+        result, after = self.crash(2, 6, victim)
+        # Machines 2 and 3 were filled by the committed rounds; 4 and 5
+        # were half way through theirs and go back to the pool.
+        assert np.flatnonzero(after).tolist() == survivors
+        assert np.allclose(after[survivors], 1.0 / len(survivors))
+        assert result.machines[self.CRASH_AT - 1] == 6
+        assert (result.machines[self.CRASH_AT:] == len(survivors)).all()
+        assert not result.migrating[self.CRASH_AT:].any()
+
+    def test_scale_in_drops_the_machines_already_drained(self):
+        result, after = self.crash(6, 2, 0)
+        # 5 and 4 were drained by the committed rounds; 3 and 2 were half
+        # way out and still hold their data.
+        assert np.flatnonzero(after).tolist() == [1, 2, 3]
+        assert np.allclose(after[[1, 2, 3]], 1.0 / 3)
+        assert (result.machines[self.CRASH_AT:] == 3).all()
+
+
 class TestValidation:
     def test_empty_load_rejected(self):
         with pytest.raises(SimulationError):
@@ -125,21 +195,19 @@ class TestValidation:
         with pytest.raises(SimulationError):
             ElasticDbSimulator(CFG, max_machines=2, initial_machines=3)
 
-    def test_target_beyond_max_ignored(self):
-        """A target over the pool is refused, not clamped (Fig. 11
-        depends on it) — and the refusal is chronicled."""
+    def test_target_beyond_max_clamped(self):
+        """A target over the pool is clamped to it, as in every other
+        loop; nothing is refused."""
         offered = np.full(240, CFG.q * 0.5)
         tel = Telemetry()
         sim = simulator(max_machines=3, initial_machines=2,
                         engine_kwargs=QUIET, telemetry=tel)
         result = sim.run(offered, AskOnce(5))
-        assert result.moves_started == 0
-        assert not tel.chronicle.by_kind("migration.start")
-        (rejected,) = tel.chronicle.by_kind("plan.rejected")
-        assert rejected["parent"] == AskOnce.RECORD_ID
-        assert (rejected["target"], rejected["pool"], rejected["machines"]) == (
-            5, 3, 2
-        )
+        assert result.moves_started == 1
+        (start,) = tel.chronicle.by_kind("migration.start")
+        assert start["parent"] == AskOnce.RECORD_ID
+        assert (start["before"], start["after"]) == (2, 3)
+        assert result.machines.max() == 3
 
     def test_target_beyond_pool_clamped_once_a_node_has_crashed(self):
         offered = np.full(480, CFG.q * 0.5)

@@ -267,8 +267,10 @@ def _synthetic_run() -> Telemetry:
                         tps=actual)
         tel.events.emit("machines", time=(slot + 1) * 300.0, slot=slot + 1,
                         machines=4 + slot, migrating=False)
-    tel.events.emit("migration.complete", time=900.0, before=4, after=5,
-                    seconds=420.0, emergency=False)
+    start = tel.chronicle.record("migration.start", time=480.0, before=4,
+                                 after=5, emergency=True)
+    tel.chronicle.record("migration.complete", time=900.0, parent=start,
+                         before=4, after=5, seconds=420.0)
     tel.metrics.histogram("engine.latency_ms").observe(12.0)
     return tel
 
@@ -297,7 +299,10 @@ class TestExport:
         doc = json.loads(paths["metrics"].read_text())
         assert doc["schema"] == METRICS_SCHEMA
         assert doc["derived"]["forecast"]["n_pairs"] == 2
-        assert doc["derived"]["migrations"][0]["seconds"] == 420.0
+        assert doc["derived"]["migrations"] == [{
+            "time": 900.0, "before": 4, "after": 5, "seconds": 420.0,
+            "emergency": True,      # read off the parent migration.start
+        }]
         chronicle = [json.loads(l) for l in
                      paths["chronicle"].read_text().splitlines()]
         assert chronicle[0] == {"schema": CHRONICLE_SCHEMA}
@@ -327,18 +332,20 @@ def simulate_artifacts(tmp_path_factory):
     spans = [json.loads(l) for l in
              (out / "spans.jsonl").read_text().splitlines()]
     metrics = json.loads((out / "metrics.json").read_text())
-    return events, spans, metrics
+    chronicle = [json.loads(l) for l in
+                 (out / "chronicle.jsonl").read_text().splitlines()]
+    return events, spans, metrics, chronicle
 
 
 class TestCliArtifacts:
     def test_schema_headers(self, simulate_artifacts):
-        events, spans, metrics = simulate_artifacts
+        events, spans, metrics, _ = simulate_artifacts
         assert events[0]["schema"] == EVENTS_SCHEMA
         assert spans[0]["schema"] == SPANS_SCHEMA
         assert metrics["schema"] == METRICS_SCHEMA
 
     def test_spans_cover_the_control_loop(self, simulate_artifacts):
-        _, spans, _ = simulate_artifacts
+        _, spans, _, _ = simulate_artifacts
         by_name = {}
         for span in spans[1:]:
             by_name.setdefault(span["name"], []).append(span)
@@ -354,18 +361,22 @@ class TestCliArtifacts:
         assert all(s["duration"] >= 0 for s in spans[1:])
 
     def test_events_cover_the_run(self, simulate_artifacts):
-        events, _, _ = simulate_artifacts
+        events, _, _, chronicle = simulate_artifacts
         kinds = {e["kind"] for e in events[1:]}
-        assert {"interval", "forecast", "machines",
-                "migration.start", "migration.complete"} <= kinds
-        completes = [e for e in events[1:] if e["kind"] == "migration.complete"]
+        assert {"interval", "forecast", "machines"} <= kinds
+        # A move's lifecycle is told once, in the chronicle.
+        assert not [k for k in kinds if k.startswith("migration.")]
+        completes = [r for r in chronicle[1:]
+                     if r["kind"] == "migration.complete"]
         assert completes
-        assert all(e["seconds"] > 0 for e in completes)
-        starts = [e for e in events[1:] if e["kind"] == "migration.start"]
-        assert all("reason" in e for e in starts)
+        assert all(r["seconds"] > 0 for r in completes)
+        starts = {r["id"]: r for r in chronicle[1:]
+                  if r["kind"] == "migration.start"}
+        assert all("reason" in r for r in starts.values())
+        assert all(r["parent"] in starts for r in completes)
 
     def test_metrics_derived_sections(self, simulate_artifacts):
-        _, _, metrics = simulate_artifacts
+        _, _, metrics, _ = simulate_artifacts
         derived = metrics["derived"]
         forecast = derived["forecast"]
         assert forecast["n_pairs"] > 100
