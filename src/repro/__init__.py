@@ -29,7 +29,7 @@ Quick tour
   capacity simulator used for multi-month sweeps;
 * :mod:`repro.analysis` — SLA accounting, capacity-cost curves, tail
   CDFs, report rendering;
-* :mod:`repro.telemetry` — metrics, spans, and structured events with
+* :mod:`repro.telemetry` — metrics, spans, and the causal chronicle with
   JSONL/JSON exporters and an ASCII dashboard (off by default; see
   ``docs/OBSERVABILITY.md``);
 * :mod:`repro.faults` — declarative fault injection (crashes,

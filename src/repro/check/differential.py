@@ -28,9 +28,9 @@ Fairness notes (why the tolerances can be tight):
   fractions describe whole committed transfers; the gap to the bucket
   map is then pure bucket granularity plus plan imbalance.
 
-Failures emit ``check.divergence`` telemetry events (and invariant
-failures emit ``invariant.violation``), so a nonzero ``pstore check``
-always leaves an auditable trail in the event log.
+Failures write ``check.divergence`` chronicle records (and invariant
+failures write ``invariant.violation``), so a nonzero ``pstore check``
+always leaves an auditable trail in ``chronicle.jsonl``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _record(
     checks.append(DiffCheck(name, float(delta), float(tolerance), ok, detail))
     tel = get_telemetry()
     if tel.enabled and not ok:
-        tel.events.emit(
+        tel.chronicle.record(
             "check.divergence",
             name=name,
             delta=float(delta),
@@ -134,7 +134,7 @@ def _record(
 
 def _record_violation(checks: List[DiffCheck], name: str, error: Exception) -> None:
     """An invariant tripped inside a differential run: report it as a
-    failed check (the invariant already emitted its own event)."""
+    failed check (the invariant already chronicled itself)."""
     checks.append(
         DiffCheck(name, float("inf"), 0.0, False, f"invariant: {error}")
     )

@@ -17,8 +17,8 @@ holds the cross-cutting consistency properties those components assert
     O(rows) cross-checks — full bucket-map/row-store agreement — run by
     ``pstore check``, the test suite, and anyone debugging a divergence.
 
-Every violation emits an ``invariant.violation`` event into the
-telemetry event log (when recording) and raises
+Every violation writes an ``invariant.violation`` record into the
+telemetry chronicle (when recording) and raises
 :class:`~repro.errors.InvariantViolation`, so disagreement is loud in
 the moment and auditable afterwards.
 
@@ -99,10 +99,10 @@ def violated(
     time: Optional[float] = None,
     **context,
 ):
-    """Report one invariant violation: telemetry event + raise."""
+    """Report one invariant violation: chronicle record + raise."""
     tel = get_telemetry()
     if tel.enabled:
-        tel.events.emit(
+        tel.chronicle.record(
             "invariant.violation", time=time, name=name,
             message=message, **context,
         )

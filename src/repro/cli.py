@@ -50,10 +50,10 @@ Run ``pstore <subcommand> --help`` for options.
 
 Every subcommand accepts ``-v/--verbose`` and ``--quiet`` (wired to the
 root logging level; results go to stdout, diagnostics to stderr) and
-``--telemetry-out DIR``, which records the run's metrics, spans,
-events, and causal chronicle and writes ``events.jsonl``,
-``spans.jsonl``, ``chronicle.jsonl``, ``metrics.json``, and
-``metrics.prom`` into DIR (see docs/OBSERVABILITY.md).
+``--telemetry-out DIR``, which records the run's metrics, spans, and
+causal chronicle and writes ``spans.jsonl``, ``chronicle.jsonl``,
+``metrics.json``, and ``metrics.prom`` into DIR (see
+docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def _common_options() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--telemetry-out", metavar="DIR", default=None,
-        help="record telemetry and write events.jsonl / spans.jsonl / "
-        "chronicle.jsonl / metrics.json / metrics.prom into DIR",
+        help="record telemetry and write spans.jsonl / chronicle.jsonl / "
+        "metrics.json / metrics.prom into DIR",
     )
     return common
 
@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument(
         "--out", default=None, metavar="DIR",
-        help="write manifest.json plus merged events.jsonl and "
+        help="write manifest.json plus merged spans.jsonl and "
         "chronicle.jsonl into DIR",
     )
     swp.add_argument(
@@ -374,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--out", default="serve-out", metavar="DIR",
         help="run directory flushed on drain/SIGINT "
-        "(events/spans/chronicle/metrics; 'none' disables)",
+        "(spans/chronicle/metrics; 'none' disables)",
     )
     srv.add_argument(
         "--status-every", type=int, default=12,

@@ -126,10 +126,11 @@ class TelemetryConfig:
     the engine, controller, and simulators cost one attribute check.
     """
 
-    #: Record metrics, spans, and events for this run.
+    #: Record metrics, spans, and the chronicle for this run.
     enabled: bool = False
-    #: Directory to export ``events.jsonl``/``spans.jsonl``/``metrics.json``
-    #: into at the end of a run (None = keep in memory only).
+    #: Directory to export ``spans.jsonl``/``chronicle.jsonl``/
+    #: ``metrics.json``/``metrics.prom`` into at the end of a run
+    #: ("" = keep in memory only).
     out_dir: str = ""
 
     @classmethod

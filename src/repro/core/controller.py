@@ -200,15 +200,6 @@ class PredictiveController(Persisted):
         inflated = forecast * self.config.prediction_inflation
         measured_now = float(history[-1]) if current_load is None else current_load
         if tel.enabled:
-            tel.events.emit(
-                "forecast",
-                history_len=len(history),
-                measured_now=measured_now,
-                predicted_next=float(forecast[0]),
-                inflated_next=float(inflated[0]),
-                predicted_peak=float(inflated.max()),
-                horizon=self.horizon_intervals,
-            )
             # Chronicle + accuracy: the forecast is made right after
             # observing slot ``len(history) - 1``, so predicted[i]
             # targets absolute slot ``len(history) + i`` (tau = i + 1).
@@ -267,13 +258,6 @@ class PredictiveController(Persisted):
                 target = min(target, self.config.max_machines)
             if target == current_machines:
                 return ScaleDecision(reason="infeasible-but-at-size")
-            if tel.enabled:
-                tel.events.emit(
-                    "controller.emergency",
-                    required_machines=infeasible.required_machines,
-                    target_machines=target,
-                    rate_multiplier=self.emergency_rate_multiplier,
-                )
             return ScaleDecision(
                 target_machines=target,
                 emergency=True,

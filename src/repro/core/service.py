@@ -36,6 +36,7 @@ from ..squall.rebalance import (
     make_skew_rebalance_plan,
 )
 from ..telemetry import get_telemetry
+from ..telemetry.causal import record_interval
 
 
 class PStoreService:
@@ -184,19 +185,19 @@ class PStoreService:
                 self._migration_target = None
 
         closed = self.monitor.record(self._now, count=0.0)
+        new_rates = self.monitor.history_tps()[-closed:] if closed else ()
         tel = self._telemetry
         if closed and tel.enabled:
             tel.metrics.gauge("service.machines").set(self.cluster.n_nodes)
-            tel.events.emit(
-                "machines",
-                time=self._now,
-                slot=self.monitor.completed_intervals - 1,
-                machines=self.cluster.n_nodes,
-                migrating=self.migrating,
-            )
+            interval = self.config.interval_seconds
+            first = self.monitor.completed_intervals - closed
+            for slot, rate in enumerate(new_rates, first):
+                record_interval(
+                    tel.tracer, slot * interval, (slot + 1) * interval,
+                    slot, float(rate), self.cluster.n_nodes, self.migrating,
+                )
         if closed and isinstance(self.predictor, OnlinePredictor):
-            history = self.monitor.history_tps()
-            for rate in history[-closed:]:
+            for rate in new_rates:
                 self.predictor.observe(float(rate))
             self._ensure_strategy()
 

@@ -102,7 +102,7 @@ class InvariantViolation(PStoreError):
     property breaks at runtime — rows lost across a migration commit,
     data fractions not summing to one, negative queue backlog, capacity
     accounting inconsistent with Q/Q̂.  Each raise is paired with an
-    ``invariant.violation`` event in the telemetry event log so the
+    ``invariant.violation`` record in the telemetry chronicle so the
     divergence is auditable after the fact.
     """
 

@@ -88,7 +88,7 @@ class FaultInjector:
     seed:
         overrides the scenario's seed when given.
     telemetry:
-        bundle to mirror lifecycle events into; defaults to the
+        bundle whose chronicle gets the lifecycle steps; defaults to the
         process-global one at construction time.
     """
 
@@ -292,11 +292,8 @@ class FaultInjector:
         self.chronicle.append(entry)
         tel = self._telemetry
         if tel.enabled:
-            # the event's own kind is the lifecycle step; the fault class
+            # the record's own kind is the lifecycle step; the fault class
             # rides along as fault_kind
-            mirrored = {k: v for k, v in entry.items() if k != "event"}
-            mirrored["fault_kind"] = mirrored.pop("kind")
-            tel.events.emit(event, **mirrored)
             rec = tel.chronicle.record(
                 event,
                 time=time,

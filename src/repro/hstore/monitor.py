@@ -30,12 +30,12 @@ from .cluster import Cluster
 class LoadMonitor(Persisted):
     """Aggregates a stream of transaction counts into interval rates.
 
-    When telemetry is enabled, every counted interval is published as a
-    ``monitor.window`` span plus an ``interval`` event (both in
-    simulated time), runs of *empty* intervals are batched into a single
-    ``monitor.gap`` span and ``interval.gap`` event (O(1) per
-    observation, not O(gap)), and the latest rate is mirrored to the
-    ``monitor.load_tps`` gauge.
+    The monitor holds the series; it does not publish it.  The loop that
+    owns the monitor writes one ``interval`` span per closed slot (the
+    allocation belongs in the same row and only the loop knows it).  With
+    telemetry enabled the monitor keeps the ``monitor.load_tps`` gauge
+    and ``monitor.intervals_closed`` counter current and hands every
+    closed slot, empty ones included, to the accuracy tracker.
 
     Interval boundaries are derived as ``start_time + k *
     interval_seconds`` rather than by repeated addition, so they stay
@@ -43,8 +43,8 @@ class LoadMonitor(Persisted):
     rounding error per interval).
 
     Checkpointed for ``pstore serve --resume``; restored intervals are
-    *not* re-emitted through telemetry (no duplicate ``interval``
-    events, no accuracy re-harvest), only those closed afterwards are.
+    not harvested into the accuracy tracker again, only those closed
+    afterwards are.
     """
 
     PERSIST_MATCH = ("interval_seconds",)
@@ -100,8 +100,8 @@ class LoadMonitor(Persisted):
 
         Returns the number of intervals closed by this observation (0 in
         the common case; >= 1 when the timestamp crosses a boundary, in
-        which case intervening empty intervals are appended as zero load
-        and reported through one batched telemetry emission).
+        which case intervening empty intervals are appended as zero
+        load).
         """
         if count < 0:
             raise SimulationError("count must be non-negative")
@@ -112,43 +112,19 @@ class LoadMonitor(Persisted):
             )
         closed = self._interval_index(timestamp) - self._closed
         if closed > 0:
+            # Close the open interval with whatever it counted; any
+            # intervals skipped behind it are empty.
+            first = len(self._rates)
+            self._rates.append(self._current_count / self.interval_seconds)
+            self._rates.extend([0.0] * (closed - 1))
             tel = self._telemetry
-            # Close the open interval with whatever it counted...
-            rate = self._current_count / self.interval_seconds
-            start = self._interval_start
-            self._rates.append(rate)
             if tel.enabled:
-                slot = len(self._rates) - 1
-                end = self._boundary(self._closed + 1)
-                tel.tracer.record(
-                    "monitor.window", start, end, slot=slot, tps=rate,
-                )
-                tel.events.emit("interval", time=end, slot=slot, tps=rate)
-                tel.metrics.gauge("monitor.load_tps").set(rate)
-                tel.accuracy.observe(slot, rate, time=end)
-            # ...then batch the run of empty intervals behind it.
-            gap = closed - 1
-            if gap:
-                first_empty = len(self._rates)
-                self._rates.extend([0.0] * gap)
-                if tel.enabled:
-                    gap_start = self._boundary(self._closed + 1)
-                    gap_end = self._boundary(self._closed + closed)
-                    tel.tracer.record(
-                        "monitor.gap", gap_start, gap_end,
-                        first_slot=first_empty, intervals=gap,
+                for i in range(closed):
+                    tel.accuracy.observe(
+                        first + i, self._rates[first + i],
+                        time=self._boundary(self._closed + 1 + i),
                     )
-                    tel.events.emit(
-                        "interval.gap", time=gap_end,
-                        first_slot=first_empty, intervals=gap, tps=0.0,
-                    )
-                    tel.metrics.gauge("monitor.load_tps").set(0.0)
-                    for i in range(gap):
-                        tel.accuracy.observe(
-                            first_empty + i, 0.0,
-                            time=self._boundary(self._closed + 2 + i),
-                        )
-            if tel.enabled:
+                tel.metrics.gauge("monitor.load_tps").set(self._rates[-1])
                 tel.metrics.counter("monitor.intervals_closed").inc(closed)
             self._current_count = 0.0
             self._closed += closed

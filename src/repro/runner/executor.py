@@ -53,7 +53,7 @@ def _execute_cell(task: tuple) -> tuple:
     """Worker entry: run one cell hermetically, return its result.
 
     ``task`` is ``(index, spec_dict, config_dict, record_events)``; the
-    return value is ``(index, payload, events, chronicle, elapsed,
+    return value is ``(index, payload, spans, chronicle, elapsed,
     trace_stats, error)`` where exactly one of ``payload``/``error`` is
     set and ``trace_stats`` is this cell's delta against the worker's
     trace-memo counters.  Runs in a pool worker (or inline for
@@ -76,11 +76,11 @@ def _execute_cell(task: tuple) -> tuple:
                 f"cell {spec.label} returned {type(payload).__name__}, "
                 "expected a JSON-serialisable mapping"
             )
-        events = bundle.events.snapshot() if bundle is not None else []
+        spans = bundle.tracer.snapshot() if bundle is not None else []
         chronicle = bundle.chronicle.snapshot() if bundle is not None else []
         elapsed = time.perf_counter() - start
         return (
-            index, payload, jsonify(events), jsonify(chronicle), elapsed,
+            index, payload, jsonify(spans), jsonify(chronicle), elapsed,
             trace_memo.delta(memo_before), None,
         )
     except Exception as exc:  # noqa: BLE001 - marshalled to the parent
@@ -103,7 +103,7 @@ class CellOutcome:
     elapsed_seconds: float
     cached: bool
     worker: Optional[int] = None
-    events: Tuple[dict, ...] = field(default=())
+    spans: Tuple[dict, ...] = field(default=())
     chronicle: Tuple[dict, ...] = field(default=())
 
     @property
@@ -181,7 +181,7 @@ class SweepReport:
 
     def write_manifest(self, out_dir) -> Dict[str, str]:
         """Write ``manifest.json`` plus the merged per-cell telemetry
-        (``events.jsonl`` and ``chronicle.jsonl``, one record per line
+        (``spans.jsonl`` and ``chronicle.jsonl``, one record per line
         tagged with its cell) into ``out_dir``; returns ``{kind: path}``.
 
         The chronicle rides alongside the manifest, never inside the
@@ -191,6 +191,7 @@ class SweepReport:
         import pathlib
 
         from ..telemetry.causal import CHRONICLE_SCHEMA
+        from ..telemetry.export import SPANS_SCHEMA
 
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -198,28 +199,19 @@ class SweepReport:
         manifest_path = out / "manifest.json"
         manifest_path.write_text(json.dumps(self.manifest(), indent=1))
         paths["manifest"] = str(manifest_path)
-        events_path = out / "events.jsonl"
-        with events_path.open("w") as handle:
-            handle.write(
-                json.dumps({"schema": "pstore.events/v1", "merged": True})
-                + "\n"
-            )
-            for cell in self.cells:
-                for record in cell.events:
-                    tagged = {"cell": cell.label, **record}
-                    handle.write(json.dumps(tagged, sort_keys=True) + "\n")
-        paths["events"] = str(events_path)
-        chronicle_path = out / "chronicle.jsonl"
-        with chronicle_path.open("w") as handle:
-            handle.write(
-                json.dumps({"schema": CHRONICLE_SCHEMA, "merged": True})
-                + "\n"
-            )
-            for cell in self.cells:
-                for record in cell.chronicle:
-                    tagged = {"cell": cell.label, **record}
-                    handle.write(json.dumps(tagged, sort_keys=True) + "\n")
-        paths["chronicle"] = str(chronicle_path)
+        for kind, schema in (
+            ("spans", SPANS_SCHEMA), ("chronicle", CHRONICLE_SCHEMA)
+        ):
+            path = out / f"{kind}.jsonl"
+            with path.open("w") as handle:
+                handle.write(
+                    json.dumps({"schema": schema, "merged": True}) + "\n"
+                )
+                for cell in self.cells:
+                    for record in getattr(cell, kind):
+                        tagged = {"cell": cell.label, **record}
+                        handle.write(json.dumps(tagged, sort_keys=True) + "\n")
+            paths[kind] = str(path)
         return paths
 
     def summary(self) -> str:
@@ -260,8 +252,8 @@ class SweepExecutor:
         worker processes; 1 executes inline in submission order.
     record_events:
         run each cell under a fresh telemetry bundle and return its
-        event log and chronicle in the outcome (merged into the
-        manifest directory as ``events.jsonl`` / ``chronicle.jsonl``).
+        spans and chronicle in the outcome (merged into the manifest
+        directory as ``spans.jsonl`` / ``chronicle.jsonl``).
     backend:
         one of :data:`BACKENDS`.  ``serial`` runs cells inline,
         ``process`` always uses the spawn pool, ``tensor`` batches every
@@ -455,7 +447,7 @@ class SweepExecutor:
         failures: List[Tuple[str, str]] = []
 
         def complete(result: tuple, worker: Optional[int]) -> None:
-            index, payload, events, chronicle, elapsed, trace, error = result
+            index, payload, spans, chronicle, elapsed, trace, error = result
             spec, key = specs[index], keys[index]
             for bucket in ("hits", "misses"):
                 self._trace_reuse[bucket] += int(
@@ -471,21 +463,12 @@ class SweepExecutor:
                 elapsed_seconds=elapsed,
                 cached=False,
                 worker=worker,
-                events=tuple(events),
+                spans=tuple(spans),
                 chronicle=tuple(chronicle),
             )
             outcomes[index] = outcome
             if self.cache is not None:
                 self.cache.store(key, self._envelope(outcome))
-            tel = get_telemetry()
-            if tel.enabled:
-                tel.events.emit(
-                    "sweep.cell",
-                    label=spec.label,
-                    key=key,
-                    seconds=elapsed,
-                    worker=worker,
-                )
             if progress is not None:
                 progress(outcome)
 
@@ -602,15 +585,15 @@ class SweepExecutor:
                     ).strip()
                     complete((i, None, [], [], elapsed, tdelta, detail), None)
                     continue
-                events = (
-                    bundle.events.snapshot() if bundle is not None else []
+                spans = (
+                    bundle.tracer.snapshot() if bundle is not None else []
                 )
                 chronicle = (
                     bundle.chronicle.snapshot() if bundle is not None else []
                 )
                 complete(
                     (
-                        i, payload, jsonify(events), jsonify(chronicle),
+                        i, payload, jsonify(spans), jsonify(chronicle),
                         elapsed, tdelta, None,
                     ),
                     None,

@@ -24,7 +24,7 @@ architecture:
   incremental chronicle log, restored by ``--resume`` so a SIGKILL'd
   plane reconstructs mid-stream without double-closing intervals;
 * :mod:`repro.serve.plane` — the event loop tying them together, with
-  graceful SIGINT draining that flushes the full 5-artifact
+  graceful SIGINT draining that flushes the full 4-artifact
   ``export_run`` so a killed service still yields an ``explain``-able
   run directory.
 

@@ -42,7 +42,7 @@ from ..persist import Persisted
 from ..prediction.online import OnlinePredictor
 from ..squall.migrator import Reconfiguration
 from ..telemetry import get_telemetry
-from ..telemetry.causal import record_capacity_insufficient
+from ..telemetry.causal import record_capacity_insufficient, record_interval
 
 
 @dataclass(frozen=True)
@@ -272,6 +272,11 @@ class OnlineController(Persisted):
         self._check_trigger(history, slot, now)
         if not self.migrating:
             self._plan(history, slot, now)
+        if tel.enabled:
+            record_interval(
+                tel.tracer, now - slot_seconds, now, slot, tps,
+                self._machines_now(), self.migrating,
+            )
 
     def _machines_now(self) -> int:
         if self._move is not None:
@@ -322,18 +327,10 @@ class OnlineController(Persisted):
                     action="refit-replan-fallback",
                 )
                 fa_id = rec.get("id")
-                tel.events.emit(
-                    "serve.trigger",
-                    time=now,
-                    metric=breach["metric"],
-                    value_pct=breach["value_pct"],
-                    threshold_pct=breach["threshold_pct"],
-                )
                 tel.metrics.counter("serve.trigger_fired").inc()
             self._fa_record_id = fa_id
-            refitted = False
             if isinstance(self.predictor, OnlinePredictor):
-                refitted = self.predictor.refit_now()
+                self.predictor.refit_now()
             # The unscheduled re-plan: run the predictive cycle right now
             # with the (possibly refit) model, parenting its decision on
             # the accuracy record, then drop to reactive while the
@@ -347,13 +344,6 @@ class OnlineController(Persisted):
                 )
             self.mode = "reactive"
             self._reactive.reset(self.machines)
-            if tel.enabled:
-                tel.events.emit(
-                    "serve.mode",
-                    time=now,
-                    mode="reactive",
-                    refitted=refitted,
-                )
         elif self.mode == "reactive":
             # Shadow-forecast so the tracker keeps scoring the refit
             # model on live traffic; without it the window goes stale
@@ -373,7 +363,6 @@ class OnlineController(Persisted):
                         mape_pct=stats.get("mape_pct") if stats else None,
                         bias_pct=stats.get("bias_pct") if stats else None,
                     )
-                    tel.events.emit("serve.mode", time=now, mode="predictive")
                     tel.metrics.counter("serve.trigger_recovered").inc()
                 self._fa_record_id = None
 

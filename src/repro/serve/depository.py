@@ -206,9 +206,6 @@ class Depository(Persisted):
                 )
                 stale_id = stale_rec.get("id")
                 tel.metrics.counter("serve.nodes_evicted").inc()
-                tel.events.emit(
-                    "node.stale", time=last_clock, node=node,
-                )
             self._evicted[node] = stale_id
             self._evicted_clocks[node] = last_clock
 

@@ -17,7 +17,7 @@ stream into batches changes nothing it decides — dispatches every
 newly closed interval to the controller, and streams one-line
 dashboard updates.  On shutdown it *drains*: the controller rolls back
 any partially-applied migration round, the telemetry scope flushes
-open spans, and the full 5-artifact ``export_run`` is written — so a
+open spans, and the full 4-artifact ``export_run`` is written — so a
 killed service still yields a run directory ``pstore explain`` can walk
 end-to-end.
 

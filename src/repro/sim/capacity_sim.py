@@ -33,7 +33,7 @@ from ..elasticity.base import ProvisioningStrategy
 from ..errors import SimulationError
 from ..squall.migrator import Reconfiguration
 from ..telemetry import get_telemetry
-from ..telemetry.causal import record_capacity_insufficient
+from ..telemetry.causal import record_capacity_insufficient, record_interval
 from ..workload.trace import LoadTrace
 
 
@@ -153,13 +153,7 @@ class CapacitySimulator:
             history.append(float(load_tps[slot]))
             if recording:
                 # history may be pre-seeded with the training window;
-                # forecast events key on history length, so use it as slot.
-                tel.events.emit(
-                    "interval",
-                    time=(slot + 1) * slot_seconds,
-                    slot=len(history) - 1,
-                    tps=float(load_tps[slot]),
-                )
+                # forecasts key on its index, so telemetry does too.
                 harvest = tel.accuracy.observe(
                     len(history) - 1, float(load_tps[slot]),
                     time=(slot + 1) * slot_seconds,
@@ -197,12 +191,16 @@ class CapacitySimulator:
                 out_eff_qhat[slot] = config.q_hat * machines
 
             if recording:
+                record_interval(
+                    tel.tracer, slot * slot_seconds, (slot + 1) * slot_seconds,
+                    len(history) - 1, float(load_tps[slot]),
+                    int(out_machines[slot]), bool(out_migrating[slot]),
+                )
                 self._record_slot(
-                    tel, slot, slot_seconds,
+                    tel,
                     float(load_tps[slot]),
                     int(out_machines[slot]),
                     float(out_eff_qhat[slot]),
-                    bool(out_migrating[slot]),
                 )
                 if peak_load[slot] > out_eff_qhat[slot] + 1e-9:
                     record_capacity_insufficient(
@@ -246,14 +244,11 @@ class CapacitySimulator:
     def _record_slot(
         self,
         tel,
-        slot: int,
-        slot_seconds: float,
         load_tps: float,
         machines: int,
         eff_cap_max: float,
-        migrating: bool,
     ) -> None:
-        """Publish one slot's allocation sample and analytic latency.
+        """Publish one slot's allocation gauge and analytic latency.
 
         The capacity simulator deliberately skips queueing dynamics, so
         the latency quantiles here are the *steady-state M/M/1 estimate*
@@ -262,13 +257,6 @@ class CapacitySimulator:
         exactly this fidelity for 4.5-month sweeps)."""
         from ..hstore.engine import DEFAULT_MU_PARTITION
 
-        tel.events.emit(
-            "machines",
-            time=(slot + 1) * slot_seconds,
-            slot=slot,
-            machines=machines,
-            migrating=migrating,
-        )
         tel.metrics.gauge("sim.machines").set(machines)
         # Per-partition arrival rate implied by the effective capacity:
         # at load == eff_cap_max every partition runs at Q_hat's share of

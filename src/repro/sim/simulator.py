@@ -32,7 +32,7 @@ from ..hstore.engine import (
 from ..hstore.latency import PercentileSeries
 from ..squall.migrator import Reconfiguration, TransferRecovery
 from ..telemetry import get_telemetry
-from ..telemetry.causal import blame
+from ..telemetry.causal import blame, record_interval
 
 
 @dataclass
@@ -414,10 +414,9 @@ class ElasticDbSimulator:
             return True
         now = float(run.t + 1)
         slot = len(run.history) - 1
-        tel.events.emit("interval", time=now, slot=slot, tps=mean_tps)
-        tel.events.emit(
-            "machines", time=now, slot=slot, machines=int(run.machines),
-            migrating=run.move is not None,
+        record_interval(
+            tel.tracer, now - run.interval, now, slot, mean_tps,
+            int(run.machines), run.move is not None,
         )
         # Close the forecast-accuracy loop for this slot and, if the
         # interval had SLA violations, chronicle them under their most

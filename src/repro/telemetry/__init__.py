@@ -1,18 +1,22 @@
 """Observability for the predict -> plan -> migrate control loop.
 
-Three coordinated primitives:
+Four recorders, one kind of fact each:
 
-* :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
-  streaming histograms in a label-aware registry;
-* :mod:`repro.telemetry.tracing` — wall-clock and simulated-time spans
-  with parent/child linkage, one root span per controller cycle;
-* :mod:`repro.telemetry.events` — the structured JSONL event log of
-  provisioning actions, measurements, and forecasts.
+* :mod:`repro.telemetry.metrics` — levels and totals: counters, gauges,
+  and fixed-bucket streaming histograms in a label-aware registry;
+* :mod:`repro.telemetry.tracing` — anything with a duration: wall-clock
+  spans (one root per controller cycle) and simulated-time spans (one
+  ``interval`` per closed planner slot, migration rounds);
+* :mod:`repro.telemetry.causal` — anything that happened and why: the
+  chronicle of forecasts, decisions, moves, faults and violations;
+* :mod:`repro.telemetry.accuracy` — forecasts scored against the
+  measurements that arrive later.
 
-:mod:`repro.telemetry.runtime` bundles the three behind a process-global
+:mod:`repro.telemetry.runtime` bundles the four behind a process-global
 default that is a no-op until :func:`enable_telemetry` is called, and
-:mod:`repro.telemetry.export` turns a finished run into ``events.jsonl``,
-``spans.jsonl``, ``metrics.json``, and an ASCII dashboard.
+:mod:`repro.telemetry.export` turns a finished run into ``spans.jsonl``,
+``chronicle.jsonl``, ``metrics.json``, ``metrics.prom`` and an ASCII
+dashboard.
 
 See docs/OBSERVABILITY.md for metric names, the span hierarchy, and the
 artifact file formats.
@@ -31,9 +35,7 @@ from .causal import (
     NullFlightRecorder,
     make_record_id,
 )
-from .events import NULL_EVENTS, EventLog, NullEventLog
 from .export import (
-    EVENTS_SCHEMA,
     METRICS_SCHEMA,
     SPANS_SCHEMA,
     accuracy_summary,
@@ -47,7 +49,6 @@ from .export import (
     render_dashboard,
     render_metrics_prom,
     write_chronicle_jsonl,
-    write_events_jsonl,
     write_metrics_csv,
     write_metrics_json,
     write_metrics_prom,
@@ -80,8 +81,6 @@ __all__ = [
     "CHRONICLE_SCHEMA",
     "Counter",
     "DEFAULT_WINDOW",
-    "EVENTS_SCHEMA",
-    "EventLog",
     "FlightRecorder",
     "Gauge",
     "Histogram",
@@ -89,12 +88,10 @@ __all__ = [
     "MetricsRegistry",
     "NULL_ACCURACY",
     "NULL_CHRONICLE",
-    "NULL_EVENTS",
     "NULL_RECORDER",
     "NULL_REGISTRY",
     "NULL_TELEMETRY",
     "NullAccuracyTracker",
-    "NullEventLog",
     "NullFlightRecorder",
     "NullRecorder",
     "NullRegistry",
@@ -122,7 +119,6 @@ __all__ = [
     "telemetry_from_config",
     "telemetry_scope",
     "write_chronicle_jsonl",
-    "write_events_jsonl",
     "write_metrics_csv",
     "write_metrics_json",
     "write_metrics_prom",

@@ -10,7 +10,7 @@ stable ID and a ``parent`` link, forming walkable causal chains::
     fault.injected    -> fault.detected -> fault.retry* -> fault.recovered
     sla.violation     -> (its dominant cause: fault / move / forecast)
 
-Records persist as ``chronicle.jsonl`` next to ``events.jsonl``
+Records persist as ``chronicle.jsonl`` next to ``spans.jsonl``
 (:func:`repro.telemetry.export.write_chronicle_jsonl`) and are rendered
 by ``pstore explain`` (:mod:`repro.analysis.explain`).
 
@@ -185,6 +185,22 @@ def record_capacity_insufficient(
         time=time,
         parent=blame(chronicle, move=move, scored=scored),
         **fields,
+    )
+
+
+def record_interval(
+    tracer, start: float, end: float, slot: int, tps: float,
+    machines: int, migrating: bool,
+):
+    """The per-slot sample every loop writes as it closes a planner
+    interval: one simulated-time ``interval`` span over ``[start, end)``.
+    ``slot`` indexes the measured history (the timeline
+    ``forecast.snapshot.origin_slot`` counts on, training seed included),
+    ``tps`` is the slot's mean load, ``machines`` / ``migrating`` the
+    allocation the loop holds for it."""
+    return tracer.record(
+        "interval", start, end,
+        slot=slot, tps=tps, machines=machines, migrating=migrating,
     )
 
 

@@ -1,13 +1,13 @@
 """Run-artifact exporters: JSONL dumps, metrics snapshots, dashboards.
 
-One instrumented run produces five machine-readable artifacts
+One instrumented run produces four machine-readable artifacts
 (``pstore simulate --telemetry-out run1/``, :func:`export_run`):
 
-``events.jsonl``
-    the per-interval series (``interval``, ``forecast``, ``machines``,
-    fault lifecycle), one JSON object per line;
 ``spans.jsonl``
-    every recorded span (wall-clock and simulated-time), one per line;
+    every recorded span, one JSON object per line: wall-clock control
+    work and simulated-time spans, among them the per-slot series (one
+    ``interval`` span per closed planner slot: ``slot``, ``tps``,
+    ``machines``, ``migrating``);
 ``chronicle.jsonl``
     the causal chronicle — the one narrative record: forecasts,
     decisions, every move's ``migration.*`` lifecycle, ``service.*``
@@ -36,7 +36,6 @@ from .causal import CHRONICLE_SCHEMA
 
 #: Version tags written into every artifact so later PRs can evolve the
 #: schemas without breaking old readers.
-EVENTS_SCHEMA = "pstore.events/v1"
 SPANS_SCHEMA = "pstore.spans/v1"
 METRICS_SCHEMA = "pstore.metrics/v1"
 
@@ -68,29 +67,32 @@ def write_jsonl(rows: List[dict], path) -> pathlib.Path:
 # ----------------------------------------------------------------------
 
 
-def forecast_vs_actual(telemetry) -> List[dict]:
-    """Align ``forecast`` events with the ``interval`` measurements they
-    predicted.
+def _interval_rows(telemetry) -> List[dict]:
+    """The per-slot series: the attributes (``slot``, ``tps``,
+    ``machines``, ``migrating``) of every ``interval`` span, in the
+    order the slots closed."""
+    return [span.attrs for span in telemetry.tracer.by_name("interval")]
 
-    A forecast emitted with ``history_len = h`` predicts the next
-    interval, i.e. the measurement with ``slot == h``; pairs whose
-    measurement never arrived (end of run) are dropped.
+
+def forecast_vs_actual(telemetry) -> List[dict]:
+    """Align ``forecast.snapshot`` records with the ``interval``
+    measurements they predicted.
+
+    A forecast made after observing ``origin_slot`` predicts the next
+    interval, i.e. the span with ``slot == origin_slot + 1``; pairs
+    whose measurement never arrived (end of run) are dropped.
     """
-    measured = {
-        e["slot"]: e["tps"]
-        for e in telemetry.events.by_kind("interval")
-        if e.get("slot") is not None
-    }
+    measured = {row["slot"]: row["tps"] for row in _interval_rows(telemetry)}
     pairs: List[dict] = []
-    for event in telemetry.events.by_kind("forecast"):
-        slot = event.get("history_len")
-        if slot is None or slot not in measured:
+    for snapshot in telemetry.chronicle.by_kind("forecast.snapshot"):
+        slot = snapshot["origin_slot"] + 1
+        if slot not in measured:
             continue
         pairs.append(
             {
                 "slot": slot,
-                "predicted": event.get("predicted_next"),
-                "inflated": event.get("inflated_next"),
+                "predicted": snapshot.get("predicted_next"),
+                "inflated": snapshot.get("inflated_next"),
                 "actual": measured[slot],
             }
         )
@@ -134,11 +136,11 @@ def machines_series(telemetry) -> List[dict]:
     """Per-slot machine allocation samples (empty if not instrumented)."""
     return [
         {
-            "slot": e.get("slot"),
-            "machines": e.get("machines"),
-            "migrating": e.get("migrating", False),
+            "slot": row["slot"],
+            "machines": row["machines"],
+            "migrating": row["migrating"],
         }
-        for e in telemetry.events.by_kind("machines")
+        for row in _interval_rows(telemetry)
     ]
 
 
@@ -187,11 +189,6 @@ def metrics_document(telemetry) -> dict:
             "latency_quantiles": latency_quantiles(telemetry),
         },
     }
-
-
-def write_events_jsonl(telemetry, path) -> pathlib.Path:
-    rows = [{"schema": EVENTS_SCHEMA}] + telemetry.events.snapshot()
-    return write_jsonl(rows, path)
 
 
 def write_spans_jsonl(telemetry, path) -> pathlib.Path:
@@ -318,7 +315,6 @@ def export_run(telemetry, out_dir) -> Dict[str, pathlib.Path]:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return {
-        "events": write_events_jsonl(telemetry, out / "events.jsonl"),
         "spans": write_spans_jsonl(telemetry, out / "spans.jsonl"),
         "metrics": write_metrics_json(telemetry, out / "metrics.json"),
         "chronicle": write_chronicle_jsonl(telemetry, out / "chronicle.jsonl"),
@@ -340,14 +336,16 @@ def render_dashboard(telemetry, title: str = "run summary") -> str:
 
     sections: List[str] = [title, "=" * len(title)]
 
-    machines = [m["machines"] for m in machines_series(telemetry)
-                if m.get("machines") is not None]
-    if machines:
-        sections.append(series_block("machines", machines))
-
-    measured = [e["tps"] for e in telemetry.events.by_kind("interval")]
-    if measured:
-        sections.append(series_block("measured load (txn/s)", measured))
+    intervals = _interval_rows(telemetry)
+    if intervals:
+        sections.append(
+            series_block("machines", [row["machines"] for row in intervals])
+        )
+        sections.append(
+            series_block(
+                "measured load (txn/s)", [row["tps"] for row in intervals]
+            )
+        )
 
     pairs = forecast_vs_actual(telemetry)
     mape = forecast_mape(pairs)

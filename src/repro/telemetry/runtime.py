@@ -1,5 +1,5 @@
-"""Telemetry runtime: the bundle of registry + tracer + event log, and
-the process-global default that instrumented code binds to.
+"""Telemetry runtime: the bundle of registry + tracer + chronicle +
+accuracy tracker, and the process-global default that instrumented code binds to.
 
 Disabled telemetry (the default) is the singleton :data:`NULL_TELEMETRY`
 whose parts are all no-ops, so the cost of an instrumentation hook in a
@@ -24,14 +24,13 @@ from typing import Optional
 
 from .accuracy import NULL_ACCURACY, AccuracyTracker, NullAccuracyTracker
 from .causal import NULL_CHRONICLE, FlightRecorder, NullFlightRecorder
-from .events import NULL_EVENTS, EventLog, NullEventLog
 from .metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from .tracing import NULL_RECORDER, NullRecorder, SpanRecorder
 
 
 class Telemetry:
-    """A live telemetry bundle (metrics + spans + events + chronicle +
-    forecast accuracy)."""
+    """A live telemetry bundle (metrics + spans + chronicle + forecast
+    accuracy)."""
 
     enabled = True
 
@@ -39,13 +38,11 @@ class Telemetry:
         self,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanRecorder] = None,
-        events: Optional[EventLog] = None,
         chronicle: Optional[FlightRecorder] = None,
         accuracy: Optional[AccuracyTracker] = None,
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else SpanRecorder()
-        self.events = events if events is not None else EventLog()
         self.chronicle = chronicle if chronicle is not None else FlightRecorder()
         self.accuracy = (
             accuracy
@@ -57,7 +54,6 @@ class Telemetry:
         """Drop all recorded data (start of a new run)."""
         self.metrics = MetricsRegistry()
         self.tracer = SpanRecorder()
-        self.events = EventLog()
         self.chronicle = FlightRecorder()
         self.accuracy = AccuracyTracker(metrics=self.metrics)
 
@@ -68,7 +64,6 @@ class NullTelemetry:
     enabled = False
     metrics: NullRegistry = NULL_REGISTRY
     tracer: NullRecorder = NULL_RECORDER
-    events: NullEventLog = NULL_EVENTS
     chronicle: NullFlightRecorder = NULL_CHRONICLE
     accuracy: NullAccuracyTracker = NULL_ACCURACY
 

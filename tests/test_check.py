@@ -87,10 +87,12 @@ class TestInvariantChecks:
                 invariants.violated(
                     "test.inv", "something drifted", time=12.0, delta=0.5
                 )
-        events = tel.events.by_kind("invariant.violation")
-        assert len(events) == 1
-        assert events[0]["name"] == "test.inv"
-        assert events[0]["delta"] == 0.5
+        records = tel.chronicle.by_kind("invariant.violation")
+        assert len(records) == 1
+        assert records[0]["time"] == 12.0
+        assert records[0]["name"] == "test.inv"
+        assert records[0]["message"] == "something drifted"
+        assert records[0]["delta"] == 0.5
         assert tel.metrics.counter("check.invariant_violations").value == 1
 
 
@@ -109,7 +111,7 @@ class TestDifferentialSuites:
             report = differential.diff_migration_accounting(drop_bucket=True)
         assert not report.ok
         assert [c.name for c in report.failures] == ["migration.invariant"]
-        assert len(tel.events.by_kind("invariant.violation")) == 1
+        assert len(tel.chronicle.by_kind("invariant.violation")) == 1
 
     def test_dropped_bucket_caught_at_cheap_tier(self):
         # Without the O(rows) tier, the suite's own end-to-end row
@@ -120,16 +122,18 @@ class TestDifferentialSuites:
         assert not report.ok
         names = [c.name for c in report.failures]
         assert "migration.rows-conserved" in names, report.describe()
-        assert len(tel.events.by_kind("check.divergence")) >= 1
+        assert len(tel.chronicle.by_kind("check.divergence")) >= 1
 
     def test_perturbed_fast_path_is_caught_and_logged(self):
         tel = Telemetry()
         with telemetry_scope(tel):
             report = differential.diff_fast_path(seconds=300, perturb=True)
         assert not report.ok
-        events = tel.events.by_kind("check.divergence")
-        assert len(events) == 1
-        assert events[0]["name"] == "fast-path.completed_tps"
+        records = tel.chronicle.by_kind("check.divergence")
+        assert len(records) == 1
+        assert records[0]["name"] == "fast-path.completed_tps"
+        assert records[0]["delta"] > records[0]["tolerance"] == 0.0
+        assert "detail" in records[0]
 
     def test_fast_path_bit_identical(self):
         report = differential.diff_fast_path(seconds=300)
@@ -224,5 +228,6 @@ class TestCheckCli:
              "--inject", "drop-bucket", "--telemetry-out", str(out)]
         )
         assert code == 1
-        events = (out / "events.jsonl").read_text()
-        assert "invariant.violation" in events
+        assert not (out / "events.jsonl").exists()
+        chronicle = (out / "chronicle.jsonl").read_text()
+        assert "invariant.violation" in chronicle

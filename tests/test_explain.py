@@ -182,7 +182,7 @@ class TestChronicleIo:
 
     def test_bad_schema_raises(self, tmp_path):
         (tmp_path / "chronicle.jsonl").write_text(
-            json.dumps({"schema": "pstore.events/v1"}) + "\n"
+            json.dumps({"schema": "pstore.spans/v1"}) + "\n"
         )
         with pytest.raises(TelemetryError):
             load_chronicle(tmp_path)

@@ -231,7 +231,6 @@ def scenario_migrator_chaos() -> dict:
     )
     return {
         "chronicle": _digest(telemetry.chronicle.records),
-        "events": _digest(telemetry.events.events),
         "faults": _digest(injector.chronicle),
         "ticks": ticks,
         "rows": rows,

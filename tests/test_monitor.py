@@ -14,6 +14,22 @@ from repro.hstore import (
 )
 
 
+def _counting_telemetry():
+    """A live bundle whose accuracy tracker also lists its harvests."""
+    from repro.telemetry import Telemetry
+
+    tel = Telemetry()
+    harvested = []
+    observe = tel.accuracy.observe
+
+    def spy(slot, actual, time=None):
+        harvested.append((slot, actual, time))
+        return observe(slot, actual, time=time)
+
+    tel.accuracy.observe = spy
+    return tel, harvested
+
+
 def kv_cluster():
     schema = Schema(
         [Table("kv", [Column("k", "str")], primary_key="k")]
@@ -137,45 +153,53 @@ class TestLoadMonitorBoundaries:
         assert monitor.current_rate_estimate(11.0) == pytest.approx(7.0)
 
     def test_closed_intervals_emit_telemetry(self):
-        from repro.telemetry import Telemetry
-
-        tel = Telemetry()
+        tel, harvested = _counting_telemetry()
         monitor = LoadMonitor(interval_seconds=10.0, telemetry=tel)
         monitor.record(1.0, count=20.0)
-        monitor.record(35.0)
-        # The counted interval gets its own span/event; the run of empty
-        # intervals behind it is batched into one gap span/event.
-        spans = tel.tracer.by_name("monitor.window")
-        assert [s.attrs["slot"] for s in spans] == [0]
-        assert spans[0].attrs["tps"] == pytest.approx(2.0)
-        assert spans[0].clock == "sim"
-        gaps = tel.tracer.by_name("monitor.gap")
-        assert len(gaps) == 1
-        assert gaps[0].attrs["first_slot"] == 1
-        assert gaps[0].attrs["intervals"] == 2
-        assert (gaps[0].start, gaps[0].end) == (10.0, 30.0)
-        events = tel.events.by_kind("interval")
-        assert [e["slot"] for e in events] == [0]
-        gap_events = tel.events.by_kind("interval.gap")
-        assert len(gap_events) == 1
-        assert gap_events[0]["intervals"] == 2
+        assert monitor.record(35.0) == 3
+        # Every closed interval, the empty ones included, is harvested
+        # at its own closing boundary ...
+        assert harvested == [(0, 2.0, 10.0), (1, 0.0, 20.0), (2, 0.0, 30.0)]
         assert tel.metrics.counter("monitor.intervals_closed").value == 3
+        assert tel.metrics.gauge("monitor.load_tps").value == 0.0
+        # ... and the monitor writes no series: that is its host's span.
+        assert tel.tracer.spans == [] and len(tel.chronicle) == 0
 
-    def test_large_gap_is_one_batched_emission(self):
-        # Regression: a big timestamp jump used to emit one event per
-        # empty interval (O(gap) work); now it is one gap record.
-        from repro.telemetry import Telemetry
-
-        tel = Telemetry()
+    def test_large_gap_closes_every_interval_and_writes_no_series(self):
+        tel, harvested = _counting_telemetry()
         monitor = LoadMonitor(interval_seconds=1.0, telemetry=tel)
         monitor.record(0.5)
         closed = monitor.record(100_000.5)
         assert closed == 100_000
         assert monitor.completed_intervals == 100_000
-        assert len(tel.events.by_kind("interval")) == 1
-        assert len(tel.events.by_kind("interval.gap")) == 1
-        assert len(tel.tracer.by_name("monitor.window")) == 1
+        assert [slot for slot, _, _ in harvested] == list(range(100_000))
         assert tel.metrics.counter("monitor.intervals_closed").value == 100_000
+        assert tel.tracer.spans == [] and len(tel.chronicle) == 0
+
+    def test_host_writes_one_interval_span_per_closed_slot(self):
+        # The span is the host loop's: a service stepped across three
+        # boundaries at once closes one counted and two empty slots.
+        from repro.config import default_config
+        from repro.core import PStoreService
+        from repro.prediction import LastValuePredictor
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        config = default_config().with_interval(10.0)
+        service = PStoreService(
+            kv_cluster(), config, LastValuePredictor(), telemetry=tel
+        )
+        service.monitor.record(1.0, count=20.0)
+        service.advance_time(35.0)
+        spans = tel.tracer.by_name("interval")
+        assert [(s.start, s.end, s.clock) for s in spans] == [
+            (0.0, 10.0, "sim"), (10.0, 20.0, "sim"), (20.0, 30.0, "sim"),
+        ]
+        assert [s.attrs for s in spans] == [
+            {"slot": slot, "tps": tps, "machines": service.machines,
+             "migrating": False}
+            for slot, tps in enumerate([2.0, 0.0, 0.0])
+        ]
 
     def test_no_float_drift_over_long_runs(self):
         # Regression: `_interval_start += 0.1` accumulated one rounding

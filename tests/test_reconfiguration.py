@@ -292,7 +292,7 @@ def test_one_move_one_record_shape(loop):
     assert histogram.count == 1
     # The chronicle is the only record of the lifecycle, and the move
     # counts itself: one counter set, whichever loop ran it.
-    assert not [e for e in tel.events.events if "migration" in e["kind"]]
+    assert not [s for s in tel.tracer.spans if s.name.startswith("migration.")]
     assert _move_counters(tel) == {"migrate.moves_started": 1}
 
 
@@ -311,7 +311,7 @@ def test_one_abort_one_record_shape(loop):
     assert (aborted["before"], aborted["after"]) == (BEFORE, AFTER)
     assert aborted["elapsed"] == aborted["time"] - start["time"]
     assert 0.0 <= aborted["rolled_back_fraction"] < 1.0
-    assert not [e for e in tel.events.events if "migration" in e["kind"]]
+    assert not [s for s in tel.tracer.spans if s.name.startswith("migration.")]
     assert _move_counters(tel)["migrate.moves_aborted"] == 1
     # The aborted move never also completes.
     assert not [

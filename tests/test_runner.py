@@ -230,9 +230,23 @@ class TestSweepExecutor:
         assert manifest["schema"] == "pstore.sweep/v1"
         assert manifest["n_cells"] == len(specs)
         assert manifest["result_hash"] == report.result_hash
-        lines = Path(paths["events"]).read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["schema"] == "pstore.events/v1"
+        assert sorted(paths) == ["chronicle", "manifest", "spans"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "chronicle.jsonl", "manifest.json", "spans.jsonl",
+        ]
+        lines = Path(paths["spans"]).read_text().splitlines()
+        assert json.loads(lines[0]) == {
+            "schema": "pstore.spans/v1", "merged": True,
+        }
+        # Each cell's spans ride along, tagged with the cell they ran in.
+        spans = [json.loads(line) for line in lines[1:]]
+        assert {s["cell"] for s in spans} == {c.label for c in report.cells}
+        for cell in report.cells:
+            assert [
+                {k: v for k, v in s.items() if k != "cell"}
+                for s in spans if s["cell"] == cell.label
+            ] == list(cell.spans)
+            assert [s for s in cell.spans if s["name"] == "interval"]
 
     def test_duplicate_keys_executed_once(self, tmp_path):
         cache = ResultCache(tmp_path)

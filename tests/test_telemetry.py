@@ -1,5 +1,4 @@
-"""Tests for the telemetry package: instruments, spans, events,
-exporters, CLI artifact schemas, and the no-op overhead bound."""
+"""Tests for the telemetry package: instruments, spans, exporters, CLI artifact schemas, and the no-op overhead bound."""
 
 import json
 import time
@@ -19,11 +18,9 @@ from repro.hstore import (
 )
 from repro.telemetry import (
     CHRONICLE_SCHEMA,
-    EVENTS_SCHEMA,
     METRICS_SCHEMA,
     NULL_TELEMETRY,
     SPANS_SCHEMA,
-    EventLog,
     MetricsRegistry,
     NullRegistry,
     SpanRecorder,
@@ -38,6 +35,7 @@ from repro.telemetry import (
     render_dashboard,
     telemetry_scope,
 )
+from repro.telemetry.causal import record_interval
 
 
 # ----------------------------------------------------------------------
@@ -202,16 +200,6 @@ class TestSpans:
         assert "aborted" not in tracer.snapshot()[0]["attrs"]
 
 
-class TestEvents:
-    def test_emit_is_sequenced(self):
-        log = EventLog()
-        log.emit("interval", time=300.0, slot=0, tps=1200.0)
-        log.emit("migration.start", time=600.0, before=3, after=4)
-        assert [e["seq"] for e in log.snapshot()] == [1, 2]
-        assert log.by_kind("interval")[0]["tps"] == 1200.0
-        assert len(log) == 2
-
-
 # ----------------------------------------------------------------------
 # Runtime: global switch and null objects
 # ----------------------------------------------------------------------
@@ -242,11 +230,11 @@ class TestRuntime:
         null.metrics.counter("a").inc()
         null.metrics.histogram("h").observe(1.0)
         null.metrics.gauge("g").set(3)
-        null.events.emit("anything", time=0.0)
+        null.chronicle.record("anything", time=0.0)
         with null.tracer.span("cycle") as span:
             span.set("k", "v")
         assert len(null.metrics) == 0
-        assert len(null.events) == 0
+        assert len(null.chronicle) == 0
         assert null.tracer.snapshot() == []
 
     def test_null_registry_snapshot_empty(self):
@@ -261,12 +249,10 @@ class TestRuntime:
 def _synthetic_run() -> Telemetry:
     tel = Telemetry()
     for slot, (predicted, actual) in enumerate([(100.0, 110.0), (200.0, 190.0)]):
-        tel.events.emit("forecast", time=slot * 300.0, history_len=slot + 1,
-                        predicted_next=predicted)
-        tel.events.emit("interval", time=(slot + 1) * 300.0, slot=slot + 1,
-                        tps=actual)
-        tel.events.emit("machines", time=(slot + 1) * 300.0, slot=slot + 1,
-                        machines=4 + slot, migrating=False)
+        tel.chronicle.record("forecast.snapshot", time=(slot + 1) * 300.0,
+                             origin_slot=slot, predicted_next=predicted)
+        record_interval(tel.tracer, (slot + 1) * 300.0, (slot + 2) * 300.0,
+                        slot + 1, actual, 4 + slot, False)
     start = tel.chronicle.record("migration.start", time=480.0, before=4,
                                  after=5, emergency=True)
     tel.chronicle.record("migration.complete", time=900.0, parent=start,
@@ -288,14 +274,16 @@ class TestExport:
 
     def test_export_run_writes_all_artifacts(self, tmp_path):
         paths = export_run(_synthetic_run(), tmp_path)
-        assert sorted(paths) == [
-            "chronicle", "events", "metrics", "prom", "spans",
+        assert sorted(paths) == ["chronicle", "metrics", "prom", "spans"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chronicle.jsonl", "metrics.json", "metrics.prom", "spans.jsonl",
         ]
-        events = [json.loads(l) for l in
-                  paths["events"].read_text().splitlines()]
-        assert events[0] == {"schema": EVENTS_SCHEMA}
         spans = [json.loads(l) for l in paths["spans"].read_text().splitlines()]
         assert spans[0] == {"schema": SPANS_SCHEMA}
+        assert [s["attrs"] for s in spans[1:]] == [
+            {"slot": 1, "tps": 110.0, "machines": 4, "migrating": False},
+            {"slot": 2, "tps": 190.0, "machines": 5, "migrating": False},
+        ]
         doc = json.loads(paths["metrics"].read_text())
         assert doc["schema"] == METRICS_SCHEMA
         assert doc["derived"]["forecast"]["n_pairs"] == 2
@@ -313,6 +301,7 @@ class TestExport:
     def test_dashboard_renders(self):
         text = render_dashboard(_synthetic_run())
         assert "machines" in text
+        assert "measured load (txn/s)" in text
         assert "forecast" in text
 
 
@@ -327,25 +316,24 @@ def simulate_artifacts(tmp_path_factory):
     code = main(["simulate", "p-store", "--days", "2", "--quiet",
                  "--telemetry-out", str(out)])
     assert code == 0
-    events = [json.loads(l) for l in
-              (out / "events.jsonl").read_text().splitlines()]
+    assert not (out / "events.jsonl").exists()
     spans = [json.loads(l) for l in
              (out / "spans.jsonl").read_text().splitlines()]
     metrics = json.loads((out / "metrics.json").read_text())
     chronicle = [json.loads(l) for l in
                  (out / "chronicle.jsonl").read_text().splitlines()]
-    return events, spans, metrics, chronicle
+    return spans, metrics, chronicle
 
 
 class TestCliArtifacts:
     def test_schema_headers(self, simulate_artifacts):
-        events, spans, metrics, _ = simulate_artifacts
-        assert events[0]["schema"] == EVENTS_SCHEMA
+        spans, metrics, chronicle = simulate_artifacts
+        assert chronicle[0]["schema"] == CHRONICLE_SCHEMA
         assert spans[0]["schema"] == SPANS_SCHEMA
         assert metrics["schema"] == METRICS_SCHEMA
 
     def test_spans_cover_the_control_loop(self, simulate_artifacts):
-        _, spans, _, _ = simulate_artifacts
+        spans, _, _ = simulate_artifacts
         by_name = {}
         for span in spans[1:]:
             by_name.setdefault(span["name"], []).append(span)
@@ -360,12 +348,26 @@ class TestCliArtifacts:
             assert child["parent_id"] in cycle_ids
         assert all(s["duration"] >= 0 for s in spans[1:])
 
-    def test_events_cover_the_run(self, simulate_artifacts):
-        events, _, _, chronicle = simulate_artifacts
-        kinds = {e["kind"] for e in events[1:]}
-        assert {"interval", "forecast", "machines"} <= kinds
-        # A move's lifecycle is told once, in the chronicle.
-        assert not [k for k in kinds if k.startswith("migration.")]
+    def test_interval_spans_and_chronicle_cover_the_run(
+        self, simulate_artifacts
+    ):
+        spans, _, chronicle = simulate_artifacts
+        # The per-slot series: one sim-clock span per closed slot.
+        intervals = [s for s in spans[1:] if s["name"] == "interval"]
+        slots = [s["attrs"]["slot"] for s in intervals]
+        assert slots == list(range(slots[0], slots[0] + 2 * 288))
+        for span in intervals:
+            assert span["clock"] == "sim"
+            assert span["end"] - span["start"] == 300.0
+            assert sorted(span["attrs"]) == [
+                "machines", "migrating", "slot", "tps",
+            ]
+        # Forecasts and a move's lifecycle are told once, in the chronicle.
+        snapshots = [r for r in chronicle[1:]
+                     if r["kind"] == "forecast.snapshot"]
+        assert {r["origin_slot"] + 1 for r in snapshots} & set(slots)
+        assert not [s for s in spans[1:]
+                    if s["name"].startswith(("forecast", "migration."))]
         completes = [r for r in chronicle[1:]
                      if r["kind"] == "migration.complete"]
         assert completes
@@ -376,7 +378,7 @@ class TestCliArtifacts:
         assert all(r["parent"] in starts for r in completes)
 
     def test_metrics_derived_sections(self, simulate_artifacts):
-        _, _, metrics, _ = simulate_artifacts
+        _, metrics, _ = simulate_artifacts
         derived = metrics["derived"]
         forecast = derived["forecast"]
         assert forecast["n_pairs"] > 100
