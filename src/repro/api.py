@@ -18,7 +18,6 @@ callers that need more than the headline numbers.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -131,8 +130,7 @@ def run(
                 np.concatenate([train, evaluation.as_rate_per_second()])
             )
         else:
-            kwargs = {"period": 288} if pspec.accepts("period") else {}
-            predictor = pspec.build(**kwargs).fit(train)
+            predictor = pspec.for_period(288).fit(train)
         history = [float(v) for v in train]
     if spec.kind == "reactive" and spec.param("patience") is None:
         spec = StrategySpec(
@@ -143,9 +141,8 @@ def run(
     initial = (
         int(spec.param("machines"))
         if spec.kind == "static"
-        else max(
-            1,
-            math.ceil(evaluation.as_rate_per_second()[0] * 1.3 / config.q),
+        else config.servers_for_load(
+            evaluation.as_rate_per_second()[0] * 1.3
         )
     )
     result = run_capacity_simulation(

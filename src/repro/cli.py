@@ -464,11 +464,8 @@ def _cmd_generate(args) -> int:
 
 
 def _fit_model(name: str, values: np.ndarray, period: int, train_slots: int):
-    # Seasonal predictors take the trace's day length; history-window
-    # models (ar/arma/naive) declare no period and get none.
-    spec = get_predictor_spec(name)
-    kwargs = {"period": period} if spec.accepts("period") else {}
-    return api.fit_predictor(name, values[:train_slots], **kwargs)
+    model = get_predictor_spec(name).for_period(period)
+    return model.fit(values[:train_slots])
 
 
 def _cmd_predict(args) -> int:
@@ -865,30 +862,24 @@ def _serve_predictor(args, trace, period: int):
             "spar needs --train-days >= 2 (one period of history plus one "
             "of targets); use --predictor ar for short replays"
         )
-    kwargs = {"period": period} if spec.accepts("period") else {}
+    kwargs = {}
     if args.predictor == "spar":
-        kwargs["n_periods"] = max(1, min(7, args.train_days - 1))
+        # Fully-online bootstrap (no training window): two periods.
+        kwargs["n_periods"] = (
+            max(1, min(7, args.train_days - 1)) if train_slots else 2
+        )
         kwargs["m_recent"] = min(30, period // 2)
     elif args.predictor == "ar":
         kwargs["order"] = min(30, max(2, period // 8))
-    if train_slots:
-        values = trace.as_rate_per_second()[:train_slots]
-        base = api.fit_predictor(args.predictor, values, **kwargs)
-        online = OnlinePredictor(
-            base, refit_every=7 * period, max_history=21 * period
-        )
-        online.fit(values)
-        return online, train_slots
-    # Fully-online bootstrap: build an unfitted base and let the
-    # controller's warmup mode carry until the first fit.
-    if args.predictor == "spar":
-        kwargs["n_periods"] = 2
-    base = spec.build(**kwargs)
-    return (
-        OnlinePredictor(base, refit_every=7 * period,
-                        max_history=21 * period),
-        0,
+    online = OnlinePredictor(
+        spec.for_period(period, **kwargs),
+        refit_every=7 * period, max_history=21 * period,
     )
+    if train_slots:
+        online.fit(trace.as_rate_per_second()[:train_slots])
+    # Unfitted otherwise: the controller's warmup mode carries until
+    # the first fit.
+    return online, train_slots
 
 
 def _cmd_serve(args) -> int:

@@ -207,10 +207,7 @@ class PredictiveController(Persisted):
             # training window).
             sim_time = float(len(history)) * self.config.interval_seconds
             origin_slot = len(history) - 1
-            predictor_name = (
-                getattr(self.predictor, "name", "")
-                or type(self.predictor).__name__
-            )
+            predictor_name = self.predictor.name
             snap = tel.chronicle.record(
                 "forecast.snapshot",
                 time=sim_time,

@@ -28,7 +28,6 @@ from ..hstore.engine import TransactionExecutor
 from ..hstore.monitor import LoadMonitor
 from ..hstore.txn import Transaction, TxnResult
 from ..prediction.base import Predictor
-from ..prediction.online import OnlinePredictor
 from ..squall.migrator import ClusterMigrator
 from ..squall.rebalance import (
     apply_rebalance,
@@ -49,7 +48,8 @@ class PStoreService:
     config:
         model parameters; ``interval_seconds`` sets the planning cadence.
     predictor:
-        any fitted predictor, or an :class:`OnlinePredictor` that will
+        any fitted predictor, or an
+        :class:`~repro.prediction.online.OnlinePredictor` that will
         learn from the measured load stream.
     max_machines:
         optional hard cap on cluster size.
@@ -98,9 +98,9 @@ class PStoreService:
             cluster, config, chunk_kb=chunk_kb, telemetry=tel,
             injector=self._injector,
         )
-        self._strategy: Optional[PStoreStrategy] = None
-        if predictor.is_fitted or isinstance(predictor, OnlinePredictor):
-            self._ensure_strategy()
+        self._strategy = PStoreStrategy(
+            config, predictor, telemetry=tel, injector=self._injector
+        )
         self._now = 0.0
         self._migration_target: Optional[int] = None
 
@@ -108,13 +108,6 @@ class PStoreService:
     def injector(self):
         """The attached fault injector (None on fault-free runs)."""
         return self._injector
-
-    def _ensure_strategy(self) -> None:
-        if self._strategy is None and self.predictor.is_fitted:
-            self._strategy = PStoreStrategy(
-                self.config, self.predictor, telemetry=self._telemetry,
-                injector=self._injector,
-            )
 
     def _record_event(
         self, kind: str, detail: str, parent: Optional[str] = None, **fields
@@ -196,10 +189,8 @@ class PStoreService:
                     tel.tracer, slot * interval, (slot + 1) * interval,
                     slot, float(rate), self.cluster.n_nodes, self.migrating,
                 )
-        if closed and isinstance(self.predictor, OnlinePredictor):
-            for rate in new_rates:
-                self.predictor.observe(float(rate))
-            self._ensure_strategy()
+        for rate in new_rates:
+            self.predictor.observe(float(rate))
 
         if closed and not self.migrator.migrating:
             self._plan()
@@ -253,9 +244,6 @@ class PStoreService:
             )
 
     def _plan(self) -> None:
-        self._ensure_strategy()
-        if self._strategy is None:
-            return  # predictor still warming up
         history = self.monitor.history_tps()
         if history.size == 0:
             return

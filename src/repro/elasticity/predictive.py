@@ -2,7 +2,10 @@
 
 Wraps :class:`~repro.core.controller.PredictiveController` in the
 :class:`~repro.elasticity.base.ProvisioningStrategy` interface so the
-simulators can drive P-Store exactly like the baselines.
+simulators can drive P-Store exactly like the baselines.  It also owns
+the one warm-up rule (Sec. 6: a model is trained offline or "actively
+learns" from the monitored load): no plan until the predictor is fitted
+and has ``min_history`` measured slots to forecast from.
 """
 
 from __future__ import annotations
@@ -27,7 +30,11 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
     predictor:
         a fitted predictor (SPAR for "P-Store SPAR", an
         :class:`~repro.prediction.oracle.OraclePredictor` for
-        "P-Store Oracle" in Fig. 12).
+        "P-Store Oracle" in Fig. 12), or one that declares
+        ``min_training`` — an
+        :class:`~repro.prediction.online.OnlinePredictor` that will fit
+        itself from the load it is shown; the strategy answers
+        ``NO_ACTION`` until it has.
     horizon_intervals:
         forecast window; defaults to the controller's ``2D/P`` bound.
     emergency_rate_multiplier:
@@ -47,7 +54,7 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
         telemetry=None,
         injector=None,
     ):
-        if not predictor.is_fitted:
+        if not predictor.is_fitted and predictor.min_training is None:
             raise SimulationError("predictor must be fitted before use")
         self.config = config
         self.controller = PredictiveController(
@@ -63,7 +70,14 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
     @property
     def min_history(self) -> int:
         """Measured intervals the predictor needs before the first plan."""
-        return getattr(self.controller.predictor, "min_history", 1)
+        return self.controller.predictor.min_history
+
+    def warmed_up(self, history_tps: Sequence[float]) -> bool:
+        """Whether the predictor can forecast from ``history_tps`` yet."""
+        return (
+            self.controller.predictor.is_fitted
+            and len(history_tps) >= self.min_history
+        )
 
     def decide(
         self,
@@ -71,7 +85,7 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
         history_tps: Sequence[float],
         current_machines: int,
     ) -> ScaleDecision:
-        if len(history_tps) < self.min_history:
+        if not self.warmed_up(history_tps):
             return NO_ACTION  # still warming up the predictor
         return self.controller.decide(history_tps, current_machines)
 

@@ -194,7 +194,7 @@ def run_debounce_ablation(
             trace,
             strategy,
             config,
-            initial_machines=max(1, math.ceil(truth[0] * 1.3 / config.q)),
+            initial_machines=config.servers_for_load(truth[0] * 1.3),
         )
     return DebounceAblationResult(
         moves_with_debounce=results[3].moves_started,
@@ -251,7 +251,7 @@ def run_inflation_ablation(
             trace,
             strategy,
             config,
-            initial_machines=max(1, math.ceil(truth[0] * 1.3 / config.q)),
+            initial_machines=config.servers_for_load(truth[0] * 1.3),
         )
         points.append(
             InflationPoint(

@@ -142,11 +142,6 @@ class Figure12Result:
         return rows
 
 
-def _initial_machines(setup: SeasonSetup, q: float) -> int:
-    first_load = float(setup.eval_tps[0])
-    return max(1, math.ceil(first_load * 1.3 / q))
-
-
 #: Simple-strategy clock: scale out at 05:00, back in at 23:30.
 SIMPLE_MORNING_HOUR = 5.0
 SIMPLE_NIGHT_HOUR = 23.5
@@ -238,7 +233,7 @@ def _run_point(setup: SeasonSetup, spec):
             setup.config.q_hat,
         ))
         strategy = _FAMILIES[family](setup, cfg)
-        initial = _initial_machines(setup, cfg.q)
+        initial = cfg.servers_for_load(float(setup.eval_tps[0]) * 1.3)
     else:
         raise ConfigurationError(f"unknown fig12 family {family!r}")
     result = run_capacity_simulation(

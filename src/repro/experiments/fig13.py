@@ -10,7 +10,6 @@ Black Friday.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -128,8 +127,8 @@ def _run_point(setup: SeasonSetup, spec) -> CapacitySimResult:
         setup.trace,
         strategy,
         config,
-        initial_machines=max(
-            1, math.ceil(float(setup.eval_tps[0]) * 1.3 / config.q)
+        initial_machines=config.servers_for_load(
+            float(setup.eval_tps[0]) * 1.3
         ),
         history_seed=history,
     )

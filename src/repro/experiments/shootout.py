@@ -126,8 +126,6 @@ def run_one(
     payload come from this cell alone (cells stay order-independent,
     which is what makes parallel execution bit-identical to serial).
     """
-    import math
-
     from ..sim import run_capacity_simulation
     from ..telemetry import AccuracyTracker, MetricsRegistry, Telemetry
     from ..telemetry.runtime import telemetry_scope
@@ -146,12 +144,7 @@ def run_one(
             np.concatenate([train, evaluation.as_rate_per_second()])
         )
     else:
-        kwargs = (
-            {"period": SHOOTOUT_SLOTS_PER_DAY}
-            if pspec.accepts("period")
-            else {}
-        )
-        predictor = pspec.build(**kwargs).fit(train)
+        predictor = pspec.for_period(SHOOTOUT_SLOTS_PER_DAY).fit(train)
 
     metrics = MetricsRegistry()
     telemetry = Telemetry(
@@ -163,11 +156,8 @@ def run_one(
             predictor=predictor,
             slots_per_day=SHOOTOUT_SLOTS_PER_DAY,
         )
-        initial = max(
-            1,
-            math.ceil(
-                float(evaluation.as_rate_per_second()[0]) * 1.3 / config.q
-            ),
+        initial = config.servers_for_load(
+            float(evaluation.as_rate_per_second()[0]) * 1.3
         )
         result = run_capacity_simulation(
             evaluation,

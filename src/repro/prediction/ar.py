@@ -8,12 +8,12 @@ reaches 12.5% MRE at tau = 60 minutes, versus 10.4% for SPAR.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series, solve_ridge
+from .base import Predictor, solve_ridge
 
 
 def fit_ar_coefficients(
@@ -53,19 +53,11 @@ class ArPredictor(Predictor):
         super().__init__()
         if order < 1:
             raise PredictionError(f"order must be >= 1 (got {order})")
-        self.order = order
+        self.order = self.min_history = order
         self._coeffs: Optional[np.ndarray] = None
 
-    @property
-    def min_history(self) -> int:
-        return self.order
-
-    def fit(self, series: Sequence[float]) -> "ArPredictor":
-        arr = as_series(series)
+    def _fit(self, arr: np.ndarray) -> None:
         self._coeffs = fit_ar_coefficients(arr, self.order)
-        self._fit_series = arr
-        self._fitted = True
-        return self
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -73,17 +65,7 @@ class ArPredictor(Predictor):
         assert self._coeffs is not None
         return self._coeffs.copy()
 
-    def predict_horizon(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
-        self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        arr = as_series(history)
-        if arr.size < self.order:
-            raise PredictionError(
-                f"history of {arr.size} slots is shorter than AR order {self.order}"
-            )
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
         assert self._coeffs is not None
         intercept = self._coeffs[0]
         phi = self._coeffs[1:]
@@ -97,7 +79,7 @@ class ArPredictor(Predictor):
             out[step] = value
             window.append(value)
             window.pop(0)
-        return np.clip(out, 0.0, None)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArPredictor(order={self.order}, fitted={self._fitted})"

@@ -15,13 +15,13 @@ conditional mean).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import PredictionError
 from .ar import fit_ar_coefficients
-from .base import Predictor, as_series, solve_ridge
+from .base import Predictor, solve_ridge
 
 
 class ArmaPredictor(Predictor):
@@ -47,18 +47,14 @@ class ArmaPredictor(Predictor):
         self.p = p
         self.q = q
         self.long_ar_order = long_ar_order or (p + q + 10)
+        # Enough to rebuild innovations for the q MA lags.
+        self.min_history = self.long_ar_order + max(p, q) + 1
         self._intercept: float = 0.0
         self._phi: Optional[np.ndarray] = None
         self._theta: Optional[np.ndarray] = None
         self._long_ar: Optional[np.ndarray] = None
 
-    @property
-    def min_history(self) -> int:
-        # Enough to rebuild innovations for the q MA lags.
-        return self.long_ar_order + max(self.p, self.q) + 1
-
-    def fit(self, series: Sequence[float]) -> "ArmaPredictor":
-        arr = as_series(series)
+    def _fit(self, arr: np.ndarray) -> None:
         needed = self.long_ar_order + self.p + self.q + 2
         if arr.size < needed:
             raise PredictionError(
@@ -85,9 +81,6 @@ class ArmaPredictor(Predictor):
         self._intercept = float(weights[0])
         self._phi = weights[1 : 1 + self.p]
         self._theta = weights[1 + self.p :]
-        self._fit_series = arr
-        self._fitted = True
-        return self
 
     def _innovations(self, arr: np.ndarray) -> np.ndarray:
         """One-step residuals of the long AR model, zero-padded at the front."""
@@ -104,18 +97,7 @@ class ArmaPredictor(Predictor):
         innovations[order:] = arr[anchors] - fitted
         return innovations
 
-    def predict_horizon(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
-        self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        arr = as_series(history)
-        if arr.size < self.min_history:
-            raise PredictionError(
-                f"history of {arr.size} slots is shorter than the minimum "
-                f"context of {self.min_history}"
-            )
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
         assert self._phi is not None and self._theta is not None
         innovations = list(self._innovations(arr)[-max(self.q, 1) :]) if self.q else []
         values = list(arr[-self.p :])
@@ -133,7 +115,7 @@ class ArmaPredictor(Predictor):
             if self.q:
                 innovations.append(0.0)  # future innovations have mean zero
                 innovations.pop(0)
-        return np.clip(out, 0.0, None)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArmaPredictor(p={self.p}, q={self.q}, fitted={self._fitted})"

@@ -11,7 +11,6 @@ forecast the next ``horizon`` slots.  All predictors in this package:
 
 from __future__ import annotations
 
-import abc
 import time
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -70,27 +69,50 @@ def solve_ridge(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(gram, hermitian=True) @ rhs
 
 
-class Predictor(Persisted, abc.ABC):
-    """Abstract base class for time-series load predictors.
+class Predictor(Persisted):
+    """Base class for time-series load predictors.
 
-    Beyond ``fit``/``predict_horizon``, every predictor implements the
-    *protocol* the rest of the system programs against:
+    :meth:`fit` and :meth:`predict_horizon` are written once, here:
+    they validate, meter, clip at zero and keep the fitted flag, and
+    call the two methods a model implements — ``_fit(arr)`` and
+    ``_forecast(arr, horizon)``, both handed a validated float array.
+    The rest of the *protocol* the system programs against is declared
+    below with its defaults, so no caller probes for an attribute:
 
     * ``name`` — the registry slug (``"spar"``, ``"mssa"``, ...) used as
       the model label in telemetry, chronicles and the accuracy tracker;
-    * :meth:`capabilities` — declared requirements (minimum history /
-      training, the largest supported tau) that callers can validate
-      against instead of try/excepting;
+    * ``period`` / ``min_history`` / ``tau_max`` / ``min_training`` —
+      what the model needs, validated against up front
+      (:meth:`capabilities` is the same as a dict);
+    * :meth:`observe` / :meth:`refit_now` — the measured-load stream; a
+      batch model ignores it,
+      :class:`~repro.prediction.online.OnlinePredictor` learns from it;
     * ``state_dict`` / ``restore_state`` — JSON-serialisable
       checkpointing for ``pstore serve --resume``, from
       :class:`~repro.persist.Persisted`: the declared field is the
       training window, and ``_rebuild`` *refits* on it.  A predictor
-      with more state declares more fields
-      (:class:`~repro.prediction.online.OnlinePredictor`).
+      with more state declares more fields.
     """
 
-    #: Registry slug; the registry sets/validates this per class.
+    #: Registry slug; a class that sets none is labelled by its name.
     name: str = ""
+    #: Slots per season, for the models that have one.
+    period: Optional[int] = None
+    #: Fewest observed slots ``predict_horizon`` can forecast from.
+    min_history: int = 1
+    #: Largest supported forecast offset, ``None`` if unbounded.  SPAR
+    #: and the seasonal-naive baseline only reach ``tau < period`` (their
+    #: periodic term must reference observed data); recursive models
+    #: forecast arbitrarily far.
+    tau_max: Optional[int] = None
+    #: Observations before the first fit of a model that learns from
+    #: :meth:`observe`; ``None`` on one that is fitted offline or never.
+    min_training: Optional[int] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if not cls.name:
+            cls.name = cls.__name__
 
     def __init__(self) -> None:
         self._fitted = False
@@ -102,32 +124,18 @@ class Predictor(Persisted, abc.ABC):
         return self._fitted
 
     def _require_fitted(self) -> None:
-        if not self._fitted:
+        if not self.is_fitted:
             raise NotFittedError(
                 f"{type(self).__name__} must be fitted before predicting"
             )
 
-    # ------------------------------------------------------------------
-    # Declared capabilities
-    # ------------------------------------------------------------------
-
-    @property
-    def tau_max(self) -> Optional[int]:
-        """Largest supported forecast offset, or ``None`` if unbounded.
-
-        SPAR and the seasonal-naive baseline can only reach ``tau <
-        period`` (their periodic term must reference observed data);
-        recursive models forecast arbitrarily far.
-        """
-        return None
-
     def capabilities(self) -> dict:
         """Declared requirements callers can validate against up front."""
         return {
-            "name": self.name or type(self).__name__,
-            "min_history": int(getattr(self, "min_history", 1)),
+            "name": self.name,
+            "min_history": int(self.min_history),
             "tau_max": self.tau_max,
-            "period": getattr(self, "period", None),
+            "period": self.period,
             "deterministic": True,
         }
 
@@ -151,21 +159,62 @@ class Predictor(Persisted, abc.ABC):
         else:
             self.fit(self._fit_series)
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------
+    # The template: a model writes ``_fit`` and ``_forecast``
+    # ------------------------------------------------------------------
+
     def fit(self, series: Sequence[float]) -> "Predictor":
         """Fit model parameters on a training window.  Returns ``self``."""
+        arr = as_series(series)
+        self._fit(arr)
+        self._fit_series = arr
+        self._fitted = True
+        return self
 
-    @abc.abstractmethod
     def predict_horizon(
         self, history: Sequence[float], horizon: int
     ) -> np.ndarray:
         """Forecast the next ``horizon`` slots given observed ``history``.
 
-        ``history`` must include at least the model's minimum context (for
-        SPAR: ``n`` periods plus ``m`` recent slots).  Returns an array of
-        length ``horizon``; forecasts are clipped at zero since load cannot
-        be negative.
+        ``history`` must include at least ``min_history`` slots (for
+        SPAR: ``n`` periods plus ``m`` recent slots) and ``horizon`` must
+        not pass ``tau_max``.  Returns an array of length ``horizon``;
+        forecasts are clipped at zero since load cannot be negative.
         """
+        self._require_fitted()
+        if horizon < 1:
+            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
+        if self.tau_max is not None and horizon > self.tau_max:
+            raise PredictionError(
+                f"horizon must be <= tau_max={self.tau_max} for "
+                f"{self.name} (got {horizon})"
+            )
+        arr = as_series(history)
+        if arr.size < self.min_history:
+            raise PredictionError(
+                f"history of {arr.size} slots is shorter than the minimum "
+                f"context of {self.min_history}"
+            )
+        with forecast_instrumentation(self.name, horizon):
+            return np.clip(self._forecast(arr, horizon), 0.0, None)
+
+    def _fit(self, arr: np.ndarray) -> None:
+        """Learn from the validated training window ``arr``; raise
+        :class:`~repro.errors.PredictionError` if it is too short."""
+        raise NotImplementedError
+
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
+        """The next ``horizon`` slots after ``arr`` (validated, at least
+        ``min_history`` long), before the zero clip."""
+        raise NotImplementedError
+
+    def observe(self, value: float) -> None:
+        """One measured load slot; a batch model has nothing to learn."""
+
+    def refit_now(self) -> bool:
+        """Refit on what :meth:`observe` has accumulated, if the model
+        keeps any; ``True`` when a fit happened."""
+        return False
 
     def predict_at(
         self, series: Sequence[float], t: int, tau: int

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series, forecast_instrumentation
+from .base import Predictor
 
 #: Tree nodes are tuples: ("leaf", value) or
 #: ("split", feature, threshold, left, right).
@@ -152,12 +152,9 @@ class GbtPredictor(Predictor):
         self.n_thresholds = n_thresholds
         self.min_leaf = min_leaf
         self.lags: Tuple[int, ...] = (1, 2, 3, period, period + 1)
+        self.min_history = max(self.lags)
         self._base: float = 0.0
         self._trees: List[_Node] = []
-
-    @property
-    def min_history(self) -> int:
-        return max(self.lags)
 
     def _features(self, values: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         """Feature rows predicting ``values[anchor]`` from its past."""
@@ -175,9 +172,8 @@ class GbtPredictor(Predictor):
                 math.sin(2 * phase), math.cos(2 * phase)]
         return row
 
-    def fit(self, series: Sequence[float]) -> "GbtPredictor":
-        arr = as_series(series)
-        max_lag = max(self.lags)
+    def _fit(self, arr: np.ndarray) -> None:
+        max_lag = self.min_history
         needed = max_lag + 4 * self.min_leaf
         if arr.size < needed:
             raise PredictionError(
@@ -199,36 +195,21 @@ class GbtPredictor(Predictor):
                 tree, features
             )
             self._trees.append(tree)
-        self._fit_series = arr
-        self._fitted = True
-        return self
 
-    def predict_horizon(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
-        self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        arr = as_series(history)
-        max_lag = max(self.lags)
-        if arr.size < max_lag:
-            raise PredictionError(
-                f"history of {arr.size} slots is shorter than the minimum "
-                f"context of {max_lag}"
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
+        buffer = list(arr[-self.min_history :])
+        out = np.empty(horizon)
+        for step in range(horizon):
+            row = self._feature_row(buffer, arr.size + step)
+            value = self._base + self.learning_rate * sum(
+                _tree_apply_one(tree, row) for tree in self._trees
             )
-        with forecast_instrumentation("gbt", horizon):
-            buffer = list(arr[-max_lag:])
-            out = np.empty(horizon)
-            for step in range(horizon):
-                row = self._feature_row(buffer, arr.size + step)
-                value = self._base + self.learning_rate * sum(
-                    _tree_apply_one(tree, row) for tree in self._trees
-                )
-                value = max(float(value), 0.0)
-                out[step] = value
-                buffer.append(value)
-                buffer.pop(0)
-            return out
+            # Clipped before it is fed back as a lag.
+            value = max(float(value), 0.0)
+            out[step] = value
+            buffer.append(value)
+            buffer.pop(0)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -27,12 +27,12 @@ it track drifting periodicity.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series, forecast_instrumentation, solve_ridge
+from .base import Predictor, solve_ridge
 
 
 class MssaPredictor(Predictor):
@@ -73,17 +73,13 @@ class MssaPredictor(Predictor):
             raise PredictionError(
                 f"window must be >= 3 slots (got {self.window})"
             )
+        # The recurrence consumes ``L - 1`` trailing observations.
+        self.min_history = self.window - 1
         self.rank = rank
         self.ridge = ridge
         self._coeffs: Optional[np.ndarray] = None  # [c_0, c_1 .. c_{L-1}]
 
-    @property
-    def min_history(self) -> int:
-        """The recurrence consumes ``L - 1`` trailing observations."""
-        return self.window - 1
-
-    def fit(self, series: Sequence[float]) -> "MssaPredictor":
-        arr = as_series(series)
+    def _fit(self, arr: np.ndarray) -> None:
         length, lags = arr.size, self.window
         needed = 2 * lags
         if length < needed:
@@ -114,41 +110,26 @@ class MssaPredictor(Predictor):
         targets = lagged[:, -1]
         gram = design.T @ design + self.ridge * np.eye(lags)
         self._coeffs = solve_ridge(gram, design.T @ targets)
-        self._fit_series = arr
-        self._fitted = True
-        return self
 
-    def predict_horizon(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
-        self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        arr = as_series(history)
-        if arr.size < self.min_history:
-            raise PredictionError(
-                f"history of {arr.size} slots is shorter than the minimum "
-                f"context of {self.min_history}"
-            )
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
         assert self._coeffs is not None
-        with forecast_instrumentation("mssa", horizon):
-            intercept = self._coeffs[0]
-            weights = self._coeffs[1:]
-            n_lags = weights.size
-            # Newest last; each step feeds the forecast back in.
-            buffer = list(arr[-n_lags:])
-            out = np.empty(horizon)
-            for step in range(horizon):
-                value = intercept + sum(
-                    weights[j] * buffer[-1 - j] for j in range(n_lags)
-                )
-                # Clip inside the recursion: load is non-negative and an
-                # unstable recurrence must not feed back growing negatives.
-                value = max(float(value), 0.0)
-                out[step] = value
-                buffer.append(value)
-                buffer.pop(0)
-            return out
+        intercept = self._coeffs[0]
+        weights = self._coeffs[1:]
+        n_lags = weights.size
+        # Newest last; each step feeds the forecast back in.
+        buffer = list(arr[-n_lags:])
+        out = np.empty(horizon)
+        for step in range(horizon):
+            value = intercept + sum(
+                weights[j] * buffer[-1 - j] for j in range(n_lags)
+            )
+            # Clip inside the recursion: load is non-negative and an
+            # unstable recurrence must not feed back growing negatives.
+            value = max(float(value), 0.0)
+            out[step] = value
+            buffer.append(value)
+            buffer.pop(0)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -12,12 +12,10 @@ into the controller and the evaluation harness.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series
+from .base import Predictor
 
 
 class SeasonalNaivePredictor(Predictor):
@@ -35,42 +33,15 @@ class SeasonalNaivePredictor(Predictor):
         super().__init__()
         if period < 1:
             raise PredictionError(f"period must be >= 1 (got {period})")
-        self.period = period
+        self.period = self.min_history = period
+        self.tau_max = period - 1  # last period's value must be observed
 
-    @property
-    def min_history(self) -> int:
-        return self.period
+    def _fit(self, arr: np.ndarray) -> None:
+        """Nothing to learn."""
 
-    @property
-    def tau_max(self) -> int:
-        """Repeating last period's value needs ``tau < period``."""
-        return self.period - 1
-
-    def fit(self, series: Sequence[float]) -> "SeasonalNaivePredictor":
-        self._fit_series = as_series(series)  # validate; nothing to learn
-        self._fitted = True
-        return self
-
-    def predict_horizon(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
-        self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        if horizon >= self.period:
-            raise PredictionError(
-                f"horizon must be < period={self.period} (got {horizon})"
-            )
-        arr = as_series(history)
-        if arr.size < self.period:
-            raise PredictionError(
-                f"history of {arr.size} slots is shorter than period {self.period}"
-            )
-        t = arr.size - 1
-        out = np.array(
-            [arr[t + tau - self.period] for tau in range(1, horizon + 1)]
-        )
-        return np.clip(out, 0.0, None)
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
+        start = arr.size - self.period
+        return arr[start : start + horizon]
 
 
 class LastValuePredictor(Predictor):
@@ -78,23 +49,8 @@ class LastValuePredictor(Predictor):
 
     name = "naive"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def _fit(self, arr: np.ndarray) -> None:
+        """Nothing to learn."""
 
-    @property
-    def min_history(self) -> int:
-        return 1
-
-    def fit(self, series: Sequence[float]) -> "LastValuePredictor":
-        self._fit_series = as_series(series)
-        self._fitted = True
-        return self
-
-    def predict_horizon(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
-        self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        arr = as_series(history)
-        return np.full(horizon, max(arr[-1], 0.0))
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
+        return np.full(horizon, arr[-1])

@@ -55,11 +55,9 @@ class OnlinePredictor(Predictor):
         self.base = base
         self.refit_every = refit_every
         if min_training is None:
-            base_min = getattr(base, "min_history", 1)
-            period = getattr(base, "period", 0)
             # At least two extra points past min_history: a bare AR(p)
             # least-squares fit needs p + 2 samples to be determined.
-            min_training = base_min + max(period, 2)
+            min_training = base.min_history + max(base.period or 0, 2)
         self.min_training = min_training
         self.max_history = max_history
         self._history: List[float] = []
@@ -83,20 +81,10 @@ class OnlinePredictor(Predictor):
         if self.max_history is not None and len(self._history) > self.max_history:
             del self._history[: len(self._history) - self.max_history]
         self._since_fit += 1
-        due = (
-            not self.base.is_fitted and len(self._history) >= self.min_training
-        ) or (self.base.is_fitted and self._since_fit >= self.refit_every)
-        if due and len(self._history) >= self.min_training:
-            self.base.fit(self._history)
-            self._fit_window = list(self._history)
-            self._fitted = True
-            self._since_fit = 0
-            self.fit_count += 1
-            tel = get_telemetry()
-            if tel.enabled:
-                tel.metrics.counter(
-                    "predictor.refit", model=type(self.base).__name__
-                ).inc()
+        if len(self._history) >= self.min_training and (
+            not self.is_fitted or self._since_fit >= self.refit_every
+        ):
+            self._refit()
 
     def observe_many(self, values: Sequence[float]) -> None:
         for value in values:
@@ -112,37 +100,37 @@ class OnlinePredictor(Predictor):
         """
         if len(self._history) < self.min_training:
             return False
+        self._refit()
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.metrics.counter("predictor.refit_forced").inc()
+        return True
+
+    def _refit(self) -> None:
+        """Fit the base on the history held now — the one place the fit
+        bookkeeping moves, whether ``fit``, ``observe`` or ``refit_now``
+        asked."""
         self.base.fit(self._history)
         self._fit_window = list(self._history)
-        self._fitted = True
         self._since_fit = 0
         self.fit_count += 1
         tel = get_telemetry()
         if tel.enabled:
-            tel.metrics.counter(
-                "predictor.refit", model=type(self.base).__name__
-            ).inc()
-            tel.metrics.counter("predictor.refit_forced").inc()
-        return True
+            tel.metrics.counter("predictor.refit", model=self.name).inc()
 
     @property
     def history(self) -> np.ndarray:
         return np.asarray(self._history)
 
     @property
-    def min_history(self) -> int:
-        return getattr(self.base, "min_history", 1)
+    def is_fitted(self) -> bool:
+        return self.base.is_fitted
 
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        """The wrapped model's registry slug: accuracy windows and
-        chronicle records should be keyed by the actual forecaster, not
-        by the learning wrapper."""
-        return getattr(self.base, "name", "") or type(self.base).__name__
-
-    @property
-    def tau_max(self) -> Optional[int]:
-        return getattr(self.base, "tau_max", None)
+    # The wrapped model's own: accuracy windows and chronicle records
+    # are keyed by the actual forecaster, not by the learning wrapper.
+    name = property(lambda self: self.base.name)
+    min_history = property(lambda self: self.base.min_history)
+    tau_max = property(lambda self: self.base.tau_max)
 
     # ------------------------------------------------------------------
     # Predictor interface
@@ -150,13 +138,8 @@ class OnlinePredictor(Predictor):
 
     def fit(self, series: Sequence[float]) -> "OnlinePredictor":
         """Offline bootstrap: seed the history and fit immediately."""
-        arr = as_series(series)
-        self._history = [float(v) for v in arr]
-        self.base.fit(self._history)
-        self._fit_window = list(self._history)
-        self._fitted = True
-        self._since_fit = 0
-        self.fit_count += 1
+        self._history = as_series(series).tolist()
+        self._refit()
         return self
 
     # ------------------------------------------------------------------
@@ -175,8 +158,7 @@ class OnlinePredictor(Predictor):
     def _rebuild(self) -> None:
         """The base model's parameters are derived state: refit it on
         the restored fit window (exact — fits are deterministic)."""
-        self._fitted = self._fit_window is not None
-        if self._fitted:
+        if self._fit_window is not None:
             self.base.fit(self._fit_window)
 
     def predict_horizon(
@@ -187,7 +169,7 @@ class OnlinePredictor(Predictor):
         ``history`` may be the caller's own measured series (the
         controller passes one); only the base model's requirements apply.
         """
-        if not self.base.is_fitted:
+        if not self.is_fitted:
             raise NotFittedError(
                 f"online predictor has seen {len(self._history)} of the "
                 f"{self.min_training} observations needed for its first fit"

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series
+from .base import Predictor
 
 
 class OraclePredictor(Predictor):
@@ -29,26 +29,13 @@ class OraclePredictor(Predictor):
 
     def __init__(self, truth: Sequence[float]):
         super().__init__()
-        self._truth = as_series(truth)
-        self._fit_series = self._truth
-        self._fitted = True  # nothing to fit
+        self.fit(truth)  # nothing to learn: the truth is the model
 
-    @property
-    def min_history(self) -> int:
-        return 1
-
-    def fit(self, series: Sequence[float]) -> "OraclePredictor":
+    def _fit(self, arr: np.ndarray) -> None:
         # Fitting replaces the truth; useful when reusing one instance.
-        self._truth = as_series(series)
-        self._fit_series = self._truth
-        return self
+        self._truth = arr
 
-    def predict_horizon(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        arr = as_series(history)
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
         now = arr.size - 1
         if now >= self._truth.size:
             raise PredictionError(
@@ -65,4 +52,4 @@ class OraclePredictor(Predictor):
             # Past the end of the truth: hold the last known value.
             pad = np.full(horizon - future.size, self._truth[-1])
             future = np.concatenate([future, pad])
-        return future.copy()
+        return future

@@ -5,17 +5,22 @@
 ``shootout`` experiment all resolve forecasters through this module, so
 adding a predictor here makes it available everywhere at once.
 
-Each entry is a :class:`PredictorSpec`: the registry slug, the factory,
-and the *declared* constructor parameters with their documented
-defaults.  :meth:`PredictorSpec.build` validates keyword arguments
-against that declaration — an unknown predictor name or an undeclared
-kwarg raises :class:`~repro.errors.ConfigurationError` listing what is
-actually available, instead of a ``TypeError`` three frames deep.
+Each entry is a :class:`PredictorSpec`: the registry slug, the class and
+a one-line description.  The *declared* parameters are the constructor's
+own keywords and defaults (``params`` reads them off its signature), so
+a parameter is written once, on the class.  :meth:`PredictorSpec.build`
+validates keyword arguments against that declaration — an unknown
+predictor name or an undeclared kwarg raises
+:class:`~repro.errors.ConfigurationError` listing what is actually
+available, instead of a ``TypeError`` three frames deep — and
+:meth:`PredictorSpec.for_period` is the one place that knows which
+models take the trace's ``period``.
 
 To add a predictor:
 
-1. subclass :class:`~repro.prediction.base.Predictor`, set its ``name``
-   class attribute to the registry slug;
+1. subclass :class:`~repro.prediction.base.Predictor`: set its ``name``
+   class attribute to the registry slug, write ``_fit`` and
+   ``_forecast``, declare ``min_history`` / ``period`` / ``tau_max``;
 2. call :func:`register_predictor` with a :class:`PredictorSpec`
    (module import time is fine — this module registers the whole zoo on
    import);
@@ -25,7 +30,9 @@ To add a predictor:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from ..errors import ConfigurationError
@@ -52,13 +59,10 @@ class PredictorSpec:
     name:
         registry slug (``"spar"``, ``"mssa"``, ...).
     factory:
-        callable building an *unfitted* predictor from keyword args.
+        the predictor class; called with keyword args it builds an
+        *unfitted* predictor.
     description:
         one-line summary for ``--help`` texts and docs.
-    params:
-        declared keyword parameters mapped to their defaults; ``build``
-        rejects anything else.  ``None`` defaults mean "derived by the
-        factory".
     needs_truth:
         the series passed to ``fit_predictor`` *is* the model (the
         oracle): the factory takes it as its only positional argument.
@@ -67,11 +71,19 @@ class PredictorSpec:
     name: str
     factory: Callable[..., Predictor]
     description: str
-    params: Mapping[str, Any] = field(default_factory=dict)
     needs_truth: bool = False
 
-    def accepts(self, key: str) -> bool:
-        return key in self.params
+    @cached_property
+    def params(self) -> Mapping[str, Any]:
+        """Declared keyword parameters mapped to their defaults: the
+        constructor's, with ``period`` defaulting to one 5-minute day.
+        ``build`` rejects anything else."""
+        if self.needs_truth:
+            return {}
+        return {
+            key: DEFAULT_PERIOD if key == "period" else param.default
+            for key, param in inspect.signature(self.factory).parameters.items()
+        }
 
     def build(self, **kwargs: Any) -> Predictor:
         """Construct an unfitted predictor, validating ``kwargs``."""
@@ -80,15 +92,26 @@ class PredictorSpec:
                 f"predictor {self.name!r} is built from a ground-truth "
                 f"series; construct it through fit_predictor(name, series)"
             )
-        unknown = sorted(set(kwargs) - set(self.params))
+        params = self.params
+        unknown = sorted(set(kwargs) - set(params))
         if unknown:
-            accepted = ", ".join(sorted(self.params)) or "(none)"
+            accepted = ", ".join(sorted(params)) or "(none)"
             raise ConfigurationError(
                 f"predictor {self.name!r} does not accept "
                 f"{', '.join(repr(k) for k in unknown)} "
                 f"(declared parameters: {accepted})"
             )
+        if "period" in params:
+            kwargs.setdefault("period", DEFAULT_PERIOD)
         return self.factory(**kwargs)
+
+    def for_period(self, period: int, **kwargs: Any) -> Predictor:
+        """:meth:`build` for a trace with ``period`` slots per season:
+        seasonal models take it, history-window models (ar/arma/naive)
+        declare no period and get none."""
+        if "period" in self.params:
+            kwargs["period"] = period
+        return self.build(**kwargs)
 
 
 _REGISTRY: Dict[str, PredictorSpec] = {}
@@ -130,75 +153,17 @@ def build_predictor(name: str, **kwargs: Any) -> Predictor:
 # registration order, and the first five match the pre-registry tuple.
 # ----------------------------------------------------------------------
 
-register_predictor(PredictorSpec(
-    name="spar",
-    factory=lambda period=DEFAULT_PERIOD, n_periods=7, m_recent=30,
-    ridge=1e-6: SparPredictor(
-        period=period, n_periods=n_periods, m_recent=m_recent, ridge=ridge
-    ),
-    description="Sparse Periodic Auto-Regression (the paper's Eq. 8)",
-    params={"period": DEFAULT_PERIOD, "n_periods": 7,
-            "m_recent": 30, "ridge": 1e-6},
-))
-
-register_predictor(PredictorSpec(
-    name="arma",
-    factory=lambda p=30, q=10, long_ar_order=None: ArmaPredictor(
-        p=p, q=q, long_ar_order=long_ar_order
-    ),
-    description="ARMA(p, q) via Hannan-Rissanen (paper baseline)",
-    params={"p": 30, "q": 10, "long_ar_order": None},
-))
-
-register_predictor(PredictorSpec(
-    name="ar",
-    factory=lambda order=30: ArPredictor(order=order),
-    description="plain AR(p) least squares (paper baseline)",
-    params={"order": 30},
-))
-
-register_predictor(PredictorSpec(
-    name="naive",
-    factory=lambda: LastValuePredictor(),
-    description="last observed value held flat",
-))
-
-register_predictor(PredictorSpec(
-    name="oracle",
-    factory=lambda truth: OraclePredictor(truth),
-    description="perfect predictions from the ground-truth series",
-    needs_truth=True,
-))
-
-register_predictor(PredictorSpec(
-    name="seasonal",
-    factory=lambda period=DEFAULT_PERIOD: SeasonalNaivePredictor(
-        period=period
-    ),
-    description="seasonal-naive floor: same slot one period earlier",
-    params={"period": DEFAULT_PERIOD},
-))
-
-register_predictor(PredictorSpec(
-    name="mssa",
-    factory=lambda period=DEFAULT_PERIOD, window=None, rank=8,
-    ridge=1e-4: MssaPredictor(
-        period=period, window=window, rank=rank, ridge=ridge
-    ),
-    description="mSSA/tspDB-style low-rank matrix-factorization forecast",
-    params={"period": DEFAULT_PERIOD, "window": None,
-            "rank": 8, "ridge": 1e-4},
-))
-
-register_predictor(PredictorSpec(
-    name="gbt",
-    factory=lambda period=DEFAULT_PERIOD, n_trees=40, max_depth=3,
-    learning_rate=0.15, n_thresholds=8, min_leaf=8: GbtPredictor(
-        period=period, n_trees=n_trees, max_depth=max_depth,
-        learning_rate=learning_rate, n_thresholds=n_thresholds,
-        min_leaf=min_leaf,
-    ),
-    description="gradient-boosted trees over lag + calendar features",
-    params={"period": DEFAULT_PERIOD, "n_trees": 40, "max_depth": 3,
-            "learning_rate": 0.15, "n_thresholds": 8, "min_leaf": 8},
-))
+for _cls, _description in (
+    (SparPredictor, "Sparse Periodic Auto-Regression (the paper's Eq. 8)"),
+    (ArmaPredictor, "ARMA(p, q) via Hannan-Rissanen (paper baseline)"),
+    (ArPredictor, "plain AR(p) least squares (paper baseline)"),
+    (LastValuePredictor, "last observed value held flat"),
+    (OraclePredictor, "perfect predictions from the ground-truth series"),
+    (SeasonalNaivePredictor,
+     "seasonal-naive floor: same slot one period earlier"),
+    (MssaPredictor, "mSSA/tspDB-style low-rank matrix-factorization forecast"),
+    (GbtPredictor, "gradient-boosted trees over lag + calendar features"),
+):
+    register_predictor(PredictorSpec(
+        _cls.name, _cls, _description, needs_truth=_cls is OraclePredictor
+    ))

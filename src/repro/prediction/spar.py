@@ -21,7 +21,7 @@ ahead we look.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,31 +68,17 @@ class SparPredictor(Predictor):
         self.n_periods = n_periods
         self.m_recent = m_recent
         self.ridge = ridge
-        self._train: Optional[np.ndarray] = None
+        # The periodic term of a ``tau``-ahead forecast reaches back
+        # ``n*T - tau`` slots from "now"; the offset term reaches back
+        # ``m + n*T``, which dominates for ``tau < T``.
+        self.min_history = m_recent + n_periods * period
+        # The periodic term needs observed data: ``tau < period``.
+        self.tau_max = period - 1
         self._coeffs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # Stacked (a, b) coefficient arrays per horizon, plus the largest
         # horizon whose taus are all fitted (fast path for fit_horizon).
         self._stacked: Dict[int, Tuple[np.ndarray, List[np.ndarray]]] = {}
         self._fitted_upto = 0
-
-    # ------------------------------------------------------------------
-    # Context requirements
-    # ------------------------------------------------------------------
-
-    @property
-    def min_history(self) -> int:
-        """Fewest observed slots needed before any forecast can be made.
-
-        The periodic term of a ``tau``-ahead forecast reaches back
-        ``n*T - tau`` slots from "now"; the offset term reaches back
-        ``m + n*T``.  The latter dominates for ``tau < T``.
-        """
-        return self.m_recent + self.n_periods * self.period
-
-    @property
-    def tau_max(self) -> int:
-        """The periodic term needs observed data: ``tau < period``."""
-        return self.period - 1
 
     def _check_tau(self, tau: int) -> None:
         if tau < 1:
@@ -107,22 +93,17 @@ class SparPredictor(Predictor):
     # Fitting
     # ------------------------------------------------------------------
 
-    def fit(self, series: Sequence[float]) -> "SparPredictor":
-        """Store the training window; coefficients are fitted lazily per tau."""
-        arr = as_series(series)
+    def _fit(self, arr: np.ndarray) -> None:
+        """Coefficients are fitted lazily per tau, from ``_fit_series``."""
         needed = self.min_history + self.period  # at least one target per tau
         if arr.size < needed:
             raise PredictionError(
                 f"SPAR(T={self.period}, n={self.n_periods}, m={self.m_recent}) "
                 f"needs at least {needed} training slots (got {arr.size})"
             )
-        self._train = arr
-        self._fit_series = arr
         self._coeffs = {}
         self._stacked = {}
         self._fitted_upto = 0
-        self._fitted = True
-        return self
 
     def _design(
         self, series: np.ndarray, tau: int
@@ -179,8 +160,8 @@ class SparPredictor(Predictor):
         cached = self._coeffs.get(tau)
         if cached is not None:
             return cached
-        assert self._train is not None
-        design, targets = self._design(self._train, tau)
+        assert self._fit_series is not None
+        design, targets = self._design(self._fit_series, tau)
         n_cols = design.shape[1]
         # Ridge-regularised normal equations: (X'X + rI) w = X'y.
         gram = design.T @ design + self.ridge * np.eye(n_cols)
@@ -205,8 +186,6 @@ class SparPredictor(Predictor):
         bit-identical to calling :meth:`coefficients` per ``tau``.
         """
         self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
         if horizon <= self._fitted_upto:
             return
         missing = []
@@ -217,8 +196,8 @@ class SparPredictor(Predictor):
         if not missing:
             self._fitted_upto = max(self._fitted_upto, horizon)
             return
-        assert self._train is not None
-        series = self._train
+        assert self._fit_series is not None
+        series = self._fit_series
         t_len = series.size
         n, m, period = self.n_periods, self.m_recent, self.period
         tau_lo = missing[0]
@@ -257,50 +236,38 @@ class SparPredictor(Predictor):
     # Forecasting
     # ------------------------------------------------------------------
 
-    def predict_horizon(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
+    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
         """Forecast slots ``t+1 .. t+horizon`` where ``t`` is the last
-        index of ``history`` (Eq. 8 applied per tau)."""
-        self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        arr = as_series(history)
-        if arr.size < self.min_history:
-            raise PredictionError(
-                f"history of {arr.size} slots is shorter than the minimum "
-                f"context of {self.min_history}"
+        index of ``arr`` (Eq. 8 applied per tau)."""
+        t = arr.size - 1
+        n, m, period = self.n_periods, self.m_recent, self.period
+        # Recent offsets are shared by every tau: one strided gather
+        # per periodic lag instead of an m * n Python loop.
+        if m:
+            recent = t - np.arange(1, m + 1)
+            acc = np.zeros(m)
+            for k in range(1, n + 1):
+                acc += arr[recent - k * period]
+            offsets = arr[recent] - acc / n
+        else:
+            offsets = np.empty(0)
+        self.fit_horizon(horizon)
+        coeff_a, coeff_b_rows = self._stacked_coeffs(horizon)
+        lags = arr[
+            t + np.arange(1, horizon + 1)[:, None]
+            - np.arange(1, n + 1) * period
+        ]
+        out = np.zeros(horizon)
+        for k in range(n):
+            out += coeff_a[:, k] * lags[:, k]
+        if m:
+            # One BLAS dot per tau, matching the reference's
+            # `b @ offsets` accumulation exactly (a single gemv could
+            # round differently).
+            out += np.fromiter(
+                (b @ offsets for b in coeff_b_rows), float, horizon
             )
-        with forecast_instrumentation("spar", horizon):
-            t = arr.size - 1
-            n, m, period = self.n_periods, self.m_recent, self.period
-            # Recent offsets are shared by every tau: one strided gather
-            # per periodic lag instead of an m * n Python loop.
-            if m:
-                recent = t - np.arange(1, m + 1)
-                acc = np.zeros(m)
-                for k in range(1, n + 1):
-                    acc += arr[recent - k * period]
-                offsets = arr[recent] - acc / n
-            else:
-                offsets = np.empty(0)
-            self.fit_horizon(horizon)
-            coeff_a, coeff_b_rows = self._stacked_coeffs(horizon)
-            lags = arr[
-                t + np.arange(1, horizon + 1)[:, None]
-                - np.arange(1, n + 1) * period
-            ]
-            out = np.zeros(horizon)
-            for k in range(n):
-                out += coeff_a[:, k] * lags[:, k]
-            if m:
-                # One BLAS dot per tau, matching the reference's
-                # `b @ offsets` accumulation exactly (a single gemv could
-                # round differently).
-                out += np.fromiter(
-                    (b @ offsets for b in coeff_b_rows), float, horizon
-                )
-            return np.clip(out, 0.0, None)
+        return out
 
     def _stacked_coeffs(
         self, horizon: int

@@ -14,7 +14,9 @@ configured threshold the controller
 
 1. files a ``forecast.accuracy`` chronicle record (parented on the last
    forecast snapshot — the stale model's own evidence),
-2. forces an immediate :meth:`OnlinePredictor.refit_now` on the window,
+2. forces an immediate ``predictor.refit_now()`` on the window (an
+   :class:`~repro.prediction.online.OnlinePredictor` refits; a batch
+   model has nothing to refit on),
 3. runs an *unscheduled* predictive re-plan whose ``plan.decision``
    record parents on the accuracy record (so ``pstore explain`` walks
    violation -> decision -> accuracy breach -> stale forecast), and
@@ -39,7 +41,6 @@ from ..elasticity.predictive import PStoreStrategy
 from ..elasticity.reactive import ReactiveStrategy
 from ..errors import PredictionError, SimulationError
 from ..persist import Persisted
-from ..prediction.online import OnlinePredictor
 from ..squall.migrator import Reconfiguration
 from ..telemetry import get_telemetry
 from ..telemetry.causal import record_capacity_insufficient, record_interval
@@ -165,21 +166,15 @@ class OnlineController(Persisted):
         self.max_machines = max_machines
         self.trigger = trigger
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
-        # Registry slug of the forecaster (OnlinePredictor delegates
-        # to its base), keying accuracy windows and chronicle records.
-        self._predictor_name = (
-            getattr(predictor, "name", "") or type(predictor).__name__
-        )
 
-        self._strategy: Optional[PStoreStrategy] = None
+        self._strategy = self._new_strategy()
         self._reactive = ReactiveStrategy(
             config, max_machines=max_machines, scale_in_patience=6
         )
         self._reactive.reset(initial_machines)
-        self._ensure_strategy()
         #: "warmup" (predictor unfitted / history short), "predictive",
         #: or "reactive" (error-triggered fallback).
-        self.mode = "predictive" if self._predictive_ready([]) else "warmup"
+        self.mode = "predictive" if predictor.is_fitted else "warmup"
 
         self._move: Optional[Reconfiguration] = None
         self._fa_record_id: Optional[str] = None
@@ -197,17 +192,10 @@ class OnlineController(Persisted):
     # Mode machinery
     # ------------------------------------------------------------------
 
-    def _ensure_strategy(self) -> None:
-        if self._strategy is None and self.predictor.is_fitted:
-            self._strategy = PStoreStrategy(
-                self.config, self.predictor, telemetry=self._telemetry
-            )
-
-    def _predictive_ready(self, history: Sequence[float]) -> bool:
-        self._ensure_strategy()
-        if self._strategy is None:
-            return False
-        return len(history) >= self._strategy.min_history or len(history) == 0
+    def _new_strategy(self) -> PStoreStrategy:
+        return PStoreStrategy(
+            self.config, self.predictor, telemetry=self._telemetry
+        )
 
     @property
     def migrating(self) -> bool:
@@ -215,7 +203,7 @@ class OnlineController(Persisted):
 
     def error_stats(self) -> Optional[dict]:
         tau = self.trigger.tau if self.trigger is not None else 1
-        return self._telemetry.accuracy.errors(self._predictor_name, tau)
+        return self._telemetry.accuracy.errors(self.predictor.name, tau)
 
     # ------------------------------------------------------------------
     # The per-interval step
@@ -238,10 +226,8 @@ class OnlineController(Persisted):
         slot_seconds = self.config.interval_seconds
 
         # Feed the learner (the batch service does the same per close).
-        if isinstance(self.predictor, OnlinePredictor):
-            self.predictor.observe(tps)
-            self._ensure_strategy()
-        if self.mode == "warmup" and self._predictive_ready(history):
+        self.predictor.observe(tps)
+        if self.mode == "warmup" and self._strategy.warmed_up(history):
             self.mode = "predictive"
 
         # Step the in-flight migration across the slot, sampling
@@ -318,7 +304,7 @@ class OnlineController(Persisted):
                     "forecast.accuracy",
                     time=now,
                     parent=tel.chronicle.last("forecast.snapshot"),
-                    predictor=self._predictor_name,
+                    predictor=self.predictor.name,
                     tau=self.trigger.tau,
                     metric=breach["metric"],
                     value_pct=breach["value_pct"],
@@ -329,13 +315,12 @@ class OnlineController(Persisted):
                 fa_id = rec.get("id")
                 tel.metrics.counter("serve.trigger_fired").inc()
             self._fa_record_id = fa_id
-            if isinstance(self.predictor, OnlinePredictor):
-                self.predictor.refit_now()
+            self.predictor.refit_now()
             # The unscheduled re-plan: run the predictive cycle right now
             # with the (possibly refit) model, parenting its decision on
             # the accuracy record, then drop to reactive while the
             # rolling window stays hot.
-            if self._strategy is not None and not self.migrating:
+            if not self.migrating:
                 self._strategy.controller.replan_parent = fa_id
                 self._execute_decision(
                     self._strategy.decide(slot, history, self.machines),
@@ -357,7 +342,7 @@ class OnlineController(Persisted):
                         "forecast.accuracy",
                         time=now,
                         parent=self._fa_record_id,
-                        predictor=self._predictor_name,
+                        predictor=self.predictor.name,
                         tau=self.trigger.tau,
                         action="recovered",
                         mape_pct=stats.get("mape_pct") if stats else None,
@@ -380,7 +365,7 @@ class OnlineController(Persisted):
             origin_slot=len(history) - 1,
             predicted=forecast,
             inflated=inflated,
-            predictor=self._predictor_name,
+            predictor=self.predictor.name,
             snapshot_id=None,
             time=now,
         )
@@ -390,9 +375,7 @@ class OnlineController(Persisted):
     # ------------------------------------------------------------------
 
     def _plan(self, history: Sequence[float], slot: int, now: float) -> None:
-        if self.mode == "predictive" and self._predictive_ready(history):
-            if len(history) < self._strategy.min_history:
-                return
+        if self.mode == "predictive" and self._strategy.warmed_up(history):
             decision = self._strategy.decide(slot, history, self.machines)
         else:
             decision = self._reactive.decide(slot, history, self.machines)
@@ -437,8 +420,7 @@ class OnlineController(Persisted):
         self.last_decision_reason = decision.reason
         if decision.emergency:
             self.emergencies += 1
-        if self._strategy is not None:
-            self._strategy.notify_move_started(target)
+        self._strategy.notify_move_started(target)
 
     # ------------------------------------------------------------------
     # Checkpointing (``pstore serve --resume``)
@@ -454,22 +436,19 @@ class OnlineController(Persisted):
     )
 
     def _revive(self, attr: str) -> Persisted:
-        if attr == "_move":
-            # Placeholder endpoints and rate: the restore overwrites
-            # them and rebuilds the schedule from the checkpointed ones.
-            return Reconfiguration(
-                self.config, 1, 2, self.config.migration_rate_kbps,
-                self._telemetry,
-            )
-        # The predictor must already be restored (the plane restores it
-        # first), so the predictive strategy can be created here.
-        self._ensure_strategy()
+        # Only the move is ever None here.  Placeholder endpoints and
+        # rate: the restore overwrites them and rebuilds the schedule
+        # from the checkpointed ones.
+        return Reconfiguration(
+            self.config, 1, 2, self.config.migration_rate_kbps,
+            self._telemetry,
+        )
+
+    def _rebuild(self) -> None:
+        # A checkpoint from when the strategy was built at the first fit
+        # holds ``strategy: null`` if cut during warm-up: the fresh one.
         if self._strategy is None:
-            raise SimulationError(
-                "checkpoint carries predictive-strategy state but the "
-                "restored predictor is not fitted"
-            )
-        return self._strategy
+            self._strategy = self._new_strategy()
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -503,6 +482,6 @@ class OnlineController(Persisted):
             "trigger_recoveries": self.trigger_recoveries,
             "error_stats": stats,
             "last_decision": self.last_decision_reason,
-            "predictor": self._predictor_name,
+            "predictor": self.predictor.name,
             "predictor_fitted": bool(self.predictor.is_fitted),
         }

@@ -161,25 +161,23 @@ class ControlPlane(Persisted):
         }
 
     def plan_view(self) -> dict:
-        strategy = self.controller._strategy
         view = {
             "mode": self.controller.mode,
             "machines": self.controller.machines,
             "last_decision": self.controller.last_decision_reason,
             "migrating": self.controller.migrating,
         }
-        if strategy is not None:
-            schedule = strategy.controller.last_schedule
-            if schedule is not None:
-                view["schedule"] = [
-                    {
-                        "start": move.start,
-                        "end": move.end,
-                        "before": move.before,
-                        "after": move.after,
-                    }
-                    for move in schedule.moves
-                ]
+        schedule = self.controller._strategy.controller.last_schedule
+        if schedule is not None:
+            view["schedule"] = [
+                {
+                    "start": move.start,
+                    "end": move.end,
+                    "before": move.before,
+                    "after": move.after,
+                }
+                for move in schedule.moves
+            ]
         return view
 
     def status_line(self) -> str:

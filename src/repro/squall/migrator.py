@@ -725,26 +725,6 @@ class ClusterMigrator:
             return True
         return False
 
-    def step_to(self, sim_time: float) -> bool:
-        """Event-driven advance to an absolute simulated timestamp.
-
-        The batch loop calls :meth:`advance` with fixed ``dt`` slices; a
-        service advanced *by events* (``repro.serve``) instead tells the
-        migrator what time it is now.  Idempotent for repeated timestamps
-        and a clock-only update when no move is in flight.  Returns True
-        when the active migration completed within the step.
-        """
-        dt = float(sim_time) - self._sim_time
-        if dt < -1e-9:
-            raise MigrationError(
-                f"step_to moved backwards: {sim_time} < {self._sim_time}"
-            )
-        dt = max(0.0, dt)
-        if self._move is None:
-            self._sim_time = float(sim_time)
-            return False
-        return self.advance(dt)
-
     def abort(self, reason: str = "node failure") -> None:
         """Cancel the in-flight migration without completing it.
 

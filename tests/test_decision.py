@@ -25,7 +25,7 @@ from repro.decision import NO_ACTION, ScaleDecision
 from repro.elasticity import PStoreStrategy
 from repro.elasticity.base import ProvisioningStrategy
 from repro.hstore import Cluster
-from repro.prediction import LastValuePredictor
+from repro.prediction import LastValuePredictor, OnlinePredictor
 from repro.serve.controller import OnlineController
 from repro.sim import CapacitySimulator, ElasticDbSimulator
 from repro.telemetry import FlightRecorder, Telemetry
@@ -119,8 +119,11 @@ def pool_elastic_sim(tel, pool):
 
 
 def pool_serve(tel, pool):
+    learner = OnlinePredictor(           # first fit out of reach: warm-up
+        LastValuePredictor(), refit_every=1, min_training=99
+    )
     controller = OnlineController(
-        POOL_CFG, LastValuePredictor(), initial_machines=START,
+        POOL_CFG, learner, initial_machines=START,
         max_machines=pool, telemetry=tel,
     )
     controller._reactive = AskOnce(ASKED)    # warm-up: the fallback decides

@@ -181,13 +181,16 @@ class TestLoadMonitorBoundaries:
         # boundaries at once closes one counted and two empty slots.
         from repro.config import default_config
         from repro.core import PStoreService
-        from repro.prediction import LastValuePredictor
+        from repro.prediction import LastValuePredictor, OnlinePredictor
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
         config = default_config().with_interval(10.0)
+        still_learning = OnlinePredictor(
+            LastValuePredictor(), refit_every=1, min_training=99
+        )
         service = PStoreService(
-            kv_cluster(), config, LastValuePredictor(), telemetry=tel
+            kv_cluster(), config, still_learning, telemetry=tel
         )
         service.monitor.record(1.0, count=20.0)
         service.advance_time(35.0)

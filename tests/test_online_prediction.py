@@ -10,6 +10,7 @@ from repro.prediction import (
     SeasonalNaivePredictor,
     SparPredictor,
 )
+from repro.telemetry.runtime import telemetry_scope
 
 
 def periodic(periods, period=48):
@@ -55,6 +56,35 @@ class TestLifecycle:
         spar = SparPredictor(period=48, n_periods=2, m_recent=5)
         online = OnlinePredictor(spar, refit_every=48)
         assert online.min_training == spar.min_history + 48
+
+
+class TestRefitBookkeeping:
+    def test_every_path_to_a_fit_counts_one_refit_under_the_slug(self):
+        """Offline ``fit``, the ``observe`` cadence and ``refit_now`` go
+        through one ``_refit``: same counter, keyed like every other
+        predictor metric (``seasonal``, not the class name)."""
+        online = OnlinePredictor(
+            SeasonalNaivePredictor(4), refit_every=3, min_training=8
+        )
+        with telemetry_scope() as tel:
+            online.fit(periodic(2, period=4))               # 1: offline
+            online.observe_many([1.0, 2.0])
+            assert (online.fit_count, online._since_fit) == (1, 2)
+            online.observe(3.0)                             # 2: cadence
+            assert (online.fit_count, online._since_fit) == (2, 0)
+            assert online.refit_now()                       # 3: forced
+            assert online._fit_window == list(online.history)
+        assert online.fit_count == 3
+        assert len(tel.metrics) == 2
+        assert tel.metrics.counter("predictor.refit", model="seasonal").value == 3
+        assert tel.metrics.counter("predictor.refit_forced").value == 1
+
+    def test_batch_models_ignore_the_stream(self):
+        model = LastValuePredictor().fit([5.0])
+        model.observe(9.0)
+        assert model.refit_now() is False
+        assert model.min_training is None
+        assert model.predict_horizon([5.0], 1)[0] == 5.0
 
 
 class TestAccuracy:

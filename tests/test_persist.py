@@ -532,12 +532,12 @@ class TestGate:
             fresh.restore_state(doc)
 
     def test_state_for_a_strategy_needs_a_fitted_predictor(self):
-        controller, _ = _controller()
-        unfitted = OnlineController(
-            CONFIG, LastValuePredictor(), telemetry=NullTelemetry()
-        )
-        with pytest.raises(SimulationError, match="^strategy.*not fitted"):
-            unfitted.restore_state(through_json(controller.state_dict()))
+        """The strategy is built with the controller, so a model that is
+        neither fitted nor learning is refused before any state is."""
+        with pytest.raises(SimulationError, match="must be fitted"):
+            OnlineController(
+                CONFIG, LastValuePredictor(), telemetry=NullTelemetry()
+            )
 
     def test_a_malformed_mapping_is_named(self):
         dep, fresh = _depository()

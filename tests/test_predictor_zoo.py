@@ -7,6 +7,7 @@ determinism, declared capabilities, ``tau_max`` enforcement, and the
 JSON ``state_dict`` round-trip that ``pstore serve --resume`` depends
 on (both bare and behind :class:`OnlinePredictor`)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.prediction import (
     registered_predictors,
 )
 from repro.prediction.online import OnlinePredictor
+from repro.telemetry.runtime import telemetry_scope
 from repro.workload import b2w_like_trace
 
 #: Hourly slots keep every fit fast; 12 days covers SPAR's 222-slot
@@ -50,8 +52,7 @@ def make_fitted(name: str, series) -> Predictor:
     spec = get_predictor_spec(name)
     if spec.needs_truth:
         return spec.factory(series)
-    kwargs = {"period": PERIOD} if spec.accepts("period") else {}
-    return spec.build(**kwargs).fit(series)
+    return spec.for_period(PERIOD).fit(series)
 
 
 class TestRegistry:
@@ -113,6 +114,28 @@ class TestConformance:
         assert caps["deterministic"] is True
         assert caps["tau_max"] is None or caps["tau_max"] >= 1
 
+    @pytest.mark.parametrize("name", ALL)
+    def test_every_forecast_is_metered_under_the_slug(self, name, series):
+        """The template meters, so no model can forget to: ar, arma,
+        naive, seasonal and the oracle exported nothing before it."""
+        model = make_fitted(name, series)
+        with telemetry_scope() as tel:
+            model.predict_horizon(series, 6)
+            model.predict_horizon(series, 6)
+            if name in BUILDABLE:
+                OnlinePredictor(model, refit_every=PERIOD).predict_horizon(
+                    series, 3
+                )
+        wrapped = int(name in BUILDABLE)
+        metrics = tel.metrics
+        assert len(metrics) == 2 + wrapped      # nothing under another label
+        assert metrics.counter(
+            "predictor.forecast", model=name
+        ).value == 2 + wrapped
+        assert metrics.histogram(
+            "predictor.latency_ms", model=name, tau="6"
+        ).count == 2
+
     @pytest.mark.parametrize("name", ("spar", "seasonal"))
     def test_periodic_models_enforce_tau_max(self, name, series):
         model = make_fitted(name, series)
@@ -143,8 +166,7 @@ class TestCheckpointRoundTrip:
         if spec.needs_truth:
             fresh = spec.factory(series)
         else:
-            kwargs = {"period": PERIOD} if spec.accepts("period") else {}
-            fresh = spec.build(**kwargs)
+            fresh = spec.for_period(PERIOD)
         fresh.restore_state(doc)
         assert fresh.is_fitted
         np.testing.assert_array_equal(
@@ -163,10 +185,8 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("name", BUILDABLE)
     def test_online_wrapper_round_trip(self, name, series):
         def build():
-            spec = get_predictor_spec(name)
-            kwargs = {"period": PERIOD} if spec.accepts("period") else {}
             return OnlinePredictor(
-                spec.build(**kwargs),
+                get_predictor_spec(name).for_period(PERIOD),
                 refit_every=4 * PERIOD,
                 max_history=8 * N_DAYS * PERIOD,
             )
@@ -231,3 +251,85 @@ class TestDegenerateSeries:
         except PredictionError:
             return
         assert np.all(np.isfinite(forecast))
+
+
+#: ``sha256(forecast.tobytes())[:16]`` per slug, recorded at the commit
+#: before ``fit`` / ``predict_horizon`` moved into the base class (PR 23)
+#: and unchanged by it.  Each row: the bare model fitted on ``series``
+#: forecasting 6 slots from ``series[:-12]``; the same model behind an
+#: ``OnlinePredictor`` (offline ``fit`` on 240 slots, 36 observed, one
+#: cadence refit at 264); then the four ``DEGENERATE`` shapes in sorted
+#: order.  A digest moves only if a forecast bit does — which needs a
+#: reason, and new pins for the sweeps and goldens downstream.
+FORECAST_DIGESTS = {
+    "spar": (
+        "886314bd7d34e7d8", "0d3856311c3196a1",
+        "17b0761f87b081d5", "c82cb8a5f54b7f3e",
+        "17b0761f87b081d5", "17b0761f87b081d5",
+    ),
+    "arma": (
+        "45eb57c556ba4878", "e464aea76e224019",
+        "17b0761f87b081d5", "1693846c74c42304",
+        "17b0761f87b081d5", "7b887aa88be85fed",
+    ),
+    "ar": (
+        "98f184cd97c75b23", "bd697357bc994b1c",
+        "17b0761f87b081d5", "f9b5dd7787c56dd6",
+        "de55e150b091a8f7", "896eb9bf25483fde",
+    ),
+    "naive": (
+        "3a61dca327035f68", "3a61dca327035f68",
+        "17b0761f87b081d5", "1693846c74c42304",
+        "97dae9adf13aada1", "17b0761f87b081d5",
+    ),
+    "oracle": (
+        "333b46125a07c68a", None,
+        "17b0761f87b081d5", "1693846c74c42304",
+        "97dae9adf13aada1", "17b0761f87b081d5",
+    ),
+    "seasonal": (
+        "41cd51f6402e19f2", "41cd51f6402e19f2",
+        "17b0761f87b081d5", "1693846c74c42304",
+        "17b0761f87b081d5", "17b0761f87b081d5",
+    ),
+    "mssa": (
+        "5c062a496d8367a2", "cfdb97388455d6d4",
+        "17b0761f87b081d5", "0668a48ef35be011",
+        "2107d41c7212d8cf", "b5be5d1332b08aa8",
+    ),
+    "gbt": (
+        "95d11a63ffd6bf72", "c92e443ad7f42583",
+        "17b0761f87b081d5", "1693846c74c42304",
+        "1826a3b4ebc42d4d", "abf7c7fe566f8fd6",
+    ),
+}
+
+
+def digest(forecast) -> str:
+    return hashlib.sha256(
+        np.asarray(forecast, dtype=float).tobytes()
+    ).hexdigest()[:16]
+
+
+class TestForecastsAreBitIdentical:
+    def test_every_slug_is_pinned(self):
+        assert set(FORECAST_DIGESTS) == set(ALL)
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_digests_have_not_moved(self, name, series):
+        bare = make_fitted(name, series).predict_horizon(series[:-12], 6)
+        wrapped = None
+        if name in BUILDABLE:
+            online = OnlinePredictor(
+                get_predictor_spec(name).for_period(PERIOD),
+                refit_every=PERIOD,
+            ).fit(series[:240])
+            for value in series[240:-12]:
+                online.observe(float(value))
+            assert online.fit_count == 2
+            wrapped = digest(online.predict_horizon(series[:-12], 6))
+        degenerate = [
+            digest(make_fitted(name, values).predict_horizon(values, 6))
+            for _, values in sorted(DEGENERATE.items())
+        ]
+        assert (digest(bare), wrapped, *degenerate) == FORECAST_DIGESTS[name]

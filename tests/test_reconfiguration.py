@@ -14,7 +14,7 @@ from repro.core import PStoreService
 from repro.elasticity.base import NO_ACTION, ProvisioningStrategy, ScaleDecision
 from repro.faults import FaultInjector, FaultSpec
 from repro.hstore import Cluster, Column, Schema, Table
-from repro.prediction import LastValuePredictor
+from repro.prediction import LastValuePredictor, OnlinePredictor
 from repro.serve.controller import OnlineController
 from repro.sim import CapacitySimulator, ElasticDbSimulator
 from repro.squall import ClusterMigrator
@@ -164,8 +164,11 @@ def run_elastic_sim(tel, abort):
 
 def run_serve(tel, abort):
     config = _small_config()
+    learner = OnlinePredictor(
+        LastValuePredictor(), refit_every=1, min_training=99
+    )
     controller = OnlineController(
-        config, LastValuePredictor(), initial_machines=BEFORE, telemetry=tel
+        config, learner, initial_machines=BEFORE, telemetry=tel
     )
     assert controller.mode == "warmup"       # so the fallback decides
     controller._reactive = OneMove()

@@ -531,6 +531,23 @@ class TestKillThenResume:
         merged = chronicle_projection(resume_runs["merged_chronicle"])
         assert merged == base
 
+    def test_a_kill_during_warmup_converges_too(self, resume_runs, tmp_path):
+        """Report 30: the learner is 19 observations short of its first
+        fit, and the strategy the controller built up front has decided
+        nothing yet — it is checkpointed fresh and restored fresh."""
+        killed, resumed, merged = run_resume_scenario(
+            SERVE_SEED, SERVE_TRIGGER, checkpoint_dir=tmp_path, kill_after=30
+        )
+        assert killed["mode"] == "warmup"
+        assert killed["predictor_fitted"] is False
+        baseline = resume_runs["baseline"]
+        for field in ("intervals", "violations", "moves_started", "mode",
+                      "trigger_fires", "steady_machines", "reports"):
+            assert resumed[field] == baseline[field], field
+        assert chronicle_projection(merged) == chronicle_projection(
+            resume_runs["baseline_chronicle"]
+        )
+
     def test_no_interval_closed_twice(self, resume_runs):
         # Reports ingested must match the uninterrupted run exactly: the
         # full-trace replay after resume was deduplicated, not recounted.
@@ -616,11 +633,13 @@ PARENT_WRITTEN = {
 
 
 class TestParentWrittenCheckpoint:
-    """The directories under ``tests/data`` were cut by the PR 15 and the
-    PR 16 code at report 100 of the drift scenario, a move in flight
-    (recipes in their READMEs): no journal, no ``seq``.  Resuming one
-    must land where the uninterrupted run does, and the next save
-    rewrites it as a v2 base with a journal behind it."""
+    """The v1 and v2 directories under ``tests/data`` were cut by the
+    PR 15 and the PR 16 code at report 100 of the drift scenario, a move
+    in flight: no journal, no ``seq``.  The warm-up one was cut by the
+    PR 22 code at report 30, before the predictor's first fit, when that
+    code had built no predictive strategy yet (recipes in their READMEs).
+    Resuming one must land where the uninterrupted run does, and the next
+    save rewrites it as a v2 base with a journal behind it."""
 
     def test_v1_fixture_resumes_and_converges(self, resume_runs, tmp_path):
         self.resume(resume_runs, tmp_path, "serve-checkpoint-v1")
@@ -628,9 +647,20 @@ class TestParentWrittenCheckpoint:
     def test_v2_fixture_resumes_and_converges(self, resume_runs, tmp_path):
         self.resume(resume_runs, tmp_path, "serve-checkpoint-v2")
 
-    def resume(self, resume_runs, tmp_path, fixture):
-        from repro.experiments.serve import SERVE_DAYS, _run_plane
+    def test_warmup_fixture_resumes_into_the_strategy_built_up_front(
+        self, resume_runs, tmp_path
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(FIXTURES / "serve-checkpoint-warmup", ckpt)
+        before = read_checkpoint(ckpt)
+        assert before["processed"] == 29
+        assert before["controller"]["mode"] == "warmup"
+        assert before["controller"]["strategy"] is None
+        assert before["predictor"]["fit_window"] is None
+        after = self.converges(resume_runs, ckpt)
+        assert after["controller"]["strategy"] is not None
 
+    def resume(self, resume_runs, tmp_path, fixture):
         ckpt = tmp_path / "ckpt"
         shutil.copytree(FIXTURES / fixture, ckpt)   # load trims in place
         schema, move = PARENT_WRITTEN[fixture]
@@ -638,7 +668,12 @@ class TestParentWrittenCheckpoint:
         assert before["schema"] == schema and "seq" not in before
         assert before["controller"][move] is not None
         assert read_checkpoint(ckpt)["processed"] == 99
+        self.converges(resume_runs, ckpt)
 
+    def converges(self, resume_runs, ckpt):
+        from repro.experiments.serve import SERVE_DAYS, _run_plane
+
+        saved_before = read_checkpoint(ckpt).get("seq", 0)
         resumed, merged = _run_plane(
             SERVE_SEED, SERVE_TRIGGER, None, SERVE_DAYS,
             checkpoint_dir=str(ckpt), resume=True,
@@ -654,9 +689,10 @@ class TestParentWrittenCheckpoint:
         )
         after = read_checkpoint(ckpt)
         assert after["schema"] == CHECKPOINT_SCHEMA
-        assert after["seq"] == resumed["checkpoint_saves"]
+        assert after["seq"] == saved_before + resumed["checkpoint_saves"]
         assert after["processed"] == baseline["intervals"]
         assert (ckpt / JOURNAL_FILE).exists()
+        return after
 
 
 # ----------------------------------------------------------------------

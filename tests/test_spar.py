@@ -180,8 +180,8 @@ class TestVectorizedKernels:
         series = periodic_series(periods=9, period=96, noise=0.1, seed=3)
         spar = SparPredictor(period=96, n_periods=4, m_recent=12).fit(series)
         for tau in (1, 5, 40, 95):
-            fast = spar._design(spar._train, tau)
-            ref = self._design_reference(spar, spar._train, tau)
+            fast = spar._design(spar._fit_series, tau)
+            ref = self._design_reference(spar, spar._fit_series, tau)
             assert np.array_equal(fast[0], ref[0]), tau
             assert np.array_equal(fast[1], ref[1]), tau
 

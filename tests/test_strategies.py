@@ -13,7 +13,12 @@ from repro.elasticity import (
 )
 from repro.elasticity.manual import ManualStrategy
 from repro.errors import SimulationError
-from repro.prediction import LastValuePredictor, OraclePredictor
+from repro.prediction import (
+    LastValuePredictor,
+    OnlinePredictor,
+    OraclePredictor,
+    SparPredictor,
+)
 
 
 CFG = default_config().with_interval(600.0)
@@ -179,6 +184,24 @@ class TestPStoreStrategy:
     def test_requires_fitted_predictor(self):
         with pytest.raises(SimulationError):
             PStoreStrategy(CFG, LastValuePredictor())
+        with pytest.raises(SimulationError):
+            PStoreStrategy(CFG, SparPredictor(period=24))
+
+    def test_a_learner_is_accepted_unfitted_and_waits_for_its_first_fit(self):
+        online = OnlinePredictor(
+            LastValuePredictor(), refit_every=100, min_training=4
+        )
+        strategy = PStoreStrategy(CFG, online, horizon_intervals=6)
+        history = []
+        for slot in range(3):
+            history.append(Q * 0.9)
+            online.observe(history[-1])
+            assert strategy.decide(slot, history, 1) is NO_ACTION
+        history.append(Q * 1.9)
+        online.observe(history[-1])             # the fourth: first fit
+        assert online.is_fitted
+        decision = strategy.decide(3, history, 1)
+        assert decision.acts and decision.target_machines >= 2
 
     def test_warmup_produces_no_action(self):
         class SlowStart(LastValuePredictor):
