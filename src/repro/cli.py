@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--predictor", choices=_forecast_model_choices(), default="ar",
         help="forecast model from the predictor registry (spar needs "
-        "--train-days >= 2; ar is the responsive default for short "
+        "--train-days >= 3 or 0; ar is the responsive default for short "
         "replays; see docs/PREDICTORS.md)",
     )
     srv.add_argument(
@@ -857,18 +857,22 @@ def _serve_predictor(args, trace, period: int):
                 f"{args.train_days} days"
             )
     spec = get_predictor_spec(args.predictor)
-    if args.predictor == "spar" and args.train_days > 0 and args.train_days < 2:
-        raise PStoreError(
-            "spar needs --train-days >= 2 (one period of history plus one "
-            "of targets); use --predictor ar for short replays"
-        )
     kwargs = {}
     if args.predictor == "spar":
-        # Fully-online bootstrap (no training window): two periods.
-        kwargs["n_periods"] = (
-            max(1, min(7, args.train_days - 1)) if train_slots else 2
-        )
         kwargs["m_recent"] = min(30, period // 2)
+        # Fully-online bootstrap (no training window): two periods.
+        kwargs["n_periods"] = 2
+        if train_slots:
+            # As many periods as the window fits: SPAR trains on
+            # m_recent + n_periods periods of context + one of targets.
+            fits = (train_slots - kwargs["m_recent"]) // period - 1
+            if fits < 1:
+                raise PStoreError(
+                    "spar needs --train-days >= 3 (m_recent slots and one "
+                    "period of history, then one period of targets); use "
+                    "--predictor ar for short replays"
+                )
+            kwargs["n_periods"] = min(7, fits)
     elif args.predictor == "ar":
         kwargs["order"] = min(30, max(2, period // 8))
     online = OnlinePredictor(

@@ -42,6 +42,11 @@ DEFAULT_MU_PARTITION = SINGLE_NODE_SATURATION_TPS / 6.0
 #: enough to be "unnoticeable" below Q-hat, exactly as Sec. 8.1 found.
 CPU_SECONDS_PER_KB = 2.0e-4
 
+#: Cells the block kernel's categorical draw cuts ``[0, cdf[-1]]`` into.
+#: A key shares a cell with one of a row's ``n`` cdf entries with
+#: probability ~``n / _DRAW_CELLS``; only those keys are compared.
+_DRAW_CELLS = 1024
+
 
 # ----------------------------------------------------------------------
 # Row-level executor
@@ -252,6 +257,31 @@ class _BlockPrep:
         return int(self.offered.size)
 
 
+class _SampleScratch:
+    """Storage one block's latency sampling works in, kept for the next.
+
+    A 60-tick block's ``(T, 3, S)`` uniform and ``(T, 2, S)`` exponential
+    batches are each above glibc's mmap threshold: allocated per block
+    they are mapped, page-faulted in and unmapped on every call.  Engines
+    may draw into disjoint rows of one scratch (the tensor driver's fused
+    call); nothing that outlives a block may be a view into it.
+    """
+
+    def __init__(self) -> None:
+        self.uniforms = np.empty((0, 3, 0))
+
+    def reserve(self, ticks: int, n_samples: int) -> None:
+        """Hold at least ``ticks`` rows of ``n_samples`` samples; growing
+        discards what the rows held."""
+        rows, _, width = self.uniforms.shape
+        if ticks <= rows and n_samples == width:
+            return
+        self.uniforms = np.empty((ticks, 3, n_samples))
+        self.exponentials = np.empty((ticks, 2, n_samples))
+        self.work = np.empty((3, ticks, n_samples))
+        self.index = np.empty((ticks, n_samples), dtype=np.intp)
+
+
 class QueueingEngine:
     """Per-partition analytic queueing model with transient skew.
 
@@ -316,6 +346,7 @@ class QueueingEngine:
         self._hot_remaining = np.zeros(n_partitions)
         self._hot_extra = np.zeros(n_partitions)
         self._time = 0.0
+        self._scratch = _SampleScratch()
 
     @property
     def n_partitions(self) -> int:
@@ -506,15 +537,15 @@ class QueueingEngine:
             dt, offered_block, shares, interference, capacity_multipliers
         )
         if np.all(prep.total_completed > 0.0):
-            uniforms, exponentials = self._block_sample_draws(prep.ticks)
+            self._scratch.reserve(prep.ticks, self.samples_per_tick)
+            self._block_sample_draws(self._scratch, 0, prep.ticks)
             p50, p95, p99 = self._block_sample_math(
+                self._scratch,
                 prep.arrivals,
                 prep.mu_eff,
                 prep.backlog_mid,
                 prep.completed,
                 prep.total_completed,
-                uniforms,
-                exponentials,
                 prep.interference,
             )
         else:
@@ -604,64 +635,72 @@ class QueueingEngine:
             total_completed=completed.sum(axis=1),
         )
 
-    def _block_sample_draws(self, ticks: int):
+    def _block_sample_draws(
+        self, scratch: _SampleScratch, start: int, ticks: int
+    ) -> None:
         """Consume the sample RNG streams for ``ticks`` all-completed
-        ticks: one ``(T, 3, S)`` uniform batch and one ``(T, 2, S)``
-        exponential batch, read exactly as ``T`` scalar ticks would."""
-        n_samples = self.samples_per_tick
-        uniforms = self._sample_u_rng.random((ticks, 3, n_samples))
-        exponentials = self._sample_e_rng.standard_exponential(
-            (ticks, 2, n_samples)
-        )
-        return uniforms, exponentials
+        ticks into rows ``start:start + ticks`` of ``scratch``: one
+        ``(T, 3, S)`` uniform batch and one ``(T, 2, S)`` exponential
+        batch, read exactly as ``T`` scalar ticks would."""
+        rows = slice(start, start + ticks)
+        self._sample_u_rng.random(out=scratch.uniforms[rows])
+        self._sample_e_rng.standard_exponential(out=scratch.exponentials[rows])
 
     @classmethod
     def _block_sample_math(
         cls,
+        scratch: _SampleScratch,
         arrivals: np.ndarray,
         mu_eff: np.ndarray,
         backlog_mid: np.ndarray,
         completed: np.ndarray,
         total_completed: np.ndarray,
-        uniforms: np.ndarray,
-        exponentials: np.ndarray,
         interference: Optional[MigrationInterference] = None,
     ):
-        """Pure latency-percentile math over pre-drawn samples.
+        """Pure latency-percentile math over the samples drawn into the
+        first ``len(completed)`` rows of ``scratch``.
 
         Every operation is row (tick) independent — elementwise ops,
-        per-row ``cumsum``, exact searchsorted indices, exact gathers,
-        and per-row partition-based percentiles — so concatenating the
-        blocks of several engines along the tick axis yields bit-identical
-        per-row results.  Every input holds one row per tick; the
-        row-indexed gathers reproduce the scalar path's fancy-index
-        gathers exactly.  Without ``interference`` the stall term is
-        skipped: it would add ``+0.0`` to non-negative latencies.
+        per-row ``cumsum``, an exact per-row categorical draw, exact
+        gathers, and per-row sorted percentiles — so stacking the blocks
+        of several engines along the tick axis yields bit-identical
+        per-row results.  Per-partition terms are computed on the
+        ``(T, n)`` grid and gathered by flat index — the floats the
+        scalar path computes after its gather — into ``scratch``.  The
+        stall term is skipped without ``interference`` (it would add
+        ``+0.0`` to non-negative latencies), the overloaded arm when no
+        partition of the block is backlogged (nothing would select it).
         """
-        n = completed.shape[1]
+        ticks, n = completed.shape
+        uniforms = scratch.uniforms[:ticks]
+        exponentials = scratch.exponentials[:ticks]
+        keys, latency, term = scratch.work[:, :ticks]
+        flat = scratch.index[:ticks]
+
+        def gather(grid, out):  # the default mode="raise" buffers ``out``
+            return np.take(grid, flat, out=out, mode="clip")
+
         weights = completed / total_completed[:, None]
         cdf = np.cumsum(weights, axis=1)
-        keys = uniforms[:, 0, :] * cdf[:, -1][:, None]
-        partitions = cls._batched_searchsorted_right(cdf, keys)
-        np.minimum(partitions, n - 1, out=partitions)
-        # One shared row index replaces three take_along_axis calls; the
-        # gather itself is identical (same fancy index, bit-identical).
-        rows = np.arange(partitions.shape[0])[:, None]
-        mu = mu_eff[rows, partitions]
-        lam = arrivals[rows, partitions]
-        backlog = backlog_mid[rows, partitions]
-        headroom = np.maximum(mu - lam, 0.02 * mu)
-        stationary = exponentials[:, 0, :] / headroom
-        overloaded = backlog / mu + exponentials[:, 1, :] / mu
-        latency = np.where(backlog > 0.5, overloaded, stationary)
+        np.multiply(uniforms[:, 0, :], cdf[:, -1:], out=keys)
+        cls._categorical_draw(cdf, keys, flat)
+        np.minimum(flat, n - 1, out=flat)
+        flat += np.arange(0, ticks * n, n)[:, None]
+        gather(np.maximum(mu_eff - arrivals, 0.02 * mu_eff), latency)
+        np.divide(exponentials[:, 0, :], latency, out=latency)
+        backlogged = backlog_mid > 0.5
+        if backlogged.any():
+            overloaded = gather(mu_eff, keys)
+            np.divide(exponentials[:, 1, :], overloaded, out=overloaded)
+            np.add(gather(backlog_mid / mu_eff, term), overloaded, out=overloaded)
+            np.copyto(latency, overloaded, where=backlogged.take(flat))
         if interference is not None:
-            busy = interference.busy_fraction[rows, partitions]
-            stall = interference.stall_seconds[rows, partitions]
-            hit = uniforms[:, 1, :] < busy
-            latency = latency + hit * uniforms[:, 2, :] * stall
-        ms = latency * 1000.0
-        quantiles = cls._percentiles_50_95_99(ms)
-        return quantiles[0], quantiles[1], quantiles[2]
+            hit = uniforms[:, 1, :] < gather(interference.busy_fraction, keys)
+            np.multiply(hit, uniforms[:, 2, :], out=term)
+            np.multiply(term, gather(interference.stall_seconds, keys), out=term)
+            np.add(latency, term, out=latency)
+        np.multiply(latency, 1000.0, out=latency)
+        return tuple(cls._percentiles_50_95_99(latency))
 
     def _block_fallback_samples(self, prep: _BlockPrep):
         """Per-tick sample replay for blocks with zero-completed ticks.
@@ -819,55 +858,65 @@ class QueueingEngine:
         return completed, backlog_mid, backlog_end
 
     @staticmethod
-    def _batched_searchsorted_right(
-        cdf: np.ndarray, keys: np.ndarray
-    ) -> np.ndarray:
-        """Row-wise ``cdf[i].searchsorted(keys[i], side="right")``, batched.
+    def _categorical_draw(
+        cdf: np.ndarray, keys: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Row-wise ``cdf[i].searchsorted(keys[i], side="right")`` into
+        ``out`` (C-contiguous ``intp``), as a table lookup.
 
-        For non-negative IEEE-754 doubles the uint64 bit pattern is
-        strictly order-preserving, and every value here lies in
-        ``[0, 2)`` (the cdf tops out near 1.0 and keys are
-        ``u * cdf[-1]`` with ``u < 1``), so the bit patterns fit in
-        ``[0, 2**62)``.  Packing four rows at a time into disjoint
-        uint64 ranges lets one C-level search replace four Python-level
-        calls while producing bit-identical indices.
+        Entries and keys — in ``[0, cdf[i, -1]]`` — go through the same
+        cell function ``int(x * (_DRAW_CELLS / cdf[i, -1]))``.  Each float
+        operation in it is monotone, so a key in a higher cell than an
+        entry is greater than it and one in a lower cell smaller: a key
+        whose cell holds no entry is answered exactly by the number of
+        entries in lower cells (ties and ``key == cdf[i, -1]`` included),
+        and only a key sharing its cell with an entry is compared.
         """
         ticks, n = cdf.shape
-        n_keys = keys.shape[1]
-        bits_cdf = np.ascontiguousarray(cdf).view(np.uint64)
-        bits_keys = np.ascontiguousarray(keys).view(np.uint64)
-        group = 4
-        offsets = np.arange(group, dtype=np.uint64) << np.uint64(62)
-        out = np.empty((ticks, n_keys), dtype=np.intp)
-        base = (np.arange(group) * n)[:, None]
-        for start in range(0, ticks, group):
-            stop = min(start + group, ticks)
-            rows = stop - start
-            shifted = bits_cdf[start:stop] + offsets[:rows, None]
-            shifted_keys = bits_keys[start:stop] + offsets[:rows, None]
-            idx = shifted.ravel().searchsorted(
-                shifted_keys.ravel(), side="right"
-            )
-            out[start:stop] = idx.reshape(rows, n_keys) - base[:rows]
-        return out
+        scale = _DRAW_CELLS / cdf[:, -1:]
+        cells = (cdf * scale).astype(np.intp)
+        # table[i, m] = 2 * (entries of row i in cells below m) + (cell m
+        # holds one): count j fills cells (cells[i, j-1], cells[i, j]].
+        counts = np.arange(0, 2 * n + 2, 2, dtype=np.min_scalar_type(2 * n + 1))
+        runs = np.diff(cells, axis=1, prepend=-1, append=_DRAW_CELLS)
+        table = np.repeat(np.tile(counts, ticks), runs.ravel())
+        base = np.arange(0, ticks * (_DRAW_CELLS + 1), _DRAW_CELLS + 1)[:, None]
+        table[(cells + base).ravel()] |= 1
+        np.multiply(keys, scale, out=out, casting="unsafe")
+        out += base
+        code = table.take(out)
+        np.right_shift(code, 1, out=out)
+        # A key sharing its cell is compared with the first entry there;
+        # where the next entry sits in the same cell too (weights small
+        # or zero), the key's row is counted outright.
+        shared = np.flatnonzero((code & 1).astype(bool))
+        row = shared // keys.shape[1]
+        key = keys.reshape(-1)[shared]
+        answers = out.reshape(-1)
+        first = row * n + answers[shared]
+        answers[shared] += cdf.reshape(-1)[first] <= key
+        crowd = np.flatnonzero((runs[:, 1:] == 0).reshape(-1)[first])
+        answers[shared[crowd]] = (
+            cdf[row[crowd]] <= key[crowd, None]
+        ).sum(axis=1)
 
     @staticmethod
     def _percentiles_50_95_99(ms: np.ndarray) -> np.ndarray:
-        """``np.percentile(ms, [50, 95, 99], axis=-1)``, bit-identical.
+        """``np.percentile(ms, [50, 95, 99], axis=-1)``, bit-identical;
+        sorts ``ms`` in place.
 
         Replicates numpy's ``linear`` interpolation method (including the
-        ``gamma >= 0.5`` lerp branch) via a single ``np.partition``,
-        skipping the generic quantile machinery that dominates the cost
-        for small sample counts.
+        ``gamma >= 0.5`` lerp branch) on one sort — several times cheaper
+        at these sizes than partitioning around six order statistics.
         """
         size = ms.shape[-1]
         virtual = np.array([0.5, 0.95, 0.99]) * (size - 1)
         lo = np.floor(virtual).astype(np.intp)
         hi = np.ceil(virtual).astype(np.intp)
         gamma = virtual - lo
-        part = np.partition(ms, np.unique(np.concatenate([lo, hi])), axis=-1)
-        a = part[..., lo]
-        b = part[..., hi]
+        ms.sort(axis=-1)
+        a = ms[..., lo]
+        b = ms[..., hi]
         diff = b - a
         out = a + diff * gamma
         high = gamma >= 0.5

@@ -49,18 +49,13 @@ class ArmaPredictor(Predictor):
         self.long_ar_order = long_ar_order or (p + q + 10)
         # Enough to rebuild innovations for the q MA lags.
         self.min_history = self.long_ar_order + max(p, q) + 1
+        self.min_fit = self.long_ar_order + p + q + 2
         self._intercept: float = 0.0
         self._phi: Optional[np.ndarray] = None
         self._theta: Optional[np.ndarray] = None
         self._long_ar: Optional[np.ndarray] = None
 
     def _fit(self, arr: np.ndarray) -> None:
-        needed = self.long_ar_order + self.p + self.q + 2
-        if arr.size < needed:
-            raise PredictionError(
-                f"ARMA({self.p},{self.q}) needs at least {needed} training "
-                f"slots (got {arr.size})"
-            )
         # Stage 1: long AR for innovation estimates.
         self._long_ar = fit_ar_coefficients(arr, self.long_ar_order)
         innovations = self._innovations(arr)

@@ -81,7 +81,8 @@ class Predictor(Persisted):
 
     * ``name`` — the registry slug (``"spar"``, ``"mssa"``, ...) used as
       the model label in telemetry, chronicles and the accuracy tracker;
-    * ``period`` / ``min_history`` / ``tau_max`` / ``min_training`` —
+    * ``period`` / ``min_history`` / ``min_fit`` / ``tau_max`` /
+      ``min_training`` —
       what the model needs, validated against up front
       (:meth:`capabilities` is the same as a dict);
     * :meth:`observe` / :meth:`refit_now` — the measured-load stream; a
@@ -100,6 +101,8 @@ class Predictor(Persisted):
     period: Optional[int] = None
     #: Fewest observed slots ``predict_horizon`` can forecast from.
     min_history: int = 1
+    #: Fewest training slots ``fit`` accepts (context plus targets).
+    min_fit: int = 1
     #: Largest supported forecast offset, ``None`` if unbounded.  SPAR
     #: and the seasonal-naive baseline only reach ``tau < period`` (their
     #: periodic term must reference observed data); recursive models
@@ -166,6 +169,11 @@ class Predictor(Persisted):
     def fit(self, series: Sequence[float]) -> "Predictor":
         """Fit model parameters on a training window.  Returns ``self``."""
         arr = as_series(series)
+        if arr.size < self.min_fit:
+            raise PredictionError(
+                f"{self.name} needs at least {self.min_fit} training slots "
+                f"(got {arr.size})"
+            )
         self._fit(arr)
         self._fit_series = arr
         self._fitted = True

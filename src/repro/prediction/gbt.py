@@ -153,6 +153,7 @@ class GbtPredictor(Predictor):
         self.min_leaf = min_leaf
         self.lags: Tuple[int, ...] = (1, 2, 3, period, period + 1)
         self.min_history = max(self.lags)
+        self.min_fit = self.min_history + 4 * min_leaf
         self._base: float = 0.0
         self._trees: List[_Node] = []
 
@@ -174,12 +175,6 @@ class GbtPredictor(Predictor):
 
     def _fit(self, arr: np.ndarray) -> None:
         max_lag = self.min_history
-        needed = max_lag + 4 * self.min_leaf
-        if arr.size < needed:
-            raise PredictionError(
-                f"GBT(period={self.period}) needs at least {needed} "
-                f"training slots (got {arr.size})"
-            )
         anchors = np.arange(max_lag, arr.size)
         features = self._features(arr, anchors)
         targets = arr[anchors]

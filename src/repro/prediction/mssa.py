@@ -75,18 +75,13 @@ class MssaPredictor(Predictor):
             )
         # The recurrence consumes ``L - 1`` trailing observations.
         self.min_history = self.window - 1
+        self.min_fit = 2 * self.window
         self.rank = rank
         self.ridge = ridge
         self._coeffs: Optional[np.ndarray] = None  # [c_0, c_1 .. c_{L-1}]
 
     def _fit(self, arr: np.ndarray) -> None:
         length, lags = arr.size, self.window
-        needed = 2 * lags
-        if length < needed:
-            raise PredictionError(
-                f"mSSA(L={lags}) needs at least {needed} training slots "
-                f"(got {length})"
-            )
         # 1. Page/Hankel matrix of overlapping windows.
         page = np.lib.stride_tricks.sliding_window_view(arr, lags)
         # 2. Rank-r denoising + hankelization (anti-diagonal averages).

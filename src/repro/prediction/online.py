@@ -33,8 +33,8 @@ class OnlinePredictor(Predictor):
         refit cadence in observed slots (e.g. one week of slots).
     min_training:
         observations needed before the first fit; defaults to the base
-        model's ``min_history`` plus one period-worth of targets when the
-        base exposes it.
+        model's ``min_history`` plus one period-worth of targets when it
+        has a period, and never to fewer than its ``min_fit``.
     max_history:
         optional cap on retained history (old slots are dropped), so
         long-running controllers don't grow without bound.
@@ -57,7 +57,9 @@ class OnlinePredictor(Predictor):
         if min_training is None:
             # At least two extra points past min_history: a bare AR(p)
             # least-squares fit needs p + 2 samples to be determined.
-            min_training = base.min_history + max(base.period or 0, 2)
+            min_training = max(
+                base.min_fit, base.min_history + max(base.period or 0, 2)
+            )
         self.min_training = min_training
         self.max_history = max_history
         self._history: List[float] = []
@@ -130,6 +132,7 @@ class OnlinePredictor(Predictor):
     # are keyed by the actual forecaster, not by the learning wrapper.
     name = property(lambda self: self.base.name)
     min_history = property(lambda self: self.base.min_history)
+    min_fit = property(lambda self: self.base.min_fit)
     tau_max = property(lambda self: self.base.tau_max)
 
     # ------------------------------------------------------------------

@@ -72,6 +72,7 @@ class SparPredictor(Predictor):
         # ``n*T - tau`` slots from "now"; the offset term reaches back
         # ``m + n*T``, which dominates for ``tau < T``.
         self.min_history = m_recent + n_periods * period
+        self.min_fit = self.min_history + period  # a target for every tau
         # The periodic term needs observed data: ``tau < period``.
         self.tau_max = period - 1
         self._coeffs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -95,12 +96,6 @@ class SparPredictor(Predictor):
 
     def _fit(self, arr: np.ndarray) -> None:
         """Coefficients are fitted lazily per tau, from ``_fit_series``."""
-        needed = self.min_history + self.period  # at least one target per tau
-        if arr.size < needed:
-            raise PredictionError(
-                f"SPAR(T={self.period}, n={self.n_periods}, m={self.m_recent}) "
-                f"needs at least {needed} training slots (got {arr.size})"
-            )
         self._coeffs = {}
         self._stacked = {}
         self._fitted_upto = 0

@@ -8,9 +8,10 @@ its control loop one planner interval ahead of the engine and yields a
 shares, migration interference and capacity rows included, so
 migration rounds, fault windows and re-plans are part of the block, not
 an exception to it.  The batch engine collects all currently-pending
-block requests, stacks their per-tick arrays along the tick axis, and
-executes the latency-sampling math of every cell in one fused numpy
-call.
+block requests, stacks their per-tick arrays along the tick axis (each
+engine draws its samples straight into its rows of one shared
+:class:`~repro.hstore.engine._SampleScratch`), and executes the
+latency-sampling math of every cell in one fused numpy call.
 
 No eviction
 -----------
@@ -27,12 +28,15 @@ the numbers changes — only the batching of pure math:
 
 * every RNG draw happens on the owning engine's own streams, in exactly
   the scalar order (:meth:`QueueingEngine._block_prep` and
-  :meth:`QueueingEngine._block_sample_draws` are called per engine);
+  :meth:`QueueingEngine._block_sample_draws` are called per engine; the
+  rows an engine fills are its own, so where they sit in the scratch
+  changes nothing);
 * the fused stage, :meth:`QueueingEngine._block_sample_math`, is
-  row-independent per tick — elementwise ops, per-row ``cumsum``, exact
-  searchsorted indices, exact gathers, per-row partition-based
-  percentiles — so concatenating blocks of different cells along the
-  tick axis produces the same floats each cell would produce alone;
+  row-independent per tick — elementwise ops, per-row ``cumsum``, a
+  per-row cell table that returns the exact ``searchsorted`` index,
+  exact gathers, percentiles off a per-row sort — so stacking blocks of
+  different cells along the tick axis produces the same floats each
+  cell would produce alone;
 * cells are only fused when they share a ``(n_partitions,
   samples_per_tick)`` shape signature (a cell with no move in flight
   joins a group that has one on all-zero interference rows, which add
@@ -58,7 +62,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..hstore.engine import MigrationInterference, QueueingEngine
+from ..hstore.engine import (
+    MigrationInterference,
+    QueueingEngine,
+    _SampleScratch,
+)
 from .simulator import ElasticDbSimulator, SimulationResult
 
 
@@ -181,6 +189,8 @@ class TensorBatchEngine:
             raise SimulationError("TensorBatchEngine needs at least one program")
         self._programs = programs
         self._clock = clock
+        #: One sample scratch per shape signature, reused round to round.
+        self._scratch: Dict[Tuple[int, int], _SampleScratch] = {}
 
     # ------------------------------------------------------------------
 
@@ -281,56 +291,67 @@ class TensorBatchEngine:
             if started is not None:
                 state.outcome.elapsed_seconds += self._clock() - started
 
-        fused: List[Tuple[_CellState, object, np.ndarray, np.ndarray]] = []
+        fused: List[Tuple[_CellState, object]] = []
         for state, prep in prepped:
+            if np.all(prep.total_completed > 0.0):
+                fused.append((state, prep))
+                continue
+            # Zero-completed ticks consume no draws; the batched layout
+            # does not apply — the engine replays per tick.
             engine = state.program.simulator.engine
             started = self._clock() if self._clock is not None else None
-            if np.all(prep.total_completed > 0.0):
-                uniforms, exponentials = engine._block_sample_draws(prep.ticks)
-                fused.append((state, prep, uniforms, exponentials))
-                percentiles = None
-            else:
-                # Zero-completed ticks consume no draws; the batched
-                # layout does not apply — the engine replays per tick.
-                with state.scope():
-                    percentiles = engine._block_fallback_samples(prep)
-            if percentiles is not None:
-                with state.scope():
-                    state.block = engine._block_finish(prep, *percentiles)
+            with state.scope():
+                state.block = engine._block_finish(
+                    prep, *engine._block_fallback_samples(prep)
+                )
             if started is not None:
                 state.outcome.elapsed_seconds += self._clock() - started
 
         if not fused:
             return
+        # Every cell draws into its own rows of the group's scratch, so
+        # the fused call reads one stacked batch nobody had to copy.
+        all_ticks = sum(prep.ticks for _, prep in fused)
+        signature = group[0].program.signature()
+        scratch = self._scratch.setdefault(signature, _SampleScratch())
+        scratch.reserve(all_ticks, signature[1])
+        offset = 0
+        for state, prep in fused:
+            started = self._clock() if self._clock is not None else None
+            state.program.simulator.engine._block_sample_draws(
+                scratch, offset, prep.ticks
+            )
+            offset += prep.ticks
+            if started is not None:
+                state.outcome.elapsed_seconds += self._clock() - started
+
         started = self._clock() if self._clock is not None else None
         # Cells with no move in flight ride a mixed group on zero rows
         # (the stall term then adds +0.0, as the scalar step always does).
         interference = None
-        if any(prep.interference is not None for _, prep, _, _ in fused):
+        if any(prep.interference is not None for _, prep in fused):
             rows = [
                 prep.interference
                 if prep.interference is not None
                 else MigrationInterference.none(prep.arrivals.shape)
-                for _, prep, _, _ in fused
+                for _, prep in fused
             ]
             interference = MigrationInterference(
                 np.concatenate([r.busy_fraction for r in rows]),
                 np.concatenate([r.stall_seconds for r in rows]),
             )
         p50, p95, p99 = QueueingEngine._block_sample_math(
-            np.concatenate([prep.arrivals for _, prep, _, _ in fused]),
-            np.concatenate([prep.mu_eff for _, prep, _, _ in fused]),
-            np.concatenate([prep.backlog_mid for _, prep, _, _ in fused]),
-            np.concatenate([prep.completed for _, prep, _, _ in fused]),
-            np.concatenate([prep.total_completed for _, prep, _, _ in fused]),
-            np.concatenate([uniforms for _, _, uniforms, _ in fused]),
-            np.concatenate([exponentials for _, _, _, exponentials in fused]),
+            scratch,
+            np.concatenate([prep.arrivals for _, prep in fused]),
+            np.concatenate([prep.mu_eff for _, prep in fused]),
+            np.concatenate([prep.backlog_mid for _, prep in fused]),
+            np.concatenate([prep.completed for _, prep in fused]),
+            np.concatenate([prep.total_completed for _, prep in fused]),
             interference,
         )
         offset = 0
         total = self._clock() - started if started is not None else 0.0
-        all_ticks = sum(prep.ticks for _, prep, _, _ in fused)
-        for state, prep, _, _ in fused:
+        for state, prep in fused:
             engine = state.program.simulator.engine
             ticks = prep.ticks
             rows = slice(offset, offset + ticks)

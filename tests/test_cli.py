@@ -229,6 +229,43 @@ class TestPlanWithConfigFile:
         assert "error" in capsys.readouterr().err
 
 
+def _serve(*args):
+    return main([
+        "serve", "--source", "replay:b2w", "--speed", "0", "--out", "none",
+        "--status-every", "0", "--quiet", *args,
+    ])
+
+
+class TestServePredictor:
+    """``pstore serve`` hands its model a window that model can train
+    on, offline or online."""
+
+    @pytest.mark.parametrize("train_days", [3, 8])
+    def test_spar_takes_the_periods_the_window_fits(self, train_days, capsys):
+        code = _serve(
+            "--predictor", "spar", "--slot-seconds", "3600", "--days", "2",
+            "--train-days", str(train_days),
+        )
+        assert code == 0, capsys.readouterr().err
+        assert "served 48 intervals" in capsys.readouterr().out
+
+    def test_spar_names_its_true_floor(self, capsys):
+        code = _serve(
+            "--predictor", "spar", "--slot-seconds", "3600", "--days", "2",
+            "--train-days", "2",
+        )
+        assert code == 1
+        assert "--train-days >= 3" in capsys.readouterr().err
+
+    def test_online_arma_waits_for_what_its_fit_needs(self, capsys):
+        """Its first fit used to be tried at observation 83 of the 92
+        ARMA(30,10) needs, ending the service there."""
+        code = _serve("--predictor", "arma", "--train-days", "0", "--days", "1")
+        assert code == 0, capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "served 288 intervals" in out and "mode=predictive" in out
+
+
 class TestErrorHandling:
     """repro.errors exceptions (and missing files) must exit nonzero
     with a one-line ``error:`` message, never a raw traceback."""

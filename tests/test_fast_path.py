@@ -3,6 +3,11 @@ batched :meth:`QueueingEngine.step_block` kernel must be bit-identical
 to the scalar per-second loop — same RNG draws, same per-second outputs.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +19,12 @@ from repro.elasticity.manual import ManualStrategy
 from repro.errors import SimulationError
 from repro.experiments import benchmark_setup, fig09
 from repro.faults import FaultInjector, FaultSpec
-from repro.hstore.engine import MigrationInterference, QueueingEngine
+from repro.hstore.engine import (
+    BlockStats,
+    MigrationInterference,
+    QueueingEngine,
+    _SampleScratch,
+)
 from repro.sim import ElasticDbSimulator
 
 CFG = default_config()  # 60 s planner interval
@@ -350,3 +360,162 @@ class TestStepBlockPerTickRows:
             engine.step_block(1.0, np.full(3, 100.0), np.ones(4)),
             0,
         )
+
+
+class TestSamplingKernel:
+    """The pieces of ``_block_sample_math`` against what they replace."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.sampled_from([1, 7, 60, 200]),
+        ticks=st.sampled_from([1, 59, 300]),
+        zeros=st.sampled_from(["none", "leading", "trailing", "interior", "most"]),
+        ulps=st.integers(-4, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_categorical_draw_is_searchsorted_right(
+        self, seed, n, ticks, zeros, ulps
+    ):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.0, 1.0, (ticks, n)) ** 4
+        third = max(1, n // 3)
+        if zeros == "leading":
+            weights[:, :third] = 0.0
+        elif zeros == "trailing":
+            weights[:, n - third:] = 0.0
+        elif zeros == "interior":
+            weights[:, third:2 * third] = 0.0
+        elif zeros == "most":
+            weights[rng.random((ticks, n)) < 0.9] = 0.0
+        weights[:, rng.integers(0, n)] += 0.01  # every row completes work
+        cdf = np.cumsum(weights / weights.sum(axis=1)[:, None], axis=1)
+        # Scaling by a positive constant keeps each row sorted and moves
+        # cdf[-1] a few ulp off wherever the cumsum left it.
+        cdf *= 1.0 + ulps * np.finfo(float).eps
+        top = cdf[:, -1:]
+        keys = rng.random((ticks, 256)) * top
+        keys[:, 0] = 0.0                      # u = 0
+        keys[:, 1] = top[:, 0]                # u * cdf[-1] == cdf[-1]
+        width = min(n, 254)
+        keys[:, 2:2 + width] = cdf[:, :width]  # a key equal to an entry
+        out = np.empty(keys.shape, dtype=np.intp)
+        QueueingEngine._categorical_draw(cdf, keys, out)
+        for i in range(ticks):
+            expected = np.searchsorted(cdf[i], keys[i], side="right")
+            assert np.array_equal(out[i], expected), f"row {i}"
+
+    @pytest.mark.parametrize("size", [1, 2, 256, 257])
+    def test_percentiles_equal_numpy_bitwise(self, size):
+        ms = np.random.default_rng(size).exponential(20.0, (40, size))
+        expected = np.percentile(ms, [50, 95, 99], axis=-1)
+        got = QueueingEngine._percentiles_50_95_99(ms.copy())
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        one_row = QueueingEngine._percentiles_50_95_99(ms[3].copy())
+        assert np.array_equal(one_row, expected[:, 3])
+
+    def test_interleaved_engines_equal_sequential(self):
+        """Draw A, draw B, math A, math B — the tensor driver's order,
+        with both engines' draws alive at once — changes nothing, whether
+        each engine works in its own scratch or both in rows of one."""
+        n, ticks = 12, 30
+        shares = np.ones(n)
+        offered = {21: _sinusoid(ticks, base=600.0), 22: _sinusoid(ticks, seed=3)}
+        busy = np.where(np.arange(n) < 4, 0.3, 0.0)
+        moving = MigrationInterference(busy, busy * 0.5)
+        sequential = {
+            seed: QueueingEngine(n_partitions=n, seed=seed).step_block(
+                1.0, offered[seed], shares, moving
+            )
+            for seed in offered
+        }
+
+        def prepared():
+            engines = [QueueingEngine(n_partitions=n, seed=s) for s in offered]
+            return engines, [
+                e._block_prep(1.0, offered[s], shares, moving)
+                for s, e in zip(offered, engines)
+            ]
+
+        def grids(prep):
+            return [
+                prep.arrivals, prep.mu_eff, prep.backlog_mid, prep.completed,
+                prep.total_completed, prep.interference.busy_fraction,
+                prep.interference.stall_seconds,
+            ]
+
+        def math(scratch, columns):
+            return QueueingEngine._block_sample_math(
+                scratch, *columns[:5], MigrationInterference(*columns[5:])
+            )
+
+        engines, preps = prepared()
+        for e in engines:
+            e._scratch.reserve(ticks, e.samples_per_tick)
+            e._block_sample_draws(e._scratch, 0, ticks)
+        for s, e, prep in zip(offered, engines, preps):
+            block = e._block_finish(prep, *math(e._scratch, grids(prep)))
+            _blocks_equal(block, sequential[s])
+
+        engines, preps = prepared()
+        shared = _SampleScratch()
+        shared.reserve(2 * ticks, 256)
+        for i, e in enumerate(engines):
+            e._block_sample_draws(shared, i * ticks, ticks)
+        fused = math(
+            shared, [np.concatenate(c) for c in zip(*map(grids, preps))]
+        )
+        for i, (s, e) in enumerate(zip(offered, engines)):
+            part = slice(i * ticks, (i + 1) * ticks)
+            block = e._block_finish(preps[i], *(q[part] for q in fused))
+            _blocks_equal(block, sequential[s])
+
+    def test_block_stats_do_not_alias_the_scratch(self):
+        """What one block returned must survive the next block's draws."""
+        engine = QueueingEngine(n_partitions=6, seed=5)
+        first = engine.step_block(1.0, np.full(20, 300.0), np.ones(6))
+        kept = [np.array(getattr(first, f)) for f in BLOCK_FIELDS]
+        engine.step_block(1.0, np.full(20, 120.0), np.ones(6))
+        for name, before in zip(BLOCK_FIELDS, kept):
+            assert np.array_equal(getattr(first, name), before), name
+            for buffer in vars(engine._scratch).values():
+                assert not np.shares_memory(getattr(first, name), buffer)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="counts ru_minflt"
+    )
+    def test_steady_state_blocks_do_not_page_fault(self):
+        """A simulator's day of blocks — 59 ticks, then 60 after 60 —
+        in a fresh interpreter, so the allocator's history is this
+        script's alone: once warm, a block neither maps nor trims the
+        sample batches (allocated per block they cost ~150 minor faults
+        a block here)."""
+        script = (
+            "import resource, numpy as np\n"
+            "from repro.hstore.engine import QueueingEngine\n"
+            "engine = QueueingEngine(n_partitions=60, seed=3)\n"
+            "rng = np.random.default_rng(0)\n"
+            "def block(ticks):\n"
+            "    offered = rng.uniform(0.3, 0.7, ticks) * 73 * 60\n"
+            "    return engine.step_block(1.0, offered, np.ones((ticks, 60)))\n"
+            "kept = [block(ticks) for ticks in (59, 60, 60)]\n"
+            "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "before = faults()\n"
+            "kept += [block(60) for _ in range(20)]\n"
+            "print(faults() - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 200, done.stdout
+
+
+BLOCK_FIELDS = [field.name for field in dataclasses.fields(BlockStats)]
+
+
+def _blocks_equal(got, expected):
+    for name in BLOCK_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name

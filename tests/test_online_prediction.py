@@ -10,6 +10,10 @@ from repro.prediction import (
     SeasonalNaivePredictor,
     SparPredictor,
 )
+from repro.prediction.registry import (
+    get_predictor_spec,
+    registered_predictors,
+)
 from repro.telemetry.runtime import telemetry_scope
 
 
@@ -56,6 +60,25 @@ class TestLifecycle:
         spar = SparPredictor(period=48, n_periods=2, m_recent=5)
         online = OnlinePredictor(spar, refit_every=48)
         assert online.min_training == spar.min_history + 48
+
+
+    @pytest.mark.parametrize("period", [24, 288])
+    @pytest.mark.parametrize(
+        "slug", sorted(set(registered_predictors()) - {"oracle"})
+    )
+    def test_default_first_fit_waits_for_what_the_fit_needs(self, slug, period):
+        """No registry model's default ``min_training`` is below its own
+        ``min_fit`` (ARMA, mSSA and GBT used to raise out of ``observe``)."""
+        base = get_predictor_spec(slug).for_period(period)
+        online = OnlinePredictor(base, refit_every=10 * period)
+        assert online.min_training >= base.min_fit
+        series = periodic(-(-online.min_training // period), period)
+        online.observe_many(series)
+        assert online.fit_count == 1
+        if base.min_fit > 1:  # the declared floor is the one ``fit`` checks
+            with pytest.raises(PredictionError, match="needs at least"):
+                base.fit(series[: base.min_fit - 1])
+            base.fit(series[: base.min_fit])
 
 
 class TestRefitBookkeeping:
