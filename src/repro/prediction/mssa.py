@@ -112,19 +112,20 @@ class MssaPredictor(Predictor):
         weights = self._coeffs[1:]
         n_lags = weights.size
         # Newest last; each step feeds the forecast back in.
-        buffer = list(arr[-n_lags:])
-        out = np.empty(horizon)
+        buffer = np.empty(n_lags + horizon)
+        buffer[:n_lags] = arr[-n_lags:]
+        # terms[1 + j] = weights[j] * y(t - 1 - j); terms[0] = 0.0 starts
+        # the sum, which one sequential cumsum adds left to right.
+        terms = np.zeros(n_lags + 1)
+        partial = np.empty(n_lags + 1)
         for step in range(horizon):
-            value = intercept + sum(
-                weights[j] * buffer[-1 - j] for j in range(n_lags)
-            )
+            np.multiply(weights, buffer[step : step + n_lags][::-1],
+                        out=terms[1:])
+            value = intercept + np.cumsum(terms, out=partial)[-1]
             # Clip inside the recursion: load is non-negative and an
             # unstable recurrence must not feed back growing negatives.
-            value = max(float(value), 0.0)
-            out[step] = value
-            buffer.append(value)
-            buffer.pop(0)
-        return out
+            buffer[n_lags + step] = max(float(value), 0.0)
+        return buffer[n_lags:].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

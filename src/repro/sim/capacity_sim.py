@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -112,8 +112,8 @@ class CapacitySimulator:
         self.peak_seed = peak_seed
         #: Measured-load history handed to strategies; benches seed it
         #: with the predictor's training window so SPAR has context from
-        #: slot zero.
-        self.history: List[float] = [float(v) for v in history_seed]
+        #: slot zero.  Each run appends its slots.
+        self.history: np.ndarray = np.array(history_seed, dtype=float)
 
     def run(
         self,
@@ -145,23 +145,29 @@ class CapacitySimulator:
         out_migrating = np.zeros(n_slots, dtype=bool)
         emergencies = 0
         moves_started = 0
-        history = self.history
+        # One buffer for seed + slots; strategies see a view of what has
+        # been measured so far, so nothing is copied per decision.
+        seeded = self.history.size
+        history = np.concatenate([self.history, load_tps])
+        self.history = history
         tel = self._telemetry
         recording = tel.enabled
 
         for slot in range(n_slots):
-            history.append(float(load_tps[slot]))
+            # history may be pre-seeded with the training window;
+            # forecasts key on its index, so telemetry does too.
+            index = seeded + slot
             if recording:
-                # history may be pre-seeded with the training window;
-                # forecasts key on its index, so telemetry does too.
                 harvest = tel.accuracy.observe(
-                    len(history) - 1, float(load_tps[slot]),
+                    index, float(load_tps[slot]),
                     time=(slot + 1) * slot_seconds,
                 )
                 scored = harvest[0] if harvest else {}
 
             if move is None:
-                decision = strategy.decide(slot, history, machines)
+                decision = strategy.decide(
+                    slot, history[: index + 1], machines
+                )
                 target = decision.target_from(
                     machines, config.max_machines or None
                 )
@@ -193,7 +199,7 @@ class CapacitySimulator:
             if recording:
                 record_interval(
                     tel.tracer, slot * slot_seconds, (slot + 1) * slot_seconds,
-                    len(history) - 1, float(load_tps[slot]),
+                    index, float(load_tps[slot]),
                     int(out_machines[slot]), bool(out_migrating[slot]),
                 )
                 self._record_slot(

@@ -104,7 +104,7 @@ class _Run:
     """Everything one :meth:`ElasticDbSimulator.drive` pass mutates,
     shared by its phase methods."""
 
-    def __init__(self, strategy, offered, interval, machines, history, recovery):
+    def __init__(self, strategy, offered, interval, machines, seed, recovery):
         n = offered.size
         self.strategy = strategy
         self.offered = offered
@@ -112,7 +112,11 @@ class _Run:
         self.t = 0
         self.active = list(range(machines))   # physical machines holding data
         self.machines = machines              # steady-state allocation
-        self.history = history                # per-interval mean load
+        # Per-interval mean load: the seed, then one slot per closed
+        # interval, in one buffer; ``history`` is the filled prefix.
+        self._history = np.empty(len(seed) + n // interval)
+        self._history[: len(seed)] = seed
+        self.history = self._history[: len(seed)]
         self.move: Optional[Reconfiguration] = None
         self.emergencies = 0
         self.moves_started = 0
@@ -133,6 +137,12 @@ class _Run:
         self.iv_viol_p99 = 0.0
         self.iv_migr = 0
         self.iv_fault = 0
+
+    def close_slot(self, mean_tps: float) -> None:
+        """Append one closed interval's mean load to ``history``."""
+        size = self.history.size
+        self._history[size] = mean_tps
+        self.history = self._history[: size + 1]
 
 
 class ElasticDbSimulator:
@@ -328,7 +338,7 @@ class ElasticDbSimulator:
             )
         return _Run(
             strategy, offered, interval, self.initial_machines,
-            [float(v) for v in history_seed_tps], recovery,
+            np.asarray(history_seed_tps, dtype=float), recovery,
         )
 
     def _inject_faults(self, run: _Run) -> None:
@@ -408,7 +418,7 @@ class ElasticDbSimulator:
         if close % run.interval:
             return False
         mean_tps = float(np.mean(run.offered[close - run.interval : close]))
-        run.history.append(mean_tps)
+        run.close_slot(mean_tps)
         tel = self._telemetry
         if not tel.enabled:
             return True

@@ -176,6 +176,28 @@ class TestEmergency:
         )
         assert decision.acts and decision.target_machines == 4
 
+    def test_infeasible_at_the_cap_is_infeasible_but_at_size(self):
+        """The load needs more machines than ``config.max_machines`` and
+        the cluster already has them all: nothing to do, no emergency."""
+        base = default_config().with_interval(600.0)
+        cfg = PStoreConfig(
+            q=base.q,
+            q_hat=base.q_hat,
+            d_seconds=base.d_seconds,
+            interval_seconds=600.0,
+            max_machines=4,
+        )
+        q = cfg.q
+        ctrl = PredictiveController(
+            cfg, OraclePredictor([q * 9.0] * 50), horizon_intervals=6
+        )
+        decision = ctrl.decide(
+            flat_history(q * 9.0), current_machines=4, current_load=q * 9.0
+        )
+        assert decision.reason == "infeasible-but-at-size"
+        assert decision.target_machines is None
+        assert not decision.emergency and not decision.acts
+
     def test_no_emergency_when_already_at_required_size(self):
         cfg = default_config().with_interval(600.0)
         q = cfg.q

@@ -11,6 +11,12 @@ and ``controller_doc`` — and were re-recorded when PR 16 moved the
 document to ``pstore.serve-checkpoint/v2``; that re-record changed
 those two lines of the file and no other.
 
+``zoo`` is the exception to LAPACK-free: SPAR, AR, ARMA and mSSA solve
+least squares and mSSA takes an SVD, so it also pins the BLAS/LAPACK
+the numpy wheel bundles.  It was recorded on the scalar GBT split
+search and per-lag forecast loops, before those were vectorised, and
+is what holds the kernels to the old trees and forecasts end to end.
+
 Re-record (only when a change is *meant* to move behaviour)::
 
     PYTHONPATH=src python tests/test_golden_runs.py --record
@@ -304,6 +310,34 @@ def scenario_service_crash() -> dict:
     }
 
 
+def scenario_zoo() -> dict:
+    """The predictor zoo end to end and at capacity_zoo's scale: the
+    serial ``shootout`` sweep (8 predictors x 4 drift workloads, period
+    24), then spar / mssa / gbt fitted on 14 steady days at period 288
+    and asked for the controller's horizon at every evaluation slot."""
+    from repro.experiments import shootout
+    from repro.prediction import get_predictor_spec
+    from repro.runner import run_sweep
+
+    try:
+        from tests.zoo_oracles import ZOO_HORIZON, ZOO_PERIOD, zoo_scale_series
+    except ImportError:  # run as a script from the repository root
+        from zoo_oracles import ZOO_HORIZON, ZOO_PERIOD, zoo_scale_series
+
+    report = run_sweep(shootout.grid(), cache=None, jobs=1, backend="serial")
+    train, evaluation = zoo_scale_series()
+    series = np.concatenate([train, evaluation])
+    forecasts = {}
+    for slug in ("spar", "mssa", "gbt"):
+        model = get_predictor_spec(slug).for_period(ZOO_PERIOD).fit(train)
+        sha = hashlib.sha256()
+        for slot in range(evaluation.size):
+            history = series[: train.size + slot + 1]
+            sha.update(model.predict_horizon(history, ZOO_HORIZON).tobytes())
+        forecasts[slug] = sha.hexdigest()
+    return {"shootout_result_hash": report.result_hash, "forecasts": forecasts}
+
+
 SCENARIOS = {
     "smoke": scenario_smoke,
     "tensmoke": scenario_tensmoke,
@@ -312,6 +346,7 @@ SCENARIOS = {
     "serve_replay": scenario_serve_replay,
     "serve_checkpoint": scenario_serve_checkpoint,
     "service_crash": scenario_service_crash,
+    "zoo": scenario_zoo,
 }
 
 

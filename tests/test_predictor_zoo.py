@@ -9,10 +9,14 @@ on (both bare and behind :class:`OnlinePredictor`)."""
 
 import hashlib
 import json
+import math
+import time
 
 import numpy as np
 import pytest
 
+from repro.config import default_config
+from repro.core.planner import Planner, PlanRequest
 from repro.errors import ConfigurationError, PredictionError
 from repro.prediction import (
     Predictor,
@@ -23,6 +27,8 @@ from repro.prediction import (
 from repro.prediction.online import OnlinePredictor
 from repro.telemetry.runtime import telemetry_scope
 from repro.workload import b2w_like_trace
+
+from .zoo_oracles import ZOO_HORIZON, ZOO_PERIOD, zoo_scale_series
 
 #: Hourly slots keep every fit fast; 12 days covers SPAR's 222-slot
 #: minimum at period 24.
@@ -333,3 +339,29 @@ class TestForecastsAreBitIdentical:
             for _, values in sorted(DEGENERATE.items())
         ]
         assert (digest(bare), wrapped, *degenerate) == FORECAST_DIGESTS[name]
+
+
+class TestControlWorkFitsTheSlot:
+    """Control work << interval: at capacity_zoo's scale (period 288,
+    14 training days, 5-minute slots) one fit + one ``predict_horizon``
+    + one ``best_moves`` takes under 1 % of the 300 s slot for every
+    buildable slug.  SPAR fits lazily, so its first forecast carries the
+    fit; the planner is a fresh one, with no table cached."""
+
+    BUDGET_S = 0.01 * 300.0
+
+    @pytest.mark.parametrize("name", BUILDABLE)
+    def test_fit_forecast_plan_under_one_percent_of_the_slot(self, name):
+        train, evaluation = zoo_scale_series()
+        history = np.concatenate([train, evaluation[:1]])
+        config = default_config().with_interval(300.0)
+        machines = max(1, math.ceil(evaluation[0] * 1.3 / config.q))
+        start = time.perf_counter()
+        model = get_predictor_spec(name).for_period(ZOO_PERIOD).fit(train)
+        forecast = model.predict_horizon(history, ZOO_HORIZON)
+        Planner(config).best_moves(PlanRequest(
+            predicted_load=tuple(forecast * config.prediction_inflation),
+            initial_machines=machines,
+            current_load=float(history[-1]),
+        ))
+        assert time.perf_counter() - start < self.BUDGET_S
