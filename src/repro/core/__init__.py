@@ -21,7 +21,7 @@ from .model import (
 )
 from .controller import PredictiveController
 from .moves import Move, MoveSchedule
-from .planner import Planner, PlanRequest, best_moves_reference
+from .planner import Planner, PlanRequest
 from .service import PStoreService
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "PStoreService",
     "Planner",
     "avg_machines_allocated",
-    "best_moves_reference",
     "capacity",
     "effective_capacity",
     "machines_allocated_at",

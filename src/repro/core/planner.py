@@ -6,21 +6,19 @@ reconfiguration *moves* such that the predicted load never exceeds the
 system's (effective) capacity — including while data is in flight, when
 capacity is degraded per Eq. 7.
 
-Two equivalent implementations are provided:
-
-* :class:`Planner` — a bottom-up dynamic program over the ``(t, A)`` grid.
-  One table serves every candidate final size, so the outer loop of
-  Algorithm 1 costs nothing extra.  This is the production path.
-* :func:`best_moves_reference` — a direct transcription of the paper's
-  recursive, memoised Algorithms 1-3.  It is slower and kept as an oracle
-  for differential testing.
+:class:`Planner` is a bottom-up dynamic program over the ``(t, A)`` grid.
+One table serves every candidate final size, so the outer loop of
+Algorithm 1 costs nothing extra.  The paper's recursive, memoised
+Algorithms 1-3, transcribed literally, are the test oracle in
+``tests/planner_oracle.py``; the differential tests hold this planner to
+it move for move.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +45,10 @@ class PlanRequest:
     current_load:
         measured aggregate load right now (defaults to the first predicted
         point); used for the ``t = 0`` feasibility check.
+
+    Every load must be finite and non-negative: there is no capacity a
+    NaN or an infinite load fits under, so such a request is refused with
+    :class:`PlanningError` rather than planned.
     """
 
     predicted_load: Tuple[float, ...]
@@ -58,8 +60,16 @@ class PlanRequest:
             raise PlanningError("predicted_load must be non-empty")
         if self.initial_machines < 1:
             raise PlanningError("initial_machines must be >= 1")
-        if any(v < 0 for v in self.predicted_load):
-            raise PlanningError("predicted load values must be non-negative")
+        # ``0 <= v < inf`` is false for NaN and for inf: one pass.
+        if not all(0 <= v < _INF for v in self.predicted_load):
+            raise PlanningError(
+                "predicted load values must be finite and non-negative"
+            )
+        if self.current_load is not None and not 0 <= self.current_load < _INF:
+            raise PlanningError(
+                f"current_load must be finite and non-negative, "
+                f"got {self.current_load!r}"
+            )
 
     @property
     def horizon(self) -> int:
@@ -73,6 +83,24 @@ class PlanRequest:
             else self.predicted_load[0]
         )
         return [current, *self.predicted_load]
+
+
+class _Grid(NamedTuple):
+    """The load-independent half of a DP over ``Z`` sizes and ``T`` intervals.
+
+    Axes: ``b = B - 1`` (before), ``a = A - 1`` (after), ``t - 1`` for
+    the interval ``t`` a move *ends* at, ``i`` for the ``i + 1``-th
+    interval a move spans; ``W`` is the longest move that fits inside
+    the horizon.
+    """
+
+    dur: np.ndarray  # (Z, Z) int: max(1, T(B, A)) in intervals
+    mcost: np.ndarray  # (Z, Z): C(B, A)
+    thresh: np.ndarray  # (Z, Z, W): Eq. 7 eff-cap + 1e-9, +inf past the move's end
+    windows: np.ndarray  # (T, Z, Z, W): the load index each threshold is held to
+    started: np.ndarray  # (T, Z, Z) bool: the move ending at t starts at t - dur >= 0
+    prior: np.ndarray  # (T, Z, Z): flat index (t - dur) * Z + b into the cost table
+    cap: np.ndarray  # (Z,): cap(A) + 1e-9
 
 
 class Planner:
@@ -93,16 +121,8 @@ class Planner:
         self._duration_cache: Dict[Tuple[int, int], int] = {}
         self._cost_cache: Dict[Tuple[int, int], float] = {}
         self._effcap_cache: Dict[Tuple[int, int], Tuple[float, ...]] = {}
-        # Dense per-(B, A) arrays for the vectorized DP, keyed by the grid
-        # bound Z (they depend only on Z and the config, not the loads).
-        self._grid_cache: Dict[
-            int,
-            Tuple[
-                np.ndarray,
-                np.ndarray,
-                List[Tuple[int, np.ndarray, np.ndarray]],
-            ],
-        ] = {}
+        # The DP's load-independent tables, keyed by (Z, horizon).
+        self._grid_cache: Dict[Tuple[int, int], _Grid] = {}
 
     @property
     def config(self) -> PStoreConfig:
@@ -163,18 +183,21 @@ class Planner:
         loads = request.load_array()
         horizon = request.horizon
         n0 = request.initial_machines
-        z = max(self.machines_needed(max(loads)), n0)
+        needed = self.machines_needed(max(loads))
+        z = max(needed, n0)
         if self._config.max_machines:
             z = min(z, self._config.max_machines)
 
-        cost_table, backptr = self._fill_tables(loads, horizon, n0, z)
-
-        for final in range(1, z + 1):
-            if cost_table[horizon][final] != _INF:
-                return self._backtrack(backptr, horizon, final, n0)
+        grid = self._grid(z, horizon)
+        cost, back = self._fill_tables(grid, loads, n0)
+        # Algorithm 1's outer loop: the smallest final size with a
+        # finite cost.
+        reached = np.flatnonzero(cost[horizon] < _INF)
+        if reached.size:
+            return self._backtrack(grid, back, int(reached[0]), n0)
         raise InfeasiblePlanError(
             f"no feasible move sequence from N0={n0} over horizon T={horizon}",
-            required_machines=self.machines_needed(max(loads)),
+            required_machines=needed,
         )
 
     def plan(
@@ -197,123 +220,90 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _fill_tables(
-        self,
-        loads: List[float],
-        horizon: int,
-        n0: int,
-        z: int,
-    ) -> Tuple[np.ndarray, List[List[Optional[Tuple[int, int]]]]]:
-        """Compute ``cost[t][A]`` and back-pointers for all states.
+        self, grid: _Grid, loads: List[float], n0: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``cost[t, A-1]`` and back-pointers for every state.
 
-        ``cost[t][A]`` is the minimum cost of a feasible series of moves
-        that ends with ``A`` machines at interval ``t``; ``backptr[t][A]``
-        is ``(prev_t, prev_machines)`` of the last move of that series.
+        ``cost[t, A-1]`` is the minimum cost of a feasible series of moves
+        that ends with ``A`` machines at interval ``t``; ``back[t, A-1]``
+        is ``B - 1`` of the last move of that series, which started at
+        ``t - dur[B-1, A-1]`` (meaningful only where the cost is finite).
 
-        The ``(t, A)`` grid is filled bottom-up as before, but the inner
-        Algorithm 3 scan over ``before`` is a masked vectorized argmin:
-        per-``(B, A)`` durations, move costs, and effective-capacity
-        feasibility windows are precomputed once per call, so each state
-        costs one gather + argmin instead of ``Z`` Python evaluations.
-        ``np.argmin`` returns the first minimum, preserving the scalar
-        loop's ascending-``before`` tie-breaking exactly.
+        Feasibility of every ``(t, B, A)`` — Algorithm 3's effective-
+        capacity windows (lines 6-9), the move starting at or after
+        ``t = 0``, and Algorithm 2's ``L[t] <= cap(A)`` — is one gather
+        and a few elementwise operations, folded into a per-``t`` move
+        cost that is ``+inf`` where the move is infeasible.  Each interval
+        is then Algorithm 3's scan over ``B`` as one gather of the prior
+        costs, one add and a column ``argmin`` / ``min``: ``argmin`` takes
+        the first minimum, the scalar scan's strict-``<`` ascending-``B``
+        tie-break, and ``min`` is that candidate's value.
         """
-        dur, mcost, feas_start = self._move_tables(loads, horizon, z)
-
-        cost = np.full((horizon + 1, z + 1), _INF)
-        backptr: List[List[Optional[Tuple[int, int]]]] = [
-            [None] * (z + 1) for _ in range(horizon + 1)
-        ]
-
+        horizon = len(loads) - 1
+        z = len(grid.cap)
+        cost = np.full((horizon + 1, z), _INF)
+        back = np.zeros((horizon + 1, z), dtype=np.intp)
         # Base case (Algorithm 2, lines 5-6): at t=0 only N0 is reachable,
         # and only if the current load fits under target capacity.
-        if n0 <= z and loads[0] <= self.capacity(n0) + 1e-9:
-            cost[0][n0] = float(n0)
+        if n0 > z or not loads[0] <= grid.cap[n0 - 1]:
+            return cost, back
+        cost[0, n0 - 1] = float(n0)
 
-        cap_thresh = np.array(
-            [self.capacity(a) + 1e-9 for a in range(1, z + 1)]
+        load = np.asarray(loads, dtype=float)
+        feasible = (load[grid.windows] <= grid.thresh).all(axis=-1)
+        feasible &= grid.started
+        feasible &= (load[1:, None] <= grid.cap)[:, None, :]
+        step = np.where(feasible, grid.mcost, _INF)
+
+        flat = cost.reshape(-1)
+        rows = zip(grid.prior, step, back[1:], cost[1:])
+        for prior, move_cost, best, row in rows:
+            candidates = flat.take(prior)
+            candidates += move_cost
+            candidates.argmin(axis=0, out=best)
+            np.minimum.reduce(candidates, axis=0, out=row)
+        return cost, back
+
+    def _grid(self, z: int, horizon: int) -> _Grid:
+        """The :class:`_Grid` for ``Z`` sizes over ``horizon`` intervals,
+        built once per planner."""
+        grid = self._grid_cache.get((z, horizon))
+        if grid is not None:
+            return grid
+        sizes = range(1, z + 1)
+        dur = np.array(
+            [[max(1, self.move_duration(b, a)) for a in sizes] for b in sizes],
+            dtype=np.intp,
         )
-        before_col = np.arange(z)[:, None]
-        after_idx = np.arange(z)
-        cost_view = cost[:, 1:]
-        reachable = bool(np.isfinite(cost[0]).any())
-        for t in range(1, horizon + 1):
-            if not reachable:
-                continue  # no reachable predecessor state anywhere yet
-            start = t - dur
-            in_range = start >= 0
-            start_clipped = np.where(in_range, start, 0)
-            prior = cost_view[start_clipped, before_col]
-            feasible = in_range & feas_start[start_clipped, before_col, after_idx]
-            candidates = np.where(feasible, prior + mcost, _INF)
-            best_before = np.argmin(candidates, axis=0)
-            best = candidates[best_before, after_idx]
-            new_row = np.where(loads[t] <= cap_thresh, best, _INF)
-            finite = np.isfinite(new_row)
-            if finite.any():
-                cost[t, 1:] = new_row
-                for ai in np.nonzero(finite)[0]:
-                    bi = int(best_before[ai])
-                    backptr[t][ai + 1] = (t - int(dur[bi, ai]), bi + 1)
-        return cost, backptr
-
-    def _grid_tables(
-        self, z: int
-    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, np.ndarray, np.ndarray]]]:
-        """Load-independent per-``(B, A)`` move primitives, cached by Z.
-
-        Returns ``(dur, mcost, groups)`` where ``dur[b-1, a-1]`` is the
-        effective move duration ``max(1, T(B,A))``, ``mcost`` the move
-        cost ``C(B,A)``, and ``groups`` one ``(d, pairs, thresh)`` entry
-        per distinct duration: the ``(B-1, A-1)`` index pairs of that
-        duration and their effective-capacity thresholds ``eff + 1e-9``
-        (Eq. 7), matching the scalar comparison
-        ``loads[...] > eff + 1e-9`` exactly.
-        """
-        cached = self._grid_cache.get(z)
-        if cached is not None:
-            return cached
-        dur = np.empty((z, z), dtype=np.int64)
-        mcost = np.empty((z, z))
-        for b in range(1, z + 1):
-            for a in range(1, z + 1):
-                dur[b - 1, a - 1] = max(1, self.move_duration(b, a))
-                mcost[b - 1, a - 1] = self.move_cost(b, a)
-        groups = []
-        for d in np.unique(dur):
-            d = int(d)
-            pairs = np.argwhere(dur == d)
-            thresh = (
-                np.array(
-                    [self._effcap_profile(b + 1, a + 1, d) for b, a in pairs]
-                )
-                + 1e-9
-            )
-            groups.append((d, pairs, thresh))
-        tables = (dur, mcost, groups)
-        self._grid_cache[z] = tables
-        return tables
-
-    def _move_tables(
-        self, loads: List[float], horizon: int, z: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-``(B, A)`` durations, costs, and feasibility windows.
-
-        ``feas_start[s, b-1, a-1]`` is whether a ``B -> A`` move starting
-        at interval ``s`` keeps the predicted load under the effective
-        capacity (Eq. 7) for each interval it spans (Algorithm 3, lines
-        6-9).  A window starting at ``s`` covers ``loads[s+1 .. s+d]``.
-        """
-        dur, mcost, groups = self._grid_tables(z)
-        loads_arr = np.asarray(loads, dtype=float)
-        feas_start = np.zeros((horizon + 1, z, z), dtype=bool)
-        for d, pairs, thresh in groups:
-            if d > horizon:
-                continue  # such a move cannot complete inside the horizon
-            windows = np.lib.stride_tricks.sliding_window_view(loads_arr, d)
-            windows = windows[1 : horizon - d + 2]
-            ok = np.all(windows[:, None, :] <= thresh[None, :, :], axis=2)
-            feas_start[: horizon - d + 1, pairs[:, 0], pairs[:, 1]] = ok
-        return dur, mcost, feas_start
+        mcost = np.array([[self.move_cost(b, a) for a in sizes] for b in sizes])
+        # A move longer than the horizon cannot end inside it (``started``
+        # is false for it at every t), so no window is wider than that.
+        width = min(int(dur.max()), horizon)
+        thresh = np.full((z, z, width), _INF)
+        for b in sizes:
+            for a in sizes:
+                d = int(dur[b - 1, a - 1])
+                if d <= horizon:
+                    # eff + 1e-9 per interval: the scalar comparison's
+                    # ``load > eff + 1e-9`` exactly.
+                    thresh[b - 1, a - 1, :d] = (
+                        np.array(self._effcap_profile(b, a, d)) + 1e-9
+                    )
+        # The move ending at t starts at t - dur and spans t - dur + 1 .. t;
+        # the window's padding (thresh +inf) may read any load.
+        start = np.arange(1, horizon + 1)[:, None, None] - dur
+        windows = np.clip(start[..., None] + np.arange(1, width + 1), 0, horizon)
+        grid = _Grid(
+            dur=dur,
+            mcost=mcost,
+            thresh=thresh,
+            windows=windows,
+            started=start >= 0,
+            prior=np.maximum(start, 0) * z + np.arange(z)[:, None],
+            cap=np.array([self.capacity(a) + 1e-9 for a in sizes]),
+        )
+        self._grid_cache[(z, horizon)] = grid
+        return grid
 
     def _effcap_profile(
         self, before: int, after: int, duration: int
@@ -331,149 +321,18 @@ class Planner:
         return cached
 
     def _backtrack(
-        self,
-        backptr: List[List[Optional[Tuple[int, int]]]],
-        horizon: int,
-        final: int,
-        n0: int,
+        self, grid: _Grid, back: np.ndarray, final: int, n0: int
     ) -> MoveSchedule:
+        """Follow ``back`` from ``T`` and ``A = final + 1`` to ``(0, N0)``."""
         moves: List[Move] = []
-        t, machines = horizon, final
+        back, dur = back.tolist(), grid.dur.tolist()
+        t, a = len(back) - 1, final
         while t > 0:
-            prev = backptr[t][machines]
-            if prev is None:  # pragma: no cover - table invariant
-                raise PlanningError("broken back-pointer chain")
-            prev_t, prev_machines = prev
-            moves.append(
-                Move(start=prev_t, end=t, before=prev_machines, after=machines)
-            )
-            t, machines = prev_t, prev_machines
-        if t != 0 or machines != n0:  # pragma: no cover - table invariant
+            b = back[t][a]
+            start = t - dur[b][a]
+            moves.append(Move(start=start, end=t, before=b + 1, after=a + 1))
+            t, a = start, b
+        if t != 0 or a != n0 - 1:  # pragma: no cover - table invariant
             raise PlanningError("backtracking did not reach the initial state")
         moves.reverse()
         return MoveSchedule(moves)
-
-
-# ----------------------------------------------------------------------
-# Reference implementation: literal Algorithms 1-3 (recursive, memoised)
-# ----------------------------------------------------------------------
-
-
-def best_moves_reference(
-    predicted_load: Sequence[float],
-    initial_machines: int,
-    config: PStoreConfig,
-    current_load: Optional[float] = None,
-) -> MoveSchedule:
-    """Literal transcription of the paper's Algorithms 1-3.
-
-    Used as a differential-testing oracle for :class:`Planner`.  Matches
-    the paper's structure: for each candidate final size (smallest first),
-    reset the memo table, compute ``cost(T, i)`` recursively, and backtrack
-    through the memoised best moves on the first feasible hit.
-    """
-    request = PlanRequest(
-        predicted_load=tuple(predicted_load),
-        initial_machines=initial_machines,
-        current_load=current_load,
-    )
-    loads = request.load_array()
-    horizon = request.horizon
-    n0 = request.initial_machines
-    planner = Planner(config)  # reuse cached move primitives only
-    # Hoisted: Algorithm 2's argmin bound Z depends only on the plan
-    # inputs, so compute it once here instead of re-deriving it (max over
-    # the load curve plus machines_needed) for every candidate ``before``
-    # of every recursive call.
-    z = len(memo_z_bound(loads, n0, planner))
-
-    for final in range(1, z + 1):
-        memo: Dict[Tuple[int, int], Tuple[float, Optional[Tuple[int, int]]]] = {}
-        if _cost_recursive(horizon, final, loads, n0, planner, memo, z) != _INF:
-            moves: List[Move] = []
-            t, machines = horizon, final
-            while t > 0:
-                _, prev = memo[(t, machines)]
-                assert prev is not None
-                prev_t, prev_machines = prev
-                moves.append(
-                    Move(start=prev_t, end=t, before=prev_machines, after=machines)
-                )
-                t, machines = prev_t, prev_machines
-            moves.reverse()
-            return MoveSchedule(moves)
-    raise InfeasiblePlanError(
-        f"no feasible move sequence from N0={n0} over horizon T={horizon}",
-        required_machines=planner.machines_needed(max(loads)),
-    )
-
-
-def _cost_recursive(
-    t: int,
-    after: int,
-    loads: List[float],
-    n0: int,
-    planner: Planner,
-    memo: Dict[Tuple[int, int], Tuple[float, Optional[Tuple[int, int]]]],
-    z: int,
-) -> float:
-    """Algorithm 2 (``cost``)."""
-    if t < 0 or (t == 0 and after != n0):
-        return _INF
-    if loads[t] > planner.capacity(after) + 1e-9:
-        return _INF
-    if (t, after) in memo:
-        return memo[(t, after)][0]
-    if t == 0:
-        memo[(t, after)] = (float(after), None)
-        return float(after)
-    best = _INF
-    best_prev: Optional[Tuple[int, int]] = None
-    for before in range(1, z + 1):
-        candidate = _sub_cost_recursive(
-            t, before, after, loads, n0, planner, memo, z
-        )
-        if candidate < best:
-            best = candidate
-            duration = max(1, planner.move_duration(before, after))
-            best_prev = (t - duration, before)
-    memo[(t, after)] = (best, best_prev)
-    return best
-
-
-def memo_z_bound(loads: List[float], n0: int, planner: Planner) -> range:
-    """Machines 1..Z that Algorithm 2's argmin ranges over."""
-    z = max(planner.machines_needed(max(loads)), n0)
-    if planner.config.max_machines:
-        z = min(z, planner.config.max_machines)
-    return range(z)
-
-
-def _sub_cost_recursive(
-    t: int,
-    before: int,
-    after: int,
-    loads: List[float],
-    n0: int,
-    planner: Planner,
-    memo: Dict[Tuple[int, int], Tuple[float, Optional[Tuple[int, int]]]],
-    z: int,
-) -> float:
-    """Algorithm 3 (``sub-cost``)."""
-    duration = planner.move_duration(before, after)
-    move_cost = planner.move_cost(before, after)
-    if duration == 0:
-        duration = 1
-        move_cost = float(before)
-    start = t - duration
-    if start < 0:
-        return _INF
-    q = planner.config.q
-    for i in range(1, duration + 1):
-        eff = model.effective_capacity(before, after, i / duration, q)
-        if loads[start + i] > eff + 1e-9:
-            return _INF
-    prior = _cost_recursive(start, before, loads, n0, planner, memo, z)
-    if prior == _INF:
-        return _INF
-    return prior + move_cost

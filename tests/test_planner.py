@@ -1,13 +1,17 @@
 """Tests for the DP planner (Algorithms 1-3)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PStoreConfig, default_config
-from repro.core import Planner, PlanRequest, best_moves_reference, model
+from repro.core import Planner, PlanRequest, model
 from repro.errors import InfeasiblePlanError, PlanningError
+
+from .planner_oracle import best_moves_reference
 
 
 def planner(interval_seconds=600.0, **kwargs) -> Planner:
@@ -153,6 +157,38 @@ class TestRequestValidation:
     def test_negative_load_rejected(self):
         with pytest.raises(PlanningError):
             PlanRequest(predicted_load=(1.0, -2.0), initial_machines=1)
+
+    # No capacity fits a NaN or an infinite load, and a negative
+    # current load is not a measurement: each is refused up front with
+    # the planner's own error (a NaN used to escape as ValueError from
+    # math.ceil, +inf as OverflowError, and a negative current load was
+    # planned).
+    @pytest.mark.parametrize(
+        "predicted, current",
+        [
+            ((1.0, math.nan), None),
+            ((math.inf, 1.0), None),
+            ((1.0, 2.0), math.nan),
+            ((1.0, 2.0), math.inf),
+            ((1.0, 2.0), -1.0),
+        ],
+        ids=["nan-prediction", "inf-prediction", "nan-current",
+             "inf-current", "negative-current"],
+    )
+    def test_unplannable_loads_rejected(self, predicted, current):
+        with pytest.raises(PlanningError):
+            PlanRequest(
+                predicted_load=predicted, initial_machines=1,
+                current_load=current,
+            )
+        with pytest.raises(PlanningError):
+            planner().plan(list(predicted), 1, current_load=current)
+
+    def test_zero_current_load_accepted(self):
+        req = PlanRequest(
+            predicted_load=(1.0,), initial_machines=1, current_load=0.0
+        )
+        assert req.load_array() == [0.0, 1.0]
 
     def test_load_array_includes_current(self):
         req = PlanRequest(

@@ -1,21 +1,26 @@
 """Randomized differential test: the vectorized DP planner must agree
-with the paper-literal recursive oracle on feasibility, plan cost, and
-the exact move sequence, across random load curves, N0, max_machines,
-and migration-rate settings.
+with the paper-literal recursive oracle (``tests/planner_oracle.py``) on
+feasibility, plan cost, and the exact move sequence, across random load
+curves, N0, max_machines, and migration-rate settings.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_config
-from repro.core.planner import (
-    Planner,
-    PlanRequest,
-    best_moves_reference,
-)
+from repro.core import model
+from repro.core.planner import Planner, PlanRequest
 from repro.errors import InfeasiblePlanError
+from repro.experiments.ablations import (
+    _EffCapBlindPlanner,
+    run_effcap_ablation,
+)
+
+from .planner_oracle import best_moves_reference
 
 N_TRIALS = 150
 
@@ -105,8 +110,8 @@ class TestPlannerDifferential:
                 assert fast.moves == ref.moves, trial
 
     def test_cost_tables_reused_across_calls(self):
-        """The per-Z grid cache must not leak state between requests
-        with different load curves."""
+        """The per-(Z, horizon) grid cache must not leak state between
+        requests with different load curves."""
         config = dataclasses.replace(default_config(), max_machines=8)
         planner = Planner(config)
         low = tuple([400.0] * 6)
@@ -129,3 +134,118 @@ class TestPlannerDifferential:
             planner.best_moves(
                 PlanRequest(predicted_load=loads, initial_machines=2)
             )
+
+
+def _outcome(callable_, *args, **kwargs):
+    """``("plan", moves)`` or ``("infeasible", required_machines)``."""
+    try:
+        return "plan", callable_(*args, **kwargs).moves
+    except InfeasiblePlanError as exc:
+        return "infeasible", exc.required_machines
+
+
+@st.composite
+def _plan_cases(draw):
+    """``(config, loads, N0, current_load)`` with loads on the DP's
+    decision boundaries.
+
+    A load is free, an exact ``k * q`` (a target capacity), or an exact
+    Eq. 7 effective capacity of a ``B -> A`` move of the grid at one of
+    its intervals, and is then kept, moved onto the planner's ``+ 1e-9``
+    slack (still feasible) or one ulp past it (not).  Integral loads and
+    costs make equal-cost predecessors common, so ``argmin``'s first
+    minimum is held to the oracle's strict-``<`` ascending scan.
+    """
+    slot = draw(st.sampled_from((60.0, 300.0, 600.0, 3600.0)))
+    config = default_config().with_interval(slot)
+    if slot == 60.0:
+        # Minute slots: a move spans many intervals of a long horizon.
+        horizon, z = 27, draw(st.integers(1, 12))
+    else:
+        horizon, z = draw(st.integers(1, 16)), draw(st.integers(1, 12))
+        config = dataclasses.replace(
+            config,
+            d_seconds=draw(st.sampled_from((300.0, 600.0, 2000.0, 4646.0))),
+        )
+    config = dataclasses.replace(
+        config, max_machines=draw(st.integers(0, 13))  # 0 = unbounded
+    )
+    planner, q = Planner(config), config.q
+
+    def load(top):
+        """A boundary load of a grid of ``top`` sizes."""
+        kind = draw(st.sampled_from(("free", "multiple", "effcap")))
+        if kind == "free":
+            value = draw(st.floats(0.0, top * q))
+        elif kind == "multiple":
+            value = float(draw(st.integers(0, top))) * q
+        else:
+            b, a = draw(st.integers(1, top)), draw(st.integers(1, top))
+            d = max(1, planner.move_duration(b, a))
+            value = model.effective_capacity(b, a, draw(st.integers(1, d)) / d, q)
+        nudge = draw(st.sampled_from(("exact", "exact", "slack", "past")))
+        if nudge == "slack":
+            value += 1e-9
+        elif nudge == "past":
+            value = float(np.nextafter(value + 1e-9, np.inf))
+        return value
+
+    # The load now and the first prediction are on N0's scale, so that
+    # most plans get past t = 0 and the DP has something to choose.
+    n0 = draw(st.integers(1, z))
+    loads = (load(n0),) + tuple(load(z) for _ in range(horizon - 1))
+    current = load(n0) if draw(st.booleans()) else None
+    return config, loads, n0, current
+
+
+class TestTiesAndShapes:
+    @given(case=_plan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle_move_for_move(self, case):
+        config, loads, n0, current = case
+        fast = _outcome(
+            Planner(config).best_moves,
+            PlanRequest(
+                predicted_load=loads, initial_machines=n0, current_load=current
+            ),
+        )
+        ref = _outcome(
+            best_moves_reference, loads, n0, config, current_load=current
+        )
+        assert fast == ref
+
+    def test_minute_slots_over_a_long_horizon(self):
+        """A ramp at 60 s slots (horizon 27): moves span 5+ intervals,
+        so the feasibility windows are wide and overlap the ramp."""
+        config = default_config().with_interval(60.0)
+        q = config.q
+        loads = tuple(q * (1.9 + 0.14 * i) for i in range(27))
+        planner = Planner(config)
+        for n0 in range(2, 7):
+            fast = _outcome(planner.plan, loads, n0)
+            assert fast == _outcome(best_moves_reference, loads, n0, config)
+            assert fast[0] == "plan"
+
+
+class TestEffCapOverride:
+    """``Planner._effcap_profile`` is the only source of the Eq. 7
+    thresholds, so the ablation's blind planner, which overrides it, still
+    steers feasibility.  The values were recorded on the planner the
+    table-filling DP replaced."""
+
+    def test_ablation_result_is_unchanged(self):
+        result = run_effcap_ablation()
+        assert (
+            result.aware_feasible,
+            result.blind_feasible,
+            result.blind_underprovision_intervals,
+        ) == (True, True, 4)
+
+    def test_blind_planner_moves_later(self):
+        config = default_config().with_interval(60.0)
+        q = config.q
+        load = [q * 1.9] * 14 + [q * 2.9] * 10
+        aware = Planner(config).plan(load, 2).first_real_move
+        blind = _EffCapBlindPlanner(config).plan(load, 2).first_real_move
+        assert (aware.start, aware.end, aware.before, aware.after) == (10, 15, 2, 3)
+        assert (blind.start, blind.end, blind.before, blind.after) == (14, 19, 2, 3)
