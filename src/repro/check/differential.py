@@ -1,17 +1,20 @@
 """Differential runner: engines that must agree, compared under load.
 
-The reproduction has three execution paths that model the same system:
+The pairs compared:
 
-* the row-level :class:`~repro.hstore.engine.TransactionExecutor`,
-* the analytic :class:`~repro.hstore.engine.QueueingEngine`,
-* the vectorized :meth:`~repro.hstore.engine.QueueingEngine.step_block`
-  kernel :class:`~repro.sim.simulator.ElasticDbSimulator` steps with,
+* the row-level :class:`~repro.hstore.engine.TransactionExecutor` and
+  the analytic :class:`~repro.hstore.engine.QueueingEngine`, two models
+  of the same system;
+* a migrator's fluid-model data fractions and the bucket moves it
+  actually commits;
+* the cross-cell tensor batch engine and serial cells;
+* a killed-then-resumed serve run and an uninterrupted one.
 
-plus a migrator whose fluid-model data fractions must track the bucket
-moves it actually commits.  Each ``diff_*`` function runs one pair
-through the same workload and compares the results within a declared
-tolerance; :func:`run_suite` bundles them into the report behind
-``pstore check``.
+Each ``diff_*`` function runs one pair through the same workload and
+compares the results within a declared tolerance; :func:`run_suite`
+bundles them into the report behind ``pstore check``.  (The block
+kernel's bit-identity to a per-second scalar loop is a tier-1 test over
+the oracle in ``tests/engine_oracle.py``.)
 
 Fairness notes (why the tolerances can be tight):
 
@@ -22,8 +25,8 @@ Fairness notes (why the tolerances can be tight):
   throughput is compared, but saturated latency is not — under overload
   both queues grow without bound and the instantaneous latencies depend
   on horizon length, not on model agreement.
-* The fast path is documented (and tested elsewhere) as bit-identical
-  to the scalar loop, so its tolerance is exactly zero.
+* The tensor backend is documented as bit-identical to serial cells,
+  so its tolerance is exactly zero.
 * Migration accounting is compared at round commits, where the fluid
   fractions describe whole committed transfers; the gap to the bucket
   map is then pure bucket granularity plus plan imbalance.
@@ -41,18 +44,16 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..config import default_config
-from ..elasticity.manual import ManualStrategy
 from ..errors import InvariantViolation, SimulationError
 from ..hstore import Cluster, Column, Schema, Table
 from ..hstore.engine import QueueingEngine, TransactionExecutor
 from ..hstore.txn import StoredProcedure, Transaction, TxnContext
-from ..sim.simulator import ElasticDbSimulator
 from ..squall.migrator import ClusterMigrator
 from ..telemetry import get_telemetry
 from . import invariants
 
-#: Fast path vs. scalar loop must match bit for bit.
-FAST_PATH_TOL = 0.0
+#: Tensor batch vs. serial cells must match bit for bit.
+BIT_IDENTICAL_TOL = 0.0
 #: Relative throughput tolerance below saturation (both engines should
 #: complete essentially everything that is offered).
 THROUGHPUT_SUB_TOL = 0.05
@@ -141,64 +142,6 @@ def _record_violation(checks: List[DiffCheck], name: str, error: Exception) -> N
 
 
 # ----------------------------------------------------------------------
-# Fast path vs. scalar loop
-# ----------------------------------------------------------------------
-
-
-def _sinusoid(n: int, base: float = 500.0, amp: float = 300.0, seed: int = 0) -> np.ndarray:
-    t = np.arange(n)
-    rng = np.random.default_rng(seed)
-    wave = base + amp * np.sin(2 * np.pi * t / max(n, 1))
-    return np.maximum(0.0, wave + rng.normal(0.0, 25.0, n))
-
-
-def diff_fast_path(
-    seconds: int = 900, seed: int = 11, perturb: bool = False
-) -> CheckReport:
-    """Run one trace through the simulator twice — vectorized fast path
-    and scalar per-second loop — and compare every output series.
-
-    The fast path's contract is *bit-identical* results, so the
-    tolerance is exactly zero.  ``perturb`` deliberately corrupts one
-    fast-path output entry to prove the comparison has teeth.
-    """
-    config = default_config().with_interval(60.0)
-    offered = _sinusoid(seconds, seed=seed)
-    strategy_actions = [(2, 5), (10, 3)]
-
-    def _run(fast_path: bool):
-        sim = ElasticDbSimulator(
-            config=config,
-            max_machines=8,
-            initial_machines=3,
-            seed=seed,
-            fast_path=fast_path,
-        )
-        return sim.run(offered, ManualStrategy(strategy_actions))
-
-    fast = _run(True)
-    scalar = _run(False)
-    if perturb:
-        # Inject a one-tick divergence into the fast-path output.
-        fast.completed_tps[seconds // 2] += 0.1
-
-    checks: List[DiffCheck] = []
-    series = [
-        ("machines", fast.machines, scalar.machines),
-        ("migrating", fast.migrating.astype(float), scalar.migrating.astype(float)),
-        ("completed_tps", fast.completed_tps, scalar.completed_tps),
-    ]
-    for q in (50.0, 95.0, 99.0):
-        series.append(
-            (f"p{int(q)}_ms", fast.latency.series(q), scalar.latency.series(q))
-        )
-    for label, a, b in series:
-        delta = float(np.max(np.abs(a - b))) if a.size else 0.0
-        _record(checks, f"fast-path.{label}", delta, FAST_PATH_TOL)
-    return CheckReport(checks)
-
-
-# ----------------------------------------------------------------------
 # Transaction engine vs. queueing engine
 # ----------------------------------------------------------------------
 
@@ -282,16 +225,8 @@ def _run_queueing(
         hot_episode_rate=0.0,
         samples_per_tick=512,
     )
-    ticks = int(duration)
-    completed = np.empty(ticks)
-    p50 = np.empty(ticks)
-    p95 = np.empty(ticks)
-    for i in range(ticks):
-        stats = engine.step(1.0, rate, shares)
-        completed[i] = stats.completed_tps
-        p50[i] = stats.p50_ms
-        p95[i] = stats.p95_ms
-    return completed, p50, p95
+    block = engine.step_block(1.0, np.full(int(duration), rate), shares)
+    return block.completed_tps, block.p50_ms, block.p95_ms
 
 
 def diff_engines(
@@ -527,7 +462,7 @@ def diff_tensor(perturb: bool = False) -> CheckReport:
             checks,
             f"tensor.{spec.label}",
             delta,
-            FAST_PATH_TOL,
+            BIT_IDENTICAL_TOL,
             f"{cell.batched_ticks} batched + {cell.scalar_ticks} scalar "
             f"ticks, {cell.evictions} evictions",
         )
@@ -654,24 +589,18 @@ def diff_serve_resume(perturb: bool = False) -> CheckReport:
 # Suite
 # ----------------------------------------------------------------------
 
-SUITES = ("fast-path", "engines", "migration", "tensor", "serve-resume")
-INJECTIONS = (
-    "drop-bucket",
-    "perturb-fast-path",
-    "perturb-tensor",
-    "perturb-serve-resume",
-)
+SUITES = ("engines", "migration", "tensor", "serve-resume")
+INJECTIONS = ("drop-bucket", "perturb-tensor", "perturb-serve-resume")
 
 
 def run_suite(
     suites: Sequence[str] = SUITES,
-    seconds: int = 900,
     inject: Optional[str] = None,
 ) -> CheckReport:
     """Run the selected differential suites and merge their reports.
 
-    ``inject`` deliberately corrupts one path (``drop-bucket`` or
-    ``perturb-fast-path``) so callers can verify the harness catches it.
+    ``inject`` deliberately corrupts one path (one of
+    :data:`INJECTIONS`) so callers can verify the harness catches it.
     """
     unknown = set(suites) - set(SUITES)
     if unknown:
@@ -679,10 +608,6 @@ def run_suite(
     if inject is not None and inject not in INJECTIONS:
         raise SimulationError(f"unknown injection {inject!r}; use {INJECTIONS}")
     report = CheckReport([])
-    if "fast-path" in suites:
-        report.extend(
-            diff_fast_path(seconds=seconds, perturb=inject == "perturb-fast-path")
-        )
     if "engines" in suites:
         report.extend(diff_engines())
     if "migration" in suites:

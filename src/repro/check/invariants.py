@@ -183,7 +183,7 @@ def check_time_accounting(
     advanced: float, expected: float, where: str, tol: float = 1e-6
 ) -> None:
     """Simulated clocks advance by exactly the driven duration (catches
-    a fast-path block dropping or double-counting ticks)."""
+    an engine block dropping or double-counting ticks)."""
     if abs(advanced - expected) > tol * max(1.0, abs(expected)):
         violated(
             "sim.time-accounting",

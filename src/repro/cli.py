@@ -67,6 +67,7 @@ import numpy as np
 
 from . import PStoreConfig, api, default_config
 from .analysis import ascii_table, series_block, splice_report
+from .check import differential
 from .config import parse_set_overrides
 from .core import Planner
 from .errors import InfeasiblePlanError, PStoreError
@@ -277,25 +278,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: expensive)",
     )
     check.add_argument(
-        "--suite", action="append",
-        choices=("fast-path", "engines", "migration", "tensor",
-                 "serve-resume"),
+        "--suite", action="append", choices=differential.SUITES,
         default=None, metavar="NAME",
         help="differential suite(s) to run (repeatable; default: all)",
-    )
-    check.add_argument(
-        "--seconds", type=int, default=900,
-        help="trace length for the fast-path differential",
     )
     check.add_argument(
         "--skip-lint", action="store_true",
         help="skip the AST lint over the repro package",
     )
     check.add_argument(
-        "--inject",
-        choices=("drop-bucket", "perturb-fast-path", "perturb-tensor",
-                 "perturb-serve-resume"),
-        default=None,
+        "--inject", choices=differential.INJECTIONS, default=None,
         help="deliberately corrupt one path to verify the harness "
         "catches it (the command must then exit nonzero)",
     )
@@ -735,7 +727,7 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .check import check_scope, differential
+    from .check import check_scope
     from .check import lint as lint_mod
 
     failures = 0
@@ -751,9 +743,7 @@ def _cmd_check(args) -> int:
     suites = args.suite or list(differential.SUITES)
     logger.info("running differential suites %s at level %s", suites, args.level)
     with check_scope(args.level):
-        report = differential.run_suite(
-            suites=suites, seconds=args.seconds, inject=args.inject
-        )
+        report = differential.run_suite(suites=suites, inject=args.inject)
     print(report.describe())
     failures += len(report.failures)
     if failures:

@@ -168,10 +168,11 @@ class MigrationInterference:
         ``(ticks, partitions)``."""
         return cls(np.zeros(shape), np.zeros(shape))
 
-    def row(self, tick: int) -> "MigrationInterference":
-        """One tick of a block's ``(ticks, partitions)`` rows."""
+    def take(self, ticks) -> "MigrationInterference":
+        """Rows ``ticks`` (one index, or a boolean mask) of a block's
+        ``(ticks, partitions)`` arrays."""
         return MigrationInterference(
-            self.busy_fraction[tick], self.stall_seconds[tick]
+            self.busy_fraction[ticks], self.stall_seconds[ticks]
         )
 
     @classmethod
@@ -211,9 +212,10 @@ class TickStats:
 class BlockStats:
     """Per-tick series of one vectorized :meth:`QueueingEngine.step_block`.
 
-    Entry ``i`` of every array equals the :class:`TickStats` field the
-    scalar :meth:`QueueingEngine.step` would have reported for that tick
-    — the block kernel is bit-identical to the per-second loop.
+    Entry ``i`` of every array is the :class:`TickStats` field of tick
+    ``i`` — the same however the ticks are split into blocks, and the
+    same as a per-tick scalar loop would report (the one in
+    ``tests/engine_oracle.py``).
     """
 
     times: np.ndarray
@@ -296,9 +298,10 @@ class QueueingEngine:
     hot-episode Bernoulli checks, episode details, the lognormal wobble,
     latency-sample uniforms, and latency-sample exponentials.  Because
     each stream is consumed in a fixed per-tick layout, a batched draw of
-    ``T`` ticks reads every stream exactly as ``T`` scalar ticks would —
-    which is what makes :meth:`step_block` bit-identical to the scalar
-    :meth:`step` loop.
+    ``T`` ticks reads every stream exactly as ``T`` one-tick draws would
+    — which is what makes :meth:`step_block` bit-identical under any
+    split of the ticks into blocks, :meth:`step`'s blocks of one
+    included.
 
     Transient skew is *key-based*, as in the real workload: during a
     "hot key" episode one partition receives an extra fraction of the
@@ -390,23 +393,6 @@ class QueueingEngine:
             extra = self._detail_rng.uniform(*self.hot_extra_range)
         return victim, duration, extra
 
-    def _advance_skew(self, dt: float):
-        """Update hot-key episodes; returns (wobble, extra_fractions).
-
-        ``wobble`` multiplies each partition's base share; ``extra``
-        is the fraction of *total* load diverted to each hot partition.
-        """
-        n = self.n_partitions
-        self._hot_remaining = np.maximum(0.0, self._hot_remaining - dt)
-        self._hot_extra[self._hot_remaining <= 0.0] = 0.0
-        # New episode?  Poisson with the configured rate per partition.
-        if self._episode_rng.random() < self.hot_episode_rate * n * dt:
-            victim, duration, extra = self._episode_details()
-            self._hot_remaining[victim] = duration
-            self._hot_extra[victim] = extra
-        wobble = np.exp(self._wobble_rng.normal(0.0, self.skew_sigma, n))
-        return wobble, self._hot_extra.copy()
-
     def step(
         self,
         dt: float,
@@ -415,7 +401,8 @@ class QueueingEngine:
         interference: Optional[MigrationInterference] = None,
         capacity_multipliers: Optional[np.ndarray] = None,
     ) -> TickStats:
-        """Advance one tick of length ``dt`` seconds.
+        """Advance one tick of length ``dt`` seconds: a :meth:`step_block`
+        of one tick, validated the same way.
 
         ``shares`` is the per-partition fraction of the offered load
         (length ``n_partitions``; it is normalised internally so callers
@@ -423,83 +410,19 @@ class QueueingEngine:
         each partition's service rate (straggler injection); None means
         every partition runs at full speed.
         """
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        if offered_tps < 0:
-            raise SimulationError("offered load cannot be negative")
-        shares = np.asarray(shares, dtype=float)
-        if shares.size != self.n_partitions:
-            raise SimulationError(
-                f"shares has {shares.size} entries for {self.n_partitions} partitions"
-            )
-        if np.any(shares < 0):
-            raise SimulationError("shares must be non-negative")
-        total_share = shares.sum()
-        if total_share <= 0:
-            raise SimulationError("at least one partition must receive load")
-        shares = shares / total_share
-        if interference is None:
-            interference = MigrationInterference.none(self.n_partitions)
-
-        wobble, extra = self._advance_skew(dt)
-        weighted = shares * wobble
-        weighted /= weighted.sum()
-        # Hot keys divert a fraction of *total* traffic to their
-        # partitions; the remainder follows the (wobbled) data shares.
-        total_extra = min(0.5, float(extra.sum()))
-        arrivals = offered_tps * (
-            weighted * (1.0 - total_extra) + extra
-        )                                                       # txn/s per partition
-        mu_eff = self.mu_partition * (1.0 - interference.busy_fraction)
-        if capacity_multipliers is not None:
-            caps = np.asarray(capacity_multipliers, dtype=float)
-            if caps.size != self.n_partitions:
-                raise SimulationError(
-                    f"capacity_multipliers has {caps.size} entries for "
-                    f"{self.n_partitions} partitions"
-                )
-            if np.any(caps <= 0):
-                raise SimulationError("capacity multipliers must be positive")
-            mu_eff = mu_eff * caps
-        mu_eff = np.maximum(mu_eff, 1e-6)
-
-        # Backlog dynamics: demand this tick is queued work plus arrivals;
-        # capacity is mu_eff * dt.
-        capacity = mu_eff * dt
-        demand = self._backlog + arrivals * dt
-        completed = np.minimum(demand, capacity)
-        new_backlog = demand - completed
-        backlog_mid = 0.5 * (self._backlog + new_backlog)
-        self._backlog = new_backlog
-        self._time += dt
-        if invariants.enabled(invariants.CHEAP):
-            invariants.check_nonnegative_backlog(
-                new_backlog, "QueueingEngine.step", time=self._time
-            )
-
-        stats = self._sample_latencies(
-            arrivals, mu_eff, backlog_mid, completed, interference
+        block = self.step_block(
+            dt, [offered_tps], shares, interference, capacity_multipliers
         )
-        utilization = float(np.max(arrivals / mu_eff))
-        tick = TickStats(
-            time=self._time,
-            p50_ms=stats[0],
-            p95_ms=stats[1],
-            p99_ms=stats[2],
-            completed_tps=float(completed.sum() / dt),
-            offered_tps=offered_tps,
-            max_utilization=utilization,
-            backlog=float(new_backlog.sum()),
+        return TickStats(
+            time=float(block.times[0]),
+            p50_ms=float(block.p50_ms[0]),
+            p95_ms=float(block.p95_ms[0]),
+            p99_ms=float(block.p99_ms[0]),
+            completed_tps=float(block.completed_tps[0]),
+            offered_tps=float(block.offered_tps[0]),
+            max_utilization=float(block.max_utilization[0]),
+            backlog=float(block.backlog[0]),
         )
-        tel = self._telemetry
-        if tel.enabled:
-            metrics = tel.metrics
-            metrics.histogram("engine.tick_p50_ms").observe(tick.p50_ms)
-            metrics.histogram("engine.tick_p99_ms").observe(tick.p99_ms)
-            metrics.gauge("engine.backlog_txns").set(tick.backlog)
-            metrics.gauge("engine.max_utilization").set(tick.max_utilization)
-            metrics.counter("engine.completed_txns").inc(tick.completed_tps * dt)
-        return tick
 
     # ------------------------------------------------------------------
     # Vectorized block kernel
@@ -519,10 +442,11 @@ class QueueingEngine:
         ``capacity_multipliers`` hold one row per tick — shape
         ``(ticks, n_partitions)``; a single row is used for every tick —
         so a block may span a migration or a slowdown window.  It is
-        **bit-identical** to calling :meth:`step` once per tick with that
-        tick's row — arrivals, backlog dynamics, RNG consumption, and
-        latency percentiles all match exactly (enforced by test) — while
-        replacing the per-second Python work with numpy batch operations.
+        **bit-identical** to advancing the same ticks one at a time with
+        that tick's row — arrivals, backlog dynamics, RNG consumption, and
+        latency percentiles all match exactly (enforced by test against
+        the per-tick loop in ``tests/engine_oracle.py``) — while doing the
+        work as numpy batch operations.
 
         The kernel is staged: :meth:`_block_prep` advances skew and
         backlog (stateful), :meth:`_block_sample_draws` consumes the
@@ -536,21 +460,7 @@ class QueueingEngine:
         prep = self._block_prep(
             dt, offered_block, shares, interference, capacity_multipliers
         )
-        if np.all(prep.total_completed > 0.0):
-            self._scratch.reserve(prep.ticks, self.samples_per_tick)
-            self._block_sample_draws(self._scratch, 0, prep.ticks)
-            p50, p95, p99 = self._block_sample_math(
-                self._scratch,
-                prep.arrivals,
-                prep.mu_eff,
-                prep.backlog_mid,
-                prep.completed,
-                prep.total_completed,
-                prep.interference,
-            )
-        else:
-            p50, p95, p99 = self._block_fallback_samples(prep)
-        return self._block_finish(prep, p50, p95, p99)
+        return self._block_finish(prep, *self._block_samples(prep))
 
     def _rows(self, name: str, values, ticks: int) -> np.ndarray:
         """``values`` as a finite ``(ticks, n_partitions)`` float array;
@@ -577,7 +487,7 @@ class QueueingEngine:
         """Validate and advance skew + backlog for a block.
 
         Consumes the episode/detail/wobble RNG streams and mutates the
-        backlog exactly as ``ticks`` scalar :meth:`step` calls would.
+        backlog exactly as ``ticks`` one-tick blocks would.
         """
         if dt <= 0:
             raise SimulationError("dt must be positive")
@@ -641,7 +551,7 @@ class QueueingEngine:
         """Consume the sample RNG streams for ``ticks`` all-completed
         ticks into rows ``start:start + ticks`` of ``scratch``: one
         ``(T, 3, S)`` uniform batch and one ``(T, 2, S)`` exponential
-        batch, read exactly as ``T`` scalar ticks would."""
+        batch, read exactly as ``T`` one-tick draws would."""
         rows = slice(start, start + ticks)
         self._sample_u_rng.random(out=scratch.uniforms[rows])
         self._sample_e_rng.standard_exponential(out=scratch.exponentials[rows])
@@ -665,8 +575,8 @@ class QueueingEngine:
         gathers, and per-row sorted percentiles — so stacking the blocks
         of several engines along the tick axis yields bit-identical
         per-row results.  Per-partition terms are computed on the
-        ``(T, n)`` grid and gathered by flat index — the floats the
-        scalar path computes after its gather — into ``scratch``.  The
+        ``(T, n)`` grid and gathered by flat index into ``scratch`` —
+        the floats gathering first and computing after would give.  The
         stall term is skipped without ``interference`` (it would add
         ``+0.0`` to non-negative latencies), the overloaded arm when no
         partition of the block is backlogged (nothing would select it).
@@ -702,26 +612,37 @@ class QueueingEngine:
         np.multiply(latency, 1000.0, out=latency)
         return tuple(cls._percentiles_50_95_99(latency))
 
-    def _block_fallback_samples(self, prep: _BlockPrep):
-        """Per-tick sample replay for blocks with zero-completed ticks.
+    def _block_samples(self, prep: _BlockPrep):
+        """Latency percentiles ``(p50, p95, p99)`` of a prepared block.
 
-        A tick with nothing completed consumes no sample draws, so the
-        batched layout does not apply; replay tick by tick, each under
-        its own row of ``mu_eff`` and migration interference.
+        A tick with nothing completed consumes no sample draws and
+        reports 0 ms, so only the completed rows are drawn and sampled —
+        in tick order, the order per-tick draws would take.  A block
+        that completed work on every tick samples its own arrays.
         """
-        ticks = prep.ticks
+        done = prep.total_completed > 0.0
+        grids = (
+            prep.arrivals, prep.mu_eff, prep.backlog_mid, prep.completed,
+            prep.total_completed,
+        )
         rows = prep.interference
-        if rows is None:
-            rows = MigrationInterference.none(prep.arrivals.shape)
-        p50 = np.empty(ticks)
-        p95 = np.empty(ticks)
-        p99 = np.empty(ticks)
-        for i in range(ticks):
-            p50[i], p95[i], p99[i] = self._sample_latencies(
-                prep.arrivals[i], prep.mu_eff[i], prep.backlog_mid[i],
-                prep.completed[i], rows.row(i),
+        if done.all():
+            return self._sample_rows(grids, rows)
+        out = np.zeros((3, prep.ticks))
+        if done.any():
+            out[:, done] = self._sample_rows(
+                [grid[done] for grid in grids],
+                None if rows is None else rows.take(done),
             )
-        return p50, p95, p99
+        return out
+
+    def _sample_rows(self, grids, interference):
+        """Draw for ``len(grids[0])`` ticks into this engine's scratch and
+        run :meth:`_block_sample_math` over them."""
+        ticks = len(grids[0])
+        self._scratch.reserve(ticks, self.samples_per_tick)
+        self._block_sample_draws(self._scratch, 0, ticks)
+        return self._block_sample_math(self._scratch, *grids, interference)
 
     def _block_finish(
         self,
@@ -770,13 +691,14 @@ class QueueingEngine:
         )
 
     def _skew_block(self, ticks: int, dt: float):
-        """Batched :meth:`_advance_skew` over ``ticks`` ticks.
+        """Hot-key episodes and wobble over ``ticks`` ticks, batched.
 
         Episode-check uniforms and wobble normals are drawn in one batch
         per stream (bitstream-equivalent to per-tick draws); the sparse
         hot-episode state is replayed as segments.  Returns the per-tick
         ``(wobble, extra)`` matrices and leaves the hot-episode state
-        exactly where the scalar loop would.
+        exactly where a per-tick update (``advance_skew`` in
+        ``tests/engine_oracle.py``) would.
         """
         n = self.n_partitions
         u = self._episode_rng.random(ticks)
@@ -785,7 +707,7 @@ class QueueingEngine:
         p_new = self.hot_episode_rate * n * dt
 
         # partition -> (extra value, first tick, last tick exclusive,
-        # remaining seconds after the block).  The scalar loop decrements
+        # remaining seconds after the block).  The per-tick rule decrements
         # remaining by dt *before* using it, so an episode with remaining
         # r at entry stays hot for ceil(r) - 1 more ticks, and one
         # started at tick s with duration D for ceil(D) ticks from s.
@@ -827,8 +749,8 @@ class QueueingEngine:
 
         The fully-drained case (no entry backlog, every tick under
         capacity) is closed-form; otherwise the recursion runs tick by
-        tick with the exact per-tick expressions of :meth:`step`, which
-        keeps results bit-identical under float rounding.
+        tick with the exact expressions of a one-tick update, which keeps
+        results bit-identical under float rounding.
         """
         ticks, n = arrivals.shape
         capacity = mu_eff * dt
@@ -922,55 +844,3 @@ class QueueingEngine:
         high = gamma >= 0.5
         out[..., high] = (b - diff * (1.0 - gamma))[..., high]
         return np.moveaxis(out, -1, 0)
-
-    def _sample_latencies(
-        self,
-        arrivals: np.ndarray,
-        mu_eff: np.ndarray,
-        backlog_mid: np.ndarray,
-        completed: np.ndarray,
-        interference: MigrationInterference,
-    ):
-        """Monte-Carlo latency percentiles across the partition mixture.
-
-        Draw layout per tick (when any work completed): one ``(3, S)``
-        uniform batch — partition choice, stall hit, stall position — and
-        one ``(2, S)`` exponential batch — stationary, overloaded.  Ticks
-        with no completed work consume nothing.
-        """
-        total_completed = completed.sum()
-        if total_completed <= 0:
-            return 0.0, 0.0, 0.0
-        n_samples = self.samples_per_tick
-        uniforms = self._sample_u_rng.random((3, n_samples))
-        exponentials = self._sample_e_rng.standard_exponential((2, n_samples))
-
-        weights = completed / total_completed
-        cdf = np.cumsum(weights)
-        partitions = np.minimum(
-            np.searchsorted(cdf, uniforms[0] * cdf[-1], side="right"),
-            self.n_partitions - 1,
-        )
-        mu = mu_eff[partitions]
-        lam = arrivals[partitions]
-        backlog = backlog_mid[partitions]
-
-        # Stationary M/M/1 sojourn when under-loaded; backlog-dominated
-        # wait when the queue is growing.
-        headroom = np.maximum(mu - lam, 0.02 * mu)
-        stationary = exponentials[0] / headroom
-        overloaded = backlog / mu + exponentials[1] / mu
-        latency = np.where(backlog > 0.5, overloaded, stationary)
-
-        # Migration stalls: a txn arriving while its partition processes a
-        # chunk waits out the remainder of the chunk.
-        busy = interference.busy_fraction[partitions]
-        stall = interference.stall_seconds[partitions]
-        hit = uniforms[1] < busy
-        latency = latency + hit * uniforms[2] * stall
-
-        ms = latency * 1000.0
-        quantiles = self._percentiles_50_95_99(ms)
-        return (
-            float(quantiles[0]), float(quantiles[1]), float(quantiles[2])
-        )

@@ -21,12 +21,12 @@ ahead we look.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series, forecast_instrumentation, solve_ridge
+from .base import Predictor, solve_ridge
 
 
 class SparPredictor(Predictor):
@@ -75,9 +75,9 @@ class SparPredictor(Predictor):
         self.min_fit = self.min_history + period  # a target for every tau
         # The periodic term needs observed data: ``tau < period``.
         self.tau_max = period - 1
+        # (a, b) per tau, fitted for exactly the taus 1.._fitted_upto,
+        # and their dense stacks per horizon.
         self._coeffs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # Stacked (a, b) coefficient arrays per horizon, plus the largest
-        # horizon whose taus are all fitted (fast path for fit_horizon).
         self._stacked: Dict[int, Tuple[np.ndarray, List[np.ndarray]]] = {}
         self._fitted_upto = 0
 
@@ -100,35 +100,6 @@ class SparPredictor(Predictor):
         self._stacked = {}
         self._fitted_upto = 0
 
-    def _design(
-        self, series: np.ndarray, tau: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Build the regression design matrix for a fixed ``tau``.
-
-        Rows are anchored at "now" indices ``t``; the target is
-        ``series[t + tau]``.  Columns are the ``n`` periodic lags followed
-        by the ``m`` recent offsets.
-        """
-        t_len = series.size
-        n, m, period = self.n_periods, self.m_recent, self.period
-        # y(t + tau - k*T) must exist (index >= 0) and the offsets need
-        # y(t - j - k*T) >= 0; targets need t + tau < len.
-        t_min = max(n * period - tau, m + n * period)
-        t_max = t_len - tau - 1
-        if t_max < t_min:
-            raise PredictionError(
-                f"not enough training data for tau={tau}"
-            )
-        anchors = np.arange(t_min, t_max + 1)
-        periodic = series[
-            anchors[:, None] + tau - np.arange(1, n + 1) * period
-        ]
-        design = np.concatenate(
-            [periodic, self._offset_block(series, anchors)], axis=1
-        )
-        targets = series[anchors + tau]
-        return design, targets
-
     def _offset_block(
         self, series: np.ndarray, anchors: np.ndarray
     ) -> np.ndarray:
@@ -136,7 +107,7 @@ class SparPredictor(Predictor):
 
         The per-period mean is accumulated sequentially over ``k`` (not
         ``np.sum`` over a gathered axis) so the floating-point result is
-        bit-identical to the scalar reference loop for any ``n``.
+        bit-identical to a per-element loop for any ``n``.
         """
         n, m, period = self.n_periods, self.m_recent, self.period
         if not m:
@@ -148,61 +119,38 @@ class SparPredictor(Predictor):
         mean /= n
         return series[recent] - mean
 
-    def _fit_tau(self, tau: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Fit (and cache) coefficients for forecast offset ``tau``."""
+    def coefficients(self, tau: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The fitted ``(a_k, b_j)`` for offset ``tau`` (fitting every
+        offset up to ``tau`` if needed)."""
         self._require_fitted()
         self._check_tau(tau)
-        cached = self._coeffs.get(tau)
-        if cached is not None:
-            return cached
-        assert self._fit_series is not None
-        design, targets = self._design(self._fit_series, tau)
-        n_cols = design.shape[1]
-        # Ridge-regularised normal equations: (X'X + rI) w = X'y.
-        gram = design.T @ design + self.ridge * np.eye(n_cols)
-        rhs = design.T @ targets
-        weights = solve_ridge(gram, rhs)
-        a = weights[: self.n_periods]
-        b = weights[self.n_periods :]
-        self._coeffs[tau] = (a, b)
-        return a, b
-
-    def coefficients(self, tau: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The fitted ``(a_k, b_j)`` for offset ``tau`` (fitting if needed)."""
-        return self._fit_tau(tau)
+        self.fit_horizon(tau)
+        return self._coeffs[tau]
 
     def fit_horizon(self, horizon: int) -> None:
-        """Batch-fit every uncached ``tau`` in ``1..horizon`` at once.
+        """Fit every ``tau`` in ``1..horizon`` not fitted yet, at once.
 
-        The recent-offset columns depend only on the anchor index, not on
-        ``tau``, so the block is built once for the longest anchor range
-        and sliced per ``tau``; the per-``tau`` normal equations are then
-        solved as one stacked ``np.linalg.solve``.  Produces coefficients
-        bit-identical to calling :meth:`coefficients` per ``tau``.
+        Row ``t`` of the regression for one ``tau`` is anchored at "now"
+        index ``t`` with target ``series[t + tau]``; its columns are the
+        ``n`` periodic lags ``series[t + tau - k*T]`` followed by the
+        ``m`` recent offsets ``dy(t - j)``.  The offsets depend only on
+        the anchor, not on ``tau``, so their block is built once for the
+        longest anchor range and sliced per ``tau``; the per-``tau``
+        ridge-regularised normal equations ``(X'X + rI) w = X'y`` are
+        then solved as one stacked :func:`solve_ridge`.
         """
         self._require_fitted()
         if horizon <= self._fitted_upto:
             return
-        missing = []
-        for tau in range(1, horizon + 1):
-            self._check_tau(tau)
-            if tau not in self._coeffs:
-                missing.append(tau)
-        if not missing:
-            self._fitted_upto = max(self._fitted_upto, horizon)
-            return
+        self._check_tau(horizon)
+        missing = range(self._fitted_upto + 1, horizon + 1)
         assert self._fit_series is not None
         series = self._fit_series
-        t_len = series.size
         n, m, period = self.n_periods, self.m_recent, self.period
-        tau_lo = missing[0]
-        t_min = max(n * period - tau_lo, m + n * period)
-        t_max = t_len - tau_lo - 1
-        if t_max < t_min:
-            raise PredictionError(
-                f"not enough training data for tau={tau_lo}"
-            )
-        anchors = np.arange(t_min, t_max + 1)
+        # The offsets reach back m + n*T slots from the first anchor,
+        # further than any periodic lag (tau >= 1).
+        t_min = self.min_history
+        anchors = np.arange(t_min, series.size - missing[0])
         offset_block = self._offset_block(series, anchors)
         ks = np.arange(1, n + 1) * period
         n_cols = n + m
@@ -210,7 +158,7 @@ class SparPredictor(Predictor):
         grams = np.empty((len(missing), n_cols, n_cols))
         rhs = np.empty((len(missing), n_cols))
         for i, tau in enumerate(missing):
-            rows = t_len - tau - 1 - t_min + 1
+            rows = series.size - tau - t_min
             if rows < 1:
                 raise PredictionError(
                     f"not enough training data for tau={tau}"
@@ -225,7 +173,7 @@ class SparPredictor(Predictor):
         weights = solve_ridge(grams, rhs[:, :, None])[:, :, 0]
         for i, tau in enumerate(missing):
             self._coeffs[tau] = (weights[i, :n], weights[i, n:])
-        self._fitted_upto = max(self._fitted_upto, horizon)
+        self._fitted_upto = horizon
 
     # ------------------------------------------------------------------
     # Forecasting
@@ -256,7 +204,7 @@ class SparPredictor(Predictor):
         for k in range(n):
             out += coeff_a[:, k] * lags[:, k]
         if m:
-            # One BLAS dot per tau, matching the reference's
+            # One BLAS dot per tau, matching a per-tau Eq. 8 loop's
             # `b @ offsets` accumulation exactly (a single gemv could
             # round differently).
             out += np.fromiter(
@@ -279,41 +227,6 @@ class SparPredictor(Predictor):
             cached = (coeff_a, rows)
             self._stacked[horizon] = cached
         return cached
-
-    def predict_horizon_reference(
-        self, history: Sequence[float], horizon: int
-    ) -> np.ndarray:
-        """Scalar-loop transcription of Eq. 8, kept as a differential
-        oracle and as the baseline for the perf-regression benchmark."""
-        self._require_fitted()
-        if horizon < 1:
-            raise PredictionError(f"horizon must be >= 1 (got {horizon})")
-        arr = as_series(history)
-        if arr.size < self.min_history:
-            raise PredictionError(
-                f"history of {arr.size} slots is shorter than the minimum "
-                f"context of {self.min_history}"
-            )
-        with forecast_instrumentation("spar-reference", horizon):
-            t = arr.size - 1
-            n, m, period = self.n_periods, self.m_recent, self.period
-            offsets = np.empty(m)
-            for j in range(1, m + 1):
-                mean = sum(
-                    arr[t - j - k * period] for k in range(1, n + 1)
-                ) / n
-                offsets[j - 1] = arr[t - j] - mean
-            out = np.empty(horizon)
-            for tau in range(1, horizon + 1):
-                a, b = self._fit_tau(tau)
-                periodic = sum(
-                    a[k - 1] * arr[t + tau - k * period]
-                    for k in range(1, n + 1)
-                )
-                out[tau - 1] = (
-                    periodic + float(b @ offsets) if m else periodic
-                )
-            return np.clip(out, 0.0, None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

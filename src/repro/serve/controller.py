@@ -193,9 +193,12 @@ class OnlineController(Persisted):
     # ------------------------------------------------------------------
 
     def _new_strategy(self) -> PStoreStrategy:
-        return PStoreStrategy(
-            self.config, self.predictor, telemetry=self._telemetry
-        )
+        # The planner sizes for the pool this loop really has, so a flash
+        # crowd beyond it plans to the cap once, then holds at size.
+        config = self.config
+        if self.max_machines:
+            config = replace(config, max_machines=self.max_machines)
+        return PStoreStrategy(config, self.predictor, telemetry=self._telemetry)
 
     @property
     def migrating(self) -> bool:

@@ -168,13 +168,10 @@ class ElasticDbSimulator:
         drift is applied inside the strategy, so pass the same injector
         to :class:`~repro.elasticity.predictive.PStoreStrategy` when a
         scenario includes it.
-    fast_path:
-        advance the engine one planner interval at a time with the
-        vectorized :meth:`QueueingEngine.step_block` kernel, after the
-        control loop has run over the interval.  Results are
-        bit-identical to the scalar per-second loop (``fast_path=False``,
-        one :meth:`QueueingEngine.step` between each second's control
-        work); the flag exists for differential testing and benchmarking.
+
+    The engine advances one planner interval at a time with
+    :meth:`QueueingEngine.step_block`, after the control loop has run
+    over the interval (see :meth:`drive`).
     """
 
     def __init__(
@@ -187,7 +184,6 @@ class ElasticDbSimulator:
         engine_kwargs: Optional[dict] = None,
         telemetry=None,
         injector=None,
-        fast_path: bool = True,
     ):
         if not 1 <= initial_machines <= max_machines:
             raise SimulationError(
@@ -198,7 +194,6 @@ class ElasticDbSimulator:
         self.max_machines = max_machines
         self.initial_machines = initial_machines
         self.chunk_kb = chunk_kb
-        self.fast_path = fast_path
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
         self._injector = (
             injector
@@ -270,32 +265,19 @@ class ElasticDbSimulator:
         tick and ends before the next one, because closing an interval
         publishes the SLA violations of the seconds before it.  Returns
         the :class:`SimulationResult` via ``StopIteration.value``.
-
-        With ``fast_path=False`` nothing is yielded: every block is one
-        second long and answered here by the scalar engine step.
         """
         run = self._begin_run(offered_tps, strategy, history_seed_tps)
         n = run.offered.size
         engine_time_start = self.engine.time
         while run.t < n:
             start = run.t
-            if self.fast_path:
-                to_boundary = run.interval - (start + 1) % run.interval
-                block = yield self._control(run, min(n, start + to_boundary))
-            else:
-                tick = self._control(run, start + 1)
-                rows = tick.interference
-                block = self.engine.step(
-                    1.0, float(tick.offered[0]), tick.shares[0],
-                    None if rows is None else rows.row(0),
-                    None if tick.capacity is None else tick.capacity[0],
-                )
+            to_boundary = run.interval - (start + 1) % run.interval
+            block = yield self._control(run, min(n, start + to_boundary))
             self._record_block(run, start, block)
 
         if invariants.enabled(invariants.CHEAP):
             # Every tick must pass through the engine exactly once — a
-            # block dropping or double-counting ticks shows up here no
-            # matter which branch mix the run took.
+            # block dropping or double-counting ticks shows up here.
             invariants.check_time_accounting(
                 self.engine.time - engine_time_start, float(n),
                 "ElasticDbSimulator.run",
@@ -384,8 +366,8 @@ class ElasticDbSimulator:
         return shares
 
     def _record_block(self, run: _Run, start: int, stats) -> None:
-        """Store the engine's answer for ticks ``start`` to ``run.t``
-        (a :class:`BlockStats`, or the :class:`TickStats` of one)."""
+        """Store the engine's answer (a :class:`BlockStats`) for ticks
+        ``start`` to ``run.t``."""
         ticks = slice(start, run.t)
         run.out_completed[ticks] = stats.completed_tps
         run.p50[ticks] = stats.p50_ms

@@ -40,8 +40,8 @@ the numbers changes — only the batching of pure math:
 * cells are only fused when they share a ``(n_partitions,
   samples_per_tick)`` shape signature (a cell with no move in flight
   joins a group that has one on all-zero interference rows, which add
-  ``+0.0``), and blocks containing a zero-completed tick fall back to
-  the engine's own per-tick replay.
+  ``+0.0``), and a block containing a zero-completed tick is sampled
+  by its own engine, which draws for its completed rows only.
 
 The PR-4 differential harness pins this: ``pstore check --suite tensor``
 runs serial and tensor drivers side by side with zero tolerance.
@@ -296,13 +296,13 @@ class TensorBatchEngine:
             if np.all(prep.total_completed > 0.0):
                 fused.append((state, prep))
                 continue
-            # Zero-completed ticks consume no draws; the batched layout
-            # does not apply — the engine replays per tick.
+            # Zero-completed ticks consume no draws, so the rows of this
+            # block are not a full batch: the engine samples it alone.
             engine = state.program.simulator.engine
             started = self._clock() if self._clock is not None else None
             with state.scope():
                 state.block = engine._block_finish(
-                    prep, *engine._block_fallback_samples(prep)
+                    prep, *engine._block_samples(prep)
                 )
             if started is not None:
                 state.outcome.elapsed_seconds += self._clock() - started

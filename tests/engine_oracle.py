@@ -1,0 +1,241 @@
+"""The scalar per-second queueing engine and simulator loop, as oracles.
+
+``QueueingEngine.step_block`` advances a whole planner interval of ticks
+with batched RNG draws and array math, and ``QueueingEngine.step`` is a
+block of one.  The per-tick code they replaced lives here, unchanged but
+for ``self`` becoming an ``engine`` argument:
+
+* :func:`scalar_step` advances one tick of an engine's state with
+  per-tick skew updates (:func:`advance_skew`) and per-tick latency
+  sampling (:func:`sample_latencies`, a ``searchsorted`` categorical draw
+  and the engine's shared percentile kernel);
+* :func:`run_scalar` runs a simulator by answering every
+  :class:`~repro.sim.simulator.BlockRequest` of ``drive`` one tick at a
+  time with :func:`scalar_step`.
+
+The block kernel is bit-identical to both, which ``test_fast_path`` and
+``test_tensor`` assert field by field.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+import numpy as np
+
+from repro.check import invariants
+from repro.errors import SimulationError
+from repro.hstore.engine import (
+    BlockStats,
+    MigrationInterference,
+    QueueingEngine,
+    TickStats,
+)
+
+
+def advance_skew(engine: QueueingEngine, dt: float):
+    """Update hot-key episodes; returns (wobble, extra_fractions).
+
+    ``wobble`` multiplies each partition's base share; ``extra``
+    is the fraction of *total* load diverted to each hot partition.
+    """
+    n = engine.n_partitions
+    engine._hot_remaining = np.maximum(0.0, engine._hot_remaining - dt)
+    engine._hot_extra[engine._hot_remaining <= 0.0] = 0.0
+    # New episode?  Poisson with the configured rate per partition.
+    if engine._episode_rng.random() < engine.hot_episode_rate * n * dt:
+        victim, duration, extra = engine._episode_details()
+        engine._hot_remaining[victim] = duration
+        engine._hot_extra[victim] = extra
+    wobble = np.exp(engine._wobble_rng.normal(0.0, engine.skew_sigma, n))
+    return wobble, engine._hot_extra.copy()
+
+
+def scalar_step(
+    engine: QueueingEngine,
+    dt: float,
+    offered_tps: float,
+    shares: np.ndarray,
+    interference: Optional[MigrationInterference] = None,
+    capacity_multipliers: Optional[np.ndarray] = None,
+) -> TickStats:
+    """Advance one tick of length ``dt`` seconds.
+
+    ``shares`` is the per-partition fraction of the offered load
+    (length ``n_partitions``; it is normalised internally so callers
+    may pass raw data fractions).  ``capacity_multipliers`` scales
+    each partition's service rate (straggler injection); None means
+    every partition runs at full speed.
+    """
+    if dt <= 0:
+        raise SimulationError("dt must be positive")
+    if offered_tps < 0:
+        raise SimulationError("offered load cannot be negative")
+    shares = np.asarray(shares, dtype=float)
+    if shares.size != engine.n_partitions:
+        raise SimulationError(
+            f"shares has {shares.size} entries for {engine.n_partitions} partitions"
+        )
+    if np.any(shares < 0):
+        raise SimulationError("shares must be non-negative")
+    total_share = shares.sum()
+    if total_share <= 0:
+        raise SimulationError("at least one partition must receive load")
+    shares = shares / total_share
+    if interference is None:
+        interference = MigrationInterference.none(engine.n_partitions)
+
+    wobble, extra = advance_skew(engine, dt)
+    weighted = shares * wobble
+    weighted /= weighted.sum()
+    # Hot keys divert a fraction of *total* traffic to their
+    # partitions; the remainder follows the (wobbled) data shares.
+    total_extra = min(0.5, float(extra.sum()))
+    arrivals = offered_tps * (
+        weighted * (1.0 - total_extra) + extra
+    )                                                       # txn/s per partition
+    mu_eff = engine.mu_partition * (1.0 - interference.busy_fraction)
+    if capacity_multipliers is not None:
+        caps = np.asarray(capacity_multipliers, dtype=float)
+        if caps.size != engine.n_partitions:
+            raise SimulationError(
+                f"capacity_multipliers has {caps.size} entries for "
+                f"{engine.n_partitions} partitions"
+            )
+        if np.any(caps <= 0):
+            raise SimulationError("capacity multipliers must be positive")
+        mu_eff = mu_eff * caps
+    mu_eff = np.maximum(mu_eff, 1e-6)
+
+    # Backlog dynamics: demand this tick is queued work plus arrivals;
+    # capacity is mu_eff * dt.
+    capacity = mu_eff * dt
+    demand = engine._backlog + arrivals * dt
+    completed = np.minimum(demand, capacity)
+    new_backlog = demand - completed
+    backlog_mid = 0.5 * (engine._backlog + new_backlog)
+    engine._backlog = new_backlog
+    engine._time += dt
+    if invariants.enabled(invariants.CHEAP):
+        invariants.check_nonnegative_backlog(
+            new_backlog, "QueueingEngine.step", time=engine._time
+        )
+
+    stats = sample_latencies(
+        engine, arrivals, mu_eff, backlog_mid, completed, interference
+    )
+    utilization = float(np.max(arrivals / mu_eff))
+    tick = TickStats(
+        time=engine._time,
+        p50_ms=stats[0],
+        p95_ms=stats[1],
+        p99_ms=stats[2],
+        completed_tps=float(completed.sum() / dt),
+        offered_tps=offered_tps,
+        max_utilization=utilization,
+        backlog=float(new_backlog.sum()),
+    )
+    tel = engine._telemetry
+    if tel.enabled:
+        metrics = tel.metrics
+        metrics.histogram("engine.tick_p50_ms").observe(tick.p50_ms)
+        metrics.histogram("engine.tick_p99_ms").observe(tick.p99_ms)
+        metrics.gauge("engine.backlog_txns").set(tick.backlog)
+        metrics.gauge("engine.max_utilization").set(tick.max_utilization)
+        metrics.counter("engine.completed_txns").inc(tick.completed_tps * dt)
+    return tick
+
+
+def sample_latencies(
+    engine: QueueingEngine,
+    arrivals: np.ndarray,
+    mu_eff: np.ndarray,
+    backlog_mid: np.ndarray,
+    completed: np.ndarray,
+    interference: MigrationInterference,
+):
+    """Monte-Carlo latency percentiles across the partition mixture.
+
+    Draw layout per tick (when any work completed): one ``(3, S)``
+    uniform batch — partition choice, stall hit, stall position — and
+    one ``(2, S)`` exponential batch — stationary, overloaded.  Ticks
+    with no completed work consume nothing.
+    """
+    total_completed = completed.sum()
+    if total_completed <= 0:
+        return 0.0, 0.0, 0.0
+    n_samples = engine.samples_per_tick
+    uniforms = engine._sample_u_rng.random((3, n_samples))
+    exponentials = engine._sample_e_rng.standard_exponential((2, n_samples))
+
+    weights = completed / total_completed
+    cdf = np.cumsum(weights)
+    partitions = np.minimum(
+        np.searchsorted(cdf, uniforms[0] * cdf[-1], side="right"),
+        engine.n_partitions - 1,
+    )
+    mu = mu_eff[partitions]
+    lam = arrivals[partitions]
+    backlog = backlog_mid[partitions]
+
+    # Stationary M/M/1 sojourn when under-loaded; backlog-dominated
+    # wait when the queue is growing.
+    headroom = np.maximum(mu - lam, 0.02 * mu)
+    stationary = exponentials[0] / headroom
+    overloaded = backlog / mu + exponentials[1] / mu
+    latency = np.where(backlog > 0.5, overloaded, stationary)
+
+    # Migration stalls: a txn arriving while its partition processes a
+    # chunk waits out the remainder of the chunk.
+    busy = interference.busy_fraction[partitions]
+    stall = interference.stall_seconds[partitions]
+    hit = uniforms[1] < busy
+    latency = latency + hit * uniforms[2] * stall
+
+    ms = latency * 1000.0
+    quantiles = engine._percentiles_50_95_99(ms)
+    return (
+        float(quantiles[0]), float(quantiles[1]), float(quantiles[2])
+    )
+
+
+def scalar_block(engine: QueueingEngine, request) -> BlockStats:
+    """Answer one :class:`~repro.sim.simulator.BlockRequest` with one
+    :func:`scalar_step` per tick, each under its own rows."""
+    rows = request.interference
+    ticks = [
+        scalar_step(
+            engine, 1.0, float(request.offered[i]), request.shares[i],
+            None if rows is None else rows.take(i),
+            None if request.capacity is None else request.capacity[i],
+        )
+        for i in range(request.ticks)
+    ]
+    return BlockStats(
+        times=np.array([tick.time for tick in ticks]),
+        p50_ms=np.array([tick.p50_ms for tick in ticks]),
+        p95_ms=np.array([tick.p95_ms for tick in ticks]),
+        p99_ms=np.array([tick.p99_ms for tick in ticks]),
+        completed_tps=np.array([tick.completed_tps for tick in ticks]),
+        offered_tps=np.array([tick.offered_tps for tick in ticks]),
+        max_utilization=np.array([tick.max_utilization for tick in ticks]),
+        backlog=np.array([tick.backlog for tick in ticks]),
+    )
+
+
+def run_scalar(
+    sim,
+    offered_tps: Sequence[float],
+    strategy,
+    history_seed_tps: Sequence[float] = (),
+):
+    """``sim.run`` with every engine tick taken by :func:`scalar_step`:
+    a pump over ``sim.drive`` that answers each block tick by tick."""
+    gen = sim.drive(offered_tps, strategy, history_seed_tps)
+    block = None
+    while True:
+        try:
+            request = gen.send(block)
+        except StopIteration as stop:
+            return stop.value
+        block = scalar_block(sim.engine, request)

@@ -288,6 +288,32 @@ def loop_serve(tel):
     return "capacity.insufficient"
 
 
+def test_serve_cap_reaches_the_planner():
+    """A flash crowd beyond a ``pstore serve --max-machines 3`` pool:
+    one emergency decision that reaches the cap, then
+    ``infeasible-but-at-size`` every slot — not an emergency per slot
+    that the pool rule then drops."""
+    tel = Telemetry()
+    controller = OnlineController(
+        CFG, LastValuePredictor().fit([CFG.q]), initial_machines=2,
+        max_machines=3, telemetry=tel,
+    )
+    tps = _tps(CFG, CALM + CROWD)
+    for slot in range(tps.size):
+        controller.on_interval(slot, list(tps[: slot + 1]), (slot + 1) * 60.0)
+    decisions = tel.chronicle.by_kind("plan.decision")
+    emergencies = [d for d in decisions if d["emergency"]]
+    assert [(d["machines"], d["target_machines"]) for d in emergencies] == [
+        (2, 3)
+    ]
+    (start,) = tel.chronicle.by_kind("migration.start")
+    (complete,) = tel.chronicle.by_kind("migration.complete")
+    assert (start["before"], complete["after"]) == (2, 3)
+    after = [d["reason"] for d in decisions if d["time"] > complete["time"]]
+    assert after and set(after) == {"infeasible-but-at-size"}
+    assert controller.emergencies == 1
+
+
 @pytest.mark.parametrize(
     "loop", [loop_capacity_sim, loop_elastic_sim, loop_serve],
     ids=["capacity_sim", "elastic_sim", "serve"],

@@ -1,6 +1,7 @@
-"""Differential tests: the vectorized simulator fast path and the
-batched :meth:`QueueingEngine.step_block` kernel must be bit-identical
-to the scalar per-second loop — same RNG draws, same per-second outputs.
+"""Differential tests: the simulator's block stepping and the batched
+:meth:`QueueingEngine.step_block` kernel must be bit-identical to the
+scalar per-second loop in ``tests/engine_oracle.py`` — same RNG draws,
+same per-second outputs.
 """
 
 import dataclasses
@@ -27,18 +28,22 @@ from repro.hstore.engine import (
 )
 from repro.sim import ElasticDbSimulator
 
+from .engine_oracle import run_scalar, scalar_step
+
 CFG = default_config()  # 60 s planner interval
 
 
-def _run(offered, strategy, fast_path, injector=None, **kwargs):
+def _run(offered, strategy, blocks, injector=None, **kwargs):
+    """One simulator run: engine blocks (``blocks``) or the scalar
+    oracle answering each block tick by tick."""
     defaults = dict(
         config=CFG, max_machines=8, initial_machines=3, seed=11
     )
     defaults.update(kwargs)
-    sim = ElasticDbSimulator(
-        fast_path=fast_path, injector=injector, **defaults
-    )
-    return sim.run(offered, strategy)
+    sim = ElasticDbSimulator(injector=injector, **defaults)
+    if blocks:
+        return sim.run(offered, strategy)
+    return run_scalar(sim, offered, strategy)
 
 
 def _assert_identical(fast, scalar):
@@ -125,15 +130,16 @@ class TestFastPathEquality:
         _assert_identical(fast, scalar)
 
     def test_zero_load_stretch(self):
-        """Ticks with no completed work take the per-tick sampling
-        fallback inside step_block; equality must survive them."""
+        """Ticks with no completed work draw no samples, so step_block
+        samples only a block's completed rows; equality must survive
+        them."""
         offered = np.concatenate(
             [np.zeros(200), _sinusoid(400), np.zeros(150)]
         )
         fast = _run(offered, StaticStrategy(2), True, initial_machines=2)
         scalar = _run(offered, StaticStrategy(2), False, initial_machines=2)
         _assert_identical(fast, scalar)
-        # With a move in flight the replayed ticks must sample under
+        # With a move in flight the completed rows must sample under
         # their own interference and service-rate rows.
         strategy = lambda: ManualStrategy([(1, 5), (9, 3)])
         fast = _run(offered, strategy(), True)
@@ -173,6 +179,26 @@ class TestFastPathEquality:
         assert (steps > 0).any() and (steps < 0).any()
 
 
+    @pytest.mark.parametrize("series", ["completed_tps", "p99", "machines"])
+    def test_one_nudged_tick_fails_the_comparison(self, series):
+        """The comparison has teeth: the two runs agree, and moving one
+        tick of one series of the block run by one ulp breaks the
+        agreement."""
+        offered = _sinusoid(600)
+        strategy = lambda: ManualStrategy([(2, 5)])
+        blocks = _run(offered, strategy(), True)
+        scalar = _run(offered, strategy(), False)
+        _assert_identical(blocks, scalar)
+        nudged = {
+            "completed_tps": blocks.completed_tps,
+            "p99": blocks.latency.series(99.0),
+            "machines": blocks.machines,
+        }[series]
+        nudged[451] = np.nextafter(nudged[451], np.inf)
+        with pytest.raises(AssertionError):
+            _assert_identical(blocks, scalar)
+
+
 @pytest.fixture(scope="module")
 def fig09_day():
     return benchmark_setup(eval_days=1, seed=55)
@@ -188,7 +214,7 @@ class TestStepBlockKernel:
         shares = np.full(n_partitions, 1.0 / n_partitions)
 
         scalar = QueueingEngine(n_partitions=n_partitions, seed=21)
-        expected = [scalar.step(1.0, float(v), shares) for v in offered]
+        expected = [scalar_step(scalar, 1.0, float(v), shares) for v in offered]
 
         batched = QueueingEngine(n_partitions=n_partitions, seed=21)
         got = []
@@ -223,7 +249,7 @@ class TestStepBlockKernel:
         offered = np.full(120, 438.0 * 2 * 1.5)  # ~1.5x capacity
         shares = np.full(n_partitions, 1.0 / n_partitions)
         scalar = QueueingEngine(n_partitions=n_partitions, seed=2)
-        expected = [scalar.step(1.0, float(v), shares) for v in offered]
+        expected = [scalar_step(scalar, 1.0, float(v), shares) for v in offered]
         batched = QueueingEngine(n_partitions=n_partitions, seed=2)
         block = batched.step_block(1.0, offered, shares)
         assert np.all(block.backlog[-10:] > 0)
@@ -239,7 +265,7 @@ class TestStepBlockKernel:
         offered = _sinusoid(240, base=800.0, amp=400.0, seed=8)
         shares = np.full(n_partitions, 1.0 / n_partitions)
         scalar = QueueingEngine(n_partitions=n_partitions, seed=13)
-        expected = [scalar.step(1.0, float(v), shares) for v in offered]
+        expected = [scalar_step(scalar, 1.0, float(v), shares) for v in offered]
         mixed = QueueingEngine(n_partitions=n_partitions, seed=13)
         mixed.step_block(1.0, offered[:100], shares)
         for i in range(100, 240):
@@ -294,17 +320,22 @@ class TestStepBlockPerTickRows:
         # Entry backlog: an overloaded lead-in, itself one block.
         lead = np.full(4 if backlog else 0, 2.0 * capacity)
 
+        def tick_by_tick(step):
+            for v in lead:
+                step(1.0, float(v), np.ones(n))
+            return [
+                step(
+                    1.0, float(offered[i]), shares[i],
+                    MigrationInterference(busy[i], stall[i]),
+                    None if caps is None else caps[i],
+                )
+                for i in range(ticks)
+            ]
+
         scalar = QueueingEngine(**kwargs)
-        for v in lead:
-            scalar.step(1.0, float(v), np.ones(n))
-        expected = [
-            scalar.step(
-                1.0, float(offered[i]), shares[i],
-                MigrationInterference(busy[i], stall[i]),
-                None if caps is None else caps[i],
-            )
-            for i in range(ticks)
-        ]
+        expected = tick_by_tick(lambda *args: scalar_step(scalar, *args))
+        # QueueingEngine.step, a block of one, reports the oracle's ticks.
+        assert tick_by_tick(QueueingEngine(**kwargs).step) == expected
         for chunk in (1, 7, ticks):
             batched = QueueingEngine(**kwargs)
             if lead.size:
@@ -356,10 +387,48 @@ class TestStepBlockPerTickRows:
         # A rejected call leaves the engine where it was.
         fresh = QueueingEngine(n_partitions=4, seed=1)
         _rows_match(
-            [fresh.step(1.0, 100.0, np.ones(4)) for _ in range(3)],
+            [scalar_step(fresh, 1.0, 100.0, np.ones(4)) for _ in range(3)],
             engine.step_block(1.0, np.full(3, 100.0), np.ones(4)),
             0,
         )
+
+
+    # The same rejections through step, one row per argument.
+    @pytest.mark.parametrize(
+        "argument, row, message",
+        [
+            ("shares", np.ones(5), r"shares .*\(1, 4\).*\(5,\)"),
+            ("shares", np.zeros(4), "at least one partition"),
+            ("shares", np.array([1.0, -0.5, 1.0, 1.0]), "non-negative"),
+            ("shares", np.array([1.0, np.nan, 1.0, 1.0]), "shares .*finite"),
+            ("busy", np.full(4, -0.1), r"busy_fraction .*\[0, 1\)"),
+            ("busy", np.full(4, 1.0), r"busy_fraction .*\[0, 1\)"),
+            ("stall", np.full(4, np.inf), "stall_seconds .*finite"),
+            ("caps", np.array([1.0, 0.0, 1.0, 1.0]), "multipliers .*positive"),
+            ("caps", np.ones(3), r"capacity_multipliers .*\(1, 4\).*\(3,\)"),
+            ("caps", np.full(4, np.nan), "capacity_multipliers .*finite"),
+            ("offered", np.inf, "offered_block .*finite"),
+            ("offered", np.nan, "offered_block .*finite"),
+        ],
+    )
+    def test_malformed_rows_are_rejected_by_step(self, argument, row, message):
+        args = dict(
+            offered=100.0, shares=np.ones(4),
+            busy=np.zeros(4), stall=np.zeros(4), caps=None,
+        )
+        args[argument] = row
+        engine = QueueingEngine(n_partitions=4, seed=1)
+        with pytest.raises(SimulationError, match=message):
+            engine.step(
+                1.0, args["offered"], args["shares"],
+                MigrationInterference(args["busy"], args["stall"]),
+                args["caps"],
+            )
+        # A rejected call leaves the engine where it was.
+        fresh = QueueingEngine(n_partitions=4, seed=1)
+        assert [engine.step(1.0, 100.0, np.ones(4)) for _ in range(3)] == [
+            scalar_step(fresh, 1.0, 100.0, np.ones(4)) for _ in range(3)
+        ]
 
 
 class TestSamplingKernel:

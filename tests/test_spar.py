@@ -6,6 +6,8 @@ import pytest
 from repro.errors import NotFittedError, PredictionError
 from repro.prediction import SeasonalNaivePredictor, SparPredictor
 
+from . import zoo_oracles as oracle
+
 
 def periodic_series(periods=12, period=48, noise=0.0, seed=0):
     """A daily-style periodic signal with optional noise."""
@@ -154,11 +156,12 @@ class TestAccuracy:
 
 
 class TestVectorizedKernels:
-    """The numpy-gather kernels must be bit-identical to the scalar
-    reference loops (same design matrices, coefficients, forecasts)."""
+    """The batched fit and the gather forecast must be bit-identical to
+    the per-``tau`` fit and Eq. 8 loop in ``tests/zoo_oracles.py`` (same
+    design matrices, coefficients, forecasts)."""
 
     def _design_reference(self, spar, series, tau):
-        """The original per-element loop version of ``_design``."""
+        """The original per-element loop version of the design matrix."""
         t_len = series.size
         n, m, period = spar.n_periods, spar.m_recent, spar.period
         t_min = max(n * period - tau, m + n * period)
@@ -177,24 +180,43 @@ class TestVectorizedKernels:
         return np.column_stack(cols), series[anchors + tau]
 
     def test_design_matches_reference(self):
+        """The oracle's design matrix, over the product's offset block,
+        equals the per-element loop."""
         series = periodic_series(periods=9, period=96, noise=0.1, seed=3)
         spar = SparPredictor(period=96, n_periods=4, m_recent=12).fit(series)
         for tau in (1, 5, 40, 95):
-            fast = spar._design(spar._fit_series, tau)
+            fast = oracle.spar_design(spar, spar._fit_series, tau)
             ref = self._design_reference(spar, spar._fit_series, tau)
             assert np.array_equal(fast[0], ref[0]), tau
             assert np.array_equal(fast[1], ref[1]), tau
 
+    def _assert_coefficients_match(self, spar, horizon):
+        for tau in range(1, horizon + 1):
+            a_b, b_b = spar.coefficients(tau)
+            a_s, b_s = oracle.spar_fit_tau(spar, tau)
+            assert np.array_equal(a_b, a_s), tau
+            assert np.array_equal(b_b, b_s), tau
+
     def test_batch_fit_matches_per_tau_fit(self):
         series = periodic_series(periods=9, period=96, noise=0.1, seed=4)
         batch = SparPredictor(period=96, n_periods=4, m_recent=12).fit(series)
-        single = SparPredictor(period=96, n_periods=4, m_recent=12).fit(series)
         batch.fit_horizon(30)
-        for tau in range(1, 31):
-            a_b, b_b = batch.coefficients(tau)
-            a_s, b_s = single.coefficients(tau)
-            assert np.array_equal(a_b, a_s), tau
-            assert np.array_equal(b_b, b_s), tau
+        self._assert_coefficients_match(batch, 30)
+
+    def test_coefficients_fit_in_any_order(self):
+        """Asking for a far ``tau`` first, then nearer ones, then a
+        horizon past it gives the coefficients of one batched fit."""
+        series = periodic_series(periods=9, period=96, noise=0.1, seed=4)
+        spar = SparPredictor(period=96, n_periods=4, m_recent=12).fit(series)
+        first = [np.copy(c) for c in spar.coefficients(17)]
+        spar.coefficients(3)
+        spar.fit_horizon(30)
+        assert all(map(np.array_equal, spar.coefficients(17), first))
+        self._assert_coefficients_match(spar, 30)
+        with pytest.raises(PredictionError, match="tau must be >= 1"):
+            spar.coefficients(0)
+        with pytest.raises(PredictionError, match="tau must be < period"):
+            spar.coefficients(96)
 
     def test_predict_horizon_matches_reference(self):
         series = periodic_series(periods=10, period=96, noise=0.15, seed=5)
@@ -204,16 +226,37 @@ class TestVectorizedKernels:
         for horizon in (1, 12, 60):
             assert np.array_equal(
                 fast.predict_horizon(history, horizon),
-                ref.predict_horizon_reference(history, horizon),
+                oracle.spar_forecast(ref, history, horizon),
             ), horizon
 
     def test_predict_horizon_matches_reference_without_offsets(self):
         """m_recent=0 drops the offset term entirely."""
         series = periodic_series(periods=8, period=96, seed=6)
         fast = SparPredictor(period=96, n_periods=3, m_recent=0).fit(series)
-        ref = SparPredictor(period=96, n_periods=3, m_recent=0).fit(series)
         history = series[: 96 * 7 + 5]
         assert np.array_equal(
             fast.predict_horizon(history, 24),
-            ref.predict_horizon_reference(history, 24),
+            oracle.spar_forecast(fast, history, 24),
         )
+        self._assert_coefficients_match(fast, 24)
+        assert fast.coefficients(24)[1].shape == (0,)
+
+    def test_singular_fit_matches_reference(self):
+        """A lone mid-series spike (``TestDegenerateSeries``) leaves every
+        ``tau``'s normal equations singular, so the batched fit and the
+        per-``tau`` oracle both fall back to ``pinv`` — and agree."""
+        period = 24
+        spike = np.r_[np.zeros(5 * period), 1e6, np.zeros(5 * period - 1)]
+        spar = SparPredictor(period=period).fit(spike)
+        for tau in range(1, 7):
+            design, targets = oracle.spar_design(spar, spike, tau)
+            gram = design.T @ design + spar.ridge * np.eye(design.shape[1])
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(gram, design.T @ targets)
+        self._assert_coefficients_match(spar, 6)
+        noisy = periodic_series(periods=10, period=period, noise=0.1, seed=7)
+        for history in (spike, noisy):
+            assert np.array_equal(
+                spar.predict_horizon(history, 6),
+                oracle.spar_forecast(spar, history, 6),
+            )

@@ -22,6 +22,8 @@ from repro.sim.tensor import (
 )
 from repro.workload import memo
 
+from .engine_oracle import run_scalar
+
 CFG = default_config()
 
 
@@ -73,8 +75,8 @@ class TestTensorDifferential:
 
     def test_mixed_signatures_and_zero_load(self):
         """Cells with different engine shapes are grouped separately but
-        still finish correctly; a zero-load stretch takes the per-tick
-        sampling fallback inside the fused group."""
+        still finish correctly; a zero-load stretch leaves the fused
+        group for its own engine's sampling of the completed rows."""
         offered_a = _sinusoid(700)
         offered_b = np.concatenate([np.zeros(150), _sinusoid(400, seed=3)])
         make_a = lambda: ElasticDbSimulator(
@@ -137,19 +139,18 @@ class TestTensorChaos:
                 capacity_multiplier=0.5,
             ),
         ]
-        make = lambda **kwargs: ElasticDbSimulator(
+        make = lambda: ElasticDbSimulator(
             CFG,
             max_machines=8,
             initial_machines=3,
             seed=11,
             injector=FaultInjector(specs, seed=5),
-            **kwargs,
         )
         strategy = lambda: ManualStrategy([(2, 5), (12, 3)])
         want = make().run(offered, strategy())
         # The 3 -> 5 move starts at t=179 and would run to t=333.
         assert want.migrating[249] and not want.migrating[250]
-        _assert_identical(want, make(fast_path=False).run(offered, strategy()))
+        _assert_identical(want, run_scalar(make(), offered, strategy()))
         calm = ElasticDbSimulator(
             CFG, max_machines=8, initial_machines=3, seed=23
         )

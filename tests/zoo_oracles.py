@@ -1,4 +1,4 @@
-"""Scalar oracles for the zoo's vectorised GBT and mSSA kernels.
+"""Scalar oracles for the zoo's vectorised SPAR, GBT and mSSA kernels.
 
 ``repro.prediction.gbt`` and ``repro.prediction.mssa`` fit and forecast
 with numpy kernels (a screened split search, flattened trees, one
@@ -8,6 +8,11 @@ forecast recurrences sum with an explicit left-to-right loop instead of
 ``sum()``.  The two are the same operation on Python 3.9-3.11, but from
 3.12 on ``sum()`` of Python floats is compensated (Neumaier), so the loop
 is what pins the oracle to one rounding on every interpreter.
+
+``repro.prediction.spar`` fits every forecast offset ``tau`` in one
+stacked solve and forecasts with gathers; the per-``tau`` design matrix,
+fit and Eq. 8 loop it replaced are here too.  Their ``sum()`` calls add
+numpy scalars, not Python floats, so no interpreter compensates them.
 
 ``zoo_scale_series`` is the trace perfbench's ``capacity_zoo`` workload
 fits on: 14 steady training days and 2 evaluation days at 5-minute
@@ -21,6 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import PredictionError
+from repro.prediction.base import solve_ridge
 from repro.workload import b2w_like_trace
 
 #: capacity_zoo's scale: 5-minute slots, 14 + 2 days, peak ~1450 txn/s.
@@ -203,4 +210,64 @@ def mssa_forecast(coeffs: np.ndarray, arr: np.ndarray, horizon: int) -> np.ndarr
         out[step] = value
         buffer.append(value)
         buffer.pop(0)
+    return np.clip(out, 0.0, None)
+
+
+# ----------------------------------------------------------------------
+# SPAR (Eq. 8)
+# ----------------------------------------------------------------------
+
+
+def spar_design(model, series: np.ndarray, tau: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Build the regression design matrix for a fixed ``tau``.
+
+    Rows are anchored at "now" indices ``t``; the target is
+    ``series[t + tau]``.  Columns are the ``n`` periodic lags followed
+    by the ``m`` recent offsets.
+    """
+    t_len = series.size
+    n, m, period = model.n_periods, model.m_recent, model.period
+    # y(t + tau - k*T) must exist (index >= 0) and the offsets need
+    # y(t - j - k*T) >= 0; targets need t + tau < len.
+    t_min = max(n * period - tau, m + n * period)
+    t_max = t_len - tau - 1
+    if t_max < t_min:
+        raise PredictionError(f"not enough training data for tau={tau}")
+    anchors = np.arange(t_min, t_max + 1)
+    periodic = series[anchors[:, None] + tau - np.arange(1, n + 1) * period]
+    design = np.concatenate(
+        [periodic, model._offset_block(series, anchors)], axis=1
+    )
+    targets = series[anchors + tau]
+    return design, targets
+
+
+def spar_fit_tau(model, tau: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Fit the coefficients ``(a, b)`` for forecast offset ``tau`` alone
+    (nothing is cached on ``model``)."""
+    design, targets = spar_design(model, model._fit_series, tau)
+    n_cols = design.shape[1]
+    # Ridge-regularised normal equations: (X'X + rI) w = X'y.
+    gram = design.T @ design + model.ridge * np.eye(n_cols)
+    rhs = design.T @ targets
+    weights = solve_ridge(gram, rhs)
+    return weights[: model.n_periods], weights[model.n_periods :]
+
+
+def spar_forecast(model, history: Sequence[float], horizon: int) -> np.ndarray:
+    """Scalar-loop transcription of Eq. 8 over per-``tau`` fits."""
+    arr = np.asarray(history, dtype=float)
+    t = arr.size - 1
+    n, m, period = model.n_periods, model.m_recent, model.period
+    offsets = np.empty(m)
+    for j in range(1, m + 1):
+        mean = sum(arr[t - j - k * period] for k in range(1, n + 1)) / n
+        offsets[j - 1] = arr[t - j] - mean
+    out = np.empty(horizon)
+    for tau in range(1, horizon + 1):
+        a, b = spar_fit_tau(model, tau)
+        periodic = sum(
+            a[k - 1] * arr[t + tau - k * period] for k in range(1, n + 1)
+        )
+        out[tau - 1] = periodic + float(b @ offsets) if m else periodic
     return np.clip(out, 0.0, None)
