@@ -11,11 +11,11 @@ Run:  python examples/retail_elasticity.py
 
 from __future__ import annotations
 
-from repro.analysis import render_sla_table, series_block
+from repro.analysis import series_block
 from repro.elasticity import PStoreStrategy, ReactiveStrategy
 from repro.experiments import benchmark_setup
+from repro.experiments.tab02 import render_sla_table, sla_table
 from repro.sim import ElasticDbSimulator
-from repro.sim.metrics import sla_table
 
 
 def main() -> None:

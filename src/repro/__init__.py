@@ -27,8 +27,9 @@ Quick tour
   static, simple, manual);
 * :mod:`repro.sim` — the second-granularity DBMS simulator and the fast
   capacity simulator used for multi-month sweeps;
-* :mod:`repro.analysis` — SLA accounting, capacity-cost curves, tail
-  CDFs, report rendering;
+* :mod:`repro.analysis` — tail CDFs, queueing thresholds, the causal
+  attribution behind ``pstore explain``, report rendering (each
+  figure's arithmetic lives in its :mod:`repro.experiments` module);
 * :mod:`repro.telemetry` — metrics, spans, and the causal chronicle with
   JSONL/JSON exporters and an ASCII dashboard (off by default; see
   ``docs/OBSERVABILITY.md``);
@@ -45,7 +46,6 @@ Quick tour
 """
 
 from .config import (
-    FIGURE12_Q_FRACTIONS,
     FaultConfig,
     PStoreConfig,
     SINGLE_NODE_SATURATION_TPS,
@@ -115,7 +115,6 @@ __all__ = [
     "SeasonalNaivePredictor",
     "registered_predictors",
     "ConfigurationError",
-    "FIGURE12_Q_FRACTIONS",
     "FaultConfig",
     "FaultError",
     "FaultInjector",

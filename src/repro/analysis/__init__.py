@@ -1,20 +1,9 @@
-"""Result analysis: SLA accounting, capacity-cost curves, tail CDFs,
-and the plain-text report rendering behind ``pstore paper``."""
+"""Result analysis: tail CDFs, queueing thresholds, ``pstore explain``'s
+causal attribution, and the plain-text report rendering behind
+``pstore paper``.  Each figure's own arithmetic lives in its
+``repro.experiments`` module."""
 
-from .capacity import (
-    CapacityCostCurve,
-    SweepPoint,
-    normalize_curves,
-    pareto_frontier,
-    sweep_strategy,
-)
-from .cdf import (
-    EmpiricalCdf,
-    cdf_comparison,
-    dominates,
-    empirical_cdf,
-    top_tail_cdf,
-)
+from .cdf import EmpiricalCdf, empirical_cdf, top_tail_cdf
 from .queueing import (
     DerivedThresholds,
     derive_thresholds,
@@ -47,10 +36,6 @@ from .sla import (
     CAUSE_UNDER_FORECAST,
     attribute_violation,
     attribution_totals,
-    improvement_over,
-    render_sla_table,
-    total_violations,
-    violation_counts,
 )
 
 __all__ = [
@@ -59,7 +44,6 @@ __all__ = [
     "CAUSE_HEADROOM",
     "CAUSE_MIGRATION",
     "CAUSE_UNDER_FORECAST",
-    "CapacityCostCurve",
     "DerivedThresholds",
     "ExplainReport",
     "attribute_violation",
@@ -75,22 +59,12 @@ __all__ = [
     "sojourn_percentile",
     "utilization_for_sla",
     "EmpiricalCdf",
-    "SweepPoint",
     "ascii_table",
-    "cdf_comparison",
     "claim",
-    "dominates",
     "empirical_cdf",
-    "improvement_over",
-    "normalize_curves",
     "paper_vs_measured",
-    "pareto_frontier",
-    "render_sla_table",
     "series_block",
     "sparkline",
     "splice_report",
-    "sweep_strategy",
     "top_tail_cdf",
-    "total_violations",
-    "violation_counts",
 ]

@@ -2,13 +2,14 @@
 
 Figure 10 compares elasticity approaches "in terms of CDFs of the top 1%
 of 50th, 95th and 99th percentile latencies measured each second".
-Curves that are higher and further left are better.
+Curves that are higher and further left are better.  The figure's
+probe table is ``experiments.fig10``'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -46,41 +47,3 @@ def top_tail_cdf(
 ) -> EmpiricalCdf:
     """CDF of the worst ``fraction`` of a per-second percentile series."""
     return empirical_cdf(series.top_fraction(q, fraction))
-
-
-def cdf_comparison(
-    runs: Dict[str, PercentileSeries],
-    percentiles: Sequence[float] = (50.0, 95.0, 99.0),
-    fraction: float = 0.01,
-    probe_ms: Sequence[float] = (200.0, 400.0, 600.0),
-) -> Dict[float, List[Tuple[str, Dict[float, float]]]]:
-    """Tabulate P(latency <= probe) per run and percentile.
-
-    Returns, for each tracked percentile, a list of
-    ``(run name, {probe_ms: cumulative probability})`` — the rows the
-    Figure 10 bench prints.
-    """
-    out: Dict[float, List[Tuple[str, Dict[float, float]]]] = {}
-    for q in percentiles:
-        rows: List[Tuple[str, Dict[float, float]]] = []
-        for name, series in runs.items():
-            cdf = top_tail_cdf(series, q, fraction)
-            rows.append(
-                (name, {probe: cdf.probability_at(probe) for probe in probe_ms})
-            )
-        out[q] = rows
-    return out
-
-
-def dominates(better: EmpiricalCdf, worse: EmpiricalCdf, probes: int = 50) -> bool:
-    """True if ``better`` is (weakly) left of ``worse`` at every probe.
-
-    Used by tests to assert orderings like "P-Store's tail CDF dominates
-    the reactive baseline's".
-    """
-    lo = min(better.values[0], worse.values[0])
-    hi = max(better.values[-1], worse.values[-1])
-    grid = np.linspace(lo, hi, probes)
-    return all(
-        better.probability_at(x) >= worse.probability_at(x) - 1e-12 for x in grid
-    )

@@ -1,19 +1,15 @@
-"""SLA-violation accounting (Table 2 of the paper).
+"""Causal attribution of SLA violations (``pstore explain``).
 
 "We define SLA violations as the total number of seconds during the
 experiment in which the 50th, 95th, or 99th percentile latency exceeds
 500 ms, since that is the maximum delay that is unnoticeable by users."
+A run counts them itself (``SimulationResult.sla_violations``; Table 2
+in ``experiments.tab02``); this module sorts each one into a cause.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
-
-from ..errors import SimulationError
-from ..hstore.latency import PercentileSeries
-from ..sim.metrics import SlaRow
-from ..sim.simulator import SimulationResult
-from .report import ascii_table
+from typing import Dict, Iterable, Mapping
 
 #: Causal buckets ``pstore explain`` sorts violating intervals into.
 #: Each violation is attributed to exactly one.
@@ -64,53 +60,3 @@ def attribution_totals(records: Iterable[Mapping]) -> Dict[str, float]:
             record.get("seconds", 1) or 0
         )
     return totals
-
-
-def violation_counts(
-    series: PercentileSeries, threshold_ms: float = 500.0
-) -> Dict[float, int]:
-    """Seconds above the SLA for every tracked percentile."""
-    return series.violation_summary(threshold_ms)
-
-
-def total_violations(
-    series: PercentileSeries, threshold_ms: float = 500.0
-) -> int:
-    """Sum across tracked percentiles (the paper's headline "72% fewer
-    latency violations" compares these totals)."""
-    return sum(violation_counts(series, threshold_ms).values())
-
-
-def render_sla_table(rows: Sequence[SlaRow]) -> str:
-    """Format Table 2."""
-    return ascii_table(
-        [
-            "Elasticity Approach",
-            "50th %ile",
-            "95th %ile",
-            "99th %ile",
-            "Avg Machines",
-        ],
-        [
-            (
-                row.approach,
-                row.violations_p50,
-                row.violations_p95,
-                row.violations_p99,
-                round(row.average_machines, 2),
-            )
-            for row in rows
-        ],
-        title="SLA violations (seconds over 500 ms) and machine usage",
-    )
-
-
-def improvement_over(
-    baseline: SimulationResult, improved: SimulationResult
-) -> float:
-    """Percentage reduction in total SLA violations of one run vs another."""
-    base = sum(baseline.sla_violations().values())
-    if base == 0:
-        raise SimulationError("baseline run has no violations to improve on")
-    new = sum(improved.sla_violations().values())
-    return 100.0 * (base - new) / base

@@ -415,8 +415,3 @@ def parse_set_overrides(pairs) -> dict:
             )
         overrides[key.strip()] = parse_override_value(value.strip())
     return overrides
-
-
-#: Fractions of the saturation throughput swept in Figure 12.  Each value
-#: of Q yields one point on a strategy's capacity-cost curve.
-FIGURE12_Q_FRACTIONS = (0.35, 0.45, 0.55, 0.65, 0.75)

@@ -70,22 +70,18 @@ def run_figure9(
     eval_days: int = 3,
     seed: int = 21,
     setup: Optional[BenchmarkSetup] = None,
-    approaches: Optional[Dict[str, bool]] = None,
 ) -> Figure9Result:
     """Run the Figure 9 comparison.
 
     ``eval_days`` can be reduced for quick runs (the paper uses 3).
-    ``approaches`` optionally restricts which runs execute, keyed by
-    "static-10" / "static-4" / "reactive" / "p-store".
     """
     setup = setup or benchmark_setup(eval_days=eval_days, seed=seed)
-    wanted = approaches or {name: True for name, _, _ in APPROACH_SPECS}
-    runs: Dict[str, SimulationResult] = {}
-    for name, spec_text, initial in APPROACH_SPECS:
-        if wanted.get(name):
-            runs[name] = run_approach(
-                StrategySpec.parse(spec_text), setup, initial_machines=initial
-            )
+    runs = {
+        name: run_approach(
+            StrategySpec.parse(spec_text), setup, initial_machines=initial
+        )
+        for name, spec_text, initial in APPROACH_SPECS
+    }
     return Figure9Result(runs=runs, setup=setup)
 
 
@@ -197,9 +193,7 @@ def tensor_cell(spec, config):
 
 def summarize(result: Figure9Result) -> str:
     return "\n".join(
-        result.runs[name].summary()
-        for name, _, _ in APPROACH_SPECS
-        if name in result.runs
+        result.runs[name].summary() for name, _, _ in APPROACH_SPECS
     )
 
 

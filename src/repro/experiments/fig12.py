@@ -22,9 +22,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.capacity import CapacityCostCurve, SweepPoint
 from ..analysis.report import claim
-from ..config import PStoreConfig, default_config
+from ..config import SINGLE_NODE_SATURATION_TPS, PStoreConfig, default_config
 from ..elasticity import (
     PStoreStrategy,
     ReactiveStrategy,
@@ -46,8 +45,6 @@ DEFAULT_Q_FRACTIONS = (0.45, 0.55, 0.65, 0.75)
 
 #: Static cluster sizes plotted as points in Fig. 12.
 STATIC_SIZES = (4, 6, 8, 10)
-
-SATURATION_TPS = 438.0
 
 
 @dataclass
@@ -117,29 +114,39 @@ def season_setup(
     )
 
 
+@dataclass(frozen=True)
+class CurvePoint:
+    """One simulated point of the figure: a (family, Q) cell or a static
+    size."""
+
+    label: str                        # the family, or "static-4" for a size
+    q_fraction: float                 # NaN for a static size
+    cost_machine_slots: float
+    pct_time_insufficient: float
+
+
 @dataclass
 class Figure12Result:
     """Capacity-cost curves and the normalisation baseline."""
 
-    curves: Dict[str, CapacityCostCurve]
+    #: family -> its points in grid order (the static sizes share one).
+    curves: Dict[str, List[CurvePoint]]
     baseline_cost: float              # default P-Store SPAR run (cost = 1.0)
     setup: SeasonSetup
 
     def normalized_points(self) -> List[dict]:
-        rows = []
-        for name, curve in self.curves.items():
-            for point in curve.points:
-                rows.append(
-                    {
-                        "strategy": name,
-                        "point": point.strategy,   # "static-4" for a size
-                        "q_fraction": point.q_fraction,
-                        "normalized_cost": point.cost_machine_slots
-                        / self.baseline_cost,
-                        "pct_insufficient": point.pct_time_insufficient,
-                    }
-                )
-        return rows
+        """The plotted points: each cost relative to the baseline."""
+        return [
+            {
+                "strategy": name,
+                "point": point.label,
+                "q_fraction": point.q_fraction,
+                "normalized_cost": point.cost_machine_slots / self.baseline_cost,
+                "pct_insufficient": point.pct_time_insufficient,
+            }
+            for name, points in self.curves.items()
+            for point in points
+        ]
 
 
 #: Simple-strategy clock: scale out at 05:00, back in at 23:30.
@@ -229,7 +236,7 @@ def _run_point(setup: SeasonSetup, spec):
         cfg, strategy = setup.config, StaticStrategy(initial)
     elif family in _FAMILIES:
         cfg = setup.config.with_q(min(
-            float(spec.option("q_fraction")) * SATURATION_TPS,
+            float(spec.option("q_fraction")) * SINGLE_NODE_SATURATION_TPS,
             setup.config.q_hat,
         ))
         strategy = _FAMILIES[family](setup, cfg)
@@ -253,7 +260,6 @@ def run_figure12(
     seed: int = 7,
     q_fractions: Sequence[float] = DEFAULT_Q_FRACTIONS,
     setup: Optional[SeasonSetup] = None,
-    include_oracle: bool = True,
 ) -> Figure12Result:
     """Sweep every allocation strategy over Q (Fig. 12): the cells of
     :func:`grid`, folded into one curve per family (the static sizes
@@ -264,22 +270,15 @@ def run_figure12(
     """
     setup = setup or season_setup(n_days=n_days, seed=seed)
 
-    curves: Dict[str, CapacityCostCurve] = {}
+    curves: Dict[str, List[CurvePoint]] = {}
     for spec in grid(n_days, seed, q_fractions):
         family = str(spec.option("family"))
-        if family == "p-store-oracle" and not include_oracle:
-            continue
-        result, config = _run_point(setup, spec)
-        curve = curves.setdefault(
-            family, CapacityCostCurve(strategy=family, points=[])
-        )
-        curve.points.append(
-            SweepPoint(
-                strategy=spec.cell if family == "static" else family,
+        result, _ = _run_point(setup, spec)
+        curves.setdefault(family, []).append(
+            CurvePoint(
+                label=spec.cell if family == "static" else family,
                 q_fraction=float(spec.option("q_fraction", float("nan"))),
-                q=config.q,
                 cost_machine_slots=result.cost_machine_slots,
-                average_machines=result.average_machines,
                 pct_time_insufficient=result.pct_time_insufficient,
             )
         )
@@ -287,8 +286,7 @@ def run_figure12(
     # Baseline: P-Store SPAR at the default Q (0.65 of saturation).
     default_fraction = min(q_fractions, key=lambda f: abs(f - 0.65))
     baseline = next(
-        p for p in curves["p-store-spar"].points
-        if p.q_fraction == default_fraction
+        p for p in curves["p-store-spar"] if p.q_fraction == default_fraction
     )
     return Figure12Result(
         curves=curves,

@@ -11,12 +11,65 @@ P-Store causes roughly a third of the reactive approach's violations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from ..analysis.report import claim
-from ..sim.metrics import SlaRow, sla_table
+from ..analysis.report import ascii_table, claim
+from ..sim import SimulationResult
 # ``grid`` is fig09's: the cells are shared, and cached under its name.
-from .fig09 import STATIC10_NOTE, Figure9Result, grid, run_figure9  # noqa: F401
+from .fig09 import APPROACH_SPECS, STATIC10_NOTE, Figure9Result, grid, run_figure9  # noqa: F401
+
+
+@dataclass(frozen=True)
+class SlaRow:
+    """One row of Table 2."""
+
+    approach: str
+    violations_p50: int
+    violations_p95: int
+    violations_p99: int
+    average_machines: float
+
+
+def sla_table(results: Sequence[SimulationResult]) -> List[SlaRow]:
+    """Build Table 2 from a set of benchmark runs."""
+    rows = []
+    for result in results:
+        violations = result.sla_violations()
+        rows.append(
+            SlaRow(
+                approach=result.strategy_name,
+                violations_p50=violations.get(50.0, 0),
+                violations_p95=violations.get(95.0, 0),
+                violations_p99=violations.get(99.0, 0),
+                average_machines=result.average_machines,
+            )
+        )
+    return rows
+
+
+def render_sla_table(rows: Sequence[SlaRow]) -> str:
+    """Format Table 2."""
+    return ascii_table(
+        [
+            "Elasticity Approach",
+            "50th %ile",
+            "95th %ile",
+            "99th %ile",
+            "Avg Machines",
+        ],
+        [
+            (
+                row.approach,
+                row.violations_p50,
+                row.violations_p95,
+                row.violations_p99,
+                round(row.average_machines, 2),
+            )
+            for row in rows
+        ],
+        title="SLA violations (seconds over 500 ms) and machine usage",
+    )
+
 
 #: The paper's Table 2, for side-by-side reporting.
 PAPER_TABLE2 = (
@@ -59,8 +112,7 @@ def run_table2(
 ) -> Table2Result:
     """Compute Table 2 (reusing Figure 9 runs when supplied)."""
     figure9 = figure9 or run_figure9(eval_days=eval_days, seed=seed)
-    order = ["static-10", "static-4", "reactive", "p-store"]
-    results = [figure9.runs[name] for name in order if name in figure9.runs]
+    results = [figure9.runs[name] for name, _, _ in APPROACH_SPECS]
     return Table2Result(rows=sla_table(results), figure9=figure9)
 
 

@@ -7,24 +7,12 @@ from .capacity_sim import (
     CapacitySimulator,
     run_capacity_simulation,
 )
-from .metrics import (
-    CapacityCostPoint,
-    SlaRow,
-    capacity_cost_points,
-    relative_improvement,
-    sla_table,
-)
 from .simulator import ElasticDbSimulator, SimulationResult
 
 __all__ = [
-    "CapacityCostPoint",
     "CapacitySimResult",
     "CapacitySimulator",
     "ElasticDbSimulator",
     "SimulationResult",
-    "SlaRow",
-    "capacity_cost_points",
-    "relative_improvement",
     "run_capacity_simulation",
-    "sla_table",
 ]

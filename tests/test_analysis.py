@@ -1,31 +1,19 @@
-"""Tests for the analysis helpers: CDFs, capacity curves, reports, SLA."""
+"""Tests for the analysis helpers: CDFs, reports, and Table 2's text."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
     ascii_table,
-    cdf_comparison,
-    dominates,
     empirical_cdf,
-    normalize_curves,
     paper_vs_measured,
-    pareto_frontier,
-    render_sla_table,
     series_block,
     sparkline,
-    sweep_strategy,
     top_tail_cdf,
-    total_violations,
-    violation_counts,
 )
-from repro.analysis.capacity import CapacityCostCurve, SweepPoint
-from repro.config import default_config
-from repro.elasticity import StaticStrategy
 from repro.errors import SimulationError
+from repro.experiments.tab02 import SlaRow, render_sla_table
 from repro.hstore import LatencyRecorder
-from repro.sim.metrics import SlaRow, relative_improvement
-from repro.workload import LoadTrace
 
 
 def percentile_series(values_by_second):
@@ -58,79 +46,6 @@ class TestEmpiricalCdf:
         series = percentile_series({i: [float(i)] for i in range(100)})
         cdf = top_tail_cdf(series, 50.0, fraction=0.1)
         assert cdf.values.min() == 90.0
-
-    def test_dominates(self):
-        fast = empirical_cdf([10.0, 20.0, 30.0])
-        slow = empirical_cdf([100.0, 200.0, 300.0])
-        assert dominates(fast, slow)
-        assert not dominates(slow, fast)
-
-    def test_cdf_comparison_shape(self):
-        series = percentile_series({i: [float(i)] * 3 for i in range(100)})
-        out = cdf_comparison({"run": series}, percentiles=(50.0,), probe_ms=(50.0,))
-        assert 50.0 in out
-        name, probes = out[50.0][0]
-        assert name == "run"
-        assert 0.0 <= probes[50.0] <= 1.0
-
-
-class TestSweep:
-    def _trace(self):
-        # Flat-ish load that needs ~2 machines at the default Q.
-        cfg = default_config()
-        return LoadTrace(
-            np.full(40, cfg.q * 1.8 * 300.0), slot_seconds=300.0
-        )
-
-    def test_sweep_produces_one_point_per_q(self):
-        cfg = default_config().with_interval(300.0)
-        curve = sweep_strategy(
-            self._trace(),
-            cfg,
-            lambda c: StaticStrategy(3),
-            q_fractions=(0.5, 0.65, 0.8),
-            saturation_tps=438.0,
-            initial_machines=3,
-        )
-        assert len(curve.points) == 3
-        assert curve.strategy == "static-3"
-
-    def test_empty_sweep_rejected(self):
-        cfg = default_config().with_interval(300.0)
-        with pytest.raises(SimulationError):
-            sweep_strategy(
-                self._trace(), cfg, lambda c: StaticStrategy(3),
-                q_fractions=(), saturation_tps=438.0, initial_machines=3,
-            )
-
-    def test_normalize_curves(self):
-        point = SweepPoint("s", 0.65, 285.0, 120.0, 3.0, 1.0)
-        curves = [CapacityCostCurve("s", [point])]
-        out = normalize_curves(curves, baseline_cost=60.0)
-        assert out["s"][0]["normalized_cost"] == pytest.approx(2.0)
-
-    def test_normalize_requires_positive_baseline(self):
-        with pytest.raises(SimulationError):
-            normalize_curves([], baseline_cost=0.0)
-
-    def test_pareto_frontier(self):
-        points = [
-            SweepPoint("s", 0.5, 1.0, cost, 1.0, violations)
-            for cost, violations in [(1.0, 5.0), (2.0, 1.0), (3.0, 2.0), (4.0, 0.5)]
-        ]
-        frontier = pareto_frontier(points)
-        costs = [p.cost_machine_slots for p in frontier]
-        assert costs == [1.0, 2.0, 4.0]  # (3.0, 2.0) is dominated
-
-    def test_best_under_budget(self):
-        points = [
-            SweepPoint("s", 0.5, 1.0, 1.0, 1.0, 5.0),
-            SweepPoint("s", 0.6, 1.0, 2.0, 1.0, 0.5),
-        ]
-        curve = CapacityCostCurve("s", points)
-        best = curve.best_under(1.0)
-        assert best is not None and best.cost_machine_slots == 2.0
-        assert curve.best_under(0.1) is None
 
 
 class TestReport:
@@ -167,20 +82,7 @@ class TestReport:
 
 
 class TestSla:
-    def test_violation_counts(self):
-        series = percentile_series({0: [600.0] * 10, 1: [10.0] * 10})
-        counts = violation_counts(series)
-        assert counts[99.0] == 1
-        assert total_violations(series) == 3  # one per percentile
-
     def test_render_sla_table(self):
         rows = [SlaRow("p-store", 0, 37, 92, 5.05)]
         text = render_sla_table(rows)
         assert "p-store" in text and "92" in text
-
-    def test_relative_improvement(self):
-        assert relative_improvement(327, 92) == pytest.approx(71.9, abs=0.1)
-
-    def test_relative_improvement_zero_baseline(self):
-        with pytest.raises(SimulationError):
-            relative_improvement(0, 5)

@@ -3,15 +3,14 @@
 import pytest
 
 from repro.config import (
-    FIGURE12_Q_FRACTIONS,
     FaultConfig,
     PStoreConfig,
     Q_FRACTION,
-    Q_HAT_FRACTION,
     SINGLE_NODE_SATURATION_TPS,
     default_config,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.fig12 import DEFAULT_Q_FRACTIONS
 
 
 class TestDefaults:
@@ -76,8 +75,8 @@ class TestDerived:
         assert default_config().servers_for_load(-5.0) == 1
 
     def test_figure12_fractions_bracket_default(self):
-        assert min(FIGURE12_Q_FRACTIONS) < Q_FRACTION < max(FIGURE12_Q_FRACTIONS)
-        assert Q_FRACTION in FIGURE12_Q_FRACTIONS
+        assert min(DEFAULT_Q_FRACTIONS) < Q_FRACTION < max(DEFAULT_Q_FRACTIONS)
+        assert Q_FRACTION in DEFAULT_Q_FRACTIONS
 
 
 class TestValidation:

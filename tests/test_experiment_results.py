@@ -3,14 +3,17 @@
 The heavy experiments run at scale under ``pstore paper``; here we test
 the result-object logic (Table 2 assembly, CDF tables, Fig. 11
 comparisons) against hand-built
-:class:`~repro.sim.simulator.SimulationResult` objects, which is cheap.
+:class:`~repro.sim.simulator.SimulationResult` objects, which is cheap,
+and pin the report text those objects render to.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments.fig09 import Figure9Result
+from repro.experiments.fig09 import STATIC10_NOTE, Figure9Result
 from repro.experiments.fig10 import run_figure10
+from repro.experiments.fig12 import run_figure12
+from repro.experiments.registry import get_experiment
 from repro.experiments.tab02 import PAPER_TABLE2, run_table2
 from repro.hstore import PercentileSeries
 from repro.sim import SimulationResult
@@ -115,3 +118,81 @@ class TestFigure9Accessors:
         assert synthetic_figure9.reactive.strategy_name == "reactive"
         assert synthetic_figure9.static_peak.strategy_name == "static-10"
         assert synthetic_figure9.static_trough.strategy_name == "static-4"
+
+
+#: ``get_experiment(name).render(result)`` -- the text ``pstore paper``
+#: splices into EXPERIMENTS.md -- for the synthetic Figure 9 above and a
+#: one-day, two-Q Figure 12.  Recorded before Table 2's rows, Fig. 10's
+#: probe table and Fig. 12's curves moved into their experiment modules;
+#: any change to these strings is a change to the published report.
+#: ``{static10_note}`` stands for ``fig09.STATIC10_NOTE``.
+RENDERED_TAB02 = """\
+static-10: p50=0 p95=0 p99=0 avg machines 10.00
+static-4: p50=0 p95=30 p99=30 avg machines 4.00
+reactive: p50=0 p95=20 p99=20 avg machines 4.00
+p-store: p50=0 p95=5 p99=5 avg machines 5.00
+p-store vs reactive: 75% fewer violations
+
+Table 2 — SLA violations (reuses fig09 cells)
+metric                                              paper              measured         holds  note
+--------------------------------------------------  -----------------  ---------------  -----  ----------------------------------------------------------------------
+  static-10 (p50/p95/p99 violations, avg machines)     0/13/25, 10.00     0/0/0, 10.00      -
+   static-4 (p50/p95/p99 violations, avg machines)    0/157/249, 4.00    0/30/30, 4.00      -
+   reactive (p50/p95/p99 violations, avg machines)   35/220/327, 4.02    0/20/20, 4.00      -
+    p-store (p50/p95/p99 violations, avg machines)      0/37/92, 5.05      0/5/5, 5.00      -
+             P-Store vs reactive: fewer violations          72% fewer        75% fewer    yes
+                   P-Store machines vs peak static  5.05 vs 10 (~50%)       5.00 vs 10    yes
+static-10 is best at the tails (fewest violations)  38 vs P-Store 129  0 vs P-Store 10    yes  {static10_note}
+               P-Store violates less than reactive         129 vs 582         10 vs 40    yes
+               P-Store violates less than static-4         129 vs 406         10 vs 60    yes"""
+
+RENDERED_FIG10 = """\
+static-10 (p99 tail): P(<= 500ms) = 1.00, P(<= 1000ms) = 1.00
+static-4 (p99 tail): P(<= 500ms) = 0.00, P(<= 1000ms) = 1.00
+reactive (p99 tail): P(<= 500ms) = 0.00, P(<= 1000ms) = 1.00
+p-store (p99 tail): P(<= 500ms) = 0.00, P(<= 1000ms) = 1.00
+
+Fig. 10 — tail-latency CDFs (reuses fig09 cells)
+metric                                paper   measured                                           holds  note
+------------------------------------  ------  -------------------------------------------------  -----  ----------------------------------------------------------------------
+reactive is worst in all three plots  Fig 10   P(p99 <= 1000 ms): reactive 1.00 vs p-store 1.00    yes                 holds = P-Store's p99 tail CDF dominates at every probe
+      static-10 is best at the tails  Fig 10  P(p99 <= 1000 ms): static-10 1.00 vs p-store 1.00    yes  {static10_note}"""
+
+RENDERED_FIG12 = """\
+p-store-spar (Q x 0.55): cost 1.14, insufficient 0.00%
+p-store-spar (Q x 0.65): cost 1.00, insufficient 0.00%
+p-store-oracle (Q x 0.55): cost 1.14, insufficient 0.00%
+p-store-oracle (Q x 0.65): cost 1.00, insufficient 0.00%
+reactive (Q x 0.55): cost 0.87, insufficient 0.69%
+reactive (Q x 0.65): cost 0.85, insufficient 0.69%
+simple (Q x 0.55): cost 1.56, insufficient 0.00%
+simple (Q x 0.65): cost 1.28, insufficient 0.00%
+static-4 (Q x -): cost 1.12, insufficient 0.35%
+static-6 (Q x -): cost 1.69, insufficient 0.00%
+static-8 (Q x -): cost 2.25, insufficient 0.00%
+static-10 (Q x -): cost 2.81, insufficient 0.00%
+
+Fig. 12 — capacity-cost curves over the season
+metric                                paper                          measured                          holds  note
+------------------------------------  -----------------------------  --------------------------------  -----  -----------------------------------------------------
+                  oracle bounds SPAR  P-Store SPAR 'not far behind'  avg insufficiency 0.00% vs 0.00%    yes
+reactive violates at comparable cost     purple curve above P-Store  reactive min insufficiency 0.69%    yes  holds = SPAR's average is under reactive's best + 0.5
+         simple breaks on deviations       green curve far right/up    simple max insufficiency 0.00%     no"""
+
+
+class TestRenderedReports:
+    def test_table2_text(self, synthetic_figure9):
+        result = run_table2(figure9=synthetic_figure9)
+        assert get_experiment("tab02").render(result) == RENDERED_TAB02.format(
+            static10_note=STATIC10_NOTE
+        )
+
+    def test_figure10_text(self, synthetic_figure9):
+        result = run_figure10(figure9=synthetic_figure9)
+        assert get_experiment("fig10").render(result) == RENDERED_FIG10.format(
+            static10_note=STATIC10_NOTE
+        )
+
+    def test_figure12_text(self):
+        result = run_figure12(n_days=1, q_fractions=(0.55, 0.65))
+        assert get_experiment("fig12").render(result) == RENDERED_FIG12
