@@ -49,7 +49,6 @@ from .config import (
     FaultConfig,
     PStoreConfig,
     SINGLE_NODE_SATURATION_TPS,
-    TelemetryConfig,
     default_config,
 )
 from .core import (
@@ -142,7 +141,6 @@ __all__ = [
     "SparPredictor",
     "StrategySpec",
     "SweepResult",
-    "TelemetryConfig",
     "TelemetryError",
     "TransactionAbort",
     "b2w_like_trace",

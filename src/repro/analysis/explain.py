@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import TelemetryError
 from .report import ascii_table
-from .sla import CAUSE_BUCKETS, attribute_violation
+from .sla import CAUSE_BUCKETS, attribute_violation, attribution_totals
 
 #: Record kinds treated as violation anchors by ``explain``.
 _VIOLATION_KINDS = ("sla.violation", "capacity.insufficient")
@@ -144,12 +144,7 @@ class ExplainReport:
     @property
     def attribution(self) -> Dict[str, float]:
         """Violation-seconds per causal bucket (window-filtered)."""
-        totals = {bucket: 0.0 for bucket in CAUSE_BUCKETS}
-        for violation in self.violations:
-            totals[attribute_violation(violation)] += float(
-                violation.get("seconds", 1) or 0
-            )
-        return totals
+        return attribution_totals(self.violations)
 
     def chain(self, record: dict) -> List[dict]:
         return causal_chain(record, self.by_id)

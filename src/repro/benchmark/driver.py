@@ -320,13 +320,3 @@ class B2WDriver:
             ]
             getattr(self, f"_action_{action}")(now)
         return sum(self.txn_counts.values()) - before
-
-    def run_trace(self, trace: LoadTrace, max_seconds: Optional[int] = None) -> int:
-        """Replay a trace second by second; returns transactions executed."""
-        rates = trace.per_second_rates()
-        if max_seconds is not None:
-            rates = rates[:max_seconds]
-        executed = 0
-        for second, rate in enumerate(rates):
-            executed += self.run_second(float(second), float(rate))
-        return executed

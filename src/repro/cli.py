@@ -885,7 +885,6 @@ def _cmd_serve(args) -> int:
         parse_error_trigger,
         source_from_spec,
     )
-    from .serve.controller import ErrorTrigger
 
     kind, _, arg = args.source.partition(":")
     trace = None
@@ -912,11 +911,9 @@ def _cmd_serve(args) -> int:
     if trace is not None and train_slots:
         trace = trace[train_slots:]
 
-    trigger = parse_error_trigger(args.error_trigger)
-    if trigger is not None:
-        trigger = ErrorTrigger(
-            trigger.clauses, tau=1, min_pairs=args.trigger_min_pairs
-        )
+    trigger = parse_error_trigger(
+        args.error_trigger, min_pairs=args.trigger_min_pairs
+    )
 
     source = source_from_spec(
         args.source,

@@ -119,33 +119,6 @@ class FaultConfig:
 
 
 @dataclass(frozen=True)
-class TelemetryConfig:
-    """The ``telemetry`` section of :class:`PStoreConfig`.
-
-    Telemetry is off by default; when off, the instrumentation hooks in
-    the engine, controller, and simulators cost one attribute check.
-    """
-
-    #: Record metrics, spans, and the chronicle for this run.
-    enabled: bool = False
-    #: Directory to export ``spans.jsonl``/``chronicle.jsonl``/
-    #: ``metrics.json``/``metrics.prom`` into at the end of a run
-    #: ("" = keep in memory only).
-    out_dir: str = ""
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TelemetryConfig":
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - valid
-        if unknown:
-            raise ConfigurationError(
-                f"unknown telemetry config keys {sorted(unknown)}; valid "
-                f"keys are {sorted(valid)}"
-            )
-        return cls(**data)
-
-
-@dataclass(frozen=True)
 class PStoreConfig:
     """Immutable bundle of model parameters shared by planner and simulator.
 
@@ -183,22 +156,12 @@ class PStoreConfig:
     #: Forecast/planning horizon in intervals; 0 derives the paper's
     #: lower bound ``2 D / P`` (see PredictiveController).
     horizon_intervals: int = 0
-    #: Observability settings (metrics/span/event recording).
-    telemetry: TelemetryConfig = TelemetryConfig()
     #: Fault injection / chaos-testing settings.
     faults: FaultConfig = FaultConfig()
 
     def __post_init__(self) -> None:
-        if isinstance(self.telemetry, dict):
-            # from_file/from_dict hand the section through as a mapping.
-            object.__setattr__(
-                self, "telemetry", TelemetryConfig.from_dict(self.telemetry)
-            )
-        if not isinstance(self.telemetry, TelemetryConfig):
-            raise ConfigurationError(
-                "telemetry must be a TelemetryConfig or a mapping"
-            )
         if isinstance(self.faults, dict):
+            # from_file/from_dict hand the section through as a mapping.
             object.__setattr__(
                 self, "faults", FaultConfig.from_dict(self.faults)
             )
@@ -313,8 +276,8 @@ class PStoreConfig:
         4. ``overrides`` — individual key overrides (e.g. CLI ``--set``).
 
         ``data`` and ``overrides`` accept dotted keys for the nested
-        sections (``"faults.seed"``, ``"telemetry.enabled"``).  Unknown
-        keys raise :class:`ConfigurationError`, as everywhere else.
+        ``faults`` section (``"faults.seed"``).  Unknown keys raise
+        :class:`ConfigurationError`, as everywhere else.
         """
         merged: dict = dict(base.to_dict()) if base is not None else {}
         for source in (
@@ -362,16 +325,11 @@ class PStoreConfig:
         """Hex digest identifying every *result-relevant* setting.
 
         The sweep result cache keys cells on this hash: two configs with
-        the same hash produce bit-identical runs.  The ``telemetry``
-        section is excluded — recording metrics does not change results —
-        while the ``faults`` section is included because injected faults
-        do.
+        the same hash produce bit-identical runs.  The ``faults`` section
+        is included because injected faults change results.
         """
-        payload = {
-            k: v for k, v in self.to_dict().items() if k != "telemetry"
-        }
         return hashlib.sha256(
-            canonical_json(payload).encode("utf-8")
+            canonical_json(self.to_dict()).encode("utf-8")
         ).hexdigest()
 
     def to_dict(self) -> dict:

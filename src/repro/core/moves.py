@@ -64,11 +64,6 @@ class Move:
     def is_scale_in(self) -> bool:
         return self.after < self.before
 
-    @property
-    def machines_added(self) -> int:
-        """Machines added (positive) or removed (negative) by this move."""
-        return self.after - self.before
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         arrow = "==" if self.is_noop else "->"
         return f"[{self.start:>3}..{self.end:>3}) {self.before}{arrow}{self.after}"

@@ -38,7 +38,6 @@ from .fig12 import Figure12Result, run_figure12, season_setup
 from .fig13 import Figure13Result, run_figure13
 from .registry import (
     ExperimentDef,
-    experiment_names,
     get_experiment,
     list_experiments,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "Table1Result",
     "Table2Result",
     "benchmark_setup",
-    "experiment_names",
     "get_experiment",
     "interval_rates",
     "list_experiments",

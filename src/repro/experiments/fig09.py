@@ -57,14 +57,6 @@ class Figure9Result:
     def reactive(self) -> SimulationResult:
         return self.runs["reactive"]
 
-    @property
-    def static_peak(self) -> SimulationResult:
-        return self.runs["static-10"]
-
-    @property
-    def static_trough(self) -> SimulationResult:
-        return self.runs["static-4"]
-
 
 def run_figure9(
     eval_days: int = 3,

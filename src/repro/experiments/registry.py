@@ -128,10 +128,6 @@ def get_experiment(name: str) -> ExperimentDef:
         ) from None
 
 
-def experiment_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
 def list_experiments() -> List[ExperimentDef]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 

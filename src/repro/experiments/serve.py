@@ -96,20 +96,17 @@ def _run_plane(
     from ..prediction import SeasonalNaivePredictor
     from ..prediction.online import OnlinePredictor
     from ..serve import ControlPlane, ReplaySource, ServeOptions
-    from ..serve.controller import ErrorTrigger, parse_error_trigger
+    from ..serve.controller import parse_error_trigger
     from ..telemetry import AccuracyTracker, MetricsRegistry, Telemetry
     from ..telemetry.runtime import telemetry_scope
 
     config = (config or default_config()).with_interval(SERVE_SLOT_SECONDS)
     trace = drift_trace(seed=seed, n_days=n_days)
 
-    trigger = None
-    if trigger_text:
-        parsed = parse_error_trigger(trigger_text)
-        if parsed is not None:
-            trigger = ErrorTrigger(
-                parsed.clauses, tau=1, min_pairs=SERVE_MIN_PAIRS
-            )
+    trigger = (
+        parse_error_trigger(trigger_text, min_pairs=SERVE_MIN_PAIRS)
+        if trigger_text else None
+    )
 
     metrics = MetricsRegistry()
     telemetry = Telemetry(

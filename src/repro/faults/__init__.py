@@ -40,7 +40,6 @@ from .spec import (
     FaultScenario,
     FaultSpec,
     crash_during_migration_scenario,
-    mixed_chaos_scenario,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "crash_during_migration_scenario",
     "injector_from_config",
     "mean_time_to_recover",
-    "mixed_chaos_scenario",
     "recovery_stats",
     "render_fault_report",
 ]

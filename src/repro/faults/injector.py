@@ -19,7 +19,7 @@ byte-identical chronicles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class FaultInjector:
 
         self._new_crashes: List[FaultRecord] = []
         self._unconfirmed_crashes: List[FaultRecord] = []
-        self._crashed_nodes: Set[int] = set()
         self._slowdowns: List[FaultRecord] = []
         self._stalls: List[FaultRecord] = []
         self._drifts: List[FaultRecord] = []
@@ -388,12 +387,7 @@ class FaultInjector:
         else:
             victim = live[int(self._rng.integers(0, len(live)))]
         record.node = victim
-        self._crashed_nodes.add(victim)
         return victim
-
-    @property
-    def crashed_nodes(self) -> Set[int]:
-        return set(self._crashed_nodes)
 
     def stall_record(self, now: Optional[float] = None) -> Optional[FaultRecord]:
         now = self._now if now is None else now

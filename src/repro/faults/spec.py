@@ -33,7 +33,7 @@ import dataclasses
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..errors import FaultError
 
@@ -209,26 +209,3 @@ def crash_during_migration_scenario(
         seed=seed,
         name="crash-during-migration",
     )
-
-
-def mixed_chaos_scenario(
-    crash_time: float,
-    slow_node: int = 0,
-    seed: int = 7,
-    drift_magnitude: float = 0.6,
-) -> FaultScenario:
-    """One fault of every windowed class plus a crash, spread over a day
-    of compressed benchmark time (``tests/test_faults.py`` drives it
-    through the simulator end to end)."""
-    faults: Sequence[FaultSpec] = (
-        FaultSpec(kind=FORECAST_DRIFT, at_time=crash_time * 0.25,
-                  duration_seconds=crash_time * 0.5,
-                  magnitude=drift_magnitude, label="model-drift"),
-        FaultSpec(kind=NODE_SLOWDOWN, at_time=crash_time * 0.5, node=slow_node,
-                  duration_seconds=crash_time * 0.25,
-                  capacity_multiplier=0.5, label="straggler"),
-        FaultSpec(kind=NODE_CRASH, at_time=crash_time, label="crash"),
-        FaultSpec(kind=MIGRATION_STALL, on_migration=2,
-                  duration_seconds=120.0, label="wedged-transfer"),
-    )
-    return FaultScenario(faults=tuple(faults), seed=seed, name="mixed-chaos")

@@ -22,9 +22,8 @@ from .latency import (
     TRACKED_PERCENTILES,
     LatencyRecorder,
     PercentileSeries,
-    merge_percentile_series,
 )
-from .monitor import LoadMonitor, SkewMonitor, SkewReport
+from .monitor import LoadMonitor
 from .node import Node
 from .partition import Partition
 from .txn import StoredProcedure, Transaction, TxnContext, TxnResult
@@ -44,8 +43,6 @@ __all__ = [
     "PercentileSeries",
     "QueueingEngine",
     "Schema",
-    "SkewMonitor",
-    "SkewReport",
     "StoredProcedure",
     "Table",
     "TickStats",
@@ -56,6 +53,5 @@ __all__ = [
     "TxnResult",
     "bucket_for_key",
     "hash_key",
-    "merge_percentile_series",
     "murmur3_32",
 ]

@@ -11,7 +11,7 @@ enforces its invariants strictly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import CatalogError
 
@@ -152,7 +152,3 @@ class Schema:
 
     def __len__(self) -> int:
         return len(self._tables)
-
-    @property
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)

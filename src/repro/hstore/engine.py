@@ -30,7 +30,7 @@ from ..config import SINGLE_NODE_SATURATION_TPS
 from ..errors import SimulationError, TransactionAbort
 from ..telemetry import get_telemetry
 from .cluster import Cluster
-from .latency import LatencyRecorder, PercentileSeries
+from .latency import LatencyRecorder
 from .txn import Transaction, TxnContext, TxnResult
 
 #: Calibrated service rate of one partition (txn/s): a 6-partition node
@@ -84,8 +84,6 @@ class TransactionExecutor:
     def execute(self, txn: Transaction) -> TxnResult:
         """Run one transaction at its submit time; returns the result."""
         ctx = TxnContext(self.cluster, txn.routing_key())
-        partition = self.cluster.partition(ctx.partition_id)
-        partition.record_access()
 
         start = txn.submit_time
         free_at = self._busy_until.get(ctx.partition_id, 0.0)
@@ -131,18 +129,6 @@ class TransactionExecutor:
             tel.metrics.histogram(
                 "engine.latency_ms", partition=partition_id
             ).observe(latency_ms)
-
-    def add_migration_stall(
-        self, partition_id: int, at_time: float, stall_seconds: float
-    ) -> None:
-        """Block a partition while it processes a migration chunk."""
-        if stall_seconds < 0:
-            raise SimulationError("stall must be non-negative")
-        free_at = self._busy_until.get(partition_id, 0.0)
-        self._busy_until[partition_id] = max(free_at, at_time) + stall_seconds
-
-    def finalize_latencies(self) -> PercentileSeries:
-        return self.recorder.finalize()
 
 
 # ----------------------------------------------------------------------
@@ -358,26 +344,6 @@ class QueueingEngine:
     @property
     def time(self) -> float:
         return self._time
-
-    def resize(self, n_partitions: int) -> None:
-        """Grow or shrink the partition set, preserving existing backlog."""
-        if n_partitions < 1:
-            raise SimulationError("need at least one partition")
-        old = self.n_partitions
-        if n_partitions == old:
-            return
-        if n_partitions > old:
-            pad = n_partitions - old
-            self._backlog = np.concatenate([self._backlog, np.zeros(pad)])
-            self._hot_remaining = np.concatenate([self._hot_remaining, np.zeros(pad)])
-            self._hot_extra = np.concatenate([self._hot_extra, np.zeros(pad)])
-        else:
-            # Removed partitions' residual backlog drains onto survivors.
-            residual = self._backlog[n_partitions:].sum()
-            self._backlog = self._backlog[:n_partitions].copy()
-            self._backlog += residual / n_partitions
-            self._hot_remaining = self._hot_remaining[:n_partitions].copy()
-            self._hot_extra = self._hot_extra[:n_partitions].copy()
 
     def _episode_details(self) -> Tuple[int, float, float]:
         """Draw one new episode's (victim, duration, extra) — a fixed

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -88,16 +88,6 @@ class LatencyRecorder:
             raise SimulationError("latency cannot be negative")
         self._samples[int(time_seconds)].append(latency_ms)
 
-    def record_many(
-        self, time_seconds: float, latencies_ms: Iterable[float]
-    ) -> None:
-        second = int(time_seconds)
-        bucket = self._samples[second]
-        for latency in latencies_ms:
-            if latency < 0:
-                raise SimulationError("latency cannot be negative")
-            bucket.append(latency)
-
     @property
     def n_samples(self) -> int:
         return sum(len(v) for v in self._samples.values())
@@ -123,23 +113,3 @@ class LatencyRecorder:
             {q: np.asarray(v) for q, v in series.items()},
             throughput=throughput,
         )
-
-
-def merge_percentile_series(parts: Sequence[PercentileSeries]) -> PercentileSeries:
-    """Concatenate runs that cover consecutive time ranges."""
-    if not parts:
-        raise SimulationError("nothing to merge")
-    seconds = np.concatenate([p.seconds for p in parts])
-    qs = set(parts[0].percentiles)
-    for p in parts[1:]:
-        if set(p.percentiles) != qs:
-            raise SimulationError("series track different percentiles")
-    percentiles = {
-        q: np.concatenate([p.series(q) for p in parts]) for q in qs
-    }
-    throughput = (
-        np.concatenate([p.throughput for p in parts])
-        if all(p.throughput.size for p in parts)
-        else np.array([])
-    )
-    return PercentileSeries(seconds, percentiles, throughput)

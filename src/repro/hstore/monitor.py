@@ -1,4 +1,4 @@
-"""System monitoring: aggregate-load measurement and skew detection.
+"""System monitoring: aggregate-load measurement.
 
 The Predictive Controller "uses H-Store's system calls to obtain
 measurements of the aggregate load of the system" (Sec. 6), sampled into
@@ -6,25 +6,19 @@ fixed planner intervals.  :class:`LoadMonitor` provides that windowing:
 transaction arrivals (or completed counts) stream in with timestamps and
 come out as one aggregate rate per interval.
 
-:class:`SkewMonitor` implements the E-Store-style two-level scheme the
-paper builds on (Sec. 2): cheap continuous per-partition counters, plus
-an on-demand detailed report that identifies hot partitions — which is
-how a reactive system (or a future skew-aware P-Store, see the paper's
-conclusion) would decide *what* to move rather than just *how many*
-machines to use.
+Partition skew is read off the routing layer's per-bucket counters
+(:meth:`repro.hstore.cluster.Cluster.partition_access_counts`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..persist import Persisted
 from ..telemetry import get_telemetry
-from .cluster import Cluster
 
 
 class LoadMonitor(Persisted):
@@ -150,75 +144,3 @@ class LoadMonitor(Persisted):
             return 0.0
         floor = self.min_elapsed_fraction * self.interval_seconds
         return self._current_count / max(elapsed, floor)
-
-
-@dataclass(frozen=True)
-class SkewReport:
-    """Detailed monitoring output (the E-Store "phase 2" report)."""
-
-    total_accesses: int
-    per_partition: Dict[int, int]
-    mean: float
-    #: Partition id with the most accesses, or -1 when there was no
-    #: traffic at all (zero mean).
-    hottest_partition: int
-    hottest_excess: float      # hottest / mean - 1
-    std_over_mean: float
-
-    @property
-    def is_balanced(self) -> bool:
-        """Sec. 8.1's criterion: B2W's skew (~10% excess, ~2.6% std) is
-        "not even close" to the 40%+ that would warrant tuple-level
-        reorganisation."""
-        return self.hottest_excess < 0.40
-
-
-class SkewMonitor:
-    """Two-level partition-skew monitoring over a row-level cluster."""
-
-    def __init__(self, cluster: Cluster, imbalance_threshold: float = 0.25):
-        if imbalance_threshold <= 0:
-            raise SimulationError("imbalance_threshold must be positive")
-        self.cluster = cluster
-        self.imbalance_threshold = imbalance_threshold
-
-    def snapshot(self) -> SkewReport:
-        """Read the cheap per-partition counters and summarise them."""
-        counts = {
-            pid: self.cluster.partition(pid).access_count
-            for pid in self.cluster.partition_ids
-        }
-        values = np.array(list(counts.values()), dtype=float)
-        total = int(values.sum())
-        mean = float(values.mean()) if values.size else 0.0
-        if mean <= 0:
-            # No traffic: there is no "hottest" partition.  Returning an
-            # arbitrary partition id here (the old min(counts)) made
-            # zero-traffic reports indistinguishable from a real hot
-            # partition 0; -1 is the documented "none" sentinel.
-            return SkewReport(
-                total_accesses=total,
-                per_partition=counts,
-                mean=0.0,
-                hottest_partition=-1,
-                hottest_excess=0.0,
-                std_over_mean=0.0,
-            )
-        hottest = max(counts, key=counts.get)
-        return SkewReport(
-            total_accesses=total,
-            per_partition=counts,
-            mean=mean,
-            hottest_partition=hottest,
-            hottest_excess=counts[hottest] / mean - 1.0,
-            std_over_mean=float(values.std() / mean),
-        )
-
-    def imbalance_detected(self) -> bool:
-        """The cheap continuous check that would trigger detailed
-        monitoring in E-Store."""
-        return self.snapshot().hottest_excess > self.imbalance_threshold
-
-    def reset(self) -> None:
-        for pid in self.cluster.partition_ids:
-            self.cluster.partition(pid).reset_stats()

@@ -56,14 +56,6 @@ class Node:
         """Total resident data on this node."""
         return sum(p.data_kb for p in self._partitions.values())
 
-    @property
-    def access_count(self) -> int:
-        return sum(p.access_count for p in self._partitions.values())
-
-    def reset_stats(self) -> None:
-        for partition in self._partitions.values():
-            partition.reset_stats()
-
     def mark_failed(self) -> None:
         """Take the node out of service as dead (crash, not drain)."""
         self.active = False

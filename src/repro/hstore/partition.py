@@ -1,16 +1,15 @@
-"""A single data partition: an in-memory row store plus access statistics.
+"""A single data partition: an in-memory row store plus its data volume.
 
 Partitions are the unit of parallelism in H-Store: each owns a disjoint
 slice of every table and executes its transactions serially.  Here a
 partition stores rows in per-table dictionaries keyed by primary key and
-tracks the counters the elasticity machinery needs — accesses (for load
-monitoring and skew reporting) and resident data volume (for migration
-chunk sizing).
+tracks its resident data volume (for migration chunk sizing).  Accesses
+are counted per bucket by the cluster, not here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..errors import CatalogError, TransactionAbort
 from .catalog import Schema
@@ -27,8 +26,6 @@ class Partition:
         self._rows: Dict[str, Dict[Any, Dict[str, Any]]] = {
             table.name: {} for table in schema
         }
-        #: Transactions executed against this partition (monitoring).
-        self.access_count = 0
         #: Resident data volume in kB (approximate, via Table.avg_row_kb).
         self.data_kb = 0.0
 
@@ -132,18 +129,9 @@ class Partition:
                 self.data_kb += table.avg_row_kb
             store[key] = dict(row)
 
-    def iter_keys(self, table_name: str) -> Iterator[Any]:
-        return iter(list(self._table_rows(table_name).keys()))
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-
-    def record_access(self, n: int = 1) -> None:
-        self.access_count += n
-
-    def reset_stats(self) -> None:
-        self.access_count = 0
 
     def row_count(self, table_name: Optional[str] = None) -> int:
         if table_name is not None:

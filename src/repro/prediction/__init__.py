@@ -14,10 +14,7 @@ from .arma import ArmaPredictor
 from .base import BacktestResult, Predictor, as_series
 from .gbt import GbtPredictor
 from .metrics import (
-    horizon_error_sweep,
-    mean_absolute_error,
     mean_relative_error,
-    root_mean_squared_error,
 )
 from .mssa import MssaPredictor
 from .naive import LastValuePredictor, SeasonalNaivePredictor
@@ -49,10 +46,7 @@ __all__ = [
     "build_predictor",
     "fit_ar_coefficients",
     "get_predictor_spec",
-    "horizon_error_sweep",
-    "mean_absolute_error",
     "mean_relative_error",
     "register_predictor",
     "registered_predictors",
-    "root_mean_squared_error",
 ]

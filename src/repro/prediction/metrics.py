@@ -7,12 +7,11 @@ reports as a percentage (e.g. SPAR achieves 10.4% on B2W at tau = 60).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import PredictionError
-from .base import Predictor, as_series
 
 
 def _paired(actual: Sequence[float], predicted: Sequence[float]):
@@ -41,39 +40,3 @@ def mean_relative_error(
     if not np.any(mask):
         raise PredictionError("all actual values are zero; MRE undefined")
     return float(np.mean(np.abs(p[mask] - a[mask]) / a[mask]))
-
-
-def mean_absolute_error(
-    actual: Sequence[float], predicted: Sequence[float]
-) -> float:
-    a, p = _paired(actual, predicted)
-    return float(np.mean(np.abs(p - a)))
-
-
-def root_mean_squared_error(
-    actual: Sequence[float], predicted: Sequence[float]
-) -> float:
-    a, p = _paired(actual, predicted)
-    return float(np.sqrt(np.mean((p - a) ** 2)))
-
-
-def horizon_error_sweep(
-    predictor: Predictor,
-    series: Sequence[float],
-    taus: Sequence[int],
-    start: int,
-    stop: int,
-    step: int = 1,
-) -> Dict[int, float]:
-    """MRE of ``predictor`` on ``series`` for each forecast offset in ``taus``.
-
-    This regenerates the "prediction accuracy vs forecasting period"
-    panels of Figures 5b and 6b.  ``start``/``stop`` bound the evaluation
-    indices (typically the held-out window after training).
-    """
-    arr = as_series(series)
-    results: Dict[int, float] = {}
-    for tau in taus:
-        result = predictor.backtest(arr, tau=tau, start=start, stop=stop, step=step)
-        results[tau] = result.mean_relative_error()
-    return results

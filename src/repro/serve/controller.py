@@ -57,8 +57,11 @@ class TriggerSpec:
 _TRIGGER_METRICS = {"mape": "mape_pct", "smape": "smape_pct", "bias": "bias_pct"}
 
 
-def parse_error_trigger(text: str) -> Optional["ErrorTrigger"]:
-    """Parse ``mape:0.3`` / ``mape:0.3,bias:0.25`` / ``off``."""
+def parse_error_trigger(
+    text: str, min_pairs: int = 12
+) -> Optional["ErrorTrigger"]:
+    """Parse ``mape:0.3`` / ``mape:0.3,bias:0.25`` / ``off`` into a
+    trigger gated on ``min_pairs`` scored pairs (None for ``off``)."""
     spec = text.strip().lower()
     if spec in ("", "off", "none"):
         return None
@@ -80,7 +83,7 @@ def parse_error_trigger(text: str) -> Optional["ErrorTrigger"]:
         if threshold <= 0:
             raise SimulationError("error-trigger thresholds must be > 0")
         clauses.append(TriggerSpec(metric=metric, threshold=threshold))
-    return ErrorTrigger(tuple(clauses))
+    return ErrorTrigger(tuple(clauses), min_pairs=min_pairs)
 
 
 class ErrorTrigger:

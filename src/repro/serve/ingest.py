@@ -16,8 +16,8 @@ Three source families:
   seconds onto wall seconds (``--speed 60`` replays a day per 24
   minutes); ``speed=0`` disables pacing entirely, which is the
   deterministic mode tests and sweep cells use.
-* :class:`JsonLinesSource` — newline-delimited JSON reports from any
-  async text stream (stdin, a file, a socket), e.g.::
+* :class:`JsonLinesSource` — newline-delimited JSON reports from an
+  async byte stream (standard input by default), e.g.::
 
       {"time": 1500.0, "node": "n3", "count": 412}
 
@@ -33,8 +33,9 @@ import asyncio
 import json
 import math
 import pathlib
+import sys
 from dataclasses import dataclass
-from typing import AsyncIterator, List, Optional
+from typing import AsyncIterator, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..telemetry import get_telemetry
@@ -138,26 +139,82 @@ class ReplaySource(ReportSource):
             )]
 
 
-class JsonLinesSource(ReportSource):
-    """Reports from an async line stream (stdin, file, or socket)."""
+async def _read_batches(
+    reader: "asyncio.StreamReader", limit: int, source, tel
+) -> AsyncIterator[Tuple[List[LoadReport], int, bool]]:
+    """Split a newline-JSON byte stream into reports, one read at a time.
 
-    def __init__(self, reader: "asyncio.StreamReader") -> None:
-        self.reader = reader
-        self.rejected = 0
-
-    async def batches(self) -> AsyncIterator[List[LoadReport]]:
-        tel = get_telemetry()
-        while True:
-            line = await self.reader.readline()
-            if not line:
-                return
+    Yields ``(reports, lines, last)`` per read of at most ``limit``
+    bytes: the reports parsed from the complete lines it finished, how
+    many lines that was, and whether the stream ends after it.  Malformed
+    lines count on ``source.rejected``.  A line longer than ``limit`` ends
+    the stream and counts on ``source.overlong_lines``: the feeder is
+    misbehaving and resynchronising mid-line is guesswork.
+    """
+    tail = b""
+    while True:
+        chunk = await reader.read(limit)
+        if chunk:
+            *lines, tail = (tail + chunk).split(b"\n")
+        else:
+            # End of stream: an unterminated last line counts.
+            lines, tail = ([tail] if tail else []), b""
+        overlong = len(tail) > limit
+        batch = []
+        for line in lines:
+            if len(line) > limit:
+                overlong = True
+                break
             report = parse_report_line(line.decode("utf-8", "replace"))
             if report is None:
-                self.rejected += 1
+                source.rejected += 1
                 if tel.enabled:
                     tel.metrics.counter("serve.reports_rejected").inc()
-                continue
-            yield [report]
+            else:
+                batch.append(report)
+        if overlong:
+            source.overlong_lines += 1
+            if tel.enabled:
+                tel.metrics.counter("serve.ingest_overlong").inc()
+        last = overlong or not chunk
+        yield batch, len(lines), last
+        if last:
+            return
+
+
+class JsonLinesSource(ReportSource):
+    """Reports from newline-JSON on an async byte stream.
+
+    With no ``reader`` it reads this process's standard input, opened
+    inside :meth:`batches` because the pipe binds to the running loop.
+    A line longer than ``max_line_bytes`` ends the stream, as it closes
+    a :class:`TcpSource` connection.
+    """
+
+    def __init__(
+        self,
+        reader: "Optional[asyncio.StreamReader]" = None,
+        max_line_bytes: int = 65536,
+    ) -> None:
+        self.reader = reader
+        self.max_line_bytes = max_line_bytes
+        self.rejected = 0
+        self.overlong_lines = 0
+
+    async def batches(self) -> AsyncIterator[List[LoadReport]]:
+        reader = self.reader
+        if reader is None:
+            reader = asyncio.StreamReader(limit=self.max_line_bytes)
+            protocol = asyncio.StreamReaderProtocol(reader)
+            await asyncio.get_running_loop().connect_read_pipe(
+                lambda: protocol, sys.stdin
+            )
+        tel = get_telemetry()
+        async for batch, _, _ in _read_batches(
+            reader, self.max_line_bytes, self, tel
+        ):
+            if batch:
+                yield batch
 
 
 #: The plane returns to its event loop (stop signal, HTTP routes) only
@@ -195,20 +252,6 @@ class FileLinesSource(ReportSource):
                 batch = []
         if batch:
             yield batch
-
-
-async def stdin_source() -> JsonLinesSource:
-    """A :class:`JsonLinesSource` over this process's stdin."""
-    import sys
-
-    # get_event_loop() inside a coroutine is deprecated (and an error on
-    # new interpreters when no loop is set); the running loop is the one
-    # the pipe must bind to anyway.
-    loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
-    protocol = asyncio.StreamReaderProtocol(reader)
-    await loop.connect_read_pipe(lambda: protocol, sys.stdin)
-    return JsonLinesSource(reader)
 
 
 class TcpSource(ReportSource):
@@ -338,54 +381,26 @@ class TcpSource(ReportSource):
         if task is not None:
             self._handlers.add(task)
         loop = asyncio.get_running_loop()
-        limit = self.max_line_bytes
         rate = self.max_report_rate
         budget = 1.0
         last = loop.time()
-        tail = b""
         try:
             if self.auth_token is not None:
                 if not await self._authenticate(reader, tel):
                     return
-            while True:
-                chunk = await reader.read(limit)
-                if chunk:
-                    *lines, tail = (tail + chunk).split(b"\n")
-                else:
-                    # End of stream: an unterminated last line counts.
-                    lines, tail = ([tail] if tail else []), b""
-                overlong = len(tail) > limit
-                batch = []
-                for line in lines:
-                    if len(line) > limit:
-                        overlong = True
-                        break
-                    report = parse_report_line(line.decode("utf-8", "replace"))
-                    if report is None:
-                        self.rejected += 1
-                        if tel.enabled:
-                            tel.metrics.counter("serve.reports_rejected").inc()
-                    else:
-                        batch.append(report)
+            async for batch, lines, ends in _read_batches(
+                reader, self.max_line_bytes, self, tel
+            ):
                 if batch:
                     await self._hand_over(batch, tel)
-                if overlong:
-                    # The feeder is misbehaving and resynchronising
-                    # mid-line is guesswork — drop the connection.
-                    self.overlong_lines += 1
-                    if tel.enabled:
-                        tel.metrics.counter("serve.ingest_overlong").inc()
-                    break
-                if not chunk:
-                    break
-                if rate > 0 and lines:
+                if rate > 0 and lines and not ends:
                     # Charged after the hand-off, so the refill covers
                     # the time these lines took to process: the guard
                     # only bites below the handler's own speed.  ``last``
                     # is not reset after the sleep — the next refill
                     # pays the deficit off.
                     now = loop.time()
-                    budget = min(rate, budget + (now - last) * rate) - len(lines)
+                    budget = min(rate, budget + (now - last) * rate) - lines
                     last = now
                     if budget < 0:
                         self.throttled += 1
@@ -432,10 +447,10 @@ def source_from_spec(
     * ``replay:<path.csv>`` / ``replay:b2w`` — trace replay (the trace
       for symbolic names is resolved by the caller and passed in);
     * ``file:<path.jsonl>`` — newline-JSON report file;
-    * ``stdin`` — newline-JSON on standard input;
+    * ``stdin`` — newline-JSON on standard input (the line cap applies);
     * ``tcp:<port>`` — listen for newline-JSON connections (the
       hardening knobs — token auth, bounded queue, line/rate caps —
-      apply only here).
+      apply here).
     """
     kind, _, arg = spec.partition(":")
     if kind == "replay":
@@ -449,7 +464,7 @@ def source_from_spec(
             raise SimulationError("file source needs a path: file:<reports.jsonl>")
         return FileLinesSource(arg)
     if kind == "stdin":
-        return "stdin"  # resolved lazily inside the running loop
+        return JsonLinesSource(max_line_bytes=max_line_bytes)
     if kind == "tcp":
         try:
             port = int(arg)

@@ -43,7 +43,6 @@ from ..persist import Persisted
 from ..telemetry import export_run, get_telemetry
 from .controller import ErrorTrigger, OnlineController
 from .depository import Depository
-from .ingest import stdin_source
 from .persist import CheckpointStore
 from .server import ControlPlaneServer
 
@@ -288,12 +287,9 @@ class ControlPlane(Persisted):
         installed = self._install_signals(loop)
         if self.server is not None:
             await self.server.start()
-        source = self.source
-        if source == "stdin":
-            source = await stdin_source()
         drained = False
         try:
-            batches = source.batches()
+            batches = self.source.batches()
             depository = self.depository
             stop_task = asyncio.ensure_future(self._stop.wait())
             try:

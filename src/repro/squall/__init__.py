@@ -18,7 +18,6 @@ from .plan import (
     ReconfigurationPlan,
     balanced_target,
     make_reconfiguration_plan,
-    plan_balance_error,
 )
 from .rebalance import (
     HotBucketReport,
@@ -50,6 +49,5 @@ __all__ = [
     "build_migration_schedule",
     "chunk_spacing_seconds",
     "make_reconfiguration_plan",
-    "plan_balance_error",
     "validate_schedule",
 ]

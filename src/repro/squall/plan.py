@@ -15,8 +15,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import MigrationError
 from ..hstore.cluster import PartitionPlan
 
@@ -106,14 +104,3 @@ def make_reconfiguration_plan(
         for b, src, dst in current.diff(target)
     )
     return ReconfigurationPlan(current=current, target=target, moves=moves)
-
-
-def plan_balance_error(plan: PartitionPlan, partitions: Sequence[int]) -> int:
-    """Max deviation (in buckets) from a perfectly even assignment."""
-    counts = plan.counts()
-    n_buckets = plan.n_buckets
-    per = n_buckets / len(partitions)
-    worst = 0
-    for pid in partitions:
-        worst = max(worst, abs(counts.get(pid, 0) - per))
-    return int(np.ceil(worst - 0.5))

@@ -38,9 +38,6 @@ class HotBucketReport:
     hottest_share: float                # fraction of total load
     hot_buckets: Tuple[Tuple[int, int], ...]  # (bucket, accesses), desc
 
-    def imbalanced(self, threshold_share: float) -> bool:
-        return self.hottest_share > threshold_share
-
 
 def hot_bucket_report(cluster: Cluster, top_k: int = 10) -> HotBucketReport:
     """Summarise per-bucket access counts into a skew report."""
@@ -48,11 +45,7 @@ def hot_bucket_report(cluster: Cluster, top_k: int = 10) -> HotBucketReport:
         raise MigrationError("top_k must be >= 1")
     counts = cluster.bucket_access_counts()
     total = int(counts.sum())
-    partition_load: Dict[int, int] = {pid: 0 for pid in cluster.partition_ids}
-    for bucket in range(cluster.n_buckets):
-        owner = cluster.plan.owner(bucket)
-        if owner in partition_load:
-            partition_load[owner] += int(counts[bucket])
+    partition_load = cluster.partition_access_counts()
     if total > 0:
         hottest = max(partition_load, key=partition_load.get)
         hottest_share = partition_load[hottest] / total
@@ -97,10 +90,10 @@ def make_skew_rebalance_plan(
             current=cluster.plan, target=cluster.plan, moves=()
         )
 
-    load: Dict[int, float] = {pid: 0.0 for pid in partitions}
+    load: Dict[int, float] = {
+        pid: float(n) for pid, n in cluster.partition_access_counts().items()
+    }
     assignment = cluster.plan.assignment_array()
-    for bucket in range(cluster.n_buckets):
-        load[int(assignment[bucket])] += counts[bucket]
     fair = total / len(partitions)
     budget = fair * target_share_factor
 

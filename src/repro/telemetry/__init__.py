@@ -43,13 +43,11 @@ from .export import (
     forecast_mape,
     forecast_vs_actual,
     latency_quantiles,
-    machines_series,
     metrics_document,
     migration_summary,
     render_dashboard,
     render_metrics_prom,
     write_chronicle_jsonl,
-    write_metrics_csv,
     write_metrics_json,
     write_metrics_prom,
     write_spans_jsonl,
@@ -71,7 +69,6 @@ from .runtime import (
     enable_telemetry,
     get_telemetry,
     set_telemetry,
-    telemetry_from_config,
     telemetry_scope,
 )
 from .tracing import NULL_RECORDER, NullRecorder, Span, SpanRecorder
@@ -109,17 +106,14 @@ __all__ = [
     "forecast_vs_actual",
     "get_telemetry",
     "latency_quantiles",
-    "machines_series",
     "make_record_id",
     "metrics_document",
     "migration_summary",
     "render_dashboard",
     "render_metrics_prom",
     "set_telemetry",
-    "telemetry_from_config",
     "telemetry_scope",
     "write_chronicle_jsonl",
-    "write_metrics_csv",
     "write_metrics_json",
     "write_metrics_prom",
     "write_spans_jsonl",

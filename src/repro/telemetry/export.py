@@ -20,8 +20,7 @@ One instrumented run produces four machine-readable artifacts
     the same registry as OpenMetrics text.
 
 :func:`render_dashboard` turns the same data into the plain-text
-summary printed at the end of a CLI run; :func:`write_metrics_csv`
-flattens scalar metrics for spreadsheet import.
+summary printed at the end of a CLI run.
 """
 
 from __future__ import annotations
@@ -129,18 +128,6 @@ def migration_summary(telemetry) -> List[dict]:
             "emergency": emergency.get(r.get("parent"), False),
         }
         for r in chronicle.by_kind("migration.complete")
-    ]
-
-
-def machines_series(telemetry) -> List[dict]:
-    """Per-slot machine allocation samples (empty if not instrumented)."""
-    return [
-        {
-            "slot": row["slot"],
-            "machines": row["machines"],
-            "migrating": row["migrating"],
-        }
-        for row in _interval_rows(telemetry)
     ]
 
 
@@ -288,25 +275,6 @@ def write_metrics_prom(telemetry, path) -> pathlib.Path:
     """Persist :func:`render_metrics_prom` output as ``metrics.prom``."""
     path = pathlib.Path(path)
     path.write_text(render_metrics_prom(telemetry))
-    return path
-
-
-def write_metrics_csv(telemetry, path) -> pathlib.Path:
-    """Scalar metrics (counters/gauges + histogram quantiles) as CSV."""
-    lines = ["name,labels,stat,value"]
-    for snap in telemetry.metrics.snapshot():
-        labels = ";".join(
-            f"{k}={v}" for k, v in sorted((snap.get("labels") or {}).items())
-        )
-        if snap["kind"] in ("counter", "gauge"):
-            lines.append(f"{snap['name']},{labels},value,{snap['value']}")
-        else:
-            for stat in ("count", "mean"):
-                lines.append(f"{snap['name']},{labels},{stat},{snap[stat]}")
-            for q, v in snap["quantiles"].items():
-                lines.append(f"{snap['name']},{labels},{q},{v}")
-    path = pathlib.Path(path)
-    path.write_text("\n".join(lines) + "\n")
     return path
 
 

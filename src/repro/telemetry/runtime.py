@@ -110,14 +110,3 @@ def telemetry_scope(telemetry: Optional[Telemetry] = None):
         yield installed
     finally:
         set_telemetry(previous)
-
-
-def telemetry_from_config(config) -> object:
-    """Build the bundle a :class:`repro.config.TelemetryConfig` asks for.
-
-    Returns :data:`NULL_TELEMETRY` when the section says disabled, so
-    callers can unconditionally ``set_telemetry(telemetry_from_config(c))``.
-    """
-    if getattr(config, "enabled", False):
-        return Telemetry()
-    return NULL_TELEMETRY

@@ -8,19 +8,14 @@ from .drift import (
 )
 from .events import EventCalendar, LoadEvent, retail_season_calendar
 from .generators import (
-    b2w_evaluation_trace,
     b2w_like_trace,
     diurnal_profile,
-    flash_crowd_trace,
     sine_trace,
-    step_trace,
     wikipedia_like_trace,
 )
 from .io import (
     read_trace_csv,
     read_trace_csv_cached,
-    trace_from_csv_string,
-    trace_to_csv_string,
     write_trace_csv,
 )
 from .trace import HOURS_PER_DAY, MINUTES_PER_DAY, LoadTrace
@@ -36,24 +31,19 @@ __all__ = [
     "LoadTrace",
     "HOURS_PER_DAY",
     "MINUTES_PER_DAY",
-    "b2w_evaluation_trace",
     "b2w_like_trace",
     "diurnal_profile",
     "drifting_period_trace",
-    "flash_crowd_trace",
     "growing_amplitude_trace",
     "level_shift_trace",
     "novel_spike_trace",
     "retail_season_calendar",
     "sine_trace",
-    "step_trace",
     "load_pagecounts_series",
     "parse_hourly_totals",
     "parse_pagecounts_hour",
     "read_trace_csv",
     "read_trace_csv_cached",
-    "trace_from_csv_string",
-    "trace_to_csv_string",
     "wikipedia_like_trace",
     "write_trace_csv",
 ]

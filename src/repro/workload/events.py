@@ -128,14 +128,6 @@ class EventCalendar:
             out[lo:hi] *= event.multipliers()[: hi - lo]
         return out
 
-    def labels_in(self, lo_slot: int, hi_slot: int) -> List[str]:
-        """Labels of events overlapping ``[lo_slot, hi_slot)`` (reporting)."""
-        return [
-            e.label
-            for e in self._events
-            if e.start_slot < hi_slot and e.end_slot > lo_slot
-        ]
-
 
 def retail_season_calendar(
     slots_per_day: int,

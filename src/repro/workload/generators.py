@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from . import memo
-from .events import EventCalendar, retail_season_calendar
+from .events import EventCalendar
 from .trace import LoadTrace
 
 
@@ -179,36 +179,6 @@ def b2w_like_trace(
     return trace
 
 
-def b2w_evaluation_trace(
-    n_days: int = 135,
-    slot_seconds: float = 300.0,
-    seed: int = 7,
-    include_black_friday: bool = True,
-    include_unexpected_spike: bool = True,
-) -> LoadTrace:
-    """The 4.5-month August-December window used in Section 8.3.
-
-    Defaults to 5-minute slots ("the predictions are at the granularity
-    of five minutes") and includes the full retail event calendar.
-    """
-    rng = _rng(seed)
-    slots_per_day = int(round(86_400.0 / slot_seconds))
-    calendar = retail_season_calendar(
-        slots_per_day=slots_per_day,
-        n_days=n_days,
-        rng=rng,
-        black_friday_day=116 if include_black_friday else -1,
-        include_unexpected_spike=include_unexpected_spike,
-    )
-    return b2w_like_trace(
-        n_days=n_days,
-        slot_seconds=slot_seconds,
-        seed=rng,
-        calendar=calendar,
-        name="b2w-aug-dec",
-    )
-
-
 def wikipedia_like_trace(
     n_days: int,
     language: str = "en",
@@ -259,50 +229,3 @@ def sine_trace(
     x = np.arange(total) * 2.0 * np.pi / slots_per_day
     values = low + (high - low) * 0.5 * (1.0 - np.cos(x))
     return LoadTrace(values, slot_seconds, name=name)
-
-
-def step_trace(
-    levels,
-    slots_per_level: int,
-    slot_seconds: float = 60.0,
-    name: str = "steps",
-) -> LoadTrace:
-    """Piecewise-constant load, handy for planner unit tests."""
-    if slots_per_level < 1:
-        raise SimulationError("slots_per_level must be >= 1")
-    values = np.repeat(np.asarray(levels, dtype=float), slots_per_level)
-    return LoadTrace(values, slot_seconds, name=name)
-
-
-def flash_crowd_trace(
-    n_days: int,
-    spike_day: float,
-    spike_magnitude: float = 2.0,
-    slot_seconds: float = 60.0,
-    seed: int = 23,
-    name: str = "flash-crowd",
-) -> LoadTrace:
-    """A B2W-like day pattern with one sharp unexpected spike (Fig. 11)."""
-    if not 0 <= spike_day < n_days:
-        raise SimulationError("spike_day must fall inside the trace")
-    slots_per_day = int(round(86_400.0 / slot_seconds))
-    from .events import LoadEvent
-
-    calendar = EventCalendar(
-        [
-            LoadEvent(
-                start_slot=int(spike_day * slots_per_day),
-                duration_slots=max(2, int(0.2 * slots_per_day)),
-                magnitude=spike_magnitude,
-                shape="spike",
-                label="unexpected-spike",
-            )
-        ]
-    )
-    return b2w_like_trace(
-        n_days=n_days,
-        slot_seconds=slot_seconds,
-        seed=seed,
-        calendar=calendar,
-        name=name,
-    )

@@ -19,7 +19,6 @@ files human-auditable and guards against accidental reordering.
 from __future__ import annotations
 
 import csv
-import io
 import pathlib
 from typing import List, TextIO, Union
 
@@ -113,13 +112,6 @@ def read_trace_csv(source: PathOrFile) -> LoadTrace:
     return LoadTrace(np.asarray(values), slot_seconds, name=name)
 
 
-def trace_to_csv_string(trace: LoadTrace) -> str:
-    """Serialise to an in-memory CSV string."""
-    buffer = io.StringIO()
-    write_trace_csv(trace, buffer)
-    return buffer.getvalue()
-
-
 def read_trace_csv_cached(path) -> LoadTrace:
     """:func:`read_trace_csv` through the per-process trace memo.
 
@@ -133,8 +125,3 @@ def read_trace_csv_cached(path) -> LoadTrace:
 
     key = ("csv",) + memo.file_key(path)
     return memo.memoized(key, lambda: read_trace_csv(path))
-
-
-def trace_from_csv_string(text: str) -> LoadTrace:
-    """Deserialise from an in-memory CSV string."""
-    return read_trace_csv(io.StringIO(text))

@@ -157,28 +157,6 @@ class LoadTrace:
             self.values[lo:hi].copy(), self.slot_seconds, name=self.name
         )
 
-    def resampled(self, new_slot_seconds: float) -> "LoadTrace":
-        """Aggregate to coarser slots, summing counts within each new slot.
-
-        ``new_slot_seconds`` must be an integer multiple of the current
-        slot length.  Used to turn 1-minute traces into the 5-minute slots
-        of the Section 8.3 simulations.
-        """
-        ratio = new_slot_seconds / self.slot_seconds
-        k = int(round(ratio))
-        if k < 1 or abs(ratio - k) > 1e-9:
-            raise SimulationError(
-                f"new slot ({new_slot_seconds}s) must be an integer multiple "
-                f"of the current slot ({self.slot_seconds}s)"
-            )
-        if k == 1:
-            return self
-        usable = (len(self) // k) * k
-        if usable == 0:
-            raise SimulationError("trace too short to resample")
-        summed = self.values[:usable].reshape(-1, k).sum(axis=1)
-        return LoadTrace(summed, new_slot_seconds, name=self.name)
-
     def smoothed(self, window: int) -> "LoadTrace":
         """Centered moving average, used only for display-style outputs."""
         if window < 1:

@@ -19,7 +19,8 @@ from repro.hstore import LatencyRecorder
 def percentile_series(values_by_second):
     recorder = LatencyRecorder()
     for second, values in values_by_second.items():
-        recorder.record_many(second, values)
+        for value in values:
+            recorder.record(second, value)
     return recorder.finalize()
 
 

@@ -1,6 +1,5 @@
 """Tests for the B2W trace-driven workload driver and loader."""
 
-import numpy as np
 import pytest
 
 from repro.benchmark import (
@@ -11,7 +10,6 @@ from repro.benchmark import (
 )
 from repro.errors import SimulationError
 from repro.hstore import Cluster, TransactionExecutor
-from repro.workload import LoadTrace
 
 
 @pytest.fixture
@@ -87,19 +85,6 @@ class TestDriver:
             return dict(driver.txn_counts)
 
         assert run_once() == run_once()
-
-    def test_run_trace(self, setup):
-        _, _, driver = setup
-        trace = LoadTrace(np.array([600.0, 1200.0]), slot_seconds=30.0)
-        executed = driver.run_trace(trace)
-        # 30s at 20 tps + 30s at 40 tps ~ 1800 txns.
-        assert 1400 <= executed <= 2300
-
-    def test_run_trace_max_seconds(self, setup):
-        _, _, driver = setup
-        trace = LoadTrace(np.array([600.0] * 10), slot_seconds=60.0)
-        driver.run_trace(trace, max_seconds=5)
-        assert sum(driver.txn_counts.values()) < 150
 
     def test_negative_rate_rejected(self, setup):
         _, _, driver = setup

@@ -115,9 +115,3 @@ class TestSchema:
     def test_duplicate_table(self):
         with pytest.raises(CatalogError):
             Schema([simple_table(), simple_table()])
-
-    def test_table_names_sorted(self):
-        schema = Schema(
-            [simple_table(name="zeta"), simple_table(name="alpha")]
-        )
-        assert schema.table_names == ["alpha", "zeta"]

@@ -218,7 +218,7 @@ class TestFractions:
         """Sec 8.1: random keys spread nearly uniformly over partitions."""
         cluster = make_cluster(nodes=2, ppn=3, buckets=120)
         for i in range(6000):
-            cluster.route(f"CART-{i:09d}").record_access()
+            cluster.record_bucket_access(cluster.bucket_of(f"CART-{i:09d}"))
         worst_excess, std = cluster.access_skew()
         assert worst_excess < 0.15
         assert std < 0.06

@@ -198,6 +198,21 @@ class TestSerialisation:
         with pytest.raises(ConfigurationError):
             PStoreConfig.from_dict({"q": 100.0, "shards": 3})
 
+    def test_there_is_no_telemetry_section(self):
+        # Recording is switched on by --telemetry-out or telemetry_scope(),
+        # never by a config, so a ``telemetry`` key is a typo.
+        with pytest.raises(ConfigurationError):
+            PStoreConfig.from_dict({"telemetry": {}})
+        with pytest.raises(ConfigurationError):
+            PStoreConfig.from_sources(overrides={"telemetry.enabled": True})
+
+    def test_default_config_hash_is_pinned(self):
+        # The sweep result cache keys cells on this digest: moving it
+        # invalidates every cached cell.
+        assert default_config().config_hash() == (
+            "0467d320ef5cf2bca94302a244dc312196d1509fd3e89eca99e40cf0ad84a71d"
+        )
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "pstore.json"
         path.write_text(

@@ -82,16 +82,6 @@ class TestEventCalendar:
         assert starts == sorted(starts)
         assert len(calendar) == 2
 
-    def test_labels_in_window(self):
-        calendar = EventCalendar(
-            [
-                LoadEvent(5, 5, 1.5, label="promo"),
-                LoadEvent(50, 5, 1.5, label="bf"),
-            ]
-        )
-        assert calendar.labels_in(0, 20) == ["promo"]
-        assert calendar.labels_in(0, 100) == ["promo", "bf"]
-
 
 class TestRetailCalendar:
     def test_contains_expected_event_types(self):

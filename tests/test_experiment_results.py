@@ -116,8 +116,6 @@ class TestFigure9Accessors:
     def test_named_properties(self, synthetic_figure9):
         assert synthetic_figure9.pstore.strategy_name == "p-store"
         assert synthetic_figure9.reactive.strategy_name == "reactive"
-        assert synthetic_figure9.static_peak.strategy_name == "static-10"
-        assert synthetic_figure9.static_trough.strategy_name == "static-4"
 
 
 #: ``get_experiment(name).render(result)`` -- the text ``pstore paper``

@@ -109,7 +109,7 @@ class TestFigure3:
         assert result.machines_end == 4
         # Both scale-outs are single-machine steps, delayed past t=0.
         real_moves = [m for m in result.schedule if not m.is_noop]
-        assert [m.machines_added for m in real_moves] == [1, 1]
+        assert [m.after - m.before for m in real_moves] == [1, 1]
         assert real_moves[0].start > 0
 
 

@@ -16,7 +16,6 @@ from repro.faults import (
     RetryPolicy,
     crash_during_migration_scenario,
     injector_from_config,
-    mixed_chaos_scenario,
     recovery_stats,
     render_fault_report,
 )
@@ -24,6 +23,8 @@ from repro.hstore import Cluster, Column, Schema, Table
 from repro.sim import ElasticDbSimulator
 from repro.squall import ClusterMigrator
 from repro.telemetry import Telemetry
+
+from .fixtures import mixed_chaos_scenario
 
 
 def kv_cluster(nodes=3, ppn=2, buckets=120, rows=600):
@@ -220,7 +221,7 @@ class TestInjectorLifecycle:
         ])
         (record,) = injector.advance(0.0)
         assert injector.resolve_crash_node(record, [0, 1, 2, 3]) == 2
-        assert injector.crashed_nodes == {2}
+        assert record.node == 2
 
     def test_resolve_crash_pick_is_seeded(self):
         def pick(seed):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments import fig11, fig12
 from repro.workload import (
-    b2w_evaluation_trace,
     b2w_like_trace,
     diurnal_profile,
-    flash_crowd_trace,
     sine_trace,
-    step_trace,
     wikipedia_like_trace,
 )
+
+from .fixtures import step_trace
 
 
 class TestDiurnalProfile:
@@ -87,27 +87,23 @@ class TestB2wLikeTrace:
 
 
 class TestEvaluationTrace:
-    def test_four_and_a_half_months(self):
-        trace = b2w_evaluation_trace(n_days=135, seed=1)
+    """The Sec. 8.3 window Figs. 12 and 13 run (``fig12.season_setup``)."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return fig12.season_setup(n_days=135, seed=1).trace
+
+    def test_four_and_a_half_months(self, trace):
         assert trace.duration_days == pytest.approx(135.0)
         assert trace.slot_seconds == 300.0
 
-    def test_black_friday_creates_seasonal_peak(self):
+    def test_black_friday_creates_seasonal_peak(self, trace):
         """The Black Friday surge (day ~116) should dominate the trace."""
-        trace = b2w_evaluation_trace(n_days=135, seed=1)
         per_day = trace.slots_per_day
+        assert 114 <= int(np.argmax(trace.values)) // per_day < 119
         bf = trace.values[114 * per_day : 119 * per_day].max()
         ordinary = trace.values[60 * per_day : 70 * per_day].max()
-        assert bf > 1.5 * ordinary
-
-    def test_spike_can_be_disabled(self):
-        with_spike = b2w_evaluation_trace(n_days=60, seed=2)
-        without = b2w_evaluation_trace(
-            n_days=60, seed=2, include_unexpected_spike=False
-        )
-        per_day = with_spike.slots_per_day
-        window = slice(40 * per_day, 41 * per_day)
-        assert with_spike.values[window].max() > without.values[window].max()
+        assert bf > 1.3 * ordinary
 
 
 class TestWikipediaLikeTrace:
@@ -154,12 +150,10 @@ class TestSyntheticHelpers:
         assert list(trace) == [1.0, 1.0, 1.0, 5.0, 5.0, 5.0]
 
     def test_flash_crowd_spike_present(self):
-        trace = flash_crowd_trace(3, spike_day=1.5, spike_magnitude=3.0, seed=6)
-        base = flash_crowd_trace(3, spike_day=1.5, spike_magnitude=1.0, seed=6)
+        """Fig. 11's trace: a spike half-way through the evaluation day."""
+        trace = fig11._spike_trace(eval_days=1, seed=6, magnitude=3.0)
+        base = fig11._spike_trace(eval_days=1, seed=6, magnitude=1.0)
         per_day = trace.slots_per_day
-        window = slice(int(1.5 * per_day), int(1.8 * per_day))
+        spike_day = fig11.TRAIN_DAYS + 0.5
+        window = slice(int(spike_day * per_day), int((spike_day + 0.25) * per_day))
         assert trace.values[window].max() > 1.8 * base.values[window].max()
-
-    def test_flash_crowd_spike_day_in_range(self):
-        with pytest.raises(SimulationError):
-            flash_crowd_trace(2, spike_day=5.0)

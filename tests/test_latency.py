@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.hstore import (
-    LatencyRecorder,
-    PercentileSeries,
-    merge_percentile_series,
-)
+from repro.hstore import LatencyRecorder, PercentileSeries
 
 
 def series_from(values_by_second):
     recorder = LatencyRecorder()
     for second, values in values_by_second.items():
-        recorder.record_many(second, values)
+        for value in values:
+            recorder.record(second, value)
     return recorder.finalize()
 
 
@@ -36,8 +33,6 @@ class TestRecorder:
         recorder = LatencyRecorder()
         with pytest.raises(SimulationError):
             recorder.record(0, -1.0)
-        with pytest.raises(SimulationError):
-            recorder.record_many(0, [1.0, -2.0])
 
     def test_empty_finalize_rejected(self):
         with pytest.raises(SimulationError):
@@ -49,7 +44,8 @@ class TestRecorder:
 
     def test_n_samples(self):
         recorder = LatencyRecorder()
-        recorder.record_many(0, [1.0, 2.0])
+        recorder.record(0, 1.0)
+        recorder.record(0, 2.0)
         recorder.record(3, 5.0)
         assert recorder.n_samples == 3
 
@@ -85,24 +81,3 @@ class TestPercentileSeries:
                 seconds=[0, 1],
                 percentiles={50.0: np.array([1.0])},
             )
-
-
-class TestMerge:
-    def test_merge_concatenates(self):
-        a = series_from({0: [1.0], 1: [2.0]})
-        b = series_from({2: [3.0]})
-        merged = merge_percentile_series([a, b])
-        assert len(merged) == 3
-        assert list(merged.series(50.0)) == [1.0, 2.0, 3.0]
-
-    def test_merge_requires_same_percentiles(self):
-        a = series_from({0: [1.0]})
-        recorder = LatencyRecorder(percentiles=[50.0])
-        recorder.record(0, 1.0)
-        b = recorder.finalize()
-        with pytest.raises(SimulationError):
-            merge_percentile_series([a, b])
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            merge_percentile_series([])

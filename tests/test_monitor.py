@@ -1,4 +1,4 @@
-"""Tests for load and skew monitoring."""
+"""Tests for aggregate-load monitoring."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.hstore import (
     Column,
     LoadMonitor,
     Schema,
-    SkewMonitor,
     Table,
 )
 
@@ -81,52 +80,6 @@ class TestLoadMonitor:
         monitor = LoadMonitor(interval_seconds=10.0)
         with pytest.raises(SimulationError):
             monitor.record(1.0, count=-1.0)
-
-
-class TestSkewMonitor:
-    def test_uniform_access_is_balanced(self):
-        cluster = kv_cluster()
-        for i in range(4000):
-            cluster.route(f"key-{i}").record_access()
-        report = SkewMonitor(cluster).snapshot()
-        assert report.is_balanced
-        assert report.hottest_excess < 0.2
-        assert report.total_accesses == 4000
-
-    def test_hot_partition_detected(self):
-        cluster = kv_cluster()
-        hot = cluster.partition_ids[0]
-        for pid in cluster.partition_ids:
-            cluster.partition(pid).record_access(100)
-        cluster.partition(hot).record_access(400)
-        monitor = SkewMonitor(cluster, imbalance_threshold=0.5)
-        report = monitor.snapshot()
-        assert report.hottest_partition == hot
-        assert report.hottest_excess > 1.0
-        assert monitor.imbalance_detected()
-
-    def test_no_accesses(self):
-        report = SkewMonitor(kv_cluster()).snapshot()
-        assert report.total_accesses == 0
-        assert report.hottest_excess == 0.0
-
-    def test_reset(self):
-        cluster = kv_cluster()
-        cluster.partition(cluster.partition_ids[0]).record_access(10)
-        monitor = SkewMonitor(cluster)
-        monitor.reset()
-        assert monitor.snapshot().total_accesses == 0
-
-    def test_invalid_threshold(self):
-        with pytest.raises(SimulationError):
-            SkewMonitor(kv_cluster(), imbalance_threshold=0.0)
-
-    def test_zero_traffic_has_no_hottest_partition(self):
-        # Regression: the zero-mean branch used to report min(counts) as
-        # "hottest", which looked identical to a genuinely hot partition 0.
-        report = SkewMonitor(kv_cluster()).snapshot()
-        assert report.hottest_partition == -1
-        assert report.is_balanced
 
 
 class TestLoadMonitorBoundaries:

@@ -13,17 +13,14 @@ class TestMove:
         assert move.is_scale_out
         assert not move.is_scale_in
         assert not move.is_noop
-        assert move.machines_added == 4
 
     def test_noop(self):
         move = Move(start=0, end=1, before=4, after=4)
         assert move.is_noop
-        assert move.machines_added == 0
 
     def test_scale_in(self):
         move = Move(start=0, end=2, before=5, after=2)
         assert move.is_scale_in
-        assert move.machines_added == -3
 
     def test_zero_duration_rejected(self):
         with pytest.raises(PlanningError):

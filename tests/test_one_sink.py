@@ -115,8 +115,8 @@ def test_capacity_sim_slots_are_history_indices(seed_slots):
 
 def test_serve_run_has_a_machines_series(monkeypatch):
     # Regression: ``pstore serve`` only set a gauge, so its run directory
-    # had an empty ``machines_series`` and no machines block.
-    from repro.telemetry import machines_series, render_dashboard
+    # had no per-slot machines series and no machines block.
+    from repro.telemetry import render_dashboard
 
     seen = _watch_serve(monkeypatch)
     summary, _ = serve_scenario.run_scenario(
@@ -130,10 +130,6 @@ def test_serve_run_has_a_machines_series(monkeypatch):
         assert span.attrs["machines"] == status["machines"]
         assert span.attrs["migrating"] == status["migrating"]
     assert len({s.attrs["machines"] for s in spans}) > 1
-    series = machines_series(tel)
-    assert [row["machines"] for row in series] == [
-        s.attrs["machines"] for s in spans
-    ]
     assert "machines" in render_dashboard(tel).split("measured load")[0]
 
 

@@ -116,20 +116,8 @@ class TestBulkMigrationOps:
         moved = partition.extract_rows("items", ["a", "ghost"])
         assert set(moved) == {"a"}
 
-    def test_iter_keys(self, partition):
-        partition.insert("items", {"id": "a", "v": 1})
-        partition.insert("items", {"id": "b", "v": 2})
-        assert set(partition.iter_keys("items")) == {"a", "b"}
-
 
 class TestStats:
-    def test_access_counter(self, partition):
-        partition.record_access()
-        partition.record_access(3)
-        assert partition.access_count == 4
-        partition.reset_stats()
-        assert partition.access_count == 0
-
     def test_negative_partition_id_rejected(self, schema):
         with pytest.raises(CatalogError):
             Partition(-1, schema)

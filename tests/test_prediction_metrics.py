@@ -1,16 +1,9 @@
 """Tests for forecast-accuracy metrics."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PredictionError
-from repro.prediction import (
-    SeasonalNaivePredictor,
-    horizon_error_sweep,
-    mean_absolute_error,
-    mean_relative_error,
-    root_mean_squared_error,
-)
+from repro.prediction import mean_relative_error
 
 
 class TestMre:
@@ -39,33 +32,3 @@ class TestMre:
     def test_empty(self):
         with pytest.raises(PredictionError):
             mean_relative_error([], [])
-
-
-class TestOtherMetrics:
-    def test_mae(self):
-        assert mean_absolute_error([1.0, 3.0], [2.0, 1.0]) == pytest.approx(1.5)
-
-    def test_rmse(self):
-        assert root_mean_squared_error([0.0, 0.0], [3.0, 4.0]) == pytest.approx(
-            np.sqrt(12.5)
-        )
-
-    def test_rmse_at_least_mae(self):
-        rng = np.random.default_rng(0)
-        a = rng.uniform(1, 10, 50)
-        p = a + rng.normal(0, 1, 50)
-        assert root_mean_squared_error(a, p) >= mean_absolute_error(a, p)
-
-
-class TestHorizonSweep:
-    def test_sweep_covers_requested_taus(self):
-        period = 24
-        x = np.arange(10 * period)
-        series = 50 + 20 * np.sin(2 * np.pi * x / period)
-        naive = SeasonalNaivePredictor(period).fit(series)
-        errors = horizon_error_sweep(
-            naive, series, taus=[1, 3, 6], start=6 * period, stop=9 * period, step=5
-        )
-        assert set(errors) == {1, 3, 6}
-        for err in errors.values():
-            assert err == pytest.approx(0.0, abs=1e-9)

@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core.model import effective_capacity, move_cost, move_time
 from repro.squall import build_migration_schedule
-from repro.workload import (
-    LoadTrace,
-    read_trace_csv,
-    trace_from_csv_string,
-    trace_to_csv_string,
-)
+from repro.workload import LoadTrace
+
+from .fixtures import trace_from_csv_string, trace_to_csv_string
 
 values_strategy = st.lists(
     st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
@@ -48,18 +45,6 @@ class TestTraceProperties:
             fast.as_rate_per_second(),
             speedup * trace.as_rate_per_second(),
         )
-
-    @given(
-        n=st.integers(min_value=2, max_value=40),
-        k=st.integers(min_value=2, max_value=5),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_resampling_conserves_counts(self, n, k):
-        rng = np.random.default_rng(n * 10 + k)
-        values = rng.uniform(0, 100, n * k)
-        trace = LoadTrace(values, 60.0)
-        coarse = trace.resampled(60.0 * k)
-        assert coarse.values.sum() == pytest.approx(values.sum())
 
 
 class TestModelContinuity:

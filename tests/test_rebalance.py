@@ -39,18 +39,91 @@ class TestHotBucketReport:
         assert report.hot_buckets[0][0] == hot_bucket
         assert report.hottest_partition == cluster.plan.owner(hot_bucket)
         assert report.hottest_share > 0.5
-        assert report.imbalanced(0.4)
 
     def test_uniform_access_balanced(self):
         cluster = kv_cluster()
         for b in range(64):
             hammer_bucket(cluster, b, 10)
         report = hot_bucket_report(cluster)
-        assert not report.imbalanced(0.5)
+        assert report.hottest_share <= 0.5
 
     def test_bad_top_k(self):
         with pytest.raises(MigrationError):
             hot_bucket_report(kv_cluster(), top_k=0)
+
+
+class TestPartitionAccessCounts:
+    """``Cluster.partition_access_counts``: the bucket counters summed by
+    each bucket's current owner, the one load figure skew reports read."""
+
+    @staticmethod
+    def _by_owner_loop(cluster):
+        counts = cluster.bucket_access_counts()
+        load = {pid: 0 for pid in cluster.partition_ids}
+        for bucket in range(cluster.n_buckets):
+            load[cluster.plan.owner(bucket)] += int(counts[bucket])
+        return load
+
+    def test_equals_bucket_counters_summed_by_owner(self):
+        cluster = kv_cluster()
+        rng = np.random.default_rng(11)
+        for b in range(64):
+            hammer_bucket(cluster, b, int(rng.integers(0, 500)))
+        hammer_bucket(cluster, 7, 900)
+        loads = cluster.partition_access_counts()
+        assert loads == self._by_owner_loop(cluster)
+        assert sum(loads.values()) == int(cluster.bucket_access_counts().sum())
+        assert hot_bucket_report(cluster).partition_load == loads
+
+    def test_counts_follow_a_moved_bucket(self):
+        cluster = kv_cluster()
+        hammer_bucket(cluster, 3, 40)
+        source = cluster.plan.owner(3)
+        dest = next(p for p in cluster.partition_ids if p != source)
+        cluster.move_bucket(3, dest)
+        loads = cluster.partition_access_counts()
+        assert loads[dest] == 40 and loads[source] == 0
+        assert loads == self._by_owner_loop(cluster)
+
+    def test_new_partitions_start_at_zero(self):
+        cluster = kv_cluster()
+        hammer_bucket(cluster, 0, 5)
+        cluster.add_nodes(1)
+        loads = cluster.partition_access_counts()
+        assert sorted(loads) == cluster.partition_ids
+        assert sum(loads.values()) == 5
+        assert loads == self._by_owner_loop(cluster)
+
+    def test_no_accesses(self):
+        cluster = kv_cluster()
+        assert set(cluster.partition_access_counts().values()) == {0}
+        assert cluster.access_skew() == (0.0, 0.0)
+
+    def test_uniform_access_is_balanced(self):
+        cluster = kv_cluster()
+        for i in range(4000):
+            hammer_bucket(cluster, cluster.bucket_of(f"key-{i}"), 1)
+        assert sum(cluster.partition_access_counts().values()) == 4000
+        worst_excess, _ = cluster.access_skew()
+        assert worst_excess < 0.2
+        assert hot_bucket_report(cluster).hottest_share < 0.4
+
+    def test_hot_partition_detected(self):
+        cluster = kv_cluster()
+        hot = cluster.partition_ids[0]
+        for b in range(64):
+            hammer_bucket(cluster, b, 100)
+        for b in cluster.plan.buckets_of(hot):
+            hammer_bucket(cluster, b, 400)
+        worst_excess, _ = cluster.access_skew()
+        assert worst_excess > 1.0
+        assert hot_bucket_report(cluster).hottest_partition == hot
+
+    def test_reset(self):
+        cluster = kv_cluster()
+        hammer_bucket(cluster, 0, 10)
+        cluster.reset_bucket_accesses()
+        assert set(cluster.partition_access_counts().values()) == {0}
 
 
 class TestRebalancePlan:

@@ -11,7 +11,6 @@ from repro.config import default_config
 from repro.elasticity.base import StrategySpec
 from repro.errors import ConfigurationError, StrategySpecError, SweepError
 from repro.experiments.registry import (
-    experiment_names,
     get_experiment,
     list_experiments,
 )
@@ -261,7 +260,7 @@ class TestSweepExecutor:
 
 class TestRegistry:
     def test_every_experiment_registered(self):
-        names = experiment_names()
+        names = {defn.name for defn in list_experiments()}
         for expected in ("fig01", "fig09", "fig12", "chaos", "smoke",
                          "tab02", "ablations", "sec5"):
             assert expected in names

@@ -11,6 +11,9 @@ events.
 import asyncio
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -32,6 +35,7 @@ from repro.serve import (
 )
 from repro.serve.ingest import (
     FileLinesSource,
+    JsonLinesSource,
     LoadReport,
     ReportSource,
     TcpSource,
@@ -164,7 +168,9 @@ class TestParseReportLine:
         assert isinstance(
             source_from_spec("file:reports.jsonl"), FileLinesSource
         )
-        assert source_from_spec("stdin") == "stdin"
+        stdin = source_from_spec("stdin", max_line_bytes=4096)
+        assert isinstance(stdin, JsonLinesSource)
+        assert stdin.reader is None and stdin.max_line_bytes == 4096
         assert isinstance(source_from_spec("tcp:0"), TcpSource)
         with pytest.raises(SimulationError):
             source_from_spec("carrier-pigeon:9")
@@ -199,6 +205,70 @@ class TestParseReportLine:
         reports = asyncio.run(collect())
         assert [r.count for r in reports] == [5.0, 7.0]
         assert source.rejected == 1  # the blank line is not a reject
+
+
+class TestJsonLinesSource:
+    """Newline JSON on a byte stream: ``pstore serve --source stdin``."""
+
+    @staticmethod
+    def _reader(*payloads):
+        reader = asyncio.StreamReader()
+        for payload in payloads:
+            reader.feed_data(payload)
+        reader.feed_eof()
+        return reader
+
+    def test_good_lines_round_trip(self):
+        lines = _honest_lines(3)
+        # A reject in the middle, no newline after the last line.
+        text = "\n".join(lines[:4] + ["garbage"] + lines[4:]).encode()
+
+        async def scenario():
+            # Cut mid-line: how the bytes arrive must not matter.
+            source = JsonLinesSource(self._reader(text[:50], text[50:]))
+            return source, [r async for r in source.reports()]
+
+        source, received = asyncio.run(scenario())
+        assert received == [parse_report_line(line) for line in lines]
+        assert source.rejected == 1
+        assert source.overlong_lines == 0
+
+    def test_overlong_line_ends_the_stream_not_the_plane(self):
+        # Regression: a line past the reader's 64 KiB limit raised
+        # ``ValueError: Separator is found, but chunk is longer than
+        # limit`` out of ``ControlPlane.run``.
+        first, last = _honest_lines(2, nodes=("a",))
+        payload = (first + "\n" + "x" * 70_000 + "\n" + last + "\n").encode()
+
+        async def scenario():
+            source = JsonLinesSource(self._reader(payload))
+            return source, await _quiet_plane(source).run()
+
+        with telemetry_scope() as tel:
+            source, summary = asyncio.run(scenario())
+            overlong = tel.metrics.counter("serve.ingest_overlong").value
+        assert source.overlong_lines == overlong == 1
+        assert summary["reports"] == 1        # nothing after the long line
+        assert summary["drained"] is True
+
+    def test_cli_reads_stdin_under_the_line_cap(self):
+        lines = _honest_lines(4, nodes=("a",))
+        feed = "\n".join(lines[:2] + ["x" * 300] + lines[2:]) + "\n"
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--source", "stdin",
+             "--slot-seconds", "3600", "--train-days", "0",
+             "--predictor", "seasonal", "--ingest-max-line", "256",
+             "--out", "none", "--status-every", "0", "--quiet"],
+            input=feed, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout.startswith("served 2 intervals"), done.stdout
 
 
 # ----------------------------------------------------------------------

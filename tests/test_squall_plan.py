@@ -9,8 +9,9 @@ from repro.hstore import PartitionPlan
 from repro.squall import (
     balanced_target,
     make_reconfiguration_plan,
-    plan_balance_error,
 )
+
+from .fixtures import plan_balance_error
 
 
 class TestBalancedTarget:

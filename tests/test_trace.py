@@ -87,16 +87,6 @@ class TestTransforms:
             10 * trace.as_rate_per_second()[0]
         )
 
-    def test_resample_sums_counts(self):
-        trace = trace_of([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], slot_seconds=60.0)
-        coarse = trace.resampled(180.0)
-        assert list(coarse) == [6.0, 15.0]
-        assert coarse.slot_seconds == 180.0
-
-    def test_resample_requires_integer_multiple(self):
-        with pytest.raises(SimulationError):
-            trace_of([1.0] * 10).resampled(90.0)
-
     def test_slice_days(self):
         trace = trace_of(list(range(3 * 24)), slot_seconds=3600.0)
         day2 = trace.slice_days(1, 1)

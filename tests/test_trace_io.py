@@ -10,10 +10,10 @@ from repro.workload import (
     LoadTrace,
     b2w_like_trace,
     read_trace_csv,
-    trace_from_csv_string,
-    trace_to_csv_string,
     write_trace_csv,
 )
+
+from .fixtures import trace_from_csv_string, trace_to_csv_string
 
 
 class TestRoundTrip:

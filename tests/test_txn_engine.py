@@ -88,6 +88,16 @@ class TestTransactionExecutor:
         assert cluster.get("kv", "a")["v"] == 5
         assert executor.committed == 1
 
+    def test_a_transaction_counts_once_against_its_bucket(self):
+        cluster = Cluster(kv_schema(), 2, 2, 64)
+        executor = TransactionExecutor(cluster, seed=3)
+        result = executor.execute(
+            Transaction(PutProc(), {"k": "a", "v": 5}, submit_time=1.0)
+        )
+        counts = cluster.bucket_access_counts()
+        assert counts.sum() == 1 and counts[cluster.bucket_of("a")] == 1
+        assert cluster.partition_access_counts()[result.partition_id] == 1
+
     def test_cross_key_transaction_raises(self):
         cluster = Cluster(kv_schema(), 2, 2, 64)
         executor = TransactionExecutor(cluster, seed=3)
@@ -113,26 +123,6 @@ class TestTransactionExecutor:
             for i in range(50)
         ]
         assert np.mean(latencies[40:]) > 3 * np.mean(latencies[:5])
-
-    def test_migration_stall_delays_partition(self):
-        cluster = Cluster(kv_schema(), 1, 1, 32)
-        executor = TransactionExecutor(cluster, seed=3)
-        pid = cluster.route("a").partition_id
-        executor.add_migration_stall(pid, at_time=0.0, stall_seconds=2.0)
-        result = executor.execute(
-            Transaction(PutProc(), {"k": "a", "v": 1}, submit_time=0.0)
-        )
-        assert result.latency_ms > 2000.0
-
-    def test_finalize_latencies(self):
-        cluster = Cluster(kv_schema(), 1, 1, 32)
-        executor = TransactionExecutor(cluster, seed=3)
-        for t in range(5):
-            executor.execute(
-                Transaction(PutProc(), {"k": "a", "v": t}, submit_time=float(t))
-            )
-        series = executor.finalize_latencies()
-        assert len(series) == 5
 
 
 class TestQueueingEngine:
@@ -183,16 +173,6 @@ class TestQueueingEngine:
             [noisy.step(1.0, 300.0, self.uniform(), interference).p99_ms for _ in range(50)]
         )
         assert hurt > 1.5 * base
-
-    def test_resize_grows_and_shrinks(self):
-        engine = self.make_engine(n=4)
-        engine.step(1.0, 600.0, self.uniform(4))
-        engine.resize(8)
-        assert engine.n_partitions == 8
-        stats = engine.step(1.0, 100.0, self.uniform(8))
-        assert stats.completed_tps > 0
-        engine.resize(2)
-        assert engine.n_partitions == 2
 
     def test_deterministic_with_seed(self):
         a = QueueingEngine(6, seed=11)
