@@ -308,8 +308,7 @@ class ControlPlane(Persisted):
                         drained = True
                         break
                     for report in batch:
-                        depository.add(report)
-                        if depository.flush():
+                        if depository.add(report) and depository.flush():
                             self._dispatch()
                             if self.checkpoints is not None:
                                 self.checkpoint()
