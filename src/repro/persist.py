@@ -99,9 +99,10 @@ def delta(old, new) -> list:
     fields that changed, and no more.
 
     An op is ``{"path": [...], "set": value}`` or ``{"path": [...],
-    "slide": [k, item]}`` — the list there lost ``k`` leading items and
-    gained ``item`` at the end, which is how every sliding window and
-    growing series moves between two intervals.  Components are entered
+    "slide": [k, item, ...]}`` — the list there lost ``k`` leading items
+    and gained the items after ``k`` at the end, which is how every
+    sliding window and growing series moves between two intervals (one
+    item an interval; a refit's window, several).  Components are entered
     by key; an encoded dict by the index of each value that is itself a
     container, as long as its keys are the same ones; what changed in
     any other way is set whole.  Containers are compared with ``==``,
@@ -138,14 +139,24 @@ def _delta(old, new, path: list, ops: list) -> None:
         if drop >= 0 and old[drop:] == new[:-1]:
             ops.append({"path": path, "slide": [drop, new[-1]]})
             return
+        # Several items: the kept tail starts where new[0] first is.
+        try:
+            drop = old.index(new[0])
+        except ValueError:
+            drop = len(old)
+        kept = len(old) - drop
+        if 0 < kept < len(new) and old[drop:] == new[:kept]:
+            ops.append({"path": path, "slide": [drop, *new[kept:]]})
+            return
     ops.append({"path": path, "set": new})
 
 
 def patch(doc, ops):
     """``doc`` with :func:`delta` ops applied in place (returned, since a
     ``set`` at the empty path replaces it).  The ops come from a file:
-    a path that does not lead anywhere, or a slide longer than its list,
-    is a ``ValueError`` that says which."""
+    a path that does not lead anywhere, a slide that is not a count and
+    at least one item, or one longer than its list, is a ``ValueError``
+    that says which."""
     root = {"": doc}
     for op in ops:
         path = op["path"]
@@ -154,7 +165,13 @@ def patch(doc, ops):
             node, key = _follow(node, key, path), step
         target = _follow(node, key, path)
         if "slide" in op:
-            drop, item = op["slide"]
+            slide = op["slide"]
+            if type(slide) is not list or len(slide) < 2:
+                raise ValueError(
+                    f"slide {slide!r} at {path}: not a count to drop and "
+                    "the items to append"
+                )
+            drop = slide[0]
             if (
                 type(target) is not list or type(drop) is not int
                 or not 0 <= drop <= len(target)
@@ -163,7 +180,7 @@ def patch(doc, ops):
                     f"slide of {drop!r} at {path}: no list that long there"
                 )
             del target[:drop]
-            target.append(item)
+            target += slide[1:]
         else:
             node[key] = op["set"]
     return root[""]

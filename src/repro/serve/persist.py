@@ -29,7 +29,9 @@ nothing to take a difference from.
 
 Crash safety is in the order of the writes, not in fsync gymnastics: the
 chronicle append, then the journal append (or the base replace, then the
-journal truncate).  A row counts once its line is complete and its
+journal truncate).  The store keeps both logs open for appending and
+flushes each write before it makes the next, so the bytes reach the OS
+in that order too.  A row counts once its line is complete and its
 ``seq`` follows the row before it.  :meth:`CheckpointStore.load` applies
 the rows that are newer than the base, ignores a last line the crash
 tore and rows the base already holds (a crash between the replace and
@@ -45,7 +47,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import List, Tuple
+from typing import BinaryIO, Dict, List, Tuple
 
 from ..errors import SimulationError
 from ..persist import SCHEMA as CHECKPOINT_SCHEMA, current, delta, patch
@@ -139,6 +141,9 @@ class CheckpointStore:
         #: Nothing here was loaded or written by this store yet: logs in
         #: the directory belong to an earlier run.
         self._fresh = True
+        #: The chronicle's and the journal's append handles, opened on
+        #: first use and kept open until :meth:`close` or :meth:`load`.
+        self._handles: Dict[pathlib.Path, BinaryIO] = {}
         self.saves = 0
         #: Bytes put into the base and the journal by this store.
         self.bytes_written = 0
@@ -173,9 +178,10 @@ class CheckpointStore:
                 log.unlink(missing_ok=True)
             self._fresh = False
         if total > self._appended:
-            with self.chronicle_path.open("a", encoding="utf-8") as handle:
-                for rec in chronicle_records[self._appended:total]:
-                    handle.write(json.dumps(rec, sort_keys=True) + "\n")
+            self._append(self.chronicle_path, "".join(
+                json.dumps(rec, sort_keys=True) + "\n"
+                for rec in chronicle_records[self._appended:total]
+            ).encode("utf-8"))
             self._appended = total
         seq = self._seq + 1
         row = None
@@ -193,8 +199,7 @@ class CheckpointStore:
         if row is None:
             self._write_base(state, seq, total)
         else:
-            with self.journal_path.open("ab") as handle:
-                handle.write(row)
+            self._append(self.journal_path, row)
             self._journal_bytes += len(row)
             self.journal_rows += 1
             self.bytes_written += len(row)
@@ -209,10 +214,30 @@ class CheckpointStore:
         payload = json.dumps(doc, sort_keys=True).encode("utf-8")
         self._replace(self.checkpoint_path, payload)
         # A crash here leaves rows at or below ``seq``: load skips them.
-        self.journal_path.write_bytes(b"")
+        self._log(self.journal_path).truncate(0)
         self._base_bytes = len(payload)
         self._journal_bytes = self.journal_rows = 0
         self.bytes_written += len(payload)
+
+    def _log(self, path: pathlib.Path) -> BinaryIO:
+        handle = self._handles.get(path)
+        if handle is None:
+            handle = self._handles[path] = path.open("ab")
+        return handle
+
+    def _append(self, path: pathlib.Path, payload: bytes) -> None:
+        """Append to a log and hand the bytes to the OS before the next
+        write: the chronicle's rows must be in its file before the
+        journal row that acknowledges them is in its own."""
+        handle = self._log(path)
+        handle.write(payload)
+        handle.flush()
+
+    def close(self) -> None:
+        """Close the log handles; a later save opens them again."""
+        for handle in self._handles.values():
+            handle.close()
+        self._handles.clear()
 
     # ------------------------------------------------------------------
     # Loading
@@ -228,6 +253,7 @@ class CheckpointStore:
         next save rewrites the base: a loaded document (a v1 one least
         of all) is not what :func:`repro.persist.encode` would hand over.
         """
+        self.close()                    # the trims below replace files
         doc, taken, passed_over = _read(self.checkpoint_path, self.journal_path)
         records = self._read_chronicle(doc["chronicle_rows"])
         if passed_over:

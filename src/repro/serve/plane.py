@@ -353,6 +353,8 @@ class ControlPlane(Persisted):
         if self.server is not None:
             server, self.server = self.server, None
             await server.close()
+        if self.checkpoints is not None:
+            self.checkpoints.close()
         tel = self._telemetry
         artifacts = {}
         if self.options.out and tel.enabled:

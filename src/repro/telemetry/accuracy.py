@@ -33,6 +33,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..errors import SimulationError
 from ..persist import Persisted
 
 #: Default rolling-window size per (predictor, tau): one day of
@@ -59,6 +60,10 @@ class AccuracyTracker(Persisted):
         self._pending: Dict[int, List[dict]] = {}
         #: (predictor, tau) -> deque of (predicted, inflated, actual).
         self._windows: Dict[Tuple[str, int], _PairWindow] = {}
+        #: (predictor, tau) -> the window's error terms (derived state).
+        self._terms: Dict[Tuple[str, int], _Terms] = {}
+        #: (predictor, tau) -> its instruments in ``metrics``.
+        self._published: Dict[Tuple[str, int], _Published] = {}
         self._pairs_total: Dict[Tuple[str, int], int] = {}
         self._over_cost: Dict[Tuple[str, int], int] = {}
         self._under_cost: Dict[Tuple[str, int], int] = {}
@@ -138,11 +143,18 @@ class AccuracyTracker(Persisted):
 
     def _absorb(self, entry: dict) -> None:
         key = (entry["predictor"], entry["tau"])
+        pair = (entry["predicted"], entry["inflated"], entry["actual"])
         window = self._windows.get(key)
         if window is None:
             window = deque(maxlen=self.window)
             self._windows[key] = window
-        window.append((entry["predicted"], entry["inflated"], entry["actual"]))
+            terms = self._terms[key] = _Terms()
+        else:
+            terms = self._terms[key]
+            if len(window) == self.window:
+                terms.evict(*window[0])
+        window.append(pair)
+        terms.add(*pair)
         self._pairs_total[key] = self._pairs_total.get(key, 0) + 1
         if self._q is not None and entry["inflated"] is not None:
             provisioned = math.ceil(entry["inflated"] / self._q)
@@ -155,75 +167,39 @@ class AccuracyTracker(Persisted):
             )
         self._publish(key, entry)
 
-    @staticmethod
-    def _window_stats(window: _PairWindow) -> dict:
-        """MAPE / sMAPE / signed bias / coverage over one rolling window."""
-        ape: List[float] = []
-        sape: List[float] = []
-        bias: List[float] = []
-        covered = 0
-        coverable = 0
-        for predicted, inflated, actual in window:
-            if actual > 0:
-                ape.append(abs(predicted - actual) / actual)
-                bias.append((predicted - actual) / actual)
-            denom = abs(predicted) + abs(actual)
-            if denom > 0:
-                sape.append(2.0 * abs(predicted - actual) / denom)
-            if inflated is not None:
-                coverable += 1
-                if actual <= inflated:
-                    covered += 1
-        return {
-            "mape_pct": 100.0 * sum(ape) / len(ape) if ape else None,
-            "smape_pct": 100.0 * sum(sape) / len(sape) if sape else None,
-            "bias_pct": 100.0 * sum(bias) / len(bias) if bias else None,
-            "coverage_pct": (
-                100.0 * covered / coverable if coverable else None
-            ),
-        }
-
     def _publish(self, key: Tuple[str, int], entry: dict) -> None:
-        metrics = self._metrics
-        if metrics is None:
+        if self._metrics is None:
             return
-        predictor, tau = key
-        labels = {"predictor": predictor, "tau": str(tau)}
-        metrics.counter("forecast.pairs", **labels).inc()
-        stats = self._window_stats(self._windows[key])
-        for name, value in (
-            ("forecast.mape_pct", stats["mape_pct"]),
-            ("forecast.smape_pct", stats["smape_pct"]),
-            ("forecast.bias_pct", stats["bias_pct"]),
-            ("forecast.coverage_pct", stats["coverage_pct"]),
-        ):
+        published = self._published.get(key)
+        if published is None:
+            published = _Published(self._metrics, key)
+            self._published[key] = published
+        published.pairs.inc()
+        for name, value in self._terms[key].stats().items():
             if value is not None:
-                metrics.gauge(name, **labels).set(value)
-        if entry["actual"] > 0:
-            metrics.histogram(
-                "forecast.abs_pct_error", bounds=ERROR_PCT_BOUNDS, **labels
-            ).observe(
-                100.0 * abs(entry["predicted"] - entry["actual"])
-                / entry["actual"]
+                published.gauge(name).set(value)
+        actual = entry["actual"]
+        if actual > 0:
+            published.abs_pct_error().observe(
+                100.0 * abs(entry["predicted"] - actual) / actual
             )
         if self._q is not None:
-            metrics.gauge(
-                "forecast.over_machine_intervals", **labels
-            ).set(self._over_cost.get(key, 0))
-            metrics.gauge(
-                "forecast.under_machine_intervals", **labels
-            ).set(self._under_cost.get(key, 0))
+            published.gauge("over_machine_intervals").set(
+                self._over_cost.get(key, 0)
+            )
+            published.gauge("under_machine_intervals").set(
+                self._under_cost.get(key, 0)
+            )
 
     def errors(self, predictor: str, tau: int) -> Optional[dict]:
         """Rolling-window stats for one ``(predictor, tau)`` (or None)."""
-        window = self._windows.get((str(predictor), int(tau)))
+        key = (str(predictor), int(tau))
+        window = self._windows.get(key)
         if not window:
             return None
-        stats = self._window_stats(window)
+        stats = self._terms[key].stats()
         stats["pairs_window"] = len(window)
-        stats["pairs_total"] = self._pairs_total.get(
-            (str(predictor), int(tau)), 0
-        )
+        stats["pairs_total"] = self._pairs_total.get(key, 0)
         return stats
 
     # ------------------------------------------------------------------
@@ -239,11 +215,21 @@ class AccuracyTracker(Persisted):
     )
 
     def _rebuild(self) -> None:
-        """The windows come back as plain lists of lists."""
-        self._windows = {
-            key: deque(map(tuple, pairs), maxlen=self.window)
-            for key, pairs in self._windows.items()
-        }
+        """The windows come back as plain lists of lists; their error
+        terms are recomputed from them."""
+        try:
+            self._windows = {
+                key: deque(map(tuple, pairs), maxlen=self.window)
+                for key, pairs in self._windows.items()
+            }
+            self._terms = {
+                key: _Terms(window) for key, window in self._windows.items()
+            }
+        except (TypeError, ValueError):
+            raise SimulationError(
+                "windows: a pair is not [predicted, inflated or null, "
+                "actual] numbers"
+            ) from None
 
     @property
     def pairs_dropped(self) -> int:
@@ -258,7 +244,7 @@ class AccuracyTracker(Persisted):
         rows: List[dict] = []
         for key in sorted(self._windows):
             predictor, tau = key
-            stats = self._window_stats(self._windows[key])
+            stats = self._terms[key].stats()
             rows.append(
                 {
                     "predictor": predictor,
@@ -271,6 +257,88 @@ class AccuracyTracker(Persisted):
                 }
             )
         return rows
+
+
+class _Terms:
+    """One window's error terms, each in its own deque in window order:
+    ape and signed bias of the pairs with ``actual > 0``, sape of those
+    with ``|p| + |a| > 0``, a covered flag for those with an inflated
+    forecast.  A pair's terms are computed once, when it enters; the
+    stats are C-level sums over the same terms in the same order a walk
+    over the window would take, so they are the same floats."""
+
+    __slots__ = ("ape", "bias", "sape", "covered")
+
+    def __init__(self, pairs=()) -> None:
+        self.ape: Deque[float] = deque()
+        self.bias: Deque[float] = deque()
+        self.sape: Deque[float] = deque()
+        self.covered: Deque[bool] = deque()
+        for pair in pairs:
+            self.add(*pair)
+
+    def add(self, predicted, inflated, actual) -> None:
+        if actual > 0:
+            self.ape.append(abs(predicted - actual) / actual)
+            self.bias.append((predicted - actual) / actual)
+        denom = abs(predicted) + abs(actual)
+        if denom > 0:
+            self.sape.append(2.0 * abs(predicted - actual) / denom)
+        if inflated is not None:
+            self.covered.append(actual <= inflated)
+
+    def evict(self, predicted, inflated, actual) -> None:
+        """Drop the window's oldest pair, which is ``(predicted,
+        inflated, actual)``, from the deques it added to."""
+        if actual > 0:
+            self.ape.popleft()
+            self.bias.popleft()
+        if abs(predicted) + abs(actual) > 0:
+            self.sape.popleft()
+        if inflated is not None:
+            self.covered.popleft()
+
+    def stats(self) -> dict:
+        """MAPE / sMAPE / signed bias / coverage over the window."""
+        ape, sape, bias, covered = self.ape, self.sape, self.bias, self.covered
+        return {
+            "mape_pct": 100.0 * sum(ape) / len(ape) if ape else None,
+            "smape_pct": 100.0 * sum(sape) / len(sape) if sape else None,
+            "bias_pct": 100.0 * sum(bias) / len(bias) if bias else None,
+            "coverage_pct": (
+                100.0 * sum(covered) / len(covered) if covered else None
+            ),
+        }
+
+
+class _Published:
+    """One ``(predictor, tau)``'s instruments, each looked up in the
+    registry the first time it is needed and held from then on."""
+
+    __slots__ = ("_metrics", "_labels", "_gauges", "_histogram", "pairs")
+
+    def __init__(self, metrics, key: Tuple[str, int]) -> None:
+        self._metrics = metrics
+        self._labels = {"predictor": key[0], "tau": str(key[1])}
+        self._gauges: dict = {}
+        self._histogram = None
+        self.pairs = metrics.counter("forecast.pairs", **self._labels)
+
+    def gauge(self, name: str):
+        """The ``forecast.<name>`` gauge."""
+        gauge = self._gauges.get(name)
+        if gauge is None:
+            gauge = self._metrics.gauge(f"forecast.{name}", **self._labels)
+            self._gauges[name] = gauge
+        return gauge
+
+    def abs_pct_error(self):
+        if self._histogram is None:
+            self._histogram = self._metrics.histogram(
+                "forecast.abs_pct_error", bounds=ERROR_PCT_BOUNDS,
+                **self._labels,
+            )
+        return self._histogram
 
 
 class NullAccuracyTracker(Persisted):

@@ -1,7 +1,11 @@
 """Tests for the live prediction-error tracker
 (:mod:`repro.telemetry.accuracy`)."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     DEFAULT_WINDOW,
@@ -10,6 +14,8 @@ from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
 )
+
+from .accuracy_oracle import window_stats
 
 
 class TestPairing:
@@ -170,3 +176,124 @@ class TestBundleIntegration:
         assert NULL_ACCURACY.observe(1, 5.0) == []
         assert NULL_ACCURACY.pending_count == 0
         assert NULL_ACCURACY.snapshot() == []
+
+
+# ----------------------------------------------------------------------
+# The kept error terms vs. a walk over the window (tests/accuracy_oracle)
+# ----------------------------------------------------------------------
+
+#: Values that hit every branch of a term: zero (``actual == 0``, and
+#: ``p == a == 0`` when both draw it), negative forecasts and actuals,
+#: and a few magnitudes apart so that sums round.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -3.5, 0.1, 1.0, 100.0, 1e6]),
+    st.floats(-1e4, 1e4, allow_nan=False),
+)
+#: One step: maybe a forecast (by one of two predictors, up to three
+#: taus, with or without its inflated form), then the next slot's
+#: observation (one slot in four skipped, dropping what targeted it),
+#: then, one step in ten, a checkpoint round trip.
+_STEPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["spar", "ar"]),
+                st.lists(_VALUES, min_size=1, max_size=3),
+                st.one_of(
+                    st.none(), st.lists(_VALUES, min_size=3, max_size=3)
+                ),
+            ),
+        ),
+        st.sampled_from([1, 1, 1, 2]),
+        _VALUES,
+        st.sampled_from([False] * 9 + [True]),
+    ),
+    max_size=40,
+)
+
+_STAT_NAMES = ("mape_pct", "smape_pct", "bias_pct", "coverage_pct")
+
+
+def _gauges(metrics):
+    return {
+        (m["name"], m["labels"]["predictor"], m["labels"]["tau"]): m["value"]
+        for m in metrics.snapshot() if m["kind"] == "gauge"
+    }
+
+
+class TestAgainstTheOracle:
+    @given(window=st.integers(1, 5), steps=_STEPS)
+    @settings(max_examples=250, deadline=None)
+    def test_stats_equal_a_walk_over_the_window(self, window, steps):
+        metrics = MetricsRegistry()
+        tracker = AccuracyTracker(metrics=metrics, window=window)
+        #: (predictor, tau) -> every pair harvested for it, in order.
+        pairs = {}
+        slot = 0
+        for forecast, skip, actual, restore in steps:
+            if forecast is not None:
+                predictor, predicted, inflated = forecast
+                tracker.record_forecast(
+                    slot, predicted, predictor=predictor,
+                    inflated=inflated and inflated[:len(predicted)],
+                )
+            slot += skip
+            harvest = tracker.observe(slot, actual)
+            for entry in harvest:
+                pairs.setdefault((entry["predictor"], entry["tau"]), []).append(
+                    (entry["predicted"], entry["inflated"], entry["actual"])
+                )
+            gauges = _gauges(metrics)
+            for entry in harvest:
+                key = (entry["predictor"], entry["tau"])
+                expect = window_stats(pairs[key][-window:])
+                for name in _STAT_NAMES:
+                    # A stat with no terms leaves its gauge as it was.
+                    if expect[name] is not None:
+                        assert gauges[
+                            (f"forecast.{name}", key[0], str(key[1]))
+                        ] == expect[name], (name, key)
+            if restore:
+                doc = json.loads(json.dumps(tracker.state_dict()))
+                metrics = MetricsRegistry()
+                tracker = AccuracyTracker(metrics=metrics)
+                tracker.restore_state(doc)
+            for key, kept in pairs.items():
+                expect = window_stats(kept[-window:])
+                stats = tracker.errors(*key)
+                assert {name: stats[name] for name in _STAT_NAMES} == expect
+                assert stats["pairs_window"] == len(kept[-window:])
+                assert stats["pairs_total"] == len(kept)
+        assert [
+            {name: row[name] for name in ("predictor", "tau", *_STAT_NAMES)}
+            for row in tracker.snapshot()
+        ] == [
+            {"predictor": key[0], "tau": key[1],
+             **window_stats(pairs[key][-window:])}
+            for key in sorted(pairs)
+        ]
+
+    def test_the_oracle_sees_every_branch(self):
+        window = [
+            (5.0, None, 0.0),        # actual == 0: sape only
+            (0.0, 1.0, 0.0),         # p == a == 0: coverage only
+            (-2.0, -1.0, 4.0),       # a negative forecast, not covered
+            (3.0, 9.0, 4.0),
+        ]
+        tracker = AccuracyTracker(window=4)
+        for slot, (predicted, inflated, actual) in enumerate(window):
+            tracker.record_forecast(
+                slot, [predicted],
+                inflated=None if inflated is None else [inflated],
+            )
+            tracker.observe(slot + 1, actual)
+        stats = tracker.errors("predictor", 1)
+        assert {name: stats[name] for name in _STAT_NAMES} == window_stats(
+            window
+        ) == {
+            "mape_pct": 100.0 * (1.5 + 0.25) / 2,
+            "smape_pct": 100.0 * (2.0 + 2.0 + 2.0 / 7.0) / 3,
+            "bias_pct": 100.0 * (-1.5 - 0.25) / 2,
+            "coverage_pct": 100.0 * 2 / 3,
+        }

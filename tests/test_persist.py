@@ -8,6 +8,7 @@ components (``test_serve_resume``, ``test_reconfiguration``,
 pins the mechanism itself.
 """
 
+import copy
 import dataclasses
 import json
 from collections import deque
@@ -113,6 +114,19 @@ _FIELDS = st.one_of(
         ),
     ),
 )
+#: Two lists from a pool of four values (so repeats abound): the second
+#: a slide of the first (some items dropped, any number appended), or
+#: any list at all (grown, shrunk, or changed in place).
+_ITEMS = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+_LIST_PAIRS = st.one_of(
+    st.tuples(
+        st.lists(_ITEMS, max_size=12), st.lists(_ITEMS, max_size=12)
+    ),
+    st.tuples(
+        st.lists(_ITEMS, max_size=12), st.integers(0, 12),
+        st.lists(_ITEMS, max_size=6),
+    ).map(lambda cut: (cut[0], cut[0][cut[1]:] + cut[2])),
+)
 _DOCS = st.fixed_dictionaries({
     "v": st.just(1), "a": _FIELDS, "b": _FIELDS,
     "inner": st.one_of(
@@ -136,9 +150,20 @@ class TestDelta:
         assert delta({"r": []}, {"r": [1.0]}) == [
             {"path": ["r"], "slide": [0, 1.0]}
         ]
-        # Two new items, or one changed in place, is the whole list.
+        # Several new items (a refit's window) are one slide too.
         assert delta({"r": [1.0]}, {"r": [1.0, 2.0, 3.0]}) == [
-            {"path": ["r"], "set": [1.0, 2.0, 3.0]}
+            {"path": ["r"], "slide": [0, 2.0, 3.0]}
+        ]
+        assert delta({"r": [1.0, 2.0, 3.0]}, {"r": [3.0, 4.0, 5.0]}) == [
+            {"path": ["r"], "slide": [2, 4.0, 5.0]}
+        ]
+        # Nothing kept, nothing gained, or one changed in place is the
+        # whole list.
+        assert delta({"r": [1.0, 2.0]}, {"r": [3.0, 4.0, 5.0]}) == [
+            {"path": ["r"], "set": [3.0, 4.0, 5.0]}
+        ]
+        assert delta({"r": [1.0, 2.0, 3.0]}, {"r": [2.0, 3.0]}) == [
+            {"path": ["r"], "set": [2.0, 3.0]}
         ]
         assert delta({"r": [1.0, 2.0]}, {"r": [1.0, 5.0]}) == [
             {"path": ["r"], "set": [1.0, 5.0]}
@@ -184,6 +209,32 @@ class TestDelta:
             new, sort_keys=True
         )
 
+    @given(lists=_LIST_PAIRS)
+    @settings(max_examples=500, deadline=None)
+    def test_a_list_patches_back_whatever_became_of_it(self, lists):
+        old, new = lists
+        ops = delta({"r": old}, {"r": new})
+        assert patch(copy.deepcopy({"r": old}), ops) == {"r": new}
+        assert patch(through_json({"r": old}), through_json(ops)) == {
+            "r": new
+        }
+        for op in ops:
+            if "slide" in op:       # a drop, and no more items than new
+                assert 1 <= len(op["slide"]) - 1 <= len(new)
+
+    @given(
+        old=st.lists(st.integers(0, 1000), unique=True, max_size=12),
+        drop=st.integers(0, 12),
+        added=st.lists(st.integers(1001, 2000), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_kept_tail_is_always_found(self, old, drop, added):
+        kept = old[drop:]
+        ops = delta({"r": old}, {"r": kept + added})
+        if kept:
+            assert ops == [{"path": ["r"], "slide": [drop, *added]}]
+        assert patch({"r": list(old)}, ops) == {"r": kept + added}
+
     @pytest.mark.parametrize(
         "op,says",
         [
@@ -194,6 +245,10 @@ class TestDelta:
             ({"path": ["r"], "slide": [3, 1.0]}, "no list that long"),
             ({"path": ["r"], "slide": [-1, 1.0]}, "no list that long"),
             ({"path": ["n"], "slide": [0, 1.0]}, "no list that long"),
+            ({"path": ["r"], "slide": [1]}, r"slide \[1\] at \['r'\]: not"),
+            ({"path": ["r"], "slide": []}, r"slide \[\] at \['r'\]: not"),
+            ({"path": ["r"], "slide": 5}, r"slide 5 at \['r'\]: not"),
+            ({"path": ["r"], "slide": "ab"}, "slide 'ab' at"),
         ],
     )
     def test_an_op_that_does_not_fit_is_refused(self, op, says):

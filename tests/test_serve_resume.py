@@ -233,6 +233,87 @@ class TestJournal:
         _assert_holds(tmp_path / "ckpt", 6)
 
 
+def _open_under(directory):
+    """Files under ``directory`` this process holds open."""
+    fds = pathlib.Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    found = []
+    for fd in fds.iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:                 # closed while we listed
+            continue
+        if target.startswith(str(directory.resolve()) + os.sep):
+            found.append(target)
+    return found
+
+
+class TestLogHandles:
+    def test_the_logs_stay_open_between_saves(self, tmp_path):
+        store = _saved(tmp_path / "ckpt", 3)
+        assert sorted(
+            pathlib.Path(path).name for path in _open_under(tmp_path)
+        ) == ["checkpoint.delta.jsonl", "chronicle.jsonl"]
+        store.close()
+        assert _open_under(tmp_path) == []
+        store.save(_state(4), _records(8))      # reopens them
+        store.close()
+        _assert_holds(tmp_path / "ckpt", 4)
+
+    def test_nothing_is_open_after_the_plane_drains(self, tmp_path):
+        from repro.experiments.serve import _run_plane
+
+        summary, _ = _run_plane(
+            SERVE_SEED, SERVE_TRIGGER, None, 1,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        assert summary["checkpoint_saves"] > 0
+        assert _open_under(tmp_path) == []
+
+    def test_a_base_rewrite_truncates_through_the_open_handle(
+        self, tmp_path
+    ):
+        directory = tmp_path / "ckpt"
+        store = CheckpointStore(directory)
+        for n in range(1, 61):
+            before = store.compactions
+            store.save(_state(n), _records(2 * n))
+            if store.compactions > before:
+                break
+        else:
+            pytest.fail("no base rewrite in 60 saves")
+        assert (directory / JOURNAL_FILE).read_bytes() == b""
+        store.save(_state(n + 1), _records(2 * n + 2))
+        journal = (directory / JOURNAL_FILE).read_bytes()
+        assert journal.startswith(b"{") and journal.count(b"\n") == 1
+        assert json.loads(journal)["seq"] == n + 1
+        _assert_holds(directory, n + 1)
+
+    def test_after_load_trims_the_logs_the_next_save_lands_in_the_new_files(
+        self, tmp_path
+    ):
+        directory = tmp_path / "ckpt"
+        store = _saved(directory, 4)
+        # What a crash in the middle of save 5 leaves behind.
+        with (directory / "chronicle.jsonl").open("a") as handle:
+            handle.write(json.dumps({"id": "lost"}) + "\n")
+        with (directory / JOURNAL_FILE).open("ab") as handle:
+            handle.write(b'{"chronicle_rows": 99, "ops"')
+        kept = {
+            name: os.stat(directory / name).st_ino
+            for name in ("chronicle.jsonl", JOURNAL_FILE)
+        }
+        store.load()                    # the same store, logs open before
+        for name, inode in kept.items():
+            assert os.stat(directory / name).st_ino != inode, name
+        store.save(_state(5), _records(10))     # a base: load's rule
+        store.save(_state(6), _records(12))     # a journal row
+        store.close()
+        assert store.journal_rows == 1
+        _assert_holds(directory, 6)
+
+
 class TestJournalCrashPoints:
     def test_torn_at_every_byte_of_the_last_row(self, tmp_path):
         directory = tmp_path / "ckpt"
@@ -632,6 +713,33 @@ PARENT_WRITTEN = {
 }
 
 
+def _converges(resume_runs, ckpt):
+    """Resume the drift scenario from ``ckpt``: it must land where the
+    uninterrupted run does, and leave a v2 base with a journal."""
+    from repro.experiments.serve import SERVE_DAYS, _run_plane
+
+    saved_before = read_checkpoint(ckpt).get("seq", 0)
+    resumed, merged = _run_plane(
+        SERVE_SEED, SERVE_TRIGGER, None, SERVE_DAYS,
+        checkpoint_dir=str(ckpt), resume=True,
+    )
+    baseline = resume_runs["baseline"]
+    assert resumed["resumed"] is True
+    for field in ("intervals", "violations", "moves_started",
+                  "emergencies", "trigger_fires", "trigger_recoveries",
+                  "steady_machines", "mode", "watermark", "reports"):
+        assert resumed[field] == baseline[field], field
+    assert chronicle_projection(merged) == chronicle_projection(
+        resume_runs["baseline_chronicle"]
+    )
+    after = read_checkpoint(ckpt)
+    assert after["schema"] == CHECKPOINT_SCHEMA
+    assert after["seq"] == saved_before + resumed["checkpoint_saves"]
+    assert after["processed"] == baseline["intervals"]
+    assert (ckpt / JOURNAL_FILE).exists()
+    return after
+
+
 class TestParentWrittenCheckpoint:
     """The v1 and v2 directories under ``tests/data`` were cut by the
     PR 15 and the PR 16 code at report 100 of the drift scenario, a move
@@ -657,8 +765,26 @@ class TestParentWrittenCheckpoint:
         assert before["controller"]["mode"] == "warmup"
         assert before["controller"]["strategy"] is None
         assert before["predictor"]["fit_window"] is None
-        after = self.converges(resume_runs, ckpt)
+        after = _converges(resume_runs, ckpt)
         assert after["controller"]["strategy"] is not None
+
+    def test_one_item_slides_written_by_the_parent_still_patch(
+        self, resume_runs, tmp_path
+    ):
+        """``tests/data/serve-checkpoint-journal``: the base at save 96
+        and three rows an earlier store wrote, every slide ``[k, item]``."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(FIXTURES / "serve-checkpoint-journal", ckpt)
+        rows = [
+            json.loads(line)
+            for line in (ckpt / JOURNAL_FILE).read_text().splitlines()
+        ]
+        slides = [op["slide"] for row in rows for op in row["ops"]
+                  if "slide" in op]
+        assert [row["seq"] for row in rows] == [97, 98, 99]
+        assert slides and {len(slide) for slide in slides} == {2}
+        assert read_checkpoint(ckpt)["processed"] == 99
+        _converges(resume_runs, ckpt)
 
     def resume(self, resume_runs, tmp_path, fixture):
         ckpt = tmp_path / "ckpt"
@@ -668,31 +794,39 @@ class TestParentWrittenCheckpoint:
         assert before["schema"] == schema and "seq" not in before
         assert before["controller"][move] is not None
         assert read_checkpoint(ckpt)["processed"] == 99
-        self.converges(resume_runs, ckpt)
+        _converges(resume_runs, ckpt)
 
-    def converges(self, resume_runs, ckpt):
+
+class TestARefitIsJournalledAsASlide:
+    def test_the_refit_row_slides_the_fit_window_and_resumes(
+        self, resume_runs, tmp_path
+    ):
+        """The drift scenario refits at interval 74 (report 75); killed
+        one report later, that save is a journal row whose
+        ``fit_window`` op appends the new observations, not the whole
+        window."""
         from repro.experiments.serve import SERVE_DAYS, _run_plane
 
-        saved_before = read_checkpoint(ckpt).get("seq", 0)
-        resumed, merged = _run_plane(
+        ckpt = tmp_path / "ckpt"
+        _run_plane(
             SERVE_SEED, SERVE_TRIGGER, None, SERVE_DAYS,
-            checkpoint_dir=str(ckpt), resume=True,
+            checkpoint_dir=str(ckpt), kill_after=76,
         )
-        baseline = resume_runs["baseline"]
-        assert resumed["resumed"] is True
-        for field in ("intervals", "violations", "moves_started",
-                      "emergencies", "trigger_fires", "trigger_recoveries",
-                      "steady_machines", "mode", "watermark", "reports"):
-            assert resumed[field] == baseline[field], field
-        assert chronicle_projection(merged) == chronicle_projection(
-            resume_runs["baseline_chronicle"]
-        )
-        after = read_checkpoint(ckpt)
-        assert after["schema"] == CHECKPOINT_SCHEMA
-        assert after["seq"] == saved_before + resumed["checkpoint_saves"]
-        assert after["processed"] == baseline["intervals"]
-        assert (ckpt / JOURNAL_FILE).exists()
-        return after
+        rows = [
+            json.loads(line)
+            for line in (ckpt / JOURNAL_FILE).read_text().splitlines()
+        ]
+        refits = [
+            op for row in rows for op in row["ops"]
+            if op["path"] == ["predictor", "fit_window"]
+        ]
+        assert len(refits) == 1 and "set" not in refits[0]
+        drop, *added = refits[0]["slide"]
+        doc = read_checkpoint(ckpt)
+        window = doc["predictor"]["fit_window"]
+        assert 1 < len(added) < len(window)
+        assert window[-len(added):] == added
+        _converges(resume_runs, tmp_path / "ckpt")
 
 
 # ----------------------------------------------------------------------
@@ -795,6 +929,13 @@ REJECTED = {
         _edit(lambda doc: doc["controller"]["reactive"].pop("below_streak")),
         "controller.reactive.below_streak: missing",
     ),
+    "accuracy-pair-not-numbers": (
+        _edit(lambda doc: doc["accuracy"]["windows"]["values"][0].append(
+            [1.0, None, "x"]
+        )),
+        "accuracy.windows: a pair is not [predicted, inflated or null, "
+        "actual] numbers",
+    ),
     "other-predictor": (
         _edit(lambda doc: doc["predictor"].update(base_type="SparPredictor")),
         "predictor.base_type: checkpointed 'SparPredictor'",
@@ -813,6 +954,20 @@ REJECTED = {
         )),
         "checkpoint.delta.jsonl row 3: slide of 10000 at "
         "['monitor', 'rates']: no list that long there",
+    ),
+    "journal-slide-without-an-item": (
+        _edit_journal(lambda rows: rows[2]["ops"].append(
+            {"path": ["monitor", "rates"], "slide": [3]}
+        )),
+        "checkpoint.delta.jsonl row 3: slide [3] at ['monitor', 'rates']: "
+        "not a count to drop and the items to append",
+    ),
+    "journal-slide-not-a-list": (
+        _edit_journal(lambda rows: rows[2]["ops"].append(
+            {"path": ["monitor", "rates"], "slide": 5}
+        )),
+        "checkpoint.delta.jsonl row 3: slide 5 at ['monitor', 'rates']: "
+        "not a count to drop and the items to append",
     ),
     "journal-seq-gap": (
         _edit_journal(lambda rows: rows.pop(1)),
