@@ -53,7 +53,7 @@ def main() -> None:
     runs["simple"] = run_capacity_simulation(
         evaluation,
         SimpleStrategy(peak_machines, max(1, peak_machines // 3),
-                       slots_per_day=288, morning_hour=5.0),
+                       slots_per_day=288),
         config,
         initial_machines=max(1, peak_machines // 3),
     )

@@ -75,7 +75,6 @@ from .faults import (
     FaultInjector,
     FaultScenario,
     FaultSpec,
-    RetryPolicy,
 )
 from .prediction import (
     ArmaPredictor,
@@ -133,7 +132,6 @@ __all__ = [
     "PlanningError",
     "PredictionError",
     "PredictiveController",
-    "RetryPolicy",
     "RunResult",
     "RunSpec",
     "SINGLE_NODE_SATURATION_TPS",

@@ -40,6 +40,11 @@ DEFAULT_ACTION_WEIGHTS = {
 }
 
 
+#: First index of the carts, checkouts and stock transactions the driver
+#: creates: far above anything the loader writes, so ids never collide.
+FIRST_DRIVER_INDEX = 10_000_000
+
+
 class B2WDriver:
     """Generates and executes B2W transactions against an executor."""
 
@@ -49,7 +54,6 @@ class B2WDriver:
         n_stock: int,
         seed: int = 29,
         action_weights: Optional[Dict[str, float]] = None,
-        first_cart_index: int = 10_000_000,
     ):
         if n_stock < 1:
             raise SimulationError("n_stock must be >= 1")
@@ -65,9 +69,9 @@ class B2WDriver:
             raise SimulationError("action weights must sum to > 0")
         self._actions = list(weights)
         self._action_p = np.array([weights[a] / total for a in self._actions])
-        self._next_cart = first_cart_index
-        self._next_checkout = first_cart_index
-        self._next_stock_txn = first_cart_index
+        self._next_cart = FIRST_DRIVER_INDEX
+        self._next_checkout = FIRST_DRIVER_INDEX
+        self._next_stock_txn = FIRST_DRIVER_INDEX
         # Pools of live entities the driver can legally operate on.
         self._active_carts: List[str] = []
         self._cart_lines: Dict[str, List[dict]] = {}

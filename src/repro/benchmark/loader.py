@@ -31,13 +31,16 @@ def customer_id(index: int) -> str:
     return f"CUST-{index:08d}"
 
 
+#: A loaded cart holds one to this many lines.
+MAX_LINES_PER_CART = 5
+
+
 def load_b2w_data(
     cluster: Cluster,
     n_stock: int = 1000,
     n_carts: int = 2000,
     n_checkouts: int = 200,
     seed: int = 17,
-    max_lines_per_cart: int = 5,
 ) -> None:
     """Load stock, carts and checkouts into an (empty) cluster."""
     if n_stock < 1:
@@ -57,7 +60,7 @@ def load_b2w_data(
         )
 
     for i in range(n_carts):
-        n_lines = int(rng.integers(1, max_lines_per_cart + 1))
+        n_lines = int(rng.integers(1, MAX_LINES_PER_CART + 1))
         lines = [
             {
                 "sku": sku_id(int(rng.integers(0, n_stock))),

@@ -69,6 +69,20 @@ LATENCY_TOL = 0.25
 #: times the worst per-node bucket imbalance seen in a balanced plan.
 MIGRATION_FRACTION_TOL = 0.05
 
+#: The engine differential's load: seeded Poisson probe reads over
+#: ``PROBE_KEYS`` keys on ``PROBE_PARTITIONS`` partitions, once at
+#: ``SUBSAT_TPS`` for ``SUBSAT_SECONDS`` and once ``SAT_FACTOR`` times
+#: the service capacity for ``SAT_SECONDS``.
+PROBE_SEED = 7
+PROBE_PARTITIONS = 2
+PROBE_KEYS = 400
+SUBSAT_TPS = 80.0
+SUBSAT_SECONDS = 240.0
+SAT_FACTOR = 1.5
+SAT_SECONDS = 120.0
+#: The migration differential scales its 3-node cluster out to this.
+MIGRATION_TARGET_NODES = 5
+
 
 @dataclass(frozen=True)
 class DiffCheck:
@@ -164,7 +178,7 @@ class _ProbeRead(StoredProcedure):
         return ctx.require("kv", params["k"])["v"]
 
 
-def _probe_cluster(partitions: int, keys: int) -> Cluster:
+def _probe_cluster() -> Cluster:
     schema = Schema(
         [
             Table(
@@ -174,15 +188,15 @@ def _probe_cluster(partitions: int, keys: int) -> Cluster:
             )
         ]
     )
-    cluster = Cluster(schema, 1, partitions, n_buckets=partitions * 16)
-    for i in range(keys):
+    cluster = Cluster(
+        schema, 1, PROBE_PARTITIONS, n_buckets=PROBE_PARTITIONS * 16
+    )
+    for i in range(PROBE_KEYS):
         cluster.insert("kv", {"k": f"key-{i}", "v": i})
     return cluster
 
 
-def _run_executor(
-    rate: float, duration: float, partitions: int, keys: int, seed: int
-):
+def _run_executor(rate: float, duration: float, seed: int):
     """Open-loop Poisson arrivals of :class:`_ProbeRead` transactions.
 
     Returns (completed_tps, latencies_ms, per-partition arrival shares)
@@ -190,16 +204,16 @@ def _run_executor(
     saturated run reports the service capacity rather than the offered
     rate.
     """
-    cluster = _probe_cluster(partitions, keys)
+    cluster = _probe_cluster()
     executor = TransactionExecutor(cluster, seed=seed)
     rng = np.random.default_rng(seed + 1)
     probe = _ProbeRead()
-    arrivals = np.zeros(partitions)
+    arrivals = np.zeros(PROBE_PARTITIONS)
     latencies: List[float] = []
     finished_in_horizon = 0
     now = rng.exponential(1.0 / rate)
     while now < duration:
-        key = f"key-{int(rng.integers(0, keys))}"
+        key = f"key-{int(rng.integers(0, PROBE_KEYS))}"
         result = executor.execute(
             Transaction(probe, {"k": key}, submit_time=now)
         )
@@ -229,15 +243,7 @@ def _run_queueing(
     return block.completed_tps, block.p50_ms, block.p95_ms
 
 
-def diff_engines(
-    seed: int = 7,
-    partitions: int = 2,
-    keys: int = 400,
-    sub_rate: float = 80.0,
-    sub_duration: float = 240.0,
-    sat_factor: float = 1.5,
-    sat_duration: float = 120.0,
-) -> CheckReport:
+def diff_engines() -> CheckReport:
     """Transaction engine vs. queueing engine on the same Poisson trace.
 
     Two load levels: one well below saturation (throughput *and*
@@ -249,14 +255,16 @@ def diff_engines(
     checks: List[DiffCheck] = []
     from ..hstore.engine import DEFAULT_MU_PARTITION
 
-    capacity = DEFAULT_MU_PARTITION * partitions
+    capacity = DEFAULT_MU_PARTITION * PROBE_PARTITIONS
 
     # --- below saturation ------------------------------------------------
     tput, latencies, shares = _run_executor(
-        sub_rate, sub_duration, partitions, keys, seed
+        SUBSAT_TPS, SUBSAT_SECONDS, PROBE_SEED
     )
-    q_completed, q_p50, q_p95 = _run_queueing(sub_rate, sub_duration, shares, seed)
-    warmup = int(0.1 * sub_duration)
+    q_completed, q_p50, q_p95 = _run_queueing(
+        SUBSAT_TPS, SUBSAT_SECONDS, shares, PROBE_SEED
+    )
+    warmup = int(0.1 * SUBSAT_SECONDS)
     q_tput = float(q_completed.mean())
     _record(
         checks,
@@ -285,12 +293,12 @@ def diff_engines(
     )
 
     # --- past saturation -------------------------------------------------
-    sat_rate = sat_factor * capacity
+    sat_rate = SAT_FACTOR * capacity
     tput_sat, _, shares_sat = _run_executor(
-        sat_rate, sat_duration, partitions, keys, seed + 100
+        sat_rate, SAT_SECONDS, PROBE_SEED + 100
     )
     q_completed_sat, _, _ = _run_queueing(
-        sat_rate, sat_duration, shares_sat, seed + 100
+        sat_rate, SAT_SECONDS, shares_sat, PROBE_SEED + 100
     )
     q_tput_sat = float(q_completed_sat.mean())
     _record(
@@ -341,9 +349,7 @@ def _drop_one_bucket(cluster: Cluster, migrator: ClusterMigrator) -> int:
     raise SimulationError("no scheduled bucket with rows to drop")
 
 
-def diff_migration_accounting(
-    target_nodes: int = 5, drop_bucket: bool = False
-) -> CheckReport:
+def diff_migration_accounting(drop_bucket: bool = False) -> CheckReport:
     """Scale a row-level cluster and compare, at every round commit, the
     fluid-model data fractions against the bucket map's actual
     per-node fractions; verify rows are conserved end to end.
@@ -358,7 +364,7 @@ def diff_migration_accounting(
     cluster = _migration_cluster()
     migrator = ClusterMigrator(cluster, default_config())
     baseline = invariants.snapshot_row_counts(cluster)
-    migrator.start_move(target_nodes)
+    migrator.start_move(MIGRATION_TARGET_NODES)
     active = migrator.active
     assert active is not None
     node_map = dict(active.node_map or {})

@@ -49,6 +49,8 @@ _level = CHEAP
 #: capacity ratios).  Data fractions are O(1) sums of O(machines) terms,
 #: so anything beyond a few ulps signals real accounting drift.
 FRACTION_TOL = 1e-9
+#: Relative tolerance of a simulated clock against the driven duration.
+TIME_TOL = 1e-6
 
 
 def _resolve(level: Union[int, str]) -> int:
@@ -179,12 +181,10 @@ def check_nonnegative_backlog(
         )
 
 
-def check_time_accounting(
-    advanced: float, expected: float, where: str, tol: float = 1e-6
-) -> None:
+def check_time_accounting(advanced: float, expected: float, where: str) -> None:
     """Simulated clocks advance by exactly the driven duration (catches
     an engine block dropping or double-counting ticks)."""
-    if abs(advanced - expected) > tol * max(1.0, abs(expected)):
+    if abs(advanced - expected) > TIME_TOL * max(1.0, abs(expected)):
         violated(
             "sim.time-accounting",
             f"{where}: clock advanced {advanced!r}s for {expected!r}s of input",

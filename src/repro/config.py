@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FaultError
 
 
 def canonical_json(obj) -> str:
@@ -66,8 +66,13 @@ class FaultConfig:
 
     Fault injection is off by default; when off, no injector is built
     and every run is bit-identical to a fault-free one.  The retry
-    fields parameterise the :class:`repro.faults.RetryPolicy` that
-    re-drives stalled or corrupted transfers.
+    fields are the policy that re-drives stalled or corrupted transfers
+    (:meth:`should_retry`, :meth:`backoff_seconds`): a transfer that
+    makes no progress for ``transfer_timeout_seconds`` is declared
+    stalled, and retry ``k`` then waits ``base_backoff_seconds *
+    backoff_multiplier**(k-1)`` scaled by ``1 ± jitter_fraction``.  All
+    times are simulated seconds, so the same seed reproduces the same
+    retry timeline exactly.
     """
 
     #: Inject the configured scenario's faults into runs.
@@ -105,6 +110,20 @@ class FaultConfig:
             raise ConfigurationError(
                 "faults.transfer_timeout_seconds must be positive"
             )
+
+    def should_retry(self, attempt: int) -> bool:
+        """Whether attempt number ``attempt`` (1-based) is allowed."""
+        return attempt <= self.max_attempts
+
+    def backoff_seconds(self, attempt: int, rng=None) -> float:
+        """Backoff before retry ``attempt`` (1-based), jittered by one
+        draw from the numpy generator ``rng`` when one is supplied."""
+        if attempt < 1:
+            raise FaultError("attempt counts from 1")
+        base = self.base_backoff_seconds * self.backoff_multiplier ** (attempt - 1)
+        if rng is None or self.jitter_fraction == 0.0:
+            return base
+        return base * (1.0 + self.jitter_fraction * rng.uniform(-1.0, 1.0))
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultConfig":

@@ -45,10 +45,6 @@ class PredictiveController(Persisted):
         the 3-cycle scale-in debounce.
     predictor:
         fitted :class:`~repro.prediction.base.Predictor`.
-    horizon_intervals:
-        forecast window ``T`` in planner intervals.  Defaults to the
-        paper's lower bound of ``2 D / P`` (time for two back-to-back
-        parallel migrations), rounded up, plus one.
     emergency_rate_multiplier:
         migration-rate boost used on infeasible plans (1.0 reproduces
         the paper's default "keep rate R" policy; 8.0 the boosted one).
@@ -69,7 +65,6 @@ class PredictiveController(Persisted):
         self,
         config: PStoreConfig,
         predictor: Predictor,
-        horizon_intervals: Optional[int] = None,
         emergency_rate_multiplier: float = 1.0,
         telemetry=None,
         injector=None,
@@ -80,14 +75,13 @@ class PredictiveController(Persisted):
         self.predictor = predictor
         self.planner = Planner(config)
         self._injector = injector
-        if horizon_intervals is not None:
-            self.horizon_intervals = horizon_intervals
-        elif config.horizon_intervals:
-            self.horizon_intervals = config.horizon_intervals
-        else:
-            self.horizon_intervals = self.minimum_horizon_intervals(config)
-        if self.horizon_intervals < 1:
-            raise PlanningError("horizon must be at least one interval")
+        #: Forecast window ``T`` in planner intervals:
+        #: ``config.horizon_intervals``, or when that is 0 the paper's
+        #: lower bound of ``2 D / P`` (time for two back-to-back parallel
+        #: migrations), rounded up, plus one.
+        self.horizon_intervals = (
+            config.horizon_intervals or self.minimum_horizon_intervals(config)
+        )
         self.emergency_rate_multiplier = emergency_rate_multiplier
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
         self._scale_in_streak = 0

@@ -1,7 +1,6 @@
 """Provisioning strategies: P-Store and the paper's baselines."""
 
 from .base import NO_ACTION, ProvisioningStrategy, ScaleDecision, StrategySpec
-from .composite import CompositeStrategy, ManualReservation
 from .manual import ManualStrategy
 from .predictive import PStoreStrategy
 from .reactive import ReactiveStrategy
@@ -9,8 +8,6 @@ from .simple import SimpleStrategy
 from .static import StaticStrategy
 
 __all__ = [
-    "CompositeStrategy",
-    "ManualReservation",
     "ManualStrategy",
     "NO_ACTION",
     "PStoreStrategy",

@@ -25,13 +25,10 @@ ParamValue = Union[int, float, str]
 #: rejects anything else with one typed error).
 _SPEC_PARAMS = {
     "static": {"machines"},
-    "simple": {"day", "night", "slots_per_day", "morning_hour", "night_hour"},
-    "reactive": {
-        "patience", "max_machines", "min_machines", "threshold", "headroom",
-        "rate",
-    },
-    "p-store": {"name", "horizon", "emergency_rate"},
-    "predictive": {"predictor", "name", "horizon", "emergency_rate"},
+    "simple": {"day", "night"},
+    "reactive": {"patience"},
+    "p-store": {"name", "emergency_rate"},
+    "predictive": {"predictor", "name", "emergency_rate"},
 }
 
 #: Parameters that must be present after parsing.
@@ -62,20 +59,22 @@ class StrategySpec:
     parser).  String forms::
 
         p-store                      # SPAR-driven predictive controller
+        p-store:emergency_rate=8     # ... boosting infeasible-plan moves
         predictive:mssa              # same controller, any zoo predictor
         predictive                   # shorthand for predictive:spar
         reactive                     # E-Store-style reactive baseline
-        reactive:patience=10         # ... with keyword parameters
+        reactive:patience=10         # ... scaling in after 10 intervals
         static:6                     # fixed 6-machine allocation
         simple:7/3                   # clock-driven day/night allocation
 
     After the ``:`` a kind-specific positional shorthand (``static:<N>``,
     ``simple:<day>/<night>``, ``predictive:<predictor>``) and/or
-    comma-separated ``key=value`` pairs are accepted.  ``predictive``
-    predictor slugs resolve through the registry in
-    :mod:`repro.prediction.registry`; unknown slugs are rejected at
-    parse time so sweep grids fail fast.  Malformed specs raise :class:`StrategySpecError` — the
-    single typed error for every consumer.
+    comma-separated ``key=value`` pairs from :data:`_SPEC_PARAMS` are
+    accepted.  ``predictive`` predictor slugs resolve through the
+    registry in :mod:`repro.prediction.registry`; unknown slugs are
+    rejected at parse time so sweep grids fail fast.  Malformed specs
+    raise :class:`StrategySpecError` — the single typed error for every
+    consumer.
 
     Instances are frozen and hashable; :meth:`canonical` returns a
     normalised string (sorted parameters) suitable for cache keys.
@@ -264,9 +263,8 @@ class StrategySpec:
         """Materialise the strategy this spec describes.
 
         ``predictor`` (fitted) is required for ``p-store`` specs;
-        ``slots_per_day`` is required for ``simple`` specs unless the
-        spec carries a ``slots_per_day`` parameter.  ``injector`` and
-        ``telemetry`` are forwarded to strategies that accept them.
+        ``slots_per_day`` is required for ``simple`` specs.  ``injector``
+        and ``telemetry`` are forwarded to strategies that accept them.
         """
         from .predictive import PStoreStrategy
         from .reactive import ReactiveStrategy
@@ -277,33 +275,19 @@ class StrategySpec:
         if self.kind == "static":
             return StaticStrategy(int(params["machines"]))
         if self.kind == "simple":
-            spd = params.get("slots_per_day", slots_per_day)
-            if spd is None:
+            if slots_per_day is None:
                 raise StrategySpecError(
-                    "simple strategy needs slots_per_day (parameter or "
-                    "build argument)"
+                    "simple strategy needs the slots_per_day build argument"
                 )
             return SimpleStrategy(
                 day_machines=int(params["day"]),
                 night_machines=int(params["night"]),
-                slots_per_day=int(spd),
-                morning_hour=float(params.get("morning_hour", 5.0)),
-                night_hour=float(params.get("night_hour", 23.5)),
+                slots_per_day=int(slots_per_day),
             )
         if self.kind == "reactive":
             kwargs = {}
             if "patience" in params:
                 kwargs["scale_in_patience"] = int(params["patience"])
-            if "max_machines" in params:
-                kwargs["max_machines"] = int(params["max_machines"])
-            if "min_machines" in params:
-                kwargs["min_machines"] = int(params["min_machines"])
-            if "threshold" in params:
-                kwargs["scale_out_threshold"] = float(params["threshold"])
-            if "headroom" in params:
-                kwargs["headroom"] = float(params["headroom"])
-            if "rate" in params:
-                kwargs["rate_multiplier"] = float(params["rate"])
             return ReactiveStrategy(config, **kwargs)
         # p-store / predictive:<name> — the same predictive controller;
         # the caller supplies the fitted predictor (built via
@@ -314,8 +298,6 @@ class StrategySpec:
                 "to StrategySpec.build)"
             )
         kwargs = {}
-        if "horizon" in params:
-            kwargs["horizon_intervals"] = int(params["horizon"])
         if "emergency_rate" in params:
             kwargs["emergency_rate_multiplier"] = float(params["emergency_rate"])
         default_name = "p-store"

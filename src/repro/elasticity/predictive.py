@@ -10,7 +10,7 @@ and has ``min_history`` measured slots to forecast from.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..config import PStoreConfig
 from ..core.controller import PredictiveController
@@ -35,8 +35,6 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
         :class:`~repro.prediction.online.OnlinePredictor` that will fit
         itself from the load it is shown; the strategy answers
         ``NO_ACTION`` until it has.
-    horizon_intervals:
-        forecast window; defaults to the controller's ``2D/P`` bound.
     emergency_rate_multiplier:
         migration-rate boost for infeasible plans (Fig. 11 compares
         1.0 and 8.0).
@@ -48,7 +46,6 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
         self,
         config: PStoreConfig,
         predictor: Predictor,
-        horizon_intervals: Optional[int] = None,
         emergency_rate_multiplier: float = 1.0,
         name: str = "p-store",
         telemetry=None,
@@ -60,7 +57,6 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
         self.controller = PredictiveController(
             config=config,
             predictor=predictor,
-            horizon_intervals=horizon_intervals,
             emergency_rate_multiplier=emergency_rate_multiplier,
             telemetry=telemetry,
             injector=injector,

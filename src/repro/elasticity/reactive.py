@@ -6,16 +6,15 @@ while the cluster is already at peak capacity, producing the latency
 spikes of Fig. 9c.  Our reactive baseline follows that scheme:
 
 * **scale-out** triggers as soon as the measured load exceeds
-  ``scale_out_threshold`` of the cluster's maximum throughput
+  :data:`SCALE_OUT_THRESHOLD` of the cluster's maximum throughput
   (``N * Q-hat``); the target brings per-server load back down to the
-  target rate ``Q`` plus a headroom factor;
+  target rate ``Q``;
 * **scale-in** triggers only after the load has stayed below what a
   smaller cluster could comfortably serve for ``scale_in_patience``
   consecutive intervals (reactive systems also debounce, or they thrash).
 
-The ``headroom`` knob is what Figure 12 sweeps (together with Q) to
-trace the reactive capacity-cost curve: more headroom means fewer
-capacity violations at higher cost.
+Figure 12 traces the reactive capacity-cost curve by sweeping Q; the
+patience is the one knob the experiments set.
 """
 
 from __future__ import annotations
@@ -29,6 +28,12 @@ from ..persist import Persisted
 from .base import NO_ACTION, ProvisioningStrategy, ScaleDecision
 
 
+#: Scale out once the load passes this fraction of ``N * Q-hat``.
+SCALE_OUT_THRESHOLD = 0.90
+#: Migration-rate boost of every reactive move (E-Store moves fast).
+RATE_MULTIPLIER = 4.0
+
+
 class ReactiveStrategy(ProvisioningStrategy, Persisted):
     """Threshold-triggered reactive allocation (the E-Store baseline)."""
 
@@ -37,28 +42,14 @@ class ReactiveStrategy(ProvisioningStrategy, Persisted):
     def __init__(
         self,
         config: PStoreConfig,
-        scale_out_threshold: float = 0.90,
-        headroom: float = 1.0,
         scale_in_patience: int = 15,
-        min_machines: int = 1,
         max_machines: Optional[int] = None,
-        rate_multiplier: float = 4.0,
     ):
-        if not 0 < scale_out_threshold <= 1:
-            raise SimulationError("scale_out_threshold must be in (0, 1]")
-        if headroom <= 0:
-            raise SimulationError("headroom must be positive")
         if scale_in_patience < 1:
             raise SimulationError("scale_in_patience must be >= 1")
-        if min_machines < 1:
-            raise SimulationError("min_machines must be >= 1")
         self.config = config
-        self.scale_out_threshold = scale_out_threshold
-        self.headroom = headroom
         self.scale_in_patience = scale_in_patience
-        self.min_machines = min_machines
         self.max_machines = max_machines
-        self.rate_multiplier = rate_multiplier
         self._below_streak = 0
         self.name = "reactive"
 
@@ -67,11 +58,8 @@ class ReactiveStrategy(ProvisioningStrategy, Persisted):
         self._below_streak = 0
 
     def _target_for(self, load_tps: float) -> int:
-        """Machines that bring per-server load to Q with headroom."""
-        target = max(
-            self.min_machines,
-            math.ceil(load_tps * self.headroom / self.config.q - 1e-9),
-        )
+        """Machines that bring per-server load to Q."""
+        target = max(1, math.ceil(load_tps / self.config.q - 1e-9))
         if self.max_machines is not None:
             target = min(target, self.max_machines)
         return target
@@ -86,7 +74,7 @@ class ReactiveStrategy(ProvisioningStrategy, Persisted):
         max_capacity = current_machines * self.config.q_hat
 
         # Overload: scale out immediately (and while overloaded!).
-        if load > self.scale_out_threshold * max_capacity:
+        if load > SCALE_OUT_THRESHOLD * max_capacity:
             self._below_streak = 0
             target = max(self._target_for(load), current_machines + 1)
             if self.max_machines is not None:
@@ -95,8 +83,8 @@ class ReactiveStrategy(ProvisioningStrategy, Persisted):
                 return NO_ACTION
             return ScaleDecision(
                 target_machines=target,
-                rate_multiplier=self.rate_multiplier,
-                reason=f"load {load:.0f} > {self.scale_out_threshold:.0%} of max capacity",
+                rate_multiplier=RATE_MULTIPLIER,
+                reason=f"load {load:.0f} > {SCALE_OUT_THRESHOLD:.0%} of max capacity",
             )
 
         # Underload: be patient, then shrink to the fitted size.
@@ -107,7 +95,7 @@ class ReactiveStrategy(ProvisioningStrategy, Persisted):
                 self._below_streak = 0
                 return ScaleDecision(
                     target_machines=fitted,
-                    rate_multiplier=self.rate_multiplier,
+                    rate_multiplier=RATE_MULTIPLIER,
                     reason=f"load fits {fitted} machines for "
                     f"{self.scale_in_patience} intervals",
                 )

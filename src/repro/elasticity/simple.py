@@ -3,8 +3,8 @@
 "The Simple strategy increases machines in the morning and decreases
 them at night.  It seems like it could work ... but it breaks down as
 soon as there is any deviation from the pattern."  It is a fixed
-schedule: scale to ``day_machines`` at a morning hour and back to
-``night_machines`` at a night hour, every day, regardless of load.
+schedule: scale to ``day_machines`` at :data:`MORNING_HOUR` and back to
+``night_machines`` at :data:`NIGHT_HOUR`, every day, regardless of load.
 """
 
 from __future__ import annotations
@@ -13,6 +13,13 @@ from typing import Sequence
 
 from ..errors import SimulationError
 from .base import NO_ACTION, ProvisioningStrategy, ScaleDecision
+
+
+#: Local hour (0-24) of the daily scale-out: early enough that the
+#: migration completes before the morning ramp under normal conditions.
+MORNING_HOUR = 5.0
+#: Local hour of the nightly scale-in.
+NIGHT_HOUR = 23.5
 
 
 class SimpleStrategy(ProvisioningStrategy):
@@ -24,10 +31,6 @@ class SimpleStrategy(ProvisioningStrategy):
         cluster sizes to hold during the day and overnight.
     slots_per_day:
         planner intervals per day.
-    morning_hour, night_hour:
-        local hours (0-24) at which to scale out and in.  The morning
-        scale-out is requested early enough that migration completes
-        before the daily ramp under normal conditions.
     """
 
     def __init__(
@@ -35,8 +38,6 @@ class SimpleStrategy(ProvisioningStrategy):
         day_machines: int,
         night_machines: int,
         slots_per_day: int,
-        morning_hour: float = 7.0,
-        night_hour: float = 23.5,
     ):
         if night_machines < 1 or day_machines < night_machines:
             raise SimulationError(
@@ -45,13 +46,11 @@ class SimpleStrategy(ProvisioningStrategy):
             )
         if slots_per_day < 1:
             raise SimulationError("slots_per_day must be >= 1")
-        if not 0 <= morning_hour < 24 or not 0 <= night_hour < 24:
-            raise SimulationError("hours must be in [0, 24)")
         self.day_machines = day_machines
         self.night_machines = night_machines
         self.slots_per_day = slots_per_day
-        self._morning_slot = int(morning_hour / 24.0 * slots_per_day)
-        self._night_slot = int(night_hour / 24.0 * slots_per_day)
+        self._morning_slot = int(MORNING_HOUR / 24.0 * slots_per_day)
+        self._night_slot = int(NIGHT_HOUR / 24.0 * slots_per_day)
         self.name = f"simple-{night_machines}/{day_machines}"
 
     def _target_for_slot(self, slot: int) -> int:

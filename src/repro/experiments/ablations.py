@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.report import claim
-from ..config import PStoreConfig, default_config
+from ..config import default_config
 from ..core import Planner, model
 from ..core.moves import MoveSchedule
 from ..elasticity import PStoreStrategy
@@ -58,9 +58,7 @@ class EffCapAblationResult:
     load: List[float]
 
 
-def run_effcap_ablation(
-    config: Optional[PStoreConfig] = None,
-) -> EffCapAblationResult:
+def run_effcap_ablation() -> EffCapAblationResult:
     """Plan a steep ramp with and without Eq. 7 awareness.
 
     At one-minute intervals a 2 -> 3 move spans ~5 intervals, so a
@@ -68,7 +66,7 @@ def run_effcap_ablation(
     move straddle the load jump; evaluating its schedule under the *true*
     effective capacity exposes underprovisioned intervals.
     """
-    config = config or default_config().with_interval(60.0)
+    config = default_config().with_interval(60.0)
     q = config.q
     # Flat just under 2 machines' capacity, then a jump to nearly 3.
     load = [q * 1.9] * 14 + [q * 2.9] * 10

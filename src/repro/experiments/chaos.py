@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..analysis.report import claim
-from ..config import PStoreConfig, default_config
+from ..config import default_config
 from ..elasticity import StrategySpec
 from ..faults import (
     FaultInjector,
@@ -36,6 +36,14 @@ from ..faults import (
 from ..sim import ElasticDbSimulator, SimulationResult
 from .common import benchmark_setup, sim_payload
 from .fig09 import ENGINE_SEED
+
+#: Seed of the canonical crash-during-migration drill.
+SCENARIO_SEED = 7
+
+
+def _drill() -> FaultScenario:
+    """The canonical drill: a node crash during the first migration."""
+    return crash_during_migration_scenario(migration=1, seed=SCENARIO_SEED)
 
 
 @dataclass
@@ -79,7 +87,6 @@ def run_chaos(
     scenario: Optional[FaultScenario] = None,
     eval_days: int = 1,
     seed: int = 21,
-    config: Optional[PStoreConfig] = None,
     include_reactive: bool = True,
 ) -> ChaosResult:
     """Run the benchmark under a fault scenario, strategy by strategy:
@@ -90,8 +97,8 @@ def run_chaos(
     (same specs, same seed), so the fault schedules are identical and
     the recovery timelines are directly comparable.
     """
-    scenario = scenario or crash_during_migration_scenario(migration=1, seed=7)
-    config = config or default_config()
+    scenario = scenario or _drill()
+    config = default_config()
     baseline = None
     runs: Dict[str, ChaosRun] = {}
     for spec in grid(eval_days, seed):
@@ -123,7 +130,7 @@ CHAOS_CELLS = (
 )
 
 
-def grid(eval_days: int = 1, seed: int = 21, scenario_seed: int = 7) -> list:
+def grid(eval_days: int = 1, seed: int = 21) -> list:
     """One cell per (strategy, faults on/off) combination."""
     from ..runner import RunSpec
 
@@ -136,7 +143,6 @@ def grid(eval_days: int = 1, seed: int = 21, scenario_seed: int = 7) -> list:
             overrides=(
                 ("eval_days", int(eval_days)),
                 ("faults", bool(faulted)),
-                ("scenario_seed", int(scenario_seed)),
             ),
         )
         for name, strategy, faulted in CHAOS_CELLS
@@ -155,11 +161,7 @@ def _run(spec, config, scenario: Optional[FaultScenario] = None):
     )
     injector = None
     if spec.option("faults"):
-        injector = FaultInjector(
-            scenario or crash_during_migration_scenario(
-                migration=1, seed=int(spec.option("scenario_seed", 7))
-            )
-        )
+        injector = FaultInjector(scenario or _drill())
     strategy = StrategySpec.parse(spec.strategy).build(
         config, predictor=setup.spar, injector=injector
     )

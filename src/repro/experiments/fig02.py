@@ -31,14 +31,16 @@ class Figure2Result:
     overhead_pct: float               # step vs ideal cost
 
 
-def run_figure2(
-    buffer_fraction: float = 0.10,
-    config: PStoreConfig | None = None,
-    slots: int = 288,
-) -> Figure2Result:
+#: Ideal capacity is demand plus this buffer.
+BUFFER_FRACTION = 0.10
+#: Slots in the one sinusoidal day (5-minute slots).
+SLOTS = 288
+
+
+def run_figure2(config: PStoreConfig | None = None) -> Figure2Result:
     """Compute the ideal and step allocations for one sinusoidal day."""
     config = config or default_config()
-    slot_seconds = 86_400.0 / slots
+    slot_seconds = 86_400.0 / SLOTS
     trace = sine_trace(
         n_days=1,
         slot_seconds=slot_seconds,
@@ -46,7 +48,7 @@ def run_figure2(
         high=7.5 * config.q * slot_seconds,
     )
     demand = trace.as_rate_per_second()
-    ideal_capacity = demand * (1.0 + buffer_fraction)
+    ideal_capacity = demand * (1.0 + BUFFER_FRACTION)
     ideal_servers = ideal_capacity / config.q
     allocated = np.ceil(ideal_servers - 1e-9).clip(1)
     ideal_cost = float(ideal_servers.sum())
@@ -67,23 +69,14 @@ def run_figure2(
 # ----------------------------------------------------------------------
 
 
-def grid(buffer_fraction: float = 0.10) -> list:
+def grid() -> list:
     from ..runner import RunSpec
 
-    return [
-        RunSpec(
-            experiment="fig02",
-            cell="step-overhead",
-            overrides=(("buffer_fraction", float(buffer_fraction)),),
-        )
-    ]
+    return [RunSpec(experiment="fig02", cell="step-overhead")]
 
 
 def run_cell(spec, config) -> dict:
-    result = run_figure2(
-        buffer_fraction=float(spec.option("buffer_fraction", 0.10)),
-        config=config,
-    )
+    result = run_figure2(config=config)
     return {
         "ideal_cost": result.ideal_cost,
         "step_cost": result.step_cost,

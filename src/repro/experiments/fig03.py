@@ -14,12 +14,12 @@ during the moves).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ..analysis.report import claim
-from ..config import PStoreConfig, default_config
+from ..config import default_config
 from ..core import Planner, model
 from ..core.moves import MoveSchedule
 
@@ -53,21 +53,22 @@ class Figure3Result:
         return out
 
 
-def run_figure3(
-    horizon: int = 9,
-    start_machines: int = 2,
-    config: Optional[PStoreConfig] = None,
-) -> Figure3Result:
+#: The schematic's horizon T (intervals) and starting cluster size B.
+HORIZON = 9
+START_MACHINES = 2
+
+
+def run_figure3() -> Figure3Result:
     """Plan the Fig. 3 scenario and compute the capacity trajectory."""
-    config = config or default_config().with_interval(600.0)
+    config = default_config().with_interval(600.0)
     q = config.q
     # A demand curve rising from ~1.6 to ~3.7 machines' worth, like the
     # schematic (2 machines suffice at t=0; 4 are needed by t=T).
-    demand = q * np.linspace(1.6, 3.7, horizon)
+    demand = q * np.linspace(1.6, 3.7, HORIZON)
     planner = Planner(config)
-    schedule = planner.plan(list(demand), start_machines, current_load=q * 1.5)
+    schedule = planner.plan(list(demand), START_MACHINES, current_load=q * 1.5)
 
-    capacity = np.empty(horizon)
+    capacity = np.empty(HORIZON)
     for move in schedule:
         for t in range(move.start, move.end):
             if move.is_noop:
@@ -96,26 +97,14 @@ def run_figure3(
 # ----------------------------------------------------------------------
 
 
-def grid(horizon: int = 9, start_machines: int = 2) -> list:
+def grid() -> list:
     from ..runner import RunSpec
 
-    return [
-        RunSpec(
-            experiment="fig03",
-            cell="schematic-plan",
-            overrides=(
-                ("horizon", int(horizon)),
-                ("start_machines", int(start_machines)),
-            ),
-        )
-    ]
+    return [RunSpec(experiment="fig03", cell="schematic-plan")]
 
 
 def run_cell(spec, config) -> dict:
-    result = run_figure3(
-        horizon=int(spec.option("horizon", 9)),
-        start_machines=int(spec.option("start_machines", 2)),
-    )
+    result = run_figure3()
     return {
         "machines_end": result.machines_end,
         "total_cost": result.total_cost,

@@ -9,13 +9,14 @@ and within ~13% at six hours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
 from ..analysis.report import claim
 from ..prediction import SparPredictor
 from ..workload import wikipedia_like_trace
+from .common import TRAIN_DAYS
 
 #: Forecast windows (hours) swept in Fig. 6b.
 FIGURE6_TAUS = (1, 2, 3, 4, 5, 6)
@@ -39,18 +40,12 @@ class Figure6Result:
     german: LanguageResult
 
 
-def _evaluate_language(
-    language: str,
-    train_days: int,
-    eval_days: int,
-    seed: int,
-    taus: Sequence[int],
-) -> LanguageResult:
+def _evaluate_language(language: str, eval_days: int, seed: int) -> LanguageResult:
     trace = wikipedia_like_trace(
-        n_days=train_days + eval_days, language=language, seed=seed
+        n_days=TRAIN_DAYS + eval_days, language=language, seed=seed
     )
     period = trace.slots_per_day  # 24 hourly slots
-    train = train_days * period
+    train = TRAIN_DAYS * period
     spar = SparPredictor(period=period, n_periods=7, m_recent=12).fit(
         trace.values[:train]
     )
@@ -64,7 +59,7 @@ def _evaluate_language(
             start=train,
             stop=train + eval_days * period,
         ).mean_relative_error()
-        for tau in taus
+        for tau in FIGURE6_TAUS
     }
     return LanguageResult(
         language=language,
@@ -74,16 +69,11 @@ def _evaluate_language(
     )
 
 
-def run_figure6(
-    train_days: int = 28,
-    eval_days: int = 14,
-    seed: int = 11,
-    taus: Sequence[int] = FIGURE6_TAUS,
-) -> Figure6Result:
+def run_figure6(eval_days: int = 14, seed: int = 11) -> Figure6Result:
     """Evaluate SPAR on both Wikipedia-like hourly traces."""
     return Figure6Result(
-        english=_evaluate_language("en", train_days, eval_days, seed, taus),
-        german=_evaluate_language("de", train_days, eval_days, seed + 1, taus),
+        english=_evaluate_language("en", eval_days, seed),
+        german=_evaluate_language("de", eval_days, seed + 1),
     )
 
 
@@ -112,10 +102,8 @@ def grid(seed: int = 11, eval_days: int = 14) -> list:
 def run_cell(spec, config) -> dict:
     result = _evaluate_language(
         str(spec.option("language", "en")),
-        train_days=28,
         eval_days=int(spec.option("eval_days", 14)),
         seed=spec.seed,
-        taus=FIGURE6_TAUS,
     )
     return {
         "language": result.language,

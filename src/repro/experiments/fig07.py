@@ -36,15 +36,18 @@ class Figure7Result:
     latency_knee_tps: float        # offered rate where p99 crosses the SLA
 
 
+#: Top of the offered-load ramp (txn/s): about twice saturation.
+MAX_OFFERED_TPS = 900.0
+
+
 def run_figure7(
-    max_offered: float = 900.0,
     duration_seconds: int = 2500,
     config: PStoreConfig | None = None,
     seed: int = 5,
 ) -> Figure7Result:
     """Ramp a single server from idle to far beyond saturation."""
     config = config or default_config()
-    offered = np.linspace(10.0, max_offered, duration_seconds)
+    offered = np.linspace(10.0, MAX_OFFERED_TPS, duration_seconds)
     simulator = ElasticDbSimulator(
         config,
         max_machines=1,

@@ -47,7 +47,11 @@ class Figure11Result:
         return total_8 < total_r
 
 
-def _spike_trace(eval_days: int, seed: int, magnitude: float):
+#: Peak of the unexpected spike, as a multiple of the normal load.
+SPIKE_MAGNITUDE = 2.2
+
+
+def _spike_trace(eval_days: int, seed: int):
     """A benchmark trace whose *evaluation* window contains a flash
     spike the training data has never seen."""
     n_days = TRAIN_DAYS + eval_days
@@ -58,7 +62,7 @@ def _spike_trace(eval_days: int, seed: int, magnitude: float):
             LoadEvent(
                 start_slot=int(spike_day * slots_per_day),
                 duration_slots=int(0.25 * slots_per_day),
-                magnitude=magnitude,
+                magnitude=SPIKE_MAGNITUDE,
                 shape="spike",
                 label="unexpected-spike",
             )
@@ -74,16 +78,12 @@ def _spike_trace(eval_days: int, seed: int, magnitude: float):
     )
 
 
-def run_figure11(
-    eval_days: int = 1,
-    seed: int = 33,
-    spike_magnitude: float = 2.2,
-) -> Figure11Result:
+def run_figure11(eval_days: int = 1, seed: int = 33) -> Figure11Result:
     """Run the spike day twice — emergency rate R vs R x 8: the two
     cells of :func:`grid`."""
     regular, boosted = (
         _run(spec, default_config())
-        for spec in grid(eval_days, seed, spike_magnitude)
+        for spec in grid(eval_days, seed)
     )
     return Figure11Result(regular_rate=regular, boosted_rate=boosted)
 
@@ -93,8 +93,7 @@ def run_figure11(
 # ----------------------------------------------------------------------
 
 
-def grid(eval_days: int = 1, seed: int = 33,
-         spike_magnitude: float = 2.2) -> list:
+def grid(eval_days: int = 1, seed: int = 33) -> list:
     from ..runner import RunSpec
 
     return [
@@ -103,10 +102,7 @@ def grid(eval_days: int = 1, seed: int = 33,
             cell=cell,
             strategy=f"p-store:emergency_rate={multiplier}",
             seed=seed,
-            overrides=(
-                ("eval_days", int(eval_days)),
-                ("spike_magnitude", float(spike_magnitude)),
-            ),
+            overrides=(("eval_days", int(eval_days)),),
         )
         for cell, multiplier in (("rate-R", 1.0), ("rate-Rx8", 8.0))
     ]
@@ -116,9 +112,7 @@ def _prepare_cell(spec, config):
     """(simulator, offered, strategy, history) for one cell — the only
     construction site, shared by the runner and both cell runners."""
     eval_days = int(spec.option("eval_days", 1))
-    trace = _spike_trace(
-        eval_days, spec.seed, float(spec.option("spike_magnitude", 2.2))
-    )
+    trace = _spike_trace(eval_days, spec.seed)
     setup = benchmark_setup(eval_days=eval_days, config=config, trace=trace)
     parsed = StrategySpec.parse(spec.strategy)
     multiplier = float(parsed.param("emergency_rate", 1.0))

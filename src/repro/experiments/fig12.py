@@ -30,6 +30,7 @@ from ..elasticity import (
     SimpleStrategy,
     StaticStrategy,
 )
+from ..elasticity.simple import MORNING_HOUR, NIGHT_HOUR
 from ..errors import ConfigurationError
 from ..prediction import OraclePredictor, SparPredictor
 from ..sim import run_capacity_simulation
@@ -59,21 +60,21 @@ class SeasonSetup:
     oracle: OraclePredictor
 
 
-def season_setup(
-    n_days: int = 135,
-    seed: int = 7,
-    config: Optional[PStoreConfig] = None,
-    include_black_friday: bool = True,
-) -> SeasonSetup:
-    """Build the Aug-Dec workload: 4 training weeks + ``n_days`` eval."""
-    config = config or default_config().with_interval(300.0)
+#: Evaluation day of Black Friday in the Aug-Dec season.
+BLACK_FRIDAY_DAY = 116
+
+
+def season_setup(n_days: int = 135, seed: int = 7) -> SeasonSetup:
+    """Build the Aug-Dec workload: 4 training weeks + ``n_days`` eval
+    (with Black Friday when the window reaches past it)."""
+    config = default_config().with_interval(300.0)
     slots_per_day = 288
     rng = np.random.default_rng(seed)
     calendar = retail_season_calendar(
         slots_per_day=slots_per_day,
         n_days=n_days,
         rng=rng,
-        black_friday_day=116 if (include_black_friday and n_days > 118) else -1,
+        black_friday_day=BLACK_FRIDAY_DAY if n_days > 118 else -1,
     )
     # Shift the calendar past the training window.
     from ..workload.events import EventCalendar, LoadEvent
@@ -149,11 +150,6 @@ class Figure12Result:
         ]
 
 
-#: Simple-strategy clock: scale out at 05:00, back in at 23:30.
-SIMPLE_MORNING_HOUR = 5.0
-SIMPLE_NIGHT_HOUR = 23.5
-
-
 def simple_strategy_for(setup: SeasonSetup, config: PStoreConfig) -> SimpleStrategy:
     """Size the clock-driven Simple strategy the way an operator would:
     from the *typical* time-of-day profile of the training data.
@@ -167,7 +163,7 @@ def simple_strategy_for(setup: SeasonSetup, config: PStoreConfig) -> SimpleStrat
     usable = (setup.train_tps.size // slots_per_day) * slots_per_day
     profile = setup.train_tps[:usable].reshape(-1, slots_per_day).mean(axis=0)
     hours = np.arange(slots_per_day) * 24.0 / slots_per_day
-    night_mask = (hours >= SIMPLE_NIGHT_HOUR) | (hours < SIMPLE_MORNING_HOUR)
+    night_mask = (hours >= NIGHT_HOUR) | (hours < MORNING_HOUR)
     day_need = float(profile.max()) * 1.10
     night_need = float(profile[night_mask].max()) * 1.10
     day_machines = max(2, math.ceil(day_need / config.q))
@@ -176,8 +172,6 @@ def simple_strategy_for(setup: SeasonSetup, config: PStoreConfig) -> SimpleStrat
         day_machines=max(day_machines, night_machines),
         night_machines=min(day_machines, night_machines),
         slots_per_day=slots_per_day,
-        morning_hour=SIMPLE_MORNING_HOUR,
-        night_hour=SIMPLE_NIGHT_HOUR,
     )
 
 

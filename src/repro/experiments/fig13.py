@@ -19,7 +19,12 @@ from ..analysis.report import claim
 from ..elasticity import StrategySpec
 from ..sim import CapacitySimResult, run_capacity_simulation
 from .common import capacity_payload
-from .fig12 import SeasonSetup, season_setup, simple_strategy_for
+from .fig12 import (
+    BLACK_FRIDAY_DAY,
+    SeasonSetup,
+    season_setup,
+    simple_strategy_for,
+)
 
 
 @dataclass
@@ -70,7 +75,6 @@ def run_figure13(
     n_days: int = 120,
     seed: int = 7,
     setup: Optional[SeasonSetup] = None,
-    black_friday_day: int = 116,
 ) -> Figure13Result:
     """Simulate P-Store SPAR and Simple over the season — the two cells
     of :func:`grid` on one shared setup — and extract the windows."""
@@ -79,7 +83,7 @@ def run_figure13(
         spec.cell: _run_point(setup, spec) for spec in grid(n_days, seed)
     }
     eval_days = len(setup.trace) / 288.0
-    bf_start = min(black_friday_day - 1.5, eval_days - 4.0)
+    bf_start = min(BLACK_FRIDAY_DAY - 1.5, eval_days - 4.0)
     return Figure13Result(
         ordinary=_window(setup, runs, start_day=0.5, n_days=4.0),
         black_friday=_window(setup, runs, start_day=max(0.0, bf_start), n_days=4.0),

@@ -18,6 +18,8 @@ from .common import TRAIN_DAYS
 
 #: The held-out week after the four training weeks (per-minute slots).
 EVAL_DAYS = 7
+#: The comparison's lead time (the paper's tau = 60 minutes).
+TAU_MINUTES = 60
 
 
 @dataclass
@@ -31,15 +33,13 @@ class ModelComparisonResult:
         return sorted(self.mre_by_model, key=self.mre_by_model.get)
 
 
-def run_model_comparison(
-    tau_minutes: int = 60, seed: int = 7
-) -> ModelComparisonResult:
+def run_model_comparison(seed: int = 7) -> ModelComparisonResult:
     """Fit all three models on the same trace; compare tau-ahead MRE —
     one cell of :func:`grid` per model."""
     return ModelComparisonResult(
         mre_by_model={
             str(spec.option("model")): _cell_mre(spec)
-            for spec in grid(tau_minutes, seed)
+            for spec in grid(seed)
         }
     )
 
@@ -49,7 +49,7 @@ def run_model_comparison(
 # ----------------------------------------------------------------------
 
 
-def grid(tau_minutes: int = 60, seed: int = 7) -> list:
+def grid(seed: int = 7) -> list:
     from ..runner import RunSpec
 
     return [
@@ -57,10 +57,7 @@ def grid(tau_minutes: int = 60, seed: int = 7) -> list:
             experiment="sec5",
             cell=model.lower(),
             seed=seed,
-            overrides=(
-                ("model", model),
-                ("tau_minutes", int(tau_minutes)),
-            ),
+            overrides=(("model", model),),
         )
         for model in ("SPAR", "ARMA", "AR")
     ]
@@ -81,7 +78,7 @@ def _cell_mre(spec) -> float:
     model.fit(trace.values[:train])
     return model.backtest(
         trace.values,
-        tau=int(spec.option("tau_minutes", 60)),
+        tau=TAU_MINUTES,
         start=train,
         stop=train + EVAL_DAYS * period,
         step=31,

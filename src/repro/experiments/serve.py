@@ -49,13 +49,9 @@ class ServeSmokeResult:
     runs: Dict[str, dict]
 
 
-def drift_trace(
-    seed: int = SERVE_SEED,
-    n_days: int = SERVE_DAYS,
-    drift_at_slot: int = DRIFT_AT_SLOT,
-    drift_factor: float = DRIFT_FACTOR,
-) -> LoadTrace:
-    """A diurnal trace whose level jumps ``drift_factor``-fold mid-run.
+def drift_trace(seed: int = SERVE_SEED, n_days: int = SERVE_DAYS) -> LoadTrace:
+    """A diurnal trace whose level jumps :data:`DRIFT_FACTOR`-fold at
+    :data:`DRIFT_AT_SLOT`.
 
     Deliberately low-noise (flat week, no day-level drift): the scenario
     isolates the *regime shift* — a seasonal model's forecasts must be
@@ -73,7 +69,7 @@ def drift_trace(
         wobble_sigma=0.03,
     )
     values = trace.values.copy()
-    values[drift_at_slot:] = values[drift_at_slot:] * drift_factor
+    values[DRIFT_AT_SLOT:] = values[DRIFT_AT_SLOT:] * DRIFT_FACTOR
     return LoadTrace(values=values, slot_seconds=SERVE_SLOT_SECONDS)
 
 

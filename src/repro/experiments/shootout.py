@@ -23,7 +23,7 @@ serial-vs-parallel bit-identity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -187,16 +187,10 @@ def run_one(
     return payload
 
 
-def grid(
-    workloads: Sequence[str] = tuple(DRIFT_WORKLOADS),
-    predictors: Sequence[str] = (),
-    seed: int = SHOOTOUT_SEED,
-    n_days: int = SHOOTOUT_DAYS,
-) -> List:
-    """workloads x predictors cells (4 x 8 = 32 by default)."""
+def grid(seed: int = SHOOTOUT_SEED, n_days: int = SHOOTOUT_DAYS) -> List:
+    """Drift workloads x registered predictors (4 x 8 = 32 cells)."""
     from ..runner import RunSpec
 
-    names = tuple(predictors) or registered_predictors()
     return [
         RunSpec(
             experiment="shootout",
@@ -208,8 +202,8 @@ def grid(
                 ("n_days", int(n_days)),
             ),
         )
-        for workload in workloads
-        for name in names
+        for workload in DRIFT_WORKLOADS
+        for name in registered_predictors()
     ]
 
 
@@ -226,8 +220,6 @@ def run_cell(spec, config) -> dict:
 
 def run_shootout(
     config=None,
-    workloads: Sequence[str] = tuple(DRIFT_WORKLOADS),
-    predictors: Sequence[str] = (),
     seed: int = SHOOTOUT_SEED,
     n_days: int = SHOOTOUT_DAYS,
 ) -> ShootoutResult:
@@ -235,10 +227,9 @@ def run_shootout(
     from ..config import default_config
 
     config = config or default_config()
-    names = tuple(predictors) or registered_predictors()
     runs: Dict[str, dict] = {}
-    for workload in workloads:
-        for name in names:
+    for workload in DRIFT_WORKLOADS:
+        for name in registered_predictors():
             runs[_cell_name(workload, name)] = run_one(
                 workload, name, seed, config, n_days=n_days
             )

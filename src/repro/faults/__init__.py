@@ -12,14 +12,13 @@ predictive control loop degrades and recovers:
   state machine hosts thread through the simulator, migrator,
   controller, and service, plus the deterministic
   injected/detected/recovered chronicle;
-* :mod:`repro.faults.retry` — :class:`RetryPolicy` (exponential backoff
-  with jitter, per-transfer timeouts) used to re-drive stalled or
-  corrupted transfers;
 * :mod:`repro.faults.report` — recovery accounting (MTTR, detection
   latency) and the text report of a chaos run.
 
 See docs/FAULTS.md for the taxonomy, the scenario-file format, and the
-recovery semantics of each fault class.
+recovery semantics of each fault class.  The retry policy that
+re-drives stalled or corrupted transfers is the config's ``faults``
+section (:class:`repro.config.FaultConfig`).
 """
 
 from .injector import FaultInjector, FaultRecord, TTR_BOUNDS, injector_from_config
@@ -29,7 +28,6 @@ from .report import (
     recovery_stats,
     render_fault_report,
 )
-from .retry import RetryPolicy
 from .spec import (
     FAULT_KINDS,
     FORECAST_DRIFT,
@@ -53,7 +51,6 @@ __all__ = [
     "NODE_CRASH",
     "NODE_SLOWDOWN",
     "RecoveryStats",
-    "RetryPolicy",
     "TRANSFER_CORRUPTION",
     "TTR_BOUNDS",
     "crash_during_migration_scenario",

@@ -107,7 +107,6 @@ class Cluster:
         n_nodes: int,
         partitions_per_node: int = 6,
         n_buckets: int = DEFAULT_BUCKETS,
-        hash_seed: int = 0,
     ):
         if n_nodes < 1:
             raise CatalogError("cluster needs at least one node")
@@ -121,7 +120,6 @@ class Cluster:
         self.schema = schema
         self.partitions_per_node = partitions_per_node
         self.n_buckets = n_buckets
-        self.hash_seed = hash_seed
         self._partitions: Dict[int, Partition] = {}
         self._nodes: Dict[int, Node] = {}
         self._next_node_id = 0
@@ -245,7 +243,7 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def bucket_of(self, key: Any) -> int:
-        return bucket_for_key(key, self.n_buckets, self.hash_seed)
+        return bucket_for_key(key, self.n_buckets)
 
     def route(self, key: Any) -> Partition:
         """The partition currently owning ``key``'s bucket."""

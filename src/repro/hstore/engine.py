@@ -42,6 +42,15 @@ DEFAULT_MU_PARTITION = SINGLE_NODE_SATURATION_TPS / 6.0
 #: enough to be "unnoticeable" below Q-hat, exactly as Sec. 8.1 found.
 CPU_SECONDS_PER_KB = 2.0e-4
 
+#: A hot-key episode's extra share of the total load (uniform range),
+#: and its length in seconds.
+HOT_EXTRA_RANGE = (0.010, 0.025)
+HOT_DURATION_RANGE = (10.0, 45.0)
+#: Chance that an episode is one of the extreme transient skews that
+#: even static-10 feels (Fig. 9a), and that episode's extra share.
+EXTREME_EPISODE_PROB = 0.06
+EXTREME_EXTRA_RANGE = (0.03, 0.06)
+
 #: Cells the block kernel's categorical draw cuts ``[0, cdf[-1]]`` into.
 #: A key shares a cell with one of a row's ``n`` cdf entries with
 #: probability ~``n / _DRAW_CELLS``; only those keys are compared.
@@ -305,10 +314,6 @@ class QueueingEngine:
         seed: int = 1,
         skew_sigma: float = 0.04,
         hot_episode_rate: float = 1.0 / 20_000.0,
-        hot_extra_range=(0.010, 0.025),
-        hot_duration_range=(10.0, 45.0),
-        extreme_episode_prob: float = 0.06,
-        extreme_extra_range=(0.03, 0.06),
         samples_per_tick: int = 256,
         telemetry=None,
     ):
@@ -320,10 +325,6 @@ class QueueingEngine:
         self.mu_partition = mu_partition
         self.skew_sigma = skew_sigma
         self.hot_episode_rate = hot_episode_rate
-        self.hot_extra_range = hot_extra_range
-        self.hot_duration_range = hot_duration_range
-        self.extreme_episode_prob = extreme_episode_prob
-        self.extreme_extra_range = extreme_extra_range
         self.samples_per_tick = samples_per_tick
         streams = np.random.SeedSequence(seed).spawn(5)
         self._episode_rng = np.random.default_rng(streams[0])
@@ -350,13 +351,12 @@ class QueueingEngine:
         four-draw layout on the detail stream."""
         n = self.n_partitions
         victim = int(self._detail_rng.integers(0, n))
-        duration = self._detail_rng.uniform(*self.hot_duration_range)
-        # Most episodes are mild; a small fraction are the extreme
-        # transient skews that even static-10 feels (Fig. 9a).
-        if self._detail_rng.random() < self.extreme_episode_prob:
-            extra = self._detail_rng.uniform(*self.extreme_extra_range)
+        duration = self._detail_rng.uniform(*HOT_DURATION_RANGE)
+        # Most episodes are mild; a small fraction are extreme.
+        if self._detail_rng.random() < EXTREME_EPISODE_PROB:
+            extra = self._detail_rng.uniform(*EXTREME_EXTRA_RANGE)
         else:
-            extra = self._detail_rng.uniform(*self.hot_extra_range)
+            extra = self._detail_rng.uniform(*HOT_EXTRA_RANGE)
         return victim, duration, extra
 
     def step(

@@ -21,6 +21,11 @@ from ..persist import Persisted
 from ..telemetry import get_telemetry
 
 
+#: Floor, as a fraction of the interval, on the elapsed time
+#: :meth:`LoadMonitor.current_rate_estimate` divides by.
+MIN_ELAPSED_FRACTION = 0.05
+
+
 class LoadMonitor(Persisted):
     """Aggregates a stream of transaction counts into interval rates.
 
@@ -31,10 +36,10 @@ class LoadMonitor(Persisted):
     and ``monitor.intervals_closed`` counter current and hands every
     closed slot, empty ones included, to the accuracy tracker.
 
-    Interval boundaries are derived as ``start_time + k *
-    interval_seconds`` rather than by repeated addition, so they stay
-    exact over arbitrarily long runs (repeated ``+=`` accumulates one
-    rounding error per interval).
+    Interval boundaries are derived as ``origin + k * interval_seconds``
+    (the origin is time 0, or what a checkpoint restores) rather than by
+    repeated addition, so they stay exact over arbitrarily long runs
+    (repeated ``+=`` accumulates one rounding error per interval).
 
     Checkpointed for ``pstore serve --resume``; restored intervals are
     not harvested into the accuracy tracker again, only those closed
@@ -44,18 +49,11 @@ class LoadMonitor(Persisted):
     PERSIST_MATCH = ("interval_seconds",)
     PERSIST = ("_origin", "_closed", "_current_count", "_rates")
 
-    def __init__(self, interval_seconds: float, start_time: float = 0.0,
-                 telemetry=None, min_elapsed_fraction: float = 0.05):
+    def __init__(self, interval_seconds: float, telemetry=None):
         if interval_seconds <= 0:
             raise SimulationError("interval_seconds must be positive")
-        if not 0.0 <= min_elapsed_fraction <= 1.0:
-            raise SimulationError("min_elapsed_fraction must be in [0, 1]")
         self.interval_seconds = interval_seconds
-        #: Floor (as a fraction of the interval) on the elapsed time used
-        #: by :meth:`current_rate_estimate`, so a burst right after a
-        #: boundary cannot divide by near-zero and report absurd rates.
-        self.min_elapsed_fraction = min_elapsed_fraction
-        self._origin = start_time
+        self._origin = 0.0
         self._closed = 0
         self._current_count = 0.0
         self._rates: List[float] = []
@@ -134,7 +132,7 @@ class LoadMonitor(Persisted):
     def current_rate_estimate(self, now: float) -> float:
         """Rate of the open interval so far (0 if it just opened).
 
-        The divisor is floored at ``min_elapsed_fraction`` of the
+        The divisor is floored at :data:`MIN_ELAPSED_FRACTION` of the
         interval: without it, a handful of transactions arriving moments
         after a boundary divide by near-zero and feed absurd rate spikes
         into the reactive strategy.
@@ -142,5 +140,5 @@ class LoadMonitor(Persisted):
         elapsed = now - self._interval_start
         if elapsed <= 0:
             return 0.0
-        floor = self.min_elapsed_fraction * self.interval_seconds
+        floor = MIN_ELAPSED_FRACTION * self.interval_seconds
         return self._current_count / max(elapsed, floor)

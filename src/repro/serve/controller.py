@@ -86,13 +86,18 @@ def parse_error_trigger(
     return ErrorTrigger(tuple(clauses), min_pairs=min_pairs)
 
 
+#: A tripped trigger recovers once every clause is below this fraction
+#: of its threshold (classic hysteresis so the mode doesn't flap on the
+#: boundary).
+RECOVERY_FRACTION = 0.8
+
+
 class ErrorTrigger:
     """Threshold + hysteresis over the accuracy tracker's rolling stats.
 
     ``breach(stats)`` reports the first clause over its threshold;
     ``recovered(stats)`` requires *every* clause below
-    ``recovery_fraction`` of its threshold (classic hysteresis so the
-    mode doesn't flap on the boundary).  Both gate on ``min_pairs``
+    :data:`RECOVERY_FRACTION` of its threshold.  Both gate on ``min_pairs``
     scored forecast/actual pairs so a cold window can't fire.
     """
 
@@ -101,14 +106,12 @@ class ErrorTrigger:
         clauses: Sequence[TriggerSpec],
         tau: int = 1,
         min_pairs: int = 12,
-        recovery_fraction: float = 0.8,
     ) -> None:
         if not clauses:
             raise SimulationError("error trigger needs at least one clause")
         self.clauses = tuple(clauses)
         self.tau = int(tau)
         self.min_pairs = int(min_pairs)
-        self.recovery_fraction = float(recovery_fraction)
 
     def describe(self) -> str:
         return ",".join(f"{c.metric}:{c.threshold:g}" for c in self.clauses)
@@ -135,7 +138,7 @@ class ErrorTrigger:
             value_pct = stats.get(_TRIGGER_METRICS[clause.metric])
             if value_pct is None:
                 return False
-            limit = clause.threshold * 100.0 * self.recovery_fraction
+            limit = clause.threshold * 100.0 * RECOVERY_FRACTION
             if abs(value_pct) > limit:
                 return False
         return True

@@ -87,6 +87,13 @@ class CapacitySimResult:
         )
 
 
+#: Within-slot instantaneous peaks exceed the slot average by a random
+#: factor ``1 + |N(0, PEAK_SIGMA)|``, drawn from a stream seeded with
+#: :data:`PEAK_SEED` (the same peaks for every strategy on a trace).
+PEAK_SIGMA = 0.08
+PEAK_SEED = 101
+
+
 class CapacitySimulator:
     """Drives one strategy through a load trace at slot granularity."""
 
@@ -95,21 +102,13 @@ class CapacitySimulator:
         config: PStoreConfig,
         initial_machines: int,
         history_seed: Sequence[float] = (),
-        peak_sigma: float = 0.08,
-        peak_seed: int = 101,
         telemetry=None,
     ):
         if initial_machines < 1:
             raise SimulationError("initial_machines must be >= 1")
-        if peak_sigma < 0:
-            raise SimulationError("peak_sigma must be >= 0")
         self.config = config
         self.initial_machines = initial_machines
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
-        #: Within-slot instantaneous peaks exceed the slot average by a
-        #: random factor ``1 + |N(0, peak_sigma)|``.
-        self.peak_sigma = peak_sigma
-        self.peak_seed = peak_seed
         #: Measured-load history handed to strategies; benches seed it
         #: with the predictor's training window so SPAR has context from
         #: slot zero.  Each run appends its slots.
@@ -130,9 +129,9 @@ class CapacitySimulator:
         load_tps = trace.as_rate_per_second()
         n_slots = load_tps.size
         slot_seconds = trace.slot_seconds
-        peak_rng = np.random.default_rng(self.peak_seed)
+        peak_rng = np.random.default_rng(PEAK_SEED)
         peak_load = load_tps * (
-            1.0 + np.abs(peak_rng.normal(0.0, self.peak_sigma, n_slots))
+            1.0 + np.abs(peak_rng.normal(0.0, PEAK_SIGMA, n_slots))
         )
 
         strategy.reset(self.initial_machines)
@@ -286,7 +285,6 @@ def run_capacity_simulation(
     config: PStoreConfig,
     initial_machines: int,
     history_seed: Sequence[float] = (),
-    peak_sigma: float = 0.08,
     telemetry=None,
 ) -> CapacitySimResult:
     """Convenience wrapper: one strategy, one trace, one result."""
@@ -294,7 +292,6 @@ def run_capacity_simulation(
         config=config,
         initial_machines=initial_machines,
         history_seed=history_seed,
-        peak_sigma=peak_sigma,
         telemetry=telemetry,
     )
     return simulator.run(trace, strategy)

@@ -24,7 +24,6 @@ from ..config import DEFAULT_CHUNK_KB, PStoreConfig
 from ..elasticity.base import ProvisioningStrategy
 from ..errors import SimulationError
 from ..faults.injector import injector_from_config
-from ..faults.retry import RetryPolicy
 from ..hstore.engine import (
     MigrationInterference,
     QueueingEngine,
@@ -315,9 +314,7 @@ class ElasticDbSimulator:
         strategy.reset(self.initial_machines)
         recovery = None
         if self._injector is not None:
-            recovery = TransferRecovery(
-                self._injector, RetryPolicy.from_config(self.config.faults)
-            )
+            recovery = TransferRecovery(self._injector, self.config.faults)
         return _Run(
             strategy, offered, interval, self.initial_machines,
             np.asarray(history_seed_tps, dtype=float), recovery,

@@ -36,10 +36,10 @@ from ..check import invariants
 from ..config import (
     DEFAULT_CHUNK_KB,
     DEFAULT_MIGRATION_RATE_KBPS,
+    FaultConfig,
     PStoreConfig,
 )
 from ..errors import MigrationError
-from ..faults.retry import RetryPolicy
 from ..hstore.cluster import Cluster
 from ..persist import Persisted
 from ..telemetry import get_telemetry
@@ -276,12 +276,13 @@ class ActiveMigration:
 
 class TransferRecovery:
     """What re-driving a faulty transfer needs, for a whole run: the
-    injector whose faults are handled, the retry policy, and the
-    backoff-jitter stream (one per run, so it outlives every move)."""
+    injector whose faults are handled, the retry policy (the ``faults``
+    config section), and the backoff-jitter stream (one per run, so it
+    outlives every move)."""
 
-    def __init__(self, injector, retry: RetryPolicy):
+    def __init__(self, injector, faults: FaultConfig):
         self.injector = injector
-        self.retry = retry
+        self.faults = faults
         self.rng = np.random.default_rng(injector.seed + 1)
 
 
@@ -504,7 +505,7 @@ class Reconfiguration(Persisted):
                 continue
             # Hold the round back and owe a full re-send plus one backoff.
             recovery.injector.mark_detected(corruption, now)
-            backoff = recovery.retry.backoff_seconds(1, recovery.rng)
+            backoff = recovery.faults.backoff_seconds(1, recovery.rng)
             recovery.injector.mark_retry(corruption, now, backoff)
             self.resend_seconds += self.migration.round_seconds + backoff
             self._held.append((round_, corruption))
@@ -513,7 +514,7 @@ class Reconfiguration(Persisted):
     def _watch_stall(self, stall, now: float, recovery: TransferRecovery) -> None:
         """Detect the wedged transfer after the retry timeout and log one
         re-drive per backoff interval (all in simulated time)."""
-        retry = recovery.retry
+        retry = recovery.faults
         if self.stall is not stall:
             self.stall = stall
             self._stall_attempts = 0
@@ -565,8 +566,7 @@ class ClusterMigrator:
     ``injector`` attaches the chaos layer: migration-stall windows
     freeze progress until the watchdog re-drives them, and completed
     rounds may arrive corrupted, costing a re-send before their bucket
-    moves commit.  ``retry`` defaults to the policy described by
-    ``config.faults``.
+    moves commit; ``config.faults`` is the retry policy.
     """
 
     def __init__(
@@ -577,7 +577,6 @@ class ClusterMigrator:
         rate_multiplier: float = 1.0,
         telemetry=None,
         injector=None,
-        retry: Optional[RetryPolicy] = None,
     ):
         if rate_multiplier <= 0:
             raise MigrationError("rate_multiplier must be positive")
@@ -589,11 +588,8 @@ class ClusterMigrator:
         self.rate_multiplier = rate_multiplier
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
         self._injector = injector
-        self.retry = retry if retry is not None else RetryPolicy.from_config(
-            config.faults
-        )
         self._recovery = (
-            TransferRecovery(injector, self.retry)
+            TransferRecovery(injector, config.faults)
             if injector is not None
             else None
         )

@@ -29,18 +29,21 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def default_buckets(
-    lo: float = 0.1, hi: float = 600_000.0, per_decade: int = 5
-) -> Tuple[float, ...]:
-    """Log-spaced bucket upper bounds covering ``[lo, hi]``.
+#: Default histogram range (0.1 ms to 10 minutes) and resolution.
+BUCKET_LO = 0.1
+BUCKET_HI = 600_000.0
+BUCKETS_PER_DECADE = 5
 
-    The default spans 0.1 ms to 10 minutes with 5 buckets per decade
-    (~34 buckets), which bounds the quantile interpolation error to
-    about +/-30% of the true value — plenty for p50/p95/p99 dashboards.
+
+def default_buckets() -> Tuple[float, ...]:
+    """Log-spaced bucket upper bounds covering ``[BUCKET_LO, BUCKET_HI]``.
+
+    5 buckets per decade (~34 buckets) bound the quantile interpolation
+    error to about +/-30% of the true value — plenty for p50/p95/p99
+    dashboards.
     """
-    if lo <= 0 or hi <= lo:
-        raise TelemetryError("need 0 < lo < hi for histogram buckets")
-    n = int(math.ceil(per_decade * math.log10(hi / lo)))
+    lo, hi = BUCKET_LO, BUCKET_HI
+    n = int(math.ceil(BUCKETS_PER_DECADE * math.log10(hi / lo)))
     ratio = (hi / lo) ** (1.0 / n)
     return tuple(lo * ratio ** i for i in range(n + 1))
 

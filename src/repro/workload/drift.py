@@ -15,9 +15,12 @@ mid-trace:
   launch multiplies traffic), stranding models fitted pre-shift.
 
 All generators are deterministic for a given argument tuple, share the
-:func:`~repro.workload.generators.diurnal_profile` day shape, default to
-hourly slots (seconds-fast capacity sims), and keep an initial
-*quiet* prefix regime-change-free so experiments can train on it.
+:func:`~repro.workload.generators.diurnal_profile` day shape (peak to
+trough :data:`PEAK_TO_TROUGH`) and per-slot lognormal noise
+(:data:`NOISE_SIGMA`), default to hourly slots (seconds-fast capacity
+sims), and keep an initial *quiet* prefix regime-change-free so
+experiments can train on it.  The size of each regime change is a
+module constant.
 """
 
 from __future__ import annotations
@@ -29,6 +32,22 @@ from .generators import _rng, diurnal_profile
 from .trace import LoadTrace
 
 
+#: Daily peak-to-trough ratio and per-slot noise sigma of every trace.
+PEAK_TO_TROUGH = 6.0
+NOISE_SIGMA = 0.02
+#: The drifted day is this much longer at the end of the trace.
+PERIOD_DRIFT = 0.35
+#: The diurnal swing grows by this factor over the drifting days.
+AMPLITUDE_GROWTH = 0.8
+#: Novel spikes: how many, their peak multiple and their decay time.
+N_SPIKES = 3
+SPIKE_MAGNITUDE = 2.2
+SPIKE_HOURS = 4.0
+#: The level shift's multiple and the hours it ramps over.
+SHIFT_FACTOR = 2.4
+RAMP_HOURS = 6.0
+
+
 def _slots_per_day(slot_seconds: float) -> int:
     slots = int(round(86_400.0 / slot_seconds))
     if slots < 2:
@@ -38,38 +57,30 @@ def _slots_per_day(slot_seconds: float) -> int:
     return slots
 
 
-def _noise(values: np.ndarray, noise_sigma: float, rng) -> np.ndarray:
-    if noise_sigma > 0:
-        values = values * np.exp(rng.normal(0.0, noise_sigma, values.size))
-    return values
+def _noise(values: np.ndarray, rng) -> np.ndarray:
+    return values * np.exp(rng.normal(0.0, NOISE_SIGMA, values.size))
 
 
 def drifting_period_trace(
     n_days: int = 14,
     slot_seconds: float = 3600.0,
     base_level: float = 8_000.0,
-    peak_to_trough: float = 6.0,
-    period_drift: float = 0.35,
     quiet_days: int = 7,
-    noise_sigma: float = 0.02,
     seed: int = 31,
-    name: str = "period-drift",
 ) -> LoadTrace:
     """Diurnal load whose cycle *stretches* after the quiet prefix.
 
     During the first ``quiet_days`` the instantaneous period is exactly
     one day; afterwards it lengthens linearly until it is
-    ``1 + period_drift`` days long at the end of the trace.  A fixed-T
+    ``1 + PERIOD_DRIFT`` days long at the end of the trace.  A fixed-T
     periodic model keeps forecasting yesterday's phase and slides
     steadily out of alignment.
     """
     if n_days < 1 or not 0 <= quiet_days <= n_days:
         raise SimulationError("need 1 <= n_days and 0 <= quiet_days <= n_days")
-    if period_drift < 0:
-        raise SimulationError("period_drift must be >= 0")
     rng = _rng(seed)
     slots_per_day = _slots_per_day(slot_seconds)
-    profile = diurnal_profile(slots_per_day, 1.0 / peak_to_trough)
+    profile = diurnal_profile(slots_per_day, 1.0 / PEAK_TO_TROUGH)
     total = n_days * slots_per_day
     quiet = quiet_days * slots_per_day
     # Instantaneous frequency in cycles/slot: 1/P while quiet, then the
@@ -78,7 +89,7 @@ def drifting_period_trace(
     dilation = np.ones(total)
     if total > quiet:
         progress = (t[quiet:] - quiet) / max(total - quiet, 1)
-        dilation[quiet:] = 1.0 + period_drift * progress
+        dilation[quiet:] = 1.0 + PERIOD_DRIFT * progress
     phase = np.cumsum(1.0 / (slots_per_day * dilation))
     phase -= phase[0]
     # Sample the day profile at the (fractional, wrapped) phase position.
@@ -86,127 +97,104 @@ def drifting_period_trace(
     grid = np.arange(slots_per_day + 1, dtype=float)
     wrapped = np.concatenate([profile, profile[:1]])
     values = base_level * np.interp(pos, grid, wrapped)
-    return LoadTrace(_noise(values, noise_sigma, rng), slot_seconds, name=name)
+    return LoadTrace(_noise(values, rng), slot_seconds, name="period-drift")
 
 
 def growing_amplitude_trace(
     n_days: int = 14,
     slot_seconds: float = 3600.0,
     base_level: float = 8_000.0,
-    peak_to_trough: float = 6.0,
-    growth: float = 0.8,
     quiet_days: int = 7,
-    noise_sigma: float = 0.02,
     seed: int = 37,
-    name: str = "amp-growth",
 ) -> LoadTrace:
     """Diurnal load whose daily swing grows after the quiet prefix.
 
     The deviation from the daily mean is scaled by a factor ramping from
-    1 to ``1 + growth``, so peaks rise while the mean level holds —
-    models calibrated on the quiet prefix under-forecast every
+    1 to ``1 + AMPLITUDE_GROWTH``, so peaks rise while the mean level
+    holds — models calibrated on the quiet prefix under-forecast every
     subsequent peak a little more.
     """
     if n_days < 1 or not 0 <= quiet_days <= n_days:
         raise SimulationError("need 1 <= n_days and 0 <= quiet_days <= n_days")
-    if growth < 0:
-        raise SimulationError("growth must be >= 0")
     rng = _rng(seed)
     slots_per_day = _slots_per_day(slot_seconds)
-    profile = diurnal_profile(slots_per_day, 1.0 / peak_to_trough)
+    profile = diurnal_profile(slots_per_day, 1.0 / PEAK_TO_TROUGH)
     total = n_days * slots_per_day
     quiet = quiet_days * slots_per_day
     t = np.arange(total, dtype=float)
     envelope = np.ones(total)
     if total > quiet:
-        envelope[quiet:] = 1.0 + growth * (t[quiet:] - quiet) / max(
+        envelope[quiet:] = 1.0 + AMPLITUDE_GROWTH * (t[quiet:] - quiet) / max(
             total - quiet, 1
         )
     shape = np.tile(profile, n_days)
     mean = float(profile.mean())
     values = base_level * np.clip(mean + (shape - mean) * envelope, 0.02, None)
-    return LoadTrace(_noise(values, noise_sigma, rng), slot_seconds, name=name)
+    return LoadTrace(_noise(values, rng), slot_seconds, name="amp-growth")
 
 
 def novel_spike_trace(
     n_days: int = 14,
     slot_seconds: float = 3600.0,
     base_level: float = 8_000.0,
-    peak_to_trough: float = 6.0,
-    n_spikes: int = 3,
-    spike_magnitude: float = 2.2,
-    spike_hours: float = 4.0,
     quiet_days: int = 7,
-    noise_sigma: float = 0.02,
     seed: int = 41,
-    name: str = "novel-spike",
 ) -> LoadTrace:
     """Diurnal load with sharp spikes that only start after the prefix.
 
-    ``n_spikes`` multiplicative spikes (instant onset, exponential
-    decay over ``spike_hours``) land at seeded-random slots past
+    ``N_SPIKES`` multiplicative spikes (instant onset, exponential
+    decay over ``SPIKE_HOURS``) land at seeded-random slots past
     ``quiet_days`` — a flash-crowd pattern no model fitted on the quiet
     prefix has ever seen.
     """
     if n_days < 1 or not 0 <= quiet_days < n_days:
         raise SimulationError("need 1 <= n_days and 0 <= quiet_days < n_days")
-    if n_spikes < 1 or spike_magnitude <= 1 or spike_hours <= 0:
-        raise SimulationError(
-            "need n_spikes >= 1, spike_magnitude > 1 and spike_hours > 0"
-        )
     rng = _rng(seed)
     slots_per_day = _slots_per_day(slot_seconds)
-    profile = diurnal_profile(slots_per_day, 1.0 / peak_to_trough)
+    profile = diurnal_profile(slots_per_day, 1.0 / PEAK_TO_TROUGH)
     total = n_days * slots_per_day
     quiet = quiet_days * slots_per_day
     values = base_level * np.tile(profile, n_days)
-    decay_slots = max(spike_hours * 3600.0 / slot_seconds, 1.0)
-    starts = np.sort(rng.integers(quiet, total, size=n_spikes))
+    decay_slots = max(SPIKE_HOURS * 3600.0 / slot_seconds, 1.0)
+    starts = np.sort(rng.integers(quiet, total, size=N_SPIKES))
     multiplier = np.ones(total)
     for start in starts:
         length = total - int(start)
-        ramp = (spike_magnitude - 1.0) * np.exp(
+        ramp = (SPIKE_MAGNITUDE - 1.0) * np.exp(
             -np.arange(length) / decay_slots
         )
         multiplier[start:] = np.maximum(multiplier[start:], 1.0 + ramp)
     values *= multiplier
-    return LoadTrace(_noise(values, noise_sigma, rng), slot_seconds, name=name)
+    return LoadTrace(_noise(values, rng), slot_seconds, name="novel-spike")
 
 
 def level_shift_trace(
     n_days: int = 14,
     slot_seconds: float = 3600.0,
     base_level: float = 8_000.0,
-    peak_to_trough: float = 6.0,
-    shift_factor: float = 2.4,
     shift_day: int = 9,
-    ramp_hours: float = 6.0,
-    noise_sigma: float = 0.02,
     seed: int = 43,
-    name: str = "level-shift",
 ) -> LoadTrace:
-    """Diurnal load whose level steps by ``shift_factor`` mid-trace.
+    """Diurnal load whose level steps by ``SHIFT_FACTOR`` mid-trace.
 
-    The multiplier ramps linearly over ``ramp_hours`` starting at
+    The multiplier ramps linearly over ``RAMP_HOURS`` starting at
     ``shift_day`` and then stays — the marketing-launch scenario.
     Models fitted before the shift keep forecasting the old level.
     """
     if n_days < 1 or not 0 <= shift_day < n_days:
         raise SimulationError("need 1 <= n_days and 0 <= shift_day < n_days")
-    if shift_factor <= 0:
-        raise SimulationError("shift_factor must be > 0")
     rng = _rng(seed)
     slots_per_day = _slots_per_day(slot_seconds)
-    profile = diurnal_profile(slots_per_day, 1.0 / peak_to_trough)
+    profile = diurnal_profile(slots_per_day, 1.0 / PEAK_TO_TROUGH)
     total = n_days * slots_per_day
     values = base_level * np.tile(profile, n_days)
     start = shift_day * slots_per_day
-    ramp_slots = max(int(round(ramp_hours * 3600.0 / slot_seconds)), 1)
+    ramp_slots = max(int(round(RAMP_HOURS * 3600.0 / slot_seconds)), 1)
     multiplier = np.ones(total)
     ramp_end = min(start + ramp_slots, total)
     multiplier[start:ramp_end] = np.linspace(
-        1.0, shift_factor, ramp_end - start, endpoint=False
+        1.0, SHIFT_FACTOR, ramp_end - start, endpoint=False
     )
-    multiplier[ramp_end:] = shift_factor
+    multiplier[ramp_end:] = SHIFT_FACTOR
     values *= multiplier
-    return LoadTrace(_noise(values, noise_sigma, rng), slot_seconds, name=name)
+    return LoadTrace(_noise(values, rng), slot_seconds, name="level-shift")

@@ -69,6 +69,10 @@ def _calendar_key(calendar: Optional[EventCalendar]):
         return None
 
 
+#: Correlation time of :func:`b2w_like_trace`'s intraday wobble (hours).
+WOBBLE_HOURS = 3.0
+
+
 def b2w_like_trace(
     n_days: int,
     slot_seconds: float = 60.0,
@@ -79,7 +83,6 @@ def b2w_like_trace(
     noise_sigma: float = 0.035,
     drift_sigma: float = 0.05,
     wobble_sigma: float = 0.10,
-    wobble_hours: float = 3.0,
     calendar: Optional[EventCalendar] = None,
     name: str = "b2w-like",
 ) -> LoadTrace:
@@ -108,12 +111,12 @@ def b2w_like_trace(
         sigma of the per-slot lognormal noise (short-term variability).
     drift_sigma:
         sigma of the AR(1) day-level drift (day-to-day variability).
-    wobble_sigma, wobble_hours:
-        stationary sigma and correlation time of an Ornstein-Uhlenbeck
-        *intraday wobble*: hour-scale deviations (weather, news, small
-        campaigns) that no time-of-day model can predict.  This is what
-        bounds SPAR's accuracy at ~10% MRE on the real B2W trace
-        (Fig. 5b); set it to 0 for a fully periodic trace.
+    wobble_sigma:
+        stationary sigma of an Ornstein-Uhlenbeck *intraday wobble* with
+        correlation time :data:`WOBBLE_HOURS`: hour-scale deviations
+        (weather, news, small campaigns) that no time-of-day model can
+        predict.  This is what bounds SPAR's accuracy at ~10% MRE on the
+        real B2W trace (Fig. 5b); set it to 0 for a fully periodic trace.
     calendar:
         optional :class:`EventCalendar`; pass the result of
         :func:`~repro.workload.events.retail_season_calendar` for the
@@ -132,8 +135,7 @@ def b2w_like_trace(
                 float(base_level), float(peak_to_trough),
                 tuple(float(w) for w in weekly_pattern),
                 float(noise_sigma), float(drift_sigma),
-                float(wobble_sigma), float(wobble_hours),
-                calendar_key, str(name),
+                float(wobble_sigma), calendar_key, str(name),
             )
             cached = memo.lookup(memo_key)
             if cached is not None:
@@ -160,8 +162,8 @@ def b2w_like_trace(
     values *= np.exp(smooth)
 
     # Hour-scale unpredictable wobble (OU process in log space).
-    if wobble_sigma > 0 and wobble_hours > 0:
-        tau_slots = wobble_hours * 3600.0 / slot_seconds
+    if wobble_sigma > 0:
+        tau_slots = WOBBLE_HOURS * 3600.0 / slot_seconds
         decay = np.exp(-1.0 / tau_slots)
         innovation = wobble_sigma * np.sqrt(1.0 - decay * decay)
         wobble = np.empty(total)

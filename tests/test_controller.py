@@ -1,5 +1,7 @@
 """Tests for the Predictive Controller (Section 6)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import PStoreConfig, default_config
@@ -28,12 +30,9 @@ class TestHorizon:
         assert ctrl.horizon_intervals == minimum
 
     def test_explicit_horizon_respected(self):
-        ctrl = controller_for([100.0] * 100, horizon_intervals=9)
+        cfg = replace(default_config().with_interval(600.0), horizon_intervals=9)
+        ctrl = controller_for([100.0] * 100, cfg)
         assert ctrl.horizon_intervals == 9
-
-    def test_zero_horizon_rejected(self):
-        with pytest.raises(PlanningError):
-            controller_for([100.0] * 100, horizon_intervals=0)
 
     def test_bad_rate_multiplier_rejected(self):
         with pytest.raises(PlanningError):
@@ -58,7 +57,7 @@ class TestSteadyState:
         # near the horizon edge.  The 1->2 move lasts one interval, so the
         # cheapest plan starts it later, not now.
         truth = [q * 0.8] * 6 + [q * 1.6] * 50
-        ctrl = controller_for(truth, cfg, horizon_intervals=8)
+        ctrl = controller_for(truth, replace(cfg, horizon_intervals=8))
         decision = ctrl.decide(truth[:2], current_machines=1)
         assert not decision.acts
         assert "starts at interval" in decision.reason
@@ -69,7 +68,7 @@ class TestScaleOut:
         cfg = default_config().with_interval(600.0)
         q = cfg.q
         truth = [q * 0.9] * 2 + [q * 1.9] * 50
-        ctrl = controller_for(truth, cfg, horizon_intervals=6)
+        ctrl = controller_for(truth, replace(cfg, horizon_intervals=6))
         decision = ctrl.decide(truth[:2], current_machines=1)
         assert decision.acts
         assert decision.target_machines is not None
@@ -83,7 +82,7 @@ class TestScaleOut:
         q = cfg.q
         load = q * 1.95  # fits 2 machines raw, needs 3 after inflation
         truth = [load] * 50
-        ctrl = controller_for(truth, cfg, horizon_intervals=6)
+        ctrl = controller_for(truth, replace(cfg, horizon_intervals=6))
         decision = ctrl.decide(
             flat_history(load), current_machines=2, current_load=q * 1.9
         )
@@ -97,7 +96,7 @@ class TestScaleInDebounce:
         cfg = default_config().with_interval(600.0)
         q = cfg.q
         truth = [q * 0.4] * 60
-        ctrl = controller_for(truth, cfg, horizon_intervals=6)
+        ctrl = controller_for(truth, replace(cfg, horizon_intervals=6))
         history = flat_history(q * 0.4)
         first = ctrl.decide(history, current_machines=3)
         second = ctrl.decide(history, current_machines=3)
@@ -112,7 +111,7 @@ class TestScaleInDebounce:
         cfg = default_config().with_interval(600.0)
         q = cfg.q
         predictor = LastValuePredictor().fit([1.0])
-        ctrl = PredictiveController(cfg, predictor, horizon_intervals=6)
+        ctrl = PredictiveController(replace(cfg, horizon_intervals=6), predictor)
         low = flat_history(q * 0.4)
         ctrl.decide(low, current_machines=3)  # streak 1
         # A steady plan at the right size resets the streak.
@@ -123,7 +122,7 @@ class TestScaleInDebounce:
     def test_notify_move_started_resets(self):
         cfg = default_config().with_interval(600.0)
         q = cfg.q
-        ctrl = controller_for([q * 0.4] * 200, cfg, horizon_intervals=6)
+        ctrl = controller_for([q * 0.4] * 200, replace(cfg, horizon_intervals=6))
         low = flat_history(q * 0.4)
         ctrl.decide(low, current_machines=3)
         ctrl.decide(low, current_machines=3)
@@ -138,7 +137,7 @@ class TestEmergency:
         q = cfg.q
         # A spike arriving immediately: no feasible plan from 1 machine.
         truth = [q * 6.0] * 50
-        ctrl = controller_for(truth, cfg, horizon_intervals=6)
+        ctrl = controller_for(truth, replace(cfg, horizon_intervals=6))
         decision = ctrl.decide(
             flat_history(q * 6.0), current_machines=1, current_load=q * 6.0
         )
@@ -151,7 +150,7 @@ class TestEmergency:
         q = cfg.q
         truth = [q * 6.0] * 50
         ctrl = controller_for(
-            truth, cfg, horizon_intervals=6, emergency_rate_multiplier=8.0
+            truth, replace(cfg, horizon_intervals=6), emergency_rate_multiplier=8.0
         )
         decision = ctrl.decide(
             flat_history(q * 6.0), current_machines=1, current_load=q * 6.0
@@ -169,7 +168,7 @@ class TestEmergency:
         )
         q = cfg.q
         ctrl = PredictiveController(
-            cfg, OraclePredictor([q * 9.0] * 50), horizon_intervals=6
+            replace(cfg, horizon_intervals=6), OraclePredictor([q * 9.0] * 50)
         )
         decision = ctrl.decide(
             flat_history(q * 9.0), current_machines=2, current_load=q * 9.0
@@ -189,7 +188,7 @@ class TestEmergency:
         )
         q = cfg.q
         ctrl = PredictiveController(
-            cfg, OraclePredictor([q * 9.0] * 50), horizon_intervals=6
+            replace(cfg, horizon_intervals=6), OraclePredictor([q * 9.0] * 50)
         )
         decision = ctrl.decide(
             flat_history(q * 9.0), current_machines=4, current_load=q * 9.0
@@ -202,7 +201,7 @@ class TestEmergency:
         cfg = default_config().with_interval(600.0)
         q = cfg.q
         truth = [q * 6.0] * 50
-        ctrl = controller_for(truth, cfg, horizon_intervals=6)
+        ctrl = controller_for(truth, replace(cfg, horizon_intervals=6))
         decision = ctrl.decide(
             flat_history(q * 6.0), current_machines=7, current_load=q * 6.9
         )
@@ -217,7 +216,7 @@ class TestEmergency:
         cfg = default_config().with_interval(600.0)
         q = cfg.q
         predictor = LastValuePredictor().fit([1.0])
-        ctrl = PredictiveController(cfg, predictor, horizon_intervals=6)
+        ctrl = PredictiveController(replace(cfg, horizon_intervals=6), predictor)
         low = flat_history(q * 0.4)
         ctrl.decide(low, current_machines=3)  # streak 1
         ctrl.decide(low, current_machines=3)  # streak 2
@@ -238,12 +237,6 @@ class TestConfiguredHorizon:
         ctrl = controller_for([100.0] * 100, cfg)
         assert ctrl.horizon_intervals == 11
 
-    def test_explicit_argument_beats_config(self):
-        cfg = default_config().with_interval(600.0)
-        cfg = PStoreConfig.from_dict({**cfg.to_dict(), "horizon_intervals": 11})
-        ctrl = controller_for([100.0] * 100, cfg, horizon_intervals=5)
-        assert ctrl.horizon_intervals == 5
-
 
 class TestForecastDrift:
     def _drifted_controller(self, truth, cfg, magnitude):
@@ -263,9 +256,8 @@ class TestForecastDrift:
         injector = FaultInjector(scenario)
         injector.advance(0.0)
         return PredictiveController(
-            cfg,
+            replace(cfg, horizon_intervals=6),
             OraclePredictor(truth),
-            horizon_intervals=6,
             injector=injector,
         )
 
@@ -275,7 +267,7 @@ class TestForecastDrift:
         cfg = default_config().with_interval(600.0)
         q = cfg.q
         truth = [q * 1.5] * 50
-        clean = controller_for(truth, cfg, horizon_intervals=6)
+        clean = controller_for(truth, replace(cfg, horizon_intervals=6))
         baseline = clean.decide(flat_history(q * 1.5), current_machines=2)
         assert not baseline.acts  # 1.5q * 1.15 still fits 2 machines
 
@@ -303,6 +295,6 @@ class TestValidation:
     def test_works_with_any_predictor(self):
         cfg = default_config().with_interval(600.0)
         predictor = LastValuePredictor().fit([1.0])
-        ctrl = PredictiveController(cfg, predictor, horizon_intervals=5)
+        ctrl = PredictiveController(replace(cfg, horizon_intervals=5), predictor)
         decision = ctrl.decide([cfg.q * 0.5] * 3, current_machines=1)
         assert not decision.acts

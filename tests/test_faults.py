@@ -13,7 +13,6 @@ from repro.faults import (
     FaultInjector,
     FaultScenario,
     FaultSpec,
-    RetryPolicy,
     crash_during_migration_scenario,
     injector_from_config,
     recovery_stats,
@@ -133,20 +132,23 @@ class TestFaultScenario:
 
 
 class TestRetryPolicy:
+    """The retry fields of the ``faults`` config section (their
+    validation is in test_config.py)."""
+
     def test_should_retry_honours_max_attempts(self):
-        policy = RetryPolicy(max_attempts=3)
+        policy = FaultConfig(max_attempts=3)
         assert policy.should_retry(1) and policy.should_retry(3)
         assert not policy.should_retry(4)
 
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(base_backoff_seconds=2.0, backoff_multiplier=3.0,
+        policy = FaultConfig(base_backoff_seconds=2.0, backoff_multiplier=3.0,
                              jitter_fraction=0.0)
         assert policy.backoff_seconds(1) == pytest.approx(2.0)
         assert policy.backoff_seconds(2) == pytest.approx(6.0)
         assert policy.backoff_seconds(3) == pytest.approx(18.0)
 
     def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(base_backoff_seconds=10.0, jitter_fraction=0.2)
+        policy = FaultConfig(base_backoff_seconds=10.0, jitter_fraction=0.2)
         rng = np.random.default_rng(0)
         for attempt in (1, 2, 3):
             base = policy.backoff_seconds(attempt)
@@ -154,18 +156,22 @@ class TestRetryPolicy:
                 jittered = policy.backoff_seconds(attempt, rng)
                 assert 0.8 * base <= jittered <= 1.2 * base
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(FaultError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(FaultError):
-            RetryPolicy(jitter_fraction=1.0)
-
     def test_from_config(self):
-        policy = RetryPolicy.from_config(
-            FaultConfig(max_attempts=2, transfer_timeout_seconds=7.0)
+        """The migrator's stall watchdog reads ``config.faults``."""
+        cfg = PStoreConfig(
+            database_kb=6000.0, d_seconds=600.0,
+            faults=FaultConfig(max_attempts=2, transfer_timeout_seconds=7.0),
         )
-        assert policy.max_attempts == 2
-        assert policy.transfer_timeout_seconds == 7.0
+        injector = FaultInjector([
+            FaultSpec(kind="migration_stall", on_migration=1,
+                      duration_seconds=120.0),
+        ])
+        migrator = ClusterMigrator(kv_cluster(), cfg, injector=injector)
+        migrator.start_move(5)
+        drive_to_completion(migrator)
+        record = injector.records[0]
+        assert record.detected_at == pytest.approx(record.injected_at + 7.0)
+        assert record.retries == 2
 
 
 class TestInjectorLifecycle:

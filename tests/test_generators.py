@@ -151,9 +151,16 @@ class TestSyntheticHelpers:
 
     def test_flash_crowd_spike_present(self):
         """Fig. 11's trace: a spike half-way through the evaluation day."""
-        trace = fig11._spike_trace(eval_days=1, seed=6, magnitude=3.0)
-        base = fig11._spike_trace(eval_days=1, seed=6, magnitude=1.0)
+        trace = fig11._spike_trace(eval_days=1, seed=6)
+        base = b2w_like_trace(
+            n_days=fig11.TRAIN_DAYS + 1, slot_seconds=60.0, seed=6,
+            base_level=fig11.BENCHMARK_BASE_LEVEL,
+        )
         per_day = trace.slots_per_day
         spike_day = fig11.TRAIN_DAYS + 0.5
-        window = slice(int(spike_day * per_day), int((spike_day + 0.25) * per_day))
-        assert trace.values[window].max() > 1.8 * base.values[window].max()
+        start = int(spike_day * per_day)
+        window = slice(start, int((spike_day + 0.25) * per_day))
+        assert np.array_equal(trace.values[:start], base.values[:start])
+        assert trace.values[window].max() > (
+            0.6 * fig11.SPIKE_MAGNITUDE * base.values[window].max()
+        )

@@ -5,23 +5,13 @@ migration -> queueing) end to end.  They are slower than unit tests but
 sized to stay well under a minute each.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.elasticity import (
-    CompositeStrategy,
-    ManualReservation,
-    PStoreStrategy,
-    ReactiveStrategy,
-    StaticStrategy,
-)
+from repro.elasticity import PStoreStrategy
 from repro.experiments import benchmark_setup, run_figure9
-from repro.prediction import OraclePredictor
-from repro.sim import ElasticDbSimulator, run_capacity_simulation
-from repro.workload import b2w_like_trace
+from repro.sim import ElasticDbSimulator
 
 
 @pytest.fixture(scope="module")
@@ -88,30 +78,6 @@ class TestPredictiveTiming:
         load_at_start = result.offered_tps[first]
         # Still under the *current* capacity when the move begins.
         assert load_at_start < machines_before * config.q_hat
-
-
-class TestCompositeIntegration:
-    def test_reservation_holds_machines_through_quiet_promo(self):
-        """An operator reservation keeps capacity up even though the
-        predictive strategy would scale in."""
-        config = default_config().with_interval(300.0)
-        trace = b2w_like_trace(
-            n_days=2, slot_seconds=300.0, seed=9, base_level=1250.0 * 300.0
-        )
-        truth = trace.as_rate_per_second()
-        initial = max(1, math.ceil(truth[0] * 1.3 / config.q))
-        reservation = ManualReservation(
-            start_slot=300, end_slot=400, min_machines=8, label="promo"
-        )
-        base = PStoreStrategy(config, OraclePredictor(truth))
-        composite = CompositeStrategy(base, [reservation], lead_slots=6)
-        result = run_capacity_simulation(
-            trace, composite, config, initial_machines=initial
-        )
-        window = result.machines[310:395]
-        assert window.min() >= 8
-        # Outside the reservation the cluster shrinks back below it.
-        assert result.machines[500:].min() < 8
 
 
 class TestRowLevelConsistency:

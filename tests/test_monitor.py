@@ -63,7 +63,8 @@ class TestLoadMonitor:
         assert monitor.history_tps()[0] == pytest.approx(2.0)
 
     def test_time_going_backwards_rejected(self):
-        monitor = LoadMonitor(interval_seconds=10.0, start_time=100.0)
+        monitor = LoadMonitor(interval_seconds=10.0)
+        monitor.record(100.0)       # the open interval now starts at 100
         with pytest.raises(SimulationError):
             monitor.record(50.0)
 

@@ -307,7 +307,13 @@ class TestStrategySpecGrammar:
 
     def test_bad_specs_raise_single_typed_error(self):
         for bad in ("quantum", "static:abc", "simple:6", "reactive:magic=1",
-                    "", "static:"):
+                    "", "static:",
+                    # parameters that are constants of their strategy
+                    "reactive:headroom=2", "reactive:threshold=0.8",
+                    "reactive:rate=2", "reactive:min_machines=2",
+                    "reactive:max_machines=8", "simple:7/3,morning_hour=6",
+                    "simple:7/3,slots_per_day=24", "p-store:horizon=6",
+                    "predictive:mssa,horizon=6"):
             with pytest.raises(StrategySpecError):
                 StrategySpec.parse(bad)
 

@@ -1,6 +1,7 @@
 """Tests for the provisioning strategies."""
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.config import default_config
@@ -12,6 +13,8 @@ from repro.elasticity import (
     StaticStrategy,
 )
 from repro.elasticity.manual import ManualStrategy
+from repro.elasticity.reactive import RATE_MULTIPLIER, SCALE_OUT_THRESHOLD
+from repro.elasticity.simple import MORNING_HOUR, NIGHT_HOUR
 from repro.errors import SimulationError
 from repro.prediction import (
     LastValuePredictor,
@@ -46,16 +49,20 @@ class TestStatic:
 
 class TestSimple:
     def test_scales_out_in_morning(self):
-        strategy = SimpleStrategy(8, 3, slots_per_day=24, morning_hour=7, night_hour=23)
+        strategy = SimpleStrategy(8, 3, slots_per_day=24)
         strategy.reset(3)
-        # Slot 8 = 08:00 -> day target.
-        decision = strategy.decide(8, [100.0], 3)
+        # Hourly slots: the slot holding MORNING_HOUR is the first day slot.
+        morning = int(MORNING_HOUR)
+        assert not strategy.decide(morning - 1, [100.0], 3).acts
+        decision = strategy.decide(morning, [100.0], 3)
         assert decision.target_machines == 8
 
     def test_scales_in_at_night(self):
-        strategy = SimpleStrategy(8, 3, slots_per_day=24, morning_hour=7, night_hour=23)
+        strategy = SimpleStrategy(8, 3, slots_per_day=24)
         strategy.reset(3)
-        decision = strategy.decide(23, [100.0], 8)
+        night = int(NIGHT_HOUR)
+        assert not strategy.decide(night - 1, [100.0], 8).acts
+        decision = strategy.decide(night, [100.0], 8)
         assert decision.target_machines == 3
 
     def test_no_action_when_already_at_target(self):
@@ -76,8 +83,6 @@ class TestSimple:
             SimpleStrategy(2, 4, slots_per_day=24)   # day < night
         with pytest.raises(SimulationError):
             SimpleStrategy(4, 2, slots_per_day=0)
-        with pytest.raises(SimulationError):
-            SimpleStrategy(4, 2, slots_per_day=24, morning_hour=25)
 
 
 class TestReactive:
@@ -91,11 +96,14 @@ class TestReactive:
         decision = strategy.decide(0, [overload], 2)
         assert decision.acts
         assert decision.target_machines > 2
+        assert decision.rate_multiplier == RATE_MULTIPLIER
 
     def test_does_not_act_below_threshold(self):
         strategy = self.make()
         strategy.reset(2)
         assert not strategy.decide(0, [0.5 * 2 * CFG.q_hat], 2).acts
+        at_threshold = SCALE_OUT_THRESHOLD * 2 * CFG.q_hat
+        assert not strategy.decide(1, [at_threshold], 2).acts
 
     def test_scale_in_needs_patience(self):
         strategy = self.make(scale_in_patience=3)
@@ -116,26 +124,12 @@ class TestReactive:
         assert not strategy.decide(2, [low], 4).acts
         assert not strategy.decide(3, [low], 4).acts
 
-    def test_headroom_scales_target(self):
-        lean = self.make(headroom=1.0)
-        fat = self.make(headroom=2.0)
-        lean.reset(1)
-        fat.reset(1)
-        load = 0.96 * CFG.q_hat
-        lean_target = lean.decide(0, [load], 1).target_machines
-        fat_target = fat.decide(0, [load], 1).target_machines
-        assert fat_target > lean_target
-
     def test_max_machines_cap(self):
         strategy = self.make(max_machines=3)
         strategy.reset(3)
         assert not strategy.decide(0, [Q * 50], 3).acts
 
     def test_validation(self):
-        with pytest.raises(SimulationError):
-            self.make(scale_out_threshold=0.0)
-        with pytest.raises(SimulationError):
-            self.make(headroom=0.0)
         with pytest.raises(SimulationError):
             self.make(scale_in_patience=0)
 
@@ -191,7 +185,7 @@ class TestPStoreStrategy:
         online = OnlinePredictor(
             LastValuePredictor(), refit_every=100, min_training=4
         )
-        strategy = PStoreStrategy(CFG, online, horizon_intervals=6)
+        strategy = PStoreStrategy(replace(CFG, horizon_intervals=6), online)
         history = []
         for slot in range(3):
             history.append(Q * 0.9)
@@ -218,7 +212,7 @@ class TestPStoreStrategy:
     def test_acts_like_controller(self):
         truth = [Q * 0.9] * 2 + [Q * 1.9] * 60
         predictor = OraclePredictor(truth)
-        strategy = PStoreStrategy(CFG, predictor, horizon_intervals=6)
+        strategy = PStoreStrategy(replace(CFG, horizon_intervals=6), predictor)
         strategy.reset(1)
         decision = strategy.decide(1, truth[:2], 1)
         assert decision.acts
