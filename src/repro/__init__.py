@@ -93,7 +93,6 @@ from .workload import LoadTrace, b2w_like_trace, wikipedia_like_trace
 # keep this import last.
 from .api import (  # noqa: E402  (intentional late import)
     RunResult,
-    SweepResult,
     fit_predictor,
     load_trace,
     run,
@@ -138,7 +137,6 @@ __all__ = [
     "SimulationError",
     "SparPredictor",
     "StrategySpec",
-    "SweepResult",
     "TelemetryError",
     "TransactionAbort",
     "b2w_like_trace",

@@ -9,17 +9,19 @@ internal packages (see ``docs/API.md``):
 >>> trace = repro.load_trace("trace.csv")                # trace I/O
 >>> spar = repro.fit_predictor("spar", series, period=288)
 
-Results are frozen dataclasses with ``.to_json()`` / ``.summary()``;
-everything the CLI prints is derived from them.  The heavyweight result
-objects (full per-slot series) remain reachable through ``.detail`` for
-callers that need more than the headline numbers.
+:func:`run` returns a frozen dataclass with ``.to_json()`` /
+``.summary()``; the heavyweight result object (full per-slot series)
+stays reachable through ``.detail``.  :func:`sweep` returns the
+executor's :class:`~repro.runner.SweepReport` (``payloads``,
+``result_hash``, ``summary()``, ``write_manifest()``).  Everything the
+CLI prints is derived from them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .config import PStoreConfig, default_config
 from .elasticity import StrategySpec
 from .errors import ConfigurationError
 from .prediction import Predictor, get_predictor_spec, registered_predictors
-from .runner import RunSpec
+from .runner import RunSpec, SweepReport
 from .workload import LoadTrace, b2w_like_trace
 
 #: Training window (days) used by :func:`run`, matching the paper.
@@ -168,69 +170,6 @@ def run(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Outcome of one (possibly cached, possibly parallel) sweep."""
-
-    experiment: str
-    config_hash: str
-    result_hash: str
-    jobs: int
-    hits: int
-    executed: int
-    elapsed_seconds: float
-    #: cell label -> JSON payload.
-    payloads: Mapping[str, Any]
-    #: Backend the dirty cells ran under (serial/process/tensor).
-    backend: str = "serial"
-    #: The full :class:`~repro.runner.SweepReport`.
-    detail: Any = field(default=None, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.payloads)
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config_hash": self.config_hash,
-            "result_hash": self.result_hash,
-            "jobs": self.jobs,
-            "backend": self.backend,
-            "hits": self.hits,
-            "executed": self.executed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "payloads": dict(self.payloads),
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    def summary(self) -> str:
-        bits = [
-            f"{self.experiment}: {len(self.payloads)} cells, {self.hits} "
-            f"cached, {self.executed} executed in "
-            f"{self.elapsed_seconds:.1f}s (jobs={self.jobs}, "
-            f"backend={self.backend})"
-        ]
-        report = self.detail
-        cache = getattr(report, "cache_stats", None)
-        if cache:
-            bits.append(
-                f"cache {cache.get('hits', 0)}h/{cache.get('misses', 0)}m/"
-                f"{cache.get('corrupt', 0)}x"
-            )
-        trace = getattr(report, "trace_reuse", None) or {}
-        if trace.get("hits"):
-            bits.append(f"trace reuse {trace['hits']}")
-        tensor = getattr(report, "tensor", None) or {}
-        if tensor.get("tensorized"):
-            bits.append(
-                f"tensor {tensor['tensorized']} cells "
-                f"({tensor.get('evictions', 0)} evictions)"
-            )
-        return ", ".join(bits) + f", result {self.result_hash[:12]}"
-
-
 def sweep(
     grid: Union[str, Sequence[RunSpec]],
     *,
@@ -241,7 +180,7 @@ def sweep(
     record_events: bool = False,
     grid_options: Optional[Dict[str, Any]] = None,
     backend: str = "auto",
-) -> SweepResult:
+) -> SweepReport:
     """Execute an experiment's cell grid through the cached executor.
 
     ``grid`` is an experiment name (its registered grid is used,
@@ -251,40 +190,22 @@ def sweep(
     re-execute everything.  ``backend`` selects how dirty cells run
     (``auto``/``serial``/``process``/``tensor``); ``auto`` batches the
     whole grid through the tensor engine when every cell supports it.
+    Returns the executor's :class:`~repro.runner.SweepReport`.
     """
     from .experiments.registry import get_experiment
-    from .runner import ResultCache, SweepExecutor
+    from .runner import ResultCache, run_sweep
     from .runner.cache import default_cache_root
 
     if isinstance(grid, str):
-        specs = get_experiment(grid).make_grid(**(grid_options or {}))
-        name = grid
-    else:
-        specs = list(grid)
-        if not specs:
-            raise ConfigurationError("sweep grid is empty")
-        name = "+".join(sorted({s.experiment for s in specs}))
-    cache = ResultCache(cache_dir if cache_dir else default_cache_root())
-    executor = SweepExecutor(
-        config or default_config(),
-        cache,
+        grid = get_experiment(grid).make_grid(**(grid_options or {}))
+    return run_sweep(
+        grid,
+        config,
+        ResultCache(cache_dir if cache_dir else default_cache_root()),
         jobs=jobs,
+        force=force,
         record_events=record_events,
         backend=backend,
-    )
-    report = executor.run(specs, force=force)
-    payloads = {cell.spec.label: cell.payload for cell in report.cells}
-    return SweepResult(
-        experiment=name,
-        config_hash=report.config_hash,
-        result_hash=report.result_hash,
-        jobs=report.jobs,
-        hits=report.hits,
-        executed=report.executed,
-        elapsed_seconds=report.elapsed_seconds,
-        payloads=payloads,
-        backend=report.backend,
-        detail=report,
     )
 
 
@@ -336,7 +257,6 @@ def fit_predictor(name: str, series, **params) -> Predictor:
 __all__ = [
     "PREDICTORS",
     "RunResult",
-    "SweepResult",
     "fit_predictor",
     "load_trace",
     "run",

@@ -11,9 +11,7 @@ Subcommands
 ``simulate``
     run the fast capacity simulator for a provisioning strategy;
 ``experiment``
-    run one of the paper's experiments (``--list`` enumerates them, and
-    ``--jobs N`` executes the experiment's cell grid through the cached
-    sweep executor instead of the serial runner);
+    run one of the paper's experiments (``--list`` enumerates them);
 ``paper``
     run every paper artefact (or the named ones) at the registry's
     defaults — the paper's scale — and print each report: the summary
@@ -79,6 +77,7 @@ from .telemetry import (
     render_dashboard,
 )
 from .prediction import get_predictor_spec, registered_predictors
+from .runner import BACKENDS
 from .workload import b2w_like_trace
 from .workload.io import read_trace_csv, write_trace_csv
 
@@ -191,11 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", dest="list_experiments",
         help="enumerate the registered experiments and exit",
     )
-    exp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run the experiment's cell grid through the cached sweep "
-        "executor with N workers instead of the serial runner",
-    )
 
     paper = sub.add_parser(
         "paper", parents=[common],
@@ -219,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes (1 = in-process serial)")
     swp.add_argument(
-        "--backend", choices=("auto", "serial", "process", "tensor"),
+        "--backend", choices=BACKENDS,
         default="auto",
         help="how dirty cells execute: serial (inline), process (worker "
         "pool), tensor (batch the whole grid through the vectorised "
@@ -582,20 +576,6 @@ def _cmd_experiment(args) -> int:
         print("error: give an experiment id or --list", file=sys.stderr)
         return 2
     defn = get_experiment(args.name)
-    if args.jobs > 1:
-        if not defn.has_grid:
-            print(
-                f"error: experiment {defn.name!r} declares no cell grid; "
-                "run it without --jobs",
-                file=sys.stderr,
-            )
-            return 2
-        result = api.sweep(args.name, jobs=args.jobs)
-        for label in sorted(result.payloads):
-            print(f"{label}: {_payload_line(result.payloads[label])}")
-        print()
-        print(result.summary())
-        return 0
     if defn.heavy:
         logger.warning(
             "experiment %s runs minutes at default scale", defn.name
@@ -655,7 +635,7 @@ def _cmd_sweep(args) -> int:
         "sweeping %s with %d job(s), backend=%s",
         args.name, args.jobs, args.backend,
     )
-    result = api.sweep(
+    report = api.sweep(
         args.name,
         config=config,
         jobs=args.jobs,
@@ -664,12 +644,13 @@ def _cmd_sweep(args) -> int:
         record_events=bool(args.out),
         backend=args.backend,
     )
-    for label in sorted(result.payloads):
-        print(f"{label}: {_payload_line(result.payloads[label])}")
+    payloads = report.payloads
+    for label in sorted(payloads):
+        print(f"{label}: {_payload_line(payloads[label])}")
     print()
-    print(result.summary())
+    print(f"{args.name}: {report.summary()}")
     if args.out:
-        paths = result.detail.write_manifest(args.out)
+        paths = report.write_manifest(args.out)
         for kind, path in sorted(paths.items()):
             logger.info("wrote %s -> %s", kind, path)
     return 0

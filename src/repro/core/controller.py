@@ -283,7 +283,3 @@ class PredictiveController(Persisted):
             target_machines=first.after,
             reason="scale-in confirmed" if first.is_scale_in else "scale-out due",
         )
-
-    def notify_move_started(self) -> None:
-        """Reset debounce state when a migration begins."""
-        self._scale_in_streak = 0

@@ -253,11 +253,8 @@ class PStoreService:
         target = decision.target_from(before, self.max_machines)
         if target is None:
             return
-        self.migrator.rate_multiplier = decision.rate_multiplier
         self.migrator.sim_time = self._now
-        self.migrator.start_move(
-            target, decision.record_id, decision.emergency, decision.reason
-        )
+        self.migrator.start_move(target, decision)
         self._migration_target = target
         kind = (
             "emergency"
@@ -273,7 +270,6 @@ class PStoreService:
             target=target,
             rate_multiplier=decision.rate_multiplier,
         )
-        self._strategy.notify_move_started(target)
 
     def _maybe_rebalance(self) -> None:
         report = hot_bucket_report(self.cluster)

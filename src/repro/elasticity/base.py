@@ -336,6 +336,3 @@ class ProvisioningStrategy(abc.ABC):
         ``history_tps`` holds the measured aggregate load (txn/s) for
         every interval up to and including the current one.
         """
-
-    def notify_move_started(self, target_machines: int) -> None:
-        """Hook: a reconfiguration the strategy requested has begun."""

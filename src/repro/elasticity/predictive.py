@@ -84,6 +84,3 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
         if not self.warmed_up(history_tps):
             return NO_ACTION  # still warming up the predictor
         return self.controller.decide(history_tps, current_machines)
-
-    def notify_move_started(self, target_machines: int) -> None:
-        self.controller.notify_move_started()

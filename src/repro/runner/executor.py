@@ -140,15 +140,18 @@ class SweepReport:
         return len(self.cells) - self.hits
 
     @property
+    def payloads(self) -> Dict[str, Dict[str, Any]]:
+        """Cell label -> JSON payload, in submission order."""
+        return {c.label: c.payload for c in self.cells}
+
+    @property
     def result_hash(self) -> str:
-        """SHA-256 over ``{label: payload}`` — the bit-identity anchor.
+        """SHA-256 over :attr:`payloads` — the bit-identity anchor.
 
         Independent of jobs, cache state, timings, and worker placement;
         two sweeps agree iff every cell produced identical results.
         """
-        material = canonical_json(
-            {c.label: c.payload for c in self.cells}
-        )
+        material = canonical_json(self.payloads)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def manifest(self) -> dict:
@@ -216,7 +219,7 @@ class SweepReport:
 
     def summary(self) -> str:
         bits = [
-            f"{len(self.cells)} cells: {self.hits} cached, "
+            f"{len(self.cells)} cells, {self.hits} cached, "
             f"{self.executed} executed in {self.elapsed_seconds:.1f}s "
             f"(jobs={self.jobs}, backend={self.backend})"
         ]

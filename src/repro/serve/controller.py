@@ -422,14 +422,13 @@ class OnlineController(Persisted):
         if target is None or self.migrating:
             return
         self._move = Reconfiguration.decided(
-            self.config, self.machines, target, decision, now, slot,
-            self._telemetry,
+            self.config, self.machines, target, decision, now,
+            {"slot": slot}, self._telemetry,
         )
         self.moves_started += 1
         self.last_decision_reason = decision.reason
         if decision.emergency:
             self.emergencies += 1
-        self._strategy.notify_move_started(target)
 
     # ------------------------------------------------------------------
     # Checkpointing (``pstore serve --resume``)

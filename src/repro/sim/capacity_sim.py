@@ -173,12 +173,11 @@ class CapacitySimulator:
                 if target is not None:
                     move = Reconfiguration.decided(
                         config, machines, target, decision,
-                        slot * slot_seconds, slot, tel,
+                        slot * slot_seconds, {"slot": slot}, tel,
                     )
                     moves_started += 1
                     if decision.emergency:
                         emergencies += 1
-                    strategy.notify_move_started(target)
 
             if move is not None:
                 # State during this slot: sampled at the slot midpoint.

@@ -462,31 +462,23 @@ class ElasticDbSimulator:
         reversed schedule).  Crashed machines are never re-activated.
         """
         active, before = run.active, run.machines
+        nodes = sorted(active)
         newcomers: List[int] = []
-        retiring: List[int] = []
         if target > before:
-            inactive = [
+            newcomers = [
                 m for m in range(self.max_machines)
                 if m not in active and m not in run.crashed
-            ]
-            newcomers = inactive[: target - before]
-            node_map = {i: m for i, m in enumerate(sorted(active) + newcomers)}
+            ][: target - before]
             active.extend(newcomers)
-        else:
-            ordered = sorted(active)
-            retiring = ordered[target:]
-            node_map = {i: m for i, m in enumerate(ordered)}
         now = float(run.t + 1)
         run.move = Reconfiguration.decided(
             self.config, before, target, decision, now,
-            len(run.history) - 1, self._telemetry,
-            chunk_kb=self.chunk_kb, node_map=node_map,
-            added_nodes=newcomers, retiring_nodes=retiring,
+            {"slot": len(run.history) - 1}, self._telemetry,
+            chunk_kb=self.chunk_kb, nodes=nodes, newcomers=newcomers,
         )
         run.moves_started += 1
         if decision.emergency:
             run.emergencies += 1
-        run.strategy.notify_move_started(target)
         if self._injector is not None:
             self._injector.notify_migration_started(now)
 

@@ -39,6 +39,7 @@ from ..config import (
     FaultConfig,
     PStoreConfig,
 )
+from ..decision import NO_ACTION, ScaleDecision
 from ..errors import MigrationError
 from ..hstore.cluster import Cluster
 from ..persist import Persisted
@@ -307,6 +308,11 @@ class Reconfiguration(Persisted):
     through ``parent``.  ``**fields`` are the calling loop's extras:
     ``slot`` where a strategy decision started the move, ``rounds`` on
     the row-level cluster.
+
+    Loops with physical machines pass the current ones in order as
+    ``nodes`` and a scale-out's provisioned ones as ``newcomers``.  The
+    schedule's logical machines are the current nodes first, then the
+    newcomers, and a scale-in retires the tail.
     """
 
     def __init__(
@@ -317,25 +323,25 @@ class Reconfiguration(Persisted):
         rate_kbps: float,
         telemetry,
         chunk_kb: float = DEFAULT_CHUNK_KB,
-        node_map: Optional[Mapping[int, int]] = None,
         database_kb: Optional[float] = None,
-        added_nodes: Sequence[int] = (),
-        retiring_nodes: Sequence[int] = (),
+        nodes: Sequence[int] = (),
+        newcomers: Sequence[int] = (),
     ):
         self.before = before
         self.after = after
         self.rate_kbps = rate_kbps
+        order = list(nodes) + list(newcomers)
         #: Machines provisioned for a scale-out / drained by a scale-in
         #: (chronicled as ``node.add`` at the start, ``node.remove`` at
         #: completion; empty where the loop has no physical nodes).
-        self.added_nodes = list(added_nodes)
-        self.retiring_nodes = list(retiring_nodes)
+        self.added_nodes = list(newcomers)
+        self.retiring_nodes = order[after:]
         #: What ``migration`` is built from besides endpoints and rate.
         self._build = dict(
             database_kb=config.database_kb if database_kb is None else database_kb,
             partitions_per_node=config.partitions_per_node,
             chunk_kb=chunk_kb,
-            node_map=node_map,
+            node_map=dict(enumerate(order)) if order else None,
         )
         self._half_slot = config.interval_seconds / 2.0
         self._telemetry = telemetry
@@ -360,12 +366,13 @@ class Reconfiguration(Persisted):
     @classmethod
     def decided(
         cls, config: PStoreConfig, before: int, after: int, decision,
-        now: float, slot: int, telemetry, **build,
+        now: float, fields: Mapping[str, int], telemetry, **build,
     ) -> "Reconfiguration":
-        """Build and start the move a strategy's
-        :class:`~repro.decision.ScaleDecision` asked for at the
-        close of planner ``slot``: the decision sets the rate (``8 * R``
-        for the boosted reactive mode) and is the move's causal parent."""
+        """Build and start, at ``now``, the move a
+        :class:`~repro.decision.ScaleDecision` asked for: the decision
+        sets the rate (``8 * R`` for the boosted reactive mode) and is
+        the move's causal parent; ``fields`` are the calling loop's
+        extras on ``migration.start``.  Every loop starts its moves here."""
         move = cls(
             config, before, after,
             config.migration_rate_kbps * decision.rate_multiplier,
@@ -373,7 +380,7 @@ class Reconfiguration(Persisted):
         )
         move.start(
             now, decision.record_id, decision.emergency, decision.reason,
-            slot=slot,
+            **fields,
         )
         return move
 
@@ -574,18 +581,14 @@ class ClusterMigrator:
         cluster: Cluster,
         config: PStoreConfig,
         chunk_kb: Optional[float] = None,
-        rate_multiplier: float = 1.0,
         telemetry=None,
         injector=None,
     ):
-        if rate_multiplier <= 0:
-            raise MigrationError("rate_multiplier must be positive")
         self.cluster = cluster
         self.config = config
         self.chunk_kb = config.chunk_kb if chunk_kb is None else chunk_kb
         if self.chunk_kb <= 0:
             raise MigrationError("chunk_kb must be positive")
-        self.rate_multiplier = rate_multiplier
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
         self._injector = injector
         self._recovery = (
@@ -626,15 +629,15 @@ class ClusterMigrator:
         return self._move is not None
 
     def start_move(
-        self, target_nodes: int, cause_id: Optional[str] = None,
-        emergency: bool = False, reason: str = "",
+        self, target_nodes: int, decision: ScaleDecision = NO_ACTION
     ) -> ActiveMigration:
         """Begin reconfiguring the cluster to ``target_nodes`` machines.
 
-        ``cause_id`` is the chronicle ID of the plan decision that asked
-        for this move; it becomes the parent of the ``migration.start``
-        record so ``pstore explain`` can walk forecast -> plan -> move.
-        ``emergency`` and ``reason`` are that decision's, for the record.
+        ``decision`` is the :class:`~repro.decision.ScaleDecision` that
+        asked for the move: it sets the rate, its ``record_id`` parents
+        the ``migration.start`` record so ``pstore explain`` can walk
+        forecast -> plan -> move, and its ``emergency`` and ``reason``
+        are recorded there.
         """
         if self.migrating:
             raise MigrationError("a migration is already in progress")
@@ -645,58 +648,36 @@ class ClusterMigrator:
         if after == before:
             raise MigrationError("target equals current size; nothing to do")
 
-        added_nodes: List[int] = []
-        retiring: List[int] = []
-        if after > before:
-            new_nodes = self.cluster.add_nodes(after - before)
-            added_nodes = [n.node_id for n in new_nodes]
-            ordered_nodes = [n.node_id for n in self.cluster.nodes]
-            # Logical: originals 0..B-1 then new machines B..A-1.
-            originals = [nid for nid in ordered_nodes if nid not in
-                         {n.node_id for n in new_nodes}]
-            logical_order = originals + [n.node_id for n in new_nodes]
-        else:
-            ordered_nodes = [n.node_id for n in self.cluster.nodes]
-            survivors = ordered_nodes[:after]
-            retiring = ordered_nodes[after:]
-            logical_order = survivors + retiring
-
-        node_map = {i: nid for i, nid in enumerate(logical_order)}
-        surviving = logical_order if after > before else logical_order[:after]
-        target_partitions: List[int] = []
-        for nid in surviving:
-            node = next(n for n in self.cluster.nodes if n.node_id == nid)
-            target_partitions.extend(node.partition_ids)
-
+        nodes = [n.node_id for n in self.cluster.nodes]
+        newcomers = (
+            [n.node_id for n in self.cluster.add_nodes(after - before)]
+            if after > before else []
+        )
+        move = self._move = Reconfiguration.decided(
+            self.config, before, after, decision, self._sim_time,
+            # A B -> A schedule has max(min(B, A), |A - B|) rounds (Sec. 4.4.1).
+            {"rounds": max(min(before, after), abs(after - before))},
+            self._telemetry,
+            chunk_kb=self.chunk_kb,
+            database_kb=max(self.cluster.total_data_kb, 1.0),
+            nodes=nodes,
+            newcomers=newcomers,
+        )
+        node_map = move.migration.node_map
+        node_by_id = {n.node_id: n for n in self.cluster.nodes}
+        target_partitions = [
+            pid for logical in range(after)
+            for pid in node_by_id[node_map[logical]].partition_ids
+        ]
         plan = make_reconfiguration_plan(self.cluster.plan, target_partitions)
         node_of_partition = {
             pid: node.node_id
             for node in self.cluster.nodes
             for pid in node.partition_ids
         }
-        self._pair_buckets = {
-            pair: moves
-            for pair, moves in plan.moves_by_node_pair(node_of_partition).items()
-        }
-
-        move = self._move = Reconfiguration(
-            self.config,
-            before,
-            after,
-            self.config.migration_rate_kbps * self.rate_multiplier,
-            self._telemetry,
-            chunk_kb=self.chunk_kb,
-            node_map=node_map,
-            database_kb=max(self.cluster.total_data_kb, 1.0),
-            added_nodes=added_nodes,
-            retiring_nodes=retiring,
-        )
+        self._pair_buckets = plan.moves_by_node_pair(node_of_partition)
         self._round_started_at = self._sim_time
         self._rounds_committed = 0
-        move.start(
-            self._sim_time, cause_id, emergency, reason,
-            rounds=move.migration.schedule.n_rounds,
-        )
         if self._injector is not None:
             self._injector.notify_migration_started(self._sim_time)
         return move.migration

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import PREDICTORS, RunResult, SweepResult
-from repro.errors import ConfigurationError, StrategySpecError
+from repro.api import PREDICTORS, RunResult
+from repro.errors import ConfigurationError, StrategySpecError, SweepError
+from repro.runner import SweepReport, run_sweep
 
 
 class TestFacadeSurface:
     def test_top_level_re_exports(self):
         for name in ("run", "sweep", "load_trace", "fit_predictor",
-                     "RunResult", "SweepResult", "RunSpec", "StrategySpec"):
+                     "RunResult", "RunSpec", "StrategySpec"):
             assert hasattr(repro, name), name
             assert name in repro.__all__
 
@@ -91,9 +92,8 @@ class TestSweep:
         cold = repro.sweep(
             "smoke", cache_dir=tmp_path, grid_options=grid_options
         )
-        assert isinstance(cold, SweepResult)
-        assert cold.experiment == "smoke"
-        assert len(cold) == 2
+        assert isinstance(cold, SweepReport)
+        assert len(cold.payloads) == 2
         assert cold.executed == 2
         assert cold.hits == 0
 
@@ -104,10 +104,20 @@ class TestSweep:
         assert warm.executed == 0
         assert warm.result_hash == cold.result_hash
 
-        decoded = json.loads(warm.to_json())
-        assert decoded["payloads"] == dict(warm.payloads)
+        decoded = json.loads(json.dumps(warm.manifest()))
+        assert {c["label"]: c["payload"] for c in decoded["cells"]} == (
+            warm.payloads
+        )
         assert decoded["result_hash"] == warm.result_hash
-        assert "cells" in warm.summary()
+        assert warm.summary().startswith("2 cells, 2 cached, 0 executed")
+
+    def test_sweep_is_run_sweep_over_the_registered_grid(self, tmp_path):
+        from repro.experiments import smoke
+
+        report = repro.sweep("smoke", cache_dir=tmp_path)
+        direct = run_sweep(smoke.grid())
+        assert report.payloads == direct.payloads
+        assert report.result_hash == direct.result_hash
 
     def test_sweep_with_explicit_specs(self, tmp_path):
         specs = repro.RunSpec(
@@ -115,11 +125,10 @@ class TestSweep:
             overrides=(("n_days", 1),),
         )
         result = repro.sweep([specs], cache_dir=tmp_path)
-        assert result.experiment == "smoke"
         assert list(result.payloads) == ["smoke/solo#7"]
 
     def test_empty_grid_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SweepError):
             repro.sweep([], cache_dir=tmp_path)
 
     def test_unknown_experiment_propagates(self, tmp_path):

@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import PStoreConfig, default_config
 from repro.core import PredictiveController
@@ -119,16 +121,38 @@ class TestScaleInDebounce:
         first_again = ctrl.decide(low, current_machines=3)
         assert not first_again.acts  # streak restarted
 
-    def test_notify_move_started_resets(self):
-        cfg = default_config().with_interval(600.0)
+    @given(
+        machines=st.integers(min_value=1, max_value=6),
+        levels=st.lists(
+            st.sampled_from([0.5, 1.5, 2.5, 4.0, 9.0]),
+            min_size=1, max_size=16,
+        ),
+        oracle=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_acting_decision_clears_the_streak(
+        self, machines, levels, oracle
+    ):
+        """Whatever acts -- a scale-out, a confirmed scale-in, the
+        infeasible plan's emergency -- leaves no pending scale-in behind,
+        so the loop that starts the move has nothing to reset.  The
+        oracle sees rises coming (scale-outs after a pending scale-in);
+        the last-value forecast does not (emergencies)."""
+        cfg = replace(
+            default_config().with_interval(600.0), horizon_intervals=6
+        )
         q = cfg.q
-        ctrl = controller_for([q * 0.4] * 200, replace(cfg, horizon_intervals=6))
-        low = flat_history(q * 0.4)
-        ctrl.decide(low, current_machines=3)
-        ctrl.decide(low, current_machines=3)
-        ctrl.notify_move_started()
-        third = ctrl.decide(low, current_machines=3)
-        assert not third.acts  # would have fired without the reset
+        load = [q * machines] * 3 + [q * level for level in levels]
+        predictor = (
+            OraclePredictor(load + [load[-1]] * cfg.horizon_intervals)
+            if oracle else LastValuePredictor().fit([1.0])
+        )
+        ctrl = PredictiveController(cfg, predictor)
+        for now in range(3, len(load)):
+            decision = ctrl.decide(load[: now + 1], current_machines=machines)
+            if decision.acts:
+                assert ctrl._scale_in_streak == 0, decision.reason
+                machines = decision.target_machines
 
 
 class TestEmergency:

@@ -185,7 +185,7 @@ def run_serve(tel, abort):
 def run_cluster_migrator(tel, abort):
     config = _small_config()
     migrator = ClusterMigrator(_kv_cluster(), config, telemetry=tel)
-    migration = migrator.start_move(AFTER, cause_id=DECISION_ID)
+    migration = migrator.start_move(AFTER, ScaleDecision(record_id=DECISION_ID))
     if abort:
         migrator.advance(migration.round_seconds / 2)
         migrator.abort("node 4 crashed")
@@ -297,6 +297,25 @@ def test_one_move_one_record_shape(loop):
     # counts itself: one counter set, whichever loop ran it.
     assert not [s for s in tel.tracer.spans if s.name.startswith("migration.")]
     assert _move_counters(tel) == {"migrate.moves_started": 1}
+
+
+def test_the_cluster_migrator_moves_at_the_decisions_rate():
+    """The decision sets the rate (8 x R, Fig. 11's boosted mode) and
+    its emergency and reason land on ``migration.start``."""
+    tel = Telemetry()
+    config = _small_config()
+    migrator = ClusterMigrator(_kv_cluster(), config, telemetry=tel)
+    migration = migrator.start_move(5, ScaleDecision(
+        target_machines=5, rate_multiplier=8.0, emergency=True, reason="x",
+    ))
+    assert migration.rate_kbps == 8.0 * config.migration_rate_kbps
+    (start,) = tel.chronicle.by_kind("migration.start")
+    assert (start["rate_kbps"], start["emergency"], start["reason"]) == (
+        8.0 * config.migration_rate_kbps, True, "x"
+    )
+    assert _move_counters(tel) == {
+        "migrate.moves_started": 1, "migrate.emergencies": 1,
+    }
 
 
 @pytest.mark.parametrize(
