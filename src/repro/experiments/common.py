@@ -121,7 +121,7 @@ def series_digest(values) -> str:
     digest pins bit-identity (parallel vs serial, cached vs fresh) while
     keeping cache entries a few hundred bytes.
     """
-    as_floats = [float(v) for v in np.asarray(values).ravel()]
+    as_floats = np.asarray(values, dtype=float).ravel().tolist()
     blob = canonical_json(as_floats).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..config import PStoreConfig, canonical_json, default_config
 from ..errors import SweepError
 from ..telemetry import get_telemetry
-from ..telemetry.runtime import Telemetry, telemetry_scope
+from ..telemetry.runtime import NULL_TELEMETRY, Telemetry, telemetry_scope
 from ..workload import memo as trace_memo
 from .cache import ENVELOPE_SCHEMA, ResultCache
 from .spec import RunSpec, jsonify
@@ -49,6 +49,14 @@ def _resolve_cell_runner(experiment: str):
     return get_experiment(experiment).cell_runner()
 
 
+def _cell_bundle(record_events: bool):
+    """The telemetry a cell runs under: a fresh live bundle when the
+    sweep records events, else :data:`NULL_TELEMETRY`, so an
+    untelemetered cell pays for no metrics, spans or chronicle it would
+    throw away.  Either way the cell never sees the caller's bundle."""
+    return Telemetry() if record_events else NULL_TELEMETRY
+
+
 def _execute_cell(task: tuple) -> tuple:
     """Worker entry: run one cell hermetically, return its result.
 
@@ -67,7 +75,7 @@ def _execute_cell(task: tuple) -> tuple:
         spec = RunSpec.from_dict(spec_dict)
         config = PStoreConfig.from_dict(config_dict)
         run_cell = _resolve_cell_runner(spec.experiment)
-        bundle = Telemetry() if record_events else None
+        bundle = _cell_bundle(record_events)
         with telemetry_scope(bundle):
             payload = run_cell(spec, config)
         payload = jsonify(payload)
@@ -76,8 +84,8 @@ def _execute_cell(task: tuple) -> tuple:
                 f"cell {spec.label} returned {type(payload).__name__}, "
                 "expected a JSON-serialisable mapping"
             )
-        spans = bundle.tracer.snapshot() if bundle is not None else []
-        chronicle = bundle.chronicle.snapshot() if bundle is not None else []
+        spans = bundle.tracer.snapshot()
+        chronicle = bundle.chronicle.snapshot()
         elapsed = time.perf_counter() - start
         return (
             index, payload, jsonify(spans), jsonify(chronicle), elapsed,
@@ -254,9 +262,13 @@ class SweepExecutor:
     jobs:
         worker processes; 1 executes inline in submission order.
     record_events:
-        run each cell under a fresh telemetry bundle and return its
+        run each cell under a fresh live telemetry bundle and return its
         spans and chronicle in the outcome (merged into the manifest
-        directory as ``spans.jsonl`` / ``chronicle.jsonl``).
+        directory as ``spans.jsonl`` / ``chronicle.jsonl``).  False
+        (the default) runs each cell under
+        :data:`~repro.telemetry.runtime.NULL_TELEMETRY`: nothing is
+        recorded, and the cell's engine and simulator skip their metric
+        work.  Payloads are the same either way.
     backend:
         one of :data:`BACKENDS`.  ``serial`` runs cells inline,
         ``process`` always uses the spawn pool, ``tensor`` batches every
@@ -524,7 +536,7 @@ class SweepExecutor:
             if builder is None:
                 fallback.append(i)
                 continue
-            bundle = Telemetry() if self.record_events else None
+            bundle = _cell_bundle(self.record_events)
             start = time.perf_counter()
             memo_before = trace_memo.stats()
             try:
@@ -542,8 +554,7 @@ class SweepExecutor:
                     None,
                 )
                 continue
-            if bundle is not None:
-                program.scope = lambda b=bundle: telemetry_scope(b)
+            program.scope = lambda b=bundle: telemetry_scope(b)
             entries.append(
                 (
                     i, program, bundle, time.perf_counter() - start,
@@ -588,15 +599,10 @@ class SweepExecutor:
                     ).strip()
                     complete((i, None, [], [], elapsed, tdelta, detail), None)
                     continue
-                spans = (
-                    bundle.tracer.snapshot() if bundle is not None else []
-                )
-                chronicle = (
-                    bundle.chronicle.snapshot() if bundle is not None else []
-                )
                 complete(
                     (
-                        i, payload, jsonify(spans), jsonify(chronicle),
+                        i, payload, jsonify(bundle.tracer.snapshot()),
+                        jsonify(bundle.chronicle.snapshot()),
                         elapsed, tdelta, None,
                     ),
                     None,
@@ -649,7 +655,14 @@ def run_sweep(
     progress=None,
     backend: str = "auto",
 ) -> SweepReport:
-    """One-call convenience wrapper around :class:`SweepExecutor`."""
+    """One-call convenience wrapper around :class:`SweepExecutor`.
+
+    ``record_events=True`` runs every cell under its own live telemetry
+    bundle and returns its spans and chronicle; the default runs cells
+    under null telemetry and records nothing.  Either way no cell
+    records into the caller's global bundle, which is the one installed
+    when the sweep returns.
+    """
     executor = SweepExecutor(
         config=config,
         cache=cache,

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import TelemetryError
 
 #: Label sets are stored as a canonical sorted tuple of (key, value) pairs.
@@ -64,6 +66,17 @@ class Counter:
             raise TelemetryError("counters can only increase")
         self._value += amount
 
+    def inc_many(self, amounts) -> None:
+        """Add every element of ``amounts`` in order: bit-identical to a
+        loop of :meth:`inc`.  A negative element raises
+        :class:`TelemetryError` before anything is added, so the count
+        does not move."""
+        amounts = np.asarray(amounts, dtype=float).ravel()
+        if (amounts < 0).any():
+            raise TelemetryError("counters can only increase")
+        if amounts.size:
+            self._value = _sequential_sum(self._value, amounts)
+
     @property
     def value(self) -> float:
         return self._value
@@ -75,6 +88,14 @@ class Counter:
             "labels": dict(self.labels),
             "value": self._value,
         }
+
+
+def _sequential_sum(start: float, values: np.ndarray) -> float:
+    """``start`` plus each of ``values`` left to right, rounding after
+    every addition exactly as a ``+=`` loop does (``np.sum``'s pairwise
+    order would round differently), and as silently on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 class Gauge:
@@ -157,6 +178,34 @@ class Histogram:
             else:
                 lo = mid + 1
         self._counts[lo] += 1
+
+    def observe_many(self, values) -> None:
+        """Observe every element of ``values`` in order: bit-identical to
+        a loop of :meth:`observe`.  The sum is accumulated left to
+        right, a value lands in the first bucket whose edge is ``>=`` it
+        (``searchsorted(side="left")``, the binary search's rule), and
+        NaN goes to the overflow bucket without touching min/max."""
+        values = np.asarray(values, dtype=float).ravel()
+        if not values.size:
+            return
+        self.count += int(values.size)
+        self.sum = _sequential_sum(self.sum, values)
+        seen = values[~np.isnan(values)]
+        if seen.size:
+            # argmin/argmax return the first of equal extremes, the one a
+            # strict-comparison loop keeps (it matters for -0.0 vs 0.0).
+            low = float(seen[np.argmin(seen)])
+            high = float(seen[np.argmax(seen)])
+            if low < self.min:
+                self.min = low
+            if high > self.max:
+                self.max = high
+        hits = np.bincount(
+            np.searchsorted(self.bounds, values, side="left"),
+            minlength=len(self._counts),
+        )
+        for i in np.flatnonzero(hits).tolist():
+            self._counts[i] += int(hits[i])
 
     @property
     def mean(self) -> float:
@@ -264,6 +313,9 @@ class _NullCounter:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
+    def inc_many(self, amounts) -> None:
+        pass
+
     def snapshot(self) -> dict:
         return {}
 
@@ -293,6 +345,9 @@ class _NullHistogram:
     mean = 0.0
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
     def quantile(self, q: float) -> float:

@@ -101,8 +101,11 @@ def disable_telemetry() -> None:
 
 @contextmanager
 def telemetry_scope(telemetry: Optional[Telemetry] = None):
-    """Temporarily install a bundle (a fresh one by default); restores the
-    previous global on exit.  Intended for tests and notebooks."""
+    """Temporarily install a bundle; restores the previous global on exit.
+
+    ``None`` (the default) means *a fresh live bundle*, not "no
+    telemetry": code that wants to record nothing passes
+    :data:`NULL_TELEMETRY`, as an untelemetered sweep cell does."""
     previous = get_telemetry()
     installed = telemetry if telemetry is not None else Telemetry()
     set_telemetry(installed)

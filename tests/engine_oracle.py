@@ -11,7 +11,9 @@ for ``self`` becoming an ``engine`` argument:
   and the engine's shared percentile kernel);
 * :func:`run_scalar` runs a simulator by answering every
   :class:`~repro.sim.simulator.BlockRequest` of ``drive`` one tick at a
-  time with :func:`scalar_step`.
+  time with :func:`scalar_step`;
+* :func:`record_latency_ticks` is the simulator's per-tick latency
+  metering, which it now does once per block.
 
 The block kernel is bit-identical to both, which ``test_fast_path`` and
 ``test_tensor`` assert field by field.
@@ -239,3 +241,16 @@ def run_scalar(
         except StopIteration as stop:
             return stop.value
         block = scalar_block(sim.engine, request)
+
+
+def record_latency_ticks(metrics, result, sla_ms: float) -> None:
+    """Feed a run's per-second latency series into ``metrics`` one tick
+    at a time: three percentile observations, and one violation second
+    when p99 is above the SLA."""
+    series = [result.latency.series(q) for q in (50.0, 95.0, 99.0)]
+    for p50, p95, p99 in zip(*series):
+        metrics.histogram("sim.latency_p50_ms").observe(float(p50))
+        metrics.histogram("sim.latency_p95_ms").observe(float(p95))
+        metrics.histogram("sim.latency_p99_ms").observe(float(p99))
+        if p99 > sla_ms:
+            metrics.counter("sim.sla_violation_seconds").inc()

@@ -27,8 +27,9 @@ from repro.hstore.engine import (
     _SampleScratch,
 )
 from repro.sim import ElasticDbSimulator
+from repro.telemetry import MetricsRegistry, Telemetry
 
-from .engine_oracle import run_scalar, scalar_step
+from .engine_oracle import record_latency_ticks, run_scalar, scalar_step
 
 CFG = default_config()  # 60 s planner interval
 
@@ -199,6 +200,40 @@ class TestFastPathEquality:
             _assert_identical(blocks, scalar)
 
 
+class TestBlockTelemetry:
+    """The engine and the simulator feed their metrics once per block.
+    A run's snapshot and chronicle must equal the oracle's, whose engine
+    records every tick, and the simulator's ``sim.*`` instruments must
+    equal a per-tick replay of its latency series."""
+
+    def test_migrating_backlogged_and_idle_blocks(self):
+        offered = np.concatenate([
+            np.zeros(130),            # idle: ticks that complete nothing
+            _sinusoid(500),
+            np.full(120, 3000.0),     # ~2x two machines: a backlog builds
+            _sinusoid(470),           # the last block is 21 ticks long
+        ])
+        strategy = lambda: ManualStrategy([(3, 4), (14, 2)])
+        recorded = []
+        for blocks in (True, False):
+            tel = Telemetry()
+            result = _run(
+                offered, strategy(), blocks, telemetry=tel, initial_machines=2
+            )
+            recorded.append((tel.metrics.snapshot(), tel.chronicle.snapshot()))
+        assert recorded[0] == recorded[1]
+        assert result.migrating.any()
+        assert (result.completed_tps[:130] == 0.0).all()
+        metrics = {m["name"]: m for m in recorded[0][0]}
+        assert metrics["sim.sla_violation_seconds"]["value"] > 0
+        assert metrics["engine.tick_p50_ms"]["count"] == offered.size
+        replay = MetricsRegistry()
+        record_latency_ticks(replay, result, CFG.sla_latency_ms)
+        assert [
+            m for m in recorded[0][0] if m["name"].startswith("sim.")
+        ] == replay.snapshot()
+
+
 @pytest.fixture(scope="module")
 def fig09_day():
     return benchmark_setup(eval_days=1, seed=55)
@@ -332,12 +367,12 @@ class TestStepBlockPerTickRows:
                 for i in range(ticks)
             ]
 
-        scalar = QueueingEngine(**kwargs)
+        scalar = QueueingEngine(telemetry=Telemetry(), **kwargs)
         expected = tick_by_tick(lambda *args: scalar_step(scalar, *args))
         # QueueingEngine.step, a block of one, reports the oracle's ticks.
         assert tick_by_tick(QueueingEngine(**kwargs).step) == expected
         for chunk in (1, 7, ticks):
-            batched = QueueingEngine(**kwargs)
+            batched = QueueingEngine(telemetry=Telemetry(), **kwargs)
             if lead.size:
                 batched.step_block(1.0, lead, np.ones(n))
             for lo in range(0, ticks, chunk):
@@ -348,6 +383,12 @@ class TestStepBlockPerTickRows:
                     None if caps is None else caps[rows],
                 )
                 _rows_match(expected, block, lo)
+            # Fed once per block, the engine's metrics equal the
+            # oracle's, which records every tick.
+            assert (
+                batched._telemetry.metrics.snapshot()
+                == scalar._telemetry.metrics.snapshot()
+            )
 
     # Rejections, on a 3-tick block over 4 partitions: the message names
     # the argument, and for a shape the one wanted and the one given.

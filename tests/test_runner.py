@@ -11,6 +11,7 @@ from repro.config import default_config
 from repro.elasticity.base import StrategySpec
 from repro.errors import ConfigurationError, StrategySpecError, SweepError
 from repro.experiments.registry import (
+    ExperimentDef,
     get_experiment,
     list_experiments,
 )
@@ -18,8 +19,11 @@ from repro.runner import (
     ResultCache,
     RunSpec,
     SweepExecutor,
+    executor,
     jsonify,
+    run_sweep,
 )
+from repro.telemetry import get_telemetry, telemetry_scope
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -256,6 +260,91 @@ class TestSweepExecutor:
         assert len(report.cells) == 2 * len(specs)
         assert report.executed == len(specs)
         assert report.hits == len(specs)
+
+
+class TestSeriesDigest:
+    """``series_digest`` converts a series in one array call; its JSON
+    text, and so every cached payload, is the per-element ``float(v)``
+    text's."""
+
+    @pytest.mark.parametrize("values", [
+        [0.1, 2.5, 1e300, -3.25],
+        [1, 2, 3, -7],
+        [True, False, True],
+        [float("nan"), float("inf"), float("-inf"), -0.0, 0.0],
+        [[1.5, 2.0], [3.0, -0.0]],
+        [],
+    ])
+    def test_digest_text_is_the_per_element_floats(self, values):
+        import hashlib
+
+        import numpy as np
+
+        from repro.config import canonical_json
+        from repro.experiments.common import series_digest
+
+        per_element = [float(v) for v in np.asarray(values).ravel()]
+        blob = canonical_json(per_element).encode("utf-8")
+        assert series_digest(values) == hashlib.sha256(blob).hexdigest()[:16]
+        assert series_digest(np.asarray(values)) == series_digest(values)
+
+
+class TestCellTelemetry:
+    """A cell runs under ``NULL_TELEMETRY`` unless the sweep records
+    events, then under a fresh live bundle, on the inline path and on
+    the tensor builder path; the caller's bundle stays installed and
+    collects nothing from the cells."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """``get_telemetry().enabled`` as each cell (or tensor program
+        builder) saw it when called."""
+        seen = []
+
+        def spy(run):
+            def wrapped(spec, config):
+                seen.append(get_telemetry().enabled)
+                return run(spec, config)
+            return wrapped
+
+        resolve = executor._resolve_cell_runner
+        monkeypatch.setattr(
+            executor, "_resolve_cell_runner", lambda name: spy(resolve(name))
+        )
+        tensor_cell_builder = ExperimentDef.tensor_cell_builder
+
+        def builder(experiment):
+            build = tensor_cell_builder(experiment)
+            return None if build is None else spy(build)
+
+        monkeypatch.setattr(ExperimentDef, "tensor_cell_builder", builder)
+        return seen
+
+    @pytest.mark.parametrize("record_events", [False, True])
+    @pytest.mark.parametrize("backend", ["serial", "tensor"])
+    def test_cell_sees_null_unless_recording(
+        self, seen, backend, record_events
+    ):
+        # A predictive cell: its forecasts meter into whatever bundle is
+        # installed while the tensor batch runs, not only at build time.
+        specs = [
+            spec for spec in get_experiment("fig09").make_grid(eval_days=1)
+            if spec.cell in ("static-4", "p-store")
+        ]
+        with telemetry_scope() as caller:
+            report = run_sweep(
+                specs, backend=backend, record_events=record_events
+            )
+            assert get_telemetry() is caller
+        assert report.backend == backend
+        assert seen == [record_events] * len(specs)
+        assert all(bool(c.chronicle or c.spans) == record_events
+                   for c in report.cells)
+        assert caller.chronicle.snapshot() == []
+        assert caller.tracer.snapshot() == []
+        assert {m["name"] for m in caller.metrics.snapshot()} == {
+            "sweep.cells", "sweep.hits",
+        }
 
 
 class TestRegistry:

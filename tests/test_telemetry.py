@@ -1,9 +1,14 @@
 """Tests for the telemetry package: instruments, spans, exporters, CLI artifact schemas, and the no-op overhead bound."""
 
 import json
+import math
+import struct
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.errors import TelemetryError
@@ -36,6 +41,7 @@ from repro.telemetry import (
     telemetry_scope,
 )
 from repro.telemetry.causal import record_interval
+from repro.telemetry.metrics import BUCKET_HI, BUCKET_LO
 
 
 # ----------------------------------------------------------------------
@@ -129,6 +135,107 @@ class TestHistogram:
         for _ in range(10_000):
             hist.observe(3.0)
         assert len(hist._counts) == len(hist.bounds) + 1
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _histogram_state(hist) -> tuple:
+    """Every stored field, floats as raw bits (NaN and -0.0 included)."""
+    return (
+        hist.count, _bits(hist.sum), _bits(hist.min), _bits(hist.max),
+        tuple(hist._counts),
+    )
+
+
+_EDGES = default_buckets()
+#: Values a bulk call must bucket exactly as ``observe`` does: every edge
+#: and its float neighbours, both ends of the range and past them, NaN,
+#: the infinities and both zeros.
+_SPECIAL = (
+    [edge for edge in _EDGES]
+    + [math.nextafter(edge, -math.inf) for edge in _EDGES]
+    + [math.nextafter(edge, math.inf) for edge in _EDGES]
+    + [BUCKET_LO / 10, BUCKET_HI * 10, math.nan, math.inf, -math.inf,
+       0.0, -0.0, -5.0]
+)
+_VALUES = st.lists(
+    st.one_of(
+        st.sampled_from(_SPECIAL),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(min_value=1e-3, max_value=1e7),
+    ),
+    max_size=60,
+)
+
+
+class TestBulkInstruments:
+    """``observe_many`` / ``inc_many`` are a loop of single calls, bit
+    for bit: the engine and simulator feed them once per block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(before=_VALUES, block=_VALUES)
+    def test_observe_many_is_a_loop_of_observe(self, before, block):
+        looped = MetricsRegistry().histogram("h")
+        bulk = MetricsRegistry().histogram("h")
+        for value in before:
+            looped.observe(value)
+            bulk.observe(value)
+        for value in block:
+            looped.observe(value)
+        bulk.observe_many(np.array(block, dtype=float))
+        assert _histogram_state(bulk) == _histogram_state(looped)
+
+    @pytest.mark.parametrize("values", [
+        [], [math.nan], [math.nan, math.nan], [0.0, -0.0], [-0.0, 0.0],
+        [math.inf, -math.inf], [BUCKET_LO, BUCKET_HI], [1e-9, 1e9],
+        [True, False, 3],
+    ])
+    def test_observe_many_edge_cases(self, values):
+        looped = MetricsRegistry().histogram("h")
+        for value in values:
+            looped.observe(value)
+        bulk = MetricsRegistry().histogram("h")
+        bulk.observe_many(values)
+        assert _histogram_state(bulk) == _histogram_state(looped)
+
+    def test_nan_lands_in_overflow_and_leaves_min_max(self):
+        hist = MetricsRegistry().histogram("h")
+        hist.observe_many([2.0, math.nan])
+        assert hist._counts[-1] == 1
+        assert (hist.min, hist.max) == (2.0, 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.floats(min_value=0.0, max_value=1e12),
+        amounts=st.lists(
+            st.floats(min_value=0.0, max_value=1e12), max_size=60
+        ),
+    )
+    def test_inc_many_is_a_loop_of_inc(self, start, amounts):
+        looped = MetricsRegistry().counter("c")
+        bulk = MetricsRegistry().counter("c")
+        looped.inc(start)
+        bulk.inc(start)
+        for amount in amounts:
+            looped.inc(amount)
+        bulk.inc_many(np.array(amounts, dtype=float))
+        assert _bits(bulk.value) == _bits(looped.value)
+
+    def test_inc_many_rejects_a_negative_before_adding_anything(self):
+        """Unlike a loop of ``inc``, which would add 1 and 2 before
+        raising on -3, the bulk call checks first: the count stays."""
+        counter = MetricsRegistry().counter("c")
+        counter.inc(5.0)
+        with pytest.raises(TelemetryError):
+            counter.inc_many([1.0, 2.0, -3.0, 4.0])
+        assert counter.value == 5.0
+
+    def test_null_twins_accept_bulk_calls(self):
+        NULL_TELEMETRY.metrics.histogram("h").observe_many([1.0, 2.0])
+        NULL_TELEMETRY.metrics.counter("c").inc_many([1.0])
+        assert NULL_TELEMETRY.metrics.snapshot() == []
 
 
 # ----------------------------------------------------------------------
