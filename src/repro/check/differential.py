@@ -503,9 +503,13 @@ def diff_serve_resume(perturb: bool = False) -> CheckReport:
     time)`` rows, ``service.*`` markers excluded — as if the crash never
     happened.  Equal interval counts plus an identical projection also
     rule out double-closed intervals: a re-closed slot would show up as
-    extra interval records on both axes.  ``perturb`` corrupts one
-    projection row to prove the comparison has teeth.
+    extra interval records on both axes.  The killed run's checkpoint
+    must also be the state it died in: the last journal fold
+    (``read_checkpoint``) equals the plane's ``state_dict()`` at the
+    kill.  ``perturb`` corrupts one projection row and that state to
+    prove the comparisons have teeth.
     """
+    import json
     import tempfile
 
     from ..experiments.serve import (
@@ -515,16 +519,30 @@ def diff_serve_resume(perturb: bool = False) -> CheckReport:
         run_resume_scenario,
         run_scenario,
     )
+    from ..serve.persist import read_checkpoint
 
     baseline_summary, baseline_chronicle = run_scenario(
         SERVE_SEED, SERVE_TRIGGER
     )
+    at_kill = {}
+
+    def on_kill(plane) -> None:
+        # Before the resumed run rewrites the directory.
+        folded = read_checkpoint(plane.options.checkpoint_dir)
+        for meta in ("schema", "seq", "chronicle_rows"):
+            folded.pop(meta)
+        state = json.loads(json.dumps(plane.state_dict(), sort_keys=True))
+        if perturb:
+            state["processed"] += 1
+        at_kill.update(folded=folded, state=state)
+
     with tempfile.TemporaryDirectory(prefix="pstore-serve-resume-") as tmp:
         killed, resumed, merged = run_resume_scenario(
             SERVE_SEED,
             SERVE_TRIGGER,
             checkpoint_dir=tmp,
             kill_after=SERVE_RESUME_KILL_AFTER,
+            on_kill=on_kill,
         )
 
     checks: List[DiffCheck] = []
@@ -535,6 +553,20 @@ def diff_serve_resume(perturb: bool = False) -> CheckReport:
         0.0,
         f"killed at {killed['intervals']} of "
         f"{baseline_summary['intervals']} intervals",
+    )
+    folded, state = at_kill["folded"], at_kill["state"]
+    differ = sorted(
+        key for key in folded.keys() | state.keys()
+        if folded.get(key) != state.get(key)
+    )
+    _record(
+        checks,
+        "serve-resume.checkpoint-is-the-state-at-the-kill",
+        float(len(differ)),
+        0.0,
+        f"fields that differ: {', '.join(differ)}" if differ else
+        f"all {len(state)} top-level fields equal after "
+        f"{killed['intervals']} intervals",
     )
     _record(
         checks,

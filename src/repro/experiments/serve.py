@@ -74,7 +74,8 @@ def drift_trace(seed: int = SERVE_SEED, n_days: int = SERVE_DAYS) -> LoadTrace:
 
 
 def _run_plane(
-    seed, trigger_text, config, n_days, kill_after=None, **options
+    seed, trigger_text, config, n_days, kill_after=None, on_kill=None,
+    **options
 ):
     """One ``ControlPlane`` replay of the drift trace -> ``(summary,
     chronicle)``.
@@ -83,7 +84,8 @@ def _run_plane(
     trigger's sensor), replaying with ``speed=0`` so the asyncio loop
     never sleeps and the result is bit-deterministic.  With
     ``kill_after`` the source crashes after that many reports (see
-    :class:`_CrashingSource`); ``options`` are extra
+    :class:`_CrashingSource`), calling ``on_kill(plane)`` first if set;
+    ``options`` are extra
     :class:`~repro.serve.ServeOptions` fields (checkpointing, resume).
     """
     import asyncio
@@ -124,7 +126,7 @@ def _run_plane(
         if kill_after is None:
             source = ReplaySource(trace, speed=0.0)
         else:
-            source = _CrashingSource(trace, kill_after=kill_after)
+            source = _CrashingSource(trace, kill_after, on_kill)
         plane = ControlPlane(
             config,
             predictor,
@@ -164,9 +166,12 @@ class _CrashingSource:
     persisted).
     """
 
-    def __init__(self, trace: LoadTrace, kill_after: int) -> None:
+    def __init__(
+        self, trace: LoadTrace, kill_after: int, on_kill=None
+    ) -> None:
         self.trace = trace
         self.kill_after = kill_after
+        self.on_kill = on_kill
         self.plane = None  # wired by _run_plane after plane construction
 
     async def batches(self):
@@ -177,6 +182,8 @@ class _CrashingSource:
         slot_seconds = self.trace.slot_seconds
         for slot, count in enumerate(self.trace.values):
             if slot >= self.kill_after:
+                if self.on_kill is not None:
+                    self.on_kill(self.plane)
                 self.plane.request_stop()
                 await asyncio.Event().wait()
             yield [LoadReport(
@@ -193,6 +200,7 @@ def run_resume_scenario(
     kill_after: int,
     config=None,
     n_days: int = SERVE_DAYS,
+    on_kill=None,
 ):
     """Kill a serve run mid-stream, resume it, return both runs' outputs.
 
@@ -202,12 +210,13 @@ def run_resume_scenario(
     from the same directory and replays the *full* trace (duplicate
     suppression drops everything the first run already ingested).
     Compare against :func:`run_scenario` with identical arguments to
-    check crash/resume convergence.
+    check crash/resume convergence.  ``on_kill(plane)`` sees the killed
+    plane, and its checkpoint directory, as the crash leaves them.
     """
     # Phase 1: run with checkpointing, crash mid-stream.
     killed_summary, _ = _run_plane(
         seed, trigger_text, config, n_days, kill_after=kill_after,
-        checkpoint_dir=str(checkpoint_dir),
+        on_kill=on_kill, checkpoint_dir=str(checkpoint_dir),
     )
     # Phase 2: fresh process state, resume from the checkpoint, replay
     # the full trace (the feeder has no idea where the plane died).

@@ -12,12 +12,10 @@ Partition skew is read off the routing layer's per-bucket counters
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..errors import SimulationError
-from ..persist import Persisted
+from ..persist import Persisted, Series
 from ..telemetry import get_telemetry
 
 
@@ -56,7 +54,7 @@ class LoadMonitor(Persisted):
         self._origin = 0.0
         self._closed = 0
         self._current_count = 0.0
-        self._rates: List[float] = []
+        self._rates = Series()
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
 
     @property
@@ -124,6 +122,9 @@ class LoadMonitor(Persisted):
             closed = 0
         self._current_count += count
         return closed
+
+    def _rebuild(self) -> None:
+        self._rates = Series(self._rates)
 
     def history_tps(self) -> np.ndarray:
         """Aggregate rate (txn/s) of every *closed* interval."""

@@ -15,16 +15,28 @@ controller's, which holds the move's), and a field's key is its
 attribute name less the leading underscore.  :func:`delta` and
 :func:`patch` say what changed between two such documents and apply it,
 so the store can journal an interval instead of rewriting the whole; they
-walk the shapes the codec produces and know no component.  A leaf module
-like ``decision.py``: it imports only ``errors.py``.
+walk the shapes the codec produces and know no component.
+
+A save is the scalars plus the series' new items.  A long series — an
+accuracy window, a predictor's history, the monitor's rates — is held
+in a :class:`Series`, which counts the items appended to it; a
+:class:`Ledger` keeps, between two saves, each small field encoded and
+each series as its length and counters then, so the ops of the next
+save are the small fields :func:`delta` finds changed and, per series,
+one ``slide`` of the count dropped and the items appended, read off the
+counters.  A base is put together from the same marks, each series from
+the JSON text of its items, made once when the item arrived.  A leaf
+module like ``decision.py``: it imports only ``errors.py``.
 """
 
 from __future__ import annotations
 
+import json
+import operator
 from collections import deque
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter
+from json.encoder import encode_basestring_ascii
 from typing import Tuple
 
 from .errors import PStoreError, SimulationError
@@ -34,18 +46,117 @@ SCHEMA = "pstore.serve-checkpoint/v2"
 
 _SCALARS = frozenset((type(None), bool, int, float, str))
 
+#: ``json.dumps(value, sort_keys=True)``, the text every checkpoint file
+#: holds, without building an encoder per call.
+to_json = json.JSONEncoder(sort_keys=True).encode
+
+
+class Series(list):
+    """A list that grows at the back and is trimmed at the front, and
+    counts what it appended, so a save journals its new items instead of
+    encoding and comparing all of them (see :class:`Ledger`).
+
+    ``append``, ``extend`` and ``+=`` count.  Deleting from the front
+    (``del s[:k]``, ``del s[0]``, ``pop(0)``) needs no count: the ledger
+    derives the items dropped from the length.  ``maxlen``, as on a
+    ``deque``, drops the oldest items past it on every append.  Any
+    other mutation — item or slice assignment, ``insert``, ``remove``,
+    ``pop`` from elsewhere, ``clear``, ``sort``, ``reverse``, ``*=``, a
+    second ``__init__`` — is made and counted as a rewrite, and the next
+    save sets the series whole.  Items must be immutable (scalars, or
+    tuples of them): a change inside one is not seen.  ``list``'s own
+    methods called on a series (``list.append(s, x)``, ``heapq``) go
+    around the counts; one that leaves it longer than its counts allow
+    is set whole, any other is not seen.
+    """
+
+    __slots__ = ("maxlen", "appended", "rewrites")
+
+    def __init__(self, items=(), maxlen=None) -> None:
+        super().__init__(items)
+        self.maxlen = maxlen
+        self.appended = 0
+        self.rewrites = getattr(self, "rewrites", -1) + 1
+        self._cap()
+
+    def _cap(self) -> None:
+        if self.maxlen is not None and len(self) > self.maxlen:
+            list.__delitem__(self, slice(0, len(self) - self.maxlen))
+
+    def append(self, item) -> None:
+        list.append(self, item)
+        self.appended += 1
+        if self.maxlen is not None and len(self) > self.maxlen:
+            list.__delitem__(self, 0)
+
+    def extend(self, items) -> None:
+        size = len(self)
+        list.extend(self, items)
+        self.appended += len(self) - size
+        self._cap()
+
+    def __iadd__(self, items) -> "Series":
+        self.extend(items)
+        return self
+
+    def __delitem__(self, index) -> None:
+        if not _at_front(index, len(self)):
+            self.rewrites += 1
+        list.__delitem__(self, index)
+
+    def pop(self, index=-1):
+        if not _at_front(index, len(self)):
+            self.rewrites += 1
+        return list.pop(self, index)
+
+
+def _at_front(index, size: int) -> bool:
+    """Whether deleting ``index`` from a list of ``size`` items drops a
+    prefix of it."""
+    if type(index) is slice:
+        start, _, step = index.indices(size)
+        return start == 0 and step == 1
+    index = operator.index(index)
+    return index == 0 or index == -size
+
+
+def _rewriting(name: str):
+    method = getattr(list, name)
+
+    def rewrite(self, *args, **kwargs):
+        self.rewrites += 1
+        result = method(self, *args, **kwargs)
+        self._cap()
+        return result
+
+    rewrite.__name__ = rewrite.__qualname__ = name
+    rewrite.__doc__ = f"``list.{name}``, counted as a rewrite."
+    return rewrite
+
+
+#: The list mutators a :class:`Series` cannot count.
+REWRITES = (
+    "__setitem__", "__imul__", "insert", "remove", "clear", "sort", "reverse",
+)
+for _name in REWRITES:
+    setattr(Series, _name, _rewriting(_name))
+
+
+_SEQUENCES = frozenset((list, tuple, deque, Series))
+
 
 def encode(value):
     """The JSON form of one watched attribute.
 
-    Scalars are themselves; list, tuple, ``deque`` and arrays become a
-    list; a dict becomes ``{"keys": [...], "values": [...]}`` so that
-    insertion order and non-string keys survive the store's
-    ``sort_keys=True``.  Flat containers, and rows of scalars, are
-    copied and checked by C-level calls, not walked in Python (at 1 024
-    nodes the clocks are 16 kB of the document and one predictor's fit
-    series 79 kB).  Nothing returned is shared with the live object:
-    the store keeps the document to take the next one's difference from.
+    Scalars are themselves; list, tuple, ``deque``, :class:`Series`
+    and arrays become a list; a dict becomes ``{"keys": [...],
+    "values": [...]}`` so that insertion order and non-string keys
+    survive the store's ``sort_keys=True``.  Flat containers, and rows
+    of scalars, are copied and checked by C-level calls, not walked in
+    Python (at 1 024 nodes the clocks are 16 kB of the document and one
+    predictor's fit series 79 kB).  Nothing returned is shared with the
+    live object: the ledger keeps what it encoded to compare the next
+    save with.
     """
     kind = type(value)
     if kind in _SCALARS:
@@ -55,21 +166,21 @@ def encode(value):
             "keys": encode(list(value)),
             "values": encode(list(value.values())),
         }
+    if kind in _SEQUENCES:
+        items = list(value)
+        kinds = set(map(type, items))
+        if kinds <= _SCALARS:
+            return items
+        if kinds == {tuple} and _SCALARS.issuperset(
+            map(type, chain.from_iterable(items))
+        ):
+            return items    # rows of scalars: immutable, and JSON arrays
+        return [encode(item) for item in items]
     if isinstance(value, Persisted):
         return value.state_dict()
     if hasattr(value, "tolist"):            # numpy arrays and scalars
         return value.tolist()
-    if kind not in (list, tuple, deque):
-        raise SimulationError(f"cannot persist a {kind.__name__}")
-    items = list(value)
-    kinds = set(map(type, items))
-    if kinds <= _SCALARS:
-        return items
-    if kinds == {tuple} and _SCALARS.issuperset(
-        map(type, chain.from_iterable(items))
-    ):
-        return items        # rows of scalars: immutable, and JSON arrays
-    return [encode(item) for item in items]
+    raise SimulationError(f"cannot persist a {kind.__name__}")
 
 
 def decode(value):
@@ -273,7 +384,7 @@ class Persisted:
 @lru_cache(maxsize=None)            # keyed by declared names: bounded
 def _field(attr: str):
     """A watched attribute's document key and its getter."""
-    return attr.rpartition(".")[2].lstrip("_"), attrgetter(attr)
+    return attr.rpartition(".")[2].lstrip("_"), operator.attrgetter(attr)
 
 
 def _conform(key: str, raw, like):
@@ -288,6 +399,273 @@ def _conform(key: str, raw, like):
         return decode(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulationError(f"{key}: malformed ({exc})") from None
+
+
+class Ledger:
+    """What the last save of a component held, field by field: the one
+    way a store learns what to write.
+
+    A small field is kept encoded, as :func:`delta` compares it.  A
+    :class:`Series`, or a dict of them, is kept as a mark: the object,
+    its length and its counters then, and the JSON text of each item it
+    holds.  A series that is still the same object, not rewritten
+    since, is journalled from its counters as ``{"slide": [drop,
+    *new_items]}`` — the op :func:`delta` writes when its alignment
+    finds the new items — without encoding or comparing the items it
+    kept; any other series is set whole.  A base is put together from
+    the marks, each series from the JSON texts of its items, made once
+    when the item arrived.  The document the ops fold into, and the one
+    a base holds, is :meth:`Persisted.state_dict`.
+    """
+
+    def __init__(self) -> None:
+        self._marks = None
+
+    @property
+    def primed(self) -> bool:
+        """Whether there is a last save to take ops from."""
+        return self._marks is not None
+
+    def forget(self) -> None:
+        """Drop the last save: the next one must be a :meth:`base`."""
+        self._marks = None
+
+    def ops(self, component: "Persisted") -> list:
+        """The ops that turn the last save into ``component`` now."""
+        if self._marks is None:
+            raise SimulationError("no save yet to take a difference from")
+        ops: list = []
+        self._marks = _journal(component, self._marks, [], ops)
+        return ops
+
+    def base(self, component: "Persisted", **meta) -> str:
+        """``json.dumps({**component.state_dict(), **meta},
+        sort_keys=True)``; the next ops start from it."""
+        if self._marks is None:
+            self._marks = _marked(component)
+        else:
+            self.ops(component)
+        texts = _texts(self._marks)
+        texts.update((key, _text(value)) for key, value in meta.items())
+        return _object(texts)
+
+
+class _Fields(dict):
+    """A component's marks by document key, the kind of component they
+    were taken of, and its fields' keys and getters."""
+
+    __slots__ = ("kind", "fields")
+
+
+class _SeriesMark:
+    """A series as a save left it, and the text of each of its items."""
+
+    __slots__ = ("series", "length", "appended", "rewrites", "texts")
+
+    def __init__(self, series: Series) -> None:
+        self.series = series
+        self.length = len(series)
+        self.appended = series.appended
+        self.rewrites = series.rewrites
+        self.texts = list(map(_text, series))
+
+
+class _MapMark:
+    """A dict of series as a save left it: its keys, each value's mark."""
+
+    __slots__ = ("keys", "marks")
+
+    def __init__(self, keys: list, marks: list) -> None:
+        self.keys = keys
+        self.marks = marks
+
+
+_MARKS = (_Fields, _SeriesMark, _MapMark)
+
+
+def _kind(component: "Persisted") -> tuple:
+    return (
+        component.PERSIST_VERSION, component.PERSIST_MATCH, component.PERSIST,
+    )
+
+
+@lru_cache(maxsize=None)            # keyed by declared names: bounded
+def _fields(match: tuple, persist: tuple) -> tuple:
+    """``(key, getter)`` of each watched field, in document order."""
+    return tuple(map(_field, (*match, *persist)))
+
+
+def _series_map(value) -> bool:
+    return bool(value) and all(
+        type(item) is Series for item in value.values()
+    )
+
+
+def _marked(component: "Persisted") -> _Fields:
+    """The marks of ``component`` as it is."""
+    marks = _Fields()
+    marks.kind = kind = _kind(component)
+    marks.fields = _fields(*kind[1:])
+    for key, get in marks.fields:
+        value = get(component)
+        if isinstance(value, Persisted):
+            marks[key] = _marked(value)
+        elif type(value) is Series:
+            marks[key] = _SeriesMark(value)
+        elif type(value) is dict and _series_map(value):
+            marks[key] = _MapMark(
+                list(value), [_SeriesMark(item) for item in value.values()]
+            )
+        else:
+            marks[key] = encode(value)
+    return marks
+
+
+def _journal(value, mark, path: list, ops: list):
+    """Append the ops that bring ``mark`` up to ``value``; its new mark."""
+    kind = type(value)
+    if kind in _SCALARS:
+        if kind is not type(mark) or value != mark:
+            ops.append({"path": path, "set": value})
+        return value
+    if kind is Series:
+        return _series(value, mark, path, ops)
+    if isinstance(value, Persisted):
+        if type(mark) is not _Fields or mark.kind != _kind(value):
+            mark = _marked(value)
+            ops.append({"path": path, "set": value.state_dict()})
+            return mark
+        for key, get in mark.fields:
+            now = get(value)
+            was = mark[key]
+            kind = type(now)
+            if kind is type(was) and kind in _SCALARS:
+                if now != was:
+                    ops.append({"path": path + [key], "set": now})
+                    mark[key] = now
+            else:
+                mark[key] = _journal(now, was, path + [key], ops)
+        return mark
+    if kind is dict and _series_map(value):
+        keys = list(value)
+        if type(mark) is _MapMark and mark.keys == keys:
+            path = path + ["values"]
+            mark.marks = [
+                _series(item, was, path + [index], ops)
+                for index, (item, was) in enumerate(
+                    zip(value.values(), mark.marks)
+                )
+            ]
+            return mark
+        _set(encode(value), mark, path, ops)
+        return _MapMark(keys, [_SeriesMark(item) for item in value.values()])
+    if kind is dict and _unchanged(value, mark):
+        return mark
+    encoded = encode(value)
+    _set(encoded, mark, path, ops)
+    return encoded
+
+
+def _unchanged(value: dict, mark) -> bool:
+    """Whether the dict ``value`` still equals ``mark``, its encoding at
+    the last save — compared as :func:`delta` would, without encoding it
+    again.  Keys and values the codec keeps as they are compare equal to
+    their encoding; values it rewrites (a nested dict, a component)
+    compare unequal, and the caller encodes."""
+    if type(mark) is not dict or mark.keys() != _CODEC_KEYS:
+        return False
+    try:
+        return (
+            mark["keys"] == list(value)
+            and mark["values"] == list(value.values())
+        )
+    except (TypeError, ValueError):     # an array's ambiguous truth
+        return False
+
+
+def _set(encoded, mark, path: list, ops: list) -> None:
+    """The ops for a field journalled whole: :func:`delta`'s, if the last
+    save left it encoded, else one ``set``."""
+    if type(mark) in _MARKS:
+        ops.append({"path": path, "set": encoded})
+    else:
+        _delta(mark, encoded, path, ops)
+
+
+def _series(series: Series, mark, path: list, ops: list) -> _SeriesMark:
+    """The op for one series, from its counters if it is the one the
+    last save marked and was not rewritten since."""
+    if (
+        type(mark) is not _SeriesMark or mark.series is not series
+        or mark.rewrites != series.rewrites
+    ):
+        _set(encode(series), mark, path, ops)
+        return _SeriesMark(series)
+    size = len(series)
+    new = min(series.appended - mark.appended, size)
+    kept = size - new
+    drop = mark.length - kept
+    if drop < 0:        # it grew past its counts: list.append(series, x)
+        ops.append({"path": path, "set": encode(series)})
+        return _SeriesMark(series)
+    # As delta writes it: one new item slides even past a list it
+    # empties; several slide onto what is left of the old list; a list
+    # that only lost items, or lost them all to several, is set.
+    items = series[kept:]
+    if new == 1 or (new and kept):
+        ops.append({"path": path, "slide": [drop, *encode(items)]})
+    elif new or drop:
+        ops.append({"path": path, "set": encode(series)})
+    else:
+        return mark
+    del mark.texts[:drop]
+    mark.texts += map(_text, items)
+    mark.length, mark.appended = size, series.appended
+    return mark
+
+
+# -- a base, as text ---------------------------------------------------
+
+def _text(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, short-cut for the items
+    series hold: finite floats and tuples of them."""
+    kind = type(value)
+    if kind is float and value - value == 0.0:
+        return float.__repr__(value)
+    if kind is tuple:
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return to_json(value)
+
+
+def _texts(marks: _Fields) -> dict:
+    """A component's fields as JSON text, by document key."""
+    texts = {"v": _text(marks.kind[0])}
+    for key, mark in marks.items():
+        kind = type(mark)
+        if kind is _Fields:
+            texts[key] = _object(_texts(mark))
+        elif kind is _SeriesMark:
+            texts[key] = _list(mark)
+        elif kind is _MapMark:
+            texts[key] = _object({
+                "keys": _text(encode(mark.keys)),
+                "values": "[" + ", ".join(map(_list, mark.marks)) + "]",
+            })
+        else:
+            texts[key] = _text(mark)
+    return texts
+
+
+def _list(mark: _SeriesMark) -> str:
+    return "[" + ", ".join(mark.texts) + "]"
+
+
+def _object(texts: dict) -> str:
+    """The JSON object of ``texts``'s values, keys sorted."""
+    return "{" + ", ".join(
+        f"{encode_basestring_ascii(key)}: {texts[key]}"
+        for key in sorted(texts)
+    ) + "}"
 
 
 def current(doc) -> dict:

@@ -13,11 +13,12 @@ refits on a fixed cadence (weekly by default).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import NotFittedError, PredictionError
+from ..persist import Series
 from ..telemetry import get_telemetry
 from .base import Predictor, as_series
 
@@ -62,14 +63,14 @@ class OnlinePredictor(Predictor):
             )
         self.min_training = min_training
         self.max_history = max_history
-        self._history: List[float] = []
+        self._history = Series()
         self._since_fit = 0
         self.fit_count = 0
         #: Exact series the base model was last fitted on.  Checkpoint
         #: restore refits on this snapshot (fits are deterministic), so a
         #: resumed controller carries the *same* model the crashed one
         #: had — not a fresher one fitted on the longer current history.
-        self._fit_window: Optional[List[float]] = None
+        self._fit_window: Optional[Series] = None
 
     # ------------------------------------------------------------------
     # Observation stream
@@ -112,8 +113,20 @@ class OnlinePredictor(Predictor):
         """Fit the base on the history held now — the one place the fit
         bookkeeping moves, whether ``fit``, ``observe`` or ``refit_now``
         asked."""
-        self.base.fit(self._history)
-        self._fit_window = list(self._history)
+        history, window = self._history, self._fit_window
+        self.base.fit(history)
+        # The window slides on to the history when it is the history of
+        # the last fit, so a save journals the observations since then
+        # rather than the whole window.
+        kept = len(history) - self._since_fit
+        if (
+            window is not None and 0 < kept <= len(window)
+            and window[len(window) - kept:] == history[:kept]
+        ):
+            del window[: len(window) - kept]
+            window.extend(history[kept:])
+        else:
+            self._fit_window = Series(history)
         self._since_fit = 0
         self.fit_count += 1
         tel = get_telemetry()
@@ -141,7 +154,7 @@ class OnlinePredictor(Predictor):
 
     def fit(self, series: Sequence[float]) -> "OnlinePredictor":
         """Offline bootstrap: seed the history and fit immediately."""
-        self._history = as_series(series).tolist()
+        self._history = Series(as_series(series).tolist())
         self._refit()
         return self
 
@@ -161,7 +174,9 @@ class OnlinePredictor(Predictor):
     def _rebuild(self) -> None:
         """The base model's parameters are derived state: refit it on
         the restored fit window (exact — fits are deterministic)."""
+        self._history = Series(self._history)
         if self._fit_window is not None:
+            self._fit_window = Series(self._fit_window)
             self.base.fit(self._fit_window)
 
     def predict_horizon(

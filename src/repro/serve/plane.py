@@ -219,9 +219,7 @@ class ControlPlane(Persisted):
                 "checkpointing is not enabled (set checkpoint_dir)"
             )
         tel = self._telemetry
-        store.save(
-            self.state_dict(), tel.chronicle.records if tel.enabled else []
-        )
+        store.save(self, tel.chronicle.records if tel.enabled else [])
         if tel.enabled:
             for name, value in self._checkpoint_health().items():
                 tel.metrics.gauge(f"serve.{name}").set(value)

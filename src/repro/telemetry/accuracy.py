@@ -34,7 +34,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..persist import Persisted
+from ..persist import Persisted, Series
 
 #: Default rolling-window size per (predictor, tau): one day of
 #: 5-minute intervals.
@@ -43,7 +43,6 @@ DEFAULT_WINDOW = 288
 #: Percent-error histogram bucket edges (0.1% .. ~1000%).
 ERROR_PCT_BOUNDS = tuple(0.1 * (10 ** 0.25) ** i for i in range(17))
 
-_PairWindow = Deque[Tuple[float, Optional[float], float]]
 
 
 class AccuracyTracker(Persisted):
@@ -58,8 +57,8 @@ class AccuracyTracker(Persisted):
         self._metrics = metrics
         #: target slot -> forecasts awaiting that slot's measurement.
         self._pending: Dict[int, List[dict]] = {}
-        #: (predictor, tau) -> deque of (predicted, inflated, actual).
-        self._windows: Dict[Tuple[str, int], _PairWindow] = {}
+        #: (predictor, tau) -> its pairs, at most ``window`` of them.
+        self._windows: Dict[Tuple[str, int], Series] = {}
         #: (predictor, tau) -> the window's error terms (derived state).
         self._terms: Dict[Tuple[str, int], _Terms] = {}
         #: (predictor, tau) -> its instruments in ``metrics``.
@@ -146,7 +145,7 @@ class AccuracyTracker(Persisted):
         pair = (entry["predicted"], entry["inflated"], entry["actual"])
         window = self._windows.get(key)
         if window is None:
-            window = deque(maxlen=self.window)
+            window = Series(maxlen=self.window)
             self._windows[key] = window
             terms = self._terms[key] = _Terms()
         else:
@@ -219,7 +218,7 @@ class AccuracyTracker(Persisted):
         terms are recomputed from them."""
         try:
             self._windows = {
-                key: deque(map(tuple, pairs), maxlen=self.window)
+                key: Series(map(tuple, pairs), maxlen=self.window)
                 for key, pairs in self._windows.items()
             }
             self._terms = {

@@ -34,6 +34,8 @@ from repro.serve.persist import (
     read_checkpoint,
 )
 
+from .checkpoint_oracle import Document
+
 
 # ----------------------------------------------------------------------
 # CheckpointStore mechanics
@@ -44,7 +46,7 @@ class TestCheckpointStore:
     def test_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
         records = [{"id": "pd-100-00001", "kind": "plan.decision"}]
-        store.save({"machines": 3}, records)
+        store.save(Document({"machines": 3}), records)
         doc, loaded = CheckpointStore(tmp_path / "ckpt").load()
         assert doc["schema"] == CHECKPOINT_SCHEMA
         assert doc["machines"] == 3
@@ -53,8 +55,8 @@ class TestCheckpointStore:
     def test_incremental_chronicle_append(self, tmp_path):
         store = CheckpointStore(tmp_path)
         recs = [{"id": f"r-{i}", "kind": "k"} for i in range(3)]
-        store.save({}, recs[:1])
-        store.save({}, recs)
+        store.save(Document({}), recs[:1])
+        store.save(Document({}), recs)
         lines = (tmp_path / "chronicle.jsonl").read_text().splitlines()
         assert len(lines) == 3           # appended, not rewritten
         _, loaded = CheckpointStore(tmp_path).load()
@@ -63,7 +65,7 @@ class TestCheckpointStore:
     def test_unacknowledged_tail_is_trimmed(self, tmp_path):
         store = CheckpointStore(tmp_path)
         recs = [{"id": f"r-{i}", "kind": "k"} for i in range(2)]
-        store.save({}, recs)
+        store.save(Document({}), recs)
         # Simulate a crash between the chronicle append and the snapshot
         # replace: extra rows exist that no checkpoint acknowledges.
         with (tmp_path / "chronicle.jsonl").open("a") as handle:
@@ -92,13 +94,13 @@ class TestCheckpointStore:
 
     def test_shrinking_chronicle_is_a_caller_bug(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save({}, [{"id": "a"}, {"id": "b"}])
+        store.save(Document({}), [{"id": "a"}, {"id": "b"}])
         with pytest.raises(SimulationError, match="shrank"):
-            store.save({}, [{"id": "a"}])
+            store.save(Document({}), [{"id": "a"}])
 
     def test_missing_acknowledged_chronicle_raises(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save({}, [{"id": "a"}])
+        store.save(Document({}), [{"id": "a"}])
         (tmp_path / "chronicle.jsonl").unlink()
         with pytest.raises(SimulationError, match="missing"):
             CheckpointStore(tmp_path).load()
@@ -108,10 +110,14 @@ class TestCheckpointStore:
         self, tmp_path
     ):
         used = CheckpointStore(tmp_path)
-        used.save({"n": [1.0] * 99}, [{"id": "old-0"}])
-        used.save({"n": [1.0] * 100}, [{"id": "old-0"}, {"id": "old-1"}])
+        used.save(Document({"n": [1.0] * 99}), [{"id": "old-0"}])
+        used.save(
+            Document({"n": [1.0] * 100}), [{"id": "old-0"}, {"id": "old-1"}]
+        )
         assert used.journal_rows == 1
-        CheckpointStore(tmp_path).save({"n": [9.0]}, [{"id": "new-0"}])
+        CheckpointStore(tmp_path).save(
+            Document({"n": [9.0]}), [{"id": "new-0"}]
+        )
         doc, loaded = CheckpointStore(tmp_path).load()
         assert doc["n"] == [9.0] and loaded == [{"id": "new-0"}]
 
@@ -155,7 +161,7 @@ def _saved(directory, saves):
     acknowledges ``2 n`` chronicle rows."""
     store = CheckpointStore(directory)
     for n in range(1, saves + 1):
-        store.save(_state(n), _records(2 * n))
+        store.save(Document(_state(n)), _records(2 * n))
     return store
 
 
@@ -199,7 +205,7 @@ class TestJournal:
         directory = tmp_path / "ckpt"
         store, rewrites = CheckpointStore(directory), 0
         for n in range(1, 61):
-            store.save(_state(n), _records(2 * n))
+            store.save(Document(_state(n)), _records(2 * n))
             rewrites += store.journal_rows == 0
             assert 2 * (directory / JOURNAL_FILE).stat().st_size <= (
                 directory / "checkpoint.json"
@@ -213,7 +219,7 @@ class TestJournal:
         first = {"v": 1, "before": 2, "after": 5, "half_steps": 7}
         second = {"v": 1, "before": 5, "after": 3, "half_steps": 0}
         for n, move in enumerate((None, first, None, second), start=1):
-            store.save(_state(n, move), [])
+            store.save(Document(_state(n, move)), [])
         assert store.journal_rows == 3
         doc, _ = CheckpointStore(tmp_path / "ckpt").load()
         assert doc["move"] == second
@@ -223,12 +229,12 @@ class TestJournal:
         store = CheckpointStore(tmp_path / "ckpt")
         store.load()
         assert store.journal_rows == 3
-        store.save(_state(5), _records(10))
+        store.save(Document(_state(5)), _records(10))
         assert store.journal_rows == 0
         assert (tmp_path / "ckpt" / JOURNAL_FILE).read_bytes() == b""
         base = json.loads((tmp_path / "ckpt" / "checkpoint.json").read_text())
         assert base["seq"] == 5 and base["processed"] == 5
-        store.save(_state(6), _records(12))
+        store.save(Document(_state(6)), _records(12))
         assert store.journal_rows == 1
         _assert_holds(tmp_path / "ckpt", 6)
 
@@ -257,7 +263,7 @@ class TestLogHandles:
         ) == ["checkpoint.delta.jsonl", "chronicle.jsonl"]
         store.close()
         assert _open_under(tmp_path) == []
-        store.save(_state(4), _records(8))      # reopens them
+        store.save(Document(_state(4)), _records(8))      # reopens them
         store.close()
         _assert_holds(tmp_path / "ckpt", 4)
 
@@ -278,13 +284,13 @@ class TestLogHandles:
         store = CheckpointStore(directory)
         for n in range(1, 61):
             before = store.compactions
-            store.save(_state(n), _records(2 * n))
+            store.save(Document(_state(n)), _records(2 * n))
             if store.compactions > before:
                 break
         else:
             pytest.fail("no base rewrite in 60 saves")
         assert (directory / JOURNAL_FILE).read_bytes() == b""
-        store.save(_state(n + 1), _records(2 * n + 2))
+        store.save(Document(_state(n + 1)), _records(2 * n + 2))
         journal = (directory / JOURNAL_FILE).read_bytes()
         assert journal.startswith(b"{") and journal.count(b"\n") == 1
         assert json.loads(journal)["seq"] == n + 1
@@ -307,8 +313,8 @@ class TestLogHandles:
         store.load()                    # the same store, logs open before
         for name, inode in kept.items():
             assert os.stat(directory / name).st_ino != inode, name
-        store.save(_state(5), _records(10))     # a base: load's rule
-        store.save(_state(6), _records(12))     # a journal row
+        store.save(Document(_state(5)), _records(10))     # a base: load's rule
+        store.save(Document(_state(6)), _records(12))     # a journal row
         store.close()
         assert store.journal_rows == 1
         _assert_holds(directory, 6)
@@ -343,7 +349,7 @@ class TestJournalCrashPoints:
         store = CheckpointStore(directory)
         store.load()
         for n in (5, 6, 7):
-            store.save(_state(n), _records(2 * n))
+            store.save(Document(_state(n)), _records(2 * n))
         assert store.journal_rows == 2
         _assert_holds(directory, 7)
 
@@ -361,7 +367,7 @@ class TestJournalCrashPoints:
 
         monkeypatch.setattr(os, "replace", replace_then_die)
         with pytest.raises(KeyboardInterrupt):
-            store.save(grown, _records(10))
+            store.save(Document(grown), _records(10))
         monkeypatch.undo()
         rows = (directory / JOURNAL_FILE).read_text().splitlines()
         assert [json.loads(row)["seq"] for row in rows] == [2, 3, 4]
@@ -387,8 +393,8 @@ class TestJournalCrashPoints:
             shutil.copytree(store.directory, directory)
             store = CheckpointStore(directory)
             store.load()
-            store.save(_state(n), _records(2 * n))
-            store.save(_state(n + 1), _records(2 * n + 2))
+            store.save(Document(_state(n)), _records(2 * n))
+            store.save(Document(_state(n + 1)), _records(2 * n + 2))
         _assert_holds(directory, 7)
 
     def test_replay_equals_the_document_after_every_save(
@@ -400,8 +406,9 @@ class TestJournalCrashPoints:
 
         real, seen = CheckpointStore.save, []
 
-        def save_then_load(store, state, records):
-            real(store, state, records)
+        def save_then_load(store, plane, records):
+            real(store, plane, records)
+            state = plane.state_dict()
             copy = tmp_path / "copy"
             shutil.rmtree(copy, ignore_errors=True)
             shutil.copytree(store.directory, copy)
@@ -686,7 +693,9 @@ class TestResumeErrors:
         from repro.telemetry.runtime import NullTelemetry
 
         store = CheckpointStore(tmp_path)
-        store.save({"v": 1, "interval_seconds": 300.0, "processed": 0}, [])
+        store.save(
+            Document({"v": 1, "interval_seconds": 300.0, "processed": 0}), []
+        )
         with pytest.raises(
             SimulationError, match="interval_seconds.*does not match"
         ):
@@ -881,7 +890,7 @@ def _edit_journal(mutate):
         doc, records = store.load()
         for extra in range(4):                  # a base, then three rows
             doc = dict(doc, processed=doc["processed"] + extra)
-            store.save(doc, records)
+            store.save(Document(doc), records)
         path = ckpt / JOURNAL_FILE
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 3
