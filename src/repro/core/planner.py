@@ -94,7 +94,7 @@ class _Grid(NamedTuple):
     the horizon.
     """
 
-    dur: np.ndarray  # (Z, Z) int: max(1, T(B, A)) in intervals
+    dur: List[List[int]]  # (Z, Z): max(1, T(B, A)) in intervals, for the backtrack
     mcost: np.ndarray  # (Z, Z): C(B, A)
     thresh: np.ndarray  # (Z, Z, W): Eq. 7 eff-cap + 1e-9, +inf past the move's end
     windows: np.ndarray  # (T, Z, Z, W): the load index each threshold is held to
@@ -294,7 +294,7 @@ class Planner:
         start = np.arange(1, horizon + 1)[:, None, None] - dur
         windows = np.clip(start[..., None] + np.arange(1, width + 1), 0, horizon)
         grid = _Grid(
-            dur=dur,
+            dur=dur.tolist(),
             mcost=mcost,
             thresh=thresh,
             windows=windows,
@@ -325,7 +325,7 @@ class Planner:
     ) -> MoveSchedule:
         """Follow ``back`` from ``T`` and ``A = final + 1`` to ``(0, N0)``."""
         moves: List[Move] = []
-        back, dur = back.tolist(), grid.dur.tolist()
+        back, dur = back.tolist(), grid.dur
         t, a = len(back) - 1, final
         while t > 0:
             b = back[t][a]

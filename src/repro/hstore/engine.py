@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,8 +164,8 @@ class MigrationInterference:
         return cls(np.zeros(shape), np.zeros(shape))
 
     def take(self, ticks) -> "MigrationInterference":
-        """Rows ``ticks`` (one index, or a boolean mask) of a block's
-        ``(ticks, partitions)`` arrays."""
+        """Rows ``ticks`` (one index, a slice — views — or a boolean
+        mask) of a block's ``(ticks, partitions)`` arrays."""
         return MigrationInterference(
             self.busy_fraction[ticks], self.stall_seconds[ticks]
         )
@@ -242,8 +242,8 @@ class _BlockPrep:
     dt: float
     offered: np.ndarray
     arrivals: np.ndarray        # (ticks, n) per-partition arrival rates
-    mu_eff: np.ndarray          # (ticks, n) effective service rates
-    interference: Optional[MigrationInterference]   # (ticks, n) rows
+    mu_eff: np.ndarray          # (ticks, n) effective service rates (read-only)
+    interference: Optional[MigrationInterference]   # (ticks, n) rows (read-only)
     completed: np.ndarray       # (ticks, n)
     backlog_mid: np.ndarray     # (ticks, n)
     backlog_end: np.ndarray     # (ticks, n)
@@ -266,6 +266,7 @@ class _SampleScratch:
 
     def __init__(self) -> None:
         self.uniforms = np.empty((0, 3, 0))
+        self.codes = np.empty((0, 0), dtype=np.intp)
 
     def reserve(self, ticks: int, n_samples: int) -> None:
         """Hold at least ``ticks`` rows of ``n_samples`` samples; growing
@@ -277,6 +278,20 @@ class _SampleScratch:
         self.exponentials = np.empty((ticks, 2, n_samples))
         self.work = np.empty((3, ticks, n_samples))
         self.index = np.empty((ticks, n_samples), dtype=np.intp)
+
+    def draw_codes(self, ticks: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The categorical draw's per-shape constants for ``ticks`` rows
+        of ``n`` partitions: ``codes[i, j] = 2 * (i * n + min(j, n - 1))``,
+        the table entry of a cell above ``j`` of row ``i``'s entries, and
+        ``base[i] = i * (_DRAW_CELLS + 1)``, row ``i``'s offset into the
+        table.  Built for the most rows asked so far, sliced after."""
+        rows, width = self.codes.shape
+        if ticks > rows or width != n + 1:
+            rows = max(ticks, rows if width == n + 1 else 0)
+            flat = np.minimum(np.arange(n + 1), n - 1) + n * np.arange(rows)[:, None]
+            self.codes = (2 * flat).astype(np.min_scalar_type(2 * rows * n))
+            self.base = np.arange(0, rows * (_DRAW_CELLS + 1), _DRAW_CELLS + 1)[:, None]
+        return self.codes[:ticks], self.base[:ticks]
 
 
 class QueueingEngine:
@@ -406,8 +421,9 @@ class QueueingEngine:
 
         ``shares``, the two arrays of ``interference`` and
         ``capacity_multipliers`` hold one row per tick — shape
-        ``(ticks, n_partitions)``; a single row is used for every tick —
-        so a block may span a migration or a slowdown window.  It is
+        ``(ticks, n_partitions)``; a single row of ``n_partitions``
+        entries is checked once and used for every tick — so a block may
+        span a migration or a slowdown window.  It is
         **bit-identical** to advancing the same ticks one at a time with
         that tick's row — arrivals, backlog dynamics, RNG consumption, and
         latency percentiles all match exactly (enforced by test against
@@ -429,17 +445,18 @@ class QueueingEngine:
         return self._block_finish(prep, *self._block_samples(prep))
 
     def _rows(self, name: str, values, ticks: int) -> np.ndarray:
-        """``values`` as a finite ``(ticks, n_partitions)`` float array;
-        one row of ``n_partitions`` entries stands for every tick."""
+        """``values`` as a finite float array of ``(ticks, n_partitions)``
+        rows, or of one row of ``n_partitions`` entries standing for every
+        tick — kept 1-D, so it is checked once, not ``ticks`` times."""
         rows = np.asarray(values, dtype=float)
         want = (ticks, self.n_partitions)
-        if rows.shape == want[1:]:
-            rows = np.broadcast_to(rows, want)
-        if rows.shape != want or not np.isfinite(rows).all():
+        if rows.shape not in (want, want[1:]):
             raise SimulationError(
-                f"{name} must be finite with shape {want} or {want[1:]}, "
-                f"got shape {np.shape(values)}"
+                f"{name} must have shape {want} or {want[1:]}, "
+                f"got shape {rows.shape}"
             )
+        if not np.isfinite(rows).all():
+            raise SimulationError(f"{name} must be finite")
         return rows
 
     def _block_prep(
@@ -453,7 +470,10 @@ class QueueingEngine:
         """Validate and advance skew + backlog for a block.
 
         Consumes the episode/detail/wobble RNG streams and mutates the
-        backlog exactly as ``ticks`` one-tick blocks would.
+        backlog exactly as ``ticks`` one-tick blocks would.  One shares
+        row is validated and normalised once and broadcast against the
+        per-tick wobble; ``mu_eff`` stays a broadcast scalar unless
+        interference or capacity rows vary it.
         """
         if dt <= 0:
             raise SimulationError("dt must be positive")
@@ -465,37 +485,44 @@ class QueueingEngine:
         if np.any(offered < 0):
             raise SimulationError("offered load cannot be negative")
         ticks = offered.size
+        shape = (ticks, self.n_partitions)
         shares = self._rows("shares", shares, ticks)
         if np.any(shares < 0):
             raise SimulationError("shares must be non-negative")
-        total_share = shares.sum(axis=1)[:, None]
+        total_share = shares.sum(axis=-1, keepdims=True)
         if np.any(total_share <= 0):
             raise SimulationError("at least one partition must receive load")
-        mu_eff = np.broadcast_to(self.mu_partition, shares.shape)
+        mu_eff = self.mu_partition
         if interference is not None:
-            interference = MigrationInterference(
-                self._rows("busy_fraction", interference.busy_fraction, ticks),
-                self._rows("stall_seconds", interference.stall_seconds, ticks),
-            )
-            busy = interference.busy_fraction
+            busy = self._rows("busy_fraction", interference.busy_fraction, ticks)
+            stall = self._rows("stall_seconds", interference.stall_seconds, ticks)
             if np.any(busy < 0) or np.any(busy >= 1):
                 raise SimulationError("busy_fraction must lie in [0, 1)")
+            interference = MigrationInterference(
+                np.broadcast_to(busy, shape), np.broadcast_to(stall, shape)
+            )
             mu_eff = self.mu_partition * (1.0 - busy)
         if capacity_multipliers is not None:
             caps = self._rows("capacity_multipliers", capacity_multipliers, ticks)
             if np.any(caps <= 0):
                 raise SimulationError("capacity multipliers must be positive")
             mu_eff = mu_eff * caps
-        mu_eff = np.maximum(mu_eff, 1e-6)
+        mu_eff = np.broadcast_to(np.maximum(mu_eff, 1e-6), shape)
 
         # Every argument is checked; only now may state advance.
         wobble, extra = self._skew_block(ticks, dt)
-        weighted = shares / total_share * wobble
+        # ``+ 0.0`` turns a -0.0 share into +0.0, as the hot-key blend
+        # below would; a block no episode touches then skips the blend,
+        # since ``x * 1.0 + 0.0 == x`` for every ``x >= +0``.
+        weighted = (shares / total_share + 0.0) * wobble
         weighted /= weighted.sum(axis=1)[:, None]
-        total_extra = np.minimum(0.5, extra.sum(axis=1))
-        arrivals = offered[:, None] * (
-            weighted * (1.0 - total_extra)[:, None] + extra
-        )
+        if extra is None:
+            arrivals = offered[:, None] * weighted
+        else:
+            total_extra = np.minimum(0.5, extra.sum(axis=1))
+            arrivals = offered[:, None] * (
+                weighted * (1.0 - total_extra)[:, None] + extra
+            )
         completed, backlog_mid, backlog_end = self._backlog_block(
             arrivals, mu_eff, dt
         )
@@ -545,9 +572,11 @@ class QueueingEngine:
         the floats gathering first and computing after would give.  The
         stall term is skipped without ``interference`` (it would add
         ``+0.0`` to non-negative latencies), the overloaded arm when no
-        partition of the block is backlogged (nothing would select it).
+        partition of the block is backlogged (nothing would select it),
+        and seconds become milliseconds on the six order statistics of
+        each tick rather than on its samples.
         """
-        ticks, n = completed.shape
+        ticks = len(completed)
         uniforms = scratch.uniforms[:ticks]
         exponentials = scratch.exponentials[:ticks]
         keys, latency, term = scratch.work[:, :ticks]
@@ -559,9 +588,7 @@ class QueueingEngine:
         weights = completed / total_completed[:, None]
         cdf = np.cumsum(weights, axis=1)
         np.multiply(uniforms[:, 0, :], cdf[:, -1:], out=keys)
-        cls._categorical_draw(cdf, keys, flat)
-        np.minimum(flat, n - 1, out=flat)
-        flat += np.arange(0, ticks * n, n)[:, None]
+        cls._categorical_draw(scratch, cdf, keys, flat)
         gather(np.maximum(mu_eff - arrivals, 0.02 * mu_eff), latency)
         np.divide(exponentials[:, 0, :], latency, out=latency)
         backlogged = backlog_mid > 0.5
@@ -575,8 +602,7 @@ class QueueingEngine:
             np.multiply(hit, uniforms[:, 2, :], out=term)
             np.multiply(term, gather(interference.stall_seconds, keys), out=term)
             np.add(latency, term, out=latency)
-        np.multiply(latency, 1000.0, out=latency)
-        return tuple(cls._percentiles_50_95_99(latency))
+        return tuple(cls._percentiles_50_95_99(latency, 1000.0))
 
     def _block_samples(self, prep: _BlockPrep):
         """Latency percentiles ``(p50, p95, p99)`` of a prepared block.
@@ -661,14 +687,15 @@ class QueueingEngine:
         Episode-check uniforms and wobble normals are drawn in one batch
         per stream (bitstream-equivalent to per-tick draws); the sparse
         hot-episode state is replayed as segments.  Returns the per-tick
-        ``(wobble, extra)`` matrices and leaves the hot-episode state
-        exactly where a per-tick update (``advance_skew`` in
+        ``(wobble, extra)`` matrices — ``extra`` None when no episode
+        touches the block — and leaves the hot-episode state exactly
+        where a per-tick update (``advance_skew`` in
         ``tests/engine_oracle.py``) would.
         """
         n = self.n_partitions
         u = self._episode_rng.random(ticks)
         wobble = np.exp(self._wobble_rng.normal(0.0, self.skew_sigma, (ticks, n)))
-        extra = np.zeros((ticks, n))
+        hot: List[Tuple[int, int, int, float]] = []   # (first, last, p, extra)
         p_new = self.hot_episode_rate * n * dt
 
         # partition -> (extra value, first tick, last tick exclusive,
@@ -691,7 +718,7 @@ class QueueingEngine:
                 value, first, last, _ = open_episodes.pop(victim)
                 last = min(last, s)
                 if last > first:
-                    extra[first:last, victim] = value
+                    hot.append((first, last, victim, value))
             end = s + math.ceil(duration)
             remaining = max(0.0, duration - (ticks - 1 - s))
             open_episodes[victim] = (extra_val, s, end, remaining)
@@ -700,12 +727,17 @@ class QueueingEngine:
         for p, (value, first, last, remaining) in open_episodes.items():
             last = min(last, ticks)
             if last > first:
-                extra[first:last, p] = value
+                hot.append((first, last, p, value))
             remaining_state[p] = remaining
             if remaining > 0.0:
                 extra_state[p] = value
         self._hot_remaining = remaining_state
         self._hot_extra = extra_state
+        if not hot:
+            return wobble, None
+        extra = np.zeros((ticks, n))
+        for first, last, p, value in hot:
+            extra[first:last, p] = value
         return wobble, extra
 
     def _backlog_block(self, arrivals: np.ndarray, mu_eff: np.ndarray, dt: float):
@@ -746,10 +778,13 @@ class QueueingEngine:
 
     @staticmethod
     def _categorical_draw(
-        cdf: np.ndarray, keys: np.ndarray, out: np.ndarray
+        scratch: _SampleScratch, cdf: np.ndarray, keys: np.ndarray,
+        out: np.ndarray,
     ) -> None:
-        """Row-wise ``cdf[i].searchsorted(keys[i], side="right")`` into
-        ``out`` (C-contiguous ``intp``), as a table lookup.
+        """Row-wise ``min(cdf[i].searchsorted(keys[i], side="right"),
+        n - 1) + i * n`` — the drawn partition's flat index into a
+        ``(ticks, n)`` grid — into ``out`` (C-contiguous ``intp``), as a
+        table lookup.
 
         Entries and keys — in ``[0, cdf[i, -1]]`` — go through the same
         cell function ``int(x * (_DRAW_CELLS / cdf[i, -1]))``.  Each float
@@ -757,44 +792,54 @@ class QueueingEngine:
         entry is greater than it and one in a lower cell smaller: a key
         whose cell holds no entry is answered exactly by the number of
         entries in lower cells (ties and ``key == cdf[i, -1]`` included),
-        and only a key sharing its cell with an entry is compared.
+        and only a key sharing its cell with an entry is compared.  The
+        table's entries carry the row offset and the ``n - 1`` clip
+        (:meth:`_SampleScratch.draw_codes`), so a lookup is the answer.
         """
         ticks, n = cdf.shape
+        codes, base = scratch.draw_codes(ticks, n)
         scale = _DRAW_CELLS / cdf[:, -1:]
         cells = (cdf * scale).astype(np.intp)
-        # table[i, m] = 2 * (entries of row i in cells below m) + (cell m
-        # holds one): count j fills cells (cells[i, j-1], cells[i, j]].
-        counts = np.arange(0, 2 * n + 2, 2, dtype=np.min_scalar_type(2 * n + 1))
-        runs = np.diff(cells, axis=1, prepend=-1, append=_DRAW_CELLS)
-        table = np.repeat(np.tile(counts, ticks), runs.ravel())
-        base = np.arange(0, ticks * (_DRAW_CELLS + 1), _DRAW_CELLS + 1)[:, None]
+        # table[i, m] = codes[i, entries of row i in cells below m] + (cell
+        # m holds one): count j fills cells (cells[i, j-1], cells[i, j]].
+        runs = np.empty((ticks, n + 1), dtype=np.intp)
+        np.add(cells[:, 0], 1, out=runs[:, 0])
+        np.subtract(cells[:, 1:], cells[:, :-1], out=runs[:, 1:n])
+        np.subtract(_DRAW_CELLS, cells[:, -1], out=runs[:, n])
+        table = np.repeat(codes.ravel(), runs.ravel())
         table[(cells + base).ravel()] |= 1
         np.multiply(keys, scale, out=out, casting="unsafe")
         out += base
         code = table.take(out)
         np.right_shift(code, 1, out=out)
-        # A key sharing its cell is compared with the first entry there;
-        # where the next entry sits in the same cell too (weights small
-        # or zero), the key's row is counted outright.
+        # A key sharing its cell is compared with the first entry there
+        # (never past the last); where the next entry sits in the same
+        # cell too (weights small or zero), the key's row is counted
+        # outright.
         shared = np.flatnonzero((code & 1).astype(bool))
         row = shared // keys.shape[1]
         key = keys.reshape(-1)[shared]
         answers = out.reshape(-1)
-        first = row * n + answers[shared]
-        answers[shared] += cdf.reshape(-1)[first] <= key
+        first = answers[shared]
+        answers[shared] = np.minimum(
+            first + (cdf.reshape(-1)[first] <= key), row * n + (n - 1)
+        )
         crowd = np.flatnonzero((runs[:, 1:] == 0).reshape(-1)[first])
-        answers[shared[crowd]] = (
-            cdf[row[crowd]] <= key[crowd, None]
-        ).sum(axis=1)
+        row = row[crowd]
+        answers[shared[crowd]] = row * n + np.minimum(
+            (cdf[row] <= key[crowd, None]).sum(axis=1), n - 1
+        )
 
     @staticmethod
-    def _percentiles_50_95_99(ms: np.ndarray) -> np.ndarray:
-        """``np.percentile(ms, [50, 95, 99], axis=-1)``, bit-identical;
-        sorts ``ms`` in place.
+    def _percentiles_50_95_99(ms: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """``np.percentile(ms * scale, [50, 95, 99], axis=-1)``,
+        bit-identical; sorts ``ms`` in place.
 
         Replicates numpy's ``linear`` interpolation method (including the
         ``gamma >= 0.5`` lerp branch) on one sort — several times cheaper
         at these sizes than partitioning around six order statistics.
+        Multiplying by a positive ``scale`` is monotone, so it commutes
+        with the sort: only the six order statistics are scaled.
         """
         size = ms.shape[-1]
         virtual = np.array([0.5, 0.95, 0.99]) * (size - 1)
@@ -802,8 +847,8 @@ class QueueingEngine:
         hi = np.ceil(virtual).astype(np.intp)
         gamma = virtual - lo
         ms.sort(axis=-1)
-        a = ms[..., lo]
-        b = ms[..., hi]
+        a = ms[..., lo] * scale
+        b = ms[..., hi] * scale
         diff = b - a
         out = a + diff * gamma
         high = gamma >= 0.5

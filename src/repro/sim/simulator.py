@@ -46,7 +46,8 @@ class BlockRequest:
     offered, shares, interference, capacity)``.  ``shares``, the two
     arrays of ``interference`` and ``capacity`` hold one row per tick;
     the last two are None when no tick of the block had a move in flight
-    / a slowed node.
+    / a slowed node, and a block steady throughout has one shares row of
+    ``n_partitions`` entries, which stands for every tick.
     """
 
     start: int
@@ -257,13 +258,16 @@ class ElasticDbSimulator:
         engine reports feeds back into the control loop inside an
         interval — strategies read offered-load means, moves and faults
         run on the clock — so :meth:`_control` runs a whole interval
-        ahead of the engine: inject faults -> close the interval -> plan
-        -> this second's shares, interference and capacity -> progress
-        the move, second by second, and the engine then takes the
-        interval in one call.  A block starts *at* a planner-boundary
-        tick and ends before the next one, because closing an interval
-        publishes the SLA violations of the seconds before it.  Returns
-        the :class:`SimulationResult` via ``StopIteration.value``.
+        ahead of the engine: close the interval -> plan -> advance the
+        move in flight by the block's seconds and build their shares and
+        interference rows from the state each started in (under a fault
+        injector: inject faults -> close -> plan -> this second's rows
+        -> progress the move, second by second), and the engine then
+        takes the interval in one call.  A block starts *at* a
+        planner-boundary tick and ends before the next one, because
+        closing an interval publishes the SLA violations of the seconds
+        before it.  Returns the :class:`SimulationResult` via
+        ``StopIteration.value``.
         """
         run = self._begin_run(offered_tps, strategy, history_seed_tps)
         n = run.offered.size
@@ -358,8 +362,7 @@ class ElasticDbSimulator:
         over the active machines."""
         p = self.config.partitions_per_node
         shares = np.zeros(self.max_machines * p)
-        for machine in run.active:
-            shares[machine * p : (machine + 1) * p] = 1.0 / (run.machines * p)
+        shares.reshape(self.max_machines, p)[run.active] = 1.0 / (run.machines * p)
         return shares
 
     def _record_block(self, run: _Run, start: int, stats) -> None:
@@ -478,7 +481,47 @@ class ElasticDbSimulator:
     def _control(self, run: _Run, end: int) -> BlockRequest:
         """Run the control loop over ticks ``run.t`` to ``end`` and
         return what the engine needs to follow: each second's shares (the
-        data distribution), migration interference and capacity."""
+        data distribution), migration interference and capacity.
+
+        A block starts at a planner boundary, so only its first tick may
+        close an interval and plan.  Without faults nothing else happens
+        on the clock: a move in flight advances by the seconds left in
+        the block, or until it finishes
+        (:meth:`~repro.squall.migrator.ActiveMigration.advance_seconds`),
+        and the rest of the block is steady — a block steady throughout
+        hands the engine its one shares row.  Faults act per second, so
+        a run with an injector takes :meth:`_control_per_second`.
+        """
+        if self._injector is not None:
+            return self._control_per_second(run, end)
+        start = run.t
+        if self._close_interval(run):
+            self._plan(run)
+        move = run.move
+        if move is None:
+            run.out_machines[start:end] = run.machines
+            run.t = end
+            return BlockRequest(
+                start, end, self._steady_shares(run), run.offered[start:end]
+            )
+        p = self.config.partitions_per_node
+        shape = (end - start, self.max_machines * p)
+        shares = np.empty(shape)
+        rows = MigrationInterference.none(shape)
+        seconds = move.migration.advance_seconds(end - start)
+        self._move_rows(run, move, seconds, shares, rows)
+        run.t += len(seconds.rounds)
+        if move.finished:
+            self._finish_move(run, float(run.t))
+        if run.t < end:
+            shares[run.t - start:] = self._steady_shares(run)
+            run.out_machines[run.t:end] = run.machines
+            run.t = end
+        return BlockRequest(start, end, shares, run.offered[start:end], rows)
+
+    def _control_per_second(self, run: _Run, end: int) -> BlockRequest:
+        """:meth:`_control` under a fault injector: faults fire, moves
+        stall, re-send and abort second by second."""
         start, injector = run.t, self._injector
         p = self.config.partitions_per_node
         shape = (end - start, self.max_machines * p)
@@ -486,41 +529,21 @@ class ElasticDbSimulator:
         rows = capacity = None
         while run.t < end:
             t, i = run.t, run.t - start
-            if injector is not None:
-                self._inject_faults(run)
+            self._inject_faults(run)
             if self._close_interval(run):
                 self._plan(run)
             move = run.move
-            if move is None and injector is None:
-                # Nothing changes before the next planner boundary.
-                shares[i:] = self._steady_shares(run)
-                run.out_machines[t:end] = run.machines
-                run.t = end
-                break
             if move is not None:
-                migration = move.migration
-                node_map = migration.node_map or {}
-                shares[i] = 0.0
-                for logical, fraction in enumerate(migration.data_fractions()):
-                    machine = node_map.get(logical, logical)
-                    shares[i, machine * p : (machine + 1) * p] = fraction / p
-                machines = MigrationInterference.for_rate(
-                    self.max_machines,
-                    migration.physical_nodes(migration.migrating_machines()),
-                    move.rate_kbps,
-                    self.chunk_kb,
-                )
                 if rows is None:
                     rows = MigrationInterference.none(shape)
-                rows.busy_fraction[i] = np.repeat(machines.busy_fraction, p)
-                rows.stall_seconds[i] = np.repeat(machines.stall_seconds, p)
-                run.out_machines[t] = migration.machines_allocated()
-                run.out_migrating[t] = True
-                run.iv_migr += 1
+                self._move_rows(
+                    run, move, move.migration.state(), shares[i:i + 1],
+                    rows.take(slice(i, i + 1)),
+                )
             else:
                 shares[i] = self._steady_shares(run)
                 run.out_machines[t] = run.machines
-            slowdown = injector is not None and injector.any_slowdown_active
+            slowdown = injector.any_slowdown_active
             if slowdown:
                 if capacity is None:
                     capacity = np.ones(shape)
@@ -528,7 +551,7 @@ class ElasticDbSimulator:
                     injector.capacity_multipliers(self.max_machines, float(t)), p
                 )
             if (
-                (injector is not None and injector.recovering)
+                injector.recovering
                 or slowdown
                 or (
                     move is not None
@@ -543,25 +566,62 @@ class ElasticDbSimulator:
             start, end, shares, run.offered[start:end], rows, capacity
         )
 
+    def _move_rows(
+        self, run: _Run, move: Reconfiguration, seconds, shares: np.ndarray,
+        rows: MigrationInterference,
+    ) -> None:
+        """Write the rows of the seconds from ``run.t`` a move spends in
+        flight, from the state each starts in (a
+        :class:`~repro.squall.migrator.MigrationSeconds`): each logical
+        machine's data fraction spread evenly over its physical machine's
+        partitions, and the interference of each round's migrating
+        machines."""
+        migration = move.migration
+        p = self.config.partitions_per_node
+        ticks, logical = seconds.fractions.shape
+        node_map = migration.node_map or {}
+        physical = [node_map.get(machine, machine) for machine in range(logical)]
+        by_machine = shares[:ticks].reshape(ticks, self.max_machines, p)
+        by_machine[...] = 0.0
+        by_machine[:, physical, :] = (seconds.fractions / p)[:, :, None]
+        # The interference of a round, once per run of its seconds.
+        rounds = seconds.rounds
+        edges = [0, *(np.flatnonzero(rounds[1:] != rounds[:-1]) + 1), ticks]
+        for lo, hi in zip(edges, edges[1:]):
+            machines = MigrationInterference.for_rate(
+                self.max_machines,
+                migration.physical_nodes(
+                    migration.migrating_machines(int(rounds[lo]))
+                ),
+                move.rate_kbps,
+                self.chunk_kb,
+            )
+            rows.busy_fraction[lo:hi] = np.repeat(machines.busy_fraction, p)
+            rows.stall_seconds[lo:hi] = np.repeat(machines.stall_seconds, p)
+        run.out_machines[run.t:run.t + ticks] = seconds.allocation
+        run.out_migrating[run.t:run.t + ticks] = True
+        run.iv_migr += ticks
+
     def _progress_move(self, run: _Run) -> None:
-        """Advance the move in flight by this second — or spend it
+        """Spend this second on the move in flight — advancing it, or
         wedged, or re-sending a corrupted round — and finish the move
         once every round has landed."""
         move = run.move
         injector = self._injector
         now = float(run.t + 1)
-        if injector is None:
-            move.migration.advance(1.0)
-        else:
-            stall = (
-                injector.stall_record(now) if not move.migration.done else None
-            )
-            for _, record in move.progress(1.0, now, stall, run.recovery):
-                if record is not None:
-                    injector.mark_recovered(record, now)
+        stall = injector.stall_record(now) if not move.migration.done else None
+        for _, record in move.progress(1.0, now, stall, run.recovery):
+            if record is not None:
+                injector.mark_recovered(record, now)
         if move.finished:
-            for machine in move.retiring_nodes:
-                run.active.remove(machine)
-            move.complete(now)
-            run.machines = move.after
-            run.move = None
+            self._finish_move(run, now)
+
+    def _finish_move(self, run: _Run, now: float) -> None:
+        """Every round has landed by ``now``: retire the drained machines
+        and settle at the move's size."""
+        move = run.move
+        for machine in move.retiring_nodes:
+            run.active.remove(machine)
+        move.complete(now)
+        run.machines = move.after
+        run.move = None

@@ -28,7 +28,7 @@ moves only commit once a clean copy has arrived), and an
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -64,6 +64,15 @@ def chunk_spacing_seconds(chunk_kb: float, rate_kbps: float) -> float:
 CHUNK_SPACING_SECONDS = chunk_spacing_seconds(
     DEFAULT_CHUNK_KB, DEFAULT_MIGRATION_RATE_KBPS
 )
+
+
+class MigrationSeconds(NamedTuple):
+    """The state each of ``k`` seconds of a move *starts* in, one row per
+    second (see :meth:`ActiveMigration.advance_seconds`)."""
+
+    fractions: np.ndarray   # (k, machines): ``data_fractions()``
+    allocation: np.ndarray  # (k,): ``machines_allocated()``
+    rounds: np.ndarray      # (k,): the active round, ``n_rounds`` once done
 
 
 class ActiveMigration:
@@ -216,6 +225,78 @@ class ActiveMigration:
                 remaining = 0.0
         return completed
 
+    def advance_seconds(self, k: int) -> MigrationSeconds:
+        """Advance whole seconds, ``k`` at most and none past the second
+        the last round commits in; returns the state each second started
+        in.
+
+        Bit-identical to one ``advance(1.0)`` per second.  A run of
+        seconds inside one round takes the partial branch of
+        :meth:`advance` every second: the elapsed and progress scalars
+        add up second by second, and each transfer's endpoints take the
+        same ``-delta`` / ``+delta`` one after another, in one
+        ``np.add.accumulate`` (a machine is in at most one transfer per
+        round).  A second that reaches a round boundary is
+        :meth:`advance` itself, commit, invariant check and the partial
+        step after the boundary included.
+        """
+        if k < 1:
+            raise MigrationError("k must be >= 1")
+        fractions = np.empty((k, self._fractions.size))
+        allocation = np.empty(k, dtype=np.intp)
+        rounds = np.empty(k, dtype=np.intp)
+        i = 0
+        while i < k:
+            if not self.done:
+                i += self._partial_seconds(fractions[i:], allocation[i:], rounds[i:])
+                if i == k:
+                    break
+            fractions[i] = self._fractions
+            allocation[i] = self.machines_allocated()
+            rounds[i] = self._round_index
+            self.advance(1.0)
+            i += 1
+            if self.done:
+                break
+        fractions = fractions[:i]
+        np.clip(fractions, 0.0, None, out=fractions)
+        return MigrationSeconds(fractions, allocation[:i], rounds[:i])
+
+    def _partial_seconds(
+        self, fractions: np.ndarray, allocation: np.ndarray, rounds: np.ndarray
+    ) -> int:
+        """Take the whole seconds that stay inside the current round, as
+        many as the rows given; write each one's starting state into
+        them and return how many were taken."""
+        seconds, elapsed, progress = 0, self._elapsed_in_round, self._progress_applied
+        step_fraction = 1.0 / self._round_seconds
+        while (
+            seconds < len(rounds)
+            and 1.0 + 1e-12 < self._round_seconds - elapsed
+        ):
+            elapsed += 1.0
+            progress += step_fraction
+            seconds += 1
+        if not seconds:
+            return 0
+        round_ = self.schedule.rounds[self._round_index]
+        delta = self.schedule.fraction_per_transfer * step_fraction
+        senders = [transfer.sender for transfer in round_]
+        moving = senders + [transfer.receiver for transfer in round_]
+        steps = np.empty((seconds + 1, len(moving)))
+        steps[0] = self._fractions[moving]
+        steps[1:, : len(senders)] = -delta
+        steps[1:, len(senders):] = delta
+        np.add.accumulate(steps, axis=0, out=steps)
+        fractions[:seconds] = self._fractions
+        fractions[:seconds, moving] = steps[:-1]
+        self._fractions[moving] = steps[-1]
+        allocation[:seconds] = self.machines_allocated()
+        rounds[:seconds] = self._round_index
+        self._elapsed_in_round = elapsed
+        self._progress_applied = progress
+        return seconds
+
     def _apply_round(self, round_: Tuple[Transfer, ...], fraction: float) -> None:
         delta = self.schedule.fraction_per_transfer * fraction
         for transfer in round_:
@@ -249,24 +330,30 @@ class ActiveMigration:
         """
         return np.clip(self._fractions, 0.0, None)
 
+    def state(self) -> MigrationSeconds:
+        """The state a second starting now starts in, as one row."""
+        return MigrationSeconds(
+            self.data_fractions()[None],
+            np.array([self.machines_allocated()]),
+            np.array([self._round_index]),
+        )
+
     def machines_allocated(self) -> int:
         """Machines physically present right now (just-in-time policy)."""
         if self.done:
             return self.schedule.after
         return self.schedule.allocation[self._round_index]
 
-    def active_transfers(self) -> Tuple[Transfer, ...]:
-        """Transfers running at this instant (empty when done)."""
-        if self.done:
-            return ()
-        return self.schedule.rounds[self._round_index]
-
-    def migrating_machines(self) -> Set[int]:
-        """Logical machines currently sending or receiving."""
+    def migrating_machines(self, round_index: Optional[int] = None) -> Set[int]:
+        """Logical machines sending or receiving in round ``round_index``
+        — the active round by default; none past the last round."""
+        if round_index is None:
+            round_index = self._round_index
         busy: Set[int] = set()
-        for transfer in self.active_transfers():
-            busy.add(transfer.sender)
-            busy.add(transfer.receiver)
+        if round_index < self.schedule.n_rounds:
+            for transfer in self.schedule.rounds[round_index]:
+                busy.add(transfer.sender)
+                busy.add(transfer.receiver)
         return busy
 
     def physical_nodes(self, machines: Set[int]) -> Set[int]:

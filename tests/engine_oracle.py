@@ -13,10 +13,16 @@ for ``self`` becoming an ``engine`` argument:
   :class:`~repro.sim.simulator.BlockRequest` of ``drive`` one tick at a
   time with :func:`scalar_step`;
 * :func:`record_latency_ticks` is the simulator's per-tick latency
-  metering, which it now does once per block.
+  metering, which it now does once per block;
+* :func:`per_second_control` is the simulator's control loop as it was
+  before a move advanced a block at a time: every second builds its
+  rows from the move's state and advances the move by ``advance(1.0)``,
+  and a steady block is ``(ticks, n)`` rows; :func:`drive_requests`
+  records the :class:`~repro.sim.simulator.BlockRequest` of either loop.
 
 The block kernel is bit-identical to both, which ``test_fast_path`` and
-``test_tensor`` assert field by field.
+``test_tensor`` assert field by field; ``test_block_control`` holds the
+simulator's requests to the per-second rows.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.hstore.engine import (
     QueueingEngine,
     TickStats,
 )
+from repro.sim.simulator import BlockRequest
 
 
 def advance_skew(engine: QueueingEngine, dt: float):
@@ -203,11 +210,15 @@ def sample_latencies(
 
 def scalar_block(engine: QueueingEngine, request) -> BlockStats:
     """Answer one :class:`~repro.sim.simulator.BlockRequest` with one
-    :func:`scalar_step` per tick, each under its own rows."""
+    :func:`scalar_step` per tick, each under its own rows; a 1-D shares
+    row stands for every tick, as in ``step_block``."""
     rows = request.interference
+    shares = np.broadcast_to(
+        request.shares, (request.ticks, engine.n_partitions)
+    )
     ticks = [
         scalar_step(
-            engine, 1.0, float(request.offered[i]), request.shares[i],
+            engine, 1.0, float(request.offered[i]), shares[i],
             None if rows is None else rows.take(i),
             None if request.capacity is None else request.capacity[i],
         )
@@ -254,3 +265,125 @@ def record_latency_ticks(metrics, result, sla_ms: float) -> None:
         metrics.histogram("sim.latency_p99_ms").observe(float(p99))
         if p99 > sla_ms:
             metrics.counter("sim.sla_violation_seconds").inc()
+
+
+def steady_shares(sim, run) -> np.ndarray:
+    """Per-partition load shares with no move in flight: uniform over
+    the active machines."""
+    p = sim.config.partitions_per_node
+    shares = np.zeros(sim.max_machines * p)
+    for machine in run.active:
+        shares[machine * p : (machine + 1) * p] = 1.0 / (run.machines * p)
+    return shares
+
+
+def per_second_control(sim, run, end: int) -> BlockRequest:
+    """``ElasticDbSimulator._control``, one second at a time: inject
+    faults -> close the interval -> plan -> this second's shares,
+    interference and capacity from the move's state -> progress the
+    move."""
+    start, injector = run.t, sim.injector
+    p = sim.config.partitions_per_node
+    shape = (end - start, sim.max_machines * p)
+    shares = np.empty(shape)
+    rows = capacity = None
+    while run.t < end:
+        t, i = run.t, run.t - start
+        if injector is not None:
+            sim._inject_faults(run)
+        if sim._close_interval(run):
+            sim._plan(run)
+        move = run.move
+        if move is None and injector is None:
+            # Nothing changes before the next planner boundary.
+            shares[i:] = steady_shares(sim, run)
+            run.out_machines[t:end] = run.machines
+            run.t = end
+            break
+        if move is not None:
+            migration = move.migration
+            node_map = migration.node_map or {}
+            shares[i] = 0.0
+            for logical, fraction in enumerate(migration.data_fractions()):
+                machine = node_map.get(logical, logical)
+                shares[i, machine * p : (machine + 1) * p] = fraction / p
+            machines = MigrationInterference.for_rate(
+                sim.max_machines,
+                migration.physical_nodes(migration.migrating_machines()),
+                move.rate_kbps,
+                sim.chunk_kb,
+            )
+            if rows is None:
+                rows = MigrationInterference.none(shape)
+            rows.busy_fraction[i] = np.repeat(machines.busy_fraction, p)
+            rows.stall_seconds[i] = np.repeat(machines.stall_seconds, p)
+            run.out_machines[t] = migration.machines_allocated()
+            run.out_migrating[t] = True
+            run.iv_migr += 1
+        else:
+            shares[i] = steady_shares(sim, run)
+            run.out_machines[t] = run.machines
+        slowdown = injector is not None and injector.any_slowdown_active
+        if slowdown:
+            if capacity is None:
+                capacity = np.ones(shape)
+            capacity[i] = np.repeat(
+                injector.capacity_multipliers(sim.max_machines, float(t)), p
+            )
+        if (
+            (injector is not None and injector.recovering)
+            or slowdown
+            or (
+                move is not None
+                and (move.stall is not None or move.resend_seconds > 1e-9)
+            )
+        ):
+            run.iv_fault += 1
+        if move is not None:
+            _progress_move(sim, run)
+        run.t += 1
+    return BlockRequest(
+        start, end, shares, run.offered[start:end], rows, capacity
+    )
+
+
+def _progress_move(sim, run) -> None:
+    """Advance the move in flight by this second — or spend it wedged,
+    or re-sending a corrupted round — and finish the move once every
+    round has landed."""
+    move = run.move
+    injector = sim.injector
+    now = float(run.t + 1)
+    if injector is None:
+        move.migration.advance(1.0)
+    else:
+        stall = (
+            injector.stall_record(now) if not move.migration.done else None
+        )
+        for _, record in move.progress(1.0, now, stall, run.recovery):
+            if record is not None:
+                injector.mark_recovered(record, now)
+    if move.finished:
+        for machine in move.retiring_nodes:
+            run.active.remove(machine)
+        move.complete(now)
+        run.machines = move.after
+        run.move = None
+
+
+def drive_requests(sim, offered_tps, strategy, oracle: bool = False):
+    """``sim.run`` by hand — under :func:`per_second_control` if
+    ``oracle`` — returning the result and every block request."""
+    if oracle:
+        sim._control = lambda run, end: per_second_control(sim, run, end)
+    gen, requests, block = sim.drive(offered_tps, strategy), [], None
+    while True:
+        try:
+            request = gen.send(block)
+        except StopIteration as stop:
+            return stop.value, requests
+        requests.append(request)
+        block = sim.engine.step_block(
+            1.0, request.offered, request.shares,
+            request.interference, request.capacity,
+        )

@@ -309,6 +309,91 @@ class TestStepBlockKernel:
             assert stats.completed_tps == expected[i].completed_tps
 
 
+class TestOneSharesRow:
+    """A 1-D shares row is validated and normalised once, then stands
+    for every tick: ``_block_prep`` must equal the same row broadcast to
+    ``(T, n)``, errors included."""
+
+    PREP_FIELDS = (
+        "offered", "arrivals", "mu_eff", "completed", "backlog_mid",
+        "backlog_end", "total_completed",
+    )
+
+    @given(
+        seed=st.integers(0, 10_000),
+        ticks=st.sampled_from([1, 17, 60]),
+        hot_rate=st.sampled_from([1.0 / 20_000.0, 0.01]),
+        zeros=st.integers(0, 5),
+        rows=st.sampled_from(["none", "interference", "capacity", "both"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prep_equals_the_broadcast_row(
+        self, seed, ticks, hot_rate, zeros, rows
+    ):
+        n = 12
+        rng = np.random.default_rng(seed)
+        shares = rng.uniform(0.0, 1.0, n)
+        shares[rng.permutation(n)[:zeros]] = 0.0
+        offered = rng.uniform(0.0, 1800.0, ticks)
+        moving = capacity = None
+        if rows in ("interference", "both"):
+            busy = np.where(rng.random(n) < 0.4, 0.3, 0.0)
+            moving = MigrationInterference(busy, busy * 0.5)
+        if rows in ("capacity", "both"):
+            capacity = rng.uniform(0.5, 1.0, (ticks, n))
+        engines = [
+            QueueingEngine(n_partitions=n, seed=seed, hot_episode_rate=hot_rate)
+            for _ in range(2)
+        ]
+        preps = [
+            engine._block_prep(1.0, offered, rows_of_shares, moving, capacity)
+            for engine, rows_of_shares in zip(
+                engines, [shares, np.tile(shares, (ticks, 1))]
+            )
+        ]
+        row, full = preps
+        for name in self.PREP_FIELDS:
+            got = np.broadcast_to(getattr(row, name), (ticks, n)[: getattr(full, name).ndim])
+            assert got.tobytes() == getattr(full, name).tobytes(), name
+        for engine in engines[1:]:
+            assert engine._backlog.tobytes() == engines[0]._backlog.tobytes()
+            assert engine._hot_remaining.tobytes() == engines[0]._hot_remaining.tobytes()
+        blocks = [
+            engine.step_block(1.0, offered, rows_of_shares, moving, capacity)
+            for engine, rows_of_shares in zip(
+                engines, [shares, np.tile(shares, (ticks, 1))]
+            )
+        ]
+        _blocks_equal(*blocks)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "shares must be finite"),
+            (-0.25, "shares must be non-negative"),
+            (0.0, "at least one partition must receive load"),
+        ],
+    )
+    def test_a_bad_row_raises_the_same_error(self, bad, message):
+        n, ticks = 6, 60
+        shares = np.full(n, 0.0 if bad == 0.0 else 1.0)
+        shares[2] = bad
+        offered = np.full(ticks, 300.0)
+        errors = []
+        for rows in (shares, np.tile(shares, (ticks, 1))):
+            engine = QueueingEngine(n_partitions=n, seed=1)
+            with pytest.raises(SimulationError, match=message) as caught:
+                engine.step_block(1.0, offered, rows)
+            errors.append(str(caught.value))
+            assert engine.time == 0.0
+        assert errors[0] == errors[1]
+
+    def test_a_wrong_width_row_is_refused(self):
+        engine = QueueingEngine(n_partitions=6, seed=1)
+        with pytest.raises(SimulationError, match="must have shape"):
+            engine.step_block(1.0, np.full(5, 300.0), np.ones(7))
+
+
 def _rows_match(expected, block, offset):
     for i in range(block.ticks):
         stats = expected[offset + i]
@@ -481,10 +566,11 @@ class TestSamplingKernel:
         ticks=st.sampled_from([1, 59, 300]),
         zeros=st.sampled_from(["none", "leading", "trailing", "interior", "most"]),
         ulps=st.integers(-4, 4),
+        top=st.sampled_from([1.0, 1.7237803311822981]),
     )
     @settings(max_examples=60, deadline=None)
     def test_categorical_draw_is_searchsorted_right(
-        self, seed, n, ticks, zeros, ulps
+        self, seed, n, ticks, zeros, ulps, top
     ):
         rng = np.random.default_rng(seed)
         weights = rng.uniform(0.0, 1.0, (ticks, n)) ** 4
@@ -500,8 +586,11 @@ class TestSamplingKernel:
         weights[:, rng.integers(0, n)] += 0.01  # every row completes work
         cdf = np.cumsum(weights / weights.sum(axis=1)[:, None], axis=1)
         # Scaling by a positive constant keeps each row sorted and moves
-        # cdf[-1] a few ulp off wherever the cumsum left it.
-        cdf *= 1.0 + ulps * np.finfo(float).eps
+        # cdf[-1] a few ulp off wherever the cumsum left it.  Near 1.72,
+        # ``x * (1024 / x)`` rounds below 1024 for about one row in
+        # seven, whose last entry then sits in cell 1023, not at the
+        # table's end (a key equal to it is compared, and clipped).
+        cdf *= top * (1.0 + ulps * np.finfo(float).eps)
         top = cdf[:, -1:]
         keys = rng.random((ticks, 256)) * top
         keys[:, 0] = 0.0                      # u = 0
@@ -509,20 +598,27 @@ class TestSamplingKernel:
         width = min(n, 254)
         keys[:, 2:2 + width] = cdf[:, :width]  # a key equal to an entry
         out = np.empty(keys.shape, dtype=np.intp)
-        QueueingEngine._categorical_draw(cdf, keys, out)
+        QueueingEngine._categorical_draw(_SampleScratch(), cdf, keys, out)
         for i in range(ticks):
-            expected = np.searchsorted(cdf[i], keys[i], side="right")
+            # The folded lookup: searchsorted, the n - 1 clip and the row
+            # offset into the flat (ticks, n) grid, in one table.
+            expected = np.minimum(
+                np.searchsorted(cdf[i], keys[i], side="right"), n - 1
+            ) + i * n
             assert np.array_equal(out[i], expected), f"row {i}"
 
     @pytest.mark.parametrize("size", [1, 2, 256, 257])
     def test_percentiles_equal_numpy_bitwise(self, size):
-        ms = np.random.default_rng(size).exponential(20.0, (40, size))
-        expected = np.percentile(ms, [50, 95, 99], axis=-1)
-        got = QueueingEngine._percentiles_50_95_99(ms.copy())
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
-        one_row = QueueingEngine._percentiles_50_95_99(ms[3].copy())
-        assert np.array_equal(one_row, expected[:, 3])
+        """Scaled on the order statistics, as the block kernel turns
+        seconds into milliseconds: equal to scaling every sample."""
+        ms = np.random.default_rng(size).exponential(0.02, (40, size))
+        for scale in (1.0, 1000.0):
+            expected = np.percentile(ms * scale, [50, 95, 99], axis=-1)
+            got = QueueingEngine._percentiles_50_95_99(ms.copy(), scale)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            one_row = QueueingEngine._percentiles_50_95_99(ms[3].copy(), scale)
+            assert one_row.tobytes() == expected[:, 3].tobytes()
 
     def test_interleaved_engines_equal_sequential(self):
         """Draw A, draw B, math A, math B — the tensor driver's order,
