@@ -52,7 +52,7 @@ class PStoreService:
         :class:`~repro.prediction.online.OnlinePredictor` that will
         learn from the measured load stream.
     max_machines:
-        optional hard cap on cluster size.
+        optional hard cap on cluster size, at least 1 (its migrator's pool).
     skew_rebalancing:
         enable hot-bucket rebalancing between reconfigurations.
     skew_threshold_share:
@@ -76,12 +76,9 @@ class PStoreService:
         telemetry=None,
         injector=None,
     ):
-        if max_machines is not None and max_machines < 1:
-            raise SimulationError("max_machines must be >= 1 when set")
         self.cluster = cluster
         self.config = config
         self.predictor = predictor
-        self.max_machines = max_machines
         self.skew_rebalancing = skew_rebalancing
         self.skew_threshold_share = skew_threshold_share
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
@@ -98,11 +95,11 @@ class PStoreService:
             cluster, config, chunk_kb=chunk_kb, telemetry=tel,
             injector=self._injector,
         )
+        self.migrator.allocation.pool = max_machines
         self._strategy = PStoreStrategy(
             config, predictor, telemetry=tel, injector=self._injector
         )
         self._now = 0.0
-        self._migration_target: Optional[int] = None
 
     @property
     def injector(self):
@@ -167,15 +164,13 @@ class PStoreService:
             self._handle_crashes()
 
         if self.migrator.migrating:
-            finished = self.migrator.advance(dt)
-            if finished and self._migration_target is not None:
+            if self.migrator.advance(dt):
                 self._record_event(
                     "move-complete",
                     f"now at {self.cluster.n_nodes} machines",
                     parent=self.migrator.last_outcome_id,
                     machines=self.cluster.n_nodes,
                 )
-                self._migration_target = None
 
         closed = self.monitor.record(self._now, count=0.0)
         new_rates = self.monitor.history_tps()[-closed:] if closed else ()
@@ -213,7 +208,6 @@ class PStoreService:
                 return
             self.migrator.sim_time = max(self.migrator.sim_time, self._now)
             self.migrator.abort(reason=f"node {victim} crashed")
-            self._migration_target = None
             self._record_event(
                 "migration-aborted",
                 f"node {victim} crashed mid-move",
@@ -223,6 +217,7 @@ class PStoreService:
 
         def drop_node(victim: int) -> int:
             summaries[victim] = self.cluster.fail_node(victim)
+            self.migrator.allocation.machines = summaries[victim]["survivors"]
             return summaries[victim]["survivors"]
 
         for victim, removed_id in self._injector.handle_crashes(
@@ -250,12 +245,11 @@ class PStoreService:
         slot = self.monitor.completed_intervals - 1
         before = self.cluster.n_nodes
         decision = self._strategy.decide(slot, history, before)
-        target = decision.target_from(before, self.max_machines)
+        target = self.migrator.allocation.target(decision)
         if target is None:
             return
         self.migrator.sim_time = self._now
         self.migrator.start_move(target, decision)
-        self._migration_target = target
         kind = (
             "emergency"
             if decision.emergency

@@ -312,7 +312,7 @@ class Persisted:
 
     #: The watchlist: attributes saved and restored.  A value that is
     #: itself a :class:`Persisted` is restored in place; a dotted path
-    #: reaches such a component (or a match) inside a collaborator.
+    #: reaches a field inside a collaborator, and is set on it.
     PERSIST: Tuple[str, ...] = ()
     #: Attributes saved with the state and, on restore, required to
     #: equal the live value: a checkpoint taken under another interval
@@ -347,6 +347,8 @@ class Persisted:
         for attr in (*self.PERSIST_MATCH, *self.PERSIST):
             key, get = _field(attr)
             live = get(self)
+            path, _, name = attr.rpartition(".")
+            owner = operator.attrgetter(path)(self) if path else self
             if key not in doc:
                 raise SimulationError(f"{key}: missing")
             raw = doc[key]
@@ -361,15 +363,15 @@ class Persisted:
                 try:
                     if live is None:
                         live = self._revive(attr)
-                        setattr(self, attr, live)
+                        setattr(owner, name, live)
                     live.restore_state(raw)
                 except PStoreError as exc:
                     exc.args = (f"{key}.{exc.args[0]}", *exc.args[1:])
                     raise
             elif raw is None and (nested or live is None):
-                setattr(self, attr, None)
+                setattr(owner, name, None)
             else:
-                setattr(self, attr, _conform(key, raw, encode(live)))
+                setattr(owner, name, _conform(key, raw, encode(live)))
         self._rebuild()
 
     def _revive(self, attr: str) -> "Persisted":

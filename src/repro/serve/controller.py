@@ -1,11 +1,11 @@
 """The online controller: refit, re-plan, reconfigure — and notice when
 the model has gone stale.
 
-Per closed interval the controller steps the in-flight
-:class:`~repro.squall.migrator.Reconfiguration` across the slot (the
-same slot step the batch
-:class:`~repro.sim.capacity_sim.CapacitySimulator` takes: effective
-capacity Eq. 7 sampled at the midpoint), chronicles violations, and adds
+Per closed interval the controller steps the in-flight move of its
+:class:`~repro.squall.migrator.Allocation` across the slot (the same
+slot step the batch :class:`~repro.sim.capacity_sim.CapacitySimulator`
+takes: effective capacity Eq. 7 sampled at the midpoint), chronicles
+violations, and adds
 the piece the batch loop lacks entirely:
 **error-triggered re-planning**.  The PR-6
 :class:`~repro.telemetry.accuracy.AccuracyTracker` keeps rolling
@@ -41,7 +41,7 @@ from ..elasticity.predictive import PStoreStrategy
 from ..elasticity.reactive import ReactiveStrategy
 from ..errors import PredictionError, SimulationError
 from ..persist import Persisted
-from ..squall.migrator import Reconfiguration
+from ..squall.migrator import Allocation
 from ..telemetry import get_telemetry
 from ..telemetry.causal import record_capacity_insufficient, record_interval
 
@@ -148,11 +148,10 @@ class OnlineController(Persisted):
     """Drives provisioning from a live interval stream.
 
     One :meth:`on_interval` call per closed planner slot, with the
-    measured history up to and including that slot.  Holds the
-    capacity-level move (fluid fractions, just-in-time allocation) as
-    the same :class:`Reconfiguration` the batch capacity simulator
-    steps, so a serve run and a batch run over the same trace are
-    directly comparable.
+    measured history up to and including that slot.  Holds its machines
+    and the capacity-level move in the same :class:`Allocation` the batch
+    capacity simulator steps (``max_machines`` is its pool), so a serve
+    run and a batch run over the same trace are directly comparable.
     """
 
     def __init__(
@@ -168,10 +167,11 @@ class OnlineController(Persisted):
             raise SimulationError("initial_machines must be >= 1")
         self.config = config
         self.predictor = predictor
-        self.machines = initial_machines
-        self.max_machines = max_machines
         self.trigger = trigger
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
+        self._alloc = Allocation(
+            config, initial_machines, self._telemetry, max_machines
+        )
 
         self._strategy = self._new_strategy()
         self._reactive = ReactiveStrategy(
@@ -182,12 +182,9 @@ class OnlineController(Persisted):
         #: or "reactive" (error-triggered fallback).
         self.mode = "predictive" if predictor.is_fitted else "warmup"
 
-        self._move: Optional[Reconfiguration] = None
         self._fa_record_id: Optional[str] = None
 
         self.violations = 0
-        self.moves_started = 0
-        self.emergencies = 0
         self.trigger_fires = 0
         self.trigger_recoveries = 0
         self.intervals_seen = 0
@@ -202,13 +199,17 @@ class OnlineController(Persisted):
         # The planner sizes for the pool this loop really has, so a flash
         # crowd beyond it plans to the cap once, then holds at size.
         config = self.config
-        if self.max_machines:
-            config = replace(config, max_machines=self.max_machines)
+        if self._alloc.pool is not None:
+            config = replace(config, max_machines=self._alloc.pool)
         return PStoreStrategy(config, self.predictor, telemetry=self._telemetry)
 
     @property
+    def machines(self) -> int:
+        return self._alloc.machines
+
+    @property
     def migrating(self) -> bool:
-        return self._move is not None
+        return self._alloc.migrating
 
     def error_stats(self) -> Optional[dict]:
         tau = self.trigger.tau if self.trigger is not None else 1
@@ -241,10 +242,14 @@ class OnlineController(Persisted):
 
         # Step the in-flight migration across the slot, sampling
         # effective capacity (Eq. 7) at the midpoint like the batch loop.
-        eff_qhat = self._step_migration(now, slot_seconds)
+        alloc = self._alloc
+        if alloc.migrating:
+            eff_qhat = self.config.q_hat / alloc.step_slot(slot_seconds, now)[0]
+        else:
+            eff_qhat = self.config.q_hat * alloc.machines
 
         if tel.enabled:
-            tel.metrics.gauge("serve.machines").set(self._machines_now())
+            tel.metrics.gauge("serve.machines").set(alloc.machines_now)
             tel.metrics.gauge("serve.eff_cap_tps").set(eff_qhat)
             if tps > eff_qhat + 1e-9:
                 self.violations += 1
@@ -252,12 +257,12 @@ class OnlineController(Persisted):
                 record_capacity_insufficient(
                     tel.chronicle,
                     time=now,
-                    move=self._move,
+                    move=alloc.move,
                     slot=slot,
                     load_tps=tps,
                     peak_tps=tps,
                     eff_cap=eff_qhat,
-                    machines=self._machines_now(),
+                    machines=alloc.machines_now,
                     migrating=self.migrating,
                 )
         elif tps > eff_qhat + 1e-9:
@@ -270,25 +275,8 @@ class OnlineController(Persisted):
         if tel.enabled:
             record_interval(
                 tel.tracer, now - slot_seconds, now, slot, tps,
-                self._machines_now(), self.migrating,
+                alloc.machines_now, self.migrating,
             )
-
-    def _machines_now(self) -> int:
-        if self._move is not None:
-            return self._move.migration.machines_allocated()
-        return self.machines
-
-    def _step_migration(self, now: float, slot_seconds: float) -> float:
-        """Advance any active move by one slot; returns eff Q-hat."""
-        move = self._move
-        if move is None:
-            return self.config.q_hat * self.machines
-        largest, _ = move.step_slot(slot_seconds)
-        if move.migration.done:
-            move.complete(now)
-            self.machines = move.after
-            self._move = None
-        return self.config.q_hat / largest
 
     # ------------------------------------------------------------------
     # Error-triggered re-planning
@@ -418,39 +406,27 @@ class OnlineController(Persisted):
     def _execute_decision(
         self, decision: ScaleDecision, now: float, slot: int
     ) -> None:
-        target = decision.target_from(self.machines, self.max_machines)
-        if target is None or self.migrating:
-            return
-        self._move = Reconfiguration.decided(
-            self.config, self.machines, target, decision, now,
-            {"slot": slot}, self._telemetry,
-        )
-        self.moves_started += 1
-        self.last_decision_reason = decision.reason
-        if decision.emergency:
-            self.emergencies += 1
+        target = self._alloc.target(decision)
+        if target is not None:
+            self._alloc.start(target, decision, now, {"slot": slot})
+            self.last_decision_reason = decision.reason
 
     # ------------------------------------------------------------------
     # Checkpointing (``pstore serve --resume``)
     # ------------------------------------------------------------------
 
     #: All mutable controller state; the strategies and the in-flight
-    #: move are components of their own.
+    #: move are components of their own, the allocation's fields top-level.
     PERSIST = (
-        "machines", "mode", "violations", "moves_started", "emergencies",
-        "trigger_fires", "trigger_recoveries", "intervals_seen",
-        "last_decision_reason", "_fa_record_id",
-        "_reactive", "_strategy", "_move",
+        "_alloc.machines", "mode", "violations", "_alloc.moves_started",
+        "_alloc.emergencies", "trigger_fires", "trigger_recoveries",
+        "intervals_seen", "last_decision_reason", "_fa_record_id",
+        "_reactive", "_strategy", "_alloc.move",
     )
 
     def _revive(self, attr: str) -> Persisted:
-        # Only the move is ever None here.  Placeholder endpoints and
-        # rate: the restore overwrites them and rebuilds the schedule
-        # from the checkpointed ones.
-        return Reconfiguration(
-            self.config, 1, 2, self.config.migration_rate_kbps,
-            self._telemetry,
-        )
+        # Only the move is ever None here.
+        return self._alloc.blank()
 
     def _rebuild(self) -> None:
         # A checkpoint from when the strategy was built at the first fit
@@ -466,9 +442,7 @@ class OnlineController(Persisted):
         """Deterministic drain: a partially-applied migration round rolls
         back to its last committed boundary and the abort is chronicled,
         so the exported run directory never shows in-between state."""
-        if self._move is not None:
-            self._move.abort(now, reason)
-            self._move = None
+        self._alloc.abort(now, reason)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -478,13 +452,13 @@ class OnlineController(Persisted):
         stats = self.last_error_stats
         return {
             "mode": self.mode,
-            "machines": self._machines_now(),
-            "steady_machines": self.machines,
+            "machines": self._alloc.machines_now,
+            "steady_machines": self._alloc.machines,
             "migrating": self.migrating,
             "intervals": self.intervals_seen,
             "violations": self.violations,
-            "moves_started": self.moves_started,
-            "emergencies": self.emergencies,
+            "moves_started": self._alloc.moves_started,
+            "emergencies": self._alloc.emergencies,
             "trigger": self.trigger.describe() if self.trigger else None,
             "trigger_fires": self.trigger_fires,
             "trigger_recoveries": self.trigger_recoveries,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..check import invariants
 from ..config import PStoreConfig
 from ..elasticity.base import ProvisioningStrategy
 from ..errors import SimulationError
-from ..squall.migrator import Reconfiguration
+from ..squall.migrator import Allocation
 from ..telemetry import get_telemetry
 from ..telemetry.causal import record_capacity_insufficient, record_interval
 from ..workload.trace import LoadTrace
@@ -135,22 +135,21 @@ class CapacitySimulator:
         )
 
         strategy.reset(self.initial_machines)
-        machines = self.initial_machines
-        move: Optional[Reconfiguration] = None
+        tel = self._telemetry
+        recording = tel.enabled
+        alloc = Allocation(
+            config, self.initial_machines, tel, config.max_machines or None
+        )
 
         out_machines = np.empty(n_slots)
         out_eff_q = np.empty(n_slots)
         out_eff_qhat = np.empty(n_slots)
         out_migrating = np.zeros(n_slots, dtype=bool)
-        emergencies = 0
-        moves_started = 0
         # One buffer for seed + slots; strategies see a view of what has
         # been measured so far, so nothing is copied per decision.
         seeded = self.history.size
         history = np.concatenate([self.history, load_tps])
         self.history = history
-        tel = self._telemetry
-        recording = tel.enabled
 
         for slot in range(n_slots):
             # history may be pre-seeded with the training window;
@@ -163,34 +162,22 @@ class CapacitySimulator:
                 )
                 scored = harvest[0] if harvest else {}
 
-            if move is None:
-                decision = strategy.decide(
-                    slot, history[: index + 1], machines
-                )
-                target = decision.target_from(
-                    machines, config.max_machines or None
-                )
+            if not alloc.migrating:
+                decision = strategy.decide(slot, history[: index + 1], alloc.machines)
+                target = alloc.target(decision)
                 if target is not None:
-                    move = Reconfiguration.decided(
-                        config, machines, target, decision,
-                        slot * slot_seconds, {"slot": slot}, tel,
-                    )
-                    moves_started += 1
-                    if decision.emergency:
-                        emergencies += 1
+                    alloc.start(target, decision, slot * slot_seconds, {"slot": slot})
 
-            if move is not None:
+            if alloc.migrating:
                 # State during this slot: sampled at the slot midpoint.
-                largest, out_machines[slot] = move.step_slot(slot_seconds)
+                largest, out_machines[slot] = alloc.step_slot(
+                    slot_seconds, (slot + 1) * slot_seconds
+                )
                 out_eff_q[slot] = config.q / largest
                 out_eff_qhat[slot] = config.q_hat / largest
                 out_migrating[slot] = True
-                if move.migration.done:
-                    move.complete((slot + 1) * slot_seconds)
-                    machines = move.after
-                    move = None
             else:
-                out_machines[slot] = machines
+                machines = out_machines[slot] = alloc.machines
                 out_eff_q[slot] = config.q * machines
                 out_eff_qhat[slot] = config.q_hat * machines
 
@@ -210,7 +197,7 @@ class CapacitySimulator:
                     record_capacity_insufficient(
                         tel.chronicle,
                         time=(slot + 1) * slot_seconds,
-                        move=move,
+                        move=alloc.move,
                         scored=scored,
                         slot=slot,
                         peak_tps=float(peak_load[slot]),
@@ -241,8 +228,8 @@ class CapacitySimulator:
             eff_cap_target=out_eff_q,
             eff_cap_max=out_eff_qhat,
             migrating=out_migrating,
-            emergencies=emergencies,
-            moves_started=moves_started,
+            emergencies=alloc.emergencies,
+            moves_started=alloc.moves_started,
         )
 
     def _record_slot(

@@ -29,7 +29,7 @@ from ..hstore.engine import (
     QueueingEngine,
 )
 from ..hstore.latency import PercentileSeries
-from ..squall.migrator import Reconfiguration, TransferRecovery
+from ..squall.migrator import Allocation, Reconfiguration, TransferRecovery
 from ..telemetry import get_telemetry
 from ..telemetry.causal import blame, record_interval
 
@@ -104,22 +104,19 @@ class _Run:
     """Everything one :meth:`ElasticDbSimulator.drive` pass mutates,
     shared by its phase methods."""
 
-    def __init__(self, strategy, offered, interval, machines, seed, recovery):
+    def __init__(self, strategy, offered, interval, alloc, seed, recovery):
         n = offered.size
         self.strategy = strategy
         self.offered = offered
         self.interval = interval              # planner interval, in ticks
         self.t = 0
-        self.active = list(range(machines))   # physical machines holding data
-        self.machines = machines              # steady-state allocation
+        self.active = list(range(alloc.machines))  # machines holding data
+        self.alloc: Allocation = alloc  # pool: less one per dead machine
         # Per-interval mean load: the seed, then one slot per closed
         # interval, in one buffer; ``history`` is the filled prefix.
         self._history = np.empty(len(seed) + n // interval)
         self._history[: len(seed)] = seed
         self.history = self._history[: len(seed)]
-        self.move: Optional[Reconfiguration] = None
-        self.emergencies = 0
-        self.moves_started = 0
         self.out_machines = np.empty(n)
         self.out_migrating = np.zeros(n, dtype=bool)
         self.out_completed = np.empty(n)
@@ -297,8 +294,8 @@ class ElasticDbSimulator:
             completed_tps=run.out_completed,
             machines=run.out_machines,
             migrating=run.out_migrating,
-            emergencies=run.emergencies,
-            moves_started=run.moves_started,
+            emergencies=run.alloc.emergencies,
+            moves_started=run.alloc.moves_started,
             sla_ms=self.config.sla_latency_ms,
         )
 
@@ -319,8 +316,11 @@ class ElasticDbSimulator:
         recovery = None
         if self._injector is not None:
             recovery = TransferRecovery(self._injector, self.config.faults)
+        alloc = Allocation(
+            self.config, self.initial_machines, self._telemetry, self.max_machines
+        )
         return _Run(
-            strategy, offered, interval, self.initial_machines,
+            strategy, offered, interval, alloc,
             np.asarray(history_seed_tps, dtype=float), recovery,
         )
 
@@ -331,10 +331,10 @@ class ElasticDbSimulator:
         self._injector.advance(now)
 
         def abort_move(victim: int) -> None:
-            move, run.move = run.move, None
+            move = run.alloc.move
             if move is None:
                 return
-            move.abort(now, "node crash")
+            run.alloc.abort(now, "node crash")
             # Only machines that hold committed rounds stay: a newcomer
             # nothing reached goes back to the pool, a retiring machine
             # already drained is gone.
@@ -350,8 +350,9 @@ class ElasticDbSimulator:
             if victim in run.active:
                 run.active.remove(victim)
             run.crashed.append(victim)
-            run.machines = len(run.active)
-            return run.machines
+            run.alloc.pool -= 1
+            run.alloc.machines = len(run.active)
+            return run.alloc.machines
 
         self._injector.handle_crashes(
             now, lambda: run.active, abort_move, drop_node
@@ -360,9 +361,9 @@ class ElasticDbSimulator:
     def _steady_shares(self, run: _Run) -> np.ndarray:
         """Per-partition load shares with no move in flight: uniform
         over the active machines."""
-        p = self.config.partitions_per_node
+        p, machines = self.config.partitions_per_node, run.alloc.machines
         shares = np.zeros(self.max_machines * p)
-        shares.reshape(self.max_machines, p)[run.active] = 1.0 / (run.machines * p)
+        shares.reshape(self.max_machines, p)[run.active] = 1.0 / (machines * p)
         return shares
 
     def _record_block(self, run: _Run, start: int, stats) -> None:
@@ -401,7 +402,7 @@ class ElasticDbSimulator:
         slot = len(run.history) - 1
         record_interval(
             tel.tracer, now - run.interval, now, slot, mean_tps,
-            int(run.machines), run.move is not None,
+            int(run.alloc.machines), run.alloc.migrating,
         )
         # Close the forecast-accuracy loop for this slot and, if the
         # interval had SLA violations, chronicle them under their most
@@ -415,14 +416,14 @@ class ElasticDbSimulator:
                 parent=blame(
                     tel.chronicle,
                     fault=run.iv_fault,
-                    move=run.move if run.iv_migr else None,
+                    move=run.alloc.move if run.iv_migr else None,
                     scored=scored,
                 ),
                 slot=slot,
                 seconds=run.iv_viol,
                 p99_max_ms=run.iv_viol_p99,
                 measured_tps=mean_tps,
-                machines=int(run.machines),
+                machines=int(run.alloc.machines),
                 migrating_seconds=run.iv_migr,
                 fault_seconds=run.iv_fault,
                 predicted_tps=scored.get("predicted"),
@@ -437,27 +438,24 @@ class ElasticDbSimulator:
     def _plan(self, run: _Run) -> None:
         """At a planner boundary with no move in flight, consult the
         strategy and start the move it asks for."""
-        if run.move is None:
-            decision = run.strategy.decide(
-                len(run.history) - 1, run.history, run.machines
-            )
-            # The pool is the machines that exist less the dead ones.
-            target = decision.target_from(
-                run.machines, self.max_machines - len(run.crashed)
-            )
-            if target is not None:
-                self._start_move(run, target, decision)
-        if run.move is None and self._injector is not None:
+        if not run.alloc.migrating:
+            self._start_move(run, run.strategy.decide(
+                len(run.history) - 1, run.history, run.alloc.machines
+            ))
+        if not run.alloc.migrating and self._injector is not None:
             self._injector.confirm_recovery(float(run.t + 1))
 
-    def _start_move(self, run: _Run, target: int, decision) -> None:
-        """Begin the move to ``target`` machines.
+    def _start_move(self, run: _Run, decision) -> None:
+        """Begin the move ``decision`` asks for, if any is left to make.
 
         Scale-out activates the lowest inactive machine indices; scale-in
         retires the highest active ones (drained just-in-time by the
         reversed schedule).  Crashed machines are never re-activated.
         """
-        active, before = run.active, run.machines
+        target = run.alloc.target(decision)
+        if target is None:
+            return
+        active, before = run.active, run.alloc.machines
         nodes = sorted(active)
         newcomers: List[int] = []
         if target > before:
@@ -467,14 +465,10 @@ class ElasticDbSimulator:
             ][: target - before]
             active.extend(newcomers)
         now = float(run.t + 1)
-        run.move = Reconfiguration.decided(
-            self.config, before, target, decision, now,
-            {"slot": len(run.history) - 1}, self._telemetry,
+        run.alloc.start(
+            target, decision, now, {"slot": len(run.history) - 1},
             chunk_kb=self.chunk_kb, nodes=nodes, newcomers=newcomers,
         )
-        run.moves_started += 1
-        if decision.emergency:
-            run.emergencies += 1
         if self._injector is not None:
             self._injector.notify_migration_started(now)
 
@@ -497,9 +491,9 @@ class ElasticDbSimulator:
         start = run.t
         if self._close_interval(run):
             self._plan(run)
-        move = run.move
+        move = run.alloc.move
         if move is None:
-            run.out_machines[start:end] = run.machines
+            run.out_machines[start:end] = run.alloc.machines
             run.t = end
             return BlockRequest(
                 start, end, self._steady_shares(run), run.offered[start:end]
@@ -512,10 +506,10 @@ class ElasticDbSimulator:
         self._move_rows(run, move, seconds, shares, rows)
         run.t += len(seconds.rounds)
         if move.finished:
-            self._finish_move(run, float(run.t))
+            self._settle(run, float(run.t))
         if run.t < end:
             shares[run.t - start:] = self._steady_shares(run)
-            run.out_machines[run.t:end] = run.machines
+            run.out_machines[run.t:end] = run.alloc.machines
             run.t = end
         return BlockRequest(start, end, shares, run.offered[start:end], rows)
 
@@ -532,7 +526,7 @@ class ElasticDbSimulator:
             self._inject_faults(run)
             if self._close_interval(run):
                 self._plan(run)
-            move = run.move
+            move = run.alloc.move
             if move is not None:
                 if rows is None:
                     rows = MigrationInterference.none(shape)
@@ -542,7 +536,7 @@ class ElasticDbSimulator:
                 )
             else:
                 shares[i] = self._steady_shares(run)
-                run.out_machines[t] = run.machines
+                run.out_machines[t] = run.alloc.machines
             slowdown = injector.any_slowdown_active
             if slowdown:
                 if capacity is None:
@@ -606,7 +600,7 @@ class ElasticDbSimulator:
         """Spend this second on the move in flight — advancing it, or
         wedged, or re-sending a corrupted round — and finish the move
         once every round has landed."""
-        move = run.move
+        move = run.alloc.move
         injector = self._injector
         now = float(run.t + 1)
         stall = injector.stall_record(now) if not move.migration.done else None
@@ -614,14 +608,12 @@ class ElasticDbSimulator:
             if record is not None:
                 injector.mark_recovered(record, now)
         if move.finished:
-            self._finish_move(run, now)
+            self._settle(run, now)
 
-    def _finish_move(self, run: _Run, now: float) -> None:
-        """Every round has landed by ``now``: retire the drained machines
-        and settle at the move's size."""
-        move = run.move
-        for machine in move.retiring_nodes:
+    @staticmethod
+    def _settle(run: _Run, now: float) -> None:
+        """Every round has landed by ``now``: the drained machines hold
+        nothing any more."""
+        for machine in run.alloc.move.retiring_nodes:
             run.active.remove(machine)
-        move.complete(now)
-        run.machines = move.after
-        run.move = None
+        run.alloc.settle(now)

@@ -11,8 +11,8 @@ bookkeeping, writes the ``migration.start | complete | aborted`` and
 ``node.add | remove`` telemetry, steps a move across one planner slot
 (sampling Eq. 7 at the midpoint), tracks a wedged or corrupted transfer
 through detection and re-send, and checkpoints itself.  Every loop that
-runs moves — both simulators, the serve controller and
-:class:`ClusterMigrator` — holds an ``Optional[Reconfiguration]``.
+runs moves (both simulators, the serve controller, :class:`ClusterMigrator`)
+starts, counts and settles them through its :class:`Allocation`.
 
 :class:`ClusterMigrator` binds migrations to a row-level
 :class:`~repro.hstore.cluster.Cluster`: it computes the bucket-level
@@ -40,7 +40,7 @@ from ..config import (
     PStoreConfig,
 )
 from ..decision import NO_ACTION, ScaleDecision
-from ..errors import MigrationError
+from ..errors import MigrationError, SimulationError
 from ..hstore.cluster import Cluster
 from ..persist import Persisted
 from ..telemetry import get_telemetry
@@ -382,8 +382,8 @@ class Reconfiguration(Persisted):
     """One move from ``before`` to ``after`` machines and its lifecycle:
     built -> :meth:`start` -> advanced -> :meth:`complete` | :meth:`abort`.
 
-    The loops that run moves keep their own order and time slicing (see
-    ``docs/ALGORITHMS.md``); what they share is this object.  Slot-level
+    Built and started by :meth:`Allocation.start`.  The loops keep their
+    own order and time slicing (see ``docs/ALGORITHMS.md``): slot-level
     loops advance it with :meth:`step_slot`; tick-level loops advance
     ``migration`` directly, or through :meth:`progress` when a fault
     injector is attached.
@@ -450,52 +450,30 @@ class Reconfiguration(Persisted):
         self._held: List[Tuple[Tuple[Transfer, ...], object]] = []
         self._rebuild()     # builds ``migration``
 
-    @classmethod
-    def decided(
-        cls, config: PStoreConfig, before: int, after: int, decision,
-        now: float, fields: Mapping[str, int], telemetry, **build,
-    ) -> "Reconfiguration":
-        """Build and start, at ``now``, the move a
-        :class:`~repro.decision.ScaleDecision` asked for: the decision
-        sets the rate (``8 * R`` for the boosted reactive mode) and is
-        the move's causal parent; ``fields`` are the calling loop's
-        extras on ``migration.start``.  Every loop starts its moves here."""
-        move = cls(
-            config, before, after,
-            config.migration_rate_kbps * decision.rate_multiplier,
-            telemetry, **build,
-        )
-        move.start(
-            now, decision.record_id, decision.emergency, decision.reason,
-            **fields,
-        )
-        return move
-
     # ------------------------------------------------------------------
     # Lifecycle records
     # ------------------------------------------------------------------
 
     def start(
-        self, now: float, cause_id: Optional[str] = None,
-        emergency: bool = False, reason: str = "", **fields
+        self, now: float, decision: ScaleDecision = NO_ACTION, **fields
     ) -> None:
-        """The move begins at ``now``.  ``cause_id`` is the chronicle id
-        of the plan decision that asked for it, so ``pstore explain`` can
-        walk forecast -> plan -> move; ``emergency`` and ``reason`` are
-        that decision's."""
+        """The move ``decision`` asked for begins at ``now``: the
+        decision's ``record_id`` parents ``migration.start``, so ``pstore
+        explain`` can walk forecast -> plan -> move, and its
+        ``emergency`` and ``reason`` are recorded there."""
         self.started_at = now
         tel = self._telemetry
         if not tel.enabled:
             return
         rec = tel.chronicle.record(
-            "migration.start", time=now, parent=cause_id,
+            "migration.start", time=now, parent=decision.record_id,
             before=self.before, after=self.after, rate_kbps=self.rate_kbps,
             est_seconds=self.migration.total_seconds,
-            emergency=emergency, reason=reason, **fields,
+            emergency=decision.emergency, reason=decision.reason, **fields,
         )
         self.record_id = rec.get("id")
         tel.metrics.counter("migrate.moves_started").inc()
-        if emergency:
+        if decision.emergency:
             tel.metrics.counter("migrate.emergencies").inc()
         if self.added_nodes:
             tel.chronicle.record(
@@ -649,6 +627,85 @@ class Reconfiguration(Persisted):
             self.migration.advance(self._half_slot)
 
 
+class Allocation:
+    """A loop's steady ``machines``, its ``move`` in flight, the
+    ``moves_started`` / ``emergencies`` counts and the ``pool`` (None:
+    unbounded): the one way from a decision to a move to a new size."""
+
+    def __init__(self, config: PStoreConfig, machines: int, telemetry, pool=None):
+        self.config, self.machines, self.pool = config, machines, pool
+        self.move: Optional[Reconfiguration] = None
+        self.moves_started = self.emergencies = 0
+        self._telemetry = telemetry
+
+    @property
+    def pool(self) -> Optional[int]:
+        return self._pool
+
+    @pool.setter
+    def pool(self, pool: Optional[int]) -> None:
+        if pool is not None and pool < 1:
+            raise SimulationError(f"the machine pool must be >= 1 (got {pool})")
+        self._pool = pool
+
+    @property
+    def migrating(self) -> bool:
+        return self.move is not None
+
+    @property
+    def machines_now(self) -> int:
+        """The move's just-in-time allocation mid-move, else ``machines``."""
+        move = self.move
+        return move.migration.machines_allocated() if move else self.machines
+
+    def target(self, decision: ScaleDecision) -> Optional[int]:
+        """The pool rule: ``decision``'s target capped at the pool, or
+        None when that leaves nothing to do."""
+        return decision.target_from(self.machines, self.pool)
+
+    def start(
+        self, target: int, decision: ScaleDecision, now: float,
+        fields: Mapping[str, int], **build,
+    ) -> Reconfiguration:
+        """Build, start and count the move to ``target`` at the decision's
+        rate, parented on its record.  ``fields`` are the loop's extras
+        on ``migration.start``, ``build`` its machines (``nodes`` /
+        ``newcomers``) and sizes."""
+        move = self.move = Reconfiguration(
+            self.config, self.machines, target,
+            self.config.migration_rate_kbps * decision.rate_multiplier,
+            self._telemetry, **build,
+        )
+        move.start(now, decision, **fields)
+        self.moves_started += 1
+        self.emergencies += decision.emergency
+        return move
+
+    def step_slot(self, slot_seconds: float, now: float) -> Tuple[float, int]:
+        """:meth:`Reconfiguration.step_slot` across the slot ending at
+        ``now``, then :meth:`settle` a move that is done."""
+        sample = self.move.step_slot(slot_seconds)
+        if self.move.migration.done:
+            self.settle(now)
+        return sample
+
+    def settle(self, now: float) -> Optional[str]:
+        """Complete the move: its target is the steady size."""
+        move, self.move = self.move, None
+        self.machines = move.after
+        return move.complete(now)
+
+    def abort(self, now: float, reason: str) -> Optional[str]:
+        """Abort the move in flight, if any.  ``machines`` is left as it
+        was: the loop knows what its machines still hold."""
+        move, self.move = self.move, None
+        return move.abort(now, reason) if move else None
+
+    def blank(self) -> Reconfiguration:
+        """A move to restore a checkpointed one into."""
+        return Reconfiguration(self.config, 1, 2, 1.0, self._telemetry)
+
+
 class ClusterMigrator:
     """Drives bucket-accurate migrations on a row-level cluster.
 
@@ -683,7 +740,8 @@ class ClusterMigrator:
             if injector is not None
             else None
         )
-        self._move: Optional[Reconfiguration] = None
+        #: The host sets its cap as the pool.
+        self.allocation = Allocation(config, cluster.n_nodes, self._telemetry)
         self._pair_buckets: Dict[Tuple[int, int], List[BucketMove]] = {}
         #: Cumulative simulated seconds this migrator has been advanced;
         #: the timeline used for migrate.round spans and duration metrics.
@@ -709,23 +767,18 @@ class ClusterMigrator:
 
     @property
     def active(self) -> Optional[ActiveMigration]:
-        return self._move.migration if self._move is not None else None
+        return self.allocation.move.migration if self.migrating else None
 
     @property
     def migrating(self) -> bool:
-        return self._move is not None
+        return self.allocation.migrating
 
     def start_move(
         self, target_nodes: int, decision: ScaleDecision = NO_ACTION
     ) -> ActiveMigration:
-        """Begin reconfiguring the cluster to ``target_nodes`` machines.
-
-        ``decision`` is the :class:`~repro.decision.ScaleDecision` that
-        asked for the move: it sets the rate, its ``record_id`` parents
-        the ``migration.start`` record so ``pstore explain`` can walk
-        forecast -> plan -> move, and its ``emergency`` and ``reason``
-        are recorded there.
-        """
+        """Begin reconfiguring the cluster to ``target_nodes`` machines,
+        started by :meth:`Allocation.start` at ``decision``'s rate and
+        parented on it."""
         if self.migrating:
             raise MigrationError("a migration is already in progress")
         before = self.cluster.n_nodes
@@ -740,11 +793,11 @@ class ClusterMigrator:
             [n.node_id for n in self.cluster.add_nodes(after - before)]
             if after > before else []
         )
-        move = self._move = Reconfiguration.decided(
-            self.config, before, after, decision, self._sim_time,
+        self.allocation.machines = before   # a crash shrinks it outside a move
+        move = self.allocation.start(
+            after, decision, self._sim_time,
             # A B -> A schedule has max(min(B, A), |A - B|) rounds (Sec. 4.4.1).
             {"rounds": max(min(before, after), abs(after - before))},
-            self._telemetry,
             chunk_kb=self.chunk_kb,
             database_kb=max(self.cluster.total_data_kb, 1.0),
             nodes=nodes,
@@ -771,7 +824,7 @@ class ClusterMigrator:
 
     def advance(self, dt: float) -> bool:
         """Advance the active migration; returns True when it completes."""
-        move = self._move
+        move = self.allocation.move
         if move is None:
             raise MigrationError("no active migration")
         if dt < 0:
@@ -784,8 +837,8 @@ class ClusterMigrator:
         else:
             self._advance_with_faults(dt)
         if move.finished:
-            self.last_outcome_id = move.complete(self._sim_time)
-            self._finish()
+            self.last_outcome_id = self.allocation.settle(self._sim_time)
+            self._finish(move.retiring_nodes)
             return True
         return False
 
@@ -797,13 +850,11 @@ class ClusterMigrator:
         nodes remain active since they may still own buckets.  The
         controller is expected to re-plan from the resulting topology.
         """
-        move = self._move
-        if move is None:
+        if not self.migrating:
             return
         self.aborted_moves += 1
-        self.last_outcome_id = move.abort(self._sim_time, reason)
+        self.last_outcome_id = self.allocation.abort(self._sim_time, reason)
         self._pair_buckets = {}
-        self._move = None
 
     def _commit_round(self, round_: Tuple[Transfer, ...]) -> None:
         # Bracket the commit itself rather than diffing against a
@@ -822,7 +873,7 @@ class ClusterMigrator:
         if tel.enabled:
             # Rounds are equal-length, so reconstruct each round's
             # window on the simulated timeline (re-sends stretch it).
-            round_seconds = self._move.migration.round_seconds
+            round_seconds = self.active.round_seconds
             end = min(self._round_started_at + round_seconds, self._sim_time)
             end = max(end, self._round_started_at)
             tel.tracer.record(
@@ -835,7 +886,7 @@ class ClusterMigrator:
             tel.chronicle.record(
                 "migration.round",
                 time=end,
-                parent=self._move.record_id,
+                parent=self.allocation.move.record_id,
                 round=self._rounds_committed,
                 transfers=len(round_),
             )
@@ -848,7 +899,7 @@ class ClusterMigrator:
 
     def _advance_with_faults(self, dt: float) -> None:
         injector = self._injector
-        move = self._move
+        move = self.allocation.move
         migration = move.migration
         remaining = float(dt)
         while remaining > 1e-9:
@@ -884,13 +935,13 @@ class ClusterMigrator:
     # ------------------------------------------------------------------
 
     def _commit_transfer(self, transfer: Transfer) -> None:
-        node_map = self._move.migration.node_map
+        node_map = self.allocation.move.migration.node_map
         src_node = node_map[transfer.sender]
         dst_node = node_map[transfer.receiver]
         for move in self._pair_buckets.pop((src_node, dst_node), []):
             self.cluster.move_bucket(move.bucket, move.destination_partition)
 
-    def _finish(self) -> None:
+    def _finish(self, retiring: List[int]) -> None:
         check_rows = invariants.enabled(invariants.CHEAP)
         before = invariants.snapshot_row_counts(self.cluster) if check_rows else None
         # Commit any residual bucket moves (pairs whose buckets were not
@@ -899,8 +950,7 @@ class ClusterMigrator:
             for move in moves:
                 self.cluster.move_bucket(move.bucket, move.destination_partition)
         self._pair_buckets = {}
-        if self._move.retiring_nodes:
-            self.cluster.remove_nodes(self._move.retiring_nodes)
+        self.cluster.remove_nodes(retiring)
         if check_rows:
             invariants.check_row_conservation(
                 self.cluster, before,
@@ -910,4 +960,3 @@ class ClusterMigrator:
             invariants.check_bucket_map_agreement(
                 self.cluster, "ClusterMigrator.finish", time=self._sim_time
             )
-        self._move = None

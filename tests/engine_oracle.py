@@ -273,7 +273,7 @@ def steady_shares(sim, run) -> np.ndarray:
     p = sim.config.partitions_per_node
     shares = np.zeros(sim.max_machines * p)
     for machine in run.active:
-        shares[machine * p : (machine + 1) * p] = 1.0 / (run.machines * p)
+        shares[machine * p : (machine + 1) * p] = 1.0 / (run.alloc.machines * p)
     return shares
 
 
@@ -293,11 +293,11 @@ def per_second_control(sim, run, end: int) -> BlockRequest:
             sim._inject_faults(run)
         if sim._close_interval(run):
             sim._plan(run)
-        move = run.move
+        move = run.alloc.move
         if move is None and injector is None:
             # Nothing changes before the next planner boundary.
             shares[i:] = steady_shares(sim, run)
-            run.out_machines[t:end] = run.machines
+            run.out_machines[t:end] = run.alloc.machines
             run.t = end
             break
         if move is not None:
@@ -322,7 +322,7 @@ def per_second_control(sim, run, end: int) -> BlockRequest:
             run.iv_migr += 1
         else:
             shares[i] = steady_shares(sim, run)
-            run.out_machines[t] = run.machines
+            run.out_machines[t] = run.alloc.machines
         slowdown = injector is not None and injector.any_slowdown_active
         if slowdown:
             if capacity is None:
@@ -351,7 +351,7 @@ def _progress_move(sim, run) -> None:
     """Advance the move in flight by this second — or spend it wedged,
     or re-sending a corrupted round — and finish the move once every
     round has landed."""
-    move = run.move
+    move = run.alloc.move
     injector = sim.injector
     now = float(run.t + 1)
     if injector is None:
@@ -366,9 +366,7 @@ def _progress_move(sim, run) -> None:
     if move.finished:
         for machine in move.retiring_nodes:
             run.active.remove(machine)
-        move.complete(now)
-        run.machines = move.after
-        run.move = None
+        run.alloc.settle(now)
 
 
 def drive_requests(sim, offered_tps, strategy, oracle: bool = False):

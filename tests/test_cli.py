@@ -265,6 +265,16 @@ class TestServePredictor:
         out = capsys.readouterr().out
         assert "served 288 intervals" in out and "mode=predictive" in out
 
+    def test_a_pool_of_no_machines_is_refused(self, capsys):
+        """``--max-machines 0`` used to serve a cluster that clamped
+        every move away."""
+        code = _serve(
+            "--predictor", "ar", "--train-days", "0", "--days", "1",
+            "--max-machines", "0",
+        )
+        assert code == 1
+        assert "machine pool must be >= 1" in capsys.readouterr().err
+
 
 class TestErrorHandling:
     """repro.errors exceptions (and missing files) must exit nonzero

@@ -5,6 +5,7 @@ blame rule the loops use to parent a violation."""
 import dataclasses
 import itertools
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.benchmark import b2w_schema, load_b2w_data
 from repro.config import default_config
 from repro.core import PStoreService
 from repro.decision import NO_ACTION, ScaleDecision
+from repro.errors import PStoreError
 from repro.elasticity import PStoreStrategy
 from repro.elasticity.base import ProvisioningStrategy
 from repro.hstore import Cluster
@@ -82,18 +84,23 @@ def test_target_from_is_none_or_a_real_move_within_the_cap(
         assert result <= cap
 
 
-class AskOnce(ProvisioningStrategy):
-    """Asks for ``target`` machines at the second planning boundary."""
+class Script(ProvisioningStrategy):
+    """Hands out ``decisions`` one per consultation, from the second
+    planning boundary on."""
 
-    name = "ask-once"
+    name = "script"
 
-    def __init__(self, target):
-        self.target = target
+    def __init__(self, *decisions):
+        self.todo = list(decisions)
 
     def decide(self, slot, history_tps, current_machines):
-        if slot != 1:
+        if slot < 1 or not self.todo:
             return NO_ACTION
-        return ScaleDecision(target_machines=self.target, reason="scripted")
+        return self.todo.pop(0)
+
+
+def ask_once(target):
+    return Script(ScaleDecision(target_machines=target, reason="scripted"))
 
 
 #: Small enough that the move is over within a few planner intervals.
@@ -101,24 +108,37 @@ POOL_CFG = dataclasses.replace(CFG, database_kb=60_000.0)
 START, ASKED = 2, 8
 
 
-def pool_capacity_sim(tel, pool):
+class Outcome(NamedTuple):
+    """The most machines a loop held, and the moves it says it started."""
+
+    most: int
+    moves_started: int
+    emergencies: int
+
+
+def pool_capacity_sim(tel, pool, strategy, slots=10):
     config = dataclasses.replace(POOL_CFG, max_machines=pool)
-    trace = LoadTrace(np.full(10, config.q * 60.0), 60.0)
+    trace = LoadTrace(np.full(slots, config.q * 60.0), 60.0)
     result = CapacitySimulator(config, START, telemetry=tel).run(
-        trace, AskOnce(ASKED)
+        trace, strategy
     )
-    return result.machines.max()
+    return Outcome(
+        result.machines.max(), result.moves_started, result.emergencies
+    )
 
 
-def pool_elastic_sim(tel, pool):
+def pool_elastic_sim(tel, pool, strategy, slots=10):
     sim = ElasticDbSimulator(
         POOL_CFG, max_machines=pool, initial_machines=START, seed=3,
         telemetry=tel,
     )
-    return sim.run(np.full(600, POOL_CFG.q), AskOnce(ASKED)).machines.max()
+    result = sim.run(np.full(60 * slots, POOL_CFG.q), strategy)
+    return Outcome(
+        result.machines.max(), result.moves_started, result.emergencies
+    )
 
 
-def pool_serve(tel, pool):
+def pool_serve(tel, pool, strategy, slots=10):
     learner = OnlinePredictor(           # first fit out of reach: warm-up
         LastValuePredictor(), refit_every=1, min_training=99
     )
@@ -126,45 +146,84 @@ def pool_serve(tel, pool):
         POOL_CFG, learner, initial_machines=START,
         max_machines=pool, telemetry=tel,
     )
-    controller._reactive = AskOnce(ASKED)    # warm-up: the fallback decides
+    controller._reactive = strategy      # warm-up: the fallback decides
     history, most = [], START
-    for slot in range(10):
+    for slot in range(slots):
         history.append(POOL_CFG.q)
         controller.on_interval(slot, history, (slot + 1) * 60.0)
         most = max(most, controller.status()["machines"])
-    return most
+    status = controller.status()
+    return Outcome(most, status["moves_started"], status["emergencies"])
 
 
-def pool_service(tel, pool):
+def pool_service(tel, pool, strategy, slots=10):
     cluster = Cluster(b2w_schema(), START, partitions_per_node=3, n_buckets=96)
     load_b2w_data(cluster, n_stock=100, n_carts=150, n_checkouts=20, seed=11)
     service = PStoreService(
         cluster, POOL_CFG, LastValuePredictor().fit([POOL_CFG.q]),
         max_machines=pool, telemetry=tel,
     )
-    service._strategy = AskOnce(ASKED)
+    service._strategy = strategy
     most = START
-    for _ in range(40):
+    for _ in range(4 * slots):
         service.advance_time(15.0)
         most = max(most, service.machines)
-    return most
+    allocation = service.migrator.allocation
+    return Outcome(most, allocation.moves_started, allocation.emergencies)
 
 
-@pytest.mark.parametrize("pool", range(3, 13))
-@pytest.mark.parametrize(
+LOOPS = pytest.mark.parametrize(
     "loop", [pool_capacity_sim, pool_elastic_sim, pool_serve, pool_service],
     ids=["capacity_sim", "elastic_sim", "serve", "service"],
 )
+
+
+@pytest.mark.parametrize("pool", range(3, 13))
+@LOOPS
 def test_every_loop_clamps_an_over_pool_target_to_its_pool(loop, pool):
     """The same decision — go to 8 machines — in a pool of 3 to 12: every
     loop moves to what the pool allows and never allocates beyond it."""
     tel = Telemetry()
-    most = loop(tel, pool)
+    most = loop(tel, pool, ask_once(ASKED)).most
     (start,) = tel.chronicle.by_kind("migration.start")
     assert (start["before"], start["after"]) == (START, min(ASKED, pool))
     (complete,) = tel.chronicle.by_kind("migration.complete")
     assert complete["after"] == min(ASKED, pool)
     assert most == min(ASKED, pool)
+
+
+@pytest.mark.parametrize("pool", [3, 10])
+@LOOPS
+def test_every_loop_counts_the_moves_it_chronicles(loop, pool):
+    """Out to 8 as an emergency, back in to 3, out to 5: what a loop
+    reports as started (and as emergencies) is its ``migration.start``
+    records (and the emergency ones among them).  At pool 3 the first
+    move goes to 3 and the other two are clamped to where it is."""
+    tel = Telemetry()
+    outcome = loop(tel, pool, Script(
+        ScaleDecision(target_machines=ASKED, emergency=True, reason="crowd"),
+        ScaleDecision(target_machines=3, reason="calm"),
+        ScaleDecision(target_machines=5, reason="ramp"),
+    ), slots=40)
+    starts = tel.chronicle.by_kind("migration.start")
+    assert outcome.moves_started == len(starts) == (1 if pool == 3 else 3)
+    assert outcome.emergencies == sum(s["emergency"] for s in starts) == 1
+    assert len(tel.chronicle.by_kind("migration.complete")) == len(starts)
+
+
+@pytest.mark.parametrize("pool", [0, -1])
+@LOOPS
+def test_no_loop_freezes_on_a_pool_below_one(loop, pool):
+    """A pool below one machine is refused when the loop is built, or
+    (the capacity simulator's ``config.max_machines = 0``) means
+    unbounded — never a loop that clamps every move away."""
+    tel = Telemetry()
+    try:
+        outcome = loop(tel, pool, ask_once(ASKED))
+    except PStoreError:
+        return
+    assert outcome.moves_started == 1
+    assert outcome.most == ASKED
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +370,7 @@ def test_serve_cap_reaches_the_planner():
     assert (start["before"], complete["after"]) == (2, 3)
     after = [d["reason"] for d in decisions if d["time"] > complete["time"]]
     assert after and set(after) == {"infeasible-but-at-size"}
-    assert controller.emergencies == 1
+    assert controller.status()["emergencies"] == 1
 
 
 @pytest.mark.parametrize(

@@ -338,7 +338,7 @@ def _strategy():
 def _move():
     tel = NullTelemetry()
     move = Reconfiguration(CONFIG, 2, 5, CONFIG.migration_rate_kbps * 4, tel)
-    move.start(600.0, None)
+    move.start(600.0)
     for _ in range(3):
         move.step_slot(CONFIG.interval_seconds)
     return move, Reconfiguration(CONFIG, 1, 2, 1.0, tel)
@@ -356,7 +356,7 @@ def _controller(telemetry=None):
     for slot in range(1, 5):
         history.append(30000.0)
         controller.on_interval(slot, history, (slot + 1) * 300.0)
-    assert controller.migrating and controller._move.half_steps > 0
+    assert controller.migrating and controller._alloc.move.half_steps > 0
     return controller, blank()
 
 
@@ -470,6 +470,36 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             other.predict_next(3), online.predict_next(3)
         )
+
+    def test_a_dotted_field_is_restored_onto_its_owner(self):
+        """A dotted plain field and a dotted ``None`` component land on
+        the collaborator that holds them, keyed by their last part."""
+
+        class Owner:
+            def __init__(self):
+                self.count, self.move = 0, None
+
+        class Holder(Persisted):
+            PERSIST = ("_owner.count", "_owner.move")
+
+            def __init__(self):
+                self._owner = Owner()
+
+            def _revive(self, attr):
+                return _move()[1]
+
+        held = Holder()
+        held._owner.count, held._owner.move = 3, _move()[0]
+        doc = through_json(held.state_dict())
+        assert set(doc) == {"v", "count", "move"}
+        fresh = Holder()
+        fresh.restore_state(doc)
+        assert fresh._owner.count == 3 and fresh._owner.move is not None
+        assert fresh.state_dict() == doc
+        assert set(vars(fresh)) == {"_owner"}
+        held._owner.move = None
+        fresh.restore_state(through_json(held.state_dict()))
+        assert fresh._owner.move is None
 
     @given(
         steps=st.lists(

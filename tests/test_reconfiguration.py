@@ -54,7 +54,9 @@ class TestCheckpointReplay:
             config, before, after,
             config.migration_rate_kbps * rate_multiplier, first_tel,
         )
-        first.start(600.0, DECISION_ID, emergency=False, reason="r", slot=1)
+        first.start(
+            600.0, ScaleDecision(reason="r", record_id=DECISION_ID), slot=1
+        )
         for _ in range(slots):          # cuts land mid-round as a rule
             if first.migration.done:
                 break
@@ -94,7 +96,7 @@ class TestCheckpointReplay:
         move = Reconfiguration(
             default_config(), 2, 4, 244.0, NullTelemetry()
         )
-        move.start(0.0, DECISION_ID, slot=0)
+        move.start(0.0, ScaleDecision(record_id=DECISION_ID), slot=0)
         assert move.record_id is None
         assert move.complete(10.0) is None
         assert move.abort(10.0, "why") is None

@@ -22,6 +22,7 @@ import pytest
 from repro.config import default_config
 from repro.errors import SimulationError
 from repro.experiments import serve as serve_scenario
+from repro.prediction import LastValuePredictor
 from repro.runner.cache import ResultCache
 from repro.serve import (
     ControlPlane,
@@ -33,6 +34,7 @@ from repro.serve import (
     parse_report_line,
     source_from_spec,
 )
+from repro.serve.controller import OnlineController
 from repro.serve.ingest import (
     FileLinesSource,
     JsonLinesSource,
@@ -43,6 +45,7 @@ from repro.serve.ingest import (
 from repro.serve.server import ControlPlaneServer
 from repro.squall.migrator import ActiveMigration
 from repro.squall.schedule import build_migration_schedule
+from repro.telemetry import Telemetry
 from repro.telemetry.export import render_metrics_prom
 from repro.telemetry.runtime import telemetry_scope
 from repro.workload import LoadTrace
@@ -913,6 +916,36 @@ class TestErrorTrigger:
         )
         breach = trig.breach({"bias_pct": -35.0, "pairs_window": 4})
         assert breach["metric"] == "bias"
+
+
+def test_the_reactive_fallback_keeps_a_pending_scale_in():
+    """A trigger fires while a scale-in is pending at 1/3: its
+    unscheduled re-plan confirms 2/3, two reactive intervals leave the
+    streak alone, and the first predictive cycle after recovery confirms
+    the scale-in at 3/3 (cleared, it would read 1/3)."""
+    config = default_config().with_interval(60.0)
+    tel = Telemetry()
+    controller = OnlineController(
+        config, LastValuePredictor().fit([config.q]), initial_machines=4,
+        trigger=parse_error_trigger("mape:0.3", min_pairs=1), telemetry=tel,
+    )
+    stats = {"pairs_window": 5}
+    controller.error_stats = lambda: stats
+    history = []
+    for slot, mape in enumerate([1.0, 50.0, 30.0, 1.0]):
+        stats["mape_pct"] = mape       # calm, breach, hot, recovered
+        history.append(config.q * 1.5)
+        controller.on_interval(slot, history, (slot + 1) * 60.0)
+    assert controller.trigger_fires == controller.trigger_recoveries == 1
+    assert [
+        (d["time"], d["reason"]) for d in tel.chronicle.by_kind("plan.decision")
+    ] == [
+        (60.0, "scale-in pending confirmation (1/3)"),
+        (120.0, "scale-in pending confirmation (2/3)"),
+        (240.0, "scale-in confirmed"),
+    ]
+    (start,) = tel.chronicle.by_kind("migration.start")
+    assert (start["time"], start["before"]) == (240.0, 4)
 
 
 # ----------------------------------------------------------------------

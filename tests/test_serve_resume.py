@@ -531,12 +531,12 @@ class TestComponentStateRoundTrips:
         second.restore_state(first.state_dict())
         assert second.migrating
         np.testing.assert_array_equal(
-            second._move.migration.data_fractions(),
-            first._move.migration.data_fractions(),
+            second._alloc.move.migration.data_fractions(),
+            first._alloc.move.migration.data_fractions(),
         )
         assert (
-            second._move.migration.machines_allocated()
-            == first._move.migration.machines_allocated()
+            second._alloc.move.migration.machines_allocated()
+            == first._alloc.move.migration.machines_allocated()
         )
         # And they keep evolving identically.
         history.append(30000.0)
