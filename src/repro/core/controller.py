@@ -5,8 +5,10 @@ The controller runs the monitor -> predict -> plan -> migrate cycle:
 1. it watches the measured aggregate load (supplied by the simulator or
    by a live monitoring hook);
 2. when no migration is in flight, it asks the Predictor for a load
-   forecast over the planning horizon and inflates it by the configured
-   buffer (15% by default, Sec. 8.2);
+   forecast over the planning horizon (or, in a run whose load series
+   is known up front, reads it from a :class:`ForecastTable` of the same
+   forecasts) and inflates it by the configured buffer (15% by default,
+   Sec. 8.2);
 3. it hands the forecast to the Planner (Algorithms 1-3) and keeps only
    the *first* move of the optimal schedule — receding-horizon control;
 4. scale-in moves are debounced: the planner must call for them on
@@ -29,7 +31,7 @@ from ..config import PStoreConfig
 from ..decision import ScaleDecision
 from ..errors import InfeasiblePlanError, PlanningError
 from ..persist import Persisted
-from ..prediction.base import Predictor
+from ..prediction.base import ForecastTable, Predictor
 from ..telemetry import get_telemetry
 from .moves import MoveSchedule
 from .planner import Planner, PlanRequest
@@ -87,6 +89,9 @@ class PredictiveController(Persisted):
         self._scale_in_streak = 0
         self._last_schedule: Optional[MoveSchedule] = None
         self._last_snapshot_id: Optional[str] = None
+        #: The run's forecasts, when its whole series is known up front
+        #: and the predictor does not learn from it (:meth:`start_run`).
+        self._table: Optional[ForecastTable] = None
         #: When set, the next ``plan.decision`` chronicle record parents on
         #: this ID instead of the forecast snapshot — the error-triggered
         #: re-plan path (``repro.serve``) points it at the
@@ -98,6 +103,20 @@ class PredictiveController(Persisted):
         """The paper's bound: the horizon must cover two reconfigurations
         with parallel migration, ``2 D / P`` (Sec. 5, "Discussion")."""
         return int(math.ceil(2.0 * config.d_intervals / config.partitions_per_node)) + 1
+
+    def start_run(self, known: Optional[Sequence[float]]) -> None:
+        """Begin a run.  When its whole load series is ``known`` (a
+        capacity run's seeded history plus trace) and the predictor does
+        not learn from what it is shown (``min_training is None``), each
+        decision's forecast is a row of a :class:`ForecastTable` over
+        it: bit-identical to ``predict_horizon`` on the prefix, computed
+        a chunk of origins per kernel call.  Otherwise each decision
+        forecasts on its own.  The table lasts until the next call."""
+        self._table = None
+        if known is not None and self.predictor.min_training is None:
+            self._table = ForecastTable(
+                self.predictor, known, self.horizon_intervals
+            )
 
     @property
     def last_schedule(self) -> Optional[MoveSchedule]:
@@ -182,9 +201,12 @@ class PredictiveController(Persisted):
         with tel.tracer.span(
             "predict.forecast", horizon=self.horizon_intervals
         ) as forecast_span:
-            forecast = self.predictor.predict_horizon(
-                history, self.horizon_intervals
-            )
+            if self._table is not None:
+                forecast = self._table.row(history)
+            else:
+                forecast = self.predictor.predict_horizon(
+                    history, self.horizon_intervals
+                )
             forecast_span.set("predicted_next", float(forecast[0]))
         forecast = np.asarray(forecast, dtype=float)
         if self._injector is not None:

@@ -9,7 +9,7 @@ lasts exactly one interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence, Tuple
 
 from ..errors import PlanningError
 
@@ -74,11 +74,13 @@ class MoveSchedule:
 
     This is the object returned by the planner (the ``M`` of Algorithm 1).
     Contiguity is enforced: each move starts where the previous one ended
-    and hands over the machine count unchanged.
+    and hands over the machine count unchanged.  A schedule is immutable
+    (a tuple of frozen moves), so the planner hands one out again for a
+    request with the same answer.
     """
 
     def __init__(self, moves: Iterable[Move]):
-        self._moves: List[Move] = list(moves)
+        self._moves: Tuple[Move, ...] = tuple(moves)
         self._validate()
 
     def _validate(self) -> None:
@@ -111,7 +113,7 @@ class MoveSchedule:
 
     @property
     def moves(self) -> Sequence[Move]:
-        return tuple(self._moves)
+        return self._moves
 
     @property
     def first_real_move(self) -> Move | None:

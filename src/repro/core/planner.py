@@ -8,7 +8,9 @@ capacity is degraded per Eq. 7.
 
 :class:`Planner` is a bottom-up dynamic program over the ``(t, A)`` grid.
 One table serves every candidate final size, so the outer loop of
-Algorithm 1 costs nothing extra.  The paper's recursive, memoised
+Algorithm 1 costs nothing extra.  The loads enter the DP only through
+which moves are feasible when, so a planner remembers the plan of each
+feasibility pattern it has solved and answers a repeat without the DP.  The paper's recursive, memoised
 Algorithms 1-3, transcribed literally, are the test oracle in
 ``tests/planner_oracle.py``; the differential tests hold this planner to
 it move for move.
@@ -17,6 +19,7 @@ it move for move.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -28,6 +31,14 @@ from . import model
 from .moves import Move, MoveSchedule
 
 _INF = math.inf
+
+#: Feasibility-pattern bytes (``T * Z * Z``) of the plans one
+#: :class:`Planner` remembers, least recently used evicted first.  A
+#: capacity_zoo run plans 572 times through 63-123 distinct patterns of
+#: at most 2.3 kB; a fig12 P-Store cell 38,600 times through 860-1,640
+#: of about 2 kB, so 4 MiB holds every one of them, while a plan over
+#: hundreds of machines keeps only its last few patterns.
+PLAN_MEMO_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,12 @@ class Planner:
         self._effcap_cache: Dict[Tuple[int, int], Tuple[float, ...]] = {}
         # The DP's load-independent tables, keyed by (Z, horizon).
         self._grid_cache: Dict[Tuple[int, int], _Grid] = {}
+        # Plans (None: infeasible) by (Z, horizon, N0, feasibility
+        # pattern), least recently used first.
+        self._plan_memo: "OrderedDict[tuple, Optional[MoveSchedule]]" = (
+            OrderedDict()
+        )
+        self._plan_memo_bytes = 0
 
     @property
     def config(self) -> PStoreConfig:
@@ -178,7 +195,10 @@ class Planner:
 
         Raises :class:`InfeasiblePlanError` when no feasible sequence
         exists (the cluster cannot scale out fast enough for the predicted
-        load), carrying the machine count the spike would require.
+        load), carrying the machine count the spike would require.  A
+        request whose ``(Z, T, N0)`` and feasibility pattern the planner
+        has met before gets the stored answer: the same schedule object,
+        or the error with this request's requirement.
         """
         loads = request.load_array()
         horizon = request.horizon
@@ -189,16 +209,33 @@ class Planner:
             z = min(z, self._config.max_machines)
 
         grid = self._grid(z, horizon)
-        cost, back = self._fill_tables(grid, loads, n0)
-        # Algorithm 1's outer loop: the smallest final size with a
-        # finite cost.
-        reached = np.flatnonzero(cost[horizon] < _INF)
-        if reached.size:
-            return self._backtrack(grid, back, int(reached[0]), n0)
-        raise InfeasiblePlanError(
-            f"no feasible move sequence from N0={n0} over horizon T={horizon}",
-            required_machines=needed,
-        )
+        feasible = self._feasibility(grid, loads, n0)
+        # The plan depends on the loads only through ``feasible``; a
+        # pattern seen before is answered from the memo, exactly.
+        key = (z, horizon, n0, feasible.tobytes())
+        memo = self._plan_memo
+        if key in memo:
+            memo.move_to_end(key)
+            schedule = memo[key]
+        else:
+            cost, back = self._fill_tables(grid, feasible, n0)
+            # Algorithm 1's outer loop: the smallest final size with a
+            # finite cost.
+            reached = np.flatnonzero(cost[horizon] < _INF)
+            schedule = (
+                self._backtrack(grid, back, int(reached[0]), n0)
+                if reached.size else None
+            )
+            memo[key] = schedule
+            self._plan_memo_bytes += len(key[-1])
+            while self._plan_memo_bytes > PLAN_MEMO_BYTES:
+                self._plan_memo_bytes -= len(memo.popitem(last=False)[0][-1])
+        if schedule is None:
+            raise InfeasiblePlanError(
+                f"no feasible move sequence from N0={n0} over horizon T={horizon}",
+                required_machines=needed,
+            )
+        return schedule
 
     def plan(
         self,
@@ -219,8 +256,31 @@ class Planner:
     # Internals
     # ------------------------------------------------------------------
 
-    def _fill_tables(
+    def _feasibility(
         self, grid: _Grid, loads: List[float], n0: int
+    ) -> np.ndarray:
+        """``feasible[t - 1, B - 1, A - 1]``: whether the move ``B -> A``
+        may end at interval ``t``.
+
+        That is Algorithm 3's effective-capacity windows (lines 6-9),
+        the move starting at or after ``t = 0``, and Algorithm 2's
+        ``L[t] <= cap(A)`` — one gather and a few elementwise operations.
+        The base case (Algorithm 2, lines 5-6: at ``t = 0`` only ``N0``
+        is reachable, and only if the current load fits under its
+        capacity) is folded in: when it fails, or ``N0`` is past ``Z``,
+        no move is feasible, which leaves no plan either way.
+        """
+        z = len(grid.cap)
+        if n0 > z or not loads[0] <= grid.cap[n0 - 1]:
+            return np.zeros(grid.started.shape, dtype=bool)
+        load = np.asarray(loads, dtype=float)
+        feasible = (load[grid.windows] <= grid.thresh).all(axis=-1)
+        feasible &= grid.started
+        feasible &= (load[1:, None] <= grid.cap)[:, None, :]
+        return feasible
+
+    def _fill_tables(
+        self, grid: _Grid, feasible: np.ndarray, n0: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``cost[t, A-1]`` and back-pointers for every state.
 
@@ -229,30 +289,18 @@ class Planner:
         is ``B - 1`` of the last move of that series, which started at
         ``t - dur[B-1, A-1]`` (meaningful only where the cost is finite).
 
-        Feasibility of every ``(t, B, A)`` — Algorithm 3's effective-
-        capacity windows (lines 6-9), the move starting at or after
-        ``t = 0``, and Algorithm 2's ``L[t] <= cap(A)`` — is one gather
-        and a few elementwise operations, folded into a per-``t`` move
-        cost that is ``+inf`` where the move is infeasible.  Each interval
-        is then Algorithm 3's scan over ``B`` as one gather of the prior
-        costs, one add and a column ``argmin`` / ``min``: ``argmin`` takes
-        the first minimum, the scalar scan's strict-``<`` ascending-``B``
+        :meth:`_feasibility` is folded into a per-``t`` move cost that is
+        ``+inf`` where the move is infeasible.  Each interval is then
+        Algorithm 3's scan over ``B`` as one gather of the prior costs,
+        one add and a column ``argmin`` / ``min``: ``argmin`` takes the
+        first minimum, the scalar scan's strict-``<`` ascending-``B``
         tie-break, and ``min`` is that candidate's value.
         """
-        horizon = len(loads) - 1
-        z = len(grid.cap)
+        horizon, z = feasible.shape[0], len(grid.cap)
         cost = np.full((horizon + 1, z), _INF)
         back = np.zeros((horizon + 1, z), dtype=np.intp)
-        # Base case (Algorithm 2, lines 5-6): at t=0 only N0 is reachable,
-        # and only if the current load fits under target capacity.
-        if n0 > z or not loads[0] <= grid.cap[n0 - 1]:
-            return cost, back
-        cost[0, n0 - 1] = float(n0)
-
-        load = np.asarray(loads, dtype=float)
-        feasible = (load[grid.windows] <= grid.thresh).all(axis=-1)
-        feasible &= grid.started
-        feasible &= (load[1:, None] <= grid.cap)[:, None, :]
+        if n0 <= z:
+            cost[0, n0 - 1] = float(n0)
         step = np.where(feasible, grid.mcost, _INF)
 
         flat = cost.reshape(-1)

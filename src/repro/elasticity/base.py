@@ -319,8 +319,14 @@ class ProvisioningStrategy(abc.ABC):
     #: Short name used in reports ("static-10", "reactive", "p-store").
     name: str = "strategy"
 
-    def reset(self, initial_machines: int) -> None:
-        """Called once before a simulation run starts."""
+    def reset(
+        self, initial_machines: int, known: Optional[Sequence[float]] = None
+    ) -> None:
+        """Called once before a simulation run starts.  ``known`` is the
+        whole load series the run will show :meth:`decide` prefixes of,
+        when the simulator knows it up front (a capacity run: the seeded
+        history plus the trace); ``None`` when it is measured as the run
+        goes."""
         if initial_machines < 1:
             raise SimulationError("initial_machines must be >= 1")
 

@@ -47,8 +47,8 @@ class ManualStrategy(ProvisioningStrategy):
         self._next = 0
         self.name = "manual"
 
-    def reset(self, initial_machines: int) -> None:
-        super().reset(initial_machines)
+    def reset(self, initial_machines: int, known=None) -> None:
+        super().reset(initial_machines, known)
         self._next = 0
 
     def decide(

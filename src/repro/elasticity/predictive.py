@@ -75,6 +75,12 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
             and len(history_tps) >= self.min_history
         )
 
+    def reset(self, initial_machines: int, known=None) -> None:
+        """A run whose whole series is ``known`` forecasts from a
+        table over it (:meth:`PredictiveController.start_run`)."""
+        super().reset(initial_machines, known)
+        self.controller.start_run(known)
+
     def decide(
         self,
         slot: int,

@@ -11,7 +11,7 @@ registry slug through :func:`build_predictor` /
 
 from .ar import ArPredictor, fit_ar_coefficients
 from .arma import ArmaPredictor
-from .base import BacktestResult, Predictor, as_series
+from .base import BacktestResult, ForecastTable, Predictor, as_series
 from .gbt import GbtPredictor
 from .metrics import (
     mean_relative_error,
@@ -33,6 +33,7 @@ __all__ = [
     "ArPredictor",
     "ArmaPredictor",
     "BacktestResult",
+    "ForecastTable",
     "GbtPredictor",
     "LastValuePredictor",
     "MssaPredictor",

@@ -65,21 +65,26 @@ class ArPredictor(Predictor):
         assert self._coeffs is not None
         return self._coeffs.copy()
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
         assert self._coeffs is not None
         intercept = self._coeffs[0]
+        # phi_i against y(t - i), newest lag first.
         phi = self._coeffs[1:]
-        # Working buffer: most recent `order` values, newest last.
-        window = list(arr[-self.order :])
-        out = np.empty(horizon)
+        order = self.order
+        # Per origin: the last `order` observations, newest last, then
+        # each forecast fed back in as the next pseudo-observation.
+        buffer = np.empty((origins.size, order + horizon))
+        buffer[:, :order] = arr[origins[:, None] + np.arange(1 - order, 1)]
+        # terms[:, 0] = 0 starts the sum and one sequential cumsum adds
+        # phi_1 y(t-1) .. phi_p y(t-p) left to right: Python's sum().
+        terms = np.zeros((origins.size, order + 1))
         for step in range(horizon):
-            value = intercept + sum(
-                phi[i] * window[-1 - i] for i in range(self.order)
-            )
-            out[step] = value
-            window.append(value)
-            window.pop(0)
-        return out
+            np.multiply(phi, buffer[:, step : step + order][:, ::-1],
+                        out=terms[:, 1:])
+            buffer[:, order + step] = intercept + terms.cumsum(axis=1)[:, -1]
+        return buffer[:, order:]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArPredictor(order={self.order}, fitted={self._fitted})"

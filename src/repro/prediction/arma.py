@@ -58,7 +58,7 @@ class ArmaPredictor(Predictor):
     def _fit(self, arr: np.ndarray) -> None:
         # Stage 1: long AR for innovation estimates.
         self._long_ar = fit_ar_coefficients(arr, self.long_ar_order)
-        innovations = self._innovations(arr)
+        innovations = self._innovations(arr, np.arange(arr.size))
 
         # Stage 2: regress y(t) on lags of y and lags of innovations.
         start = self.long_ar_order + max(self.p, self.q)
@@ -77,40 +77,46 @@ class ArmaPredictor(Predictor):
         self._phi = weights[1 : 1 + self.p]
         self._theta = weights[1 + self.p :]
 
-    def _innovations(self, arr: np.ndarray) -> np.ndarray:
-        """One-step residuals of the long AR model, zero-padded at the front."""
+    def _innovations(self, arr: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        """One-step residuals of the long AR model at ``anchors`` (any
+        shape); an anchor before the model's first full lag window has
+        none, and reads zero."""
         assert self._long_ar is not None
         order = self.long_ar_order
         coeffs = self._long_ar
-        innovations = np.zeros(arr.size)
-        if arr.size <= order:
-            return innovations
-        anchors = np.arange(order, arr.size)
-        fitted = np.full(anchors.size, coeffs[0])
+        fitted = np.full(anchors.shape, coeffs[0])
         for lag in range(1, order + 1):
-            fitted += coeffs[lag] * arr[anchors - lag]
-        innovations[order:] = arr[anchors] - fitted
-        return innovations
+            fitted += coeffs[lag] * arr[np.maximum(anchors - lag, 0)]
+        return np.where(anchors >= order, arr[anchors] - fitted, 0.0)
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
         assert self._phi is not None and self._theta is not None
-        innovations = list(self._innovations(arr)[-max(self.q, 1) :]) if self.q else []
-        values = list(arr[-self.p :])
-        out = np.empty(horizon)
-        for step in range(horizon):
-            forecast = self._intercept + sum(
-                self._phi[i] * values[-1 - i] for i in range(self.p)
+        p, q = self.p, self.q
+        n = origins.size
+        # Per origin: the last p observations, newest last, then each
+        # forecast fed back in; the last q innovations, then zeros (the
+        # future innovations' conditional mean).
+        values = np.empty((n, p + horizon))
+        values[:, :p] = arr[origins[:, None] + np.arange(1 - p, 1)]
+        innovations = np.zeros((n, q + horizon))
+        if q:
+            innovations[:, :q] = self._innovations(
+                arr, origins[:, None] + np.arange(1 - q, 1)
             )
-            for j in range(self.q):
-                if j < len(innovations):
-                    forecast += self._theta[j] * innovations[-1 - j]
-            out[step] = forecast
-            values.append(forecast)
-            values.pop(0)
-            if self.q:
-                innovations.append(0.0)  # future innovations have mean zero
-                innovations.pop(0)
-        return out
+        # Leading column 0 starts Python's left-to-right sum() of the AR
+        # terms; the MA terms are then added one at a time, in order.
+        ar_terms = np.zeros((n, p + 1))
+        ma_terms = np.empty((n, q + 1))
+        for step in range(horizon):
+            np.multiply(self._phi, values[:, step : step + p][:, ::-1],
+                        out=ar_terms[:, 1:])
+            ma_terms[:, 0] = self._intercept + ar_terms.cumsum(axis=1)[:, -1]
+            np.multiply(self._theta, innovations[:, step : step + q][:, ::-1],
+                        out=ma_terms[:, 1:])
+            values[:, p + step] = ma_terms.cumsum(axis=1)[:, -1]
+        return values[:, p:]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ArmaPredictor(p={self.p}, q={self.q}, fitted={self._fitted})"

@@ -12,7 +12,6 @@ forecast the next ``horizon`` slots.  All predictors in this package:
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,27 +21,6 @@ from ..persist import Persisted
 from ..telemetry import get_telemetry
 
 
-@contextmanager
-def forecast_instrumentation(model: str, horizon: int):
-    """Meter one ``predict_horizon`` call: bumps the
-    ``predictor.forecast{model}`` counter and feeds the wall-clock cost
-    into the ``predictor.latency_ms{model,tau}`` histogram.  Free (one
-    attribute check) when telemetry is disabled."""
-    tel = get_telemetry()
-    if not tel.enabled:
-        yield
-        return
-    start = time.perf_counter()  # lint: wall-clock-ok
-    try:
-        yield
-    finally:
-        elapsed_ms = (time.perf_counter() - start) * 1e3  # lint: wall-clock-ok
-        tel.metrics.counter("predictor.forecast", model=model).inc()
-        tel.metrics.histogram(
-            "predictor.latency_ms", model=model, tau=str(horizon)
-        ).observe(elapsed_ms)
-
-
 def as_series(values: Sequence[float]) -> np.ndarray:
     """Validate and convert a load series to a float array."""
     arr = np.asarray(values, dtype=float)
@@ -50,9 +28,17 @@ def as_series(values: Sequence[float]) -> np.ndarray:
         raise PredictionError(f"load series must be 1-D (got shape {arr.shape})")
     if arr.size == 0:
         raise PredictionError("load series must be non-empty")
-    if np.any(~np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise PredictionError("load series contains NaN or infinite values")
     return arr
+
+
+#: Origins one kernel call forecasts: :meth:`Predictor.forecasts` splits
+#: a longer origin list into chunks of this size, and a
+#: :class:`ForecastTable` fills this many rows at a time.  A chunk's
+#: working arrays stay a few MB even for mSSA's one-day window at
+#: per-minute slots.
+FORECAST_CHUNK = 512
 
 
 def solve_ridge(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -72,10 +58,12 @@ def solve_ridge(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class Predictor(Persisted):
     """Base class for time-series load predictors.
 
-    :meth:`fit` and :meth:`predict_horizon` are written once, here:
-    they validate, meter, clip at zero and keep the fitted flag, and
-    call the two methods a model implements — ``_fit(arr)`` and
-    ``_forecast(arr, horizon)``, both handed a validated float array.
+    :meth:`fit` and :meth:`forecasts` are written once, here: they
+    validate, meter, clip at zero and keep the fitted flag, and call the
+    two methods a model implements — ``_fit(arr)`` and the batched
+    kernel ``_forecasts(arr, origins, horizon)``, both handed a
+    validated float array.  :meth:`predict_horizon` is the one-origin
+    :meth:`forecasts` call.
     The rest of the *protocol* the system programs against is declared
     below with its defaults, so no caller probes for an attribute:
 
@@ -163,7 +151,7 @@ class Predictor(Persisted):
             self.fit(self._fit_series)
 
     # ------------------------------------------------------------------
-    # The template: a model writes ``_fit`` and ``_forecast``
+    # The template: a model writes ``_fit`` and ``_forecasts``
     # ------------------------------------------------------------------
 
     def fit(self, series: Sequence[float]) -> "Predictor":
@@ -179,16 +167,45 @@ class Predictor(Persisted):
         self._fitted = True
         return self
 
+    def forecasts(
+        self, series: Sequence[float], origins: Sequence[int], horizon: int
+    ) -> np.ndarray:
+        """Forecast the next ``horizon`` slots from every origin at once.
+
+        Row ``i`` is what the model forecasts having observed
+        ``series[: origins[i] + 1]``: an origin is the index of the last
+        observed slot, and a row reads nothing after it.  Each origin
+        must leave at least ``min_history`` observed slots and
+        ``horizon`` must not pass ``tau_max``.  ``series`` is validated
+        once, the call is metered once (one counter increment per row,
+        one latency observation) and the rows are clipped at zero, since
+        load cannot be negative.  The kernel runs :data:`FORECAST_CHUNK`
+        origins at a time, so a long backtest never holds every origin's
+        working arrays at once.  Returns a ``(len(origins), horizon)``
+        array; every row is bit-identical to the one-origin call.
+        """
+        arr = self._validated(series, horizon)
+        at = np.asarray(origins, dtype=np.intp).reshape(-1)
+        if not at.size:
+            return np.empty((0, horizon))
+        if int(at.max()) >= arr.size:
+            raise PredictionError(
+                f"origin {int(at.max())} is past the end of a series of "
+                f"{arr.size} slots"
+            )
+        return self._rows(arr, at, horizon, int(at.min()) + 1)
+
     def predict_horizon(
         self, history: Sequence[float], horizon: int
     ) -> np.ndarray:
-        """Forecast the next ``horizon`` slots given observed ``history``.
+        """Forecast the next ``horizon`` slots given observed ``history``:
+        the one-origin :meth:`forecasts` call, from its last slot.
+        Returns an array of length ``horizon``."""
+        arr = self._validated(history, horizon)
+        return self._rows(arr, np.array([arr.size - 1]), horizon, arr.size)[0]
 
-        ``history`` must include at least ``min_history`` slots (for
-        SPAR: ``n`` periods plus ``m`` recent slots) and ``horizon`` must
-        not pass ``tau_max``.  Returns an array of length ``horizon``;
-        forecasts are clipped at zero since load cannot be negative.
-        """
+    def _validated(self, series: Sequence[float], horizon: int) -> np.ndarray:
+        """The checks every forecast makes before its origins'."""
         self._require_fitted()
         if horizon < 1:
             raise PredictionError(f"horizon must be >= 1 (got {horizon})")
@@ -197,23 +214,55 @@ class Predictor(Persisted):
                 f"horizon must be <= tau_max={self.tau_max} for "
                 f"{self.name} (got {horizon})"
             )
-        arr = as_series(history)
-        if arr.size < self.min_history:
+        return as_series(series)
+
+    def _rows(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int, shortest: int
+    ) -> np.ndarray:
+        """Run the kernel a chunk at a time, clip at zero and meter: the
+        ``predictor.forecast{model}`` counter gains a row per origin, the
+        ``predictor.latency_ms{model,tau}`` histogram one observation
+        per call (a failed call too).  ``shortest`` is the fewest slots
+        any origin has observed."""
+        if shortest < self.min_history:
             raise PredictionError(
-                f"history of {arr.size} slots is shorter than the minimum "
+                f"history of {shortest} slots is shorter than the minimum "
                 f"context of {self.min_history}"
             )
-        with forecast_instrumentation(self.name, horizon):
-            return np.clip(self._forecast(arr, horizon), 0.0, None)
+        tel = get_telemetry()
+        start = time.perf_counter() if tel.enabled else None  # lint: wall-clock-ok
+        try:
+            if origins.size <= FORECAST_CHUNK:
+                rows = self._forecasts(arr, origins, horizon)
+            else:
+                rows = np.concatenate([
+                    self._forecasts(arr, origins[lo : lo + FORECAST_CHUNK], horizon)
+                    for lo in range(0, origins.size, FORECAST_CHUNK)
+                ])
+            # np.clip(rows, 0.0, None) is this ufunc call.
+            return np.maximum(rows, 0.0)
+        finally:
+            if start is not None:
+                elapsed_ms = (time.perf_counter() - start) * 1e3  # lint: wall-clock-ok
+                tel.metrics.counter(
+                    "predictor.forecast", model=self.name
+                ).inc(origins.size)
+                tel.metrics.histogram(
+                    "predictor.latency_ms", model=self.name, tau=str(horizon)
+                ).observe(elapsed_ms)
 
     def _fit(self, arr: np.ndarray) -> None:
         """Learn from the validated training window ``arr``; raise
         :class:`~repro.errors.PredictionError` if it is too short."""
         raise NotImplementedError
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
-        """The next ``horizon`` slots after ``arr`` (validated, at least
-        ``min_history`` long), before the zero clip."""
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
+        """The ``(len(origins), horizon)`` forecasts after each origin of
+        ``arr`` (validated; every origin leaves ``min_history`` slots),
+        before the zero clip.  Row ``i`` may read only
+        ``arr[: origins[i] + 1]``."""
         raise NotImplementedError
 
     def observe(self, value: float) -> None:
@@ -229,13 +278,13 @@ class Predictor(Persisted):
     ) -> float:
         """Forecast the single value ``series[t + tau]`` using data up to ``t``.
 
-        Convenience for backtesting: equivalent to slicing the history at
-        ``t`` and reading entry ``tau - 1`` of :meth:`predict_horizon`.
+        Convenience for backtesting: entry ``tau - 1`` of the
+        :meth:`forecasts` row from origin ``t``.
         """
         if tau < 1:
             raise PredictionError(f"tau must be >= 1 (got {tau})")
         history = as_series(series)[: t + 1]
-        return float(self.predict_horizon(history, tau)[tau - 1])
+        return float(self.forecasts(history, (history.size - 1,), tau)[0, tau - 1])
 
     def backtest(
         self,
@@ -249,8 +298,9 @@ class Predictor(Persisted):
 
         For each evaluation index ``t`` in ``[start, stop)`` (stepping by
         ``step``), forecast ``series[t]`` using only data up to
-        ``t - tau``.  Returns actual/predicted pairs for error analysis
-        (Figures 5 and 6 of the paper).
+        ``t - tau`` — one :meth:`forecasts` call over every origin.
+        Returns actual/predicted pairs for error analysis (Figures 5 and
+        6 of the paper).
         """
         self._require_fitted()
         arr = as_series(series)
@@ -262,16 +312,57 @@ class Predictor(Persisted):
             raise PredictionError(
                 f"invalid backtest range [{lo}, {hi}) for series of {arr.size}"
             )
-        indices = list(range(lo, hi, step))
-        actual = np.empty(len(indices))
-        predicted = np.empty(len(indices))
-        for out, t in enumerate(indices):
-            history = arr[: t - tau + 1]
-            predicted[out] = self.predict_horizon(history, tau)[tau - 1]
-            actual[out] = arr[t]
+        indices = np.asarray(range(lo, hi, step), dtype=np.intp)
+        predicted = self.forecasts(arr, indices - tau, tau)[:, tau - 1]
         return BacktestResult(
-            indices=np.asarray(indices), actual=actual, predicted=predicted, tau=tau
+            indices=indices, actual=arr[indices], predicted=predicted, tau=tau
         )
+
+
+class ForecastTable:
+    """Every forecast one run will ask a batch-fitted predictor for.
+
+    A capacity run knows its whole load series — the seeded training
+    window plus the trace — before its first slot, and a predictor that
+    does not learn from :meth:`Predictor.observe` forecasts from a
+    prefix of it the same way whenever it is asked.  So the table
+    answers a decision's forecast from rows it computes ahead:
+    :data:`FORECAST_CHUNK` origins per :meth:`Predictor.forecasts` call,
+    starting at the first origin asked for that it does not hold.  One
+    chunk is held at a time.  A table serves one run over one series;
+    nothing carries it to the next.
+    """
+
+    def __init__(
+        self, predictor: Predictor, series: Sequence[float], horizon: int
+    ):
+        self.predictor = predictor
+        self.series = as_series(series)
+        self.horizon = horizon
+        self._lo = 0
+        self._rows = np.empty((0, horizon))
+
+    def row(self, history: Sequence[float]) -> np.ndarray:
+        """The forecast from the last slot of ``history`` (read-only),
+        which must be a prefix of the table's series."""
+        origin = len(history) - 1
+        if not (
+            0 <= origin < self.series.size
+            and history[-1] == self.series[origin]
+        ):
+            raise PredictionError(
+                f"a history of {origin + 1} slots is not a prefix of the "
+                "table's series"
+            )
+        offset = origin - self._lo
+        if not 0 <= offset < len(self._rows):
+            stop = min(origin + FORECAST_CHUNK, self.series.size)
+            self._rows = self.predictor.forecasts(
+                self.series, np.arange(origin, stop), self.horizon
+            )
+            self._rows.setflags(write=False)
+            self._lo, offset = origin, 0
+        return self._rows[offset]
 
 
 class BacktestResult:

@@ -218,7 +218,7 @@ class _TreeGrower:
     (feature, threshold; ``NaN`` where the node is a leaf) and ``2^d``
     leaf values, a leaf above the bottom copied to every bottom slot
     under it.  So every walk is ``d`` steps long and
-    :meth:`GbtPredictor._forecast` takes all trees' steps at once.
+    :meth:`GbtPredictor._forecasts` takes all trees' steps at once.
     """
 
     def __init__(self, features, max_depth, n_thresholds, min_leaf):
@@ -333,6 +333,7 @@ class GbtPredictor(Predictor):
         self._split_feature: Optional[np.ndarray] = None
         self._split_threshold: Optional[np.ndarray] = None
         self._leaf_value: Optional[np.ndarray] = None
+        self._phases: Optional[np.ndarray] = None
         # Where a walk goes left from each split slot: a split slot on
         # the levels above the last, a leaf below it.  Right is + 1.
         n_splits = 2 ** max_depth - 1
@@ -370,33 +371,61 @@ class GbtPredictor(Predictor):
             np.concatenate(part) for part in zip(*trees)
         )
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
         lags = np.array(self.lags)
         n_lags = lags.size
-        buffer = np.empty(self.min_history + horizon)
-        buffer[: self.min_history] = arr[-self.min_history :]
-        row = np.empty(n_lags + 4)
-        # terms[0] = 0.0 is the start of the sum the leaves are added to,
-        # left to right, by one sequential cumsum.
-        terms = np.zeros(self.n_trees + 1)
-        for step in range(horizon):
-            end = self.min_history + step
-            row[:n_lags] = buffer[end - lags]
-            phase = 2.0 * math.pi * ((arr.size + step) % self.period) / self.period
-            row[n_lags:] = (math.sin(phase), math.cos(phase),
-                            math.sin(2 * phase), math.cos(2 * phase))
-            # Where each split slot sends this row: left child, or + 1.
-            step_to = self._left_child + (
-                row[self._split_feature] > self._split_threshold
-            )
-            node = self._roots
+        history = self.min_history
+        # Per origin, newest last; each forecast is fed back as a lag.
+        buffer = np.empty((origins.size, history + horizon))
+        buffer[:, :history] = arr[origins[:, None] + np.arange(1 - history, 1)]
+        rows = np.empty((origins.size, n_lags + 4))
+        # Each step's calendar features, per origin.
+        phases = self._phase_features()[
+            (origins[:, None] + np.arange(1, horizon + 1)) % self.period
+        ]
+        # terms[:, 0] = 0.0 is the start of the sum the leaves are added
+        # to, left to right, by one sequential cumsum per row.
+        terms = np.zeros((origins.size, self.n_trees + 1))
+        # Row r's split slots start at r * slots in a flat step table,
+        # and so do its walks (the leaves' index is taken back out).
+        row_start = np.arange(origins.size)[:, None] * self._left_child.size
+        left_child = self._left_child + row_start
+        roots = self._roots + row_start
+        for step, end in enumerate(range(history, history + horizon)):
+            rows[:, :n_lags] = buffer.take(end - lags, axis=1)
+            rows[:, n_lags:] = phases[:, step]
+            # Where each split slot sends each row: left child, or + 1.
+            step_to = (
+                left_child
+                + (rows.take(self._split_feature, axis=1) > self._split_threshold)
+            ).ravel()
+            node = roots
             for _ in range(self.max_depth):
                 node = step_to[node]
-            terms[1:] = self._leaf_value[node]
-            value = self._base + self.learning_rate * np.cumsum(terms)[-1]
-            # Clipped before it is fed back as a lag.
-            buffer[end] = max(float(value), 0.0)
-        return buffer[self.min_history :].copy()
+            terms[:, 1:] = self._leaf_value[node - row_start]
+            value = self._base + self.learning_rate * terms.cumsum(axis=1)[:, -1]
+            # Clipped before it is fed back as a lag.  (A -0.0 becomes
+            # 0.0 here, where max(value, 0.0) kept it; no split tells
+            # the two apart and the final clip makes the output 0.0.)
+            np.maximum(value, 0.0, out=buffer[:, end])
+        return buffer[:, history:]
+
+    def _phase_features(self) -> np.ndarray:
+        """The four calendar features of each slot-of-period phase, with
+        ``math.sin`` / ``math.cos``: a forecast row's phase is one of
+        ``period``, so the table is built once."""
+        if self._phases is None:
+            self._phases = np.array([
+                (math.sin(phase), math.cos(phase),
+                 math.sin(2 * phase), math.cos(2 * phase))
+                for phase in (
+                    2.0 * math.pi * slot / self.period
+                    for slot in range(self.period)
+                )
+            ])
+        return self._phases
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -106,26 +106,35 @@ class MssaPredictor(Predictor):
         gram = design.T @ design + self.ridge * np.eye(lags)
         self._coeffs = solve_ridge(gram, design.T @ targets)
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
         assert self._coeffs is not None
         intercept = self._coeffs[0]
         weights = self._coeffs[1:]
         n_lags = weights.size
-        # Newest last; each step feeds the forecast back in.
-        buffer = np.empty(n_lags + horizon)
-        buffer[:n_lags] = arr[-n_lags:]
-        # terms[1 + j] = weights[j] * y(t - 1 - j); terms[0] = 0.0 starts
-        # the sum, which one sequential cumsum adds left to right.
-        terms = np.zeros(n_lags + 1)
-        partial = np.empty(n_lags + 1)
-        for step in range(horizon):
-            np.multiply(weights, buffer[step : step + n_lags][::-1],
-                        out=terms[1:])
-            value = intercept + np.cumsum(terms, out=partial)[-1]
+        # Per origin, newest first: the observed tail from column
+        # ``horizon`` on, and each step's forecast written just before
+        # the window it was made from, so step ``s`` reads the window
+        # starting at ``horizon - s``.
+        buffer = np.empty((origins.size, horizon + n_lags))
+        buffer[:, horizon:] = arr[origins[:, None] - np.arange(n_lags)]
+        # terms[:, 1 + j] = weights[j] * y(t - 1 - j); terms[:, 0] = 0.0
+        # starts the sum, which one sequential cumsum per row adds left
+        # to right.
+        terms = np.zeros((origins.size, n_lags + 1))
+        partial = np.empty_like(terms)
+        for at in range(horizon - 1, -1, -1):
+            np.multiply(weights, buffer[:, at + 1 : at + 1 + n_lags],
+                        out=terms[:, 1:])
+            value = intercept + terms.cumsum(axis=1, out=partial)[:, -1]
             # Clip inside the recursion: load is non-negative and an
             # unstable recurrence must not feed back growing negatives.
-            buffer[n_lags + step] = max(float(value), 0.0)
-        return buffer[n_lags:].copy()
+            # (A -0.0 becomes 0.0 here, where max(value, 0.0) kept it;
+            # no sum tells the two apart and the final clip makes the
+            # output 0.0 either way.)
+            np.maximum(value, 0.0, out=buffer[:, at])
+        return buffer[:, horizon - 1 :: -1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

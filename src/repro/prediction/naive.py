@@ -39,9 +39,11 @@ class SeasonalNaivePredictor(Predictor):
     def _fit(self, arr: np.ndarray) -> None:
         """Nothing to learn."""
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
-        start = arr.size - self.period
-        return arr[start : start + horizon]
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
+        start = origins + 1 - self.period
+        return arr[start[:, None] + np.arange(horizon)]
 
 
 class LastValuePredictor(Predictor):
@@ -52,5 +54,7 @@ class LastValuePredictor(Predictor):
     def _fit(self, arr: np.ndarray) -> None:
         """Nothing to learn."""
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
-        return np.full(horizon, arr[-1])
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
+        return np.repeat(arr[origins][:, None], horizon, axis=1)

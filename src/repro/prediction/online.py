@@ -187,12 +187,22 @@ class OnlinePredictor(Predictor):
         ``history`` may be the caller's own measured series (the
         controller passes one); only the base model's requirements apply.
         """
+        self._require_fitted()
+        return self.base.predict_horizon(history, horizon)
+
+    def forecasts(
+        self, series: Sequence[float], origins: Sequence[int], horizon: int
+    ) -> np.ndarray:
+        """The base model's batched forecasts, once it has been fitted."""
+        self._require_fitted()
+        return self.base.forecasts(series, origins, horizon)
+
+    def _require_fitted(self) -> None:
         if not self.is_fitted:
             raise NotFittedError(
                 f"online predictor has seen {len(self._history)} of the "
                 f"{self.min_training} observations needed for its first fit"
             )
-        return self.base.predict_horizon(history, horizon)
 
     def predict_next(self, horizon: int) -> np.ndarray:
         """Forecast from the internal history (pure streaming use)."""

@@ -19,10 +19,11 @@ from .base import Predictor
 class OraclePredictor(Predictor):
     """Perfect predictor backed by the ground-truth series.
 
-    The history passed to :meth:`predict_horizon` must be a prefix of the
-    truth (only its *length* is used to locate "now"); a mismatch larger
-    than floating-point noise raises, which guards against accidentally
-    pairing an oracle with the wrong trace.
+    The history a forecast is made from must be a prefix of the truth
+    (only its *length* is used to locate "now"); a mismatch larger than
+    floating-point noise in the last three slots of any origin raises,
+    which guards against accidentally pairing an oracle with the wrong
+    trace.
     """
 
     name = "oracle"
@@ -35,21 +36,22 @@ class OraclePredictor(Predictor):
         # Fitting replaces the truth; useful when reusing one instance.
         self._truth = arr
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
-        now = arr.size - 1
-        if now >= self._truth.size:
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
+        size = self._truth.size
+        if int(origins.max()) >= size:
             raise PredictionError(
-                f"history of {arr.size} slots is longer than the truth "
-                f"({self._truth.size} slots)"
+                f"history of {int(origins.max()) + 1} slots is longer than "
+                f"the truth ({size} slots)"
             )
-        if not np.allclose(arr[-3:], self._truth[max(0, now - 2) : now + 1]):
+        # The last (up to) three observed slots of every origin, checked
+        # in one comparison; an index clipped at 0 repeats a slot.
+        recent = np.maximum(origins[:, None] - np.arange(2, -1, -1), 0)
+        if not np.allclose(arr[recent], self._truth[recent]):
             raise PredictionError(
                 "history does not match the oracle's ground-truth series"
             )
-        end = now + 1 + horizon
-        future = self._truth[now + 1 : min(end, self._truth.size)]
-        if future.size < horizon:
-            # Past the end of the truth: hold the last known value.
-            pad = np.full(horizon - future.size, self._truth[-1])
-            future = np.concatenate([future, pad])
-        return future
+        # Past the end of the truth: hold the last known value.
+        ahead = origins[:, None] + np.arange(1, horizon + 1)
+        return self._truth[np.minimum(ahead, size - 1)]

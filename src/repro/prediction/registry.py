@@ -20,7 +20,7 @@ To add a predictor:
 
 1. subclass :class:`~repro.prediction.base.Predictor`: set its ``name``
    class attribute to the registry slug, write ``_fit`` and
-   ``_forecast``, declare ``min_history`` / ``period`` / ``tau_max``;
+   ``_forecasts``, declare ``min_history`` / ``period`` / ``tau_max``;
 2. call :func:`register_predictor` with a :class:`PredictorSpec`
    (module import time is fine — this module registers the whole zoo on
    import);

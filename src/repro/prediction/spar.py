@@ -78,8 +78,16 @@ class SparPredictor(Predictor):
         # (a, b) per tau, fitted for exactly the taus 1.._fitted_upto,
         # and their dense stacks per horizon.
         self._coeffs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._stacked: Dict[int, Tuple[np.ndarray, List[np.ndarray]]] = {}
+        self._stacked: Dict[
+            int, Tuple[np.ndarray, List[np.ndarray], np.ndarray]
+        ] = {}
         self._fitted_upto = 0
+        # How far back "now" each recent offset reads: row 0 is
+        # ``y(t - j)``, row k its periodic lag ``y(t - j - k*T)``.
+        self._offset_reach = (
+            np.arange(1, m_recent + 1)
+            + np.arange(n_periods + 1)[:, None] * period
+        )
 
     def _check_tau(self, tau: int) -> None:
         if tau < 1:
@@ -179,43 +187,49 @@ class SparPredictor(Predictor):
     # Forecasting
     # ------------------------------------------------------------------
 
-    def _forecast(self, arr: np.ndarray, horizon: int) -> np.ndarray:
-        """Forecast slots ``t+1 .. t+horizon`` where ``t`` is the last
-        index of ``arr`` (Eq. 8 applied per tau)."""
-        t = arr.size - 1
-        n, m, period = self.n_periods, self.m_recent, self.period
-        # Recent offsets are shared by every tau: one strided gather
-        # per periodic lag instead of an m * n Python loop.
-        if m:
-            recent = t - np.arange(1, m + 1)
-            acc = np.zeros(m)
-            for k in range(1, n + 1):
-                acc += arr[recent - k * period]
-            offsets = arr[recent] - acc / n
-        else:
-            offsets = np.empty(0)
+    def _forecasts(
+        self, arr: np.ndarray, origins: np.ndarray, horizon: int
+    ) -> np.ndarray:
+        """Forecast slots ``t+1 .. t+horizon`` from each origin ``t``
+        (Eq. 8 applied per tau)."""
+        n, m = self.n_periods, self.m_recent
         self.fit_horizon(horizon)
-        coeff_a, coeff_b_rows = self._stacked_coeffs(horizon)
-        lags = arr[
-            t + np.arange(1, horizon + 1)[:, None]
-            - np.arange(1, n + 1) * period
-        ]
-        out = np.zeros(horizon)
+        coeff_a, coeff_b_rows, lag_reach = self._stacked_coeffs(horizon)
+        now = origins[:, None, None]
+        lags = arr[now + lag_reach]
+        out = np.zeros((origins.size, horizon))
         for k in range(n):
-            out += coeff_a[:, k] * lags[:, k]
+            out += coeff_a[:, k] * lags[:, :, k]
         if m:
-            # One BLAS dot per tau, matching a per-tau Eq. 8 loop's
-            # `b @ offsets` accumulation exactly (a single gemv could
-            # round differently).
+            # Recent offsets are shared by every tau: one gather of
+            # y(t - j) and of each periodic lag y(t - j - k*T).
+            past = now - self._offset_reach
+            if int(origins.min()) < self.min_history:
+                # From the first origin min_history allows, the deepest
+                # offset reaches one slot before the series, and a
+                # forecast from that origin has always read it as
+                # ``history[-1]``: the origin itself.  Kept, so every
+                # row is the one-origin forecast.
+                past = np.where(past < 0, past + now + 1, past)
+            seen = arr[past]
+            acc = np.zeros((origins.size, m))
+            for k in range(1, n + 1):
+                acc += seen[:, k]
+            offsets = seen[:, 0] - acc / n
+            # One BLAS dot per (origin, tau), matching a per-tau Eq. 8
+            # loop's `b @ offsets` accumulation exactly (a gemv or a
+            # matmul could round differently).
             out += np.fromiter(
-                (b @ offsets for b in coeff_b_rows), float, horizon
-            )
+                (b @ row for row in offsets for b in coeff_b_rows),
+                float, origins.size * horizon,
+            ).reshape(origins.size, horizon)
         return out
 
     def _stacked_coeffs(
         self, horizon: int
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Fitted coefficients for ``tau = 1..horizon`` as dense stacks."""
+    ) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+        """Fitted coefficients for ``tau = 1..horizon`` as dense stacks,
+        and the periodic lags' reach ``tau - k*T`` from "now"."""
         cached = self._stacked.get(horizon)
         if cached is None:
             coeff_a = np.empty((horizon, self.n_periods))
@@ -224,7 +238,11 @@ class SparPredictor(Predictor):
                 a, b = self._coeffs[tau]
                 coeff_a[tau - 1] = a
                 rows.append(b)
-            cached = (coeff_a, rows)
+            reach = (
+                np.arange(1, horizon + 1)[:, None]
+                - np.arange(1, self.n_periods + 1) * self.period
+            )
+            cached = (coeff_a, rows, reach)
             self._stacked[horizon] = cached
         return cached
 

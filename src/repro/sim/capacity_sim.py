@@ -134,7 +134,13 @@ class CapacitySimulator:
             1.0 + np.abs(peak_rng.normal(0.0, PEAK_SIGMA, n_slots))
         )
 
-        strategy.reset(self.initial_machines)
+        # One buffer for seed + slots; strategies see a view of what has
+        # been measured so far, so nothing is copied per decision.  The
+        # whole of it is known now, and the strategy is told so.
+        seeded = self.history.size
+        history = np.concatenate([self.history, load_tps])
+        strategy.reset(self.initial_machines, known=history)
+        self.history = history
         tel = self._telemetry
         recording = tel.enabled
         alloc = Allocation(
@@ -145,11 +151,6 @@ class CapacitySimulator:
         out_eff_q = np.empty(n_slots)
         out_eff_qhat = np.empty(n_slots)
         out_migrating = np.zeros(n_slots, dtype=bool)
-        # One buffer for seed + slots; strategies see a view of what has
-        # been measured so far, so nothing is copied per decision.
-        seeded = self.history.size
-        history = np.concatenate([self.history, load_tps])
-        self.history = history
 
         for slot in range(n_slots):
             # history may be pre-seeded with the training window;

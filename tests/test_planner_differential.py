@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.config import default_config
 from repro.core import model
+from repro.core import planner as planner_module
 from repro.core.planner import Planner, PlanRequest
 from repro.errors import InfeasiblePlanError
 from repro.experiments.ablations import (
@@ -249,3 +250,150 @@ class TestEffCapOverride:
         blind = _EffCapBlindPlanner(config).plan(load, 2).first_real_move
         assert (aware.start, aware.end, aware.before, aware.after) == (10, 15, 2, 3)
         assert (blind.start, blind.end, blind.before, blind.after) == (14, 19, 2, 3)
+
+
+@st.composite
+def _request_sequences(draw):
+    """``(config, requests)``: requests through one planner.
+
+    Loads are half-multiples of ``q`` (scaled by a few fixed factors),
+    so different curves often share a feasibility pattern, and a request
+    may repeat an earlier one outright.  ``N0`` may pass
+    ``max_machines`` (so ``N0 > Z``), the current load may not fit under
+    ``N0``'s capacity (a failing ``t = 0`` check), and spikes past what
+    the cluster can reach in time make plans infeasible.
+    """
+    slot = draw(st.sampled_from((300.0, 600.0, 3600.0)))
+    config = dataclasses.replace(
+        default_config().with_interval(slot),
+        d_seconds=draw(st.sampled_from((300.0, 600.0, 2000.0, 4646.0))),
+        max_machines=draw(st.integers(0, 8)),  # 0 = unbounded
+    )
+    q = config.q
+    requests = []
+    for _ in range(draw(st.integers(1, 14))):
+        if requests and draw(st.booleans()):
+            requests.append(draw(st.sampled_from(requests)))
+            continue
+        top = draw(st.integers(1, 9))
+        loads = tuple(
+            draw(st.integers(0, 2 * top)) * q / 2
+            * draw(st.sampled_from((0.8, 0.95, 1.0)))
+            for _ in range(draw(st.integers(1, 8)))
+        )
+        n0 = draw(st.integers(1, 10))
+        current = draw(st.one_of(
+            st.none(), st.integers(0, 24).map(lambda k: k * q / 2)
+        ))
+        requests.append((loads, n0, current))
+    return config, requests
+
+
+class TestPlanMemo:
+    """``best_moves`` answers a feasibility pattern it has solved from
+    its memo: a request sequence through one planner must plan exactly
+    what a fresh planner and the paper-literal oracle plan, and the memo
+    must stay within its bound."""
+
+    @staticmethod
+    def _memo_bytes(planner):
+        return sum(len(key[-1]) for key in planner._plan_memo)
+
+    def _check(self, planner, config, loads, n0, current):
+        request = PlanRequest(
+            predicted_load=loads, initial_machines=n0, current_load=current
+        )
+        shared = _outcome(planner.best_moves, request)
+        assert shared == _outcome(Planner(config).best_moves, request)
+        assert shared == _outcome(
+            best_moves_reference, loads, n0, config, current_load=current
+        )
+        assert planner._plan_memo_bytes == self._memo_bytes(planner)
+        assert planner._plan_memo_bytes <= planner_module.PLAN_MEMO_BYTES
+        return shared
+
+    @given(case=_request_sequences())
+    @settings(max_examples=120, deadline=None)
+    def test_a_sequence_plans_what_fresh_planners_plan(self, case):
+        config, requests = case
+        planner = Planner(config)
+        for loads, n0, current in requests:
+            self._check(planner, config, loads, n0, current)
+
+    def test_the_sequences_cover_every_branch(self):
+        """A hit and a miss of each answer, plan and infeasible (a
+        failing base check and ``N0 > Z`` among the latter), each checked
+        like the property above."""
+        seen = set()
+        config = dataclasses.replace(default_config().with_interval(600.0), max_machines=4)
+        q = config.q
+        planner = Planner(config)
+        cases = [
+            ((400.0, 500.0, 600.0), 2, None),            # plan
+            ((400.0, 500.0, 600.0), 2, None),            # hit
+            ((401.0, 502.0, 603.0), 2, None),            # same pattern
+            ((400.0, 8000.0, 400.0), 2, None),           # infeasible spike
+            ((400.0, 9000.0, 400.0), 2, None),           # hit, new need
+            ((400.0, 500.0), 2, 3 * q),                  # base check fails
+            ((400.0, 500.0), 6, None),                   # N0 > Z
+        ]
+        for loads, n0, current in cases:
+            before = len(planner._plan_memo)
+            outcome = self._check(planner, config, loads, n0, current)
+            seen.add((outcome[0], len(planner._plan_memo) > before))
+        assert seen == {
+            ("plan", True), ("plan", False),
+            ("infeasible", True), ("infeasible", False),
+        }
+
+    def test_a_hit_is_the_stored_schedule(self):
+        planner = Planner(default_config().with_interval(600.0))
+        first = planner.plan((400.0, 500.0, 600.0), 2)
+        assert planner.plan((401.0, 502.0, 603.0), 2) is first
+        assert len(planner._plan_memo) == 1
+
+    def test_an_infeasible_hit_carries_the_current_requirement(self):
+        config = dataclasses.replace(default_config().with_interval(600.0), max_machines=4)
+        planner = Planner(config)
+        needs = []
+        for spike in (8000.0, 9000.0):
+            with pytest.raises(InfeasiblePlanError) as info:
+                planner.plan((400.0, spike, 400.0), 2)
+            needs.append(info.value.required_machines)
+        assert len(planner._plan_memo) == 1
+        assert needs == [
+            planner.machines_needed(8000.0), planner.machines_needed(9000.0)
+        ]
+
+    def test_eviction_keeps_the_bound_and_the_answers(self, monkeypatch):
+        """With room for a few patterns only, least recently used ones
+        go first and every answer is still the fresh planner's."""
+        config = dataclasses.replace(default_config().with_interval(600.0), max_machines=6)
+        key_bytes = 3 * 6 * 6  # horizon 3, Z = 6
+        monkeypatch.setattr(planner_module, "PLAN_MEMO_BYTES", 4 * key_bytes)
+        planner = Planner(config)
+        rng = np.random.default_rng(5)
+        curves = [
+            tuple(float(v) for v in rng.uniform(100, 1700, 3))
+            for _ in range(12)
+        ]
+        for index in rng.integers(0, len(curves), 60):
+            self._check(planner, config, curves[index], 6, None)
+            assert len(planner._plan_memo) <= 4
+        assert len(planner._plan_memo) == 4
+
+    def test_a_hit_is_used_recently(self, monkeypatch):
+        """A pattern answered from the memo moves to the back of the
+        eviction queue, so the one evicted next is the stalest.  (N0 = 3
+        keeps Z = 3, so every pattern is 27 bytes.)"""
+        config = default_config().with_interval(600.0)
+        planner = Planner(config)
+        first = planner.plan((400.0, 500.0, 600.0), 3)
+        monkeypatch.setattr(
+            planner_module, "PLAN_MEMO_BYTES", 2 * planner._plan_memo_bytes
+        )
+        planner.plan((100.0, 100.0, 100.0), 3)
+        assert planner.plan((400.0, 500.0, 600.0), 3) is first
+        planner.plan((300.0, 300.0, 300.0), 3)  # evicts the flat 100s
+        assert len(planner._plan_memo) == 2
+        assert planner.plan((400.0, 500.0, 600.0), 3) is first

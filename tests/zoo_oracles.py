@@ -14,6 +14,12 @@ stacked solve and forecasts with gathers; the per-``tau`` design matrix,
 fit and Eq. 8 loop it replaced are here too.  Their ``sum()`` calls add
 numpy scalars, not Python floats, so no interpreter compensates them.
 
+The other five models forecast one origin per call with the bodies
+below (``ar_forecast`` … ``oracle_forecast``); each model's batched
+``_forecasts`` kernel must reproduce them row for row.  AR and ARMA
+keep ``sum()`` over numpy scalars, which no interpreter compensates
+either.
+
 ``zoo_scale_series`` is the trace perfbench's ``capacity_zoo`` workload
 fits on: 14 steady training days and 2 evaluation days at 5-minute
 slots (period 288).
@@ -39,9 +45,9 @@ ZOO_EVAL_DAYS = 2
 ZOO_HORIZON = 7
 
 
-def zoo_scale_series(seed: int = 1) -> Tuple[np.ndarray, np.ndarray]:
-    """``(train, evaluation)`` rates of a steady B2W-like trace."""
-    trace = b2w_like_trace(
+def zoo_scale_trace(seed: int = 1):
+    """The steady B2W-like trace, training and evaluation days."""
+    return b2w_like_trace(
         n_days=ZOO_TRAIN_DAYS + ZOO_EVAL_DAYS,
         slot_seconds=ZOO_SLOT_SECONDS,
         seed=seed,
@@ -50,6 +56,11 @@ def zoo_scale_series(seed: int = 1) -> Tuple[np.ndarray, np.ndarray]:
         wobble_sigma=0.0,
         noise_sigma=0.01,
     )
+
+
+def zoo_scale_series(seed: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """``(train, evaluation)`` rates of :func:`zoo_scale_trace`."""
+    trace = zoo_scale_trace(seed)
     return (
         trace.slice_days(0, ZOO_TRAIN_DAYS).as_rate_per_second(),
         trace.slice_days(ZOO_TRAIN_DAYS, ZOO_EVAL_DAYS).as_rate_per_second(),
@@ -271,3 +282,117 @@ def spar_forecast(model, history: Sequence[float], horizon: int) -> np.ndarray:
         )
         out[tau - 1] = periodic + float(b @ offsets) if m else periodic
     return np.clip(out, 0.0, None)
+
+
+# ----------------------------------------------------------------------
+# One origin per call: AR, ARMA, the naive floors and the oracle
+# ----------------------------------------------------------------------
+
+
+def ar_forecast(model, arr: np.ndarray, horizon: int) -> np.ndarray:
+    """AR(p)'s recursion over a Python window list."""
+    coeffs = model.coefficients
+    intercept = coeffs[0]
+    phi = coeffs[1:]
+    window = list(arr[-model.order:])
+    out = np.empty(horizon)
+    for step in range(horizon):
+        value = intercept + sum(
+            phi[i] * window[-1 - i] for i in range(model.order)
+        )
+        out[step] = value
+        window.append(value)
+        window.pop(0)
+    return np.clip(out, 0.0, None)
+
+
+def arma_innovations(model, arr: np.ndarray) -> np.ndarray:
+    """One-step residuals of the long AR, zero-padded at the front."""
+    order = model.long_ar_order
+    coeffs = model._long_ar
+    innovations = np.zeros(arr.size)
+    if arr.size <= order:
+        return innovations
+    anchors = np.arange(order, arr.size)
+    fitted = np.full(anchors.size, coeffs[0])
+    for lag in range(1, order + 1):
+        fitted += coeffs[lag] * arr[anchors - lag]
+    innovations[order:] = arr[anchors] - fitted
+    return innovations
+
+
+def arma_forecast(model, arr: np.ndarray, horizon: int) -> np.ndarray:
+    """ARMA(p, q)'s recursion, future innovations set to zero."""
+    q = model.q
+    innovations = list(arma_innovations(model, arr)[-max(q, 1):]) if q else []
+    values = list(arr[-model.p:])
+    out = np.empty(horizon)
+    for step in range(horizon):
+        forecast = model._intercept + sum(
+            model._phi[i] * values[-1 - i] for i in range(model.p)
+        )
+        for j in range(q):
+            if j < len(innovations):
+                forecast += model._theta[j] * innovations[-1 - j]
+        out[step] = forecast
+        values.append(forecast)
+        values.pop(0)
+        if q:
+            innovations.append(0.0)  # future innovations have mean zero
+            innovations.pop(0)
+    return np.clip(out, 0.0, None)
+
+
+def seasonal_forecast(model, arr: np.ndarray, horizon: int) -> np.ndarray:
+    """The slots one period before the forecast ones."""
+    start = arr.size - model.period
+    return np.clip(arr[start : start + horizon], 0.0, None)
+
+
+def naive_forecast(model, arr: np.ndarray, horizon: int) -> np.ndarray:
+    """The last observation, held flat."""
+    return np.clip(np.full(horizon, arr[-1]), 0.0, None)
+
+
+def oracle_forecast(model, arr: np.ndarray, horizon: int) -> np.ndarray:
+    """The next true values after the history, checked against the truth
+    over its last three slots and padded with the last true value."""
+    truth = model._truth
+    now = arr.size - 1
+    if now >= truth.size:
+        raise PredictionError(
+            f"history of {arr.size} slots is longer than the truth "
+            f"({truth.size} slots)"
+        )
+    if not np.allclose(arr[-3:], truth[max(0, now - 2) : now + 1]):
+        raise PredictionError(
+            "history does not match the oracle's ground-truth series"
+        )
+    future = truth[now + 1 : min(now + 1 + horizon, truth.size)]
+    if future.size < horizon:
+        pad = np.full(horizon - future.size, truth[-1])
+        future = np.concatenate([future, pad])
+    return np.clip(future, 0.0, None)
+
+
+def forecast_one(
+    model, arr: np.ndarray, horizon: int, gbt_model=None
+) -> np.ndarray:
+    """The per-origin oracle of any zoo model: its forecast from the
+    whole of ``arr``.  For GBT, ``gbt_model`` is ``gbt_fit``'s
+    ``(base, trees)`` for it (the scalar fit is slow; fit once)."""
+    name = model.name
+    if name == "spar":
+        return spar_forecast(model, arr, horizon)
+    if name == "mssa":
+        return mssa_forecast(model._coeffs, arr, horizon)
+    if name == "gbt":
+        base, trees = gbt_model or gbt_fit(model, model._fit_series)
+        return gbt_forecast(model, base, trees, arr, horizon)
+    return {
+        "ar": ar_forecast,
+        "arma": arma_forecast,
+        "seasonal": seasonal_forecast,
+        "naive": naive_forecast,
+        "oracle": oracle_forecast,
+    }[name](model, arr, horizon)
