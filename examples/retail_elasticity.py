@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.analysis import series_block
 from repro.elasticity import PStoreStrategy, ReactiveStrategy
 from repro.experiments import benchmark_setup
+from repro.experiments.common import sim_payload
 from repro.experiments.tab02 import render_sla_table, sla_table
 from repro.sim import ElasticDbSimulator
 
@@ -46,7 +47,7 @@ def main() -> None:
         print(series_block("p99 latency (ms)", result.latency.series(99.0)))
         print()
 
-    print(render_sla_table(sla_table(runs)))
+    print(render_sla_table(sla_table(sim_payload(run) for run in runs)))
     reactive, pstore = runs
     total_reactive = sum(reactive.sla_violations().values())
     total_pstore = sum(pstore.sla_violations().values())

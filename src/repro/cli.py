@@ -11,12 +11,14 @@ Subcommands
 ``simulate``
     run the fast capacity simulator for a provisioning strategy;
 ``experiment``
-    run one of the paper's experiments (``--list`` enumerates them);
+    list the registered experiments;
 ``paper``
     run every paper artefact (or the named ones) at the registry's
-    defaults — the paper's scale — and print each report: the summary
-    plus its paper-vs-measured claims; ``--update EXPERIMENTS.md``
-    rewrites that file's marker blocks from them (see EXPERIMENTS.md);
+    defaults — the paper's scale — as one sweep over their cells (on
+    every CPU the process may use; a cell shared by several artefacts
+    runs once) and print each report: the summary plus its
+    paper-vs-measured claims; ``--update EXPERIMENTS.md`` rewrites that
+    file's marker blocks from them (see EXPERIMENTS.md);
 ``sweep``
     execute an experiment's cell grid across a worker pool with
     content-addressed result caching — re-runs only execute dirty cells
@@ -57,7 +59,9 @@ docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
+import os
 import sys
 from typing import List, Optional
 
@@ -179,17 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=7)
     sim.add_argument("--peak-tps", type=float, default=1450.0)
 
-    exp = sub.add_parser("experiment", parents=[common],
-                         help="run a paper experiment")
-    exp.add_argument(
-        "name", nargs="?", default=None,
-        help="experiment id (see --list; heavy experiments warn at "
-        "default scale)",
-    )
-    exp.add_argument(
-        "--list", action="store_true", dest="list_experiments",
-        help="enumerate the registered experiments and exit",
-    )
+    sub.add_parser("experiment", parents=[common],
+                   help="list the registered experiments")
 
     paper = sub.add_parser(
         "paper", parents=[common],
@@ -209,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common],
         help="run an experiment's cell grid with caching and workers",
     )
-    swp.add_argument("name", help="experiment id (see `experiment --list`)")
+    swp.add_argument("name", help="experiment id (see `pstore experiment`)")
     swp.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes (1 = in-process serial)")
     swp.add_argument(
@@ -555,38 +550,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments.registry import get_experiment, list_experiments
+    from .experiments.registry import list_experiments
 
-    if args.list_experiments:
-        rows = [
-            (
-                defn.name,
-                "grid" if defn.has_grid else "-",
-                "heavy" if defn.heavy else "",
-                defn.title,
-            )
-            for defn in list_experiments()
-        ]
-        print(ascii_table(
-            ["id", "cells", "scale", "title"], rows,
-            title="registered experiments",
-        ))
-        return 0
-    if args.name is None:
-        print("error: give an experiment id or --list", file=sys.stderr)
-        return 2
-    defn = get_experiment(args.name)
-    if defn.heavy:
-        logger.warning(
-            "experiment %s runs minutes at default scale", defn.name
-        )
-    result = defn.run()
-    print(defn.render(result))
+    rows = [
+        (defn.name, "heavy" if defn.heavy else "", defn.title)
+        for defn in list_experiments()
+    ]
+    print(ascii_table(
+        ["id", "scale", "title"], rows, title="registered experiments",
+    ))
     return 0
 
 
 def _cmd_paper(args) -> int:
     from .experiments.registry import get_experiment, list_experiments
+    from .runner import run_sweep
 
     defns = (
         [get_experiment(name) for name in args.names] if args.names
@@ -599,16 +577,45 @@ def _cmd_paper(args) -> int:
         # A bad marker must fail now, not after minutes of simulation.
         for defn in defns:
             splice_report(doc, defn.name, "")
-    for defn in defns:
-        logger.info("running %s", defn.name)
-        report = defn.render(defn.run())
-        print(f"===== {defn.name} =====\n{report}\n")
+    grids = [defn.make_grid() for defn in defns]
+    # One sweep over every artefact's cells: a cell two artefacts share
+    # (fig10 and tab02 fold fig09's) has one cache key, so it runs once.
+    # No cache: a key carries no code version, so a warm one would let
+    # --update write numbers this code did not measure.
+    report = run_sweep(
+        [spec for grid in grids for spec in grid],
+        cache=None,
+        jobs=len(os.sched_getaffinity(0)),
+        record_events=bool(args.telemetry_out),
+    )
+    logger.info("paper: %s", report.summary())
+    if args.telemetry_out:
+        _record_cells(report, get_telemetry())
+    cells = iter(report.cells)  # submission order: grid after grid
+    for defn, grid in zip(defns, grids):
+        own = itertools.islice(cells, len(grid))
+        text = defn.render(defn.fold({c.label: c.payload for c in own}))
+        print(f"===== {defn.name} =====\n{text}\n")
         if doc is not None:
-            doc = splice_report(doc, defn.name, report)
+            doc = splice_report(doc, defn.name, text)
     if doc is not None:
         with open(args.update, "w", encoding="utf-8") as handle:
             handle.write(doc)
     return 0
+
+
+def _record_cells(report, telemetry) -> None:
+    """Hand the cells' spans and chronicle to ``telemetry`` (the bundle
+    ``--telemetry-out`` exports), each record tagged with its cell."""
+    from .telemetry.tracing import Span
+
+    for cell in report.cells:
+        for record in cell.chronicle:
+            telemetry.chronicle.records.append({"cell": cell.label, **record})
+        for span in cell.spans:
+            fields = {k: v for k, v in span.items() if k != "duration"}
+            fields["attrs"] = {"cell": cell.label, **fields["attrs"]}
+            telemetry.tracer.spans.append(Span(**fields))
 
 
 def _payload_line(payload) -> str:
@@ -698,9 +705,9 @@ def _cmd_chaos(args) -> int:
 
     for label, run in result.runs.items():
         print()
-        print(f"[{label}] avg machines {run.result.average_machines:.2f}, "
-              f"{run.result.moves_started} moves, "
-              f"{run.result.emergencies} emergency")
+        print(f"[{label}] avg machines {run.payload['average_machines']:.2f}, "
+              f"{run.payload['moves_started']} moves, "
+              f"{run.payload['emergencies']} emergency")
         print(run.report())
     print()
     print(f"converged: {'yes' if result.all_converged else 'NO'}")

@@ -29,6 +29,7 @@ from ..prediction import OraclePredictor
 from ..sim import run_capacity_simulation
 from ..squall import build_migration_schedule
 from ..workload import b2w_like_trace
+from .common import by_cell
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +56,6 @@ class EffCapAblationResult:
     blind_feasible: bool
     blind_underprovision_intervals: int   # intervals where the blind plan
                                           # actually dips below the load
-    load: List[float]
 
 
 def run_effcap_ablation() -> EffCapAblationResult:
@@ -98,7 +98,6 @@ def run_effcap_ablation() -> EffCapAblationResult:
         aware_feasible=aware_schedule is not None,
         blind_feasible=blind_schedule is not None,
         blind_underprovision_intervals=underprovision,
-        load=load,
     )
 
 
@@ -283,32 +282,39 @@ def grid(n_days: int = 7) -> list:
     ]
 
 
-def _run(spec):
-    """The ablation a grid cell names (its typed result)."""
+def run_cell(spec, config) -> dict:
+    """The ablation a grid cell names, as plain data."""
     n_days = int(spec.option("n_days", 7))
     if spec.cell == "effcap":
-        return run_effcap_ablation()
+        return dataclasses.asdict(run_effcap_ablation())
     if spec.cell == "schedule":
-        return run_schedule_ablation()
+        result = run_schedule_ablation()
+        return {**dataclasses.asdict(result), "total_saved": result.total_saved}
     if spec.cell == "debounce":
-        return run_debounce_ablation(n_days=n_days, seed=spec.seed)
+        return dataclasses.asdict(
+            run_debounce_ablation(n_days=n_days, seed=spec.seed)
+        )
     if spec.cell == "inflation":
-        return run_inflation_ablation(n_days=n_days, seed=spec.seed)
+        return dataclasses.asdict(
+            run_inflation_ablation(n_days=n_days, seed=spec.seed)
+        )
     raise ConfigurationError(f"unknown ablation cell {spec.cell!r}")
 
 
-def run_ablations(n_days: int = 7) -> dict:
-    """Run the four ablations: the cells of :func:`grid`, by cell name."""
-    return {spec.cell: _run(spec) for spec in grid(n_days)}
-
-
-def run_cell(spec, config) -> dict:
-    result = _run(spec)
-    payload = dataclasses.asdict(result)
-    payload.pop("load", None)  # effcap's input, not a result
-    if spec.cell == "schedule":
-        payload["total_saved"] = result.total_saved
-    return payload
+def fold(payloads) -> dict:
+    """The four ablations' typed results, by cell name."""
+    cells = by_cell(payloads)
+    schedule, inflation = cells["schedule"], cells["inflation"]
+    return {
+        "effcap": EffCapAblationResult(**cells["effcap"]),
+        "schedule": ScheduleAblationResult(
+            rows=[ScheduleAblationRow(**row) for row in schedule["rows"]]
+        ),
+        "debounce": DebounceAblationResult(**cells["debounce"]),
+        "inflation": InflationAblationResult(
+            points=[InflationPoint(**point) for point in inflation["points"]]
+        ),
+    }
 
 
 def claims(result: dict) -> list:

@@ -18,7 +18,7 @@ starts from a healthier allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..analysis.report import claim
@@ -28,13 +28,12 @@ from ..faults import (
     FaultInjector,
     FaultRecord,
     FaultScenario,
-    RecoveryStats,
     crash_during_migration_scenario,
     recovery_stats,
     render_fault_report,
 )
-from ..sim import ElasticDbSimulator, SimulationResult
-from .common import benchmark_setup, sim_payload
+from ..sim import ElasticDbSimulator
+from .common import benchmark_setup, by_cell, sim_payload, violations
 from .fig09 import ENGINE_SEED
 
 #: Seed of the canonical crash-during-migration drill.
@@ -48,17 +47,25 @@ def _drill() -> FaultScenario:
 
 @dataclass
 class ChaosRun:
-    """One strategy's run under the scenario."""
+    """One strategy's run under the scenario: its cell payload (the
+    simulation's, plus ``recovery`` stats and the injector's
+    ``chronicle``) and, from :func:`run_chaos`, the fault records."""
 
     label: str
-    result: SimulationResult
-    records: List[FaultRecord]
-    chronicle: List[dict]
-    stats: RecoveryStats
+    payload: dict
+    records: List[FaultRecord] = field(default_factory=list)
+
+    @property
+    def recovery(self) -> dict:
+        return self.payload["recovery"]
 
     @property
     def converged(self) -> bool:
-        return self.stats.all_recovered
+        return self.recovery["converged"]
+
+    @property
+    def chronicle(self) -> List[dict]:
+        return self.payload["chronicle"]
 
     def report(self) -> str:
         return render_fault_report(self.records)
@@ -70,57 +77,18 @@ class ChaosResult:
 
     scenario: FaultScenario
     runs: Dict[str, ChaosRun]
-    baseline: SimulationResult
+    baseline: dict
 
     def violation_rows(self) -> Dict[str, Dict[float, int]]:
-        rows = {"p-store (no faults)": self.baseline.sla_violations()}
+        rows = {"p-store (no faults)": violations(self.baseline)}
         for label, run in self.runs.items():
-            rows[label] = run.result.sla_violations()
+            rows[label] = violations(run.payload)
         return rows
 
     @property
     def all_converged(self) -> bool:
         return all(run.converged for run in self.runs.values())
 
-
-def run_chaos(
-    scenario: Optional[FaultScenario] = None,
-    eval_days: int = 1,
-    seed: int = 21,
-    include_reactive: bool = True,
-) -> ChaosResult:
-    """Run the benchmark under a fault scenario, strategy by strategy:
-    the cells of :func:`grid`, with ``scenario`` in place of the
-    canonical drill when given.
-
-    Every strategy gets a *fresh* injector built from the same scenario
-    (same specs, same seed), so the fault schedules are identical and
-    the recovery timelines are directly comparable.
-    """
-    scenario = scenario or _drill()
-    config = default_config()
-    baseline = None
-    runs: Dict[str, ChaosRun] = {}
-    for spec in grid(eval_days, seed):
-        if spec.cell == "reactive" and not include_reactive:
-            continue
-        result, injector = _run(spec, config, scenario)
-        if injector is None:
-            baseline = result
-        else:
-            runs[spec.cell] = ChaosRun(
-                label=spec.cell,
-                result=result,
-                records=list(injector.records),
-                chronicle=list(injector.chronicle),
-                stats=recovery_stats(injector.records),
-            )
-    return ChaosResult(scenario=scenario, runs=runs, baseline=baseline)
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
 
 #: (cell name, strategy spec, faults enabled) — the three chaos runs.
 CHAOS_CELLS = (
@@ -149,19 +117,16 @@ def grid(eval_days: int = 1, seed: int = 21) -> list:
     ]
 
 
-def _run(spec, config, scenario: Optional[FaultScenario] = None):
-    """Simulate one cell -> (result, its injector or None): the only
-    construction site, shared by the runner and ``run_cell``.  A faulted
-    cell runs ``scenario``, by default the canonical
-    crash-during-migration drill."""
+def _run(spec, config, scenario: FaultScenario):
+    """Simulate one cell -> (payload, its injector or None): the only
+    construction site, shared by ``run_cell`` and :func:`run_chaos`.  A
+    faulted cell runs ``scenario``."""
     setup = benchmark_setup(
         eval_days=int(spec.option("eval_days", 1)),
         seed=spec.seed,
         config=config,
     )
-    injector = None
-    if spec.option("faults"):
-        injector = FaultInjector(scenario or _drill())
+    injector = FaultInjector(scenario) if spec.option("faults") else None
     strategy = StrategySpec.parse(spec.strategy).build(
         config, predictor=setup.spar, injector=injector
     )
@@ -172,16 +137,9 @@ def _run(spec, config, scenario: Optional[FaultScenario] = None):
         seed=ENGINE_SEED,
         injector=injector,
     )
-    result = simulator.run(
+    payload = sim_payload(simulator.run(
         setup.offered_tps, strategy, history_seed_tps=setup.train_interval_tps
-    )
-    return result, injector
-
-
-def run_cell(spec, config) -> dict:
-    """One strategy under the canonical crash-during-migration drill."""
-    result, injector = _run(spec, config)
-    payload = sim_payload(result)
+    ))
     if injector is not None:
         stats = recovery_stats(injector.records)
         payload["recovery"] = {
@@ -194,15 +152,60 @@ def run_cell(spec, config) -> dict:
             "converged": stats.all_recovered,
         }
         payload["chronicle"] = list(injector.chronicle)
-    return payload
+    return payload, injector
+
+
+def run_cell(spec, config) -> dict:
+    """One strategy under the canonical crash-during-migration drill."""
+    return _run(spec, config, _drill())[0]
+
+
+def fold(payloads, scenario: Optional[FaultScenario] = None) -> ChaosResult:
+    """The runs of one grid; their faults came from ``scenario`` (the
+    canonical drill unless given)."""
+    cells = by_cell(payloads)
+    baseline = cells.pop("baseline")
+    return ChaosResult(
+        scenario=scenario or _drill(),
+        runs={cell: ChaosRun(cell, payload) for cell, payload in cells.items()},
+        baseline=baseline,
+    )
+
+
+def run_chaos(
+    scenario: Optional[FaultScenario] = None,
+    eval_days: int = 1,
+    seed: int = 21,
+    include_reactive: bool = True,
+) -> ChaosResult:
+    """``pstore chaos``: the cells of :func:`grid` under ``scenario`` (a
+    user's scenario file is no cacheable cell), run in-process so the
+    caller's telemetry records them, and folded with each faulted run's
+    fault records.
+
+    Every strategy gets a *fresh* injector built from the same scenario
+    (same specs, same seed), so the fault schedules are identical and
+    the recovery timelines are directly comparable.
+    """
+    scenario = scenario or _drill()
+    config = default_config()
+    payloads, records = {}, {}
+    for spec in grid(eval_days, seed):
+        if spec.cell == "reactive" and not include_reactive:
+            continue
+        payloads[spec.label], injector = _run(spec, config, scenario)
+        if injector is not None:
+            records[spec.cell] = list(injector.records)
+    result = fold(payloads, scenario)
+    for label, run in result.runs.items():
+        run.records = records[label]
+    return result
 
 
 def summarize(result: ChaosResult) -> str:
     lines = [f"scenario: {len(result.scenario.faults)} fault(s)"]
-    for label, violations in result.violation_rows().items():
-        parts = ", ".join(
-            f"p{int(q)}={violations[q]}" for q in sorted(violations)
-        )
+    for label, seconds in result.violation_rows().items():
+        parts = ", ".join(f"p{int(q)}={seconds[q]}" for q in sorted(seconds))
         lines.append(f"{label}: [{parts}]")
     lines.append(f"all converged: {result.all_converged}")
     return "\n".join(lines)
@@ -210,14 +213,15 @@ def summarize(result: ChaosResult) -> str:
 
 def claims(result: ChaosResult) -> list:
     totals = {
-        label: sum(run.result.sla_violations().values())
+        label: sum(violations(run.payload).values())
         for label, run in result.runs.items()
     }
-    mttr = result.runs["p-store"].stats.mean_time_to_recover
+    mttr = result.runs["p-store"].recovery["mean_time_to_recover"]
     rows = [
         claim("every fault recovers, under every strategy",
               "(not in the paper: fault-free evaluation)",
-              ", ".join(f"{label} {run.stats.recovered}/{run.stats.injected}"
+              ", ".join(f"{label} {run.recovery['recovered']}/"
+                        f"{run.recovery['injected']}"
                         for label, run in result.runs.items()),
               result.all_converged),
         claim("P-Store mean time to recover", "-",

@@ -163,3 +163,50 @@ def capacity_payload(result) -> dict:
             "eff_cap_max": series_digest(result.eff_cap_max),
         },
     }
+
+
+# ----------------------------------------------------------------------
+# Fold helpers: an experiment's ``fold(payloads)`` reads its grid's
+# ``{label: payload}`` through these, so a report rendered from cached
+# payloads reads exactly like one rendered from the runs themselves.
+# ----------------------------------------------------------------------
+
+
+def by_cell(payloads) -> dict:
+    """``{label: payload}`` re-keyed by cell name (a label is
+    ``experiment/cell#seed``), in grid order."""
+    return {
+        label.split("/", 1)[1].rsplit("#", 1)[0]: payload
+        for label, payload in payloads.items()
+    }
+
+
+def violations(payload) -> dict:
+    """A :func:`sim_payload`'s SLA violation seconds keyed by percentile
+    (``{50.0: n, ...}``), as ``SimulationResult.sla_violations`` has them."""
+    return {float(key[1:]): n for key, n in payload["sla_violations"].items()}
+
+
+def sim_summary(payload) -> str:
+    """``SimulationResult.summary`` of the run a :func:`sim_payload` is."""
+    parts = ", ".join(
+        f"p{int(q)}={n}" for q, n in sorted(violations(payload).items())
+    )
+    return (
+        f"{payload['strategy']}: SLA violations [{parts}] "
+        f"avg machines {payload['average_machines']:.2f} "
+        f"({payload['moves_started']} moves, "
+        f"{payload['emergencies']} emergency)"
+    )
+
+
+def capacity_summary(payload) -> str:
+    """``CapacitySimResult.summary`` of the run a
+    :func:`capacity_payload` is."""
+    return (
+        f"{payload['strategy']}: avg machines "
+        f"{payload['average_machines']:.2f}, insufficient "
+        f"{payload['pct_time_insufficient']:.2f}% of time, "
+        f"{payload['moves_started']} moves "
+        f"({payload['emergencies']} emergency)"
+    )

@@ -13,26 +13,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.report import claim
-from ..workload import LoadTrace, b2w_like_trace
+from ..workload import b2w_like_trace
 
 
 @dataclass
 class Figure1Result:
     """Shape statistics of the regenerated Fig. 1 trace."""
 
-    trace: LoadTrace
     peak_requests_per_min: float
     trough_requests_per_min: float
     peak_to_trough: float
     daily_autocorrelation: float
 
 
-def run_figure1(n_days: int = 3, seed: int = 7) -> Figure1Result:
-    """Generate the Fig. 1 trace (per-minute request counts)."""
+def grid(n_days: int = 3, seed: int = 7) -> list:
+    from ..runner import RunSpec
+
+    return [
+        RunSpec(
+            experiment="fig01",
+            cell="trace-shape",
+            seed=seed,
+            overrides=(("n_days", int(n_days)),),
+        )
+    ]
+
+
+def run_cell(spec, config) -> dict:
+    """Generate the Fig. 1 trace (per-minute request counts) and measure
+    its shape."""
+    n_days = int(spec.option("n_days", 3))
     trace = b2w_like_trace(
         n_days=n_days,
         slot_seconds=60.0,
-        seed=seed,
+        seed=spec.seed,
         base_level=22_000.0,  # Fig. 1 peaks near 2.2e4 requests/min
     )
     values = trace.values
@@ -52,43 +66,17 @@ def run_figure1(n_days: int = 3, seed: int = 7) -> Figure1Result:
     for day in range(n_days):
         day_slice = smooth.values[day * per_day : (day + 1) * per_day]
         ratios.append(day_slice.max() / day_slice.min())
-    return Figure1Result(
-        trace=trace,
-        peak_requests_per_min=smooth.peak,
-        trough_requests_per_min=smooth.trough,
-        peak_to_trough=float(np.mean(ratios)),
-        daily_autocorrelation=autocorr,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
-
-
-def grid(n_days: int = 3, seed: int = 7) -> list:
-    from ..runner import RunSpec
-
-    return [
-        RunSpec(
-            experiment="fig01",
-            cell="trace-shape",
-            seed=seed,
-            overrides=(("n_days", int(n_days)),),
-        )
-    ]
-
-
-def run_cell(spec, config) -> dict:
-    result = run_figure1(
-        n_days=int(spec.option("n_days", 3)), seed=spec.seed
-    )
     return {
-        "peak_requests_per_min": result.peak_requests_per_min,
-        "trough_requests_per_min": result.trough_requests_per_min,
-        "peak_to_trough": result.peak_to_trough,
-        "daily_autocorrelation": result.daily_autocorrelation,
+        "peak_requests_per_min": smooth.peak,
+        "trough_requests_per_min": smooth.trough,
+        "peak_to_trough": float(np.mean(ratios)),
+        "daily_autocorrelation": autocorr,
     }
+
+
+def fold(payloads) -> Figure1Result:
+    (payload,) = payloads.values()
+    return Figure1Result(**payload)
 
 
 def summarize(result: Figure1Result) -> str:

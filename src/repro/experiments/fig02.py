@@ -14,59 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.report import claim
-from ..config import PStoreConfig, default_config
 from ..workload import sine_trace
 
 
 @dataclass
 class Figure2Result:
-    """Ideal vs step allocation series and their cost gap."""
+    """The step allocation's cost gap to the ideal one."""
 
-    demand_tps: np.ndarray
-    ideal_capacity: np.ndarray        # demand * (1 + buffer)
-    ideal_servers: np.ndarray         # fractional servers for ideal capacity
-    allocated_servers: np.ndarray     # the step function (2b)
-    step_cost: float                  # sum of allocated servers
     ideal_cost: float                 # sum of fractional servers
+    step_cost: float                  # sum of allocated servers
     overhead_pct: float               # step vs ideal cost
+    min_servers: float                # the step function's lowest step
+    min_slack: float                  # min (allocated - ideal) servers
 
 
 #: Ideal capacity is demand plus this buffer.
 BUFFER_FRACTION = 0.10
 #: Slots in the one sinusoidal day (5-minute slots).
 SLOTS = 288
-
-
-def run_figure2(config: PStoreConfig | None = None) -> Figure2Result:
-    """Compute the ideal and step allocations for one sinusoidal day."""
-    config = config or default_config()
-    slot_seconds = 86_400.0 / SLOTS
-    trace = sine_trace(
-        n_days=1,
-        slot_seconds=slot_seconds,
-        low=0.5 * config.q * slot_seconds,
-        high=7.5 * config.q * slot_seconds,
-    )
-    demand = trace.as_rate_per_second()
-    ideal_capacity = demand * (1.0 + BUFFER_FRACTION)
-    ideal_servers = ideal_capacity / config.q
-    allocated = np.ceil(ideal_servers - 1e-9).clip(1)
-    ideal_cost = float(ideal_servers.sum())
-    step_cost = float(allocated.sum())
-    return Figure2Result(
-        demand_tps=demand,
-        ideal_capacity=ideal_capacity,
-        ideal_servers=ideal_servers,
-        allocated_servers=allocated,
-        step_cost=step_cost,
-        ideal_cost=ideal_cost,
-        overhead_pct=100.0 * (step_cost - ideal_cost) / ideal_cost,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
 
 
 def grid() -> list:
@@ -76,12 +41,32 @@ def grid() -> list:
 
 
 def run_cell(spec, config) -> dict:
-    result = run_figure2(config=config)
+    """Compute the ideal (2a) and step (2b) allocations for one
+    sinusoidal day."""
+    slot_seconds = 86_400.0 / SLOTS
+    trace = sine_trace(
+        n_days=1,
+        slot_seconds=slot_seconds,
+        low=0.5 * config.q * slot_seconds,
+        high=7.5 * config.q * slot_seconds,
+    )
+    demand = trace.as_rate_per_second()
+    ideal_servers = demand * (1.0 + BUFFER_FRACTION) / config.q
+    allocated = np.ceil(ideal_servers - 1e-9).clip(1)
+    ideal_cost = float(ideal_servers.sum())
+    step_cost = float(allocated.sum())
     return {
-        "ideal_cost": result.ideal_cost,
-        "step_cost": result.step_cost,
-        "overhead_pct": result.overhead_pct,
+        "ideal_cost": ideal_cost,
+        "step_cost": step_cost,
+        "overhead_pct": 100.0 * (step_cost - ideal_cost) / ideal_cost,
+        "min_servers": float(allocated.min()),
+        "min_slack": float((allocated - ideal_servers).min()),
     }
+
+
+def fold(payloads) -> Figure2Result:
+    (payload,) = payloads.values()
+    return Figure2Result(**payload)
 
 
 def summarize(result: Figure2Result) -> str:
@@ -93,12 +78,11 @@ def summarize(result: Figure2Result) -> str:
 
 
 def claims(result: Figure2Result) -> list:
-    allocated = result.allocated_servers
-    slack = allocated - result.ideal_servers
+    lowest, slack = result.min_servers, result.min_slack
     return [
         claim("step allocation never below the ideal curve", "Fig 2b",
-              f"min {allocated.min():.0f} server, min slack {slack.min():.2f} servers",
-              allocated.min() >= 1 and (slack >= -1e-9).all()),
+              f"min {lowest:.0f} server, min slack {slack:.2f} servers",
+              lowest >= 1 and slack >= -1e-9),
         claim("step allocation overhead vs ideal", "qualitative gap (Fig 2b)",
               f"{result.overhead_pct:.1f}%", 0.0 < result.overhead_pct < 40.0),
     ]

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..analysis.report import claim
-from ..config import default_config
-from ..core.model import MoveProfile, move_profile, move_time
+from ..core.model import move_profile, move_time
 
 #: The three cases shown in the paper's Figure 4.
 FIGURE4_CASES: Tuple[Tuple[int, int], ...] = ((3, 5), (3, 9), (3, 14))
@@ -23,18 +22,17 @@ FIGURE4_CASES: Tuple[Tuple[int, int], ...] = ((3, 5), (3, 9), (3, 14))
 
 @dataclass
 class Figure4Case:
-    """One move's duration, trajectory, and allocation gap."""
+    """One move's duration and allocation gap."""
 
     before: int
     after: int
     duration_in_d: float      # move duration in units of D
-    profile: MoveProfile
     max_allocation_gap: float  # max (machines - effcap/Q) across the move
 
 
 @dataclass
 class Figure4Result:
-    """Trajectories for the three Fig. 4 migration cases."""
+    """The three Fig. 4 migration cases."""
 
     cases: List[Figure4Case]
 
@@ -43,33 +41,6 @@ class Figure4Result:
             if (case.before, case.after) == (before, after):
                 return case
         raise KeyError((before, after))
-
-
-def run_figure4(q: float | None = None) -> Figure4Result:
-    """Compute allocation and effective-capacity trajectories."""
-    q = q if q is not None else default_config().q
-    cases = []
-    for before, after in FIGURE4_CASES:
-        profile = move_profile(before, after, q=q)
-        gaps = [
-            machines - eff / q
-            for machines, eff in zip(profile.machines, profile.eff_cap[1:])
-        ]
-        cases.append(
-            Figure4Case(
-                before=before,
-                after=after,
-                duration_in_d=move_time(before, after),
-                profile=profile,
-                max_allocation_gap=max(gaps) if gaps else 0.0,
-            )
-        )
-    return Figure4Result(cases=cases)
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
 
 
 def grid() -> list:
@@ -86,16 +57,26 @@ def grid() -> list:
 
 
 def run_cell(spec, config) -> dict:
+    """One move's just-in-time allocation against its effective capacity."""
     before = int(spec.option("before"))
     after = int(spec.option("after"))
-    result = run_figure4(q=config.q)
-    case = result.case(before, after)
+    profile = move_profile(before, after, q=config.q)
+    gaps = [
+        machines - eff / config.q
+        for machines, eff in zip(profile.machines, profile.eff_cap[1:])
+    ]
     return {
         "before": before,
         "after": after,
-        "duration_in_d": case.duration_in_d,
-        "max_allocation_gap": case.max_allocation_gap,
+        "duration_in_d": move_time(before, after),
+        "max_allocation_gap": max(gaps) if gaps else 0.0,
     }
+
+
+def fold(payloads) -> Figure4Result:
+    return Figure4Result(
+        cases=[Figure4Case(**payload) for payload in payloads.values()]
+    )
 
 
 def summarize(result: Figure4Result) -> str:

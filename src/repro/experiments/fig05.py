@@ -1,7 +1,8 @@
 """Experiment: Figure 5 — SPAR's predictions for the B2W load.
 
-(a) a 24-hour track of actual vs 60-minute-ahead predicted load;
-(b) mean relative error as a function of the forecast window tau.
+We regenerate panel (b), the mean relative error as a function of the
+forecast window tau; panel (a), a 24-hour track of the 60-minute-ahead
+forecast, is a picture of the same model.
 
 The paper trains on four weeks of per-minute data with n = 7 periods and
 m = 30 recent measurements, reporting ~10.4% MRE at tau = 60 minutes and
@@ -11,13 +12,12 @@ graceful decay with tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
-
-import numpy as np
+from typing import Dict
 
 from ..analysis.report import claim
 from ..prediction import SparPredictor
 from ..workload import b2w_like_trace
+from .common import TRAIN_DAYS
 
 #: Forecast windows (minutes) swept in Fig. 5b.
 FIGURE5_TAUS = (10, 20, 30, 40, 50, 60)
@@ -25,73 +25,13 @@ FIGURE5_TAUS = (10, 20, 30, 40, 50, 60)
 
 @dataclass
 class Figure5Result:
-    """SPAR-on-B2W track and MRE-vs-tau sweep."""
+    """SPAR-on-B2W MRE-vs-tau sweep."""
 
-    actual_24h: np.ndarray
-    predicted_24h: np.ndarray
     mre_by_tau: Dict[int, float]      # tau (minutes) -> MRE fraction
-    predictor: SparPredictor
 
     @property
     def mre_60min_pct(self) -> float:
         return 100.0 * self.mre_by_tau[max(self.mre_by_tau)]
-
-
-def run_figure5(
-    train_days: int = 28,
-    eval_days: int = 7,
-    seed: int = 7,
-    taus: Sequence[int] = FIGURE5_TAUS,
-    track_stride: int = 10,
-    sweep_stride: int = 31,
-) -> Figure5Result:
-    """Fit SPAR on four weeks of per-minute data and evaluate it.
-
-    ``track_stride``/``sweep_stride`` thin the evaluation points to keep
-    runtime small without changing the statistics materially.
-    """
-    trace = b2w_like_trace(
-        n_days=train_days + eval_days, slot_seconds=60.0, seed=seed
-    )
-    period = trace.slots_per_day
-    train = train_days * period
-    spar = SparPredictor(period=period, n_periods=7, m_recent=30).fit(
-        trace.values[:train]
-    )
-
-    # Panel (a): 60-minute-ahead track over the first held-out day.
-    tau = max(taus)
-    track = spar.backtest(
-        trace.values,
-        tau=tau,
-        start=train,
-        stop=train + period,
-        step=track_stride,
-    )
-
-    # Panel (b): MRE vs tau over the full held-out week.
-    mre_by_tau: Dict[int, float] = {}
-    for t in taus:
-        result = spar.backtest(
-            trace.values,
-            tau=t,
-            start=train,
-            stop=train + eval_days * period,
-            step=sweep_stride,
-        )
-        mre_by_tau[t] = result.mean_relative_error()
-
-    return Figure5Result(
-        actual_24h=track.actual,
-        predicted_24h=track.predicted,
-        mre_by_tau=mre_by_tau,
-        predictor=spar,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
 
 
 def grid(taus=FIGURE5_TAUS, seed: int = 7, eval_days: int = 7) -> list:
@@ -109,13 +49,36 @@ def grid(taus=FIGURE5_TAUS, seed: int = 7, eval_days: int = 7) -> list:
 
 
 def run_cell(spec, config) -> dict:
+    """Fit SPAR on four weeks of per-minute data and backtest it
+    ``tau`` minutes ahead over the held-out days.
+
+    The evaluation origins are thinned (every 31st minute) to keep the
+    runtime small without changing the statistic materially.
+    """
     tau = int(spec.option("tau", 60))
-    result = run_figure5(
-        eval_days=int(spec.option("eval_days", 7)),
-        seed=spec.seed,
-        taus=(tau,),
+    eval_days = int(spec.option("eval_days", 7))
+    trace = b2w_like_trace(
+        n_days=TRAIN_DAYS + eval_days, slot_seconds=60.0, seed=spec.seed
     )
-    return {"tau_minutes": tau, "mre": result.mre_by_tau[tau]}
+    period = trace.slots_per_day
+    train = TRAIN_DAYS * period
+    spar = SparPredictor(period=period, n_periods=7, m_recent=30).fit(
+        trace.values[:train]
+    )
+    mre = spar.backtest(
+        trace.values,
+        tau=tau,
+        start=train,
+        stop=train + eval_days * period,
+        step=31,
+    ).mean_relative_error()
+    return {"tau_minutes": tau, "mre": mre}
+
+
+def fold(payloads) -> Figure5Result:
+    return Figure5Result(mre_by_tau={
+        p["tau_minutes"]: p["mre"] for p in payloads.values()
+    })
 
 
 def summarize(result: Figure5Result) -> str:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from ..analysis.report import claim
 from ..prediction import SparPredictor
 from ..workload import wikipedia_like_trace
@@ -27,8 +25,6 @@ class LanguageResult:
     """SPAR accuracy for one Wikipedia edition."""
 
     language: str
-    actual_24h: np.ndarray
-    predicted_24h: np.ndarray
     mre_by_tau: Dict[int, float]
 
 
@@ -38,48 +34,6 @@ class Figure6Result:
 
     english: LanguageResult
     german: LanguageResult
-
-
-def _evaluate_language(language: str, eval_days: int, seed: int) -> LanguageResult:
-    trace = wikipedia_like_trace(
-        n_days=TRAIN_DAYS + eval_days, language=language, seed=seed
-    )
-    period = trace.slots_per_day  # 24 hourly slots
-    train = TRAIN_DAYS * period
-    spar = SparPredictor(period=period, n_periods=7, m_recent=12).fit(
-        trace.values[:train]
-    )
-    track = spar.backtest(
-        trace.values, tau=1, start=train, stop=train + period
-    )
-    mre_by_tau = {
-        tau: spar.backtest(
-            trace.values,
-            tau=tau,
-            start=train,
-            stop=train + eval_days * period,
-        ).mean_relative_error()
-        for tau in FIGURE6_TAUS
-    }
-    return LanguageResult(
-        language=language,
-        actual_24h=track.actual,
-        predicted_24h=track.predicted,
-        mre_by_tau=mre_by_tau,
-    )
-
-
-def run_figure6(eval_days: int = 14, seed: int = 11) -> Figure6Result:
-    """Evaluate SPAR on both Wikipedia-like hourly traces."""
-    return Figure6Result(
-        english=_evaluate_language("en", eval_days, seed),
-        german=_evaluate_language("de", eval_days, seed + 1),
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
 
 
 def grid(seed: int = 11, eval_days: int = 14) -> list:
@@ -100,15 +54,41 @@ def grid(seed: int = 11, eval_days: int = 14) -> list:
 
 
 def run_cell(spec, config) -> dict:
-    result = _evaluate_language(
-        str(spec.option("language", "en")),
-        eval_days=int(spec.option("eval_days", 14)),
-        seed=spec.seed,
+    """Fit SPAR on one edition's four training weeks and backtest it
+    1-6 hours ahead over the held-out days."""
+    language = str(spec.option("language", "en"))
+    eval_days = int(spec.option("eval_days", 14))
+    trace = wikipedia_like_trace(
+        n_days=TRAIN_DAYS + eval_days, language=language, seed=spec.seed
+    )
+    period = trace.slots_per_day  # 24 hourly slots
+    train = TRAIN_DAYS * period
+    spar = SparPredictor(period=period, n_periods=7, m_recent=12).fit(
+        trace.values[:train]
     )
     return {
-        "language": result.language,
-        "mre_by_tau": {str(t): m for t, m in sorted(result.mre_by_tau.items())},
+        "language": language,
+        "mre_by_tau": {
+            str(tau): spar.backtest(
+                trace.values,
+                tau=tau,
+                start=train,
+                stop=train + eval_days * period,
+            ).mean_relative_error()
+            for tau in FIGURE6_TAUS
+        },
     }
+
+
+def fold(payloads) -> Figure6Result:
+    english, german = (
+        LanguageResult(
+            language=p["language"],
+            mre_by_tau={int(tau): m for tau, m in p["mre_by_tau"].items()},
+        )
+        for p in payloads.values()
+    )
+    return Figure6Result(english=english, german=german)
 
 
 def summarize(result: Figure6Result) -> str:

@@ -17,19 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.report import claim
-from ..config import PStoreConfig, default_config
 from ..elasticity import StaticStrategy
 from ..sim import ElasticDbSimulator
 
 
 @dataclass
 class Figure7Result:
-    """Throughput/latency ramp and derived Q, Q-hat."""
+    """Derived Q, Q-hat and the latency knee of the throughput ramp."""
 
-    offered_tps: np.ndarray
-    completed_tps: np.ndarray
-    p50_ms: np.ndarray
-    p99_ms: np.ndarray
     saturation_tps: float          # measured completed-throughput plateau
     q_hat: float                   # 80% of saturation
     q: float                       # 65% of saturation
@@ -38,49 +33,6 @@ class Figure7Result:
 
 #: Top of the offered-load ramp (txn/s): about twice saturation.
 MAX_OFFERED_TPS = 900.0
-
-
-def run_figure7(
-    duration_seconds: int = 2500,
-    config: PStoreConfig | None = None,
-    seed: int = 5,
-) -> Figure7Result:
-    """Ramp a single server from idle to far beyond saturation."""
-    config = config or default_config()
-    offered = np.linspace(10.0, MAX_OFFERED_TPS, duration_seconds)
-    simulator = ElasticDbSimulator(
-        config,
-        max_machines=1,
-        initial_machines=1,
-        seed=seed,
-        engine_kwargs={"hot_episode_rate": 0.0, "skew_sigma": 0.02},
-    )
-    result = simulator.run(offered, StaticStrategy(1))
-    completed = result.completed_tps
-    p50 = result.latency.series(50.0)
-    p99 = result.latency.series(99.0)
-
-    # Saturation = the completed-throughput plateau (mean of the last 5%).
-    tail = max(10, duration_seconds // 20)
-    saturation = float(completed[-tail:].mean())
-
-    over = np.nonzero(p99 > config.sla_latency_ms)[0]
-    knee = float(offered[over[0]]) if over.size else float("inf")
-    return Figure7Result(
-        offered_tps=offered,
-        completed_tps=completed,
-        p50_ms=p50,
-        p99_ms=p99,
-        saturation_tps=saturation,
-        q_hat=0.80 * saturation,
-        q=0.65 * saturation,
-        latency_knee_tps=knee,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
 
 
 def grid(duration_seconds: int = 2500, seed: int = 5) -> list:
@@ -97,17 +49,36 @@ def grid(duration_seconds: int = 2500, seed: int = 5) -> list:
 
 
 def run_cell(spec, config) -> dict:
-    result = run_figure7(
-        duration_seconds=int(spec.option("duration_seconds", 2500)),
-        config=config,
+    """Ramp a single server from idle to far beyond saturation."""
+    duration_seconds = int(spec.option("duration_seconds", 2500))
+    offered = np.linspace(10.0, MAX_OFFERED_TPS, duration_seconds)
+    simulator = ElasticDbSimulator(
+        config,
+        max_machines=1,
+        initial_machines=1,
         seed=spec.seed,
+        engine_kwargs={"hot_episode_rate": 0.0, "skew_sigma": 0.02},
     )
+    result = simulator.run(offered, StaticStrategy(1))
+
+    # Saturation = the completed-throughput plateau (mean of the last 5%).
+    tail = max(10, duration_seconds // 20)
+    saturation = float(result.completed_tps[-tail:].mean())
+
+    over = np.nonzero(result.latency.series(99.0) > config.sla_latency_ms)[0]
     return {
-        "saturation_tps": result.saturation_tps,
-        "q_hat": result.q_hat,
-        "q": result.q,
-        "latency_knee_tps": result.latency_knee_tps,
+        "saturation_tps": saturation,
+        "q_hat": 0.80 * saturation,
+        "q": 0.65 * saturation,
+        "latency_knee_tps": (
+            float(offered[over[0]]) if over.size else float("inf")
+        ),
     }
+
+
+def fold(payloads) -> Figure7Result:
+    (payload,) = payloads.values()
+    return Figure7Result(**payload)
 
 
 def summarize(result: Figure7Result) -> str:

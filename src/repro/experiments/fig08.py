@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis.report import claim
-from ..config import PStoreConfig, default_config
 from ..elasticity import StaticStrategy
 from ..elasticity.manual import ManualStrategy
 from ..sim import ElasticDbSimulator
@@ -54,70 +53,6 @@ class Figure8Result:
         return {run.chunk_kb: run for run in self.runs}
 
 
-def run_figure8(
-    chunks: Sequence[Optional[float]] = FIGURE8_CHUNKS,
-    duration_seconds: int = 1200,
-    config: PStoreConfig | None = None,
-    seed: int = 13,
-) -> Figure8Result:
-    """Run the chunk-size sweep: one 1 -> 2 move per chunk size.
-
-    Per-machine offered load is pinned at Q-hat, as in the paper: the
-    total offered rate follows the system's effective capacity at the
-    maximum per-server rate.
-    """
-    config = config or default_config()
-    runs: List[ChunkRunResult] = []
-    for chunk in chunks:
-        rate = 0.0 if chunk is None else chunk / CHUNK_SPACING_S
-        # Keep the source machine at Q-hat: with 1 -> 2 machines, the
-        # offered load tracks effective capacity, which our simulator
-        # realises by keeping total offered at Q-hat / max-data-fraction.
-        # A constant Q-hat offered load is the conservative equivalent
-        # (the source holds >= half the data throughout).
-        offered = np.full(duration_seconds, config.q_hat)
-        simulator = ElasticDbSimulator(
-            config,
-            max_machines=2,
-            initial_machines=1,
-            seed=seed,
-            chunk_kb=chunk if chunk is not None else 1000.0,
-            engine_kwargs={"hot_episode_rate": 0.0, "skew_sigma": 0.02},
-        )
-        if chunk is None:
-            result = simulator.run(offered, StaticStrategy(1))
-            window = slice(0, duration_seconds)
-            migration_seconds = 0.0
-        else:
-            strategy = ManualStrategy([(1, 2, rate / config.migration_rate_kbps)])
-            result = simulator.run(offered, strategy)
-            migrating = np.nonzero(result.migrating)[0]
-            window = (
-                slice(int(migrating[0]), int(migrating[-1]) + 1)
-                if migrating.size
-                else slice(0, duration_seconds)
-            )
-            migration_seconds = float(migrating.size)
-        p50 = result.latency.series(50.0)[window]
-        p99 = result.latency.series(99.0)[window]
-        runs.append(
-            ChunkRunResult(
-                chunk_kb=chunk,
-                rate_kbps=rate,
-                p50_peak_ms=float(p50.max()),
-                p99_peak_ms=float(p99.max()),
-                p99_mean_ms=float(p99.mean()),
-                migration_seconds=migration_seconds,
-            )
-        )
-    return Figure8Result(runs=runs)
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
-
-
 def grid(chunks=FIGURE8_CHUNKS, duration_seconds: int = 1200,
          seed: int = 13) -> list:
     from ..runner import RunSpec
@@ -137,22 +72,59 @@ def grid(chunks=FIGURE8_CHUNKS, duration_seconds: int = 1200,
 
 
 def run_cell(spec, config) -> dict:
+    """One 1 -> 2 move at the cell's chunk size (none: a static run).
+
+    Per-machine offered load is pinned at Q-hat, as in the paper: the
+    total offered rate follows the system's effective capacity at the
+    maximum per-server rate.
+    """
     chunk = spec.option("chunk_kb")
-    result = run_figure8(
-        chunks=(None if chunk is None else float(chunk),),
-        duration_seconds=int(spec.option("duration_seconds", 1200)),
-        config=config,
+    duration_seconds = int(spec.option("duration_seconds", 1200))
+    rate = 0.0 if chunk is None else chunk / CHUNK_SPACING_S
+    # Keep the source machine at Q-hat: with 1 -> 2 machines, the
+    # offered load tracks effective capacity, which our simulator
+    # realises by keeping total offered at Q-hat / max-data-fraction.
+    # A constant Q-hat offered load is the conservative equivalent
+    # (the source holds >= half the data throughout).
+    offered = np.full(duration_seconds, config.q_hat)
+    simulator = ElasticDbSimulator(
+        config,
+        max_machines=2,
+        initial_machines=1,
         seed=spec.seed,
+        chunk_kb=chunk if chunk is not None else 1000.0,
+        engine_kwargs={"hot_episode_rate": 0.0, "skew_sigma": 0.02},
     )
-    run = result.runs[0]
+    if chunk is None:
+        result = simulator.run(offered, StaticStrategy(1))
+        window = slice(0, duration_seconds)
+        migration_seconds = 0.0
+    else:
+        strategy = ManualStrategy([(1, 2, rate / config.migration_rate_kbps)])
+        result = simulator.run(offered, strategy)
+        migrating = np.nonzero(result.migrating)[0]
+        window = (
+            slice(int(migrating[0]), int(migrating[-1]) + 1)
+            if migrating.size
+            else slice(0, duration_seconds)
+        )
+        migration_seconds = float(migrating.size)
+    p50 = result.latency.series(50.0)[window]
+    p99 = result.latency.series(99.0)[window]
     return {
-        "chunk_kb": run.chunk_kb,
-        "rate_kbps": run.rate_kbps,
-        "p50_peak_ms": run.p50_peak_ms,
-        "p99_peak_ms": run.p99_peak_ms,
-        "p99_mean_ms": run.p99_mean_ms,
-        "migration_seconds": run.migration_seconds,
+        "chunk_kb": chunk,
+        "rate_kbps": rate,
+        "p50_peak_ms": float(p50.max()),
+        "p99_peak_ms": float(p99.max()),
+        "p99_mean_ms": float(p99.mean()),
+        "migration_seconds": migration_seconds,
     }
+
+
+def fold(payloads) -> Figure8Result:
+    return Figure8Result(
+        runs=[ChunkRunResult(**payload) for payload in payloads.values()]
+    )
 
 
 def summarize(result: Figure8Result) -> str:

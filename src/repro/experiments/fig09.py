@@ -15,12 +15,18 @@ violations and machine usage).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..analysis.report import claim
+from ..analysis import claim, top_tail_cdf
 from ..elasticity import StrategySpec
 from ..sim import ElasticDbSimulator, SimulationResult
-from .common import BenchmarkSetup, benchmark_setup, sim_payload
+from .common import (
+    BenchmarkSetup,
+    benchmark_setup,
+    by_cell,
+    sim_payload,
+    sim_summary,
+)
 
 #: Engine seed shared across approaches so they see the same skew.
 ENGINE_SEED = 77
@@ -42,39 +48,24 @@ APPROACH_SPECS = (
 )
 
 
+#: Latencies (ms) at which each run's top-1 % tail CDF is tabulated
+#: (Fig. 10 plots these CDFs for the p50, p95 and p99 series).
+TAIL_PROBES_MS = (300.0, 500.0, 1000.0, 2000.0, 5000.0)
+
+
 @dataclass
 class Figure9Result:
-    """All four runs, keyed the way the paper names them."""
+    """All four runs' payloads, keyed the way the paper names them."""
 
-    runs: Dict[str, SimulationResult]
-    setup: BenchmarkSetup
+    runs: Dict[str, dict]
 
     @property
-    def pstore(self) -> SimulationResult:
+    def pstore(self) -> dict:
         return self.runs["p-store"]
 
     @property
-    def reactive(self) -> SimulationResult:
+    def reactive(self) -> dict:
         return self.runs["reactive"]
-
-
-def run_figure9(
-    eval_days: int = 3,
-    seed: int = 21,
-    setup: Optional[BenchmarkSetup] = None,
-) -> Figure9Result:
-    """Run the Figure 9 comparison.
-
-    ``eval_days`` can be reduced for quick runs (the paper uses 3).
-    """
-    setup = setup or benchmark_setup(eval_days=eval_days, seed=seed)
-    runs = {
-        name: run_approach(
-            StrategySpec.parse(spec_text), setup, initial_machines=initial
-        )
-        for name, spec_text, initial in APPROACH_SPECS
-    }
-    return Figure9Result(runs=runs, setup=setup)
 
 
 def prepare_approach(
@@ -84,9 +75,9 @@ def prepare_approach(
 ):
     """Build the (simulator, strategy, history) triple for one approach.
 
-    Shared by the serial runner and the tensor-backend cell builder so
-    both execute exactly the same construction — the precondition for
-    their results being bit-identical.
+    Shared by :func:`run_approach` and both cell runners, so they all
+    execute exactly the same construction — the precondition for their
+    results being bit-identical.
     """
     config = setup.config
     strategy = spec.build(config, predictor=setup.spar)
@@ -158,10 +149,23 @@ def _prepare_cell(spec, config):
     return simulator, setup.offered_tps, strategy, history
 
 
+def cell_payload(result: SimulationResult) -> dict:
+    """One run's payload: :func:`sim_payload` plus the CDF of its top
+    1 % per-second p50 / p95 / p99 latencies at :data:`TAIL_PROBES_MS`.
+    The one payload of both cell runners, so they stay bit-identical."""
+    payload = sim_payload(result)
+    tails = {}
+    for q in (50.0, 95.0, 99.0):
+        cdf = top_tail_cdf(result.latency, q, 0.01)
+        tails[f"p{int(q)}"] = [cdf.probability_at(p) for p in TAIL_PROBES_MS]
+    payload["top1pct_cdf"] = tails
+    return payload
+
+
 def run_cell(spec, config) -> dict:
-    """Execute one approach hermetically (used by ``pstore sweep``)."""
+    """Execute one approach hermetically."""
     simulator, offered, strategy, history = _prepare_cell(spec, config)
-    return sim_payload(
+    return cell_payload(
         simulator.run(offered, strategy, history_seed_tps=history)
     )
 
@@ -179,29 +183,33 @@ def tensor_cell(spec, config):
         strategy=strategy,
         history_seed_tps=history,
         label=spec.label,
-        finalize=sim_payload,
+        finalize=cell_payload,
     )
+
+
+def fold(payloads) -> Figure9Result:
+    return Figure9Result(runs=by_cell(payloads))
 
 
 def summarize(result: Figure9Result) -> str:
     return "\n".join(
-        result.runs[name].summary() for name, _, _ in APPROACH_SPECS
+        sim_summary(result.runs[name]) for name, _, _ in APPROACH_SPECS
     )
 
 
 def claims(result: Figure9Result) -> list:
     pstore = result.pstore
-    p99 = {name: run.sla_violations()[99.0] for name, run in result.runs.items()}
+    p99 = {name: run["sla_violations"]["p99"] for name, run in result.runs.items()}
     return [
         claim("P-Store reconfigures ahead of load",
               "capacity line above throughput (9d)",
-              f"{pstore.moves_started} moves, {pstore.emergencies} emergencies"),
+              f"{pstore['moves_started']} moves, {pstore['emergencies']} emergencies"),
         claim("reactive reconfigures at peak", "latency spikes at each ramp (9c)",
               f"p99 violations {p99['reactive']} vs P-Store {p99['p-store']}",
               p99["p-store"] < p99["reactive"]),
         claim("P-Store avg machines ~ half of peak", "5.05 vs 10",
-              f"{pstore.average_machines:.2f} vs 10",
-              pstore.average_machines < 0.6 * 10),
+              f"{pstore['average_machines']:.2f} vs 10",
+              pstore["average_machines"] < 0.6 * 10),
         claim("static-10 is best at the tails (p99 violations)", "Fig 9a",
               f"{p99['static-10']} vs P-Store {p99['p-store']}",
               p99["static-10"] <= p99["p-store"], note=STATIC10_NOTE),

@@ -9,49 +9,44 @@ static-10 is best; P-Store beats static-4 at the tails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..analysis import EmpiricalCdf, claim, top_tail_cdf
+from ..analysis import claim
+from .common import by_cell
 # ``grid`` is fig09's: the cells are shared, and cached under its name.
-from .fig09 import STATIC10_NOTE, Figure9Result, grid, run_figure9  # noqa: F401
-
-#: Probe latencies (ms) at which each CDF is tabulated.
-PROBES_MS = (300.0, 500.0, 1000.0, 2000.0, 5000.0)
+from .fig09 import STATIC10_NOTE, TAIL_PROBES_MS, grid  # noqa: F401
 
 
 @dataclass
 class Figure10Result:
-    """Top-1% tail CDFs per percentile and run."""
+    """Top-1% tail CDFs per percentile and run, at :data:`TAIL_PROBES_MS`."""
 
-    #: percentile -> run name -> CDF of its top-1% values.
-    cdfs: Dict[float, Dict[str, EmpiricalCdf]]
-    figure9: Figure9Result
+    #: percentile -> run name -> P(latency <= probe), one per probe.
+    cdfs: Dict[float, Dict[str, Tuple[float, ...]]]
 
     def probability_table(
-        self, percentile: float, probes: Tuple[float, ...] = PROBES_MS
+        self, percentile: float, probes: Tuple[float, ...] = TAIL_PROBES_MS
     ) -> Dict[str, Dict[float, float]]:
         """P(latency <= probe) per run at the given percentile."""
         return {
-            name: {p: cdf.probability_at(p) for p in probes}
+            name: {
+                probe: p
+                for probe, p in zip(TAIL_PROBES_MS, cdf) if probe in probes
+            }
             for name, cdf in self.cdfs[percentile].items()
         }
 
 
-def run_figure10(
-    figure9: Optional[Figure9Result] = None,
-    eval_days: int = 3,
-    seed: int = 21,
-    fraction: float = 0.01,
-) -> Figure10Result:
-    """Build the tail CDFs (reusing Figure 9 runs when supplied)."""
-    figure9 = figure9 or run_figure9(eval_days=eval_days, seed=seed)
-    cdfs: Dict[float, Dict[str, EmpiricalCdf]] = {}
-    for q in (50.0, 95.0, 99.0):
-        cdfs[q] = {
-            name: top_tail_cdf(result.latency, q, fraction)
-            for name, result in figure9.runs.items()
+def fold(payloads) -> Figure10Result:
+    """Fig. 9's payloads, read as their top-1 % tail CDFs."""
+    runs = by_cell(payloads)
+    return Figure10Result(cdfs={
+        q: {
+            name: tuple(run["top1pct_cdf"][f"p{int(q)}"])
+            for name, run in runs.items()
         }
-    return Figure10Result(cdfs=cdfs, figure9=figure9)
+        for q in (50.0, 95.0, 99.0)
+    })
 
 
 def summarize(result: Figure10Result) -> str:
@@ -72,7 +67,7 @@ def claims(result: Figure10Result) -> list:
         claim("reactive is worst in all three plots", "Fig 10",
               f"P(p99 <= 1000 ms): reactive {at_1s['reactive']:.2f} vs "
               f"p-store {at_1s['p-store']:.2f}",
-              all(p99["p-store"][p] >= p99["reactive"][p] - 1e-9 for p in PROBES_MS),
+              all(p99["p-store"][p] >= p99["reactive"][p] - 1e-9 for p in TAIL_PROBES_MS),
               note="holds = P-Store's p99 tail CDF dominates at every probe"),
         claim("static-10 is best at the tails", "Fig 10",
               f"P(p99 <= 1000 ms): static-10 {at_1s['static-10']:.2f} vs "

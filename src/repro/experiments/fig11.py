@@ -14,37 +14,32 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..analysis.report import claim
-from ..config import default_config
 from ..elasticity import PStoreStrategy, StrategySpec
-from ..sim import ElasticDbSimulator, SimulationResult
+from ..sim import ElasticDbSimulator
 from ..workload import EventCalendar, LoadEvent, b2w_like_trace
 from .common import (
     BENCHMARK_BASE_LEVEL,
     TRAIN_DAYS,
     benchmark_setup,
     sim_payload,
+    violations,
 )
 from .fig09 import ENGINE_SEED
 
 
 @dataclass
 class Figure11Result:
-    """The spike-day runs at rate R and R x 8."""
+    """SLA violation seconds of the spike-day runs, by percentile."""
 
-    regular_rate: SimulationResult     # scale out at R
-    boosted_rate: SimulationResult     # scale out at R x 8
+    regular_rate: Dict[float, int]     # scale out at R
+    boosted_rate: Dict[float, int]     # scale out at R x 8
 
     def violation_rows(self) -> Dict[str, Dict[float, int]]:
-        return {
-            "rate R": self.regular_rate.sla_violations(),
-            "rate R x 8": self.boosted_rate.sla_violations(),
-        }
+        return {"rate R": self.regular_rate, "rate R x 8": self.boosted_rate}
 
     @property
     def boost_reduces_total_violations(self) -> bool:
-        total_r = sum(self.regular_rate.sla_violations().values())
-        total_8 = sum(self.boosted_rate.sla_violations().values())
-        return total_8 < total_r
+        return sum(self.boosted_rate.values()) < sum(self.regular_rate.values())
 
 
 #: Peak of the unexpected spike, as a multiple of the normal load.
@@ -78,21 +73,6 @@ def _spike_trace(eval_days: int, seed: int):
     )
 
 
-def run_figure11(eval_days: int = 1, seed: int = 33) -> Figure11Result:
-    """Run the spike day twice — emergency rate R vs R x 8: the two
-    cells of :func:`grid`."""
-    regular, boosted = (
-        _run(spec, default_config())
-        for spec in grid(eval_days, seed)
-    )
-    return Figure11Result(regular_rate=regular, boosted_rate=boosted)
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
-
-
 def grid(eval_days: int = 1, seed: int = 33) -> list:
     from ..runner import RunSpec
 
@@ -110,7 +90,7 @@ def grid(eval_days: int = 1, seed: int = 33) -> list:
 
 def _prepare_cell(spec, config):
     """(simulator, offered, strategy, history) for one cell — the only
-    construction site, shared by the runner and both cell runners."""
+    construction site, shared by both cell runners."""
     eval_days = int(spec.option("eval_days", 1))
     trace = _spike_trace(eval_days, spec.seed)
     setup = benchmark_setup(eval_days=eval_days, config=config, trace=trace)
@@ -128,13 +108,11 @@ def _prepare_cell(spec, config):
     return simulator, setup.offered_tps, strategy, setup.train_interval_tps
 
 
-def _run(spec, config) -> SimulationResult:
-    simulator, offered, strategy, history = _prepare_cell(spec, config)
-    return simulator.run(offered, strategy, history_seed_tps=history)
-
-
 def run_cell(spec, config) -> dict:
-    return sim_payload(_run(spec, config))
+    simulator, offered, strategy, history = _prepare_cell(spec, config)
+    return sim_payload(
+        simulator.run(offered, strategy, history_seed_tps=history)
+    )
 
 
 def tensor_cell(spec, config):
@@ -152,12 +130,15 @@ def tensor_cell(spec, config):
     )
 
 
+def fold(payloads) -> Figure11Result:
+    regular, boosted = (violations(p) for p in payloads.values())
+    return Figure11Result(regular_rate=regular, boosted_rate=boosted)
+
+
 def summarize(result: Figure11Result) -> str:
     lines = []
-    for label, violations in result.violation_rows().items():
-        parts = ", ".join(
-            f"p{int(q)}={violations[q]}" for q in sorted(violations)
-        )
+    for label, seconds in result.violation_rows().items():
+        parts = ", ".join(f"p{int(q)}={seconds[q]}" for q in sorted(seconds))
         lines.append(f"{label}: [{parts}]")
     better = "yes" if result.boost_reduces_total_violations else "no"
     lines.append(f"boosting the rate reduces total violations: {better}")
@@ -165,11 +146,10 @@ def summarize(result: Figure11Result) -> str:
 
 
 def claims(result: Figure11Result) -> list:
-    regular = result.regular_rate.sla_violations()
-    boosted = result.boosted_rate.sla_violations()
+    regular, boosted = result.regular_rate, result.boosted_rate
 
-    def cells(violations) -> str:
-        return "/".join(str(violations[q]) for q in (50.0, 95.0, 99.0))
+    def cells(seconds) -> str:
+        return "/".join(str(seconds[q]) for q in (50.0, 95.0, 99.0))
 
     return [
         claim("rate R violations (p50/p95/p99)", "16/101/143", cells(regular)),

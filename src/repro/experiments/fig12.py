@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..errors import ConfigurationError
 from ..prediction import OraclePredictor, SparPredictor
 from ..sim import run_capacity_simulation
 from ..workload import LoadTrace, b2w_like_trace, retail_season_calendar
-from .common import TRAIN_DAYS
+from .common import TRAIN_DAYS, by_cell, capacity_payload
 
 #: Per-slot scale chosen so the seasonal trace peaks near 1.45k txn/s
 #: (ordinary days) with Black Friday reaching ~3x that.
@@ -133,7 +133,6 @@ class Figure12Result:
     #: family -> its points in grid order (the static sizes share one).
     curves: Dict[str, List[CurvePoint]]
     baseline_cost: float              # default P-Store SPAR run (cost = 1.0)
-    setup: SeasonSetup
 
     def normalized_points(self) -> List[dict]:
         """The plotted points: each cost relative to the baseline."""
@@ -221,9 +220,10 @@ def grid(
     ]
 
 
-def _run_point(setup: SeasonSetup, spec):
-    """Simulate the one point of the figure a grid cell names; returns
-    the run and the (per-Q) configuration it ran under."""
+def run_cell(spec, config) -> dict:
+    """Simulate the one point of the capacity-cost plane a cell names:
+    a (family, Q) pair, or a static size."""
+    setup = season_setup(n_days=int(spec.option("n_days", 135)), seed=spec.seed)
     family = str(spec.option("family"))
     if family == "static":
         initial = int(spec.option("size"))
@@ -246,62 +246,34 @@ def _run_point(setup: SeasonSetup, spec):
             list(setup.train_tps) if family.startswith("p-store") else []
         ),
     )
-    return result, cfg
-
-
-def run_figure12(
-    n_days: int = 135,
-    seed: int = 7,
-    q_fractions: Sequence[float] = DEFAULT_Q_FRACTIONS,
-    setup: Optional[SeasonSetup] = None,
-) -> Figure12Result:
-    """Sweep every allocation strategy over Q (Fig. 12): the cells of
-    :func:`grid`, folded into one curve per family (the static sizes
-    share one).
-
-    ``n_days`` and ``q_fractions`` can be reduced for quick runs; the
-    paper uses the full 4.5 months.
-    """
-    setup = setup or season_setup(n_days=n_days, seed=seed)
-
-    curves: Dict[str, List[CurvePoint]] = {}
-    for spec in grid(n_days, seed, q_fractions):
-        family = str(spec.option("family"))
-        result, _ = _run_point(setup, spec)
-        curves.setdefault(family, []).append(
-            CurvePoint(
-                label=spec.cell if family == "static" else family,
-                q_fraction=float(spec.option("q_fraction", float("nan"))),
-                cost_machine_slots=result.cost_machine_slots,
-                pct_time_insufficient=result.pct_time_insufficient,
-            )
-        )
-
-    # Baseline: P-Store SPAR at the default Q (0.65 of saturation).
-    default_fraction = min(q_fractions, key=lambda f: abs(f - 0.65))
-    baseline = next(
-        p for p in curves["p-store-spar"] if p.q_fraction == default_fraction
-    )
-    return Figure12Result(
-        curves=curves,
-        baseline_cost=baseline.cost_machine_slots,
-        setup=setup,
-    )
-
-
-def run_cell(spec, config) -> dict:
-    """One (strategy, Q) point of the capacity-cost plane."""
-    from .common import capacity_payload
-
-    setup = season_setup(n_days=int(spec.option("n_days", 135)), seed=spec.seed)
-    result, cfg = _run_point(setup, spec)
     payload = capacity_payload(result)
-    payload["family"] = str(spec.option("family"))
-    if payload["family"] != "static":
+    payload["family"] = family
+    if family != "static":
         payload.update(
             {"q_fraction": float(spec.option("q_fraction")), "q": cfg.q}
         )
     return payload
+
+
+def fold(payloads) -> Figure12Result:
+    """One curve per family (the static sizes share one), normalised by
+    P-Store SPAR at the swept Q nearest the default 0.65 of saturation."""
+    curves: Dict[str, List[CurvePoint]] = {}
+    for cell, payload in by_cell(payloads).items():
+        family = payload["family"]
+        curves.setdefault(family, []).append(
+            CurvePoint(
+                label=cell if family == "static" else family,
+                q_fraction=payload.get("q_fraction", float("nan")),
+                cost_machine_slots=payload["cost_machine_slots"],
+                pct_time_insufficient=payload["pct_time_insufficient"],
+            )
+        )
+    spar = curves["p-store-spar"]
+    baseline = min(spar, key=lambda p: abs(p.q_fraction - 0.65))
+    return Figure12Result(
+        curves=curves, baseline_cost=baseline.cost_machine_slots
+    )
 
 
 def summarize(result: Figure12Result) -> str:

@@ -11,90 +11,27 @@ Black Friday.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from ..analysis.report import claim
 from ..elasticity import StrategySpec
-from ..sim import CapacitySimResult, run_capacity_simulation
-from .common import capacity_payload
-from .fig12 import (
-    BLACK_FRIDAY_DAY,
-    SeasonSetup,
-    season_setup,
-    simple_strategy_for,
-)
+from ..sim import run_capacity_simulation
+from .common import by_cell, capacity_payload
+from .fig12 import BLACK_FRIDAY_DAY, season_setup, simple_strategy_for
 
-
-@dataclass
-class WindowSeries:
-    """Load and per-strategy effective capacity for one 4-day window."""
-
-    start_day: float
-    hours: np.ndarray
-    load_tps: np.ndarray
-    eff_cap: Dict[str, np.ndarray]
-
-    def insufficient_fraction(self, strategy: str) -> float:
-        """Fraction of the window where load exceeds effective capacity."""
-        cap = self.eff_cap[strategy]
-        return float(np.mean(self.load_tps > cap + 1e-9))
+#: The two 4-day windows of the figure, by name.
+WINDOWS = ("ordinary", "black_friday")
 
 
 @dataclass
 class Figure13Result:
-    """Ordinary and Black-Friday windows plus full runs."""
+    """Per strategy, the fraction of each window where load exceeds
+    effective capacity."""
 
-    ordinary: WindowSeries
-    black_friday: WindowSeries
-    runs: Dict[str, CapacitySimResult]
-    setup: SeasonSetup
-
-
-def _window(
-    setup: SeasonSetup,
-    runs: Dict[str, CapacitySimResult],
-    start_day: float,
-    n_days: float,
-) -> WindowSeries:
-    slots_per_day = 288
-    lo = int(start_day * slots_per_day)
-    hi = int((start_day + n_days) * slots_per_day)
-    load = setup.eval_tps[lo:hi]
-    hours = (np.arange(lo, hi) * 300.0) / 3600.0
-    eff = {
-        name: result.eff_cap_max[lo:hi] for name, result in runs.items()
-    }
-    return WindowSeries(
-        start_day=start_day, hours=hours, load_tps=load, eff_cap=eff
-    )
-
-
-def run_figure13(
-    n_days: int = 120,
-    seed: int = 7,
-    setup: Optional[SeasonSetup] = None,
-) -> Figure13Result:
-    """Simulate P-Store SPAR and Simple over the season — the two cells
-    of :func:`grid` on one shared setup — and extract the windows."""
-    setup = setup or season_setup(n_days=n_days, seed=seed)
-    runs = {
-        spec.cell: _run_point(setup, spec) for spec in grid(n_days, seed)
-    }
-    eval_days = len(setup.trace) / 288.0
-    bf_start = min(BLACK_FRIDAY_DAY - 1.5, eval_days - 4.0)
-    return Figure13Result(
-        ordinary=_window(setup, runs, start_day=0.5, n_days=4.0),
-        black_friday=_window(setup, runs, start_day=max(0.0, bf_start), n_days=4.0),
-        runs=runs,
-        setup=setup,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
+    #: strategy -> window (:data:`WINDOWS`) -> insufficient fraction.
+    insufficient: Dict[str, Dict[str, float]]
 
 
 def grid(n_days: int = 120, seed: int = 7) -> list:
@@ -115,10 +52,12 @@ def grid(n_days: int = 120, seed: int = 7) -> list:
     ]
 
 
-def _run_point(setup: SeasonSetup, spec) -> CapacitySimResult:
-    """Simulate the one strategy a grid cell names over the season (the
+def run_cell(spec, config) -> dict:
+    """Simulate the one strategy a cell names over the season (the
     Simple cell is sized from the training profile, not from its spec's
-    placeholder day/night counts)."""
+    placeholder day/night counts) and measure it on both windows: an
+    ordinary one from day 0.5 and the one around Black Friday."""
+    setup = season_setup(n_days=int(spec.option("n_days", 120)), seed=spec.seed)
     config = setup.config
     parsed = StrategySpec.parse(spec.strategy)
     if parsed.kind == "p-store":
@@ -127,7 +66,7 @@ def _run_point(setup: SeasonSetup, spec) -> CapacitySimResult:
     else:
         strategy = simple_strategy_for(setup, config)
         history = []
-    return run_capacity_simulation(
+    result = run_capacity_simulation(
         setup.trace,
         strategy,
         config,
@@ -136,18 +75,30 @@ def _run_point(setup: SeasonSetup, spec) -> CapacitySimResult:
         ),
         history_seed=history,
     )
+    eval_days = len(setup.trace) / 288.0
+    starts = (0.5, max(0.0, min(BLACK_FRIDAY_DAY - 1.5, eval_days - 4.0)))
+    windows = {}
+    for name, start_day in zip(WINDOWS, starts):
+        window = slice(int(start_day * 288), int((start_day + 4.0) * 288))
+        windows[name] = float(np.mean(
+            setup.eval_tps[window] > result.eff_cap_max[window] + 1e-9
+        ))
+    payload = capacity_payload(result)
+    payload["insufficient_fraction"] = windows
+    return payload
 
 
-def run_cell(spec, config) -> dict:
-    setup = season_setup(n_days=int(spec.option("n_days", 120)), seed=spec.seed)
-    return capacity_payload(_run_point(setup, spec))
+def fold(payloads) -> Figure13Result:
+    return Figure13Result(insufficient={
+        cell: payload["insufficient_fraction"]
+        for cell, payload in by_cell(payloads).items()
+    })
 
 
 def summarize(result: Figure13Result) -> str:
     lines = []
-    for name in result.runs:
-        ordinary = result.ordinary.insufficient_fraction(name)
-        surge = result.black_friday.insufficient_fraction(name)
+    for name, windows in result.insufficient.items():
+        ordinary, surge = (windows[window] for window in WINDOWS)
         lines.append(
             f"{name}: insufficient {100 * ordinary:.1f}% of the ordinary "
             f"window, {100 * surge:.1f}% of the Black Friday window"
@@ -156,9 +107,10 @@ def summarize(result: Figure13Result) -> str:
 
 
 def claims(result: Figure13Result) -> list:
-    simple_ord = result.ordinary.insufficient_fraction("simple")
-    simple_bf = result.black_friday.insufficient_fraction("simple")
-    pstore_bf = result.black_friday.insufficient_fraction("p-store-spar")
+    simple_ord, simple_bf = (
+        result.insufficient["simple"][window] for window in WINDOWS
+    )
+    pstore_bf = result.insufficient["p-store-spar"]["black_friday"]
     return [
         claim("simple adequate on ordinary days", "Fig 13 left",
               f"insufficient {100 * simple_ord:.1f}% of window", simple_ord < 0.05),

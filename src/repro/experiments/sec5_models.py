@@ -33,22 +33,6 @@ class ModelComparisonResult:
         return sorted(self.mre_by_model, key=self.mre_by_model.get)
 
 
-def run_model_comparison(seed: int = 7) -> ModelComparisonResult:
-    """Fit all three models on the same trace; compare tau-ahead MRE —
-    one cell of :func:`grid` per model."""
-    return ModelComparisonResult(
-        mre_by_model={
-            str(spec.option("model")): _cell_mre(spec)
-            for spec in grid(seed)
-        }
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
-
-
 def grid(seed: int = 7) -> list:
     from ..runner import RunSpec
 
@@ -63,8 +47,9 @@ def grid(seed: int = 7) -> list:
     ]
 
 
-def _cell_mre(spec) -> float:
+def run_cell(spec, config) -> dict:
     """Fit the cell's model on four weeks, backtest it on the fifth."""
+    name = str(spec.option("model", "SPAR"))
     trace = b2w_like_trace(
         n_days=TRAIN_DAYS + EVAL_DAYS, slot_seconds=60.0, seed=spec.seed
     )
@@ -74,19 +59,22 @@ def _cell_mre(spec) -> float:
         "SPAR": SparPredictor(period=period, n_periods=7, m_recent=30),
         "ARMA": ArmaPredictor(p=30, q=10),
         "AR": ArPredictor(order=30),
-    }[str(spec.option("model", "SPAR"))]
+    }[name]
     model.fit(trace.values[:train])
-    return model.backtest(
+    mre = model.backtest(
         trace.values,
         tau=TAU_MINUTES,
         start=train,
         stop=train + EVAL_DAYS * period,
         step=31,
     ).mean_relative_error()
+    return {"model": name, "mre": mre}
 
 
-def run_cell(spec, config) -> dict:
-    return {"model": str(spec.option("model", "SPAR")), "mre": _cell_mre(spec)}
+def fold(payloads) -> ModelComparisonResult:
+    return ModelComparisonResult(
+        mre_by_model={p["model"]: p["mre"] for p in payloads.values()}
+    )
 
 
 def summarize(result: ModelComparisonResult) -> str:

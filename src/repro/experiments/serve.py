@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..workload import LoadTrace, b2w_like_trace
+from .common import by_cell
 
 #: Hourly planner slots keep the scenario small: 24 slots/day.
 SERVE_SLOT_SECONDS = 3600.0
@@ -242,33 +243,6 @@ def chronicle_projection(records) -> List:
     ]
 
 
-def run_one(
-    seed: int,
-    trigger_text: Optional[str],
-    config=None,
-    n_days: int = SERVE_DAYS,
-) -> dict:
-    """One hermetic serve run -> a deterministic JSON cell payload."""
-    summary, chronicle = run_scenario(
-        seed, trigger_text, config=config, n_days=n_days
-    )
-    return {
-        "trigger": summary.get("trigger"),
-        "intervals": int(summary["intervals"]),
-        "machines": int(summary["steady_machines"]),
-        "mode": summary["mode"],
-        "violations": int(summary["violations"]),
-        "moves_started": int(summary["moves_started"]),
-        "emergencies": int(summary["emergencies"]),
-        "trigger_fires": int(summary["trigger_fires"]),
-        "trigger_recoveries": int(summary["trigger_recoveries"]),
-        "drained": bool(summary["drained"]),
-        "accuracy_records": sum(
-            1 for rec in chronicle if rec.get("kind") == "forecast.accuracy"
-        ),
-    }
-
-
 def grid(seed: int = SERVE_SEED, n_days: int = SERVE_DAYS) -> List:
     """Two cells: the drift replay with the trigger armed and disarmed."""
     from ..runner import RunSpec
@@ -291,22 +265,32 @@ def grid(seed: int = SERVE_SEED, n_days: int = SERVE_DAYS) -> List:
 
 
 def run_cell(spec, config) -> dict:
-    return run_one(
-        seed=spec.seed,
-        trigger_text=spec.option("trigger") or None,
+    """One hermetic serve run -> a deterministic JSON cell payload."""
+    summary, chronicle = run_scenario(
+        spec.seed,
+        spec.option("trigger") or None,
         config=config,
         n_days=int(spec.option("n_days", SERVE_DAYS)),
     )
+    return {
+        "trigger": summary.get("trigger"),
+        "intervals": int(summary["intervals"]),
+        "machines": int(summary["steady_machines"]),
+        "mode": summary["mode"],
+        "violations": int(summary["violations"]),
+        "moves_started": int(summary["moves_started"]),
+        "emergencies": int(summary["emergencies"]),
+        "trigger_fires": int(summary["trigger_fires"]),
+        "trigger_recoveries": int(summary["trigger_recoveries"]),
+        "drained": bool(summary["drained"]),
+        "accuracy_records": sum(
+            1 for rec in chronicle if rec.get("kind") == "forecast.accuracy"
+        ),
+    }
 
 
-def run_serve_smoke(config=None, seed: int = SERVE_SEED) -> ServeSmokeResult:
-    """Serial runner: both cells in-process."""
-    return ServeSmokeResult(
-        runs={
-            "trigger": run_one(seed, SERVE_TRIGGER, config=config),
-            "no-trigger": run_one(seed, None, config=config),
-        }
-    )
+def fold(payloads) -> ServeSmokeResult:
+    return ServeSmokeResult(runs=by_cell(payloads))
 
 
 def summarize(result: ServeSmokeResult) -> str:

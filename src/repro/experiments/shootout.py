@@ -35,7 +35,7 @@ from ..workload import (
     level_shift_trace,
     novel_spike_trace,
 )
-from .common import capacity_payload
+from .common import by_cell, capacity_payload
 
 #: Hourly planner slots: 24/day, seconds-fast capacity sims.
 SHOOTOUT_SLOT_SECONDS = 3600.0
@@ -113,13 +113,27 @@ def drift_workload_trace(
     return builder(**kwargs)
 
 
-def run_one(
-    workload: str,
-    predictor_name: str,
-    seed: int,
-    config,
-    n_days: int = SHOOTOUT_DAYS,
-) -> dict:
+def grid(seed: int = SHOOTOUT_SEED, n_days: int = SHOOTOUT_DAYS) -> List:
+    """Drift workloads x registered predictors (4 x 8 = 32 cells)."""
+    from ..runner import RunSpec
+
+    return [
+        RunSpec(
+            experiment="shootout",
+            cell=_cell_name(workload, name),
+            strategy=f"predictive:{name}",
+            seed=seed,
+            overrides=(
+                ("workload", str(workload)),
+                ("n_days", int(n_days)),
+            ),
+        )
+        for workload in DRIFT_WORKLOADS
+        for name in registered_predictors()
+    ]
+
+
+def run_cell(spec, config) -> dict:
     """One hermetic predictor-x-workload cell -> JSON payload.
 
     Runs under a private telemetry scope so the accuracy stats in the
@@ -130,15 +144,19 @@ def run_one(
     from ..telemetry import AccuracyTracker, MetricsRegistry, Telemetry
     from ..telemetry.runtime import telemetry_scope
 
+    workload = str(spec.option("workload"))
+    n_days = int(spec.option("n_days", SHOOTOUT_DAYS))
     config = config.with_interval(SHOOTOUT_SLOT_SECONDS)
     train_days = min(SHOOTOUT_TRAIN_DAYS, n_days - 1)
     trace = drift_workload_trace(
-        workload, seed=seed, n_days=n_days, train_days=train_days
+        workload, seed=spec.seed, n_days=n_days, train_days=train_days
     )
     train = trace.slice_days(0, train_days).as_rate_per_second()
     evaluation = trace.slice_days(train_days, n_days - train_days)
 
-    pspec = get_predictor_spec(predictor_name)
+    pspec = get_predictor_spec(
+        StrategySpec.parse(spec.strategy).predictor_name
+    )
     if pspec.needs_truth:
         predictor = pspec.factory(
             np.concatenate([train, evaluation.as_rate_per_second()])
@@ -187,53 +205,8 @@ def run_one(
     return payload
 
 
-def grid(seed: int = SHOOTOUT_SEED, n_days: int = SHOOTOUT_DAYS) -> List:
-    """Drift workloads x registered predictors (4 x 8 = 32 cells)."""
-    from ..runner import RunSpec
-
-    return [
-        RunSpec(
-            experiment="shootout",
-            cell=_cell_name(workload, name),
-            strategy=f"predictive:{name}",
-            seed=seed,
-            overrides=(
-                ("workload", str(workload)),
-                ("n_days", int(n_days)),
-            ),
-        )
-        for workload in DRIFT_WORKLOADS
-        for name in registered_predictors()
-    ]
-
-
-def run_cell(spec, config) -> dict:
-    strategy = StrategySpec.parse(spec.strategy)
-    return run_one(
-        workload=str(spec.option("workload")),
-        predictor_name=strategy.predictor_name,
-        seed=spec.seed,
-        config=config,
-        n_days=int(spec.option("n_days", SHOOTOUT_DAYS)),
-    )
-
-
-def run_shootout(
-    config=None,
-    seed: int = SHOOTOUT_SEED,
-    n_days: int = SHOOTOUT_DAYS,
-) -> ShootoutResult:
-    """Serial runner: execute the whole grid in-process."""
-    from ..config import default_config
-
-    config = config or default_config()
-    runs: Dict[str, dict] = {}
-    for workload in DRIFT_WORKLOADS:
-        for name in registered_predictors():
-            runs[_cell_name(workload, name)] = run_one(
-                workload, name, seed, config, n_days=n_days
-            )
-    return ShootoutResult(runs=runs)
+def fold(payloads) -> ShootoutResult:
+    return ShootoutResult(runs=by_cell(payloads))
 
 
 def summarize(result: ShootoutResult) -> str:

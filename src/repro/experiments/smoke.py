@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..elasticity import StrategySpec
-from ..sim import CapacitySimResult, run_capacity_simulation
+from ..sim import run_capacity_simulation
 from ..workload import b2w_like_trace
-from .common import capacity_payload
+from .common import by_cell, capacity_payload, capacity_summary
 
 #: Strategy specs crossed with seeds to form the grid.
 SMOKE_STRATEGIES = ("static:4", "static:6", "reactive", "simple:6/3")
@@ -34,9 +34,9 @@ SLOTS_PER_DAY = 288
 
 @dataclass
 class SmokeResult:
-    """Per-cell capacity-sim results, keyed by cell name."""
+    """Per-cell capacity-sim payloads, keyed by cell name."""
 
-    runs: Dict[str, CapacitySimResult]
+    runs: Dict[str, dict]
 
 
 def _cell_name(strategy_text: str, seed: int) -> str:
@@ -64,15 +64,16 @@ def grid(
     ]
 
 
-def run_one(
-    strategy: StrategySpec, seed: int, n_days: int, config
-) -> CapacitySimResult:
+def run_cell(spec, config) -> dict:
     """One hermetic capacity-sim run of the smoke workload."""
+    if spec.option("explode"):
+        raise RuntimeError(f"cell {spec.label} exploded on request")
+    strategy = StrategySpec.parse(spec.strategy)
     config = config.with_interval(SMOKE_SLOT_SECONDS)
     trace = b2w_like_trace(
-        n_days=n_days,
+        n_days=int(spec.option("n_days", SMOKE_DAYS)),
         slot_seconds=SMOKE_SLOT_SECONDS,
-        seed=seed,
+        seed=spec.seed,
         base_level=1250.0 * SMOKE_SLOT_SECONDS,
     )
     built = strategy.build(config, slots_per_day=SLOTS_PER_DAY)
@@ -81,38 +82,17 @@ def run_one(
         if strategy.kind == "static"
         else 4
     )
-    return run_capacity_simulation(
-        trace, built, config, initial_machines=initial
+    return capacity_payload(
+        run_capacity_simulation(trace, built, config, initial_machines=initial)
     )
 
 
-def run_cell(spec, config) -> dict:
-    if spec.option("explode"):
-        raise RuntimeError(f"cell {spec.label} exploded on request")
-    result = run_one(
-        StrategySpec.parse(spec.strategy),
-        seed=spec.seed,
-        n_days=int(spec.option("n_days", SMOKE_DAYS)),
-        config=config,
-    )
-    return capacity_payload(result)
-
-
-def run_smoke(config=None, n_days: int = SMOKE_DAYS) -> SmokeResult:
-    """Serial runner: execute the whole grid in-process."""
-    from ..config import default_config
-
-    config = config or default_config()
-    runs: Dict[str, CapacitySimResult] = {}
-    for text in SMOKE_STRATEGIES:
-        for seed in SMOKE_SEEDS:
-            runs[_cell_name(text, seed)] = run_one(
-                StrategySpec.parse(text), seed, n_days, config
-            )
-    return SmokeResult(runs=runs)
+def fold(payloads) -> SmokeResult:
+    return SmokeResult(runs=by_cell(payloads))
 
 
 def summarize(result: SmokeResult) -> str:
     return "\n".join(
-        f"{name}: {run.summary()}" for name, run in sorted(result.runs.items())
+        f"{name}: {capacity_summary(run)}"
+        for name, run in sorted(result.runs.items())
     )

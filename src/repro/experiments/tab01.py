@@ -12,45 +12,18 @@ from typing import List, Tuple
 
 from ..analysis.report import claim
 from ..core.model import avg_machines_allocated
-from ..squall import MigrationSchedule, build_migration_schedule, validate_schedule
+from ..squall import build_migration_schedule, validate_schedule
 
 
 @dataclass
 class Table1Result:
-    """The 3 -> 14 schedule and its summary statistics."""
+    """The 3 -> 14 schedule's summary statistics."""
 
-    schedule: MigrationSchedule
     n_rounds: int
     naive_rounds: int           # rounds without the three-phase trick
     average_machines: float
     algorithm4_average: float
     phases: List[Tuple[int, int]]  # (first_round, machines_allocated) steps
-
-
-def run_table1(before: int = 3, after: int = 14) -> Table1Result:
-    """Build and validate the Table 1 schedule."""
-    schedule = build_migration_schedule(before, after)
-    validate_schedule(schedule)
-    smaller = min(before, after)
-    delta = abs(after - before)
-    naive = -(-delta // smaller) * smaller  # ceil(delta/s) full blocks
-    phases: List[Tuple[int, int]] = []
-    for idx, allocated in enumerate(schedule.allocation):
-        if not phases or phases[-1][1] != allocated:
-            phases.append((idx + 1, allocated))
-    return Table1Result(
-        schedule=schedule,
-        n_rounds=schedule.n_rounds,
-        naive_rounds=naive,
-        average_machines=schedule.average_machines(),
-        algorithm4_average=avg_machines_allocated(before, after),
-        phases=phases,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep-cell protocol
-# ----------------------------------------------------------------------
 
 
 def grid(before: int = 3, after: int = 14) -> list:
@@ -66,16 +39,31 @@ def grid(before: int = 3, after: int = 14) -> list:
 
 
 def run_cell(spec, config) -> dict:
-    result = run_table1(
-        before=int(spec.option("before", 3)),
-        after=int(spec.option("after", 14)),
-    )
+    """Build and validate the Table 1 schedule."""
+    before = int(spec.option("before", 3))
+    after = int(spec.option("after", 14))
+    schedule = build_migration_schedule(before, after)
+    validate_schedule(schedule)
+    smaller = min(before, after)
+    naive = -(-abs(after - before) // smaller) * smaller  # ceil(delta/s) blocks
+    phases: List[Tuple[int, int]] = []
+    for idx, allocated in enumerate(schedule.allocation):
+        if not phases or phases[-1][1] != allocated:
+            phases.append((idx + 1, allocated))
     return {
-        "n_rounds": result.n_rounds,
-        "naive_rounds": result.naive_rounds,
-        "average_machines": result.average_machines,
-        "algorithm4_average": result.algorithm4_average,
+        "n_rounds": schedule.n_rounds,
+        "naive_rounds": naive,
+        "average_machines": schedule.average_machines(),
+        "algorithm4_average": avg_machines_allocated(before, after),
+        "phases": phases,
     }
+
+
+def fold(payloads) -> Table1Result:
+    (payload,) = payloads.values()
+    return Table1Result(**{
+        **payload, "phases": [tuple(phase) for phase in payload["phases"]],
+    })
 
 
 def summarize(result: Table1Result) -> str:

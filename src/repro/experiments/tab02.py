@@ -11,12 +11,12 @@ P-Store causes roughly a third of the reactive approach's violations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, List
 
 from ..analysis.report import ascii_table, claim
-from ..sim import SimulationResult
+from .common import violations
 # ``grid`` is fig09's: the cells are shared, and cached under its name.
-from .fig09 import APPROACH_SPECS, STATIC10_NOTE, Figure9Result, grid, run_figure9  # noqa: F401
+from .fig09 import STATIC10_NOTE, grid  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,18 @@ class SlaRow:
     average_machines: float
 
 
-def sla_table(results: Sequence[SimulationResult]) -> List[SlaRow]:
-    """Build Table 2 from a set of benchmark runs."""
+def sla_table(payloads: Iterable[dict]) -> List[SlaRow]:
+    """Build Table 2 from benchmark runs' :func:`~.common.sim_payload`."""
     rows = []
-    for result in results:
-        violations = result.sla_violations()
+    for payload in payloads:
+        seconds = violations(payload)
         rows.append(
             SlaRow(
-                approach=result.strategy_name,
-                violations_p50=violations.get(50.0, 0),
-                violations_p95=violations.get(95.0, 0),
-                violations_p99=violations.get(99.0, 0),
-                average_machines=result.average_machines,
+                approach=payload["strategy"],
+                violations_p50=seconds.get(50.0, 0),
+                violations_p95=seconds.get(95.0, 0),
+                violations_p99=seconds.get(99.0, 0),
+                average_machines=payload["average_machines"],
             )
         )
     return rows
@@ -85,7 +85,6 @@ class Table2Result:
     """Measured Table 2 rows plus comparison helpers."""
 
     rows: List[SlaRow]
-    figure9: Figure9Result
 
     def row(self, approach: str) -> SlaRow:
         for row in self.rows:
@@ -105,15 +104,9 @@ class Table2Result:
         return 100.0 * (reactive - pstore) / max(reactive, 1)
 
 
-def run_table2(
-    figure9: Optional[Figure9Result] = None,
-    eval_days: int = 3,
-    seed: int = 21,
-) -> Table2Result:
-    """Compute Table 2 (reusing Figure 9 runs when supplied)."""
-    figure9 = figure9 or run_figure9(eval_days=eval_days, seed=seed)
-    results = [figure9.runs[name] for name, _, _ in APPROACH_SPECS]
-    return Table2Result(rows=sla_table(results), figure9=figure9)
+def fold(payloads) -> Table2Result:
+    """Fig. 9's payloads, in grid (the paper's row) order."""
+    return Table2Result(rows=sla_table(payloads.values()))
 
 
 def summarize(result: Table2Result) -> str:

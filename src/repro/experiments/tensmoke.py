@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..elasticity import StrategySpec
-from ..sim import ElasticDbSimulator, SimulationResult
+from ..sim import ElasticDbSimulator
 from ..workload import b2w_like_trace
-from .common import sim_payload
+from .common import by_cell, sim_payload, sim_summary
 
 #: Strategy specs crossed with seeds to form the grid (no p-store: the
 #: cells stay predictor-free and sub-second).
@@ -50,9 +50,9 @@ ENGINE_SEED = 55
 
 @dataclass
 class TensmokeResult:
-    """Per-cell simulation results, keyed by cell name."""
+    """Per-cell simulation payloads, keyed by cell name."""
 
-    runs: Dict[str, SimulationResult]
+    runs: Dict[str, dict]
 
 
 def _cell_name(strategy_text: str, seed: int) -> str:
@@ -101,17 +101,12 @@ def _prepare(strategy: StrategySpec, seed: int, config):
     return simulator, offered, built
 
 
-def run_one(strategy: StrategySpec, seed: int, config) -> SimulationResult:
-    """One hermetic elastic-DBMS run of the tensmoke workload."""
-    simulator, offered, built = _prepare(strategy, seed, config)
-    return simulator.run(offered, built)
-
-
 def run_cell(spec, config) -> dict:
-    result = run_one(
-        StrategySpec.parse(spec.strategy), seed=spec.seed, config=config
+    """One hermetic elastic-DBMS run of the tensmoke workload."""
+    simulator, offered, built = _prepare(
+        StrategySpec.parse(spec.strategy), spec.seed, config
     )
-    return sim_payload(result)
+    return sim_payload(simulator.run(offered, built))
 
 
 def tensor_cell(spec, config):
@@ -130,22 +125,12 @@ def tensor_cell(spec, config):
     )
 
 
-def run_tensmoke(config=None) -> TensmokeResult:
-    """Serial runner: execute the whole grid in-process."""
-    from ..config import default_config
-
-    config = config or default_config()
-    runs: Dict[str, SimulationResult] = {}
-    for text in TENSMOKE_STRATEGIES:
-        for seed in TENSMOKE_SEEDS:
-            runs[_cell_name(text, seed)] = run_one(
-                StrategySpec.parse(text), seed, config
-            )
-    return TensmokeResult(runs=runs)
+def fold(payloads) -> TensmokeResult:
+    return TensmokeResult(runs=by_cell(payloads))
 
 
 def summarize(result: TensmokeResult) -> str:
     return "\n".join(
-        f"{name}: {run.summary()}"
+        f"{name}: {sim_summary(run)}"
         for name, run in sorted(result.runs.items())
     )

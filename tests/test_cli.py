@@ -119,26 +119,24 @@ class TestSimulate:
 class TestExperiment:
     @pytest.mark.parametrize("name", ["fig02", "fig04", "tab01"])
     def test_lightweight_experiments(self, name, capsys):
-        code = main(["experiment", name])
+        """One artefact runs as ``pstore paper ID``."""
+        code = main(["paper", name])
         assert code == 0
-        assert capsys.readouterr().out.strip()
+        assert f"===== {name} =====" in capsys.readouterr().out
 
     def test_unknown_experiment_rejected(self, capsys):
-        code = main(["experiment", "fig99"])
-        assert code == 1
-        assert "unknown experiment" in capsys.readouterr().err
+        """``pstore experiment`` takes no id: running one is ``paper``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "fig99"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_list_experiments(self, capsys):
-        code = main(["experiment", "--list"])
+        code = main(["experiment"])
         assert code == 0
         out = capsys.readouterr().out
         for name in ("fig01", "fig09", "chaos", "smoke"):
             assert name in out
-
-    def test_no_name_and_no_list_is_an_error(self, capsys):
-        code = main(["experiment"])
-        assert code == 2
-        assert "--list" in capsys.readouterr().err
 
 
 class TestPaper:
@@ -197,6 +195,58 @@ class TestPaper:
         assert text.endswith(
             "<!-- pstore paper: tab01 -->\nkept\n<!-- /pstore paper -->\n"
         )
+
+
+    def test_a_shared_cell_runs_once(self, capsys, monkeypatch):
+        """fig10 and tab02 fold fig09's cells: one sweep over the three
+        artefacts runs those four simulations once, not three times."""
+        from repro import runner
+
+        reports = []
+        run_sweep = runner.run_sweep
+
+        def spy(*args, **kwargs):
+            reports.append(run_sweep(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(runner, "run_sweep", spy)
+        assert main(["paper", "fig09", "fig10", "tab02"]) == 0
+        (report,) = reports
+        assert len(report.cells) == 12
+        assert report.executed == 4
+        out = capsys.readouterr().out
+        for name in ("fig09", "fig10", "tab02"):
+            assert f"===== {name} =====" in out
+
+    def test_telemetry_out_exports_the_cells_records(self, tmp_path, capsys):
+        import json
+
+        from repro.telemetry.causal import CHRONICLE_SCHEMA
+        from repro.telemetry.export import SPANS_SCHEMA
+
+        out = tmp_path / "run"
+        assert main(["paper", "fig11", "--telemetry-out", str(out)]) == 0
+        assert "===== fig11 =====" in capsys.readouterr().out
+        chronicle = [
+            json.loads(line)
+            for line in (out / "chronicle.jsonl").read_text().splitlines()
+        ]
+        assert chronicle[0] == {"schema": CHRONICLE_SCHEMA}
+        records = chronicle[1:]
+        assert records
+        assert {r["cell"] for r in records} == {
+            "fig11/rate-R#33", "fig11/rate-Rx8#33",
+        }
+        assert all(r["id"] and r["kind"] for r in records)
+        assert any(r["kind"] == "plan.decision" for r in records)
+        spans = [
+            json.loads(line)
+            for line in (out / "spans.jsonl").read_text().splitlines()
+        ]
+        assert spans[0] == {"schema": SPANS_SCHEMA}
+        assert {s["attrs"]["cell"] for s in spans[1:]} == {
+            "fig11/rate-R#33", "fig11/rate-Rx8#33",
+        }
 
 
 class TestPlanWithConfigFile:

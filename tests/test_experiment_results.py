@@ -1,20 +1,18 @@
-"""Unit tests for experiment result assembly, using synthetic runs.
+"""Unit tests for experiment folds, using synthetic runs.
 
 The heavy experiments run at scale under ``pstore paper``; here we test
-the result-object logic (Table 2 assembly, CDF tables, Fig. 11
-comparisons) against hand-built
-:class:`~repro.sim.simulator.SimulationResult` objects, which is cheap,
-and pin the report text those objects render to.
+the folds (Table 2 assembly, CDF tables) over the cell payloads of
+hand-built :class:`~repro.sim.simulator.SimulationResult` objects, which
+is cheap, and pin the report text those folds render to.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments.fig09 import STATIC10_NOTE, Figure9Result
-from repro.experiments.fig10 import run_figure10
-from repro.experiments.fig12 import run_figure12
+from repro.experiments import fig09, fig10, tab02
+from repro.experiments.fig09 import STATIC10_NOTE
 from repro.experiments.registry import get_experiment
-from repro.experiments.tab02 import PAPER_TABLE2, run_table2
+from repro.experiments.tab02 import PAPER_TABLE2
 from repro.hstore import PercentileSeries
 from repro.sim import SimulationResult
 
@@ -46,6 +44,7 @@ def fake_run(name, p99_levels, machines=4.0, seconds=100):
 
 @pytest.fixture
 def synthetic_figure9():
+    """Fig. 9's four cells as payloads, the way its grid labels them."""
     runs = {
         # static-10: always fast.
         "static-10": fake_run("static-10", [100.0], machines=10.0),
@@ -56,18 +55,20 @@ def synthetic_figure9():
         # p-store: slow for 5 seconds.
         "p-store": fake_run("p-store", [100.0] * 95 + [900.0] * 5, machines=5.0),
     }
-    return Figure9Result(runs=runs, setup=None)  # type: ignore[arg-type]
+    return {
+        f"fig09/{name}#21": fig09.cell_payload(run) for name, run in runs.items()
+    }
 
 
 class TestTable2Assembly:
     def test_rows_in_paper_order(self, synthetic_figure9):
-        result = run_table2(figure9=synthetic_figure9)
+        result = tab02.fold(synthetic_figure9)
         assert [r.approach for r in result.rows] == [
             "static-10", "static-4", "reactive", "p-store",
         ]
 
     def test_violation_counts(self, synthetic_figure9):
-        result = run_table2(figure9=synthetic_figure9)
+        result = tab02.fold(synthetic_figure9)
         assert result.row("static-4").violations_p99 == 30
         assert result.row("p-store").violations_p99 == 5
         # p95 = 0.7 * p99 = 630 ms also violates; p50 = 180 ms does not.
@@ -75,12 +76,12 @@ class TestTable2Assembly:
         assert result.row("p-store").violations_p50 == 0
 
     def test_reduction_headline(self, synthetic_figure9):
-        result = run_table2(figure9=synthetic_figure9)
+        result = tab02.fold(synthetic_figure9)
         # totals: reactive = 40, p-store = 10 -> 75% fewer.
         assert result.pstore_vs_reactive_reduction_pct == pytest.approx(75.0)
 
     def test_total_violations_unknown_approach(self, synthetic_figure9):
-        result = run_table2(figure9=synthetic_figure9)
+        result = tab02.fold(synthetic_figure9)
         with pytest.raises(KeyError):
             result.row("clairvoyant")
 
@@ -92,37 +93,34 @@ class TestTable2Assembly:
 
 class TestFigure10Assembly:
     def test_cdfs_for_all_percentiles_and_runs(self, synthetic_figure9):
-        result = run_figure10(figure9=synthetic_figure9)
+        result = fig10.fold(synthetic_figure9)
         assert set(result.cdfs) == {50.0, 95.0, 99.0}
         for q in result.cdfs:
-            assert set(result.cdfs[q]) == set(synthetic_figure9.runs)
+            assert set(result.cdfs[q]) == {
+                "static-10", "static-4", "reactive", "p-store",
+            }
 
     def test_probability_table_ordering(self, synthetic_figure9):
-        result = run_figure10(figure9=synthetic_figure9)
+        result = fig10.fold(synthetic_figure9)
         table = result.probability_table(99.0, probes=(500.0,))
         # Everyone's top-1% is the 900 ms tail except static-10.
         assert table["static-10"][500.0] == 1.0
         assert table["static-4"][500.0] == 0.0
 
-    def test_fraction_controls_tail_size(self, synthetic_figure9):
-        wide = run_figure10(figure9=synthetic_figure9, fraction=0.5)
-        cdf = wide.cdfs[99.0]["p-store"]
-        # Half of 100 seconds -> 50 samples, mostly the fast 100 ms ones.
-        assert cdf.values.size == 50
-        assert cdf.probability_at(500.0) > 0.5
-
 
 class TestFigure9Accessors:
     def test_named_properties(self, synthetic_figure9):
-        assert synthetic_figure9.pstore.strategy_name == "p-store"
-        assert synthetic_figure9.reactive.strategy_name == "reactive"
+        result = fig09.fold(synthetic_figure9)
+        assert result.pstore["strategy"] == "p-store"
+        assert result.reactive["strategy"] == "reactive"
 
 
 #: ``get_experiment(name).render(result)`` -- the text ``pstore paper``
 #: splices into EXPERIMENTS.md -- for the synthetic Figure 9 above and a
 #: one-day, two-Q Figure 12.  Recorded before Table 2's rows, Fig. 10's
-#: probe table and Fig. 12's curves moved into their experiment modules;
-#: any change to these strings is a change to the published report.
+#: probe table and Fig. 12's curves moved into their experiment modules,
+#: and kept when they became folds over cell payloads; any change to
+#: these strings is a change to the published report.
 #: ``{static10_note}`` stands for ``fig09.STATIC10_NOTE``.
 RENDERED_TAB02 = """\
 static-10: p50=0 p95=0 p99=0 avg machines 10.00
@@ -180,17 +178,17 @@ reactive violates at comparable cost     purple curve above P-Store  reactive mi
 
 class TestRenderedReports:
     def test_table2_text(self, synthetic_figure9):
-        result = run_table2(figure9=synthetic_figure9)
+        result = tab02.fold(synthetic_figure9)
         assert get_experiment("tab02").render(result) == RENDERED_TAB02.format(
             static10_note=STATIC10_NOTE
         )
 
     def test_figure10_text(self, synthetic_figure9):
-        result = run_figure10(figure9=synthetic_figure9)
+        result = fig10.fold(synthetic_figure9)
         assert get_experiment("fig10").render(result) == RENDERED_FIG10.format(
             static10_note=STATIC10_NOTE
         )
 
     def test_figure12_text(self):
-        result = run_figure12(n_days=1, q_fractions=(0.55, 0.65))
+        result = get_experiment("fig12").run(n_days=1, q_fractions=(0.55, 0.65))
         assert get_experiment("fig12").render(result) == RENDERED_FIG12

@@ -1,31 +1,29 @@
 """Tests for the experiment modules at minimal scale.
 
 ``pstore paper`` runs the experiments at evaluation scale; these tests
-assert that each module executes and its result objects expose the
-documented structure, that every serial runner is a fold over its own
-grid's cells, and that EXPERIMENTS.md is what the registry renders.
+assert that each module's cells run and fold into result objects with
+the documented structure, and that EXPERIMENTS.md is what the registry
+renders.
 """
 
+import dataclasses
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
+from repro.config import default_config
 from repro.experiments import (
     benchmark_setup,
+    get_experiment,
     interval_rates,
     run_debounce_ablation,
     run_effcap_ablation,
-    run_figure1,
-    run_figure2,
-    run_figure4,
-    run_figure5,
-    run_figure7,
     run_inflation_ablation,
     run_schedule_ablation,
-    run_table1,
 )
+from repro.runner import run_sweep
 from repro.workload import LoadTrace
 
 
@@ -45,36 +43,37 @@ class TestCommon:
 
 class TestLightExperiments:
     def test_figure1(self):
-        result = run_figure1(n_days=2)
+        result = get_experiment("fig01").run(n_days=2)
         assert result.peak_to_trough > 5.0
-        assert len(result.trace) == 2 * 1440
+        assert result.daily_autocorrelation > 0.85
 
     def test_figure2(self):
-        result = run_figure2()
+        result = get_experiment("fig02").run()
         assert result.step_cost > result.ideal_cost
-        assert (result.allocated_servers >= 1).all()
+        assert result.min_servers >= 1 and result.min_slack >= -1e-9
 
     def test_figure4_case_lookup(self):
-        result = run_figure4()
-        assert result.case(3, 9).profile.rounds == 6
+        result = get_experiment("fig04").run()
+        assert result.case(3, 14).max_allocation_gap > result.case(
+            3, 5
+        ).max_allocation_gap
         with pytest.raises(KeyError):
             result.case(2, 2)
 
     def test_table1(self):
-        result = run_table1()
+        result = get_experiment("tab01").run()
         assert result.n_rounds == 11
         assert result.phases[0] == (1, 6)
 
     def test_figure5_small(self):
-        result = run_figure5(
-            train_days=9, eval_days=2, taus=(10, 30), track_stride=60,
-            sweep_stride=97,
-        )
+        result = get_experiment("fig05").run(taus=(10, 30), eval_days=2)
         assert set(result.mre_by_tau) == {10, 30}
-        assert result.actual_24h.size == result.predicted_24h.size
+        assert result.mre_60min_pct == pytest.approx(
+            100.0 * result.mre_by_tau[30]
+        )
 
     def test_figure7_small(self):
-        result = run_figure7(duration_seconds=800)
+        result = get_experiment("fig07").run(duration_seconds=800)
         assert 380 < result.saturation_tps < 500
         assert result.q == pytest.approx(0.65 * result.saturation_tps)
 
@@ -102,28 +101,44 @@ class TestAblations:
 
 class TestFigure3:
     def test_planner_goal_scenario(self):
-        from repro.experiments import run_figure3
-
-        result = run_figure3()
+        result = get_experiment("fig03").run()
         assert result.capacity_always_exceeds_demand
         assert result.machines_end == 4
         # Both scale-outs are single-machine steps, delayed past t=0.
-        real_moves = [m for m in result.schedule if not m.is_noop]
-        assert [m.after - m.before for m in real_moves] == [1, 1]
-        assert real_moves[0].start > 0
+        assert [after - before for before, after, _, _ in result.moves] == [1, 1]
+        assert result.moves[0][2] > 0
+
+    def test_the_cell_plans_under_the_config_it_is_keyed_by(self):
+        """A cache entry is keyed by the config, so the payload must
+        depend on it: six times the migration time D stretches both
+        moves, and the default payload is the one the figure shows."""
+        grid = get_experiment("fig03").make_grid()
+        config = default_config()
+        default = run_sweep(grid, config=config)
+        slow = run_sweep(
+            grid,
+            config=dataclasses.replace(config, d_seconds=6 * config.d_seconds),
+        )
+        (payload,) = default.payloads.values()
+        assert payload["moves"] == [[2, 3, 2, 3], [3, 4, 6, 7]]
+        assert payload["machines_end"] == 4
+        (stretched,) = slow.payloads.values()
+        assert stretched["moves"] == [[2, 3, 2, 5], [3, 4, 6, 8]]
+        assert slow.result_hash != default.result_hash
 
 
 class TestFigure12:
     def test_serial_runner_is_a_fold_over_the_grid(self):
-        """The figure is defined once: the points ``run_figure12`` plots
-        are the grid's cell payloads, normalised."""
+        """The figure is defined once: the points ``run`` plots are the
+        grid's cell payloads, normalised."""
         from repro.experiments import fig12
 
+        defn = get_experiment("fig12")
         days, fractions = 1, (0.55, 0.65)   # the smallest season there is
-        result = fig12.run_figure12(n_days=days, q_fractions=fractions)
+        result = defn.run(n_days=days, q_fractions=fractions)
         payloads = [
-            fig12.run_cell(spec, None)
-            for spec in fig12.grid(n_days=days, q_fractions=fractions)
+            defn.cell_runner()(spec, default_config())
+            for spec in defn.make_grid(n_days=days, q_fractions=fractions)
         ]
         baseline = next(
             p["cost_machine_slots"] for p in payloads
@@ -153,88 +168,6 @@ class TestFigure12:
         assert len(points) == 4 * len(fractions) + len(fig12.STATIC_SIZES)
 
 
-def _fig11_numbers(result):
-    from repro.experiments.common import sim_payload
-
-    return [sim_payload(result.regular_rate), sim_payload(result.boosted_rate)]
-
-
-def _fig13_numbers(result):
-    from repro.experiments.common import capacity_payload
-
-    return [capacity_payload(run) for run in result.runs.values()]
-
-
-def _chaos_numbers(result):
-    from repro.experiments.common import sim_payload
-
-    runs = [result.baseline] + [run.result for run in result.runs.values()]
-    return [sim_payload(run) for run in runs]
-
-
-def _sec5_numbers(result):
-    return [{"model": m, "mre": v} for m, v in result.mre_by_model.items()]
-
-
-class TestOneDefinition:
-    """The runner's numbers are those of its own grid's ``run_cell``
-    payloads: a figure is built in one place (fig12's case is above)."""
-
-    @pytest.mark.parametrize(
-        "name, seam, options, numbers",
-        [
-            ("fig11", "_run", {}, _fig11_numbers),
-            ("fig13", "_run_point", {"n_days": 3}, _fig13_numbers),
-            ("chaos", "_run", {}, _chaos_numbers),
-            ("sec5", "_cell_mre", {}, _sec5_numbers),
-        ],
-    )
-    def test_serial_runner_is_a_fold_over_the_grid(
-        self, name, seam, options, numbers, monkeypatch
-    ):
-        """Runner and ``run_cell`` reach the simulation through one
-        private function per module (``seam``).  The test wraps it to
-        remember each cell's outcome, so one pass pays for both sides:
-        the runner must call it for exactly the grid's cells, in order,
-        and ``run_cell`` — handed those outcomes back — must produce the
-        runner's numbers."""
-        import importlib
-
-        from repro.config import default_config
-        from repro.experiments.registry import get_experiment
-        from repro.runner import RunSpec
-
-        defn = get_experiment(name)
-        module = importlib.import_module(defn.module)
-        real, seen = getattr(module, seam), {}
-
-        def once(*args, **kwargs):
-            spec = next(a for a in args if isinstance(a, RunSpec))
-            if spec.label not in seen:
-                seen[spec.label] = real(*args, **kwargs)
-            return seen[spec.label]
-
-        monkeypatch.setattr(module, seam, once)
-        rebuilt = numbers(defn.run(**options))
-        grid = defn.make_grid(**options)
-        assert list(seen) == [spec.label for spec in grid]
-
-        monkeypatch.setattr(
-            module, seam,
-            lambda *args, **kwargs: seen[
-                next(a for a in args if isinstance(a, RunSpec)).label
-            ],
-        )
-        payloads = [defn.cell_runner()(spec, default_config()) for spec in grid]
-        # chaos cells also carry their recovery record; the simulated
-        # numbers are the keys both sides have.
-        assert [
-            {key: payload[key] for key in mine}
-            for payload, mine in zip(payloads, rebuilt)
-        ] == rebuilt
-        assert len(payloads) == len(rebuilt)
-
-
 DOC = pathlib.Path(__file__).parent.parent / "EXPERIMENTS.md"
 BLOCK = re.compile(
     r"<!-- pstore paper: (\w+) -->\n```text\n(.*?)\n```\n<!-- /pstore paper -->",
@@ -243,12 +176,16 @@ BLOCK = re.compile(
 
 
 class TestExperimentsDoc:
+    #: Every artefact but the two season-long ones (fig12, fig13), which
+    #: the CI ``paper`` job regenerates.
     LIGHT = ["fig01", "fig02", "fig03", "fig04", "fig05", "fig06", "fig07",
-             "fig08", "tab01"]
+             "fig08", "fig09", "fig10", "fig11", "tab01", "tab02", "sec5",
+             "chaos"]
 
     def test_the_light_blocks_are_what_the_registry_renders(self, tmp_path,
                                                             capsys):
-        """Byte for byte: ``--update`` on a copy changes nothing."""
+        """Byte for byte: ``--update`` on a copy changes nothing, so every
+        number a block states is what its grid's cells measure now."""
         from repro.cli import main
 
         copy = tmp_path / "EXPERIMENTS.md"

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.elasticity import PStoreStrategy
-from repro.experiments import benchmark_setup, run_figure9
+from repro.elasticity import PStoreStrategy, StrategySpec
+from repro.experiments import benchmark_setup, fig09
 from repro.sim import ElasticDbSimulator
 
 
@@ -25,8 +25,14 @@ class TestHeadlineClaims:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        result = run_figure9(eval_days=1, seed=55)
-        return result.runs
+        """Fig. 9's four approaches, each run on the same setup."""
+        setup = benchmark_setup(eval_days=1, seed=55)
+        return {
+            name: fig09.run_approach(
+                StrategySpec.parse(spec), setup, initial_machines=initial
+            )
+            for name, spec, initial in fig09.APPROACH_SPECS
+        }
 
     def test_pstore_beats_reactive_on_violations(self, runs):
         pstore = sum(runs["p-store"].sla_violations().values())

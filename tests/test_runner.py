@@ -356,8 +356,6 @@ class TestRegistry:
 
     def test_grids_are_runspecs(self):
         for defn in list_experiments():
-            if not defn.has_grid:
-                continue
             grid = defn.make_grid()
             assert grid, defn.name
             for spec in grid:
