@@ -648,9 +648,11 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         force=args.force,
-        record_events=bool(args.out),
+        record_events=bool(args.out or args.telemetry_out),
         backend=args.backend,
     )
+    if args.telemetry_out:
+        _record_cells(report, get_telemetry())
     payloads = report.payloads
     for label in sorted(payloads):
         print(f"{label}: {_payload_line(payloads[label])}")

@@ -53,10 +53,10 @@ class PredictiveController(Persisted):
     telemetry:
         telemetry bundle to record cycle spans and decision metrics
         into; defaults to the process-global one at construction time.
-    injector:
-        optional :class:`~repro.faults.FaultInjector`; when an active
-        forecast-drift window is open, the predictor's output is scaled
-        by its magnitude before inflation (model drift / tampering).
+
+    While a forecast-drift window of the run's injector (see
+    :meth:`start_run`) is open, the predictor's output is scaled by its
+    magnitude before inflation (model drift / tampering).
     """
 
     #: Checkpointed: the scale-in debounce and the forecast snapshot the
@@ -69,14 +69,13 @@ class PredictiveController(Persisted):
         predictor: Predictor,
         emergency_rate_multiplier: float = 1.0,
         telemetry=None,
-        injector=None,
     ):
         if emergency_rate_multiplier <= 0:
             raise PlanningError("emergency_rate_multiplier must be positive")
         self.config = config
         self.predictor = predictor
         self.planner = Planner(config)
-        self._injector = injector
+        self._injector = None
         #: Forecast window ``T`` in planner intervals:
         #: ``config.horizon_intervals``, or when that is 0 the paper's
         #: lower bound of ``2 D / P`` (time for two back-to-back parallel
@@ -104,14 +103,16 @@ class PredictiveController(Persisted):
         with parallel migration, ``2 D / P`` (Sec. 5, "Discussion")."""
         return int(math.ceil(2.0 * config.d_intervals / config.partitions_per_node)) + 1
 
-    def start_run(self, known: Optional[Sequence[float]]) -> None:
-        """Begin a run.  When its whole load series is ``known`` (a
+    def start_run(self, known: Optional[Sequence[float]], injector) -> None:
+        """Begin a run under ``injector``'s forecast drift (None: no
+        faults).  When its whole load series is ``known`` (a
         capacity run's seeded history plus trace) and the predictor does
         not learn from what it is shown (``min_training is None``), each
         decision's forecast is a row of a :class:`ForecastTable` over
         it: bit-identical to ``predict_horizon`` on the prefix, computed
         a chunk of origins per kernel call.  Otherwise each decision
         forecasts on its own.  The table lasts until the next call."""
+        self._injector = injector
         self._table = None
         if known is not None and self.predictor.min_training is None:
             self._table = ForecastTable(

@@ -84,11 +84,7 @@ class PStoreService:
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
 
         tel = self._telemetry
-        self._injector = (
-            injector
-            if injector is not None
-            else injector_from_config(config, telemetry=tel)
-        )
+        self._injector = injector or injector_from_config(config, tel)
         self.executor = TransactionExecutor(cluster, telemetry=tel)
         self.monitor = LoadMonitor(config.interval_seconds, telemetry=tel)
         self.migrator = ClusterMigrator(
@@ -96,9 +92,8 @@ class PStoreService:
             injector=self._injector,
         )
         self.migrator.allocation.pool = max_machines
-        self._strategy = PStoreStrategy(
-            config, predictor, telemetry=tel, injector=self._injector
-        )
+        self._strategy = PStoreStrategy(config, predictor, telemetry=tel)
+        self._strategy.reset(cluster.n_nodes, injector=self._injector)
         self._now = 0.0
 
     @property
@@ -189,8 +184,7 @@ class PStoreService:
 
         if closed and not self.migrator.migrating:
             self._plan()
-            if not self.migrator.migrating and self._injector is not None:
-                self._injector.confirm_recovery(self._now)
+            self.migrator.allocation.confirm(self._now)
             if self.skew_rebalancing:
                 self._maybe_rebalance()
 
@@ -216,8 +210,7 @@ class PStoreService:
             )
 
         def drop_node(victim: int) -> int:
-            summaries[victim] = self.cluster.fail_node(victim)
-            self.migrator.allocation.machines = summaries[victim]["survivors"]
+            summaries[victim] = self.migrator.fail_node(victim)
             return summaries[victim]["survivors"]
 
         for victim, removed_id in self._injector.handle_crashes(

@@ -257,14 +257,13 @@ class StrategySpec:
         *,
         predictor=None,
         slots_per_day: Optional[int] = None,
-        injector=None,
         telemetry=None,
     ) -> "ProvisioningStrategy":
         """Materialise the strategy this spec describes.
 
         ``predictor`` (fitted) is required for ``p-store`` specs;
-        ``slots_per_day`` is required for ``simple`` specs.  ``injector``
-        and ``telemetry`` are forwarded to strategies that accept them.
+        ``slots_per_day`` is required for ``simple`` specs.  ``telemetry``
+        is forwarded to strategies that accept it.
         """
         from .predictive import PStoreStrategy
         from .reactive import ReactiveStrategy
@@ -307,7 +306,6 @@ class StrategySpec:
             config,
             predictor,
             name=str(params.get("name", default_name)),
-            injector=injector,
             telemetry=telemetry,
             **kwargs,
         )
@@ -319,14 +317,13 @@ class ProvisioningStrategy(abc.ABC):
     #: Short name used in reports ("static-10", "reactive", "p-store").
     name: str = "strategy"
 
-    def reset(
-        self, initial_machines: int, known: Optional[Sequence[float]] = None
-    ) -> None:
+    def reset(self, initial_machines: int, known=None, injector=None) -> None:
         """Called once before a simulation run starts.  ``known`` is the
         whole load series the run will show :meth:`decide` prefixes of,
         when the simulator knows it up front (a capacity run: the seeded
         history plus the trace); ``None`` when it is measured as the run
-        goes."""
+        goes.  ``injector`` is the run's fault injector (None: no
+        faults), whose forecast drift a predictive strategy applies."""
         if initial_machines < 1:
             raise SimulationError("initial_machines must be >= 1")
 

@@ -47,8 +47,8 @@ class ManualStrategy(ProvisioningStrategy):
         self._next = 0
         self.name = "manual"
 
-    def reset(self, initial_machines: int, known=None) -> None:
-        super().reset(initial_machines, known)
+    def reset(self, initial_machines: int, known=None, injector=None) -> None:
+        super().reset(initial_machines, known, injector)
         self._next = 0
 
     def decide(

@@ -49,7 +49,6 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
         emergency_rate_multiplier: float = 1.0,
         name: str = "p-store",
         telemetry=None,
-        injector=None,
     ):
         if not predictor.is_fitted and predictor.min_training is None:
             raise SimulationError("predictor must be fitted before use")
@@ -59,7 +58,6 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
             predictor=predictor,
             emergency_rate_multiplier=emergency_rate_multiplier,
             telemetry=telemetry,
-            injector=injector,
         )
         self.name = name
 
@@ -75,11 +73,12 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
             and len(history_tps) >= self.min_history
         )
 
-    def reset(self, initial_machines: int, known=None) -> None:
-        """A run whose whole series is ``known`` forecasts from a
-        table over it (:meth:`PredictiveController.start_run`)."""
-        super().reset(initial_machines, known)
-        self.controller.start_run(known)
+    def reset(self, initial_machines: int, known=None, injector=None) -> None:
+        """A run whose whole series is ``known`` forecasts from a table
+        over it, and ``injector``'s forecast drift scales its forecasts
+        (:meth:`PredictiveController.start_run`)."""
+        super().reset(initial_machines, known, injector)
+        self.controller.start_run(known, injector)
 
     def decide(
         self,

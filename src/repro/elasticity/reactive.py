@@ -53,8 +53,8 @@ class ReactiveStrategy(ProvisioningStrategy, Persisted):
         self._below_streak = 0
         self.name = "reactive"
 
-    def reset(self, initial_machines: int, known=None) -> None:
-        super().reset(initial_machines, known)
+    def reset(self, initial_machines: int, known=None, injector=None) -> None:
+        super().reset(initial_machines, known, injector)
         self._below_streak = 0
 
     def _target_for(self, load_tps: float) -> int:

@@ -23,8 +23,8 @@ class StaticStrategy(ProvisioningStrategy):
         self.machines = machines
         self.name = f"static-{machines}"
 
-    def reset(self, initial_machines: int, known=None) -> None:
-        super().reset(initial_machines, known)
+    def reset(self, initial_machines: int, known=None, injector=None) -> None:
+        super().reset(initial_machines, known, injector)
         if initial_machines != self.machines:
             raise SimulationError(
                 f"static strategy for {self.machines} machines started "

@@ -127,9 +127,7 @@ def _run(spec, config, scenario: FaultScenario):
         config=config,
     )
     injector = FaultInjector(scenario) if spec.option("faults") else None
-    strategy = StrategySpec.parse(spec.strategy).build(
-        config, predictor=setup.spar, injector=injector
-    )
+    strategy = StrategySpec.parse(spec.strategy).build(config, predictor=setup.spar)
     simulator = ElasticDbSimulator(
         config,
         max_machines=10,

@@ -1,14 +1,15 @@
 """Seeded fault scheduling, the live-fault state machine, and the
 injected/detected/recovered chronicle.
 
-The :class:`FaultInjector` is the single mutable object a chaos run
-threads through the simulator, migrator, controller, and service.  Hosts
-drive it with two calls — :meth:`advance` (simulated clock) and
-:meth:`notify_migration_started` (trigger predicate) — and query the
-currently-active effects (stalls, stragglers, drift, crashes) through
-side-effect-free accessors.  Every lifecycle step is appended to an
-always-on :attr:`chronicle` (the deterministic audit log chaos tests
-compare across runs) and mirrored into telemetry when enabled.
+The :class:`FaultInjector` is the single mutable object of a chaos run.
+The loop that owns it drives its clock with :meth:`advance` and hands it
+to its :class:`~repro.squall.migrator.Allocation`, which counts move
+starts (:meth:`notify_migration_started`, the trigger predicate), and to
+its strategy; all of them query the currently-active effects (stalls,
+stragglers, drift, crashes) through side-effect-free accessors.  Every
+lifecycle step is appended to an always-on :attr:`chronicle` (the
+deterministic audit log chaos tests compare across runs) and mirrored
+into telemetry when enabled.
 
 Determinism: all firing decisions and random choices come from one
 ``numpy`` generator seeded by the scenario, and time only enters through
@@ -176,11 +177,10 @@ class FaultInjector:
         self._expire_windows()
         return fired
 
-    def notify_migration_started(self, now: Optional[float] = None) -> List[FaultRecord]:
-        """Count a reconfiguration start; fires ``on_migration`` faults
-        whose trigger matches the new count."""
-        if now is not None:
-            self.advance(now)
+    def notify_migration_started(self, now: float) -> List[FaultRecord]:
+        """Count a reconfiguration start at ``now``; fires
+        ``on_migration`` faults whose trigger matches the new count."""
+        self.advance(now)
         self._migrations_started += 1
         due = [
             p for p in self._triggered

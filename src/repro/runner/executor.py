@@ -330,6 +330,17 @@ class SweepExecutor:
         self._tensor_stats: Dict[str, int] = {}
         config_hash = self.config.config_hash()
         keys = [spec.cache_key(config_hash) for spec in specs]
+        # The report keys payloads by label, so two distinct cells must not
+        # share one (identical cells share a key and run once, below).
+        by_label: Dict[str, int] = {}
+        for i, (spec, key) in enumerate(zip(specs, keys)):
+            first = by_label.setdefault(spec.label, i)
+            if keys[first] != key:
+                raise SweepError(
+                    f"cells {canonical_json(specs[first].to_dict())} and "
+                    f"{canonical_json(spec.to_dict())} share the label "
+                    f"{spec.label}; give them distinct cell names or seeds"
+                )
 
         outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
         pending: List[int] = []

@@ -29,7 +29,7 @@ from ..hstore.engine import (
     QueueingEngine,
 )
 from ..hstore.latency import PercentileSeries
-from ..squall.migrator import Allocation, Reconfiguration, TransferRecovery
+from ..squall.migrator import Allocation, Reconfiguration
 from ..telemetry import get_telemetry
 from ..telemetry.causal import blame, record_interval
 
@@ -104,7 +104,7 @@ class _Run:
     """Everything one :meth:`ElasticDbSimulator.drive` pass mutates,
     shared by its phase methods."""
 
-    def __init__(self, strategy, offered, interval, alloc, seed, recovery):
+    def __init__(self, strategy, offered, interval, alloc, seed):
         n = offered.size
         self.strategy = strategy
         self.offered = offered
@@ -123,9 +123,7 @@ class _Run:
         self.p50 = np.empty(n)
         self.p95 = np.empty(n)
         self.p99 = np.empty(n)
-        #: Retry policy + jitter stream for faulty transfers (None on
-        #: fault-free runs), and the dead machines.
-        self.recovery: Optional[TransferRecovery] = recovery
+        #: The dead machines.
         self.crashed: List[int] = []
         # Per-interval accounting feeding the chronicle's sla.violation
         # records: seconds above the SLA, worst p99, and how many of the
@@ -161,10 +159,8 @@ class ElasticDbSimulator:
     injector:
         optional :class:`~repro.faults.FaultInjector`; defaults to the
         one described by ``config.faults`` (None when disabled, keeping
-        fault-free runs bit-identical to pre-chaos builds).  Forecast
-        drift is applied inside the strategy, so pass the same injector
-        to :class:`~repro.elasticity.predictive.PStoreStrategy` when a
-        scenario includes it.
+        fault-free runs bit-identical to pre-chaos builds).  A run hands
+        it to its allocation and, through ``reset``, to the strategy.
 
     The engine advances one planner interval at a time with
     :meth:`QueueingEngine.step_block`, after the control loop has run
@@ -192,11 +188,7 @@ class ElasticDbSimulator:
         self.initial_machines = initial_machines
         self.chunk_kb = chunk_kb
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
-        self._injector = (
-            injector
-            if injector is not None
-            else injector_from_config(config, telemetry=telemetry)
-        )
+        self._injector = injector or injector_from_config(config, telemetry)
         p = config.partitions_per_node
         self.engine = QueueingEngine(
             n_partitions=max_machines * p,
@@ -312,16 +304,14 @@ class ElasticDbSimulator:
         interval = int(round(self.config.interval_seconds))
         if interval < 1:
             raise SimulationError("interval_seconds must be >= 1 second")
-        strategy.reset(self.initial_machines)
-        recovery = None
-        if self._injector is not None:
-            recovery = TransferRecovery(self._injector, self.config.faults)
+        strategy.reset(self.initial_machines, injector=self._injector)
         alloc = Allocation(
-            self.config, self.initial_machines, self._telemetry, self.max_machines
+            self.config, self.initial_machines, self._telemetry,
+            self.max_machines, self._injector,
         )
         return _Run(
             strategy, offered, interval, alloc,
-            np.asarray(history_seed_tps, dtype=float), recovery,
+            np.asarray(history_seed_tps, dtype=float),
         )
 
     def _inject_faults(self, run: _Run) -> None:
@@ -442,8 +432,7 @@ class ElasticDbSimulator:
             self._start_move(run, run.strategy.decide(
                 len(run.history) - 1, run.history, run.alloc.machines
             ))
-        if not run.alloc.migrating and self._injector is not None:
-            self._injector.confirm_recovery(float(run.t + 1))
+        run.alloc.confirm(float(run.t + 1))
 
     def _start_move(self, run: _Run, decision) -> None:
         """Begin the move ``decision`` asks for, if any is left to make.
@@ -464,13 +453,10 @@ class ElasticDbSimulator:
                 if m not in active and m not in run.crashed
             ][: target - before]
             active.extend(newcomers)
-        now = float(run.t + 1)
         run.alloc.start(
-            target, decision, now, {"slot": len(run.history) - 1},
+            target, decision, float(run.t + 1), {"slot": len(run.history) - 1},
             chunk_kb=self.chunk_kb, nodes=nodes, newcomers=newcomers,
         )
-        if self._injector is not None:
-            self._injector.notify_migration_started(now)
 
     def _control(self, run: _Run, end: int) -> BlockRequest:
         """Run the control loop over ticks ``run.t`` to ``end`` and
@@ -554,7 +540,13 @@ class ElasticDbSimulator:
             ):
                 run.iv_fault += 1
             if move is not None:
-                self._progress_move(run)
+                # The second advances the move, or is spent wedged or
+                # re-sending a corrupted round.
+                now = float(t + 1)
+                stall = None if move.migration.done else injector.stall_record(now)
+                run.alloc.progress(1.0, now, stall)
+                if move.finished:
+                    self._settle(run, now)
             run.t += 1
         return BlockRequest(
             start, end, shares, run.offered[start:end], rows, capacity
@@ -595,20 +587,6 @@ class ElasticDbSimulator:
         run.out_machines[run.t:run.t + ticks] = seconds.allocation
         run.out_migrating[run.t:run.t + ticks] = True
         run.iv_migr += ticks
-
-    def _progress_move(self, run: _Run) -> None:
-        """Spend this second on the move in flight — advancing it, or
-        wedged, or re-sending a corrupted round — and finish the move
-        once every round has landed."""
-        move = run.alloc.move
-        injector = self._injector
-        now = float(run.t + 1)
-        stall = injector.stall_record(now) if not move.migration.done else None
-        for _, record in move.progress(1.0, now, stall, run.recovery):
-            if record is not None:
-                injector.mark_recovered(record, now)
-        if move.finished:
-            self._settle(run, now)
 
     @staticmethod
     def _settle(run: _Run, now: float) -> None:

@@ -12,7 +12,8 @@ bookkeeping, writes the ``migration.start | complete | aborted`` and
 (sampling Eq. 7 at the midpoint), tracks a wedged or corrupted transfer
 through detection and re-send, and checkpoints itself.  Every loop that
 runs moves (both simulators, the serve controller, :class:`ClusterMigrator`)
-starts, counts and settles them through its :class:`Allocation`.
+starts, counts and settles them through its :class:`Allocation`, which
+also runs the move side of the loop's fault protocol.
 
 :class:`ClusterMigrator` binds migrations to a row-level
 :class:`~repro.hstore.cluster.Cluster`: it computes the bucket-level
@@ -20,10 +21,9 @@ reconfiguration plan, and as each machine-pair transfer completes it
 commits the corresponding bucket moves so the rows physically relocate.
 
 When a :class:`~repro.faults.FaultInjector` is attached, the migrator
-also drives the failure-recovery machinery: the stall watchdog and the
-corrupted-transfer re-sends of its :class:`Reconfiguration` (bucket
-moves only commit once a clean copy has arrived), and an
-:meth:`ClusterMigrator.abort` path used when a node dies mid-move.
+steps a move between fault boundaries (bucket moves only commit once a
+clean copy has arrived); :meth:`ClusterMigrator.abort` and
+:meth:`ClusterMigrator.fail_node` are the crash edge.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tup
 import numpy as np
 
 from ..check import invariants
-from ..config import (
-    DEFAULT_CHUNK_KB,
-    DEFAULT_MIGRATION_RATE_KBPS,
-    FaultConfig,
-    PStoreConfig,
-)
+from ..config import DEFAULT_CHUNK_KB, DEFAULT_MIGRATION_RATE_KBPS, PStoreConfig
 from ..decision import NO_ACTION, ScaleDecision
 from ..errors import MigrationError, SimulationError
 from ..hstore.cluster import Cluster
@@ -362,18 +357,6 @@ class ActiveMigration:
         return {self.node_map[m] for m in machines}
 
 
-class TransferRecovery:
-    """What re-driving a faulty transfer needs, for a whole run: the
-    injector whose faults are handled, the retry policy (the ``faults``
-    config section), and the backoff-jitter stream (one per run, so it
-    outlives every move)."""
-
-    def __init__(self, injector, faults: FaultConfig):
-        self.injector = injector
-        self.faults = faults
-        self.rng = np.random.default_rng(injector.seed + 1)
-
-
 #: Bucket bounds of the ``migrate.duration_seconds`` histogram.
 _DURATION_BOUNDS = tuple(float(2 ** i) for i in range(24))
 
@@ -385,8 +368,8 @@ class Reconfiguration(Persisted):
     Built and started by :meth:`Allocation.start`.  The loops keep their
     own order and time slicing (see ``docs/ALGORITHMS.md``): slot-level
     loops advance it with :meth:`step_slot`; tick-level loops advance
-    ``migration`` directly, or through :meth:`progress` when a fault
-    injector is attached.
+    ``migration`` directly, or through :meth:`Allocation.progress` when
+    a fault injector is attached.
 
     The three emitters write one chronicle record each, with the same
     fields in every loop, and own the ``migrate.moves_started |
@@ -545,9 +528,10 @@ class Reconfiguration(Persisted):
         return self.migration.done and self.resend_seconds <= 1e-9
 
     def progress(
-        self, dt: float, now: float, stall, recovery: TransferRecovery
+        self, dt: float, now: float, stall, alloc: "Allocation"
     ) -> List[Tuple[Tuple[Transfer, ...], object]]:
-        """Spend the ``dt`` seconds ending at ``now`` on this move.
+        """Spend the ``dt`` seconds ending at ``now`` on this move, under
+        the faults of ``alloc``'s injector and its retry policy.
 
         ``stall`` is the injector's active stall record, if any: a wedged
         transfer moves no data while the watchdog re-drives it.  Else the
@@ -559,7 +543,7 @@ class Reconfiguration(Persisted):
         there is something to commit).
         """
         if stall is not None:
-            self._watch_stall(stall, now, recovery)
+            self._watch_stall(stall, now, alloc)
             return []
         self.stall = None
         if self.resend_seconds > 1e-9:
@@ -571,22 +555,22 @@ class Reconfiguration(Persisted):
             return arrived
         arrived = []
         for round_ in self.migration.advance(dt):
-            corruption = recovery.injector.take_corruption()
+            corruption = alloc.injector.take_corruption()
             if corruption is None:
                 arrived.append((round_, None))
                 continue
             # Hold the round back and owe a full re-send plus one backoff.
-            recovery.injector.mark_detected(corruption, now)
-            backoff = recovery.faults.backoff_seconds(1, recovery.rng)
-            recovery.injector.mark_retry(corruption, now, backoff)
+            alloc.injector.mark_detected(corruption, now)
+            backoff = alloc.config.faults.backoff_seconds(1, alloc.rng)
+            alloc.injector.mark_retry(corruption, now, backoff)
             self.resend_seconds += self.migration.round_seconds + backoff
             self._held.append((round_, corruption))
         return arrived
 
-    def _watch_stall(self, stall, now: float, recovery: TransferRecovery) -> None:
+    def _watch_stall(self, stall, now: float, alloc: "Allocation") -> None:
         """Detect the wedged transfer after the retry timeout and log one
         re-drive per backoff interval (all in simulated time)."""
-        retry = recovery.faults
+        retry = alloc.config.faults
         if self.stall is not stall:
             self.stall = stall
             self._stall_attempts = 0
@@ -597,10 +581,10 @@ class Reconfiguration(Persisted):
             self._stall_attempts + 1
         ):
             if self._stall_attempts == 0:
-                recovery.injector.mark_detected(stall, self._next_retry_at)
+                alloc.injector.mark_detected(stall, self._next_retry_at)
             self._stall_attempts += 1
-            backoff = retry.backoff_seconds(self._stall_attempts, recovery.rng)
-            recovery.injector.mark_retry(stall, self._next_retry_at, backoff)
+            backoff = retry.backoff_seconds(self._stall_attempts, alloc.rng)
+            alloc.injector.mark_retry(stall, self._next_retry_at, backoff)
             self._next_retry_at += backoff
 
     # ------------------------------------------------------------------
@@ -630,13 +614,26 @@ class Reconfiguration(Persisted):
 class Allocation:
     """A loop's steady ``machines``, its ``move`` in flight, the
     ``moves_started`` / ``emergencies`` counts and the ``pool`` (None:
-    unbounded): the one way from a decision to a move to a new size."""
+    unbounded): the one way from a decision to a move to a new size.
 
-    def __init__(self, config: PStoreConfig, machines: int, telemetry, pool=None):
+    With the loop's :class:`~repro.faults.FaultInjector` (None: no
+    faults) it runs the move side of the fault protocol, with the retry
+    policy ``config.faults`` and one backoff-jitter ``rng`` that
+    outlives every move: :meth:`start` notifies the injector,
+    :meth:`progress` spends a move's time under its faults,
+    :meth:`confirm` confirms crash recovery.
+    """
+
+    def __init__(
+        self, config: PStoreConfig, machines: int, telemetry, pool=None,
+        injector=None,
+    ):
         self.config, self.machines, self.pool = config, machines, pool
         self.move: Optional[Reconfiguration] = None
         self.moves_started = self.emergencies = 0
         self._telemetry = telemetry
+        self.injector = injector
+        self.rng = None if injector is None else np.random.default_rng(injector.seed + 1)
 
     @property
     def pool(self) -> Optional[int]:
@@ -668,9 +665,10 @@ class Allocation:
         fields: Mapping[str, int], **build,
     ) -> Reconfiguration:
         """Build, start and count the move to ``target`` at the decision's
-        rate, parented on its record.  ``fields`` are the loop's extras
-        on ``migration.start``, ``build`` its machines (``nodes`` /
-        ``newcomers``) and sizes."""
+        rate, parented on its record, and tell the injector a move has
+        started (its ``on_migration`` faults fire).  ``fields`` are the
+        loop's extras on ``migration.start``, ``build`` its machines
+        (``nodes`` / ``newcomers``) and sizes."""
         move = self.move = Reconfiguration(
             self.config, self.machines, target,
             self.config.migration_rate_kbps * decision.rate_multiplier,
@@ -679,7 +677,27 @@ class Allocation:
         move.start(now, decision, **fields)
         self.moves_started += 1
         self.emergencies += decision.emergency
+        if self.injector is not None:
+            self.injector.notify_migration_started(now)
         return move
+
+    def progress(self, dt: float, now: float, stall, commit=None) -> None:
+        """:meth:`Reconfiguration.progress` of the move in flight under
+        the injector's faults.  Each round whose clean copy has now
+        arrived goes to ``commit``, and a re-sent one is then marked
+        recovered."""
+        for round_, record in self.move.progress(dt, now, stall, self):
+            if commit is not None:
+                commit(round_)
+            if record is not None:
+                self.injector.mark_recovered(record, now)
+
+    def confirm(self, now: float) -> None:
+        """At a planning boundary that left no move in flight, every
+        crash the injector handled is recovered
+        (:meth:`~repro.faults.FaultInjector.confirm_recovery`)."""
+        if self.move is None and self.injector is not None:
+            self.injector.confirm_recovery(now)
 
     def step_slot(self, slot_seconds: float, now: float) -> Tuple[float, int]:
         """:meth:`Reconfiguration.step_slot` across the slot ending at
@@ -714,10 +732,11 @@ class ClusterMigrator:
     each machine pair's buckets when its transfer completes.  Scale-in is
     symmetric (retiring nodes are drained, then decommissioned).
 
-    ``injector`` attaches the chaos layer: migration-stall windows
-    freeze progress until the watchdog re-drives them, and completed
-    rounds may arrive corrupted, costing a re-send before their bucket
-    moves commit; ``config.faults`` is the retry policy.
+    ``injector`` attaches the chaos layer (to :attr:`allocation`):
+    migration-stall windows freeze progress until the watchdog re-drives
+    them, and completed rounds may arrive corrupted, costing a re-send
+    before their bucket moves commit; ``config.faults`` is the retry
+    policy.
     """
 
     def __init__(
@@ -734,14 +753,10 @@ class ClusterMigrator:
         if self.chunk_kb <= 0:
             raise MigrationError("chunk_kb must be positive")
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
-        self._injector = injector
-        self._recovery = (
-            TransferRecovery(injector, config.faults)
-            if injector is not None
-            else None
-        )
         #: The host sets its cap as the pool.
-        self.allocation = Allocation(config, cluster.n_nodes, self._telemetry)
+        self.allocation = Allocation(
+            config, cluster.n_nodes, self._telemetry, injector=injector
+        )
         self._pair_buckets: Dict[Tuple[int, int], List[BucketMove]] = {}
         #: Cumulative simulated seconds this migrator has been advanced;
         #: the timeline used for migrate.round spans and duration metrics.
@@ -793,7 +808,6 @@ class ClusterMigrator:
             [n.node_id for n in self.cluster.add_nodes(after - before)]
             if after > before else []
         )
-        self.allocation.machines = before   # a crash shrinks it outside a move
         move = self.allocation.start(
             after, decision, self._sim_time,
             # A B -> A schedule has max(min(B, A), |A - B|) rounds (Sec. 4.4.1).
@@ -818,8 +832,6 @@ class ClusterMigrator:
         self._pair_buckets = plan.moves_by_node_pair(node_of_partition)
         self._round_started_at = self._sim_time
         self._rounds_committed = 0
-        if self._injector is not None:
-            self._injector.notify_migration_started(self._sim_time)
         return move.migration
 
     def advance(self, dt: float) -> bool:
@@ -829,7 +841,7 @@ class ClusterMigrator:
             raise MigrationError("no active migration")
         if dt < 0:
             raise MigrationError("dt must be non-negative")
-        if self._injector is None:
+        if self.allocation.injector is None:
             completed_rounds = move.migration.advance(dt)
             self._sim_time += dt
             for round_ in completed_rounds:
@@ -847,14 +859,24 @@ class ClusterMigrator:
 
         Bucket moves already committed stay committed (the plan is always
         consistent); pending pair transfers are dropped, and retiring
-        nodes remain active since they may still own buckets.  The
+        nodes remain active since they may still own buckets, as do the
+        newcomers: the allocation is every node of the cluster.  The
         controller is expected to re-plan from the resulting topology.
         """
         if not self.migrating:
             return
         self.aborted_moves += 1
         self.last_outcome_id = self.allocation.abort(self._sim_time, reason)
+        self.allocation.machines = self.cluster.n_nodes
         self._pair_buckets = {}
+
+    def fail_node(self, node_id: int) -> dict:
+        """A crash takes ``node_id`` out of the cluster, its buckets
+        re-homed onto the survivors (:meth:`Cluster.fail_node`, whose
+        summary is returned), and the allocation shrinks to them."""
+        summary = self.cluster.fail_node(node_id)
+        self.allocation.machines = summary["survivors"]
+        return summary
 
     def _commit_round(self, round_: Tuple[Transfer, ...]) -> None:
         # Bracket the commit itself rather than diffing against a
@@ -898,7 +920,7 @@ class ClusterMigrator:
     # ------------------------------------------------------------------
 
     def _advance_with_faults(self, dt: float) -> None:
-        injector = self._injector
+        injector = self.allocation.injector
         move = self.allocation.move
         migration = move.migration
         remaining = float(dt)
@@ -924,13 +946,8 @@ class ClusterMigrator:
                 )
             self._sim_time += step
             remaining -= step
-            for round_, record in move.progress(
-                step, self._sim_time, stall, self._recovery
-            ):
-                # Bucket moves only commit once a clean copy has arrived.
-                self._commit_round(round_)
-                if record is not None:
-                    injector.mark_recovered(record, self._sim_time)
+            # Bucket moves only commit once a clean copy has arrived.
+            self.allocation.progress(step, self._sim_time, stall, self._commit_round)
 
     # ------------------------------------------------------------------
 

@@ -360,9 +360,7 @@ def _progress_move(sim, run) -> None:
         stall = (
             injector.stall_record(now) if not move.migration.done else None
         )
-        for _, record in move.progress(1.0, now, stall, run.recovery):
-            if record is not None:
-                injector.mark_recovered(record, now)
+        run.alloc.progress(1.0, now, stall)
     if move.finished:
         for machine in move.retiring_nodes:
             run.active.remove(machine)

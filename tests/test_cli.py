@@ -249,6 +249,31 @@ class TestPaper:
         }
 
 
+class TestSweep:
+    def test_telemetry_out_without_out_exports_the_cells_records(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.experiments.registry import get_experiment
+
+        out = tmp_path / "run"
+        assert main([
+            "sweep", "smoke", "--cache-dir", str(tmp_path / "cache"),
+            "--telemetry-out", str(out),
+        ]) == 0
+        assert "smoke:" in capsys.readouterr().out
+        labels = {s.label for s in get_experiment("smoke").make_grid()}
+        chronicle, spans = (
+            [json.loads(line) for line in (out / name).read_text().splitlines()]
+            for name in ("chronicle.jsonl", "spans.jsonl")
+        )
+        assert len(chronicle) > 1 and len(spans) > 1    # past the header
+        assert {r["cell"] for r in chronicle[1:]} <= labels
+        assert any(r["kind"] == "migration.start" for r in chronicle[1:])
+        assert {s["attrs"]["cell"] for s in spans[1:]} == labels
+
+
 class TestPlanWithConfigFile:
     def test_custom_config_respected(self, small_trace_csv, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"

@@ -279,11 +279,11 @@ class TestForecastDrift:
         )
         injector = FaultInjector(scenario)
         injector.advance(0.0)
-        return PredictiveController(
-            replace(cfg, horizon_intervals=6),
-            OraclePredictor(truth),
-            injector=injector,
+        controller = PredictiveController(
+            replace(cfg, horizon_intervals=6), OraclePredictor(truth)
         )
+        controller.start_run(None, injector)
+        return controller
 
     def test_drift_scales_the_forecast(self):
         """A 2x drift makes flat load look like a spike: the controller

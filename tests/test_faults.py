@@ -519,6 +519,48 @@ class TestSimulatorChaos:
         assert stats.all_recovered
         assert stats.mean_time_to_recover is not None
 
+    def test_config_enabled_drift_reaches_the_forecasts(self, tmp_path):
+        """A drift-only scenario enabled through ``config.faults`` scales
+        p-store's forecasts: the simulator hands the injector it built
+        from the config to the strategy, so the run moves differently
+        from the fault-free one."""
+        from dataclasses import replace
+
+        from repro.elasticity.predictive import PStoreStrategy
+        from repro.prediction import LastValuePredictor
+
+        path = tmp_path / "drift.json"
+        path.write_text(json.dumps({
+            "name": "drift-only", "seed": 3,
+            "faults": [{"kind": "forecast_drift", "at_time": 600,
+                        "duration_seconds": 1800, "magnitude": 2.0}],
+        }))
+        base = self.CFG.with_interval(300.0)
+        load = base.q * 1.5       # 2 machines hold it, inflated or not
+
+        def run(config):
+            sim = ElasticDbSimulator(
+                config, max_machines=6, initial_machines=2, seed=3
+            )
+            strategy = PStoreStrategy(
+                config, LastValuePredictor().fit([load] * 4)
+            )
+            result = sim.run(
+                np.full(3600, load), strategy, history_seed_tps=[load] * 4
+            )
+            return sim, result
+
+        _, clean = run(base)
+        sim, drifted = run(replace(
+            base, faults=FaultConfig(enabled=True, scenario=str(path))
+        ))
+        assert clean.moves_started == 0
+        assert drifted.moves_started > 0
+        assert drifted.machines.max() > clean.machines.max()
+        assert [(r["event"], r["time"]) for r in sim.injector.chronicle] == [
+            ("fault.injected", 600), ("fault.recovered", 2400),
+        ]
+
     def test_disabled_faults_identical_to_no_injector(self):
         sim = ElasticDbSimulator(self.CFG, max_machines=6,
                                  initial_machines=3, seed=3)

@@ -261,6 +261,21 @@ class TestSweepExecutor:
         assert report.executed == len(specs)
         assert report.hits == len(specs)
 
+    def test_distinct_cells_under_one_label_are_refused(self, tmp_path):
+        """Labels leave the overrides out, so these two grids' cells
+        pair up under one label each; the report keys payloads by label
+        and would keep one of each pair."""
+        smoke = get_experiment("smoke")
+        specs = smoke.make_grid(n_days=1) + smoke.make_grid(n_days=2)
+        with pytest.raises(SweepError) as excinfo:
+            SweepExecutor(
+                default_config(), ResultCache(tmp_path), jobs=1
+            ).run(specs)
+        message = str(excinfo.value)
+        assert specs[0].label in message
+        assert '["n_days",1]' in message and '["n_days",2]' in message
+        assert not list(tmp_path.iterdir())      # refused before any cell ran
+
 
 class TestSeriesDigest:
     """``series_digest`` converts a series in one array call; its JSON
