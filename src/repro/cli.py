@@ -223,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--out", default=None, metavar="DIR",
         help="write manifest.json plus merged spans.jsonl and "
-        "chronicle.jsonl into DIR",
+        "chronicle.jsonl into DIR (runs every cell: cache entries keep "
+        "no records)",
     )
     swp.add_argument(
         "--force", action="store_true",

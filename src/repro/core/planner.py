@@ -40,6 +40,14 @@ _INF = math.inf
 #: hundreds of machines keeps only its last few patterns.
 PLAN_MEMO_BYTES = 4 << 20
 
+#: Bytes of load-independent DP tables (:class:`_Grid`) one
+#: :class:`Planner` keeps, least recently used evicted first.  A grid
+#: takes about ``530 Z^2`` bytes at a 7-interval horizon: capacity_zoo's
+#: largest is Z = 18 (88 kB), and 64 MiB still keeps one of Z = 350
+#: (about 1e5 txn/s).  A larger grid is built for its request and not
+#: kept, so one report of a huge load cannot pin hundreds of MB.
+GRID_CACHE_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class PlanRequest:
@@ -114,6 +122,12 @@ class _Grid(NamedTuple):
     cap: np.ndarray  # (Z,): cap(A) + 1e-9
 
 
+def _grid_bytes(grid: _Grid) -> int:
+    """What a :class:`_Grid` holds: its arrays, and ``dur``'s Z x Z
+    references."""
+    return sum(table.nbytes for table in grid[1:]) + 8 * len(grid.cap) ** 2
+
+
 class Planner:
     """Bottom-up dynamic-programming planner.
 
@@ -132,8 +146,12 @@ class Planner:
         self._duration_cache: Dict[Tuple[int, int], int] = {}
         self._cost_cache: Dict[Tuple[int, int], float] = {}
         self._effcap_cache: Dict[Tuple[int, int], Tuple[float, ...]] = {}
-        # The DP's load-independent tables, keyed by (Z, horizon).
-        self._grid_cache: Dict[Tuple[int, int], _Grid] = {}
+        # The DP's load-independent tables by (Z, horizon), least
+        # recently used first.
+        self._grid_cache: "OrderedDict[Tuple[int, int], _Grid]" = (
+            OrderedDict()
+        )
+        self._grid_cache_bytes = 0
         # Plans (None: infeasible) by (Z, horizon, N0, feasibility
         # pattern), least recently used first.
         self._plan_memo: "OrderedDict[tuple, Optional[MoveSchedule]]" = (
@@ -314,9 +332,11 @@ class Planner:
 
     def _grid(self, z: int, horizon: int) -> _Grid:
         """The :class:`_Grid` for ``Z`` sizes over ``horizon`` intervals,
-        built once per planner."""
-        grid = self._grid_cache.get((z, horizon))
+        kept while the cache's bytes allow (:data:`GRID_CACHE_BYTES`)."""
+        cache = self._grid_cache
+        grid = cache.get((z, horizon))
         if grid is not None:
+            cache.move_to_end((z, horizon))
             return grid
         sizes = range(1, z + 1)
         dur = np.array(
@@ -350,7 +370,14 @@ class Planner:
             prior=np.maximum(start, 0) * z + np.arange(z)[:, None],
             cap=np.array([self.capacity(a) + 1e-9 for a in sizes]),
         )
-        self._grid_cache[(z, horizon)] = grid
+        size = _grid_bytes(grid)
+        if size <= GRID_CACHE_BYTES:
+            cache[(z, horizon)] = grid
+            self._grid_cache_bytes += size
+            while self._grid_cache_bytes > GRID_CACHE_BYTES:
+                self._grid_cache_bytes -= _grid_bytes(
+                    cache.popitem(last=False)[1]
+                )
         return grid
 
     def _effcap_profile(

@@ -21,7 +21,7 @@ ahead we look.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class SparPredictor(Predictor):
         # and their dense stacks per horizon.
         self._coeffs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._stacked: Dict[
-            int, Tuple[np.ndarray, List[np.ndarray], np.ndarray]
+            int, Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
         self._fitted_upto = 0
         # How far back "now" each recent offset reads: row 0 is
@@ -194,7 +194,7 @@ class SparPredictor(Predictor):
         (Eq. 8 applied per tau)."""
         n, m = self.n_periods, self.m_recent
         self.fit_horizon(horizon)
-        coeff_a, coeff_b_rows, lag_reach = self._stacked_coeffs(horizon)
+        coeff_a, coeff_b, lag_reach = self._stacked_coeffs(horizon)
         now = origins[:, None, None]
         lags = arr[now + lag_reach]
         out = np.zeros((origins.size, horizon))
@@ -216,33 +216,29 @@ class SparPredictor(Predictor):
             for k in range(1, n + 1):
                 acc += seen[:, k]
             offsets = seen[:, 0] - acc / n
-            # One BLAS dot per (origin, tau), matching a per-tau Eq. 8
-            # loop's `b @ offsets` accumulation exactly (a gemv or a
-            # matmul could round differently).
-            out += np.fromiter(
-                (b @ row for row in offsets for b in coeff_b_rows),
-                float, origins.size * horizon,
-            ).reshape(origins.size, horizon)
+            # vecdot takes one BLAS dot per (origin, tau), the per-tau
+            # Eq. 8 loop's `b @ offsets` exactly (a gemv or a matmul
+            # could round differently).
+            out += np.vecdot(offsets[:, None, :], coeff_b[None])
         return out
 
     def _stacked_coeffs(
         self, horizon: int
-    ) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
-        """Fitted coefficients for ``tau = 1..horizon`` as dense stacks,
-        and the periodic lags' reach ``tau - k*T`` from "now"."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fitted coefficients ``a`` and ``b`` for ``tau = 1..horizon``
+        as dense stacks, and the periodic lags' reach ``tau - k*T`` from
+        "now"."""
         cached = self._stacked.get(horizon)
         if cached is None:
             coeff_a = np.empty((horizon, self.n_periods))
-            rows = []
+            coeff_b = np.empty((horizon, self.m_recent))
             for tau in range(1, horizon + 1):
-                a, b = self._coeffs[tau]
-                coeff_a[tau - 1] = a
-                rows.append(b)
+                coeff_a[tau - 1], coeff_b[tau - 1] = self._coeffs[tau]
             reach = (
                 np.arange(1, horizon + 1)[:, None]
                 - np.arange(1, self.n_periods + 1) * self.period
             )
-            cached = (coeff_a, rows, reach)
+            cached = (coeff_a, coeff_b, reach)
             self._stacked[horizon] = cached
         return cached
 

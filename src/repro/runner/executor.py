@@ -268,7 +268,8 @@ class SweepExecutor:
         (the default) runs each cell under
         :data:`~repro.telemetry.runtime.NULL_TELEMETRY`: nothing is
         recorded, and the cell's engine and simulator skip their metric
-        work.  Payloads are the same either way.
+        work.  Payloads are the same either way.  A recording sweep
+        runs every cell, cached or not, and stores it again.
     backend:
         one of :data:`BACKENDS`.  ``serial`` runs cells inline,
         ``process`` always uses the spawn pool, ``tensor`` batches every
@@ -313,7 +314,8 @@ class SweepExecutor:
     ) -> SweepReport:
         """Execute every cell of ``specs``; returns a :class:`SweepReport`.
 
-        Cached cells are served from disk unless ``force``.  On a cell
+        Cached cells are served from disk unless ``force`` or the sweep
+        records events (a cache entry keeps no records).  On a cell
         failure a :class:`SweepError` is raised *after* every completed
         cell has been persisted, so the next invocation resumes from the
         survivors.  ``progress`` (optional) is called with each
@@ -351,7 +353,7 @@ class SweepExecutor:
                 duplicates.append((i, seen[key]))
                 continue
             seen[key] = i
-            envelope = None if force else (
+            envelope = None if force or self.record_events else (
                 self.cache.load(key) if self.cache is not None else None
             )
             if envelope is not None:

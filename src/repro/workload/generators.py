@@ -73,6 +73,24 @@ def _calendar_key(calendar: Optional[EventCalendar]):
 WOBBLE_HOURS = 3.0
 
 
+def _ou_wobble(
+    rng: np.random.Generator, total: int, sigma: float, slot_seconds: float
+) -> np.ndarray:
+    """``total`` slots of a stationary Ornstein-Uhlenbeck process with
+    sigma ``sigma`` and correlation time :data:`WOBBLE_HOURS`, drawn from
+    ``rng``: the start state, then one innovation per slot.  The
+    innovations are one vector draw, the same stream as a draw per slot;
+    only the recurrence runs in Python."""
+    decay = float(np.exp(-1.0 / (WOBBLE_HOURS * 3600.0 / slot_seconds)))
+    innovation = sigma * np.sqrt(1.0 - decay * decay)
+    state = rng.normal(0.0, sigma)
+    wobble = []
+    for draw in rng.normal(0.0, innovation, total).tolist():
+        state = state * decay + draw
+        wobble.append(state)
+    return np.array(wobble)
+
+
 def b2w_like_trace(
     n_days: int,
     slot_seconds: float = 60.0,
@@ -163,15 +181,7 @@ def b2w_like_trace(
 
     # Hour-scale unpredictable wobble (OU process in log space).
     if wobble_sigma > 0:
-        tau_slots = WOBBLE_HOURS * 3600.0 / slot_seconds
-        decay = np.exp(-1.0 / tau_slots)
-        innovation = wobble_sigma * np.sqrt(1.0 - decay * decay)
-        wobble = np.empty(total)
-        state = rng.normal(0.0, wobble_sigma)
-        for i in range(total):
-            state = state * decay + rng.normal(0.0, innovation)
-            wobble[i] = state
-        values *= np.exp(wobble)
+        values *= np.exp(_ou_wobble(rng, total, wobble_sigma, slot_seconds))
 
     if calendar is not None:
         values = calendar.apply(values)

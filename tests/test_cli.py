@@ -273,6 +273,26 @@ class TestSweep:
         assert any(r["kind"] == "migration.start" for r in chronicle[1:])
         assert {s["attrs"]["cell"] for s in spans[1:]} == labels
 
+    def test_a_warm_cache_still_exports_every_record(self, tmp_path, capsys):
+        """A cache entry keeps no records, so a recording sweep runs its
+        cells again: the second export has as many lines as the first."""
+        cache = str(tmp_path / "cache")
+        counts = []
+        for run in ("cold", "warm"):
+            telemetry, out = tmp_path / f"{run}-tel", tmp_path / f"{run}-out"
+            assert main([
+                "sweep", "smoke", "--cache-dir", cache,
+                "--telemetry-out", str(telemetry), "--out", str(out),
+            ]) == 0
+            counts.append([
+                len((directory / name).read_text().splitlines())
+                for directory in (telemetry, out)
+                for name in ("chronicle.jsonl", "spans.jsonl")
+            ])
+        capsys.readouterr()
+        assert counts[0] == counts[1]
+        assert min(counts[0]) > 1
+
 
 class TestPlanWithConfigFile:
     def test_custom_config_respected(self, small_trace_csv, tmp_path, capsys):

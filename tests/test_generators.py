@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.experiments import fig11, fig12
+from repro.workload import generators
 from repro.workload import (
     b2w_like_trace,
     diurnal_profile,
@@ -84,6 +85,34 @@ class TestB2wLikeTrace:
             b2w_like_trace(0)
         with pytest.raises(SimulationError):
             b2w_like_trace(2, weekly_pattern=(1.0, 1.0))
+
+
+def ou_wobble_per_draw(rng, total, sigma, slot_seconds):
+    """The wobble as first written: one ``rng.normal`` call per slot."""
+    tau_slots = generators.WOBBLE_HOURS * 3600.0 / slot_seconds
+    decay = np.exp(-1.0 / tau_slots)
+    innovation = sigma * np.sqrt(1.0 - decay * decay)
+    wobble = np.empty(total)
+    state = rng.normal(0.0, sigma)
+    for i in range(total):
+        state = state * decay + rng.normal(0.0, innovation)
+        wobble[i] = state
+    return wobble
+
+
+class TestWobble:
+    @pytest.mark.parametrize("slot_seconds", [60.0, 300.0, 3600.0, 7.0])
+    @pytest.mark.parametrize("sigma", [0.1, 0.03, 2.5])
+    def test_one_vector_draw_is_the_per_draw_stream(self, slot_seconds, sigma):
+        """Bit for bit, and the generator is left in the same state."""
+        for seed, total in ((1, 1), (2, 97), (3, 4320)):
+            ours, theirs = (
+                np.random.default_rng(seed) for _ in range(2)
+            )
+            fast = generators._ou_wobble(ours, total, sigma, slot_seconds)
+            slow = ou_wobble_per_draw(theirs, total, sigma, slot_seconds)
+            assert fast.tobytes() == slow.tobytes()
+            assert ours.random() == theirs.random()
 
 
 class TestEvaluationTrace:

@@ -397,3 +397,55 @@ class TestPlanMemo:
         planner.plan((300.0, 300.0, 300.0), 3)  # evicts the flat 100s
         assert len(planner._plan_memo) == 2
         assert planner.plan((400.0, 500.0, 600.0), 3) is first
+
+
+class TestGridCache:
+    """The DP's load-independent grids are kept by bytes, least recently
+    used first; a grid larger than the whole bound is built for its
+    request and not kept.  Every answer is still a fresh planner's."""
+
+    @staticmethod
+    def _bytes(planner):
+        return sum(
+            planner_module._grid_bytes(grid)
+            for grid in planner._grid_cache.values()
+        )
+
+    def _plan(self, planner, loads, n0):
+        request = PlanRequest(predicted_load=loads, initial_machines=n0)
+        outcome = _outcome(planner.best_moves, request)
+        assert outcome == _outcome(Planner(planner.config).best_moves, request)
+        assert planner._grid_cache_bytes == self._bytes(planner)
+        assert planner._grid_cache_bytes <= planner_module.GRID_CACHE_BYTES
+        return outcome
+
+    def test_a_large_grid_is_not_kept(self, monkeypatch):
+        config = default_config().with_interval(600.0)
+        q = config.q
+        planner = Planner(config)
+        small = [((400.0, 500.0, 600.0), 2), ((900.0, 1200.0, 1500.0), 3)]
+        before = [self._plan(planner, loads, n0) for loads, n0 in small]
+        kept = dict(planner._grid_cache)
+        monkeypatch.setattr(
+            planner_module, "GRID_CACHE_BYTES", 4 * planner._grid_cache_bytes
+        )
+        # A spike to 60 machines needs a Z = 60 grid, far past the bound.
+        self._plan(planner, (400.0, 60 * q, 400.0), 2)
+        assert (60, 3) not in planner._grid_cache
+        assert planner._grid_cache == kept
+        assert all(
+            planner._grid_cache[key] is grid for key, grid in kept.items()
+        )
+        assert [self._plan(planner, loads, n0) for loads, n0 in small] == before
+
+    def test_the_least_recently_used_grid_goes_first(self, monkeypatch):
+        config = default_config().with_interval(600.0)
+        planner = Planner(config)
+        self._plan(planner, (400.0, 500.0, 600.0), 3)            # Z = 3
+        self._plan(planner, (400.0, 500.0, 600.0, 700.0), 3)     # T = 4
+        monkeypatch.setattr(
+            planner_module, "GRID_CACHE_BYTES", planner._grid_cache_bytes
+        )
+        self._plan(planner, (400.0, 500.0, 600.0), 3)            # a hit
+        self._plan(planner, (400.0, 500.0, 500.0, 500.0), 2)     # Z = 2
+        assert list(planner._grid_cache) == [(3, 3), (2, 4)]

@@ -1,8 +1,10 @@
 """The zoo's vectorised kernels against their scalar oracles.
 
-``GbtPredictor`` screens its split candidates with prefix sums and
-certifies the close calls with the scalar rule; ``GbtPredictor`` and
-``MssaPredictor`` forecast with one sequential ``cumsum`` per step.
+``GbtPredictor`` grows each tree a level at a time, screens every
+node's split candidates with segment sums and certifies the close calls
+with the scalar rule; ``GbtPredictor`` and ``MssaPredictor`` forecast
+with one sequential ``cumsum`` per step, and ``SparPredictor`` takes
+every (origin, tau) dot with one ``np.vecdot``.
 Both must reproduce the scalar code in ``tests/zoo_oracles.py`` bit for
 bit: the same trees node for node, the same forecast floats.  The
 series are the ones the screen was sized on — steady traces at
@@ -12,6 +14,8 @@ workloads at period 24.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_config
 from repro.elasticity import StaticStrategy
@@ -38,13 +42,10 @@ SERIES = [
 LABELS = [label for label, _, _ in SERIES]
 
 
-def forest_nodes(model, tree: int):
-    """One tree of a fitted ``GbtPredictor`` as ``oracle.tree_nodes`` rows."""
-    depth = model.max_depth
+def heap_nodes(feature, threshold, leaf, depth):
+    """A heap-stored tree (``_TreeGrower`` has the layout) as
+    ``oracle.tree_nodes`` rows."""
     n_splits = 2 ** depth - 1
-    feature = model._split_feature[tree * n_splits:][:n_splits]
-    threshold = model._split_threshold[tree * n_splits:][:n_splits]
-    leaf = model._leaf_value[tree * (n_splits + 1):][: n_splits + 1]
 
     def walk(slot, level):
         if level == depth:
@@ -59,6 +60,51 @@ def forest_nodes(model, tree: int):
         )
 
     return walk(0, 0)
+
+
+def forest_nodes(model, tree: int):
+    """One tree of a fitted ``GbtPredictor`` as ``oracle.tree_nodes`` rows."""
+    depth = model.max_depth
+    n_splits = 2 ** depth - 1
+    return heap_nodes(
+        model._split_feature[tree * n_splits:][:n_splits],
+        model._split_threshold[tree * n_splits:][:n_splits],
+        model._leaf_value[tree * (n_splits + 1):][: n_splits + 1],
+        depth,
+    )
+
+
+def lay_out(grower, subsets):
+    """A level layout of nodes with these rows: node after node, feature
+    after feature, each node's flat sorted-column indices ascending."""
+    n_features, n = grower.columns.shape
+    position = np.argsort(grower.order, axis=1)
+    return np.concatenate([
+        f * n + np.sort(position[f, rows])
+        for rows in subsets for f in range(n_features)
+    ])
+
+
+def screen_level(grower, residual, subsets):
+    """``(geometry, screen, slack per node, base SSE per node)`` of a
+    level whose nodes hold ``subsets`` of the rows."""
+    laid = lay_out(grower, subsets)
+    sizes = np.array([rows.size for rows in subsets])
+    geometry = grower._geometry(laid, sizes)
+    rows_laid = grower.order.take(laid)
+    n_features = grower.columns.shape[0]
+    centred, sse, slack = [], [], []
+    start = 0
+    for rows in subsets:
+        node = residual[rows]
+        mean = float(node.mean())
+        block = rows_laid[start : start + n_features * rows.size]
+        start += block.size
+        centred.append(residual[block] - mean)
+        sse.append(float(((node - mean) ** 2).sum()))
+        slack.append(gbt_module._slack(node, sse[-1]))
+    screen = grower._screen(geometry, np.concatenate(centred))
+    return geometry, screen, slack, sse
 
 
 @pytest.fixture(scope="module", params=SERIES, ids=LABELS)
@@ -91,21 +137,25 @@ class TestSplitScreen:
     def test_sorted_column_quantiles_are_np_quantile(self):
         rng = np.random.default_rng(5)
         quantiles = np.linspace(0.0, 1.0, 10)[1:-1]
-        for size in (1, 2, 3, 7, 16, 17, 100, 257, 3743):
+        sizes = np.array([1, 2, 3, 7, 16, 17, 100, 257, 3743])
+        lo, hi, gamma = gbt_module._quantile_points(sizes, quantiles)
+        for j, size in enumerate(sizes):
             for column in (
                 rng.normal(size=size),
                 rng.integers(0, 4, size).astype(float),     # heavy ties
                 np.cos(2 * np.pi * np.arange(size) / 24),
                 np.full(size, 1250.0),
             ):
-                rows = np.sort(column)[None, :]
-                ours = gbt_module._sorted_quantiles(rows, quantiles)[0]
+                rows = np.sort(column)
+                ours = gbt_module._lerp(rows[lo[j]], rows[hi[j]], gamma[j])
                 assert ours.tobytes() == np.quantile(column, quantiles).tobytes()
 
     def test_slack_bounds_the_screen_twice_over(self):
-        """Every candidate's screened gain is within half the slack of
-        the scalar gain — on capacity_zoo's residuals, and on residuals
-        riding a large offset, where the sum-of-squares term matters."""
+        """Every candidate's screened gain is within half its node's
+        slack of the scalar gain — on capacity_zoo's residuals, and on
+        residuals riding a large offset, where the sum-of-squares term
+        matters — with three nodes screened as one level, so every sum
+        must stay inside its own node's segment."""
         train, _ = oracle.zoo_scale_series(1)
         model = get_predictor_spec("gbt").for_period(288)
         anchors = np.arange(model.min_history, train.size)
@@ -114,27 +164,26 @@ class TestSplitScreen:
         rng = np.random.default_rng(3)
         grower = gbt_module._TreeGrower(features, 3, 8, 8)
         rows = np.arange(targets.size)
+        subsets = [rows, rows[: rows.size // 3], rows[::5]]
         for residual in (
             targets - targets.mean(),
             1e6 + rng.normal(size=targets.size),
             rows[rng.permutation(rows.size)] % 7 * 1e-3,
         ):
-            for subset in (rows, rows[: rows.size // 3], rows[::5]):
-                node = residual[subset]
-                mean = float(node.mean())
-                base_sse = float(((node - mean) ** 2).sum())
-                order = np.argsort(grower.columns[:, subset], axis=1)
-                values = np.take_along_axis(grower.columns[:, subset], order, 1)
-                features_, thresholds, _, screen, slack = gbt_module._screen(
-                    node, values, node[order] - mean, grower.quantiles, 8,
-                    base_sse,
+            geometry, screen, slack, sse = screen_level(
+                grower, residual, subsets
+            )
+            nodes = geometry.pick[0]
+            assert set(nodes.tolist()) == {0, 1, 2}
+            for j, f, threshold, approx in zip(
+                nodes, geometry.features, geometry.thresholds, screen
+            ):
+                subset = subsets[j]
+                exact = gbt_module._exact_gain(
+                    residual[subset], grower.columns[f, subset], threshold,
+                    sse[j],
                 )
-                assert features_.size > 0
-                for f, threshold, approx in zip(features_, thresholds, screen):
-                    exact = gbt_module._exact_gain(
-                        node, grower.columns[f, subset], threshold, base_sse
-                    )
-                    assert abs(approx - exact) <= slack / 2
+                assert abs(approx - exact) <= slack[j] / 2
 
     def test_same_partition_on_two_features_picks_the_first(self):
         """Feature 1 sorts its rows in another order than feature 0, but
@@ -149,16 +198,13 @@ class TestSplitScreen:
         high = x >= 40     # the 4/9 quantile cuts at 39.56: 40 rows left
         other = high * 1000.0 + rng.random(90)
         residual = np.where(high, 3.0, -2.0) + rng.normal(0.0, 0.1, 90)
-        quantiles = np.linspace(0.0, 1.0, 10)[1:-1]
-        mean = float(residual.mean())
-        base_sse = float(((residual - mean) ** 2).sum())
         for columns in ((x, other), (other, x)):
             features = np.column_stack(columns)
             grower = gbt_module._TreeGrower(features, 1, 8, 8)
-            found, _, n_left, screen, _ = gbt_module._screen(
-                residual, grower.sorted_columns, residual[grower.order] - mean,
-                quantiles, 8, base_sse,
+            geometry, screen, _, _ = screen_level(
+                grower, residual, [np.arange(90)]
             )
+            found, n_left = geometry.features, geometry.n_left
             first, second = (
                 screen[(found == f) & (n_left == 40)][0] for f in (0, 1)
             )
@@ -187,6 +233,160 @@ class TestSplitScreen:
         get_predictor_spec("gbt").for_period(288).fit(train)
         assert 0 < calls["nodes"] <= 40 * 7
         assert calls["exact"] <= calls["nodes"]
+
+
+def grown_and_oracle(features, residual, depth, n_thresholds, min_leaf):
+    """One tree from ``_TreeGrower`` and from ``oracle.fit_tree``, each
+    as ``(tree_nodes rows, fitted)``."""
+    grower = gbt_module._TreeGrower(features, depth, n_thresholds, min_leaf)
+    feature, threshold, leaf, fitted = grower.grow(residual)
+    tree = oracle.fit_tree(features, residual, 0, depth, n_thresholds, min_leaf)
+    return (
+        (heap_nodes(feature, threshold, leaf, depth), fitted.tobytes()),
+        (oracle.tree_nodes(tree), oracle.tree_apply(tree, features).tobytes()),
+    )
+
+
+class TestLevelGrower:
+    """The level-at-a-time grower against the recursive scalar
+    ``oracle.fit_tree``, node for node, on the degenerate shapes a level
+    layout could get wrong."""
+
+    def test_a_constant_series_fits_the_scalar_forest(self):
+        series = np.full(400, 1250.0)
+        model = get_predictor_spec("gbt").for_period(24).fit(series)
+        base, trees = oracle.gbt_fit(model, series)
+        assert model._base == base
+        for index, tree in enumerate(trees):
+            assert forest_nodes(model, index) == oracle.tree_nodes(tree)
+            assert tree[0] == "leaf"
+
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(11)
+        features = rng.integers(0, 4, (300, 5)).astype(float)
+        residual = rng.normal(size=300) + features[:, 2]
+        ours, theirs = grown_and_oracle(features, residual, 4, 8, 3)
+        assert ours == theirs
+        assert sum(row[0] == "split" for row in ours[0]) > 3
+
+    def test_nodes_of_exactly_twice_min_leaf(self):
+        """Median splits take 32 rows down to nodes of 8 = 2 * min_leaf
+        rows, which are searched (7 splits); from 31 rows one node of
+        the second level has 7 rows, which is not (6 splits)."""
+        x = np.arange(32.0)
+        residual = np.where(x < 16, -4.0, 4.0) + np.where(x % 16 < 8, -1.0, 1.0)
+        residual += np.where(x % 8 < 4, -0.25, 0.25)
+        for rows, splits in ((32, 7), (31, 6)):
+            features = np.column_stack([x, x % 3])[:rows]
+            ours, theirs = grown_and_oracle(features, residual[:rows], 3, 1, 4)
+            assert ours == theirs
+            assert [row[0] for row in ours[0]].count("split") == splits
+
+    @pytest.mark.parametrize("rows,min_leaf,residual", [
+        (7, 4, None),           # the root is under 2 * min_leaf
+        (50, 4, 2.5),           # constant residuals: no split gains
+        (1, 1, None),
+    ])
+    def test_every_node_a_leaf(self, rows, min_leaf, residual):
+        rng = np.random.default_rng(rows)
+        features = rng.normal(size=(rows, 3))
+        values = (
+            rng.normal(size=rows) if residual is None else np.full(rows, residual)
+        )
+        ours, theirs = grown_and_oracle(features, values, 3, 8, min_leaf)
+        assert ours == theirs
+        assert ours[0] == [ours[0][0]] and ours[0][0][0] == "leaf"
+
+    def test_residuals_far_from_zero(self):
+        """Every level centres the residuals on its own nodes' means: an
+        offset the root removes must not reach its children, which in
+        the first case are constant and so stay leaves."""
+        x = np.arange(40.0)
+        features = np.column_stack([x, x % 7])
+        ours, theirs = grown_and_oracle(
+            features, np.where(x < 20, 100.0, 200.0), 3, 1, 2
+        )
+        assert ours == theirs
+        assert [row[0] for row in ours[0]] == ["split", "leaf", "leaf"]
+        rng = np.random.default_rng(21)
+        features = rng.integers(0, 6, (120, 3)).astype(float)
+        residual = 50.0 + features[:, 1] + rng.normal(size=120)
+        ours, theirs = grown_and_oracle(features, residual, 3, 8, 2)
+        assert ours == theirs
+
+    def test_columns_past_the_float_range(self):
+        """Between these values ``b - a`` overflows, so a cut can fall
+        outside its two order statistics (or be NaN); its left count is
+        then counted in the column, as the scalar rule counts it."""
+        mismatched = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed in range(200):
+                rng = np.random.default_rng(seed)
+                rows = int(rng.integers(5, 80))
+                features = rng.choice(
+                    [-1.7e308, -1e300, 0.0, 1.0, 1e300, 1.7e308], (rows, 3)
+                )
+                ours, theirs = grown_and_oracle(
+                    features, rng.normal(size=rows), 3,
+                    int(rng.integers(1, 9)), int(rng.integers(1, 4)),
+                )
+                mismatched += ours != theirs
+        assert mismatched == 0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 90),
+        n_features=st.integers(1, 4),
+        levels=st.integers(1, 8),
+        depth=st.integers(1, 4),
+        n_thresholds=st.integers(1, 9),
+        min_leaf=st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_trees_are_the_scalar_trees(
+        self, seed, rows, n_features, levels, depth, n_thresholds, min_leaf
+    ):
+        """Columns drawn from ``levels`` distinct values (ties on every
+        level) and residuals with ties of their own."""
+        rng = np.random.default_rng(seed)
+        features = rng.integers(0, levels, (rows, n_features)) * rng.normal(
+            size=n_features
+        )
+        residual = rng.integers(-3, 4, rows) * 0.5 + rng.normal(size=rows) * (
+            seed % 2
+        ) + rng.choice([0.0, 40.0])
+        ours, theirs = grown_and_oracle(
+            features, residual, depth, n_thresholds, min_leaf
+        )
+        assert ours == theirs
+
+
+class TestSparKernel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        origins=st.integers(1, 6),
+        horizon=st.integers(1, 9),
+        m=st.integers(1, 40),
+        stride=st.integers(1, 3),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_vecdot_rows_are_per_pair_dots(
+        self, seed, origins, horizon, m, stride, scale
+    ):
+        """``np.vecdot`` over every (origin, tau) pair is the per-pair
+        ``b @ row`` the per-tau Eq. 8 loop takes, bit for bit: one
+        origin, one tau, strided rows and extreme magnitudes too."""
+        rng = np.random.default_rng(seed)
+        offsets = (rng.normal(size=(origins, m * stride)) * scale)[:, ::stride]
+        coeff_b = rng.normal(size=(horizon, m * stride))[:, ::stride]
+        coeff_b = coeff_b * rng.choice([1e-10, 1.0, 1e10], (horizon, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ours = np.vecdot(offsets[:, None, :], coeff_b[None])
+            theirs = np.array([[b @ row for b in coeff_b] for row in offsets])
+        assert np.array_equal(ours, theirs, equal_nan=True)
+        finite = np.isfinite(ours)
+        assert ours[finite].tobytes() == theirs[finite].tobytes()
 
 
 class TestMssaForecast:
