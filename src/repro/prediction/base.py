@@ -44,10 +44,13 @@ FORECAST_CHUNK = 512
 def solve_ridge(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ridge-regularised normal equations (or a stack of them).
 
-    The ridge is absolute, so a degenerate series — a flat stretch makes
-    every lag column a copy of the intercept's — can leave ``gram``
-    singular at float precision; the fit is the minimum-norm solution
-    then, not a ``LinAlgError`` out of a refit.
+    SPAR, ARMA and AR add an absolute ridge, so a degenerate series — a
+    flat stretch makes every lag column a copy of the intercept's — can
+    leave ``gram`` singular at float precision; the fit is the
+    minimum-norm solution then, not a ``LinAlgError`` out of a refit.
+    (mSSA's ridge is relative to the Gram's mean diagonal, which the
+    intercept keeps positive, so only ``ridge=0`` reaches the fallback
+    there.)
     """
     try:
         return np.linalg.solve(gram, rhs)

@@ -19,6 +19,16 @@ The implementation is the classic recurrent-SSA forecast:
 4. forecast recursively with the recurrence over the *observed* history
    tail.
 
+Step 2 is paid at rank ``r``, not for a full SVD: the top-``r`` right
+singular vectors are the top-``r`` eigenvectors of the ``L x L`` window
+Gram matrix, and the reconstruction's anti-diagonal sums are ``r``
+convolutions of each component's scores with its singular vector, so
+neither ``U`` nor the ``(N - L + 1) x L`` reconstruction is built.  The
+denoised series spans only about ``r`` of its ``L`` lags, so step 3's
+ridge is relative — ``ridge`` times the lag Gram's mean diagonal — or
+the solve would pick coefficients out of rounding noise (and the two
+factorisations, or two BLAS thread counts, would forecast differently).
+
 With the default window ``L = period + 1`` the recurrence spans one full
 season, so the model captures periodic structure without hardcoding a
 fixed-phase periodic term the way SPAR does — which is exactly what lets
@@ -48,7 +58,8 @@ class MssaPredictor(Predictor):
     rank:
         singular values kept in the low-rank reconstruction.
     ridge:
-        L2 regularisation of the recurrence fit.
+        L2 regularisation of the recurrence fit, relative to the mean
+        diagonal of its Gram matrix.
     """
 
     name = "mssa"
@@ -81,20 +92,20 @@ class MssaPredictor(Predictor):
         self._coeffs: Optional[np.ndarray] = None  # [c_0, c_1 .. c_{L-1}]
 
     def _fit(self, arr: np.ndarray) -> None:
-        length, lags = arr.size, self.window
+        lags = self.window
         # 1. Page/Hankel matrix of overlapping windows.
         page = np.lib.stride_tricks.sliding_window_view(arr, lags)
-        # 2. Rank-r denoising + hankelization (anti-diagonal averages).
-        u, s, vt = np.linalg.svd(page, full_matrices=False)
-        r = min(self.rank, s.size)
-        low = (u[:, :r] * s[:r]) @ vt[:r]
-        sums = np.zeros(length)
-        counts = np.zeros(length)
         rows = page.shape[0]
-        for col in range(lags):
-            sums[col : col + rows] += low[:, col]
-            counts[col : col + rows] += 1.0
-        denoised = sums / counts
+        # 2. Rank-r denoising: the top-r right singular vectors of the
+        # page are the top-r eigenvectors of its L x L window Gram
+        # (eigh sorts ascending).  The reconstruction is
+        # ``scores @ basis.T``; its anti-diagonal sums are one
+        # convolution per kept component, so it is never built.
+        r = min(self.rank, lags)
+        basis = np.linalg.eigh(page.T @ page)[1][:, : -r - 1 : -1]
+        scores = page @ basis
+        sums = sum(np.convolve(scores[:, i], basis[:, i]) for i in range(r))
+        denoised = sums / np.convolve(np.ones(rows), np.ones(lags))
         # 3. Ridge-fit the linear recurrence on the denoised series.
         lagged = np.lib.stride_tricks.sliding_window_view(denoised, lags)
         design = np.concatenate(
@@ -103,7 +114,9 @@ class MssaPredictor(Predictor):
             axis=1,
         )
         targets = lagged[:, -1]
-        gram = design.T @ design + self.ridge * np.eye(lags)
+        gram = design.T @ design
+        # The ridge is relative to the mean diagonal (module docstring).
+        gram[np.diag_indices(lags)] += self.ridge * np.trace(gram) / lags
         self._coeffs = solve_ridge(gram, design.T @ targets)
 
     def _forecasts(

@@ -12,10 +12,14 @@ document to ``pstore.serve-checkpoint/v2``; that re-record changed
 those two lines of the file and no other.
 
 ``zoo`` is the exception to LAPACK-free: SPAR, AR, ARMA and mSSA solve
-least squares and mSSA takes an SVD, so it also pins the BLAS/LAPACK
-the numpy wheel bundles.  It was recorded on the scalar GBT split
-search and per-lag forecast loops, before those were vectorised, and
-is what holds the kernels to the old trees and forecasts end to end.
+least squares and mSSA takes an eigendecomposition, so it also pins the
+BLAS/LAPACK the numpy wheel bundles.  It was recorded on the scalar GBT
+split search and per-lag forecast loops, before those were vectorised,
+and is what holds the kernels to the old trees and forecasts end to
+end.  Its mSSA digest and shootout hash were re-recorded when mSSA's
+recurrence ridge became relative; that digest is bitwise only under a
+multi-threaded BLAS (one OpenBLAS thread rounds mSSA's Gram matrices
+differently, ~2e-12 of the peak in the forecasts).
 
 Re-record (only when a change is *meant* to move behaviour)::
 

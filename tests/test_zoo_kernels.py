@@ -6,8 +6,9 @@ with the scalar rule; ``GbtPredictor`` and ``MssaPredictor`` forecast
 with one sequential ``cumsum`` per step, and ``SparPredictor`` takes
 every (origin, tau) dot with one ``np.vecdot``.
 Both must reproduce the scalar code in ``tests/zoo_oracles.py`` bit for
-bit: the same trees node for node, the same forecast floats.  The
-series are the ones the screen was sized on — steady traces at
+bit: the same trees node for node, the same forecast floats.  mSSA's
+rank-r fit is held to the full-SVD fit there within 1e-9 of the peak.
+The series are the ones the screen was sized on — steady traces at
 capacity_zoo's scale (period 288) and the shootout's four drift
 workloads at period 24.
 """
@@ -23,6 +24,7 @@ from repro.experiments.shootout import DRIFT_WORKLOADS, drift_workload_trace
 from repro.prediction import get_predictor_spec
 from repro.prediction import gbt as gbt_module
 from repro.sim import CapacitySimulator, ElasticDbSimulator
+from repro.workload import b2w_like_trace
 from repro.workload.trace import LoadTrace
 
 from . import zoo_oracles as oracle
@@ -400,6 +402,68 @@ class TestMssaForecast:
             ours = model.predict_horizon(history, 12)
             theirs = oracle.mssa_forecast(model._coeffs, history, 12)
             assert ours.tobytes() == theirs.tobytes(), cut
+
+
+#: (label, series, period, evaluation slots): capacity_zoo's 14 + 2
+#: days, the conformance suite's series (tests/test_predictor_zoo.py)
+#: and the drift workloads; the fit sees all but the evaluation slots.
+MSSA_FITS = [
+    ("zoo-scale", np.concatenate(oracle.zoo_scale_series()), 288,
+     oracle.ZOO_EVAL_DAYS * 288),
+    ("conformance",
+     b2w_like_trace(
+         n_days=12, slot_seconds=3600.0, seed=13, base_level=1250.0 * 3600.0
+     ).as_rate_per_second(),
+     24, 48),
+] + [(label, series, period, 48) for label, series, period in SERIES
+     if period == 24]
+
+
+def mssa_evaluation(model, series, evaluation):
+    """``model``'s forecasts from every evaluation origin."""
+    origins = np.arange(series.size - evaluation - 1,
+                        series.size - oracle.ZOO_HORIZON)
+    return model.forecasts(series, origins, oracle.ZOO_HORIZON)
+
+
+class TestMssaFit:
+    """The rank-r fit (window Gram eigenvectors, convolved anti-diagonal
+    sums) against the full SVD of the page matrix, and the recurrence
+    solve's well-posedness.  Both hold to 1e-9 of the series' peak: the
+    two factorisations round differently, and a solve that amplified
+    that rounding is what the relative ridge removed."""
+
+    @pytest.mark.parametrize(
+        "label,series,period,evaluation", MSSA_FITS,
+        ids=[fit[0] for fit in MSSA_FITS],
+    )
+    def test_forecasts_match_the_full_svd_fit(
+        self, label, series, period, evaluation
+    ):
+        train = series[:-evaluation]
+        model = get_predictor_spec("mssa").for_period(period).fit(train)
+        ours = mssa_evaluation(model, series, evaluation)
+        model._coeffs = oracle.mssa_fit(model, train)
+        theirs = mssa_evaluation(model, series, evaluation)
+        assert np.abs(ours - theirs).max() <= 1e-9 * series.max()
+
+    @pytest.mark.parametrize(
+        "label,series,period,evaluation", MSSA_FITS,
+        ids=[fit[0] for fit in MSSA_FITS],
+    )
+    def test_rounding_noise_in_the_input_stays_rounding_noise(
+        self, label, series, period, evaluation
+    ):
+        train = series[:-evaluation]
+        noise = np.random.default_rng(0).standard_normal(train.size)
+        clean, nudged = (
+            mssa_evaluation(
+                get_predictor_spec("mssa").for_period(period).fit(values),
+                series, evaluation,
+            )
+            for values in (train, train * (1.0 + 1e-13 * noise))
+        )
+        assert np.abs(nudged - clean).max() <= 1e-9 * series.max()
 
 
 class _Recorder(StaticStrategy):

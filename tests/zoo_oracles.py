@@ -9,6 +9,12 @@ forecast recurrences sum with an explicit left-to-right loop instead of
 3.12 on ``sum()`` of Python floats is compensated (Neumaier), so the loop
 is what pins the oracle to one rounding on every interpreter.
 
+``MssaPredictor`` fits at rank ``r`` (eigenvectors of the window Gram
+matrix, convolved anti-diagonal sums); ``mssa_fit`` is the full-SVD fit
+it replaced, under the same relative ridge, which its forecasts must
+match to 1e-9 of the peak rather than bitwise: the two factorisations
+round differently.
+
 ``repro.prediction.spar`` fits every forecast offset ``tau`` in one
 stacked solve and forecasts with gathers; the per-``tau`` design matrix,
 fit and Eq. 8 loop it replaced are here too.  Their ``sum()`` calls add
@@ -204,6 +210,33 @@ def gbt_forecast(
 # ----------------------------------------------------------------------
 # mSSA
 # ----------------------------------------------------------------------
+
+
+def mssa_fit(model, arr: np.ndarray) -> np.ndarray:
+    """``MssaPredictor._fit`` by the full SVD of the page matrix: the
+    rank-r reconstruction built whole and hankelized a column at a
+    time, then the recurrence under the same relative ridge.  Returns
+    the coefficients ``[c_0, c_1 .. c_{L-1}]``."""
+    length, lags = arr.size, model.window
+    page = np.lib.stride_tricks.sliding_window_view(arr, lags)
+    u, s, vt = np.linalg.svd(page, full_matrices=False)
+    r = min(model.rank, s.size)
+    low = (u[:, :r] * s[:r]) @ vt[:r]
+    sums = np.zeros(length)
+    counts = np.zeros(length)
+    rows = page.shape[0]
+    for col in range(lags):
+        sums[col : col + rows] += low[:, col]
+        counts[col : col + rows] += 1.0
+    denoised = sums / counts
+    lagged = np.lib.stride_tricks.sliding_window_view(denoised, lags)
+    design = np.concatenate(
+        [np.ones((lagged.shape[0], 1)), lagged[:, -2::-1]], axis=1
+    )
+    targets = lagged[:, -1]
+    gram = design.T @ design
+    gram = gram + model.ridge * np.trace(gram) / lags * np.eye(lags)
+    return solve_ridge(gram, design.T @ targets)
 
 
 def mssa_forecast(coeffs: np.ndarray, arr: np.ndarray, horizon: int) -> np.ndarray:
