@@ -21,13 +21,20 @@ The implementation is the classic recurrent-SSA forecast:
 
 Step 2 is paid at rank ``r``, not for a full SVD: the top-``r`` right
 singular vectors are the top-``r`` eigenvectors of the ``L x L`` window
-Gram matrix, and the reconstruction's anti-diagonal sums are ``r``
-convolutions of each component's scores with its singular vector, so
-neither ``U`` nor the ``(N - L + 1) x L`` reconstruction is built.  The
-denoised series spans only about ``r`` of its ``L`` lags, so step 3's
-ridge is relative — ``ridge`` times the lag Gram's mean diagonal — or
-the solve would pick coefficients out of rounding noise (and the two
+Gram matrix.  Nothing Hankel is multiplied out: the Gram follows from
+one row of lagged dot products and a diagonal update
+(:func:`_hankel_gram`), component ``i``'s scores are the series
+correlated with its singular vector, and the reconstruction's
+anti-diagonal sums are those scores convolved with it, so neither ``U``
+nor the ``(N - L + 1) x L`` reconstruction is built.  Step 3's design
+rows are the denoised series' own windows, so its normal equations are
+that series' window Gram reordered, and no design matrix is built
+either: the fit's only LAPACK calls are ``eigh`` and the ridge solve.
+The denoised series spans only about ``r`` of its ``L`` lags, so step
+3's ridge is relative — ``ridge`` times the lag Gram's mean diagonal —
+or the solve would pick coefficients out of rounding noise (and the two
 factorisations, or two BLAS thread counts, would forecast differently).
+Step 4 takes one dot of the weights with the window per origin and step.
 
 With the default window ``L = period + 1`` the recurrence spans one full
 season, so the model captures periodic structure without hardcoding a
@@ -37,12 +44,59 @@ it track drifting periodicity.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import PredictionError
 from .base import Predictor, solve_ridge
+
+
+def _hankel_gram(x: np.ndarray, lags: int) -> np.ndarray:
+    """``page.T @ page`` for the page ``sliding_window_view(x, lags)``,
+    from its Hankel structure instead of a GEMM.
+
+    Row 0 is the lagged dot products ``sum_t x[t] x[t + j]``.  Columns
+    ``i + 1`` and ``j + 1`` of the page are columns ``i`` and ``j`` slid
+    down one slot, so every later entry follows from the one up-left of
+    it: ``G[i+1, j+1] = G[i, j] - x[i] x[j] + x[i+rows] x[j+rows]``, one
+    row slice per step.  The chains from ``G[0, d]`` and its mirror add
+    the same products in the same order, so the result is symmetric
+    bitwise.  Its only BLAS calls are row 0's ``rows``-long dots, which
+    OpenBLAS (0.3.31, numpy 2.4's) runs on one thread up to 10,000
+    elements: below that the Gram is the same float at any thread count.
+    """
+    rows = x.size - lags + 1
+    gram = np.empty((lags, lags))
+    gram[0] = np.correlate(x, x[:rows], "valid")
+    gram[1:, 0] = gram[0, 1:]
+    head, tail = x[: lags - 1], x[rows:]
+    for i in range(lags - 1):
+        gram[i + 1, 1:] = gram[i, :-1] - x[i] * head + x[i + rows] * tail
+    return gram
+
+
+def _recurrence_gram(
+    y: np.ndarray, lags: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The normal equations ``(design.T @ design, design.T @ targets)``
+    of the recurrence ``y(t) = c_0 + sum_{j=1..L-1} c_j y(t - j)``.
+
+    Design row ``t`` is ``[1, y(t-1) .. y(t-L+1)]`` and its target
+    ``y(t)``: window ``t`` of ``y`` with its last slot split off and the
+    rest reversed.  So the lag block is ``y``'s window Gram reversed,
+    the intercept row the window sums, and the right-hand side the
+    Gram's last column, and no design matrix is built.
+    """
+    window = _hankel_gram(y, lags)
+    rows = y.size - lags + 1
+    totals = np.correlate(y, np.ones(rows), "valid")
+    gram = np.empty((lags, lags))
+    gram[0, 0] = rows
+    gram[0, 1:] = gram[1:, 0] = totals[-2::-1]
+    gram[1:, 1:] = window[-2::-1, -2::-1]
+    rhs = np.concatenate(([totals[-1]], window[-2::-1, -1]))
+    return gram, rhs
 
 
 class MssaPredictor(Predictor):
@@ -93,31 +147,29 @@ class MssaPredictor(Predictor):
 
     def _fit(self, arr: np.ndarray) -> None:
         lags = self.window
-        # 1. Page/Hankel matrix of overlapping windows.
-        page = np.lib.stride_tricks.sliding_window_view(arr, lags)
-        rows = page.shape[0]
-        # 2. Rank-r denoising: the top-r right singular vectors of the
-        # page are the top-r eigenvectors of its L x L window Gram
-        # (eigh sorts ascending).  The reconstruction is
-        # ``scores @ basis.T``; its anti-diagonal sums are one
-        # convolution per kept component, so it is never built.
+        # 1-2. Rank-r denoising of the page of windows: its top-r right
+        # singular vectors are the top-r eigenvectors of its L x L
+        # window Gram (eigh sorts ascending).  The reconstruction is
+        # ``scores @ basis.T``: component i's scores are the series
+        # correlated with its singular vector, and its anti-diagonal
+        # sums are the scores convolved with it, so neither the page nor
+        # the reconstruction is multiplied out.
         r = min(self.rank, lags)
-        basis = np.linalg.eigh(page.T @ page)[1][:, : -r - 1 : -1]
-        scores = page @ basis
-        sums = sum(np.convolve(scores[:, i], basis[:, i]) for i in range(r))
-        denoised = sums / np.convolve(np.ones(rows), np.ones(lags))
-        # 3. Ridge-fit the linear recurrence on the denoised series.
-        lagged = np.lib.stride_tricks.sliding_window_view(denoised, lags)
-        design = np.concatenate(
-            # newest lag first: column j holds y(t - (j+1))
-            [np.ones((lagged.shape[0], 1)), lagged[:, -2::-1]],
-            axis=1,
+        basis = np.linalg.eigh(_hankel_gram(arr, lags))[1][:, : -r - 1 : -1]
+        sums = sum(
+            np.convolve(np.correlate(arr, basis[:, i], "valid"), basis[:, i])
+            for i in range(r)
         )
-        targets = lagged[:, -1]
-        gram = design.T @ design
+        # Slot k lies on min(k + 1, N - k, rows, L) of the page's rows.
+        n, rows = arr.size, arr.size - lags + 1
+        at = np.arange(n)
+        counts = np.minimum(np.minimum(at + 1, n - at), min(rows, lags))
+        denoised = sums / counts
+        # 3. Ridge-fit the linear recurrence on the denoised series.
+        gram, rhs = _recurrence_gram(denoised, lags)
         # The ridge is relative to the mean diagonal (module docstring).
         gram[np.diag_indices(lags)] += self.ridge * np.trace(gram) / lags
-        self._coeffs = solve_ridge(gram, design.T @ targets)
+        self._coeffs = solve_ridge(gram, rhs)
 
     def _forecasts(
         self, arr: np.ndarray, origins: np.ndarray, horizon: int
@@ -132,15 +184,12 @@ class MssaPredictor(Predictor):
         # starting at ``horizon - s``.
         buffer = np.empty((origins.size, horizon + n_lags))
         buffer[:, horizon:] = arr[origins[:, None] - np.arange(n_lags)]
-        # terms[:, 1 + j] = weights[j] * y(t - 1 - j); terms[:, 0] = 0.0
-        # starts the sum, which one sequential cumsum per row adds left
-        # to right.
-        terms = np.zeros((origins.size, n_lags + 1))
-        partial = np.empty_like(terms)
         for at in range(horizon - 1, -1, -1):
-            np.multiply(weights, buffer[:, at + 1 : at + 1 + n_lags],
-                        out=terms[:, 1:])
-            value = intercept + terms.cumsum(axis=1, out=partial)[:, -1]
+            # One BLAS dot per origin: the recurrence's ``weights @
+            # window``, the same float for one origin as for a batch.
+            value = intercept + np.vecdot(
+                buffer[:, at + 1 : at + 1 + n_lags], weights
+            )
             # Clip inside the recursion: load is non-negative and an
             # unstable recurrence must not feed back growing negatives.
             # (A -0.0 becomes 0.0 here, where max(value, 0.0) kept it;

@@ -8,15 +8,18 @@ state.  That is what makes parallel execution bit-identical to serial
 and what makes cached results trustworthy.
 
 The cache key of a cell is a SHA-256 over the spec's canonical JSON, the
-config's :meth:`~repro.config.PStoreConfig.config_hash`, and a cache
-schema version — so editing a result-relevant config knob, or bumping
-the schema after a semantics change, dirties exactly the affected cells.
+config's :meth:`~repro.config.PStoreConfig.config_hash`, a cache schema
+version and :func:`code_fingerprint` — so editing a result-relevant
+config knob dirties exactly the affected cells, and any edit to the
+package's code, or a numpy of another series, dirties every cell.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping, Tuple
 
 from ..config import canonical_json
@@ -24,7 +27,27 @@ from ..errors import ConfigurationError
 
 #: Bump when the meaning of cached payloads changes (invalidates every
 #: previously cached cell).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over the sorted ``(relative path, bytes)`` of every
+    ``repro/**/*.py``, plus numpy's ``major.minor``: what a cached
+    result's numbers depend on beyond its spec and config.  The whole
+    package, not the cell's import closure — an unrelated edit only
+    costs a cold run.  Computed once per process."""
+    import numpy as np
+
+    package = Path(__file__).resolve().parents[1]
+    sha = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(package).as_posix()
+        sha.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        sha.update(data)
+    sha.update(".".join(np.__version__.split(".")[:2]).encode("utf-8"))
+    return sha.hexdigest()
 
 
 def jsonify(value):
@@ -146,15 +169,16 @@ class RunSpec:
     def cache_key(self, config_hash: str) -> str:
         """Content address of this cell's result.
 
-        Same spec + same result-relevant config → same key, in any
-        process on any machine; that is what the cache-key stability
-        tests pin down.
+        Same spec + same result-relevant config + same code → same
+        key, in any process on any machine; that is what the cache-key
+        stability tests pin down.
         """
         material = canonical_json(
             {
                 "schema": CACHE_SCHEMA_VERSION,
                 "spec": self.to_dict(),
                 "config": config_hash,
+                "code": code_fingerprint(),
             }
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()

@@ -1,6 +1,7 @@
 """Tests for the sweep executor, result cache, and RunSpec hashing."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from repro.runner import (
     jsonify,
     run_sweep,
 )
+from repro.runner import spec as spec_module
 from repro.telemetry import get_telemetry, telemetry_scope
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -115,6 +117,54 @@ class TestCacheKey:
             overrides=(("eval_days", 3),),
         ).cache_key(default_config().config_hash())
         assert keys == {here}
+
+
+    def test_a_new_code_fingerprint_misses_every_cell(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        specs = smoke_specs()
+        SweepExecutor(default_config(), cache, jobs=1).run(specs)
+        warm = SweepExecutor(default_config(), cache, jobs=1).run(specs)
+        assert warm.hits == len(specs)
+        monkeypatch.setattr(spec_module, "code_fingerprint", lambda: "0" * 64)
+        report = SweepExecutor(default_config(), cache, jobs=1).run(specs)
+        assert report.hits == 0
+        assert report.executed == len(specs)
+
+    def test_one_byte_of_the_package_misses_every_cell(self, tmp_path):
+        """A sweep run from a copy of the package, with a warm cache,
+        after one byte of one module's docstring changed."""
+        src = tmp_path / "src"
+        shutil.copytree(
+            Path(SRC) / "repro", src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        code = (
+            "import sys; sys.path.insert(0, %r); "
+            "from repro.experiments.registry import get_experiment; "
+            "from repro.runner import ResultCache, run_sweep; "
+            "specs = get_experiment('smoke').make_grid("
+            "strategies=('static:4', 'static:6'), seeds=(7,), n_days=1); "
+            "report = run_sweep(specs, cache=ResultCache(%r), jobs=1); "
+            "print(report.hits, report.executed)"
+            % (str(src), str(tmp_path / "cache"))
+        )
+
+        def sweep():
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, check=True,
+            ).stdout.split()
+
+        assert sweep() == ["0", "2"]
+        assert sweep() == ["2", "0"]
+        module = src / "repro" / "errors.py"
+        data = bytearray(module.read_bytes())
+        at = data.index(b"Exception")
+        data[at] = ord("e")
+        module.write_bytes(bytes(data))
+        assert sweep() == ["0", "2"]
 
 
 class TestResultCache:

@@ -2,16 +2,23 @@
 
 ``GbtPredictor`` grows each tree a level at a time, screens every
 node's split candidates with segment sums and certifies the close calls
-with the scalar rule; ``GbtPredictor`` and ``MssaPredictor`` forecast
-with one sequential ``cumsum`` per step, and ``SparPredictor`` takes
-every (origin, tau) dot with one ``np.vecdot``.
-Both must reproduce the scalar code in ``tests/zoo_oracles.py`` bit for
+with the scalar rule, and forecasts with one sequential ``cumsum`` per
+step; ``MssaPredictor`` forecasts with one ``np.vecdot`` per step, and
+``SparPredictor`` takes every (origin, tau) dot with one ``np.vecdot``.
+All must reproduce the scalar code in ``tests/zoo_oracles.py`` bit for
 bit: the same trees node for node, the same forecast floats.  mSSA's
-rank-r fit is held to the full-SVD fit there within 1e-9 of the peak.
+rank-r fit is held to the full-SVD fit there within 1e-9 of the peak,
+and its two Gram matrices, built from lagged products, to the GEMMs
+they replace within the rounding of their update.
 The series are the ones the screen was sized on — steady traces at
 capacity_zoo's scale (period 288) and the shootout's four drift
 workloads at period 24.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from repro.elasticity import StaticStrategy
 from repro.experiments.shootout import DRIFT_WORKLOADS, drift_workload_trace
 from repro.prediction import get_predictor_spec
 from repro.prediction import gbt as gbt_module
+from repro.prediction import mssa as mssa_module
 from repro.sim import CapacitySimulator, ElasticDbSimulator
 from repro.workload import b2w_like_trace
 from repro.workload.trace import LoadTrace
@@ -402,6 +410,106 @@ class TestMssaForecast:
             ours = model.predict_horizon(history, 12)
             theirs = oracle.mssa_forecast(model._coeffs, history, 12)
             assert ours.tobytes() == theirs.tobytes(), cut
+            # The left-to-right per-lag sum the dots replaced rounds
+            # apart by rounding only (<= 4.3e-15 of the peak seen).
+            summed = oracle.mssa_forecast_sequential(model._coeffs, history, 12)
+            assert np.abs(ours - summed).max() <= 1e-12 * series.max(), cut
+
+
+def _gram_cases():
+    """(label, series, window): every ``SERIES`` at its fit's window, and
+    the shapes a diagonal update could get wrong at capacity_zoo's."""
+    train = oracle.zoo_scale_series()[0]
+    window = 289
+    spiked_first, spiked_end = train.copy(), train.copy()
+    spiked_first[window // 2] *= 1e6      # inside the first window
+    spiked_end[-1] *= 1e6
+    return [(label, series, period + 1) for label, series, period in SERIES] + [
+        ("constant", np.full(10 * 24, 1250.0), 25),
+        ("all-zero", np.zeros(10 * 24), 25),
+        ("shortest", train[: 2 * window], window),
+        ("spike-in-first-window", spiked_first, window),
+        ("spike-at-end", spiked_end, window),
+    ]
+
+
+GRAM_CASES = _gram_cases()
+
+
+def _page_gram_bound(gram: np.ndarray, lags: int) -> float:
+    """``L * eps * max diag``: the diagonal update's error, a sum of up
+    to ``L`` roundings of entries no larger than the largest diagonal."""
+    return lags * np.finfo(float).eps * gram.diagonal().max()
+
+
+class TestHankelGrams:
+    """``_hankel_gram`` and ``_recurrence_gram`` against the GEMMs they
+    replace: normwise, within the update's rounding (with a 1e6 spike in
+    the first window, entries far from it are off by up to ~2e-7
+    relative; the norm is what ``eigh`` sees)."""
+
+    @pytest.mark.parametrize(
+        "label,series,lags", GRAM_CASES, ids=[c[0] for c in GRAM_CASES]
+    )
+    def test_window_gram_is_the_page_gram(self, label, series, lags):
+        page = np.lib.stride_tricks.sliding_window_view(series, lags)
+        theirs = page.T @ page
+        ours = mssa_module._hankel_gram(series, lags)
+        assert np.array_equal(ours, ours.T)
+        assert np.abs(ours - theirs).max() <= _page_gram_bound(theirs, lags)
+
+    @pytest.mark.parametrize(
+        "label,series,lags", GRAM_CASES, ids=[c[0] for c in GRAM_CASES]
+    )
+    def test_recurrence_gram_is_the_design_gram(self, label, series, lags):
+        lagged = np.lib.stride_tricks.sliding_window_view(series, lags)
+        design = np.concatenate(
+            [np.ones((lagged.shape[0], 1)), lagged[:, -2::-1]], axis=1
+        )
+        targets = lagged[:, -1]
+        theirs = design.T @ design
+        gram, rhs = mssa_module._recurrence_gram(series, lags)
+        bound = _page_gram_bound(theirs, lags)
+        assert np.array_equal(gram, gram.T)
+        assert np.abs(gram - theirs).max() <= bound
+        assert np.abs(rhs - design.T @ targets).max() <= bound
+
+    def test_grams_and_forecasts_are_bitwise_at_any_thread_count(
+        self, tmp_path
+    ):
+        """At capacity_zoo's scale, under 1, 2 and 4 OpenBLAS threads:
+        both Grams of the training series and the kernel's forecasts
+        from every evaluation origin with one set of coefficients."""
+        train, evaluation = oracle.zoo_scale_series()
+        model = get_predictor_spec("mssa").for_period(288).fit(train)
+        coeffs = tmp_path / "coeffs.npy"
+        np.save(coeffs, model._coeffs)
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import hashlib, sys; import numpy as np; "
+            "sys.path[:0] = [%r, %r]; "
+            "from repro.prediction import get_predictor_spec, mssa; "
+            "from tests.zoo_oracles import zoo_scale_series; "
+            "train, evaluation = zoo_scale_series(); "
+            "series = np.concatenate([train, evaluation]); "
+            "model = get_predictor_spec('mssa').for_period(288); "
+            "model._coeffs = np.load(%r); "
+            "origins = np.arange(train.size - 1, series.size - 1); "
+            "parts = [mssa._hankel_gram(train, 289), "
+            "*mssa._recurrence_gram(train, 289), "
+            "model._forecasts(series, origins, 7)]; "
+            "print(hashlib.sha256(b''.join(p.tobytes() for p in parts))"
+            ".hexdigest())"
+        ) % (str(root / "src"), str(root), str(coeffs))
+        digests = {
+            threads: subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for threads in (1, 2, 4)
+        }
+        assert len(set(digests.values())) == 1, digests
 
 
 #: (label, series, period, evaluation slots): capacity_zoo's 14 + 2

@@ -1,19 +1,23 @@
 """Scalar oracles for the zoo's vectorised SPAR, GBT and mSSA kernels.
 
-``repro.prediction.gbt`` and ``repro.prediction.mssa`` fit and forecast
-with numpy kernels (a screened split search, flattened trees, one
-sequential ``cumsum`` per forecast step).  The per-candidate and per-lag
-Python code they replaced lives here, unchanged but for one thing: the
-forecast recurrences sum with an explicit left-to-right loop instead of
-``sum()``.  The two are the same operation on Python 3.9-3.11, but from
-3.12 on ``sum()`` of Python floats is compensated (Neumaier), so the loop
-is what pins the oracle to one rounding on every interpreter.
+``repro.prediction.gbt`` fits and forecasts with numpy kernels (a
+screened split search, flattened trees, one sequential ``cumsum`` per
+forecast step).  The per-candidate and per-tree Python code it replaced
+lives here, unchanged but for one thing: the forecast sums with an
+explicit left-to-right loop instead of ``sum()``.  The two are the same
+operation on Python 3.9-3.11, but from 3.12 on ``sum()`` of Python
+floats is compensated (Neumaier), so the loop is what pins the oracle to
+one rounding on every interpreter.
 
-``MssaPredictor`` fits at rank ``r`` (eigenvectors of the window Gram
-matrix, convolved anti-diagonal sums); ``mssa_fit`` is the full-SVD fit
-it replaced, under the same relative ridge, which its forecasts must
-match to 1e-9 of the peak rather than bitwise: the two factorisations
-round differently.
+``MssaPredictor`` forecasts with one ``np.vecdot`` of the weights with
+the window per step, so ``mssa_forecast`` takes one ``weights @ window``
+dot per step, the same BLAS dot; ``mssa_forecast_sequential`` is the
+per-lag left-to-right sum it replaced, which its forecasts match to
+rounding.  ``MssaPredictor`` fits at rank ``r`` (eigenvectors of the
+window Gram matrix, built from lagged products, and convolved
+anti-diagonal sums); ``mssa_fit`` is the full-SVD fit it replaced, under
+the same relative ridge, which its forecasts must match to 1e-9 of the
+peak rather than bitwise: the two factorisations round differently.
 
 ``repro.prediction.spar`` fits every forecast offset ``tau`` in one
 stacked solve and forecasts with gathers; the per-``tau`` design matrix,
@@ -240,7 +244,26 @@ def mssa_fit(model, arr: np.ndarray) -> np.ndarray:
 
 
 def mssa_forecast(coeffs: np.ndarray, arr: np.ndarray, horizon: int) -> np.ndarray:
-    """The linear recurrence, one Python multiply-add per lag."""
+    """The linear recurrence, one ``weights @ window`` dot per step over
+    the newest-first window (contiguous, so the dot is BLAS's, as
+    ``np.vecdot`` takes it in the kernel)."""
+    intercept = coeffs[0]
+    weights = coeffs[1:]
+    n_lags = weights.size
+    window = np.ascontiguousarray(arr[: -n_lags - 1 : -1])
+    out = np.empty(horizon)
+    for step in range(horizon):
+        value = max(float(intercept + weights @ window), 0.0)
+        out[step] = value
+        window = np.concatenate(([value], window[:-1]))
+    return np.clip(out, 0.0, None)
+
+
+def mssa_forecast_sequential(
+    coeffs: np.ndarray, arr: np.ndarray, horizon: int
+) -> np.ndarray:
+    """The linear recurrence, one Python multiply-add per lag, left to
+    right: the kernel's rounding until it took one dot per step."""
     intercept = coeffs[0]
     weights = coeffs[1:]
     n_lags = weights.size
