@@ -22,7 +22,6 @@ from .model import (
 from .controller import PredictiveController
 from .moves import Move, MoveSchedule
 from .planner import Planner, PlanRequest
-from .service import PStoreService
 
 __all__ = [
     "PredictiveController",
@@ -30,7 +29,6 @@ __all__ = [
     "MoveProfile",
     "MoveSchedule",
     "PlanRequest",
-    "PStoreService",
     "Planner",
     "avg_machines_allocated",
     "capacity",

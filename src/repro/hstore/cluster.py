@@ -256,15 +256,12 @@ class Cluster:
         self._bucket_accesses[bucket] += n
 
     def bucket_access_counts(self) -> np.ndarray:
-        """Per-bucket transaction counts since the last reset."""
+        """Per-bucket transaction counts since the cluster was built."""
         return self._bucket_accesses.copy()
 
-    def reset_bucket_accesses(self) -> None:
-        self._bucket_accesses[:] = 0
-
     def partition_access_counts(self) -> Dict[int, int]:
-        """Transactions counted against each active partition since the
-        last reset: the bucket counters summed by current owner."""
+        """Transactions counted against each active partition: the
+        bucket counters summed by current owner."""
         per_owner = np.bincount(
             self.plan.assignment_array(),
             weights=self._bucket_accesses,

@@ -19,11 +19,6 @@ from ..persist import Persisted, Series
 from ..telemetry import get_telemetry
 
 
-#: Floor, as a fraction of the interval, on the elapsed time
-#: :meth:`LoadMonitor.current_rate_estimate` divides by.
-MIN_ELAPSED_FRACTION = 0.05
-
-
 class LoadMonitor(Persisted):
     """Aggregates a stream of transaction counts into interval rates.
 
@@ -129,17 +124,3 @@ class LoadMonitor(Persisted):
     def history_tps(self) -> np.ndarray:
         """Aggregate rate (txn/s) of every *closed* interval."""
         return np.asarray(self._rates)
-
-    def current_rate_estimate(self, now: float) -> float:
-        """Rate of the open interval so far (0 if it just opened).
-
-        The divisor is floored at :data:`MIN_ELAPSED_FRACTION` of the
-        interval: without it, a handful of transactions arriving moments
-        after a boundary divide by near-zero and feed absurd rate spikes
-        into the reactive strategy.
-        """
-        elapsed = now - self._interval_start
-        if elapsed <= 0:
-            return 0.0
-        floor = MIN_ELAPSED_FRACTION * self.interval_seconds
-        return self._current_count / max(elapsed, floor)

@@ -19,12 +19,6 @@ from .plan import (
     balanced_target,
     make_reconfiguration_plan,
 )
-from .rebalance import (
-    HotBucketReport,
-    apply_rebalance,
-    hot_bucket_report,
-    make_skew_rebalance_plan,
-)
 from .schedule import (
     MigrationSchedule,
     Transfer,
@@ -38,10 +32,6 @@ __all__ = [
     "CHUNK_SPACING_SECONDS",
     "ClusterMigrator",
     "DEFAULT_CHUNK_KB",
-    "HotBucketReport",
-    "apply_rebalance",
-    "hot_bucket_report",
-    "make_skew_rebalance_plan",
     "MigrationSchedule",
     "ReconfigurationPlan",
     "Transfer",

@@ -764,21 +764,12 @@ class ClusterMigrator:
         self._round_started_at = 0.0
         self._rounds_committed = 0
         self.aborted_moves = 0
-        #: Chronicle id of the last ``migration.complete`` / ``aborted``
-        #: record written (None with telemetry off); hosts parent their
-        #: own follow-up records on it.
-        self.last_outcome_id: Optional[str] = None
 
     @property
     def sim_time(self) -> float:
-        """The migrator's simulated clock (seconds).  Hosts with their own
-        clock (e.g. :class:`~repro.core.service.PStoreService`) sync this
-        before ``start_move`` so telemetry timestamps are absolute."""
+        """The migrator's simulated clock (seconds): every ``advance``
+        moves it on, and telemetry stamps moves with it."""
         return self._sim_time
-
-    @sim_time.setter
-    def sim_time(self, value: float) -> None:
-        self._sim_time = float(value)
 
     @property
     def active(self) -> Optional[ActiveMigration]:
@@ -849,7 +840,7 @@ class ClusterMigrator:
         else:
             self._advance_with_faults(dt)
         if move.finished:
-            self.last_outcome_id = self.allocation.settle(self._sim_time)
+            self.allocation.settle(self._sim_time)
             self._finish(move.retiring_nodes)
             return True
         return False
@@ -866,17 +857,18 @@ class ClusterMigrator:
         if not self.migrating:
             return
         self.aborted_moves += 1
-        self.last_outcome_id = self.allocation.abort(self._sim_time, reason)
+        self.allocation.abort(self._sim_time, reason)
         self.allocation.machines = self.cluster.n_nodes
         self._pair_buckets = {}
 
-    def fail_node(self, node_id: int) -> dict:
+    def fail_node(self, node_id: int) -> int:
         """A crash takes ``node_id`` out of the cluster, its buckets
-        re-homed onto the survivors (:meth:`Cluster.fail_node`, whose
-        summary is returned), and the allocation shrinks to them."""
-        summary = self.cluster.fail_node(node_id)
-        self.allocation.machines = summary["survivors"]
-        return summary
+        re-homed onto the survivors (:meth:`Cluster.fail_node`), and the
+        allocation shrinks to them; returns how many are left.  This is
+        the ``drop_node`` step of
+        :meth:`~repro.faults.FaultInjector.handle_crashes`."""
+        self.allocation.machines = self.cluster.fail_node(node_id)["survivors"]
+        return self.allocation.machines
 
     def _commit_round(self, round_: Tuple[Transfer, ...]) -> None:
         # Bracket the commit itself rather than diffing against a

@@ -195,6 +195,75 @@ class TestBucketMoves:
         assert total_rows == len(alive)
 
 
+class TestPartitionAccessCounts:
+    """``Cluster.partition_access_counts``: the bucket counters summed by
+    each bucket's current owner, the one load figure the skew report reads."""
+
+    @staticmethod
+    def _by_owner_loop(cluster):
+        counts = cluster.bucket_access_counts()
+        load = {pid: 0 for pid in cluster.partition_ids}
+        for bucket in range(cluster.n_buckets):
+            load[cluster.plan.owner(bucket)] += int(counts[bucket])
+        return load
+
+    def test_equals_bucket_counters_summed_by_owner(self):
+        cluster = make_cluster()
+        rng = np.random.default_rng(11)
+        for b in range(64):
+            cluster.record_bucket_access(b, int(rng.integers(0, 500)))
+        cluster.record_bucket_access(7, 900)
+        loads = cluster.partition_access_counts()
+        assert loads == self._by_owner_loop(cluster)
+        assert sum(loads.values()) == int(cluster.bucket_access_counts().sum())
+
+    def test_counts_follow_a_moved_bucket(self):
+        cluster = make_cluster()
+        cluster.record_bucket_access(3, 40)
+        source = cluster.plan.owner(3)
+        dest = next(p for p in cluster.partition_ids if p != source)
+        cluster.move_bucket(3, dest)
+        loads = cluster.partition_access_counts()
+        assert loads[dest] == 40 and loads[source] == 0
+        assert loads == self._by_owner_loop(cluster)
+
+    def test_new_partitions_start_at_zero(self):
+        cluster = make_cluster()
+        cluster.record_bucket_access(0, 5)
+        cluster.add_nodes(1)
+        loads = cluster.partition_access_counts()
+        assert sorted(loads) == cluster.partition_ids
+        assert sum(loads.values()) == 5
+        assert loads == self._by_owner_loop(cluster)
+
+    def test_no_accesses(self):
+        cluster = make_cluster()
+        assert set(cluster.partition_access_counts().values()) == {0}
+        assert cluster.access_skew() == (0.0, 0.0)
+
+    def test_uniform_access_is_balanced(self):
+        cluster = make_cluster()
+        for i in range(4000):
+            cluster.record_bucket_access(cluster.bucket_of(f"key-{i}"), 1)
+        loads = cluster.partition_access_counts()
+        assert sum(loads.values()) == 4000
+        worst_excess, _ = cluster.access_skew()
+        assert worst_excess < 0.2
+        assert max(loads.values()) < 0.4 * 4000
+
+    def test_hot_partition_detected(self):
+        cluster = make_cluster()
+        hot = cluster.partition_ids[0]
+        for b in range(64):
+            cluster.record_bucket_access(b, 100)
+        for b in cluster.plan.buckets_of(hot):
+            cluster.record_bucket_access(b, 400)
+        worst_excess, _ = cluster.access_skew()
+        assert worst_excess > 1.0
+        loads = cluster.partition_access_counts()
+        assert max(loads, key=loads.get) == hot
+
+
 class TestFractions:
     def test_data_fractions_sum_to_one(self):
         cluster = make_cluster()

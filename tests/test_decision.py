@@ -19,14 +19,11 @@ from repro.analysis.sla import (
     CAUSE_UNDER_FORECAST,
     attribute_violation,
 )
-from repro.benchmark import b2w_schema, load_b2w_data
 from repro.config import default_config
-from repro.core import PStoreService
 from repro.decision import NO_ACTION, ScaleDecision
 from repro.errors import PStoreError
 from repro.elasticity import PStoreStrategy
 from repro.elasticity.base import ProvisioningStrategy
-from repro.hstore import Cluster
 from repro.prediction import LastValuePredictor, OnlinePredictor
 from repro.serve.controller import OnlineController
 from repro.sim import CapacitySimulator, ElasticDbSimulator
@@ -156,25 +153,9 @@ def pool_serve(tel, pool, strategy, slots=10):
     return Outcome(most, status["moves_started"], status["emergencies"])
 
 
-def pool_service(tel, pool, strategy, slots=10):
-    cluster = Cluster(b2w_schema(), START, partitions_per_node=3, n_buckets=96)
-    load_b2w_data(cluster, n_stock=100, n_carts=150, n_checkouts=20, seed=11)
-    service = PStoreService(
-        cluster, POOL_CFG, LastValuePredictor().fit([POOL_CFG.q]),
-        max_machines=pool, telemetry=tel,
-    )
-    service._strategy = strategy
-    most = START
-    for _ in range(4 * slots):
-        service.advance_time(15.0)
-        most = max(most, service.machines)
-    allocation = service.migrator.allocation
-    return Outcome(most, allocation.moves_started, allocation.emergencies)
-
-
 LOOPS = pytest.mark.parametrize(
-    "loop", [pool_capacity_sim, pool_elastic_sim, pool_serve, pool_service],
-    ids=["capacity_sim", "elastic_sim", "serve", "service"],
+    "loop", [pool_capacity_sim, pool_elastic_sim, pool_serve],
+    ids=["capacity_sim", "elastic_sim", "serve"],
 )
 
 

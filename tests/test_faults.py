@@ -1,5 +1,5 @@
 """Tests for the chaos layer: fault specs, the seeded injector, retry
-policy, and end-to-end crash recovery (cluster, migrator, service,
+policy, and end-to-end crash recovery (cluster, migrator,
 simulator)."""
 
 import json
@@ -397,70 +397,60 @@ class TestMigratorFaults:
         assert cluster.n_nodes == 4
 
 
-class TestServiceCrashDrill:
-    """End-to-end: crash a node as the first reconfiguration starts and
-    watch the service abort, recover buckets, and re-plan."""
+class TestCrashDrill:
+    """End-to-end on the row-level cluster: a crash fires as the first
+    reconfiguration starts; at the host's next tick the crash edge aborts
+    the move and re-homes the victim's buckets, and a fresh move runs."""
 
     def run_drill(self):
-        from repro.benchmark import b2w_schema, load_b2w_data
-        from repro.core import PStoreService
-        from repro.prediction.base import Predictor
-
-        class RampPredictor(Predictor):
-            def __init__(self, level):
-                super().__init__()
-                self.level = level
-                self._fitted = True
-
-            @property
-            def min_history(self):
-                return 1
-
-            def fit(self, series):
-                return self
-
-            def predict_horizon(self, history, horizon):
-                return np.full(horizon, self.level)
-
-        cfg = PStoreConfig(
-            interval_seconds=60.0, d_seconds=600.0, database_kb=3000.0,
-            partitions_per_node=3,
-        )
-        cluster = Cluster(b2w_schema(), n_nodes=3, partitions_per_node=3,
-                          n_buckets=192)
-        load_b2w_data(cluster, n_stock=50, n_carts=60, n_checkouts=10, seed=1)
         telemetry = Telemetry()
         injector = FaultInjector(
             crash_during_migration_scenario(seed=7), telemetry=telemetry
         )
-        service = PStoreService(
-            cluster, cfg, RampPredictor(cfg.q * 4.5), max_machines=6,
-            injector=injector, telemetry=telemetry,
+        cluster = kv_cluster()
+        migrator = ClusterMigrator(
+            cluster, TestMigratorFaults().small_config(),
+            telemetry=telemetry, injector=injector,
         )
-        for _ in range(40):
-            service.advance_time(30.0)
-        return service, injector, telemetry.chronicle
+        migration = migrator.start_move(5)
+        migrator.advance(migration.round_seconds / 2)
+        handled = injector.handle_crashes(
+            migrator.sim_time,
+            lambda: [n.node_id for n in cluster.nodes],
+            lambda victim: migrator.abort(f"node {victim} crashed"),
+            migrator.fail_node,
+        )
+        migrator.start_move(5)
+        drive_to_completion(migrator)
+        migrator.allocation.confirm(migrator.sim_time)
+        return cluster, migrator, injector, telemetry.chronicle, handled
 
     def test_crash_aborts_migration_and_recovers(self):
-        service, injector, chronicle = self.run_drill()
-        assert chronicle.by_kind("service.migration-aborted")
-        assert chronicle.by_kind("service.node-down")
+        cluster, migrator, injector, chronicle, handled = self.run_drill()
+        ((victim, removed_id),) = handled
+        (aborted,) = chronicle.by_kind("migration.aborted")
+        assert aborted["reason"] == f"node {victim} crashed"
+        (removed,) = chronicle.by_kind("node.remove")
+        assert removed["id"] == removed_id
+        assert (removed["node"], removed["machines"]) == (victim, 4)
+        assert migrator.aborted_moves == 1
+        assert cluster.n_nodes == 5
+        assert victim not in [n.node_id for n in cluster.nodes]
         record = injector.records[0]
         assert record.detected_at is not None
         assert record.recovered_at is not None
         assert record.recovered_at >= record.detected_at
+        assert total_rows(cluster) == 600
         # all buckets live on active nodes; nothing stranded on the corpse
         active_partitions = {
-            p for n in service.cluster.nodes if n.active
-            for p in n.partition_ids
+            p for n in cluster.nodes for p in n.partition_ids
         }
-        for p in service.cluster.partition_ids:
-            if service.cluster.plan.buckets_of(p):
-                assert p in active_partitions
+        owners = {cluster.plan.owner(b) for b in range(cluster.n_buckets)}
+        assert owners <= active_partitions
 
     def test_drill_is_deterministic(self):
-        _, first, _ = self.run_drill()
-        _, second, _ = self.run_drill()
+        first = self.run_drill()[2]
+        second = self.run_drill()[2]
         assert first.chronicle == second.chronicle
 
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.hstore import (
-    Cluster,
-    Column,
-    LoadMonitor,
-    Schema,
-    Table,
-)
+from repro.hstore import LoadMonitor
 
 
 def _counting_telemetry():
@@ -27,13 +21,6 @@ def _counting_telemetry():
 
     tel.accuracy.observe = spy
     return tel, harvested
-
-
-def kv_cluster():
-    schema = Schema(
-        [Table("kv", [Column("k", "str")], primary_key="k")]
-    )
-    return Cluster(schema, n_nodes=2, partitions_per_node=2, n_buckets=32)
 
 
 class TestLoadMonitor:
@@ -68,11 +55,6 @@ class TestLoadMonitor:
         with pytest.raises(SimulationError):
             monitor.record(50.0)
 
-    def test_current_rate_estimate(self):
-        monitor = LoadMonitor(interval_seconds=10.0)
-        monitor.record(1.0, count=10.0)
-        assert monitor.current_rate_estimate(2.0) == pytest.approx(5.0)
-
     def test_invalid_interval(self):
         with pytest.raises(SimulationError):
             LoadMonitor(interval_seconds=0.0)
@@ -95,7 +77,8 @@ class TestLoadMonitorBoundaries:
         # intervals were empty; the trailing 5 are still in the open one.
         assert history[0] == pytest.approx(4.0)
         assert np.all(history[1:] == 0.0)
-        assert monitor.current_rate_estimate(48.0) == pytest.approx(5.0 / 8.0)
+        assert monitor._current_count == 5.0
+        assert monitor._interval_start == 40.0
 
     def test_boundary_timestamp_opens_next_interval(self):
         monitor = LoadMonitor(interval_seconds=10.0)
@@ -104,7 +87,8 @@ class TestLoadMonitorBoundaries:
         assert closed == 1
         assert monitor.history_tps()[0] == pytest.approx(1.0)
         # The boundary count belongs to the new interval, not the closed one.
-        assert monitor.current_rate_estimate(11.0) == pytest.approx(7.0)
+        assert monitor._current_count == 7.0
+        assert monitor._interval_start == 10.0
 
     def test_closed_intervals_emit_telemetry(self):
         tel, harvested = _counting_telemetry()
@@ -131,29 +115,34 @@ class TestLoadMonitorBoundaries:
         assert tel.tracer.spans == [] and len(tel.chronicle) == 0
 
     def test_host_writes_one_interval_span_per_closed_slot(self):
-        # The span is the host loop's: a service stepped across three
-        # boundaries at once closes one counted and two empty slots.
+        # The span is the host loop's: the serve plane's depository
+        # releases one counted and two empty slots to the monitor in one
+        # flush, and the plane hands each to the controller, which writes
+        # its span.
         from repro.config import default_config
-        from repro.core import PStoreService
         from repro.prediction import LastValuePredictor, OnlinePredictor
+        from repro.serve import ControlPlane, LoadReport, ServeOptions
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
-        config = default_config().with_interval(10.0)
         still_learning = OnlinePredictor(
             LastValuePredictor(), refit_every=1, min_training=99
         )
-        service = PStoreService(
-            kv_cluster(), config, still_learning, telemetry=tel
+        plane = ControlPlane(
+            default_config().with_interval(10.0), still_learning, source=None,
+            options=ServeOptions(out=None, quiet=True), telemetry=tel,
         )
-        service.monitor.record(1.0, count=20.0)
-        service.advance_time(35.0)
+        depository = plane.depository
+        assert not depository.add(LoadReport(1.0, 20.0, "n0"))
+        assert depository.add(LoadReport(35.0, 0.0, "n0"))
+        assert depository.flush() == 3
+        plane._dispatch()
         spans = tel.tracer.by_name("interval")
         assert [(s.start, s.end, s.clock) for s in spans] == [
             (0.0, 10.0, "sim"), (10.0, 20.0, "sim"), (20.0, 30.0, "sim"),
         ]
         assert [s.attrs for s in spans] == [
-            {"slot": slot, "tps": tps, "machines": service.machines,
+            {"slot": slot, "tps": tps, "machines": plane.controller.machines,
              "migrating": False}
             for slot, tps in enumerate([2.0, 0.0, 0.0])
         ]
@@ -170,18 +159,3 @@ class TestLoadMonitorBoundaries:
         assert monitor._interval_start == n * interval
         # Each boundary record opens the next interval: one count each.
         assert np.all(monitor.history_tps()[1:] == pytest.approx(1.0 / interval))
-
-    def test_rate_estimate_clamped_right_after_boundary(self):
-        # Regression: a burst moments after a boundary divided by a
-        # near-zero elapsed time and fed absurd rates to the reactive
-        # strategy.  The divisor is floored at 5% of the interval.
-        monitor = LoadMonitor(interval_seconds=300.0)
-        monitor.record(300.001, count=10.0)
-        estimate = monitor.current_rate_estimate(300.001)
-        assert estimate == pytest.approx(10.0 / (0.05 * 300.0))
-        assert estimate < 1.0  # not the ~10,000 tps the raw division gives
-
-    def test_rate_estimate_unclamped_later_in_interval(self):
-        monitor = LoadMonitor(interval_seconds=300.0)
-        monitor.record(100.0, count=500.0)
-        assert monitor.current_rate_estimate(150.0) == pytest.approx(500.0 / 150.0)

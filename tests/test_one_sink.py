@@ -53,10 +53,9 @@ def _loop(name):
         (_loop("capacity_sim"), 12),
         (_loop("elastic_sim"), 10),
         (_loop("serve"), 12),
-        (_loop("service"), 10),
         (_serve_plane, 3 * serve_scenario.SERVE_SLOTS_PER_DAY),
     ],
-    ids=["capacity_sim", "elastic_sim", "serve", "service", "serve_plane"],
+    ids=["capacity_sim", "elastic_sim", "serve", "serve_plane"],
 )
 def test_every_closed_slot_is_one_interval_span(run, closed_slots, monkeypatch):
     tel = run(monkeypatch)

@@ -1,5 +1,6 @@
 """Tests for :class:`repro.squall.migrator.Reconfiguration`, the one
-owner of a move's lifecycle, and for the four loops that hold one."""
+owner of a move's lifecycle, for the three loops that hold one, and
+for the row-level :class:`~repro.squall.ClusterMigrator`."""
 
 import dataclasses
 import json
@@ -10,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import PStoreConfig, default_config
-from repro.core import PStoreService
 from repro.elasticity.base import NO_ACTION, ProvisioningStrategy, ScaleDecision
 from repro.faults import FaultInjector, FaultSpec
 from repro.hstore import Cluster, Column, Schema, Table
@@ -103,7 +103,7 @@ class TestCheckpointReplay:
 
 
 # ----------------------------------------------------------------------
-# The same move through all four loops
+# The same move through every loop and the row-level migrator
 # ----------------------------------------------------------------------
 
 
@@ -196,28 +196,10 @@ def run_cluster_migrator(tel, abort):
     return config
 
 
-def run_service(tel, abort):
-    config = _small_config()
-    injector = None
-    if abort:
-        injector = FaultInjector(
-            [FaultSpec(kind="node_crash", on_migration=1)], telemetry=tel
-        )
-    service = PStoreService(
-        _kv_cluster(), config, LastValuePredictor().fit([config.q]),
-        telemetry=tel, injector=injector,
-    )
-    service._strategy = OneMove()
-    for _ in range(40):
-        service.advance_time(15.0)
-    return config
-
-
 LOOPS = {
     "capacity_sim": run_capacity_sim,
     "elastic_sim": run_elastic_sim,
     "serve": run_serve,
-    "service": run_service,
     "cluster_migrator": run_cluster_migrator,
 }
 
@@ -239,7 +221,6 @@ START_EXTRAS = {
     "capacity_sim": {"slot"},
     "elastic_sim": {"slot"},
     "serve": {"slot"},
-    "service": {"rounds"},
     "cluster_migrator": {"rounds"},
 }
 
@@ -321,7 +302,7 @@ def test_the_cluster_migrator_moves_at_the_decisions_rate():
 
 
 @pytest.mark.parametrize(
-    "loop", ["elastic_sim", "serve", "service", "cluster_migrator"]
+    "loop", ["elastic_sim", "serve", "cluster_migrator"]
 )
 def test_one_abort_one_record_shape(loop):
     tel = Telemetry()

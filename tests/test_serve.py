@@ -1262,81 +1262,3 @@ class TestCacheGc:
         stats = cache.gc(now=now)
         assert stats["removed"] == 0
         assert stats["kept"] == 2
-
-
-# ----------------------------------------------------------------------
-# Service event unification (the chronicle is the service's audit trail)
-# ----------------------------------------------------------------------
-
-
-class TestServiceChronicleUnification:
-    def test_service_events_carry_chronicle_ids(self):
-        from repro.benchmark import (
-            ALL_PROCEDURES,
-            b2w_schema,
-            cart_id,
-            load_b2w_data,
-        )
-        from repro.core import PStoreService
-        from repro.hstore import Cluster, Transaction
-        from repro.prediction.base import Predictor
-
-        class RampPredictor(Predictor):
-            def __init__(self, level):
-                super().__init__()
-                self.level = level
-                self._fitted = True
-
-            @property
-            def min_history(self):
-                return 1
-
-            def fit(self, series):
-                return self
-
-            def predict_horizon(self, history, horizon):
-                return np.full(horizon, self.level)
-
-        with telemetry_scope() as tel:
-            config = default_config().with_interval(60.0)
-            cluster = Cluster(
-                b2w_schema(), n_nodes=2, partitions_per_node=3, n_buckets=192
-            )
-            load_b2w_data(
-                cluster, n_stock=100, n_carts=200, n_checkouts=20, seed=1
-            )
-            service = PStoreService(
-                cluster, config, RampPredictor(config.q * 3.5), max_machines=6
-            )
-            rate = config.q * 0.8
-            for _ in range(3):
-                for k in range(int(rate * 60)):
-                    service.execute(
-                        Transaction(
-                            ALL_PROCEDURES["GetCart"],
-                            {"cart_id": cart_id(k % 200)},
-                        )
-                    )
-                service.advance_time(60.0)
-            records = [
-                r for r in tel.chronicle.snapshot()
-                if r["kind"].startswith("service.")
-            ]
-            assert records, "service actions must be chronicled"
-            by_id = {r["id"]: r for r in tel.chronicle.snapshot()}
-            # ... there and nowhere else: no span twins them.
-            assert not [
-                s for s in tel.tracer.spans
-                if s.name.startswith(("service.", "migration."))
-            ]
-            # Scale actions chain back to the decision that caused them.
-            scaled = [
-                r for r in records
-                if r["kind"] in ("service.scale-out", "service.emergency")
-            ]
-            assert scaled
-            assert any(
-                s.get("parent")
-                and by_id[s["parent"]]["kind"] == "plan.decision"
-                for s in scaled
-            )
