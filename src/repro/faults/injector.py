@@ -161,9 +161,10 @@ class FaultInjector:
         fault that has come due and auto-recovers expired windows.
         Returns the faults fired by this call.
 
-        The clock is monotone: a host subsystem whose own clock lags the
-        furthest one seen (e.g. the migrator stepping inside a service
-        tick) simply does not fire anything new.
+        The clock is monotone: a host whose own clock lags the furthest
+        one seen (e.g. a simulator second that started a move, which
+        advanced the injector to the second's end) simply does not fire
+        anything new.
         """
         self._now = max(self._now, now)
         if invariants.enabled(invariants.CHEAP):
@@ -192,16 +193,15 @@ class FaultInjector:
         ]
         return [self._fire(p.spec, self._now) for p in sorted(due, key=lambda p: p.order)]
 
-    def seconds_to_next_change(self, now: Optional[float] = None) -> float:
-        """Seconds until the next scheduled firing or window expiry
-        (``inf`` when nothing further is time-driven)."""
-        now = self._now if now is None else now
+    def next_change(self, now: float) -> float:
+        """The time of the first scheduled firing or window expiry after
+        ``now`` (``inf`` when nothing further is time-driven): until
+        then :meth:`advance` changes nothing."""
         candidates = [p.spec.at_time for p in self._timed]
         for record in (*self._slowdowns, *self._stalls, *self._drifts):
             if record.ends_at is not None:
                 candidates.append(record.ends_at)
-        future = [c - now for c in candidates if c > now + 1e-9]
-        return min(future) if future else float("inf")
+        return min((c for c in candidates if c > now + 1e-9), default=float("inf"))
 
     # ------------------------------------------------------------------
     # Firing and lifecycle
@@ -428,6 +428,11 @@ class FaultInjector:
             if record.injected_at <= now + 1e-9:
                 multiplier *= record.spec.magnitude
         return multiplier
+
+    @property
+    def corruption_pending(self) -> bool:
+        """Whether the next round to land will take a corruption."""
+        return bool(self._corruption_queue)
 
     def take_corruption(self) -> Optional[FaultRecord]:
         """Consume one pending transfer-corruption marker, if any."""

@@ -235,7 +235,7 @@ class OnlineController(Persisted):
         tps = float(history[-1])
         slot_seconds = self.config.interval_seconds
 
-        # Feed the learner (the batch service does the same per close).
+        # Feed the learner the slot it just closed.
         self.predictor.observe(tps)
         if self.mode == "warmup" and self._strategy.warmed_up(history):
             self.mode = "predictive"

@@ -14,6 +14,7 @@ allocation — the same series the paper plots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -247,16 +248,14 @@ class ElasticDbSimulator:
         engine reports feeds back into the control loop inside an
         interval — strategies read offered-load means, moves and faults
         run on the clock — so :meth:`_control` runs a whole interval
-        ahead of the engine: close the interval -> plan -> advance the
-        move in flight by the block's seconds and build their shares and
-        interference rows from the state each started in (under a fault
-        injector: inject faults -> close -> plan -> this second's rows
-        -> progress the move, second by second), and the engine then
-        takes the interval in one call.  A block starts *at* a
-        planner-boundary tick and ends before the next one, because
-        closing an interval publishes the SLA violations of the seconds
-        before it.  Returns the :class:`SimulationResult` via
-        ``StopIteration.value``.
+        ahead of the engine: (inject faults ->) close the interval ->
+        plan -> advance the move in flight by the block's seconds and
+        build their shares and interference rows from the state each
+        started in, and the engine then takes the interval in one call.
+        A block starts *at* a planner-boundary tick and ends before the
+        next one, because closing an interval publishes the SLA
+        violations of the seconds before it.  Returns the
+        :class:`SimulationResult` via ``StopIteration.value``.
         """
         run = self._begin_run(offered_tps, strategy, history_seed_tps)
         n = run.offered.size
@@ -464,21 +463,23 @@ class ElasticDbSimulator:
         data distribution), migration interference and capacity.
 
         A block starts at a planner boundary, so only its first tick may
-        close an interval and plan.  Without faults nothing else happens
-        on the clock: a move in flight advances by the seconds left in
-        the block, or until it finishes
-        (:meth:`~repro.squall.migrator.ActiveMigration.advance_seconds`),
-        and the rest of the block is steady — a block steady throughout
-        hands the engine its one shares row.  Faults act per second, so
-        a run with an injector takes :meth:`_control_per_second`.
+        close an interval and plan.  A fault-free block with no move in
+        flight hands the engine its one shares row.  Else the block goes
+        in runs of seconds that each start by injecting faults and end at
+        the injector's ``next_change`` rounded up to a second (after one
+        second if a move start already advanced the injector).  In a run
+        a move advances by whole seconds
+        (:meth:`~repro.squall.migrator.ActiveMigration.advance_seconds`)
+        until it finishes, the rest is steady, and a second spent wedged,
+        right after a stall, re-sending or with a corruption queued goes
+        on its own through the allocation's ``progress``.
         """
-        if self._injector is not None:
-            return self._control_per_second(run, end)
-        start = run.t
+        start, injector = run.t, self._injector
+        if injector is not None:
+            self._inject_faults(run)
         if self._close_interval(run):
             self._plan(run)
-        move = run.alloc.move
-        if move is None:
+        if run.alloc.move is None and injector is None:
             run.out_machines[start:end] = run.alloc.machines
             run.t = end
             return BlockRequest(
@@ -487,70 +488,63 @@ class ElasticDbSimulator:
         p = self.config.partitions_per_node
         shape = (end - start, self.max_machines * p)
         shares = np.empty(shape)
-        rows = MigrationInterference.none(shape)
-        seconds = move.migration.advance_seconds(end - start)
-        self._move_rows(run, move, seconds, shares, rows)
-        run.t += len(seconds.rounds)
-        if move.finished:
-            self._settle(run, float(run.t))
-        if run.t < end:
-            shares[run.t - start:] = self._steady_shares(run)
-            run.out_machines[run.t:end] = run.alloc.machines
-            run.t = end
-        return BlockRequest(start, end, shares, run.offered[start:end], rows)
-
-    def _control_per_second(self, run: _Run, end: int) -> BlockRequest:
-        """:meth:`_control` under a fault injector: faults fire, moves
-        stall, re-send and abort second by second."""
-        start, injector = run.t, self._injector
-        p = self.config.partitions_per_node
-        shape = (end - start, self.max_machines * p)
-        shares = np.empty(shape)
         rows = capacity = None
-        while run.t < end:
-            t, i = run.t, run.t - start
-            self._inject_faults(run)
-            if self._close_interval(run):
-                self._plan(run)
-            move = run.alloc.move
-            if move is not None:
+        while True:
+            t, stop, faulty = run.t, end, False
+            if injector is not None:
+                change = injector.next_change(t)
+                if injector.now > t:
+                    stop = t + 1
+                elif change < end:
+                    stop = math.ceil(change - 1e-9)
+                slowdown = injector.any_slowdown_active
+                faulty = slowdown or injector.recovering
+                if slowdown:
+                    if capacity is None:
+                        capacity = np.ones(shape)
+                    capacity[t - start:stop - start] = np.repeat(
+                        injector.capacity_multipliers(self.max_machines, float(t)), p
+                    )
+            while run.t < stop:
+                i, move = run.t - start, run.alloc.move
+                if move is None:
+                    shares[i:stop - start] = self._steady_shares(run)
+                    run.out_machines[run.t:stop] = run.alloc.machines
+                    run.iv_fault += faulty * (stop - run.t)
+                    run.t = stop
+                    break
                 if rows is None:
                     rows = MigrationInterference.none(shape)
-                self._move_rows(
-                    run, move, move.migration.state(), shares[i:i + 1],
-                    rows.take(slice(i, i + 1)),
+                now = float(run.t + 1)
+                stall = (
+                    None if injector is None or move.migration.done
+                    else injector.stall_record(now)
                 )
-            else:
-                shares[i] = self._steady_shares(run)
-                run.out_machines[t] = run.alloc.machines
-            slowdown = injector.any_slowdown_active
-            if slowdown:
-                if capacity is None:
-                    capacity = np.ones(shape)
-                capacity[i] = np.repeat(
-                    injector.capacity_multipliers(self.max_machines, float(t)), p
-                )
-            if (
-                injector.recovering
-                or slowdown
-                or (
-                    move is not None
-                    and (move.stall is not None or move.resend_seconds > 1e-9)
-                )
-            ):
-                run.iv_fault += 1
-            if move is not None:
-                # The second advances the move, or is spent wedged or
-                # re-sending a corrupted round.
-                now = float(t + 1)
-                stall = None if move.migration.done else injector.stall_record(now)
-                run.alloc.progress(1.0, now, stall)
+                wedged = move.stall is not None or move.resend_seconds > 1e-9
+                if injector is None or not (
+                    stall or wedged or injector.corruption_pending
+                ):
+                    seconds = move.migration.advance_seconds(stop - run.t)
+                    self._move_rows(
+                        run, move, seconds, shares[i:], rows.take(slice(i, None))
+                    )
+                    run.iv_fault += faulty * len(seconds.rounds)
+                    run.t += len(seconds.rounds)
+                else:
+                    self._move_rows(
+                        run, move, move.migration.state(), shares[i:i + 1],
+                        rows.take(slice(i, i + 1)),
+                    )
+                    run.iv_fault += faulty or wedged
+                    run.alloc.progress(1.0, now, stall)
+                    run.t += 1
                 if move.finished:
-                    self._settle(run, now)
-            run.t += 1
-        return BlockRequest(
-            start, end, shares, run.offered[start:end], rows, capacity
-        )
+                    self._settle(run, float(run.t))
+            if run.t == end:
+                return BlockRequest(
+                    start, end, shares, run.offered[start:end], rows, capacity
+                )
+            self._inject_faults(run)
 
     def _move_rows(
         self, run: _Run, move: Reconfiguration, seconds, shares: np.ndarray,

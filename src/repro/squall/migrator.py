@@ -20,10 +20,11 @@ also runs the move side of the loop's fault protocol.
 reconfiguration plan, and as each machine-pair transfer completes it
 commits the corresponding bucket moves so the rows physically relocate.
 
-When a :class:`~repro.faults.FaultInjector` is attached, the migrator
-steps a move between fault boundaries (bucket moves only commit once a
-clean copy has arrived); :meth:`ClusterMigrator.abort` and
-:meth:`ClusterMigrator.fail_node` are the crash edge.
+The migrator steps a move round by round, and with a
+:class:`~repro.faults.FaultInjector` attached also between fault
+boundaries (bucket moves only commit once a clean copy has arrived);
+:meth:`ClusterMigrator.abort` and :meth:`ClusterMigrator.fail_node` are
+the crash edge.
 """
 
 from __future__ import annotations
@@ -367,9 +368,9 @@ class Reconfiguration(Persisted):
 
     Built and started by :meth:`Allocation.start`.  The loops keep their
     own order and time slicing (see ``docs/ALGORITHMS.md``): slot-level
-    loops advance it with :meth:`step_slot`; tick-level loops advance
-    ``migration`` directly, or through :meth:`Allocation.progress` when
-    a fault injector is attached.
+    loops advance it with :meth:`step_slot`; tick-level loops advance it
+    through :meth:`Allocation.progress`, and the simulator takes a run of
+    seconds no fault touches with ``migration.advance_seconds``.
 
     The three emitters write one chronicle record each, with the same
     fields in every loop, and own the ``migrate.moves_started |
@@ -519,7 +520,7 @@ class Reconfiguration(Persisted):
         return largest, allocated
 
     # ------------------------------------------------------------------
-    # Tick-level stepping under injected faults
+    # Tick-level stepping, under injected faults or none
     # ------------------------------------------------------------------
 
     @property
@@ -531,7 +532,7 @@ class Reconfiguration(Persisted):
         self, dt: float, now: float, stall, alloc: "Allocation"
     ) -> List[Tuple[Tuple[Transfer, ...], object]]:
         """Spend the ``dt`` seconds ending at ``now`` on this move, under
-        the faults of ``alloc``'s injector and its retry policy.
+        the faults of ``alloc``'s injector (if any) and its retry policy.
 
         ``stall`` is the injector's active stall record, if any: a wedged
         transfer moves no data while the watchdog re-drives it.  Else the
@@ -554,15 +555,16 @@ class Reconfiguration(Persisted):
             arrived, self._held = self._held, []
             return arrived
         arrived = []
+        injector = alloc.injector
         for round_ in self.migration.advance(dt):
-            corruption = alloc.injector.take_corruption()
+            corruption = None if injector is None else injector.take_corruption()
             if corruption is None:
                 arrived.append((round_, None))
                 continue
             # Hold the round back and owe a full re-send plus one backoff.
-            alloc.injector.mark_detected(corruption, now)
+            injector.mark_detected(corruption, now)
             backoff = alloc.config.faults.backoff_seconds(1, alloc.rng)
-            alloc.injector.mark_retry(corruption, now, backoff)
+            injector.mark_retry(corruption, now, backoff)
             self.resend_seconds += self.migration.round_seconds + backoff
             self._held.append((round_, corruption))
         return arrived
@@ -682,10 +684,10 @@ class Allocation:
         return move
 
     def progress(self, dt: float, now: float, stall, commit=None) -> None:
-        """:meth:`Reconfiguration.progress` of the move in flight under
-        the injector's faults.  Each round whose clean copy has now
-        arrived goes to ``commit``, and a re-sent one is then marked
-        recovered."""
+        """:meth:`Reconfiguration.progress` of the move in flight, under
+        the injector's faults if there is one.  Each round whose clean
+        copy has now arrived goes to ``commit``, and a re-sent one is
+        then marked recovered."""
         for round_, record in self.move.progress(dt, now, stall, self):
             if commit is not None:
                 commit(round_)
@@ -768,7 +770,8 @@ class ClusterMigrator:
     @property
     def sim_time(self) -> float:
         """The migrator's simulated clock (seconds): every ``advance``
-        moves it on, and telemetry stamps moves with it."""
+        moves it on, to where the move completes at the latest, and
+        telemetry stamps moves with it."""
         return self._sim_time
 
     @property
@@ -826,19 +829,37 @@ class ClusterMigrator:
         return move.migration
 
     def advance(self, dt: float) -> bool:
-        """Advance the active migration; returns True when it completes."""
+        """Advance the active migration by ``dt`` seconds, or until it
+        completes; returns True when it does.
+
+        ``dt`` is taken in slices that end where the current round lands
+        or a re-send is paid off, and, with an injector, where the
+        injector next changes; a wedged transfer spends its slice moving
+        no data.  Every slice goes through the allocation's ``progress``,
+        so bucket moves commit once a clean copy of their round has
+        landed, stamped at the slice's end.
+        """
         move = self.allocation.move
         if move is None:
             raise MigrationError("no active migration")
         if dt < 0:
             raise MigrationError("dt must be non-negative")
-        if self.allocation.injector is None:
-            completed_rounds = move.migration.advance(dt)
-            self._sim_time += dt
-            for round_ in completed_rounds:
-                self._commit_round(round_)
-        else:
-            self._advance_with_faults(dt)
+        injector = self.allocation.injector
+        remaining = float(dt)
+        while remaining > 1e-9 and not move.finished:
+            now, step, stall = self._sim_time, remaining, None
+            if injector is not None:
+                injector.advance(now)
+                stall = injector.stall_record(now)
+                step = min(step, max(injector.next_change(now) - now, 1e-9))
+            if stall is None:
+                owed = move.resend_seconds
+                if owed <= 1e-9:
+                    owed = max(move.migration.seconds_to_round_end, 1e-9)
+                step = min(step, owed)
+            self._sim_time += step
+            remaining -= step
+            self.allocation.progress(step, self._sim_time, stall, self._commit_round)
         if move.finished:
             self.allocation.settle(self._sim_time)
             self._finish(move.retiring_nodes)
@@ -885,61 +906,24 @@ class ClusterMigrator:
             )
         tel = self._telemetry
         if tel.enabled:
-            # Rounds are equal-length, so reconstruct each round's
-            # window on the simulated timeline (re-sends stretch it).
-            round_seconds = self.active.round_seconds
-            end = min(self._round_started_at + round_seconds, self._sim_time)
-            end = max(end, self._round_started_at)
+            # The slice that landed the round ends now: a stall or a
+            # re-send before it is inside the round's window.
             tel.tracer.record(
                 "migrate.round",
                 self._round_started_at,
-                end,
+                self._sim_time,
                 round=self._rounds_committed,
                 transfers=len(round_),
             )
             tel.chronicle.record(
                 "migration.round",
-                time=end,
+                time=self._sim_time,
                 parent=self.allocation.move.record_id,
                 round=self._rounds_committed,
                 transfers=len(round_),
             )
-            self._round_started_at = end
+            self._round_started_at = self._sim_time
         self._rounds_committed += 1
-
-    # ------------------------------------------------------------------
-    # Fault-aware path
-    # ------------------------------------------------------------------
-
-    def _advance_with_faults(self, dt: float) -> None:
-        injector = self.allocation.injector
-        move = self.allocation.move
-        migration = move.migration
-        remaining = float(dt)
-        while remaining > 1e-9:
-            injector.advance(self._sim_time)
-            boundary = injector.seconds_to_next_change(self._sim_time)
-            stall = injector.stall_record(self._sim_time)
-            if stall is not None:
-                # Wedged: time passes, no data moves.
-                step = min(remaining, max(min(boundary, remaining), 1e-9))
-            elif move.resend_seconds > 1e-9:
-                step = min(remaining, move.resend_seconds)
-            elif migration.done:
-                # Only waiting on re-sends/stalls, which are drained above.
-                break
-            else:
-                # Never run past the current round's completion or the
-                # next fault boundary, so rounds are handled one at a time.
-                step = min(
-                    remaining,
-                    max(migration.seconds_to_round_end, 1e-9),
-                    max(boundary, 1e-9),
-                )
-            self._sim_time += step
-            remaining -= step
-            # Bucket moves only commit once a clean copy has arrived.
-            self.allocation.progress(step, self._sim_time, stall, self._commit_round)
 
     # ------------------------------------------------------------------
 

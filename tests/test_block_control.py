@@ -3,8 +3,12 @@ from it, against the per-second loop they replace.
 
 ``ActiveMigration.advance_seconds`` must equal one ``advance(1.0)`` per
 second bit for bit, and every :class:`~repro.sim.simulator.BlockRequest`
-of a fault-free run must carry the rows of ``per_second_control`` in
-``tests/engine_oracle.py`` — a steady block as its one shares row.
+must carry the rows of ``per_second_control`` in
+``tests/engine_oracle.py`` — a fault-free steady block as its one shares
+row.  Under a fault injector the simulator takes a block in runs of
+seconds between the injector's changes; seeded scenarios of every fault
+kind hold its requests, results and both chronicles to the per-second
+loop's.
 """
 
 import copy
@@ -16,11 +20,13 @@ from hypothesis import strategies as st
 
 from repro.config import default_config
 from repro.elasticity.manual import ManualStrategy
+from repro.elasticity.reactive import ReactiveStrategy
 from repro.errors import MigrationError
 from repro.faults import FaultInjector, FaultSpec
 from repro.sim import ElasticDbSimulator
 from repro.squall.migrator import ActiveMigration
 from repro.squall.schedule import build_migration_schedule
+from repro.telemetry import Telemetry
 
 from .engine_oracle import drive_requests
 
@@ -221,23 +227,112 @@ class TestControlRows:
         assert all(r.shares.ndim == 1 for r in steady)
         assert all(r.shares.shape == (r.ticks, 48) for r in moving)
 
-    def test_fault_runs_keep_the_per_second_path(self):
-        """Faults act per second: the simulator's own loop under an
-        injector still builds the oracle's rows, a move's rows through
-        the same scatter as a fault-free block's."""
-        specs = [
-            FaultSpec(kind="node_crash", at_time=400.0, node=4),
-            FaultSpec(kind="node_slowdown", at_time=900.0,
-                      duration_seconds=120.0, node=1, capacity_multiplier=0.5),
+
+KINDS = (
+    "node_crash", "node_slowdown", "migration_stall", "forecast_drift",
+    "transfer_corruption",
+)
+SECONDS = 1500          # 25 planner intervals
+N_SCENARIOS = 25
+
+
+def _scenario(seed):
+    """Seeded faults of every kind — timed at whole or fractional
+    seconds, or on a move start — and a strategy that makes moves for
+    them to hit: a manual timetable on even seeds, reactive on odd."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for j in range(int(rng.integers(3, 7))):
+        kind = KINDS[(seed + j) % len(KINDS)]
+        when = rng.integers(3)
+        if when == 0:
+            trigger = dict(on_migration=int(rng.integers(1, 4)))
+        elif when == 1:
+            trigger = dict(at_time=float(rng.integers(0, SECONDS)))
+        else:
+            trigger = dict(at_time=round(float(rng.uniform(0, SECONDS)), 3))
+        duration = float(rng.choice([rng.integers(1, 300), rng.uniform(1, 300)]))
+        if kind == "node_crash":
+            extra = dict(node=int(rng.integers(8)) if rng.random() < 0.5 else None)
+        elif kind == "node_slowdown":
+            extra = dict(
+                node=int(rng.integers(8)), duration_seconds=duration,
+                capacity_multiplier=float(rng.uniform(0.2, 0.9)),
+            )
+        elif kind == "forecast_drift":
+            extra = dict(duration_seconds=duration,
+                         magnitude=float(rng.uniform(0.5, 1.5)))
+        elif kind == "migration_stall":
+            extra = dict(duration_seconds=duration)
+        else:
+            extra = {}
+        specs.append(FaultSpec(kind=kind, **trigger, **extra))
+    if seed % 2:
+        strategy = lambda: ReactiveStrategy(CFG, scale_in_patience=2, max_machines=8)
+        # Load steps up and down, so the reactive strategy moves both ways.
+        levels = rng.uniform(0.5, 7.0, SECONDS // 300) * CFG.q
+        offered = np.repeat(levels, 300)
+    else:
+        slots = np.sort(rng.choice(np.arange(1, SECONDS // 60), 5, replace=False))
+        actions = [
+            (int(slot), int(rng.integers(1, 9)), float(rng.choice([1.0, 8.0])))
+            for slot in slots
         ]
-        strategy = lambda: ManualStrategy([(5, 6), (12, 8), (30, 3)])
-        fast, fast_requests = _requests(
-            strategy(), False, FaultInjector(specs, seed=5)
-        )
-        slow, slow_requests = _requests(
-            strategy(), True, FaultInjector(specs, seed=5)
-        )
-        assert any(r.capacity is not None for r in slow_requests)
-        assert fast.machines[405] == 3   # the crash aborted the first move
+        strategy = lambda: ManualStrategy(actions)
+        offered = np.full(SECONDS, 2.0 * CFG.q)
+    return specs, strategy, offered
+
+
+def _chaos_run(seed, oracle):
+    specs, strategy, offered = _scenario(seed)
+    telemetry = Telemetry()
+    injector = FaultInjector(specs, seed=seed, telemetry=telemetry)
+    result, requests = _requests(
+        strategy(), oracle, injector, offered, telemetry=telemetry
+    )
+    return result, requests, injector.chronicle, telemetry.chronicle.records
+
+
+class TestFaultRuns:
+    """The block loop under a fault injector against the per-second
+    loop, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(N_SCENARIOS))
+    def test_equals_the_per_second_loop(self, seed):
+        fast, fast_requests, fast_faults, fast_records = _chaos_run(seed, False)
+        slow, slow_requests, slow_faults, slow_records = _chaos_run(seed, True)
+        assert slow.moves_started
         _assert_same_requests(fast_requests, slow_requests)
         _assert_same_results(fast, slow)
+        assert fast.emergencies == slow.emergencies
+        assert fast_faults == slow_faults
+        assert fast_records == slow_records
+
+    def test_the_scenarios_cover_every_fault_shape(self):
+        """Every kind, fired at whole and fractional seconds and on move
+        starts, windows overlapping, crashes and stalls hitting moves,
+        under both strategies."""
+        seen = set()
+        for seed in range(N_SCENARIOS):
+            specs, strategy, _ = _scenario(seed)
+            seen.add(type(strategy()).__name__)
+            windows = []
+            for spec in specs:
+                seen.add(spec.kind)
+                if spec.on_migration is not None:
+                    seen.add(("on_migration", spec.kind))
+                    continue
+                seen.add("whole" if spec.at_time.is_integer() else "fractional")
+                if spec.is_windowed:
+                    windows.append(
+                        (spec.at_time, spec.at_time + spec.duration_seconds)
+                    )
+            windows.sort()
+            if any(b[0] < a[1] for a, b in zip(windows, windows[1:])):
+                seen.add("overlap")
+        assert seen >= {
+            *KINDS, "whole", "fractional", "overlap",
+            ("on_migration", "node_crash"), ("on_migration", "migration_stall"),
+            ("on_migration", "transfer_corruption"),
+            "ManualStrategy", "ReactiveStrategy",
+        }

@@ -255,16 +255,23 @@ class TestInjectorLifecycle:
         assert stats.all_recovered
         assert "node_crash" in render_fault_report(injector.records)
 
-    def test_seconds_to_next_change(self):
+    def test_next_change(self):
         injector = FaultInjector([
             FaultSpec(kind="forecast_drift", at_time=10.0,
                       duration_seconds=20.0, magnitude=0.5),
+            FaultSpec(kind="transfer_corruption", at_time=12.5),
         ])
-        assert injector.seconds_to_next_change(0.0) == pytest.approx(10.0)
+        assert injector.next_change(0.0) == 10.0
         injector.advance(10.0)
-        assert injector.seconds_to_next_change() == pytest.approx(20.0)
+        assert injector.next_change(10.0) == 12.5
+        assert not injector.corruption_pending
+        injector.advance(12.5)
+        assert injector.corruption_pending
+        assert injector.next_change(12.5) == 30.0
         injector.advance(30.0)
-        assert injector.seconds_to_next_change() == float("inf")
+        assert injector.next_change(30.0) == float("inf")
+        injector.take_corruption()
+        assert not injector.corruption_pending
 
     def test_injector_from_config(self, tmp_path):
         assert injector_from_config(default_config()) is None
@@ -352,6 +359,32 @@ class TestMigratorFaults:
         assert record.recovered_at == pytest.approx(record.ends_at)
         assert cluster.n_nodes == 5
         assert total_rows(cluster) == 600
+
+    def test_rounds_are_stamped_after_the_stall(self):
+        """A wedged transfer holds its round: the first round lands after
+        the stall recovers, and the rounds after it one round apart."""
+        telemetry = Telemetry()
+        injector = FaultInjector(
+            [FaultSpec(kind="migration_stall", on_migration=1,
+                       duration_seconds=120.0)],
+            telemetry=telemetry,
+        )
+        migrator = ClusterMigrator(
+            kv_cluster(), self.small_config(), telemetry=telemetry,
+            injector=injector,
+        )
+        migration = migrator.start_move(5)
+        drive_to_completion(migrator, dt=7.0)
+        stamps = [
+            r["time"] for r in telemetry.chronicle.by_kind("migration.round")
+        ]
+        (recovered,) = telemetry.chronicle.by_kind("fault.recovered")
+        assert recovered["time"] == 120.0
+        assert len(stamps) == migration.schedule.n_rounds
+        assert stamps[0] == pytest.approx(120.0 + migration.round_seconds)
+        assert np.allclose(np.diff(stamps), migration.round_seconds)
+        (complete,) = telemetry.chronicle.by_kind("migration.complete")
+        assert complete["time"] == stamps[-1]
 
     def test_stall_delays_completion_by_window(self):
         cfg = self.small_config()

@@ -21,6 +21,7 @@ from repro.squall import (
     build_migration_schedule,
     chunk_spacing_seconds,
 )
+from repro.telemetry import Telemetry
 
 
 def make_migration(before, after, rate=244.0, ppn=1, db_kb=1_000_000.0, **kwargs):
@@ -229,6 +230,35 @@ class TestClusterMigrator:
         migrator = ClusterMigrator(kv_cluster(), default_config())
         with pytest.raises(MigrationError):
             migrator.advance(1.0)
+
+    @pytest.mark.parametrize("before, after", [(3, 5), (4, 2), (2, 7)])
+    def test_one_big_dt_is_many_small_ones(self, before, after):
+        """``advance`` slices ``dt`` at round ends, so how a host slices
+        its time moves no bucket and stamps each round where it lands."""
+
+        def run(pieces):
+            telemetry = Telemetry()
+            cluster = kv_cluster(nodes=before, rows=500)
+            migrator = ClusterMigrator(
+                cluster, default_config(), telemetry=telemetry
+            )
+            dt = migrator.start_move(after).total_seconds * 2 / pieces
+            for _ in range(pieces):
+                if migrator.migrating:
+                    migrator.advance(dt)
+            assert not migrator.migrating
+            rounds = telemetry.chronicle.by_kind("migration.round")
+            return cluster, [r["time"] for r in rounds], migrator.sim_time
+
+        big, big_stamps, big_end = run(1)
+        small, small_stamps, small_end = run(1994)   # not a round multiple
+        assert big.plan == small.plan
+        assert big.n_nodes == small.n_nodes == after
+        assert len(big_stamps) == max(min(before, after), abs(after - before))
+        assert np.allclose(big_stamps, small_stamps, rtol=0, atol=1e-9)
+        assert big_stamps == sorted(big_stamps)
+        assert big_end == big_stamps[-1]
+        assert abs(small_end - small_stamps[-1]) < 1e-9
 
     @given(
         before=st.integers(min_value=1, max_value=5),
