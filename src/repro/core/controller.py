@@ -209,12 +209,16 @@ class PredictiveController(Persisted):
                     history, self.horizon_intervals
                 )
             forecast_span.set("predicted_next", float(forecast[0]))
-        forecast = np.asarray(forecast, dtype=float)
+        # Python floats from here on: the same IEEE products the arrays
+        # would give, without a numpy scalar boxed per value on the way
+        # into the planner's request.
+        forecast = np.asarray(forecast, dtype=float).tolist()
         if self._injector is not None:
             drift = self._injector.forecast_multiplier()
             if drift != 1.0:
-                forecast = forecast * drift
-        inflated = forecast * self.config.prediction_inflation
+                forecast = [value * drift for value in forecast]
+        inflation = self.config.prediction_inflation
+        inflated = [value * inflation for value in forecast]
         measured_now = float(history[-1]) if current_load is None else current_load
         if tel.enabled:
             # Chronicle + accuracy: the forecast is made right after
@@ -232,15 +236,15 @@ class PredictiveController(Persisted):
                 horizon=self.horizon_intervals,
                 predictor=predictor_name,
                 measured_now=measured_now,
-                predicted_next=float(forecast[0]),
-                inflated_next=float(inflated[0]),
-                predicted_peak=float(inflated.max()),
+                predicted_next=forecast[0],
+                inflated_next=inflated[0],
+                predicted_peak=float(np.max(inflated)),
             )
             self._last_snapshot_id = snap.get("id")
             tel.accuracy.record_forecast(
                 origin_slot=origin_slot,
-                predicted=[float(v) for v in forecast],
-                inflated=[float(v) for v in inflated],
+                predicted=forecast,
+                inflated=inflated,
                 predictor=predictor_name,
                 snapshot_id=self._last_snapshot_id,
                 time=sim_time,

@@ -82,6 +82,9 @@ class MoveSchedule:
     def __init__(self, moves: Iterable[Move]):
         self._moves: Tuple[Move, ...] = tuple(moves)
         self._validate()
+        self._first_real_move = next(
+            (move for move in self._moves if not move.is_noop), None
+        )
 
     def _validate(self) -> None:
         for prev, cur in zip(self._moves, self._moves[1:]):
@@ -120,12 +123,11 @@ class MoveSchedule:
         """The first move that actually changes the cluster size, if any.
 
         The controller executes only the first *real* move of each plan
-        (receding-horizon control, Section 6).
+        (receding-horizon control, Section 6).  Found once, when the
+        schedule is built: a schedule is immutable, and the planner's memo
+        hands the same one out again.
         """
-        for move in self._moves:
-            if not move.is_noop:
-                return move
-        return None
+        return self._first_real_move
 
     @property
     def final_machines(self) -> int:

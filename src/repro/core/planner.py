@@ -31,6 +31,7 @@ from . import model
 from .moves import Move, MoveSchedule
 
 _INF = math.inf
+_NAN = math.nan
 
 #: Feasibility-pattern bytes (``T * Z * Z``) of the plans one
 #: :class:`Planner` remembers, least recently used evicted first.  A
@@ -42,10 +43,11 @@ PLAN_MEMO_BYTES = 4 << 20
 
 #: Bytes of load-independent DP tables (:class:`_Grid`) one
 #: :class:`Planner` keeps, least recently used evicted first.  A grid
-#: takes about ``530 Z^2`` bytes at a 7-interval horizon: capacity_zoo's
-#: largest is Z = 18 (88 kB), and 64 MiB still keeps one of Z = 350
-#: (about 1e5 txn/s).  A larger grid is built for its request and not
-#: kept, so one report of a huge load cannot pin hundreds of MB.
+#: takes about ``585 Z^2`` bytes at a 7-interval horizon of minute slots
+#: (``330 Z^2`` at 5-minute slots, where moves span at most 3):
+#: capacity_zoo's largest is Z = 18 (106 kB), and 64 MiB still keeps one
+#: of Z = 330 (about 9e4 txn/s).  A larger grid is built for its request
+#: and not kept, so one report of a huge load cannot pin hundreds of MB.
 GRID_CACHE_BYTES = 64 << 20
 
 
@@ -108,16 +110,19 @@ class _Grid(NamedTuple):
     """The load-independent half of a DP over ``Z`` sizes and ``T`` intervals.
 
     Axes: ``b = B - 1`` (before), ``a = A - 1`` (after), ``t - 1`` for
-    the interval ``t`` a move *ends* at, ``i`` for the ``i + 1``-th
-    interval a move spans; ``W`` is the longest move that fits inside
-    the horizon.
+    the interval ``t`` a move *ends* at; ``W`` is the longest move that
+    fits inside the horizon.  ``windows`` and ``thresh`` are ``W + 1``
+    slabs along their leading axis: slab ``i < W`` holds the load index
+    and Eq. 7 threshold of the ``i + 1``-th interval a move spans, slab
+    ``W`` Algorithm 2's ``L[t] <= cap(A)``.  A move that would start
+    before ``t = 0`` reads load index ``T + 1``, a NaN that fails every
+    comparison.
     """
 
     dur: List[List[int]]  # (Z, Z): max(1, T(B, A)) in intervals, for the backtrack
     mcost: np.ndarray  # (Z, Z): C(B, A)
-    thresh: np.ndarray  # (Z, Z, W): Eq. 7 eff-cap + 1e-9, +inf past the move's end
-    windows: np.ndarray  # (T, Z, Z, W): the load index each threshold is held to
-    started: np.ndarray  # (T, Z, Z) bool: the move ending at t starts at t - dur >= 0
+    thresh: np.ndarray  # (W + 1, 1, Z, Z): eff-cap + 1e-9 (+inf past a move's end), cap(A) + 1e-9
+    windows: np.ndarray  # (W + 1, T, Z, Z): the load index each threshold is held to
     prior: np.ndarray  # (T, Z, Z): flat index (t - dur) * Z + b into the cost table
     cap: np.ndarray  # (Z,): cap(A) + 1e-9
 
@@ -282,7 +287,8 @@ class Planner:
 
         That is Algorithm 3's effective-capacity windows (lines 6-9),
         the move starting at or after ``t = 0``, and Algorithm 2's
-        ``L[t] <= cap(A)`` — one gather and a few elementwise operations.
+        ``L[t] <= cap(A)``: one gather of the loads through the grid's
+        slabs, one comparison and an ``and`` over the slab axis.
         The base case (Algorithm 2, lines 5-6: at ``t = 0`` only ``N0``
         is reachable, and only if the current load fits under its
         capacity) is folded in: when it fails, or ``N0`` is past ``Z``,
@@ -290,12 +296,9 @@ class Planner:
         """
         z = len(grid.cap)
         if n0 > z or not loads[0] <= grid.cap[n0 - 1]:
-            return np.zeros(grid.started.shape, dtype=bool)
-        load = np.asarray(loads, dtype=float)
-        feasible = (load[grid.windows] <= grid.thresh).all(axis=-1)
-        feasible &= grid.started
-        feasible &= (load[1:, None] <= grid.cap)[:, None, :]
-        return feasible
+            return np.zeros(grid.windows.shape[1:], dtype=bool)
+        load = np.array([*loads, _NAN])
+        return np.logical_and.reduce(load[grid.windows] <= grid.thresh, axis=0)
 
     def _fill_tables(
         self, grid: _Grid, feasible: np.ndarray, n0: int
@@ -344,31 +347,40 @@ class Planner:
             dtype=np.intp,
         )
         mcost = np.array([[self.move_cost(b, a) for a in sizes] for b in sizes])
-        # A move longer than the horizon cannot end inside it (``started``
-        # is false for it at every t), so no window is wider than that.
+        # A move longer than the horizon cannot end inside it (it would
+        # start before t = 0 at every t), so no window is wider than that.
         width = min(int(dur.max()), horizon)
-        thresh = np.full((z, z, width), _INF)
+        thresh = np.full((width + 1, 1, z, z), _INF)
         for b in sizes:
             for a in sizes:
                 d = int(dur[b - 1, a - 1])
                 if d <= horizon:
                     # eff + 1e-9 per interval: the scalar comparison's
                     # ``load > eff + 1e-9`` exactly.
-                    thresh[b - 1, a - 1, :d] = (
+                    thresh[:d, 0, b - 1, a - 1] = (
                         np.array(self._effcap_profile(b, a, d)) + 1e-9
                     )
+        cap = np.array([self.capacity(a) + 1e-9 for a in sizes])
+        thresh[width, 0] = cap
         # The move ending at t starts at t - dur and spans t - dur + 1 .. t;
-        # the window's padding (thresh +inf) may read any load.
-        start = np.arange(1, horizon + 1)[:, None, None] - dur
-        windows = np.clip(start[..., None] + np.arange(1, width + 1), 0, horizon)
+        # the window's padding (thresh +inf) may read any load, and a move
+        # starting before t = 0 reads the NaN slot T + 1 throughout.
+        ends = np.arange(1, horizon + 1)[:, None, None]
+        start = ends - dur
+        windows = np.empty((width + 1, horizon, z, z), dtype=np.intp)
+        np.clip(
+            start + np.arange(1, width + 1)[:, None, None, None],
+            0, horizon, out=windows[:width],
+        )
+        windows[:width, start < 0] = horizon + 1
+        windows[width] = ends
         grid = _Grid(
             dur=dur.tolist(),
             mcost=mcost,
             thresh=thresh,
             windows=windows,
-            started=start >= 0,
             prior=np.maximum(start, 0) * z + np.arange(z)[:, None],
-            cap=np.array([self.capacity(a) + 1e-9 for a in sizes]),
+            cap=cap,
         )
         size = _grid_bytes(grid)
         if size <= GRID_CACHE_BYTES:

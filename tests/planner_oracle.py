@@ -9,12 +9,20 @@ backtrack through the memoised best moves on the first feasible hit
 (Algorithm 1).  It borrows only the planner's cached move primitives
 (``move_duration``, ``move_cost``, ``capacity``, ``machines_needed``);
 feasibility is re-derived here from ``model.effective_capacity``.
+
+``feasibility_reference`` is the planner's feasibility pattern as a
+``(T, Z, Z, W)`` window comparison reduced over its last axis and
+masked by ``start >= 0`` and ``L[t] <= cap(A)``, the oracle of the
+slab-first gather ``Planner._feasibility`` makes; it reads the Eq. 7
+thresholds from the planner's ``_effcap_profile``, as the grid does.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.config import PStoreConfig
 from repro.core import model
@@ -143,3 +151,38 @@ def _sub_cost_recursive(
     if prior == _INF:
         return _INF
     return prior + move_cost
+
+
+def feasibility_reference(
+    planner: Planner, loads: Sequence[float], n0: int, z: int
+) -> np.ndarray:
+    """``feasible[t - 1, B - 1, A - 1]`` as a ``(T, Z, Z, W)`` window
+    comparison reduced over its last axis, masked by ``start >= 0`` and
+    ``L[t] <= cap(A)``: the reference for ``Planner._feasibility``'s
+    slab-first gather.  Built from the planner's move primitives, so an
+    Eq. 7 override (the ablation's blind planner) reaches it too."""
+    horizon = len(loads) - 1
+    sizes = range(1, z + 1)
+    if n0 > z or not loads[0] <= planner.capacity(n0) + 1e-9:
+        return np.zeros((horizon, z, z), dtype=bool)
+    dur = np.array(
+        [[max(1, planner.move_duration(b, a)) for a in sizes] for b in sizes],
+        dtype=np.intp,
+    )
+    width = min(int(dur.max()), horizon)
+    thresh = np.full((z, z, width), _INF)
+    for b in sizes:
+        for a in sizes:
+            d = int(dur[b - 1, a - 1])
+            if d <= horizon:
+                thresh[b - 1, a - 1, :d] = (
+                    np.array(planner._effcap_profile(b, a, d)) + 1e-9
+                )
+    start = np.arange(1, horizon + 1)[:, None, None] - dur
+    windows = np.clip(start[..., None] + np.arange(1, width + 1), 0, horizon)
+    cap = np.array([planner.capacity(a) + 1e-9 for a in sizes])
+    load = np.asarray(loads, dtype=float)
+    feasible = (load[windows] <= thresh).all(axis=-1)
+    feasible &= start >= 0
+    feasible &= (load[1:, None] <= cap)[:, None, :]
+    return feasible

@@ -319,3 +319,108 @@ class TestOneForecastRowPerPlan:
         assert batch.controller._table is not None
         batch.reset(3)
         assert batch.controller._table is None
+
+
+class TestForecastHandOff:
+    """A decision hands the planner its forecast as Python floats: each
+    value the table row's, times the run's forecast drift, times the
+    prediction inflation, the same IEEE products as the arrays'
+    ``row * drift * inflation``.  With telemetry on, the snapshot's
+    ``inflated_next`` / ``predicted_peak`` and the accuracy tracker's
+    lists are those numbers too."""
+
+    @pytest.mark.parametrize("drift, recording", [
+        (False, False), (True, False), (True, True),
+    ], ids=["plain", "drift", "telemetry"])
+    def test_the_planner_gets_the_inflated_row(
+        self, drift, recording, monkeypatch
+    ):
+        from repro.faults import FaultInjector, FaultSpec
+        from repro.telemetry import NULL_TELEMETRY
+        from repro.telemetry.accuracy import AccuracyTracker
+
+        train, evaluation = oracle.zoo_scale_series()
+        config = default_config().with_interval(oracle.ZOO_SLOT_SECONDS)
+        model = get_predictor_spec("seasonal").for_period(
+            oracle.ZOO_PERIOD
+        ).fit(train)
+        rows, requests, tracked = [], [], []
+        injector = FaultInjector([
+            FaultSpec(kind="forecast_drift", at_time=3e4,
+                      duration_seconds=6e4, magnitude=1.7),
+            FaultSpec(kind="forecast_drift", at_time=6e4,
+                      duration_seconds=3e4, magnitude=0.55),
+        ]) if drift else None
+
+        row = ForecastTable.row
+        best_moves = Planner.best_moves
+        record_forecast = AccuracyTracker.record_forecast
+
+        def reading(table, history):
+            multiplier = injector.forecast_multiplier() if drift else 1.0
+            rows.append((row(table, history), multiplier))
+            return rows[-1][0]
+
+        def planning(planner, request):
+            requests.append(request)
+            return best_moves(planner, request)
+
+        def tracking(tracker, origin_slot, predicted, inflated=None, **kw):
+            tracked.append((list(predicted), list(inflated)))
+            return record_forecast(tracker, origin_slot, predicted, inflated, **kw)
+
+        monkeypatch.setattr(ForecastTable, "row", reading)
+        monkeypatch.setattr(Planner, "best_moves", planning)
+        monkeypatch.setattr(AccuracyTracker, "record_forecast", tracking)
+        with telemetry_scope(None if recording else NULL_TELEMETRY) as tel:
+            strategy = StrategySpec.parse("predictive:seasonal").build(
+                config, predictor=model
+            )
+            if drift:
+                reset, decide = strategy.reset, strategy.decide
+
+                def reset_under_drift(initial, known=None):
+                    reset(initial, known, injector)
+
+                def decide_at(slot, history, machines):
+                    injector.advance(slot * config.interval_seconds)
+                    return decide(slot, history, machines)
+
+                strategy.reset, strategy.decide = reset_under_drift, decide_at
+            simulator = CapacitySimulator(
+                config, max(1, math.ceil(evaluation[0] * 1.3 / config.q)),
+                history_seed=train,
+            )
+            simulator.run(oracle.zoo_scale_trace().slice_days(
+                oracle.ZOO_TRAIN_DAYS, oracle.ZOO_EVAL_DAYS
+            ), strategy)
+
+        assert len(requests) == len(rows) == 572
+        multipliers = {m for _, m in rows}
+        assert multipliers == ({1.0, 1.7, 1.7 * 0.55} if drift else {1.0})
+        expected = []
+        for (forecast, multiplier), request in zip(rows, requests):
+            predicted = np.asarray(forecast)
+            if multiplier != 1.0:
+                predicted = predicted * multiplier
+            inflated = predicted * config.prediction_inflation
+            assert all(type(v) is float for v in request.predicted_load)
+            assert _same(request.predicted_load, inflated)
+            expected.append((predicted, inflated))
+        if not recording:
+            assert tracked == []
+            return
+        snapshots = [
+            rec for rec in tel.chronicle.records
+            if rec["kind"] == "forecast.snapshot"
+        ]
+        assert len(snapshots) == len(tracked) == len(expected)
+        for snap, (predicted, inflated), (seen, seen_inflated) in zip(
+            snapshots, expected, tracked
+        ):
+            assert _same(seen, predicted) and _same(seen_inflated, inflated)
+            assert _same(
+                [snap["predicted_next"], snap["inflated_next"],
+                 snap["predicted_peak"]],
+                [predicted[0], inflated[0], inflated.max()],
+            )

@@ -21,7 +21,7 @@ from repro.experiments.ablations import (
     run_effcap_ablation,
 )
 
-from .planner_oracle import best_moves_reference
+from .planner_oracle import best_moves_reference, feasibility_reference
 
 N_TRIALS = 150
 
@@ -226,6 +226,110 @@ class TestTiesAndShapes:
             fast = _outcome(planner.plan, loads, n0)
             assert fast == _outcome(best_moves_reference, loads, n0, config)
             assert fast[0] == "plan"
+
+
+@st.composite
+def _feasibility_cases(draw):
+    """``(planner, loads, N0, Z)`` for one feasibility computation.
+
+    ``Z`` is 1-12 or 33, ``N0`` anywhere up to three past ``Z``, the
+    horizon 1-16 (27 at 60 s slots) and ``D`` 300-4,646 s, so that a
+    move may be longer than a short horizon.  A load is 0,
+    free, or one of the grid's thresholds (an Eq. 7 effective capacity
+    or a ``cap(A)``, each plus the planner's ``1e-9`` slack) or one ulp
+    either side of it.  Half the planners are the ablation's Eq. 7-blind
+    one, whose thresholds come from its own ``_effcap_profile``.
+    """
+    slot = draw(st.sampled_from((60.0, 300.0, 600.0, 3600.0)))
+    config = default_config().with_interval(slot)
+    if slot == 60.0:
+        horizon = 27
+    else:
+        horizon = draw(st.integers(1, 16))
+        config = dataclasses.replace(
+            config,
+            d_seconds=draw(st.sampled_from((300.0, 600.0, 2000.0, 4646.0))),
+        )
+    z = draw(st.one_of(st.integers(1, 12), st.just(33)))
+    n0 = draw(st.integers(1, z + 3))
+    planner = draw(st.sampled_from((Planner, _EffCapBlindPlanner)))(config)
+
+    def load():
+        kind = draw(st.sampled_from(("zero", "free", "cap", "effcap")))
+        if kind == "zero":
+            return 0.0
+        if kind == "free":
+            return draw(st.floats(0.0, z * config.q))
+        a = draw(st.integers(1, z))
+        if kind == "cap":
+            value = planner.capacity(a) + 1e-9
+        else:
+            b = draw(st.integers(1, z))
+            d = max(1, planner.move_duration(b, a))
+            i = draw(st.integers(0, d - 1))
+            value = planner._effcap_profile(b, a, d)[i] + 1e-9
+        step = draw(st.sampled_from((-np.inf, None, np.inf)))
+        return value if step is None else float(np.nextafter(value, step))
+
+    loads = [load() for _ in range(horizon + 1)]
+    return planner, loads, n0, z
+
+
+class TestFeasibility:
+    """``Planner._feasibility`` (one gather through the grid's slabs,
+    one comparison, an ``and`` over the slab axis) is bytewise the
+    ``(T, Z, Z, W)`` window comparison reduced over its last axis and
+    masked by ``start >= 0`` and ``L[t] <= cap(A)`` that
+    ``tests/planner_oracle.py::feasibility_reference`` keeps."""
+
+    @staticmethod
+    def _same(planner, loads, n0, z):
+        grid = planner._grid(z, len(loads) - 1)
+        fast = planner._feasibility(grid, loads, n0)
+        ref = feasibility_reference(planner, loads, n0, z)
+        assert (fast.shape, fast.dtype) == (ref.shape, ref.dtype)
+        assert fast.tobytes() == ref.tobytes()
+        return ref
+
+    @given(case=_feasibility_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference_bytewise(self, case):
+        self._same(*case)
+
+    def test_moves_longer_than_the_horizon(self):
+        """At 60 s slots the moves of a 12-size grid take 1-12 intervals;
+        over a 4-interval horizon the longer ones are never feasible,
+        and the short ones still are."""
+        config = default_config().with_interval(60.0)
+        planner = Planner(config)
+        grid = planner._grid(12, 4)
+        dur = np.array(grid.dur)
+        assert (dur > 4).any() and (dur <= 4).any()
+        feasible = self._same(planner, [config.q * 1.5] * 5, 2, 12)
+        assert not feasible[:, dur > 4].any()
+        assert feasible[:, dur <= 4].any()
+
+    @pytest.mark.parametrize("slot, horizon, z", [
+        (60.0, 27, 7), (300.0, 7, 12), (3600.0, 2, 12), (600.0, 1, 1),
+    ])
+    def test_the_grid_layout_and_its_bytes(self, slot, horizon, z):
+        """The window axis leads: ``W`` window slabs plus the ``cap(A)``
+        slab, and no separate start mask; ``_grid_bytes`` counts every
+        array and ``dur``'s Z x Z references."""
+        planner = Planner(default_config().with_interval(slot))
+        grid = planner._grid(z, horizon)
+        width = min(max(map(max, grid.dur)), horizon)
+        assert grid._fields == (
+            "dur", "mcost", "thresh", "windows", "prior", "cap"
+        )
+        assert grid.windows.shape == (width + 1, horizon, z, z)
+        assert grid.thresh.shape == (width + 1, 1, z, z)
+        assert grid.prior.shape == (horizon, z, z)
+        assert (grid.mcost.shape, grid.cap.shape) == ((z, z), (z,))
+        assert planner_module._grid_bytes(grid) == (
+            grid.windows.nbytes + grid.thresh.nbytes + grid.prior.nbytes
+            + grid.mcost.nbytes + grid.cap.nbytes + 8 * z * z
+        )
 
 
 class TestEffCapOverride:
