@@ -52,6 +52,27 @@ from ..errors import PredictionError
 from .base import Predictor, solve_ridge
 
 
+#: OpenBLAS (0.3.31, numpy 2.4's) runs a ``ddot`` of up to this many
+#: elements on one thread and splits a longer one across threads, which
+#: sums it in a thread-dependent order.
+_DOT_CHUNK = 10_000
+
+
+def _lagged_dots(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.correlate(x, v, "valid")``, whose entries are ``v.size``-long
+    dots: past :data:`_DOT_CHUNK` elements each is taken in chunks of at
+    most that many, summed in chunk order, so it is the same float at
+    any thread count.  A series of at most one chunk takes a single
+    ``correlate``."""
+    rows = v.size
+    span = x.size - rows         # each chunk's window reaches this far on
+    dots = np.correlate(x[: _DOT_CHUNK + span], v[:_DOT_CHUNK], "valid")
+    for start in range(_DOT_CHUNK, rows, _DOT_CHUNK):
+        stop = min(start + _DOT_CHUNK, rows)
+        dots += np.correlate(x[start : stop + span], v[start:stop], "valid")
+    return dots
+
+
 def _hankel_gram(x: np.ndarray, lags: int) -> np.ndarray:
     """``page.T @ page`` for the page ``sliding_window_view(x, lags)``,
     from its Hankel structure instead of a GEMM.
@@ -62,13 +83,13 @@ def _hankel_gram(x: np.ndarray, lags: int) -> np.ndarray:
     it: ``G[i+1, j+1] = G[i, j] - x[i] x[j] + x[i+rows] x[j+rows]``, one
     row slice per step.  The chains from ``G[0, d]`` and its mirror add
     the same products in the same order, so the result is symmetric
-    bitwise.  Its only BLAS calls are row 0's ``rows``-long dots, which
-    OpenBLAS (0.3.31, numpy 2.4's) runs on one thread up to 10,000
-    elements: below that the Gram is the same float at any thread count.
+    bitwise.  Its only BLAS calls are row 0's ``rows``-long dots, taken
+    by :func:`_lagged_dots` so that the Gram is the same float at any
+    thread count.
     """
     rows = x.size - lags + 1
     gram = np.empty((lags, lags))
-    gram[0] = np.correlate(x, x[:rows], "valid")
+    gram[0] = _lagged_dots(x, x[:rows])
     gram[1:, 0] = gram[0, 1:]
     head, tail = x[: lags - 1], x[rows:]
     for i in range(lags - 1):
@@ -90,7 +111,7 @@ def _recurrence_gram(
     """
     window = _hankel_gram(y, lags)
     rows = y.size - lags + 1
-    totals = np.correlate(y, np.ones(rows), "valid")
+    totals = _lagged_dots(y, np.ones(rows))
     gram = np.empty((lags, lags))
     gram[0, 0] = rows
     gram[0, 1:] = gram[1:, 0] = totals[-2::-1]

@@ -22,16 +22,20 @@ many intervals behind the fastest node is evicted from the clock map
 (chronicled as ``node.stale``, parented on its last report); if it
 reports again later it re-enters the map (``node.recovered``).
 
-Cost: one report costs O(log nodes) amortised, whatever the cluster
-size.  Every clock advance pushes ``(clock, registration order, node)``
-onto one min-heap; an entry whose clock is no longer its node's current
-one is dead and is dropped when it surfaces (lazy deletion).
-:meth:`Depository.add` leaves the top entry live, so the watermark is a
-peek, the fastest clock is a running maximum (its holder is never
-stale, so it never has to fall), and the eviction sweep pops the heap
-below the horizon instead of scanning the clock map.  The heap is
-derived state: it is not checkpointed, and ``_rebuild`` derives it from
-the restored clocks.
+Cost: one report costs O(log clocks) amortised, whatever the cluster
+size, where *clocks* counts the distinct clock values the nodes hold.
+``_at`` maps each live clock to the set of nodes holding it, and one
+min-heap holds clock values, not reports.  A clock advance moves its
+node from one set to another; only a clock no node held yet is pushed,
+so nodes that report on a common heartbeat share one heap entry per
+beat.  A value whose set has emptied is dead and is dropped when it
+surfaces (lazy deletion).  :meth:`Depository.add` leaves the top value
+live, so the watermark is a peek, the fastest clock is a running
+maximum (its holder is never stale, so it never has to fall), and the
+eviction sweep pops the heap below the horizon and takes those clocks'
+node sets instead of scanning the clock map.  The heap and ``_at`` are
+derived state: they are not checkpointed, and ``_rebuild`` derives
+them from the restored clocks.
 
 ``add`` also returns whether the watermark has passed a slot
 :meth:`Depository.flush` has not released.  A caller flushes only then,
@@ -41,7 +45,7 @@ instead of after every report, and decides exactly the same.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..errors import SimulationError
 from ..hstore.monitor import LoadMonitor
@@ -78,10 +82,12 @@ class Depository(Persisted):
         #: ``_clocks``): nodes evicted in one sweep are chronicled in it.
         self._order: Dict[str, int] = {}
         self._registrations = 0
-        #: Lazy-deletion min-heap of (clock, registration order, node);
-        #: an entry is live iff its clock is the node's current one, and
-        #: the top is kept live, so its clock is the watermark.
-        self._heap: List[Tuple[float, int, str]] = []
+        #: clock -> the nodes holding it; a clock is live iff it is a key.
+        self._at: Dict[float, Set[str]] = {}
+        #: Lazy-deletion min-heap of clock values; every live clock is on
+        #: it (a value that emptied and was taken again may sit there
+        #: twice), and the top is kept live, so it is the watermark.
+        self._heap: List[float] = []
         self._max_clock = 0.0       # the fastest node's clock
         #: node -> id of its ``node.stale`` chronicle record, kept so a
         #: re-appearing node's ``node.recovered`` can parent on it.
@@ -103,7 +109,7 @@ class Depository(Persisted):
     def watermark(self) -> float:
         """The slowest reporting node's clock (0 before any report)."""
         heap = self._heap
-        return heap[0][0] if heap else 0.0
+        return heap[0] if heap else 0.0
 
     @property
     def nodes(self) -> int:
@@ -139,68 +145,89 @@ class Depository(Persisted):
             self.reports_ingested += 1
         # Clock advance happens for late reports too (see module doc),
         # and marks an evicted node as recovered.
-        clocks, heap = self._clocks, self._heap
+        clocks, heap, at = self._clocks, self._heap, self._at
         previous = clocks.get(node)
-        if previous is None and node in self._evicted:
-            stale_id = self._evicted.pop(node)
-            self._evicted_clocks.pop(node, None)
-            if tel.enabled:
-                tel.chronicle.record(
-                    "node.recovered", time=time, parent=stale_id, node=node,
-                )
-        clock = max(previous or 0.0, time)
-        if clock != previous:
-            if previous is None:
-                self._order[node] = self._registrations
-                self._registrations += 1
+        if previous is None:
+            if node in self._evicted:
+                stale_id = self._evicted.pop(node)
+                self._evicted_clocks.pop(node, None)
+                if tel.enabled:
+                    tel.chronicle.record(
+                        "node.recovered", time=time, parent=stale_id,
+                        node=node,
+                    )
+            self._order[node] = self._registrations
+            self._registrations += 1
+            clock = max(0.0, time)
+        elif time > previous:
+            clock = time
+            holders = at[previous]
+            holders.discard(node)
+            if not holders:
+                del at[previous]
+        else:
+            clock = None        # a repeated or older timestamp
+        if clock is not None:
             clocks[node] = clock
-            heapq.heappush(heap, (clock, self._order[node], node))
-            if clock > self._max_clock:
-                self._max_clock = clock
-            if len(heap) > 2 * len(clocks) + 64:
-                # Dead entries only leave when they surface; under a
-                # frozen watermark they never would.
-                self._rebuild_heap()
-                heap = self._heap
+            holders = at.get(clock)
+            if holders is None:
+                at[clock] = {node}
+                heapq.heappush(heap, clock)
+                if clock > self._max_clock:
+                    self._max_clock = clock
+                if len(heap) > 2 * len(at) + 64:
+                    # Dead values only leave when they surface; under a
+                    # frozen watermark they never would.
+                    self._rebuild_heap()
+                    at, heap = self._at, self._heap
+            else:
+                holders.add(node)
         if self.node_timeout_intervals > 0:
             horizon = self._max_clock - self.node_timeout_intervals * interval
-            if heap[0][0] < horizon:
+            if heap[0] < horizon:
                 self._evict_stale(horizon)
-        # Drop dead entries off the top.  The reporting node, or the
-        # leader that evicted it, has a live entry, so the heap cannot
+        # Drop dead values off the top.  The reporting node, or the
+        # leader that evicted it, holds a live clock, so the heap cannot
         # run empty.
-        top, _, top_node = heap[0]
-        while clocks.get(top_node) != top:
+        top = heap[0]
+        while top not in at:
             heapq.heappop(heap)
-            top, _, top_node = heap[0]
+            top = heap[0]
         return int(top // interval) > released
 
     def _rebuild_heap(self) -> None:
-        """Derive order numbers, fastest clock and heap from the clock
-        map, whose insertion order *is* the registration order."""
+        """Derive order numbers, clock groups, fastest clock and a heap
+        of each live clock once from the clock map, whose insertion
+        order *is* the registration order.  Compaction calls it too:
+        it drops the dead values and the duplicates of live ones."""
         clocks = self._clocks
         self._order = {node: i for i, node in enumerate(clocks)}
         self._registrations = len(clocks)
-        self._max_clock = max(clocks.values(), default=0.0)
-        self._heap = [
-            (clock, i, node) for i, (node, clock) in enumerate(clocks.items())
-        ]
+        at: Dict[float, Set[str]] = {}
+        for node, clock in clocks.items():
+            at.setdefault(clock, set()).add(node)
+        self._at = at
+        self._max_clock = max(at, default=0.0)
+        self._heap = list(at)
         heapq.heapify(self._heap)
 
     def _evict_stale(self, horizon: float) -> None:
         """Drop nodes whose clock trails the leader by > the timeout."""
-        heap, clocks = self._heap, self._clocks
-        stale = []
-        # The leader's own entry is never below the horizon, so the heap
-        # cannot run empty here.
-        while heap[0][0] < horizon:
-            clock, order, node = heapq.heappop(heap)
-            if clocks.get(node) == clock:
-                del clocks[node], self._order[node]
-                stale.append((order, node, clock))
-        stale.sort()
+        heap, at = self._heap, self._at
+        clocks, order = self._clocks, self._order
+        stale: List[str] = []
+        # The leader's clock is never below the horizon, so the heap
+        # cannot run empty here; a dead or duplicate value holds nobody.
+        while heap[0] < horizon:
+            holders = at.pop(heapq.heappop(heap), None)
+            if holders:
+                stale.extend(holders)
+        # Sets have no order: one sweep chronicles in registration order.
+        stale.sort(key=order.__getitem__)
         tel = self._telemetry
-        for _, node, last_clock in stale:
+        for node in stale:
+            last_clock = clocks.pop(node)
+            del order[node]
             self.evictions += 1
             stale_id = None
             if tel.enabled:
@@ -270,10 +297,11 @@ class Depository(Persisted):
     )
 
     def _rebuild(self) -> None:
-        """Arm duplicate suppression and rebuild the heap: every node's
-        restored clock — an evicted node's last one included — becomes
-        its *resume clock*, and replayed reports at or below it are
-        dropped as duplicates (reports are assumed monotone per node,
-        which every source in this package satisfies)."""
+        """Arm duplicate suppression and rebuild the clock groups and
+        their heap: every node's restored clock — an evicted node's last
+        one included — becomes its *resume clock*, and replayed reports
+        at or below it are dropped as duplicates (reports are assumed
+        monotone per node, which every source in this package
+        satisfies)."""
         self._resume_clocks = {**self._evicted_clocks, **self._clocks}
         self._rebuild_heap()

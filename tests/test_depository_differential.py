@@ -7,7 +7,8 @@ clock map.  O(nodes) per report, and obviously right — which is what a
 reference is for.  Hypothesis drives both with the same report sequence
 (out of order, duplicate timestamps, late, silence -> eviction ->
 recovery, a checkpoint round trip anywhere in the sequence) and every
-observable must agree after every step.
+observable must agree after every step, while the depository's clock
+groups keep their invariants (``_assert_clock_groups``).
 
 The oracle is flushed after every report.  The depository under test is
 flushed the way the plane flushes it — only when ``add`` returns True —
@@ -17,6 +18,7 @@ interval.
 
 import json
 import pathlib
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,9 +150,11 @@ class Pair:
         ]
 
     def report(self, node: str, quarter: int, count: int) -> None:
-        report = LoadReport(
+        self.send(LoadReport(
             time=quarter * INTERVAL / 4, count=float(count), node=node
-        )
+        ))
+
+    def send(self, report: LoadReport) -> None:
         heap, scan = self.deps
         closable = heap.add(report)
         scan.add(report)
@@ -180,6 +184,20 @@ class Pair:
             _observables(dep, tel) for dep, tel in zip(self.deps, self.tels)
         )
         assert got == want
+        _assert_clock_groups(self.deps[0])
+
+
+def _assert_clock_groups(dep: Depository) -> None:
+    """The derived structure's invariants: ``_at`` is exactly the
+    inverse of the clock map, the heap's top is live, and every live
+    clock is on the heap."""
+    inverse = {}
+    for node, clock in dep._clocks.items():
+        inverse.setdefault(clock, set()).add(node)
+    assert dep._at == inverse
+    if dep._heap:
+        assert dep._heap[0] in dep._at
+    assert set(dep._at) <= set(dep._heap)
 
 
 class TestHeapAgainstScan:
@@ -242,14 +260,99 @@ class TestHeapAgainstScan:
 
     def test_dead_heap_entries_stay_bounded_under_a_frozen_watermark(self):
         # timeout=0 and a silent node: the watermark never moves, so no
-        # dead entry ever surfaces; compaction has to bound the heap.
+        # dead clock ever surfaces; compaction has to bound the heap by
+        # the distinct clocks, two here, however many reports arrive.
         dep = Depository(INTERVAL)
         dep.add(LoadReport(time=1.0, count=1.0, node="silent"))
         for tick in range(5000):
             dep.add(LoadReport(time=2.0 + tick, count=1.0, node="busy"))
             dep.flush()
         assert dep.watermark == 1.0
-        assert len(dep._heap) <= 2 * dep.nodes + 65
+        assert len(dep._at) == 2
+        assert len(dep._heap) <= 2 * len(dep._at) + 65
+        _assert_clock_groups(dep)
+
+    def test_an_emptied_clock_taken_again_is_pushed_again(self):
+        # b leaves 30 while a holds the watermark at 15, so the dead 30
+        # stays below the top; c then takes 30 and pushes it a second
+        # time.  Both copies must go when 30 is evicted or surfaces.
+        pair = Pair(timeout=1)
+        pair.report("a", 1, 1)   # t=15
+        pair.report("b", 2, 1)   # t=30
+        pair.report("b", 3, 1)   # t=45: 30 empties, its value stays
+        pair.report("c", 2, 1)   # t=30 again
+        pair.check()
+        dep = pair.deps[0]
+        assert dep._heap.count(30.0) == 2
+        assert dep._at[30.0] == {"c"}
+        pair.report("a", 4, 1)   # t=60: the watermark moves to c's 30
+        pair.check()
+        assert dep.watermark == 30.0
+        pair.report("a", 27, 1)  # t=405: one sweep evicts b and c
+        pair.check()
+        assert 30.0 not in dep._heap
+        stale = [
+            r["node"] for r in pair.tels[0].chronicle.records
+            if r["kind"] == "node.stale"
+        ]
+        assert stale == ["b", "c"]
+        pair.report("c", 28, 1)  # t=420: c recovers at a fresh clock
+        pair.check()
+        assert dep._at == {405.0: {"a"}, 420.0: {"c"}}
+
+    def test_a_first_report_before_zero_starts_its_clock_at_zero(self):
+        # At or below -1 a report is a duplicate; just above, it is late
+        # and its node's clock starts at 0.
+        pair = Pair(timeout=1)
+        pair.send(LoadReport(time=-0.5, count=1.0, node="a"))
+        pair.send(LoadReport(time=-0.25, count=1.0, node="b"))
+        pair.check()
+        assert pair.deps[0]._at == {0.0: {"a", "b"}}
+
+    def test_offset_and_jittered_fan_in_steps_with_the_scan(self):
+        # 64 nodes on a half-interval heartbeat: a third in step, a
+        # third evenly offset, a third jittered.  Some fall silent long
+        # enough to be evicted and come back; one keeps re-joining with
+        # a clock far behind the horizon and is evicted every time.
+        rng = random.Random(5001)
+        nodes = [f"n{i:02d}" for i in range(64)]
+        rng.shuffle(nodes)       # registration order is not name order
+        beat = INTERVAL / 2
+
+        def offset(i: int) -> float:
+            if i % 3 == 0:
+                return beat / 2
+            if i % 3 == 1:
+                return beat * (i / 64)
+            return rng.uniform(0.0, beat)
+
+        silent = {nodes[5]: range(8, 20), nodes[17]: range(10, 14),
+                  nodes[40]: range(12, 30)}
+        laggard = nodes[63]
+        pair = Pair(timeout=2)
+        for k in range(40):
+            if k == 25:
+                pair.checkpoint()
+            for i in rng.sample(range(64), 64):
+                node = nodes[i]
+                if k in silent.get(node, ()):
+                    continue
+                if node == laggard and k > 4:
+                    time = 10.0 + k     # behind the horizon from k = 8 on
+                else:
+                    time = k * beat + offset(i)
+                pair.send(LoadReport(
+                    time=time, count=float(rng.randint(0, 9)), node=node,
+                ))
+                pair.check()
+        dep = pair.deps[0]
+        assert dep.evictions >= 3 + 32          # the silent trio, the laggard
+        assert len(dep._at) < dep.nodes
+        kinds = [r["kind"] for r in pair.tels[0].chronicle.records]
+        assert kinds.count("node.recovered") >= 3
+        finished = [d.finish() for d in pair.deps]
+        assert finished[0] == finished[1]
+        pair.check()
 
 
 # ----------------------------------------------------------------------

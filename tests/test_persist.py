@@ -536,13 +536,12 @@ class TestRoundTrip:
         assert sorted(fresh._order, key=fresh._order.get) == sorted(
             dep._order, key=dep._order.get
         )
-        live = sorted(
-            entry for entry in dep._heap
-            if dep._clocks.get(entry[2]) == entry[0]
-        )
-        assert [(c, n) for c, _, n in sorted(fresh._heap)] == [
-            (c, n) for c, _, n in live
-        ]
+        # The clock groups come back whole, and the restored heap holds
+        # each live clock once: no dead value, no duplicate.
+        assert fresh._at == dep._at
+        live = {clock for clock in dep._heap if clock in dep._at}
+        assert live == set(dep._at)
+        assert sorted(fresh._heap) == sorted(live)
 
 
 # ----------------------------------------------------------------------

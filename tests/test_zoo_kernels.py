@@ -430,6 +430,9 @@ def _gram_cases():
         ("shortest", train[: 2 * window], window),
         ("spike-in-first-window", spiked_first, window),
         ("spike-at-end", spiked_end, window),
+        # Row 0's dots run past one chunk: two whole ones and a part.
+        ("past-a-dot-chunk",
+         oracle.long_zoo_series()[: 25_000 + window - 1], window),
     ]
 
 
@@ -508,6 +511,35 @@ class TestHankelGrams:
                 capture_output=True, text=True, check=True,
             ).stdout.strip()
             for threads in (1, 2, 4)
+        }
+        assert len(set(digests.values())) == 1, digests
+
+    def test_grams_past_a_dot_chunk_are_bitwise_at_one_and_two_threads(
+        self,
+    ):
+        """A series of more than 40,000 slots: row 0's dots are longer
+        than OpenBLAS runs on one thread, so they go in chunks summed in
+        a fixed order, and both Grams are the same float at 1 and 2
+        threads."""
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import hashlib, sys; "
+            "sys.path[:0] = [%r, %r]; "
+            "from repro.prediction import mssa; "
+            "from tests.zoo_oracles import long_zoo_series; "
+            "series = long_zoo_series(); "
+            "parts = [mssa._hankel_gram(series, 289), "
+            "*mssa._recurrence_gram(series, 289)]; "
+            "print(hashlib.sha256(b''.join(p.tobytes() for p in parts))"
+            ".hexdigest())"
+        ) % (str(root / "src"), str(root))
+        digests = {
+            threads: subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for threads in (1, 2)
         }
         assert len(set(digests.values())) == 1, digests
 

@@ -77,6 +77,14 @@ def zoo_scale_series(seed: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
+def long_zoo_series() -> np.ndarray:
+    """42,000 slots (~146 days at 5-minute slots): the zoo-scale
+    training days repeated, with 1 % noise so no two days are equal."""
+    train = zoo_scale_series()[0]
+    noise = np.random.default_rng(7).standard_normal(42_000)
+    return np.tile(train, 11)[:42_000] * (1 + 0.01 * noise)
+
+
 # ----------------------------------------------------------------------
 # Gradient-boosted trees
 # ----------------------------------------------------------------------
