@@ -1,23 +1,10 @@
-"""Correctness harness: runtime invariants, differential runs, lint.
+"""Correctness harness: tiered runtime invariants.
 
-Three layers, cheapest first:
-
-* :mod:`repro.check.invariants` — tiered runtime assertions that hot
-  code (engine, migrator, simulators) evaluates at rare boundaries;
-* :mod:`repro.check.differential` — executes the same trace through
-  engines that must agree (transaction vs. queueing, fast path vs.
-  scalar, fluid migration accounting vs. committed buckets) and compares
-  them within declared tolerances;
-* :mod:`repro.check.lint` — a small AST lint enforcing simulated-time
-  hygiene (no bare ``random``, no wall-clock reads).
-
-``pstore check`` drives all three; see docs/CORRECTNESS.md.
-
-This ``__init__`` stays light on purpose: the engine and migrator import
-``repro.check.invariants`` from their hot paths, while the differential
-runner imports the simulator (which imports the engine back).  Eagerly
-importing :mod:`~repro.check.differential` here would close that cycle,
-so the heavy submodules resolve lazily via PEP 562.
+:mod:`repro.check.invariants` holds the assertions that hot code
+(engine, migrator, simulators) evaluates at rare boundaries, gated by
+a process-wide tier (``off`` / ``cheap`` / ``expensive``).  The
+differentials that compare engines and paths, and the simulated-time
+source lint, are tests under ``tests/``; see docs/CORRECTNESS.md.
 """
 
 from __future__ import annotations
@@ -39,21 +26,7 @@ __all__ = [
     "OFF",
     "check_level",
     "check_scope",
-    "differential",
     "enabled",
     "invariants",
-    "lint",
     "set_check_level",
 ]
-
-_LAZY_SUBMODULES = ("differential", "lint")
-
-
-def __getattr__(name: str):
-    if name in _LAZY_SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

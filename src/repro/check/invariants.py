@@ -15,7 +15,7 @@ holds the cross-cutting consistency properties those components assert
     perf-regression harness budgets for them.
 ``EXPENSIVE``
     O(rows) cross-checks — full bucket-map/row-store agreement — run by
-    ``pstore check``, the test suite, and anyone debugging a divergence.
+    the test suite and anyone debugging a divergence.
 
 Every violation writes an ``invariant.violation`` record into the
 telemetry chronicle (when recording) and raises
@@ -87,7 +87,7 @@ def enabled(tier: int) -> bool:
 
 @contextmanager
 def check_scope(level: Union[int, str]):
-    """Temporarily run at a different tier (tests, ``pstore check``)."""
+    """Temporarily run at a different tier (tests, debugging)."""
     previous = set_check_level(level)
     try:
         yield

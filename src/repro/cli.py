@@ -27,10 +27,6 @@ Subcommands
     run a fault-injection scenario (node crashes, stalled transfers,
     forecast drift, ...) against the benchmark and report SLA violations
     and recovery times per strategy (see docs/FAULTS.md);
-``check``
-    run the correctness harness: the simulated-time lint, the runtime
-    invariant tiers, and the cross-engine differential suites (see
-    docs/CORRECTNESS.md);
 ``explain``
     render the causal post-mortem of a recorded run: walk the
     ``chronicle.jsonl`` flight recorder and attribute every
@@ -69,7 +65,6 @@ import numpy as np
 
 from . import PStoreConfig, api, default_config
 from .analysis import ascii_table, series_block, splice_report
-from .check import differential
 from .config import parse_set_overrides
 from .core import Planner
 from .errors import InfeasiblePlanError, PStoreError
@@ -256,30 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--no-reactive", action="store_true",
         help="skip the reactive-baseline comparison run",
-    )
-
-    check = sub.add_parser(
-        "check", parents=[common],
-        help="run invariants, differential suites, and the sim-time lint",
-    )
-    check.add_argument(
-        "--level", choices=("cheap", "expensive"), default="expensive",
-        help="invariant tier active during the differential runs "
-        "(default: expensive)",
-    )
-    check.add_argument(
-        "--suite", action="append", choices=differential.SUITES,
-        default=None, metavar="NAME",
-        help="differential suite(s) to run (repeatable; default: all)",
-    )
-    check.add_argument(
-        "--skip-lint", action="store_true",
-        help="skip the AST lint over the repro package",
-    )
-    check.add_argument(
-        "--inject", choices=differential.INJECTIONS, default=None,
-        help="deliberately corrupt one path to verify the harness "
-        "catches it (the command must then exit nonzero)",
     )
 
     explain = sub.add_parser(
@@ -581,8 +552,6 @@ def _cmd_paper(args) -> int:
     grids = [defn.make_grid() for defn in defns]
     # One sweep over every artefact's cells: a cell two artefacts share
     # (fig10 and tab02 fold fig09's) has one cache key, so it runs once.
-    # No cache: a key carries no code version, so a warm one would let
-    # --update write numbers this code did not measure.
     report = run_sweep(
         [spec for grid in grids for spec in grid],
         cache=None,
@@ -715,33 +684,6 @@ def _cmd_chaos(args) -> int:
     print()
     print(f"converged: {'yes' if result.all_converged else 'NO'}")
     return 0 if result.all_converged else 1
-
-
-def _cmd_check(args) -> int:
-    from .check import check_scope
-    from .check import lint as lint_mod
-
-    failures = 0
-    if not args.skip_lint:
-        issues = lint_mod.lint_package()
-        for issue in issues:
-            print(f"lint: {issue}", file=sys.stderr)
-        if issues:
-            failures += len(issues)
-        else:
-            print("lint: ok")
-
-    suites = args.suite or list(differential.SUITES)
-    logger.info("running differential suites %s at level %s", suites, args.level)
-    with check_scope(args.level):
-        report = differential.run_suite(suites=suites, inject=args.inject)
-    print(report.describe())
-    failures += len(report.failures)
-    if failures:
-        print(f"error: {failures} check(s) failed", file=sys.stderr)
-        return 1
-    print("all checks passed")
-    return 0
 
 
 def _parse_window(spec: Optional[str]):
@@ -962,7 +904,6 @@ _COMMANDS = {
     "paper": _cmd_paper,
     "sweep": _cmd_sweep,
     "chaos": _cmd_chaos,
-    "check": _cmd_check,
     "explain": _cmd_explain,
     "serve": _cmd_serve,
     "cache": _cmd_cache,

@@ -8,8 +8,9 @@ strategies crossed with two workload seeds over one 96x-compressed
 B2W-like day (900 simulated seconds per cell, well under a second of
 wall time each).  Every cell declares both ``run_cell`` (serial) and
 ``tensor_cell`` (batched), which makes the grid the canonical workload
-for tensor-vs-serial differentials (``pstore check --suite tensor``)
-and the CI tensor smoke job.
+for the tensor-vs-serial differential
+(``tests/test_tensor.py::TestTensorDifferential``) and the CI tensor
+smoke job.
 
 The reactive and simple strategies migrate several times per cell, so
 the grid exercises blocks that carry per-tick shares and migration

@@ -43,13 +43,14 @@ the numbers changes — only the batching of pure math:
   ``+0.0``), and a block containing a zero-completed tick is sampled
   by its own engine, which draws for its completed rows only.
 
-The PR-4 differential harness pins this: ``pstore check --suite tensor``
-runs serial and tensor drivers side by side with zero tolerance.
+``tests/test_tensor.py`` pins this: it runs the tensmoke grid through
+serial and tensor drivers side by side and compares each cell's
+canonical payload byte for byte.
 
 This module lives in simulated time and must stay free of wall-clock
-reads (enforced by the PR-4 lint).  Callers that want per-cell timings
-pass a ``clock`` callable (e.g. ``time.perf_counter`` from the sweep
-executor, which is allowlisted).
+reads (enforced by the sim-time lint, ``tests/lint.py``).  Callers
+that want per-cell timings pass a ``clock`` callable (e.g.
+``time.perf_counter`` from the sweep executor, which is allowlisted).
 """
 
 from __future__ import annotations

@@ -576,8 +576,21 @@ def resume_runs(tmp_path_factory):
         SERVE_SEED, SERVE_TRIGGER
     )
     ckpt = tmp_path_factory.mktemp("serve-ckpt")
+    at_kill = {}
+
+    def on_kill(plane):
+        # Before the resumed run rewrites the directory.
+        folded = read_checkpoint(plane.options.checkpoint_dir)
+        for meta in ("schema", "seq", "chronicle_rows"):
+            folded.pop(meta)
+        at_kill.update(
+            folded=folded,
+            state=json.loads(json.dumps(plane.state_dict(), sort_keys=True)),
+        )
+
     killed, resumed, merged = run_resume_scenario(
-        SERVE_SEED, SERVE_TRIGGER, checkpoint_dir=ckpt, kill_after=90
+        SERVE_SEED, SERVE_TRIGGER, checkpoint_dir=ckpt, kill_after=90,
+        on_kill=on_kill,
     )
     return {
         "baseline": baseline_summary,
@@ -585,7 +598,30 @@ def resume_runs(tmp_path_factory):
         "killed": killed,
         "resumed": resumed,
         "merged_chronicle": merged,
+        "at_kill": at_kill,
     }
+
+
+#: Summary counters a resumed run must share with the uninterrupted one.
+CONVERGED_FIELDS = (
+    "intervals",
+    "violations",
+    "moves_started",
+    "emergencies",
+    "trigger_fires",
+    "trigger_recoveries",
+    "steady_machines",
+    "machines",
+    "mode",
+    "watermark",
+)
+
+
+def _assert_summary_converges(resumed, baseline):
+    for field in CONVERGED_FIELDS:
+        assert resumed[field] == baseline[field], (
+            f"{field}: baseline={baseline[field]} resumed={resumed[field]}"
+        )
 
 
 class TestKillThenResume:
@@ -598,21 +634,20 @@ class TestKillThenResume:
         assert resume_runs["killed"]["resumed"] is False
         assert resume_runs["resumed"]["checkpoint_saves"] > 0
 
+    def test_checkpoint_is_the_state_at_the_kill(self, resume_runs):
+        """The last journal fold is the state the plane died in."""
+        folded = resume_runs["at_kill"]["folded"]
+        state = resume_runs["at_kill"]["state"]
+        differ = sorted(
+            key for key in folded.keys() | state.keys()
+            if folded.get(key) != state.get(key)
+        )
+        assert not differ, f"fields that differ: {', '.join(differ)}"
+
     def test_summary_converges_to_uninterrupted_run(self, resume_runs):
-        baseline, resumed = resume_runs["baseline"], resume_runs["resumed"]
-        for field in (
-            "intervals",
-            "violations",
-            "moves_started",
-            "emergencies",
-            "trigger_fires",
-            "trigger_recoveries",
-            "steady_machines",
-            "machines",
-            "mode",
-            "watermark",
-        ):
-            assert resumed[field] == baseline[field], field
+        _assert_summary_converges(
+            resume_runs["resumed"], resume_runs["baseline"]
+        )
 
     def test_chronicle_tail_converges(self, resume_runs):
         base = chronicle_projection(resume_runs["baseline_chronicle"])
@@ -663,6 +698,26 @@ class TestKillThenResume:
         )
         interval = resume_runs["baseline"]["interval_seconds"]
         assert resume["watermark"] >= resume["intervals"] * interval - interval
+
+    def test_a_resume_that_forgets_its_clocks_fails_to_converge(
+        self, resume_runs, tmp_path, monkeypatch
+    ):
+        """A broken copy: the restored depository arms no duplicate
+        suppression, so the full-trace replay is counted again.  The
+        convergence assertions above must catch it."""
+        from repro.serve.depository import Depository
+
+        monkeypatch.setattr(Depository, "_rebuild", Depository._rebuild_heap)
+        _, resumed, merged = run_resume_scenario(
+            SERVE_SEED, SERVE_TRIGGER, checkpoint_dir=tmp_path, kill_after=90
+        )
+        baseline = resume_runs["baseline"]
+        with pytest.raises(AssertionError):
+            _assert_summary_converges(resumed, baseline)
+        assert resumed["reports"] != baseline["reports"]
+        assert chronicle_projection(merged) != chronicle_projection(
+            resume_runs["baseline_chronicle"]
+        )
 
 
 # ----------------------------------------------------------------------

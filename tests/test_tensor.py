@@ -8,12 +8,13 @@ as per-tick rows, so no cell is ever evicted.
 import numpy as np
 import pytest
 
-from repro.config import default_config
+from repro.config import canonical_json, default_config
 from repro.elasticity import StaticStrategy
 from repro.elasticity.manual import ManualStrategy
 from repro.experiments import tensmoke
 from repro.faults import FaultInjector, FaultSpec
 from repro.runner import ResultCache, SweepExecutor, run_sweep
+from repro.runner.spec import jsonify
 from repro.sim import ElasticDbSimulator
 from repro.sim.tensor import (
     TensorBatchEngine,
@@ -48,7 +49,10 @@ class TestTensorDifferential:
     def test_tensmoke_grid_matches_serial(self):
         """All strategies x seeds: batched payloads == serial payloads."""
         specs = tensmoke.grid()
-        serial = {s.label: tensmoke.run_cell(s, CFG) for s in specs}
+        serial = {
+            s.label: canonical_json(jsonify(tensmoke.run_cell(s, CFG)))
+            for s in specs
+        }
         programs = [tensmoke.tensor_cell(s, CFG) for s in specs]
         report = TensorBatchEngine(programs).run()
         assert report.rounds > 0
@@ -56,9 +60,12 @@ class TestTensorDifferential:
         assert report.batched_ticks == 900 * len(specs)
         assert report.scalar_ticks == 0
         assert report.evictions == 0
+        # The canonical JSON is the material ``result_hash`` pins; a dict
+        # ``==`` would let -0.0 pass for 0.0.
         for program, cell in zip(programs, report.outcomes):
             assert cell.error is None, cell.error
-            assert program.finalize(cell.result) == serial[program.label]
+            got = canonical_json(jsonify(program.finalize(cell.result)))
+            assert got == serial[program.label], program.label
 
     def test_single_program(self):
         offered = _sinusoid(600)
