@@ -339,3 +339,19 @@ class ProvisioningStrategy(abc.ABC):
         ``history_tps`` holds the measured aggregate load (txn/s) for
         every interval up to and including the current one.
         """
+
+    def decide_run(
+        self,
+        slot: int,
+        history_tps: Sequence[float],
+        current_machines: int,
+        count: int,
+    ) -> Tuple[int, ScaleDecision]:
+        """Decide the intervals ``slot`` .. ``slot + count - 1`` at
+        ``current_machines`` in order, stopping at the first decision
+        that acts; ``history_tps`` is ``slot``'s, and the later
+        intervals' histories extend it by the series :meth:`reset` was
+        told is ``known``.  Returns the last interval decided as an
+        offset from ``slot``, and its decision: the intervals before it
+        did not act.  By default the block is one :meth:`decide`."""
+        return 0, self.decide(slot, history_tps, current_machines)

@@ -10,7 +10,7 @@ and has ``min_history`` measured slots to forecast from.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from ..config import PStoreConfig
 from ..core.controller import PredictiveController
@@ -89,3 +89,19 @@ class PStoreStrategy(ProvisioningStrategy, Persisted):
         if not self.warmed_up(history_tps):
             return NO_ACTION  # still warming up the predictor
         return self.controller.decide(history_tps, current_machines)
+
+    def decide_run(
+        self,
+        slot: int,
+        history_tps: Sequence[float],
+        current_machines: int,
+        count: int,
+    ) -> Tuple[int, ScaleDecision]:
+        """A block of the controller's
+        (:meth:`PredictiveController.decide_run`); a predictor that is
+        not warmed up at ``slot`` answers ``NO_ACTION`` for it alone."""
+        if not self.warmed_up(history_tps):
+            return 0, NO_ACTION
+        return self.controller.decide_run(
+            history_tps, current_machines, count
+        )

@@ -345,9 +345,11 @@ class ForecastTable:
         self._lo = 0
         self._rows = np.empty((0, horizon))
 
-    def row(self, history: Sequence[float]) -> np.ndarray:
-        """The forecast from the last slot of ``history`` (read-only),
-        which must be a prefix of the table's series."""
+    def rows(self, history: Sequence[float], count: int = 1) -> np.ndarray:
+        """The forecasts from the last slot of ``history``, which must be
+        a prefix of the table's series, and from up to ``count - 1``
+        slots after it: ``(n, horizon)``, read-only, with ``1 <= n <=
+        count`` (a block ends where the held chunk does)."""
         origin = len(history) - 1
         if not (
             0 <= origin < self.series.size
@@ -365,7 +367,7 @@ class ForecastTable:
             )
             self._rows.setflags(write=False)
             self._lo, offset = origin, 0
-        return self._rows[offset]
+        return self._rows[offset : offset + count]
 
 
 class BacktestResult:

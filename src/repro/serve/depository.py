@@ -125,10 +125,13 @@ class Depository(Persisted):
         time, count, node = report
         time = float(time)
         interval, released = self._interval, self._released
-        if time <= self._resume_clocks.get(node, -1.0):
+        resumed = self._resume_clocks
+        if node in resumed and time <= resumed[node]:
             # Replay source re-sent a report the pre-crash run already
             # ingested (its count is inside the checkpointed buffer or a
             # closed interval); counting it again would double the load.
+            # A node with no resume clock has no duplicates: a negative
+            # time is a late report like any other before the watermark.
             self.duplicate_reports += 1
             if tel.enabled:
                 tel.metrics.counter("serve.reports_duplicate").inc()

@@ -93,6 +93,12 @@ class CapacitySimResult:
 PEAK_SIGMA = 0.08
 PEAK_SEED = 101
 
+#: Slots one :meth:`ProvisioningStrategy.decide_run` call may decide
+#: while no move is in flight.  A predictive block pays for the
+#: feasibility of every slot in it, and decides only those up to the
+#: first that starts a move, so a longer block wastes more.
+DECISION_BLOCK = 32
+
 
 class CapacitySimulator:
     """Drives one strategy through a load trace at slot granularity."""
@@ -152,20 +158,36 @@ class CapacitySimulator:
         out_eff_qhat = np.empty(n_slots)
         out_migrating = np.zeros(n_slots, dtype=bool)
 
-        for slot in range(n_slots):
+        slot = 0
+        while slot < n_slots:
             # history may be pre-seeded with the training window;
             # forecasts key on its index, so telemetry does too.
-            index = seeded + slot
             if recording:
                 harvest = tel.accuracy.observe(
-                    index, float(load_tps[slot]),
+                    seeded + slot, float(load_tps[slot]),
                     time=(slot + 1) * slot_seconds,
                 )
                 scored = harvest[0] if harvest else {}
 
             if not alloc.migrating:
-                decision = strategy.decide(slot, history[: index + 1], alloc.machines)
+                # A block of slots at this size; each slot writes its
+                # own records, so a recording run decides one at a time.
+                offset, decision = strategy.decide_run(
+                    slot, history[: seeded + slot + 1], alloc.machines,
+                    1 if recording else min(DECISION_BLOCK, n_slots - slot),
+                )
                 target = alloc.target(decision)
+                # The slots that start no move hold the allocation (a
+                # recording run's one slot is written below).
+                held = offset + (target is None and not recording)
+                if held:
+                    machines = alloc.machines
+                    out_machines[slot : slot + held] = machines
+                    out_eff_q[slot : slot + held] = config.q * machines
+                    out_eff_qhat[slot : slot + held] = config.q_hat * machines
+                    slot += held
+                    if target is None:
+                        continue
                 if target is not None:
                     alloc.start(target, decision, slot * slot_seconds, {"slot": slot})
 
@@ -185,7 +207,7 @@ class CapacitySimulator:
             if recording:
                 record_interval(
                     tel.tracer, slot * slot_seconds, (slot + 1) * slot_seconds,
-                    index, float(load_tps[slot]),
+                    seeded + slot, float(load_tps[slot]),
                     int(out_machines[slot]), bool(out_migrating[slot]),
                 )
                 self._record_slot(
@@ -210,6 +232,7 @@ class CapacitySimulator:
                         inflated_tps=scored.get("inflated"),
                         predictor=scored.get("predictor"),
                     )
+            slot += 1
 
         if recording:
             tel.metrics.gauge("sim.slots").set(n_slots)

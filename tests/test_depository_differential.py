@@ -47,7 +47,7 @@ class ScanDepository(Depository):
         tel = self._telemetry
         time = float(report.time)
         node = report.node
-        if time <= self._resume_clocks.get(node, -1.0):
+        if node in self._resume_clocks and time <= self._resume_clocks[node]:
             self.duplicate_reports += 1
             if tel.enabled:
                 tel.metrics.counter("serve.reports_duplicate").inc()
@@ -301,13 +301,17 @@ class TestHeapAgainstScan:
         assert dep._at == {405.0: {"a"}, 420.0: {"c"}}
 
     def test_a_first_report_before_zero_starts_its_clock_at_zero(self):
-        # At or below -1 a report is a duplicate; just above, it is late
-        # and its node's clock starts at 0.
+        # On a run that never resumed no report is a duplicate: one
+        # before zero, by a fraction of a second or by 30 s, is late (slot
+        # -1) and its node's clock starts at 0.
         pair = Pair(timeout=1)
         pair.send(LoadReport(time=-0.5, count=1.0, node="a"))
         pair.send(LoadReport(time=-0.25, count=1.0, node="b"))
+        pair.send(LoadReport(time=-30.0, count=1.0, node="c"))
         pair.check()
-        assert pair.deps[0]._at == {0.0: {"a", "b"}}
+        dep = pair.deps[0]
+        assert dep._at == {0.0: {"a", "b", "c"}}
+        assert (dep.late_reports, dep.duplicate_reports) == (3, 0)
 
     def test_offset_and_jittered_fan_in_steps_with_the_scan(self):
         # 64 nodes on a half-interval heartbeat: a third in step, a
