@@ -78,7 +78,7 @@ def best_moves_reference(
             return MoveSchedule(moves)
     raise InfeasiblePlanError(
         f"no feasible move sequence from N0={n0} over horizon T={horizon}",
-        required_machines=planner.machines_needed(max(loads)),
+        required_machines=planner.machines_needed([max(loads)])[0],
     )
 
 
@@ -117,7 +117,7 @@ def _cost_recursive(
 
 def memo_z_bound(loads: List[float], n0: int, planner: Planner) -> range:
     """Machines 1..Z that Algorithm 2's argmin ranges over."""
-    z = max(planner.machines_needed(max(loads)), n0)
+    z = max(planner.machines_needed([max(loads)])[0], n0)
     if planner.config.max_machines:
         z = min(z, planner.config.max_machines)
     return range(z)

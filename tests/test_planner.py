@@ -41,10 +41,8 @@ class TestPrimitives:
     def test_machines_needed(self):
         p = planner()
         q = p.config.q
-        assert p.machines_needed(0.0) == 1
-        assert p.machines_needed(q) == 1
-        assert p.machines_needed(q + 1) == 2
-        assert p.machines_needed(10 * q) == 10
+        assert p.machines_needed([0.0, q, q + 1, 10 * q]) == [1, 1, 2, 10]
+        assert p.machines_needed([]) == []
 
 
 class TestPlanBasics:
