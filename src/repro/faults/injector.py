@@ -429,11 +429,6 @@ class FaultInjector:
                 multiplier *= record.spec.magnitude
         return multiplier
 
-    @property
-    def corruption_pending(self) -> bool:
-        """Whether the next round to land will take a corruption."""
-        return bool(self._corruption_queue)
-
     def take_corruption(self) -> Optional[FaultRecord]:
         """Consume one pending transfer-corruption marker, if any."""
         if self._corruption_queue:

@@ -465,14 +465,14 @@ class ElasticDbSimulator:
         A block starts at a planner boundary, so only its first tick may
         close an interval and plan.  A fault-free block with no move in
         flight hands the engine its one shares row.  Else the block goes
-        in runs of seconds that each start by injecting faults and end at
-        the injector's ``next_change`` rounded up to a second (after one
-        second if a move start already advanced the injector).  In a run
-        a move advances by whole seconds
-        (:meth:`~repro.squall.migrator.ActiveMigration.advance_seconds`)
-        until it finishes, the rest is steady, and a second spent wedged,
-        right after a stall, re-sending or with a corruption queued goes
-        on its own through the allocation's ``progress``.
+        in slices that each start by injecting faults and end at the
+        allocation's :meth:`~repro.squall.migrator.Allocation.next_slice`
+        rounded up to a whole second (at the block's end, without an
+        injector).  A move advances by a slice's whole seconds
+        (:meth:`~repro.squall.migrator.ActiveMigration.advance_seconds`),
+        under an injector all but the last, which, like every second of
+        a wedged slice, goes by the allocation's ``spend``: there it may
+        land a round, re-send or finish.
         """
         start, injector = run.t, self._injector
         if injector is not None:
@@ -489,14 +489,13 @@ class ElasticDbSimulator:
         shape = (end - start, self.max_machines * p)
         shares = np.empty(shape)
         rows = capacity = None
-        while True:
-            t, stop, faulty = run.t, end, False
+        while run.t < end:
+            t, stop, stall, faulty = run.t, end, None, False
             if injector is not None:
-                change = injector.next_change(t)
-                if injector.now > t:
-                    stop = t + 1
-                elif change < end:
-                    stop = math.ceil(change - 1e-9)
+                if t > start:
+                    self._inject_faults(run)
+                until, stall = run.alloc.next_slice(float(t), float(end))
+                stop = max(t + 1, math.ceil(until - 1e-9))
                 slowdown = injector.any_slowdown_active
                 faulty = slowdown or injector.recovering
                 if slowdown:
@@ -505,63 +504,49 @@ class ElasticDbSimulator:
                     capacity[t - start:stop - start] = np.repeat(
                         injector.capacity_multipliers(self.max_machines, float(t)), p
                     )
-            while run.t < stop:
-                i, move = run.t - start, run.alloc.move
-                if move is None:
-                    shares[i:stop - start] = self._steady_shares(run)
-                    run.out_machines[run.t:stop] = run.alloc.machines
-                    run.iv_fault += faulty * (stop - run.t)
-                    run.t = stop
-                    break
-                if rows is None:
-                    rows = MigrationInterference.none(shape)
-                now = float(run.t + 1)
-                stall = (
-                    None if injector is None or move.migration.done
-                    else injector.stall_record(now)
-                )
-                wedged = move.stall is not None or move.resend_seconds > 1e-9
-                if injector is None or not (
-                    stall or wedged or injector.corruption_pending
-                ):
-                    seconds = move.migration.advance_seconds(stop - run.t)
-                    self._move_rows(
-                        run, move, seconds, shares[i:], rows.take(slice(i, None))
-                    )
-                    run.iv_fault += faulty * len(seconds.rounds)
-                    run.t += len(seconds.rounds)
-                else:
-                    self._move_rows(
-                        run, move, move.migration.state(), shares[i:i + 1],
-                        rows.take(slice(i, i + 1)),
-                    )
-                    run.iv_fault += faulty or wedged
-                    run.alloc.progress(1.0, now, stall)
-                    run.t += 1
-                if move.finished:
-                    self._settle(run, float(run.t))
-            if run.t == end:
-                return BlockRequest(
-                    start, end, shares, run.offered[start:end], rows, capacity
-                )
-            self._inject_faults(run)
+            move = run.alloc.move
+            if move is None:
+                shares[t - start:stop - start] = self._steady_shares(run)
+                run.out_machines[t:stop] = run.alloc.machines
+                run.iv_fault += faulty * (stop - t)
+                run.t = stop
+                continue
+            if rows is None:
+                rows = MigrationInterference.none(shape)
+            wedged = stall is not None or move.resend_seconds > 1e-9
+            last = stop - (injector is not None)
+            if not wedged and last > t:
+                seconds = move.migration.advance_seconds(last - t)
+                self._move_rows(run, move, seconds, shares, rows, start)
+            if injector is not None:
+                now = run.t
+                seconds = move.migration.state(stop - now)
+                self._move_rows(run, move, seconds, shares, rows, start)
+                run.alloc.spend(float(now), float(stop))
+            run.iv_fault += (faulty or wedged) * (run.t - t)
+            if move.finished:
+                self._settle(run, float(run.t))
+        return BlockRequest(
+            start, end, shares, run.offered[start:end], rows, capacity
+        )
 
     def _move_rows(
         self, run: _Run, move: Reconfiguration, seconds, shares: np.ndarray,
-        rows: MigrationInterference,
+        rows: MigrationInterference, start: int,
     ) -> None:
-        """Write the rows of the seconds from ``run.t`` a move spends in
-        flight, from the state each starts in (a
-        :class:`~repro.squall.migrator.MigrationSeconds`): each logical
-        machine's data fraction spread evenly over its physical machine's
-        partitions, and the interference of each round's migrating
-        machines."""
+        """Write the rows (of the block from tick ``start``) of the
+        seconds from ``run.t`` a move spends in flight, from the state
+        each starts in (a :class:`~repro.squall.migrator.MigrationSeconds`),
+        and move ``run.t`` past them: each logical machine's data fraction
+        spread evenly over its physical machine's partitions, and the
+        interference of each round's migrating machines."""
         migration = move.migration
         p = self.config.partitions_per_node
         ticks, logical = seconds.fractions.shape
+        i = run.t - start
         node_map = migration.node_map or {}
         physical = [node_map.get(machine, machine) for machine in range(logical)]
-        by_machine = shares[:ticks].reshape(ticks, self.max_machines, p)
+        by_machine = shares[i:i + ticks].reshape(ticks, self.max_machines, p)
         by_machine[...] = 0.0
         by_machine[:, physical, :] = (seconds.fractions / p)[:, :, None]
         # The interference of a round, once per run of its seconds.
@@ -576,11 +561,12 @@ class ElasticDbSimulator:
                 move.rate_kbps,
                 self.chunk_kb,
             )
-            rows.busy_fraction[lo:hi] = np.repeat(machines.busy_fraction, p)
-            rows.stall_seconds[lo:hi] = np.repeat(machines.stall_seconds, p)
+            rows.busy_fraction[i + lo:i + hi] = np.repeat(machines.busy_fraction, p)
+            rows.stall_seconds[i + lo:i + hi] = np.repeat(machines.stall_seconds, p)
         run.out_machines[run.t:run.t + ticks] = seconds.allocation
         run.out_migrating[run.t:run.t + ticks] = True
         run.iv_migr += ticks
+        run.t += ticks
 
     @staticmethod
     def _settle(run: _Run, now: float) -> None:

@@ -20,9 +20,10 @@ also runs the move side of the loop's fault protocol.
 reconfiguration plan, and as each machine-pair transfer completes it
 commits the corresponding bucket moves so the rows physically relocate.
 
-The migrator steps a move round by round, and with a
-:class:`~repro.faults.FaultInjector` attached also between fault
-boundaries (bucket moves only commit once a clean copy has arrived);
+The migrator spends a move's time by its allocation's move clock,
+:meth:`Allocation.next_slice`: slices end where a round lands, a re-send
+is paid off or an attached :class:`~repro.faults.FaultInjector` changes
+(bucket moves only commit once a clean copy has arrived);
 :meth:`ClusterMigrator.abort` and :meth:`ClusterMigrator.fail_node` are
 the crash edge.
 """
@@ -326,12 +327,13 @@ class ActiveMigration:
         """
         return np.clip(self._fractions, 0.0, None)
 
-    def state(self) -> MigrationSeconds:
-        """The state a second starting now starts in, as one row."""
+    def state(self, seconds: int) -> MigrationSeconds:
+        """The state ``seconds`` seconds from now start in, one row each,
+        when no data moves before the last of them starts."""
         return MigrationSeconds(
-            self.data_fractions()[None],
-            np.array([self.machines_allocated()]),
-            np.array([self._round_index]),
+            np.broadcast_to(self.data_fractions(), (seconds, self._fractions.size)),
+            np.full(seconds, self.machines_allocated()),
+            np.full(seconds, self._round_index),
         )
 
     def machines_allocated(self) -> int:
@@ -369,8 +371,8 @@ class Reconfiguration(Persisted):
     Built and started by :meth:`Allocation.start`.  The loops keep their
     own order and time slicing (see ``docs/ALGORITHMS.md``): slot-level
     loops advance it with :meth:`step_slot`; tick-level loops advance it
-    through :meth:`Allocation.progress`, and the simulator takes a run of
-    seconds no fault touches with ``migration.advance_seconds``.
+    through :meth:`Allocation.spend`, and the simulator takes the whole
+    seconds of a slice that moves data with ``migration.advance_seconds``.
 
     The three emitters write one chronicle record each, with the same
     fields in every loop, and own the ``migrate.moves_started |
@@ -622,8 +624,8 @@ class Allocation:
     faults) it runs the move side of the fault protocol, with the retry
     policy ``config.faults`` and one backoff-jitter ``rng`` that
     outlives every move: :meth:`start` notifies the injector,
-    :meth:`progress` spends a move's time under its faults,
-    :meth:`confirm` confirms crash recovery.
+    :meth:`next_slice` is the move clock and :meth:`spend` spends a
+    move's time by it, :meth:`confirm` confirms crash recovery.
     """
 
     def __init__(
@@ -683,16 +685,46 @@ class Allocation:
             self.injector.notify_migration_started(now)
         return move
 
-    def progress(self, dt: float, now: float, stall, commit=None) -> None:
-        """:meth:`Reconfiguration.progress` of the move in flight, under
-        the injector's faults if there is one.  Each round whose clean
-        copy has now arrived goes to ``commit``, and a re-sent one is
-        then marked recovered."""
-        for round_, record in self.move.progress(dt, now, stall, self):
-            if commit is not None:
-                commit(round_)
-            if record is not None:
-                self.injector.mark_recovered(record, now)
+    def next_slice(self, now: float, limit: float) -> Tuple[float, object]:
+        """The move clock of every tick-level host: the end of the next
+        slice of time from ``now`` (``limit`` at the latest), and the
+        injector's stall at ``now`` (None: the slice moves data).
+
+        A stall wedges every transfer, a re-send included; else a slice
+        pays off owed re-sends, then moves the current round.  It ends
+        where the injector next changes (at its clock, if a move start
+        ran it past ``now``), the re-send is paid off or the round lands.
+        """
+        end, stall, injector, move = limit, None, self.injector, self.move
+        if injector is not None:
+            stall = injector.stall_record(now)
+            clock = injector.now
+            end = min(end, clock if clock > now + 1e-9 else injector.next_change(now))
+        if move is not None and stall is None:
+            owed = move.resend_seconds
+            if owed <= 1e-9:
+                owed = move.migration.seconds_to_round_end
+            end = min(end, now + max(owed, 1e-9))
+        return end, stall
+
+    def spend(self, now: float, until: float, commit=None) -> float:
+        """Spend ``now`` to ``until`` on the move in flight, slice by
+        slice, each from the injector advanced to its start; returns
+        where it stopped (early, where the move finishes).  A round whose
+        clean copy arrives goes to ``commit(round, time)``, and a re-sent
+        one is then marked recovered."""
+        move, injector = self.move, self.injector
+        while now < until - 1e-9 and not move.finished:
+            if injector is not None:
+                injector.advance(now)
+            end, stall = self.next_slice(now, until)
+            for round_, record in move.progress(end - now, end, stall, self):
+                if commit is not None:
+                    commit(round_, end)
+                if record is not None:
+                    injector.mark_recovered(record, end)
+            now = end
+        return now
 
     def confirm(self, now: float) -> None:
         """At a planning boundary that left no move in flight, every
@@ -832,34 +864,18 @@ class ClusterMigrator:
         """Advance the active migration by ``dt`` seconds, or until it
         completes; returns True when it does.
 
-        ``dt`` is taken in slices that end where the current round lands
-        or a re-send is paid off, and, with an injector, where the
-        injector next changes; a wedged transfer spends its slice moving
-        no data.  Every slice goes through the allocation's ``progress``,
-        so bucket moves commit once a clean copy of their round has
-        landed, stamped at the slice's end.
+        The time goes by the allocation's :meth:`Allocation.spend`, so
+        bucket moves commit once a clean copy of their round has landed,
+        stamped where it lands.
         """
         move = self.allocation.move
         if move is None:
             raise MigrationError("no active migration")
         if dt < 0:
             raise MigrationError("dt must be non-negative")
-        injector = self.allocation.injector
-        remaining = float(dt)
-        while remaining > 1e-9 and not move.finished:
-            now, step, stall = self._sim_time, remaining, None
-            if injector is not None:
-                injector.advance(now)
-                stall = injector.stall_record(now)
-                step = min(step, max(injector.next_change(now) - now, 1e-9))
-            if stall is None:
-                owed = move.resend_seconds
-                if owed <= 1e-9:
-                    owed = max(move.migration.seconds_to_round_end, 1e-9)
-                step = min(step, owed)
-            self._sim_time += step
-            remaining -= step
-            self.allocation.progress(step, self._sim_time, stall, self._commit_round)
+        self._sim_time = self.allocation.spend(
+            self._sim_time, self._sim_time + dt, self._commit_round
+        )
         if move.finished:
             self.allocation.settle(self._sim_time)
             self._finish(move.retiring_nodes)
@@ -891,7 +907,7 @@ class ClusterMigrator:
         self.allocation.machines = self.cluster.fail_node(node_id)["survivors"]
         return self.allocation.machines
 
-    def _commit_round(self, round_: Tuple[Transfer, ...]) -> None:
+    def _commit_round(self, round_: Tuple[Transfer, ...], now: float) -> None:
         # Bracket the commit itself rather than diffing against a
         # start-of-move snapshot: live workload legitimately changes row
         # counts *between* advances, but a bucket move must never.
@@ -902,27 +918,27 @@ class ClusterMigrator:
         if check_rows:
             invariants.check_row_conservation(
                 self.cluster, before,
-                "ClusterMigrator.commit", time=self._sim_time,
+                "ClusterMigrator.commit", time=now,
             )
         tel = self._telemetry
         if tel.enabled:
-            # The slice that landed the round ends now: a stall or a
-            # re-send before it is inside the round's window.
+            # A stall or a re-send before the landing is inside the
+            # round's window.
             tel.tracer.record(
                 "migrate.round",
                 self._round_started_at,
-                self._sim_time,
+                now,
                 round=self._rounds_committed,
                 transfers=len(round_),
             )
             tel.chronicle.record(
                 "migration.round",
-                time=self._sim_time,
+                time=now,
                 parent=self.allocation.move.record_id,
                 round=self._rounds_committed,
                 transfers=len(round_),
             )
-            self._round_started_at = self._sim_time
+            self._round_started_at = now
         self._rounds_committed += 1
 
     # ------------------------------------------------------------------

@@ -280,8 +280,8 @@ def steady_shares(sim, run) -> np.ndarray:
 def per_second_control(sim, run, end: int) -> BlockRequest:
     """``ElasticDbSimulator._control``, one second at a time: inject
     faults -> close the interval -> plan -> this second's shares,
-    interference and capacity from the move's state -> progress the
-    move."""
+    interference and capacity from the move's state -> spend the second
+    on the move."""
     start, injector = run.t, sim.injector
     p = sim.config.partitions_per_node
     shape = (end - start, sim.max_machines * p)
@@ -330,14 +330,11 @@ def per_second_control(sim, run, end: int) -> BlockRequest:
             capacity[i] = np.repeat(
                 injector.capacity_multipliers(sim.max_machines, float(t)), p
             )
-        if (
-            (injector is not None and injector.recovering)
-            or slowdown
-            or (
-                move is not None
-                and (move.stall is not None or move.resend_seconds > 1e-9)
-            )
-        ):
+        wedged = move is not None and injector is not None and (
+            run.alloc.next_slice(float(t), float(t + 1))[1] is not None
+            or move.resend_seconds > 1e-9
+        )
+        if (injector is not None and injector.recovering) or slowdown or wedged:
             run.iv_fault += 1
         if move is not None:
             _progress_move(sim, run)
@@ -348,23 +345,25 @@ def per_second_control(sim, run, end: int) -> BlockRequest:
 
 
 def _progress_move(sim, run) -> None:
-    """Advance the move in flight by this second — or spend it wedged,
-    or re-sending a corrupted round — and finish the move once every
-    round has landed."""
-    move = run.alloc.move
-    injector = sim.injector
-    now = float(run.t + 1)
+    """Spend this second on the move in flight, slice by slice of the
+    allocation's move clock (``next_slice``) — wedged, re-sending a
+    corrupted round or moving data, with the injector advanced to each
+    slice's start — and finish the move once every round has landed."""
+    move, injector = run.alloc.move, sim.injector
+    now, end = float(run.t), float(run.t + 1)
     if injector is None:
         move.migration.advance(1.0)
-    else:
-        stall = (
-            injector.stall_record(now) if not move.migration.done else None
-        )
-        run.alloc.progress(1.0, now, stall)
+    while injector is not None and now < end - 1e-9 and not move.finished:
+        injector.advance(now)
+        until, stall = run.alloc.next_slice(now, end)
+        for _, record in move.progress(until - now, until, stall, run.alloc):
+            if record is not None:
+                injector.mark_recovered(record, until)
+        now = until
     if move.finished:
         for machine in move.retiring_nodes:
             run.active.remove(machine)
-        run.alloc.settle(now)
+        run.alloc.settle(end)
 
 
 def drive_requests(sim, offered_tps, strategy, oracle: bool = False):

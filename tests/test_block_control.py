@@ -5,10 +5,11 @@ from it, against the per-second loop they replace.
 second bit for bit, and every :class:`~repro.sim.simulator.BlockRequest`
 must carry the rows of ``per_second_control`` in
 ``tests/engine_oracle.py`` — a fault-free steady block as its one shares
-row.  Under a fault injector the simulator takes a block in runs of
-seconds between the injector's changes; seeded scenarios of every fault
-kind hold its requests, results and both chronicles to the per-second
-loop's.
+row.  Under a fault injector the simulator takes a block in slices of
+the move clock (``Allocation.next_slice``) rounded up to whole seconds;
+seeded scenarios of every fault kind hold its requests, results and both
+chronicles to the per-second loop's, which spends every second slice by
+slice of the same clock.
 """
 
 import copy

@@ -264,14 +264,13 @@ class TestInjectorLifecycle:
         assert injector.next_change(0.0) == 10.0
         injector.advance(10.0)
         assert injector.next_change(10.0) == 12.5
-        assert not injector.corruption_pending
+        assert injector.take_corruption() is None
         injector.advance(12.5)
-        assert injector.corruption_pending
         assert injector.next_change(12.5) == 30.0
         injector.advance(30.0)
         assert injector.next_change(30.0) == float("inf")
-        injector.take_corruption()
-        assert not injector.corruption_pending
+        assert injector.take_corruption().spec.kind == "transfer_corruption"
+        assert injector.take_corruption() is None
 
     def test_injector_from_config(self, tmp_path):
         assert injector_from_config(default_config()) is None
